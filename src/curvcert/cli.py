@@ -3,15 +3,11 @@
 Exit codes: 0 all checks pass / verdict computed and true; 1 a check
 failed or a requested certification is false; 2 usage, config, or
 expression errors (expression errors carry the offending position).
-
-``CURVCERT_THREADS`` may bound the numeric thread count; results are
-independent of it (all reductions are ordered).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional
@@ -225,9 +221,6 @@ def _cmd_report(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    threads = os.environ.get("CURVCERT_THREADS")
-    if threads:
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

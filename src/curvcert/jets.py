@@ -1,12 +1,19 @@
 """Truncated multivariate Taylor (jet) arithmetic.
 
-A ``Jet`` stores the value and all partial derivatives of a scalar
-quantity up to total order 3, in 1..4 chart variables, as dense
-coefficients indexed by multi-indices alpha (the slot for alpha holds
-``d^alpha u / alpha!``).  All operations are exact truncated Taylor
-arithmetic: sums, Leibniz products, quotients and composition with the
-elementary functions.  Coefficients may carry trailing batch axes, so a
-single Jet can represent the same field evaluated at many points.
+A ``Jet`` holds the value and all partial derivatives of a scalar
+quantity up to total order 3, in 1..4 chart variables, as coefficients
+indexed by multi-indices alpha (the slot for alpha holds
+``d^alpha u / alpha!``), ordered by total degree.  Storage is graded: a
+jet keeps only the slots up to its structural degree, the highest total
+degree that can be nonzero (-1 for the zero jet, 0 for a constant, 1 for
+a coordinate), and every slot above it is an exact zero.  Degrees follow
+the arithmetic, so a product with a zero or constant operand costs no
+convolution and reduced-order jets carry no dead slots.
+
+All operations are exact truncated Taylor arithmetic: sums, Leibniz
+products, quotients and composition with the elementary functions.
+Coefficients may carry trailing batch axes, so a single Jet can
+represent the same field evaluated at many points.
 
 Jets are immutable values; every operation returns a fresh Jet.
 """
@@ -40,6 +47,11 @@ def ncoeffs(dim: int) -> int:
     return math.comb(dim + MAX_ORDER, MAX_ORDER)
 
 
+def _nslots(dim: int, degree: int) -> int:
+    """Number of multi-indices with |alpha| <= degree (0 for degree -1)."""
+    return math.comb(dim + degree, degree) if degree >= 0 else 0
+
+
 def _compositions(total, dim):
     if dim == 1:
         yield (total,)
@@ -66,106 +78,163 @@ def _slot_of(dim: int):
 
 
 @lru_cache(maxsize=None)
-def _degrees(dim: int):
-    return np.array([sum(a) for a in multi_indices(dim)])
+def _mul_plan(dim: int, deg_a: int, deg_b: int, deg_out: int) -> tuple:
+    """Leibniz terms of a product of graded jets, per output slot.
 
-
-@lru_cache(maxsize=None)
-def _alpha_factorials(dim: int):
-    return np.array([math.prod(math.factorial(ai) for ai in a)
-                     for a in multi_indices(dim)], dtype=float)
-
-
-@lru_cache(maxsize=None)
-def _mul_table(dim: int):
-    """Pair table for the Leibniz convolution, grouped by output slot.
-
-    Returns (ii, jj, starts): coefficient pairs sorted by output slot so
-    the product reduces with one ordered ``np.add.reduceat``.
+    One ``(k, lead, rest)`` per output slot k: ``lead`` says whether the
+    pair (0, k) is present, and ``rest`` lists the other (i, j) pairs in
+    increasing i.  Pairs that read a slot above an operand's degree are
+    structural zeros and are left out.
     """
     idx = multi_indices(dim)
     slot = _slot_of(dim)
-    triples = []
-    for i, a in enumerate(idx):
-        for j, b in enumerate(idx):
-            c = tuple(x + y for x, y in zip(a, b))
-            if sum(c) <= MAX_ORDER:
-                triples.append((slot[c], i, j))
-    triples.sort()
-    kk = np.array([t[0] for t in triples])
-    ii = np.array([t[1] for t in triples])
-    jj = np.array([t[2] for t in triples])
-    starts = np.searchsorted(kk, np.arange(ncoeffs(dim)))
-    return ii, jj, starts
+    na, nb = _nslots(dim, deg_a), _nslots(dim, deg_b)
+    plan = []
+    for k in range(_nslots(dim, deg_out)):
+        c = idx[k]
+        rest = []
+        for i in range(1, na):
+            d = tuple(y - x for x, y in zip(idx[i], c))
+            if min(d) >= 0 and slot[d] < nb:
+                rest.append((i, slot[d]))
+        plan.append((k, k < nb, tuple(rest)))
+    return tuple(plan)
+
+
+def _product(a, b, plan, n_out, batch):
+    """Graded Leibniz product of stored slots ``a`` and ``b``.
+
+    Each output slot is ``a[0]*b[k] + (((r0 + r1) + r2) ...)`` over the
+    plan's remaining terms r, the association ``np.add.reduceat`` gives
+    the dense pair table (the first pair of a segment plus the in-order
+    sum of the rest, fewer than eight of them).  Dropped pairs are exact
+    zeros, so the result equals the dense product bit for bit.
+    """
+    if not batch:  # rows must be arrays to serve as out= buffers
+        return _product(a[:, None], b[:, None], plan, n_out, (1,))[:, 0]
+    out = np.empty((n_out,) + batch)
+    acc = np.empty(batch)
+    tmp = np.empty(batch)
+    for k, lead, rest in plan:
+        o = out[k]
+        if rest:
+            s = acc if lead else o
+            (i, j), more = rest[0], rest[1:]
+            np.multiply(a[i], b[j], out=s)
+            for i, j in more:
+                np.multiply(a[i], b[j], out=tmp)
+                np.add(s, tmp, out=s)
+        if lead:
+            np.multiply(a[0], b[k], out=o)
+            if rest:
+                np.add(o, acc, out=o)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _partial_table(dim: int, axis: int):
-    """(src, dst, mult) so that d[dst] = mult * c[src] is d/dx_axis."""
+def _partial_table(dim: int, axis: int, degree: int):
+    """(src, mult) so that slot k of d/dx_axis is mult[k] * c[src[k]].
+
+    Covers the output slots up to ``degree - 1`` of a degree-``degree``
+    jet.
+    """
     idx = multi_indices(dim)
     slot = _slot_of(dim)
-    src, dst, mult = [], [], []
-    for k, a in enumerate(idx):
-        if sum(a) >= MAX_ORDER:
-            continue
+    src, mult = [], []
+    for a in idx[:_nslots(dim, degree - 1)]:
         up = tuple(x + (1 if i == axis else 0) for i, x in enumerate(a))
         src.append(slot[up])
-        dst.append(k)
         mult.append(a[axis] + 1)
-    return np.array(src), np.array(dst), np.array(mult, dtype=float)
+    return np.array(src), np.array(mult, dtype=float)
 
 
 def _bshape(mult, nd):
     return mult.reshape((-1,) + (1,) * (nd - 1))
 
 
+def _batch(a: "Jet", b: "Jet"):
+    sa, sb = a.batch_shape, b.batch_shape
+    return sa if sa == sb else np.broadcast_shapes(sa, sb)
+
+
 class Jet:
     """Order-3 truncated Taylor value in ``dim`` chart variables.
 
-    ``coeffs`` has shape ``(ncoeffs(dim),) + batch``; slots above
-    ``order`` are kept identically zero (internally reduced-order jets
-    appear as intermediate results of differentiation).
+    ``stored`` has shape ``(nslots,) + batch`` and holds the slots up to
+    ``degree``; ``degree <= order``, and slots above ``order`` are not
+    part of the jet (reduced-order jets appear as intermediate results of
+    differentiation).  ``coeffs`` is the full ``(ncoeffs(dim),) + batch``
+    array, zero-padded, as a fresh copy.
+
+    ``Jet(dim, coeffs, order)`` takes a full coefficient array and keeps
+    its slots up to ``order``.
     """
 
-    __slots__ = ("dim", "order", "coeffs")
+    __slots__ = ("dim", "order", "degree", "stored")
 
     def __init__(self, dim: int, coeffs, order: int = MAX_ORDER):
-        self.dim = dim
-        self.order = order
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        if self.coeffs.shape[0] != ncoeffs(dim):
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape[0] != ncoeffs(dim):
             raise JetShapeError(
                 f"expected {ncoeffs(dim)} coefficients for dim {dim}, "
-                f"got {self.coeffs.shape[0]}")
+                f"got {coeffs.shape[0]}")
+        self.dim = dim
+        self.order = order
+        self.degree = order
+        self.stored = coeffs[:_nslots(dim, order)]
+
+    @classmethod
+    def _make(cls, dim: int, order: int, degree: int, stored) -> "Jet":
+        """Jet from graded slots: ``stored.shape[0] == _nslots(dim, degree)``."""
+        jet = object.__new__(cls)
+        jet.dim = dim
+        jet.order = order
+        jet.degree = degree
+        jet.stored = stored
+        return jet
+
+    @classmethod
+    def _zero(cls, dim: int, order: int, batch_shape) -> "Jet":
+        return cls._make(dim, order, -1, np.empty((0,) + batch_shape))
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def constant(dim: int, value, batch_shape=()) -> "Jet":
+        """Constant jet; a scalar 0 gives the zero jet."""
         value = np.asarray(value, dtype=float)
         shape = np.broadcast_shapes(value.shape, batch_shape)
-        coeffs = np.zeros((ncoeffs(dim),) + shape)
-        coeffs[0] = value
-        return Jet(dim, coeffs)
+        if value.ndim == 0 and value == 0.0:
+            return Jet._zero(dim, MAX_ORDER, shape)
+        return Jet._make(dim, MAX_ORDER, 0,
+                         np.broadcast_to(value, (1,) + shape))
 
     @staticmethod
     def from_axis(dim: int, axis: int, coeffs1d, order: int = MAX_ORDER) -> "Jet":
         """Embed univariate Taylor coefficients along one chart axis."""
         coeffs1d = np.asarray(coeffs1d, dtype=float)
         slot = _slot_of(dim)
-        coeffs = np.zeros((ncoeffs(dim),) + coeffs1d.shape[1:])
-        for k in range(MAX_ORDER + 1):
+        stored = np.zeros((_nslots(dim, order),) + coeffs1d.shape[1:])
+        for k in range(order + 1):
             e = tuple(k if i == axis else 0 for i in range(dim))
-            coeffs[slot[e]] = coeffs1d[k]
-        return Jet(dim, coeffs, order)
+            stored[slot[e]] = coeffs1d[k]
+        return Jet._make(dim, order, order, stored)
+
+    @property
+    def coeffs(self):
+        out = np.zeros((ncoeffs(self.dim),) + self.batch_shape)
+        out[:self.stored.shape[0]] = self.stored
+        return out
 
     @property
     def value(self):
-        return self.coeffs[0]
+        if self.degree < 0:
+            return np.zeros(self.batch_shape)[()]
+        return self.stored[0]
 
     @property
     def batch_shape(self):
-        return self.coeffs.shape[1:]
+        return self.stored.shape[1:]
 
     # -- helpers ------------------------------------------------------
 
@@ -174,14 +243,11 @@ class Jet:
             raise JetShapeError(
                 f"jet dimension mismatch: {self.dim} vs {other.dim}")
 
-    def _truncated(self, coeffs, order: int) -> "Jet":
-        if order < MAX_ORDER:
-            coeffs = np.where(
-                _bshape(_degrees(self.dim) <= order, coeffs.ndim), coeffs, 0.0)
-        return Jet(self.dim, coeffs, order)
-
     def truncate(self, order: int) -> "Jet":
-        return self._truncated(self.coeffs, min(order, self.order))
+        order = min(order, self.order)
+        degree = min(self.degree, order)
+        return Jet._make(self.dim, order, degree,
+                         self.stored[:_nslots(self.dim, degree)])
 
     # -- ring operations ----------------------------------------------
 
@@ -189,17 +255,34 @@ class Jet:
         if isinstance(other, Jet):
             self._check_mate(other)
             order = min(self.order, other.order)
-            return self._truncated(self.coeffs + other.coeffs, order)
-        coeffs = self.coeffs.copy()
-        coeffs = coeffs + np.zeros(np.broadcast_shapes(
-            coeffs.shape, (1,) + np.shape(other)))
-        coeffs[0] = coeffs[0] + other
-        return Jet(self.dim, coeffs, self.order)
+            lo, hi = ((self, other) if self.degree <= other.degree
+                      else (other, self))
+            degree = min(hi.degree, order)
+            n = _nslots(self.dim, degree)
+            n_lo = _nslots(self.dim, min(lo.degree, degree))
+            batch = _batch(self, other)
+            if n_lo == 0:
+                stored = hi.stored[:n]
+                if stored.shape[1:] != batch:
+                    stored = np.broadcast_to(stored, (n,) + batch)
+            else:
+                stored = np.empty((n,) + batch)
+                np.add(self.stored[:n_lo], other.stored[:n_lo],
+                       out=stored[:n_lo])
+                stored[n_lo:] = hi.stored[n_lo:n]
+            return Jet._make(self.dim, order, degree, stored)
+        degree = max(self.degree, 0)
+        n = _nslots(self.dim, degree)
+        stored = np.empty((n,) + np.broadcast_shapes(self.batch_shape,
+                                                      np.shape(other)))
+        stored[1:] = self.stored[1:]
+        stored[0] = self.value + other
+        return Jet._make(self.dim, self.order, degree, stored)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.dim, -self.coeffs, self.order)
+        return Jet._make(self.dim, self.order, self.degree, -self.stored)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -np.asarray(other))
@@ -209,13 +292,25 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.dim, self.coeffs * np.asarray(other), self.order)
+            return Jet._make(self.dim, self.order, self.degree,
+                             self.stored * np.asarray(other))
         self._check_mate(other)
         order = min(self.order, other.order)
-        ii, jj, starts = _mul_table(self.dim)
-        prod = self.coeffs[ii] * other.coeffs[jj]
-        out = np.add.reduceat(prod, starts, axis=0)
-        return self._truncated(out, order)
+        batch = _batch(self, other)
+        da, db = self.degree, other.degree
+        if da < 0 or db < 0:
+            return Jet._zero(self.dim, order, batch)
+        degree = min(da + db, order)
+        n = _nslots(self.dim, degree)
+        a, b = self.stored, other.stored
+        if da == 0:
+            stored = a[0] * b[:n]
+        elif db == 0:
+            stored = a[:n] * b[0]
+        else:
+            stored = _product(a, b, _mul_plan(self.dim, da, db, degree), n,
+                              batch)
+        return Jet._make(self.dim, order, degree, stored)
 
     __rmul__ = __mul__
 
@@ -228,7 +323,8 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.reciprocal()
-        return Jet(self.dim, self.coeffs / np.asarray(other), self.order)
+        return Jet._make(self.dim, self.order, self.degree,
+                         self.stored / np.asarray(other))
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -244,10 +340,11 @@ class Jet:
             raise JetShapeError(f"axis {axis} out of range for dim {self.dim}")
         if self.order == 0:
             raise JetShapeError("cannot differentiate an order-0 jet")
-        src, dst, mult = _partial_table(self.dim, axis)
-        out = np.zeros_like(self.coeffs)
-        out[dst] = self.coeffs[src] * _bshape(mult, self.coeffs.ndim)
-        return self._truncated(out, self.order - 1)
+        if self.degree <= 0:
+            return Jet._zero(self.dim, self.order - 1, self.batch_shape)
+        src, mult = _partial_table(self.dim, axis, self.degree)
+        stored = self.stored[src] * _bshape(mult, self.stored.ndim)
+        return Jet._make(self.dim, self.order - 1, self.degree - 1, stored)
 
     def compose(self, derivs) -> "Jet":
         """Compose with a univariate function given by its derivatives.
@@ -256,9 +353,12 @@ class Jet:
         (value-shaped arrays); returns the order-3 Taylor composition
         via Horner on the nilpotent part.
         """
-        w = self.coeffs.copy()
-        w[0] = 0.0
-        wjet = Jet(self.dim, w, self.order)
+        if self.degree > 0:
+            w = self.stored.copy()
+            w[0] = 0.0
+            wjet = Jet._make(self.dim, self.order, self.degree, w)
+        else:
+            wjet = Jet._zero(self.dim, self.order, self.batch_shape)
         res = Jet.constant(self.dim, derivs[3] / 6.0, self.batch_shape)
         res = res * wjet + Jet.constant(self.dim, derivs[2] / 2.0, self.batch_shape)
         res = res * wjet + Jet.constant(self.dim, derivs[1], self.batch_shape)
@@ -277,11 +377,11 @@ def seed_variable(axis: int, x) -> Jet:
         raise JetShapeError(f"variable index {axis} out of range for dim {dim}")
     if not np.all(np.isfinite(x)):
         raise JetError("non-finite point coordinates")
-    coeffs = np.zeros((ncoeffs(dim),) + x.shape[1:])
-    coeffs[0] = x[axis]
+    stored = np.zeros((dim + 1,) + x.shape[1:])
+    stored[0] = x[axis]
     e = tuple(1 if i == axis else 0 for i in range(dim))
-    coeffs[_slot_of(dim)[e]] = 1.0
-    return Jet(dim, coeffs)
+    stored[_slot_of(dim)[e]] = 1.0
+    return Jet._make(dim, MAX_ORDER, 1, stored)
 
 
 def extract(a: Jet, alpha) -> float:
@@ -292,9 +392,10 @@ def extract(a: Jet, alpha) -> float:
     total = sum(alpha)
     if total > a.order:
         raise JetError(f"order overflow: |alpha|={total} > jet order {a.order}")
-    k = _slot_of(a.dim)[alpha]
     fact = math.prod(math.factorial(v) for v in alpha)
-    return a.coeffs[k] * fact
+    if total > a.degree:
+        return np.zeros(a.batch_shape)[()] * fact
+    return a.stored[_slot_of(a.dim)[alpha]] * fact
 
 
 def apply_univariate(fn: str, a: Jet) -> Jet:

@@ -25,11 +25,18 @@ def fd_partial(fn, x, axis, order, h):
     raise ValueError(order)
 
 
-def richardson_partial(fn, x, axis, order, h):
-    """One Richardson step on the O(h^2) central differences."""
-    coarse = fd_partial(fn, x, axis, order, h)
-    fine = fd_partial(fn, x, axis, order, h / 2)
-    return (4 * fine - coarse) / 3
+def richardson_partial(fn, x, axis, order, h, levels=1):
+    """Richardson extrapolation of the O(h^2) central differences.
+
+    Uses steps h, h/2, ..., h/2**levels; level k removes the h^(2k) term.
+    """
+    table = [fd_partial(fn, x, axis, order, h / 2**i)
+             for i in range(levels + 1)]
+    for level in range(1, levels + 1):
+        f = 4**level
+        table = [(f * fine - coarse) / (f - 1)
+                 for coarse, fine in zip(table, table[1:])]
+    return table[0]
 
 
 def fd_mixed(fn, x, axes, h):

@@ -1,8 +1,11 @@
+import itertools
 import math
+import zlib
 
 import numpy as np
 import pytest
 
+from curvcert.fields import ConstField
 from curvcert.jets import (Jet, JetDomainError, JetError, JetShapeError,
                            apply_univariate, extract, jet_pow, multi_indices,
                            ncoeffs, seed_variable)
@@ -57,8 +60,10 @@ class TestBasics:
             extract(j.partial(0), (3,))
 
     def test_coeff_count_validated(self):
-        with pytest.raises(JetShapeError):
-            Jet(2, np.zeros(7))
+        for dim in (1, 2, 3, 4):
+            for n in (ncoeffs(dim) - 1, ncoeffs(dim) + 1):
+                with pytest.raises(JetShapeError):
+                    Jet(dim, np.zeros((n, 3)))
 
 
 class TestArithmetic:
@@ -156,22 +161,24 @@ class TestUnivariate:
 
     @pytest.mark.parametrize("fn", FNS)
     def test_against_richardson(self, fn):
-        rng = np.random.default_rng(hash(fn) % 2**31)
-        x0 = float(rng.uniform(0.3, 1.2))
+        # A second Richardson level at order 3: one level at h = 1e-2
+        # is off by up to 2.8x the tolerance on [0.3, 1.2] (log at 0.3).
+        rng = np.random.default_rng(zlib.crc32(fn.encode()))
+        grid = np.linspace(0.3, 1.2, 10)
 
         def scalar(x):
             v = np.asarray(x, dtype=float)[0]
             return getattr(np, fn)(0.7 * v * v + v)
 
-        j = apply_univariate(
-            fn, 0.7 * seed_variable(0, np.array([x0]))
-            * seed_variable(0, np.array([x0]))
-            + seed_variable(0, np.array([x0])))
-        for order, h in [(1, 1e-4), (2, 1e-3), (3, 1e-2)]:
-            want = richardson_partial(lambda p: scalar(p), np.array([x0]),
-                                      0, order, h)
-            got = float(np.asarray(extract(j, (order,))))
-            assert got == pytest.approx(float(want), rel=1e-6, abs=1e-6)
+        for x0 in [float(rng.uniform(0.3, 1.2)), *grid]:
+            s = seed_variable(0, np.array([x0]))
+            j = apply_univariate(fn, 0.7 * s * s + s)
+            for order, h, levels in [(1, 1e-4, 1), (2, 1e-3, 1),
+                                     (3, 1e-2, 2)]:
+                want = richardson_partial(scalar, np.array([x0]), 0, order,
+                                          h, levels)
+                got = float(np.asarray(extract(j, (order,))))
+                assert got == pytest.approx(float(want), rel=1e-6, abs=1e-6)
 
     def test_log_domain(self):
         with pytest.raises(JetDomainError):
@@ -243,3 +250,105 @@ class TestBatch:
         j = Jet.constant(2, 3.0, batch_shape=(5,))
         assert j.batch_shape == (5,)
         np.testing.assert_array_equal(j.value, np.full(5, 3.0))
+
+
+def dense_product(dim, a, b, order):
+    """Reference product over full coefficient arrays: the Leibniz pair
+    table grouped by output slot and summed by one ``np.add.reduceat``,
+    then truncated to ``order``."""
+    idx = multi_indices(dim)
+    slot = {alpha: k for k, alpha in enumerate(idx)}
+    triples = []
+    for i, x in enumerate(idx):
+        for j, y in enumerate(idx):
+            c = tuple(p + q for p, q in zip(x, y))
+            if sum(c) <= 3:
+                triples.append((slot[c], i, j))
+    kk, ii, jj = (np.array(t) for t in zip(*sorted(triples)))
+    starts = np.searchsorted(kk, np.arange(len(idx)))
+    out = np.add.reduceat(a[ii] * b[jj], starts, axis=0)
+    return truncated(dim, out, order)
+
+
+def truncated(dim, coeffs, order):
+    degree = np.array([sum(alpha) for alpha in multi_indices(dim)])
+    keep = (degree <= order).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    return np.where(keep, coeffs, 0.0)
+
+
+def graded_jet(rng, dim, degree, order, batch):
+    """Random jet storing the slots up to ``degree``, values over 6 decades."""
+    n = math.comb(dim + degree, degree) if degree >= 0 else 0
+    shape = (n,) + batch
+    stored = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    return Jet._make(dim, order, degree, stored)
+
+
+class TestGradedStorage:
+    KINDS = [(degree, order) for order in range(4)
+             for degree in range(-1, order + 1)]
+
+    @pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_product_bitwise_equals_dense_table(self, dim, batch):
+        rng = np.random.default_rng(10 * dim + len(batch))
+        for (da, oa), (db, ob) in itertools.product(self.KINDS, self.KINDS):
+            a = graded_jet(rng, dim, da, oa, batch)
+            b = graded_jet(rng, dim, db, ob, batch)
+            order = min(oa, ob)
+            prod = a * b
+            assert prod.order == order
+            assert prod.degree == (-1 if min(da, db) < 0
+                                   else min(da + db, order))
+            assert prod.coeffs.shape == (ncoeffs(dim),) + batch
+            assert np.array_equal(
+                prod.coeffs, dense_product(dim, a.coeffs, b.coeffs, order))
+            assert np.array_equal(
+                (a + b).coeffs, truncated(dim, a.coeffs + b.coeffs, order))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_zero_constant_stores_no_slots(self, dim):
+        j = ConstField(dim, 0).jet(np.ones((dim, 4, 3)))
+        assert j.degree == -1
+        assert j.stored.shape == (0, 4, 3)
+        assert j.batch_shape == (4, 3)
+        np.testing.assert_array_equal(j.value, np.zeros((4, 3)))
+        np.testing.assert_array_equal(j.coeffs, np.zeros((ncoeffs(dim), 4, 3)))
+
+    def test_scalar_constant_is_read_only_view(self):
+        j = Jet.constant(3, 2.5, (6,))
+        assert j.degree == 0
+        assert j.stored.shape == (1, 6)
+        assert not j.stored.flags.writeable
+        np.testing.assert_array_equal(j.coeffs[0], np.full(6, 2.5))
+        assert not j.coeffs[1:].any()
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_partial_of_constant_is_zero(self, order):
+        j = Jet.constant(2, 2.5, (6,)).truncate(order)
+        d = j.partial(1)
+        assert (d.degree, d.order) == (-1, order - 1)
+        assert d.batch_shape == (6,)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_seed_variable_stores_linear_slots(self, dim):
+        x = np.linspace(0.1, 0.9, 5 * dim).reshape(dim, 5)
+        for axis in range(dim):
+            j = seed_variable(axis, x)
+            assert j.degree == 1
+            assert j.stored.shape == (dim + 1, 5)
+            assert j.coeffs.shape == (ncoeffs(dim), 5)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_coeffs_always_full_size(self, dim):
+        rng = np.random.default_rng(dim)
+        for degree, order in self.KINDS:
+            j = graded_jet(rng, dim, degree, order, (4,))
+            c = j.coeffs
+            assert c.shape == (ncoeffs(dim), 4)
+            n = j.stored.shape[0]
+            np.testing.assert_array_equal(c[:n], j.stored)
+            assert not c[n:].any()
+            for other in (j.partial(0) if order else j, j.truncate(0),
+                          j * 2.0, j + 1.0, -j):
+                assert other.coeffs.shape == (ncoeffs(dim), 4)
