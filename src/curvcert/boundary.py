@@ -26,8 +26,7 @@ import numpy as np
 from . import exprlang
 from .exprlang import add, differentiate, div, mul, simplify, sub
 from .fields import ConstField, CutoffField, CutoffSpec, ExprField, ScalarField
-from .geometry import (GRAD_PHI_FLOOR, PointFrame, WeightedSpace, as_points,
-                       frame_at, jet_matrix_inverse)
+from .geometry import GRAD_PHI_FLOOR, NodeGeometry, WeightedSpace, as_points
 from .jets import Jet
 
 ON_BOUNDARY_TOL = 1e-10
@@ -44,7 +43,7 @@ class BoundaryFrame:
     point: np.ndarray
     normal: np.ndarray    # (n, ...) contravariant components
     tangents: np.ndarray  # (n-1, n, ...)
-    frame: PointFrame
+    geom: NodeGeometry
 
 
 def _check_on_boundary(space: WeightedSpace, x):
@@ -57,13 +56,13 @@ def _check_on_boundary(space: WeightedSpace, x):
 
 def boundary_frame(space: WeightedSpace, x,
                    axis_order: Optional[Sequence[int]] = None,
-                   frame: Optional[PointFrame] = None) -> BoundaryFrame:
+                   geom: Optional[NodeGeometry] = None) -> BoundaryFrame:
     """Normal + tangent frame; Gram-Schmidt seeded by chart axes in order."""
     x = as_points(space, x)
     _check_on_boundary(space, x)
     n = space.dim
-    if frame is None:
-        frame = frame_at(space, x)
+    geom = geom or NodeGeometry(space, x)
+    frame = geom.frame
     jphi = space.defining_fn.jet(x)
     dphi = np.stack([jphi.partial(i).value for i in range(n)])
     gphi = np.einsum("ij...,j...->i...", frame.inverse, dphi)
@@ -97,14 +96,14 @@ def boundary_frame(space: WeightedSpace, x,
     if len(tangents) != n - 1:
         raise BoundaryError("could not build a full tangent frame")
     return BoundaryFrame(point=x, normal=N, tangents=np.stack(tangents),
-                         frame=frame)
+                         geom=geom)
 
 
-def normal_field_jets(space: WeightedSpace, x) -> List[Jet]:
+def normal_field_jets(space: WeightedSpace, x,
+                      geom: Optional[NodeGeometry] = None) -> List[Jet]:
     """Order-2 jets of the contravariant components of grad(phi)/|grad phi|_g."""
     n = space.dim
-    jg = space.metric_jets(x)
-    jginv = jet_matrix_inverse(jg)
+    jginv = (geom or NodeGeometry(space, x)).jginv
     jphi = space.defining_fn.jet(x)
     dphi = [jphi.partial(i) for i in range(n)]
     up = []
@@ -130,8 +129,8 @@ def second_fundamental_form(space: WeightedSpace, x,
     if bframe is None:
         bframe = boundary_frame(space, x)
     n = space.dim
-    frame = bframe.frame
-    jN = normal_field_jets(space, x)
+    frame = bframe.geom.frame
+    jN = normal_field_jets(space, x, bframe.geom)
     Nval = np.stack([j.value for j in jN])
     dN = np.stack([np.stack([jN[k].partial(i).value for i in range(n)])
                    for k in range(n)])  # [k, i]

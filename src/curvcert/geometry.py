@@ -18,7 +18,8 @@ conventions (the single normative statement for the whole package):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -107,13 +108,10 @@ def jet_matrix_inverse(a: List[List[Jet]]) -> List[List[Jet]]:
 class PointFrame:
     """Cached per-point metric data consumed by every operator."""
 
-    point: np.ndarray
     metric: np.ndarray        # (n, n, ...)
     inverse: np.ndarray       # (n, n, ...)
     sqrt_det: np.ndarray
     christoffels: np.ndarray  # (n, n, n, ...) indexed [k, i, j]
-    metric_partials: np.ndarray   # (n, n, n, ...) indexed [i, j, l] = d_l g_ij
-    min_eigenvalue: np.ndarray
 
 
 def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None
@@ -151,20 +149,14 @@ def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None
                     acc = acc + Ginv[k, l] * (dg[j, l, i] + dg[i, l, j]
                                               - dg[i, j, l])
                 gamma[k, i, j] = 0.5 * acc
-    return PointFrame(point=x, metric=G, inverse=Ginv, sqrt_det=sqrt_det,
-                      christoffels=gamma, metric_partials=dg,
-                      min_eigenvalue=min_eig)
+    return PointFrame(metric=G, inverse=Ginv, sqrt_det=sqrt_det,
+                      christoffels=gamma)
 
 
-def christoffel_jets(space: WeightedSpace, x,
-                     jg: Optional[List[List[Jet]]] = None,
-                     jginv: Optional[List[List[Jet]]] = None
-                     ) -> List[List[List[Jet]]]:
-    """Christoffel symbols as order-2 jets (for Ricci and Gamma2)."""
-    if jg is None:
-        jg = space.metric_jets(x)
-    if jginv is None:
-        jginv = jet_matrix_inverse(jg)
+def christoffel_jets(space: WeightedSpace, x, jg: List[List[Jet]],
+                     jginv: List[List[Jet]]) -> List[List[List[Jet]]]:
+    """Christoffel symbols as order-2 jets (for Ricci and Gamma2), from the
+    metric jets and their inverse at x."""
     n = space.dim
     djg = [[[jg[i][j].partial(l) for l in range(n)] for j in range(n)]
            for i in range(n)]
@@ -185,11 +177,44 @@ def christoffel_jets(space: WeightedSpace, x,
     return out
 
 
-def ricci(space: WeightedSpace, x) -> np.ndarray:
+class NodeGeometry:
+    """Metric and weight data of one node batch, computed once: metric jets
+    and ``PointFrame`` up front; inverse, Christoffel and weight jets on
+    first use.  The operators below take it as ``geom``."""
+
+    def __init__(self, space: WeightedSpace, x):
+        self.space = space
+        self.x = as_points(space, x)
+        self.jg = space.metric_jets(self.x)
+        self.frame = frame_at(space, self.x, self.jg)
+
+    @cached_property
+    def jginv(self) -> List[List[Jet]]:
+        return jet_matrix_inverse(self.jg)
+
+    @cached_property
+    def jgam(self) -> List[List[List[Jet]]]:
+        return christoffel_jets(self.space, self.x, self.jg, self.jginv)
+
+    @cached_property
+    def jV(self) -> Jet:
+        return self.space.weight.jet(self.x)
+
+
+FieldOrJet = Union[ScalarField, Jet]
+
+
+def _jet(f: FieldOrJet, x) -> Jet:
+    """The jet of f at x; f is a field or already that jet."""
+    return f if isinstance(f, Jet) else f.jet(x)
+
+
+def ricci(space: WeightedSpace, x,
+          geom: Optional[NodeGeometry] = None) -> np.ndarray:
     """Ricci tensor components R_ij at x, symmetrized."""
     x = as_points(space, x)
     n = space.dim
-    jgam = christoffel_jets(space, x)
+    jgam = (geom or NodeGeometry(space, x)).jgam
     batch = jgam[0][0][0].batch_shape
     gam = np.zeros((n, n, n) + batch)
     dgam = np.zeros((n, n, n, n) + batch)  # [k, i, j, l] = d_l G^k_ij
@@ -212,18 +237,12 @@ def ricci(space: WeightedSpace, x) -> np.ndarray:
     return 0.5 * (R + np.swapaxes(R, 0, 1))
 
 
-def hessian(space: WeightedSpace, f: ScalarField, x,
-            frame: Optional[PointFrame] = None) -> np.ndarray:
+def hessian(space: WeightedSpace, f: FieldOrJet, x,
+            geom: Optional[NodeGeometry] = None) -> np.ndarray:
     """Covariant Hessian components (Hess f)_ij at x."""
     x = as_points(space, x)
-    if frame is None:
-        frame = frame_at(space, x)
-    jf = f.jet(x)
-    return hessian_from_jet(space, jf, frame)
-
-
-def hessian_from_jet(space: WeightedSpace, jf: Jet,
-                     frame: PointFrame) -> np.ndarray:
+    frame = (geom or NodeGeometry(space, x)).frame
+    jf = _jet(f, x)
     n = space.dim
     df = [jf.partial(i) for i in range(n)]
     H = np.zeros((n, n) + jf.batch_shape)
@@ -236,40 +255,38 @@ def hessian_from_jet(space: WeightedSpace, jf: Jet,
     return H
 
 
-def grad(space: WeightedSpace, f: ScalarField, x,
-         frame: Optional[PointFrame] = None) -> np.ndarray:
+def grad(space: WeightedSpace, f: FieldOrJet, x,
+         geom: Optional[NodeGeometry] = None) -> np.ndarray:
     """Contravariant gradient components of f at x."""
     x = as_points(space, x)
-    if frame is None:
-        frame = frame_at(space, x)
-    jf = f.jet(x)
+    frame = (geom or NodeGeometry(space, x)).frame
+    jf = _jet(f, x)
     df = np.stack([jf.partial(i).value for i in range(space.dim)])
     return np.einsum("ij...,j...->i...", frame.inverse, df)
 
 
-def gamma1(space: WeightedSpace, f: ScalarField, h: ScalarField, x,
-           frame: Optional[PointFrame] = None) -> np.ndarray:
+def gamma1(space: WeightedSpace, f: FieldOrJet, h: FieldOrJet, x,
+           geom: Optional[NodeGeometry] = None) -> np.ndarray:
     """Carre du champ Gamma(f,h) = g^{ij} d_i f d_j h at x."""
     x = as_points(space, x)
-    if frame is None:
-        frame = frame_at(space, x)
-    jf = f.jet(x)
-    jh = jf if h is f else h.jet(x)
+    frame = (geom or NodeGeometry(space, x)).frame
+    jf = _jet(f, x)
+    jh = jf if h is f else _jet(h, x)
     df = np.stack([jf.partial(i).value for i in range(space.dim)])
     dh = df if jh is jf else np.stack(
         [jh.partial(i).value for i in range(space.dim)])
     return np.einsum("ij...,i...,j...->...", frame.inverse, df, dh)
 
 
-def witten_laplacian(space: WeightedSpace, f: ScalarField, x,
-                     frame: Optional[PointFrame] = None) -> np.ndarray:
+def witten_laplacian(space: WeightedSpace, f: FieldOrJet, x,
+                     geom: Optional[NodeGeometry] = None) -> np.ndarray:
     """L f = trace_g Hess f - Gamma(V, f) at x."""
     x = as_points(space, x)
-    if frame is None:
-        frame = frame_at(space, x)
-    H = hessian(space, f, x, frame)
-    lap = np.einsum("ij...,ij...->...", frame.inverse, H)
-    return lap - gamma1(space, space.weight, f, x, frame)
+    geom = geom or NodeGeometry(space, x)
+    jf = _jet(f, x)
+    H = hessian(space, jf, x, geom)
+    lap = np.einsum("ij...,ij...->...", geom.frame.inverse, H)
+    return lap - gamma1(space, geom.jV, jf, x, geom)
 
 
 def hs_norm_sq(space: WeightedSpace, H: np.ndarray, x,
@@ -282,35 +299,31 @@ def hs_norm_sq(space: WeightedSpace, H: np.ndarray, x,
 
 
 def bakry_emery_ricci(space: WeightedSpace, x,
-                      frame: Optional[PointFrame] = None) -> np.ndarray:
+                      geom: Optional[NodeGeometry] = None) -> np.ndarray:
     """Ricci_V = Ricci + Hess V at x."""
     x = as_points(space, x)
-    if frame is None:
-        frame = frame_at(space, x)
-    return ricci(space, x) + hessian(space, space.weight, x, frame)
+    geom = geom or NodeGeometry(space, x)
+    return ricci(space, x, geom) + hessian(space, geom.jV, x, geom)
 
 
 @dataclass
 class Gamma2Parts:
     """Jet-assembled intermediates of Gamma2 reused by the checkers."""
 
-    frame: PointFrame
     f_jet: Jet                    # order 3
     gamma_ff_jet: Jet             # order 2: Gamma(f,f) as a field
     lf_jet: Jet                   # order 1: L f as a field
     gamma2: np.ndarray
 
 
-def gamma2_parts(space: WeightedSpace, f: ScalarField, x) -> Gamma2Parts:
+def gamma2_parts(space: WeightedSpace, f: FieldOrJet, x,
+                 geom: Optional[NodeGeometry] = None) -> Gamma2Parts:
     """Gamma2(f) via operator composition over jets of one order lower."""
     x = as_points(space, x)
     n = space.dim
-    jg = space.metric_jets(x)
-    jginv = jet_matrix_inverse(jg)
-    jgam = christoffel_jets(space, x, jg, jginv)
-    frame = frame_at(space, x, jg)
-    jf = f.jet(x)
-    jV = space.weight.jet(x)
+    geom = geom or NodeGeometry(space, x)
+    jginv, jgam, frame, jV = geom.jginv, geom.jgam, geom.frame, geom.jV
+    jf = _jet(f, x)
     df = [jf.partial(i) for i in range(n)]
     dV = [jV.partial(i) for i in range(n)]
 
@@ -333,7 +346,7 @@ def gamma2_parts(space: WeightedSpace, f: ScalarField, x) -> Gamma2Parts:
     dlf = np.stack([lf.partial(i).value for i in range(n)])
     dfv = np.stack([d.value for d in df])
     gamma_f_lf = np.einsum("ij...,i...,j...->...", frame.inverse, dfv, dlf)
-    return Gamma2Parts(frame=frame, f_jet=jf, gamma_ff_jet=gamma_ff,
+    return Gamma2Parts(f_jet=jf, gamma_ff_jet=gamma_ff,
                        lf_jet=lf, gamma2=half_l_gamma - gamma_f_lf)
 
 

@@ -8,6 +8,10 @@ is exact for integrands carrying a compact-support cutoff inside Omega
 clipping never cuts through the support).  Boundary integrals run over
 parametrized patches with the pullback density exp(-V) sqrt(det Gram).
 
+One ``NodeGeometry`` per node batch (interior chunk, boundary patch)
+gives the density and whatever a ``GeometryIntegrand`` reads.  An
+integrand may return k rows per batch; each is reduced like a single row.
+
 Reductions are ordered (numpy pairwise summation over a fixed node
 ordering), so results are reproducible bit-for-bit.
 """
@@ -15,23 +19,49 @@ ordering), so results are reproducible bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
 from .fields import ScalarField
-from .geometry import WeightedSpace, frame_at
+from .geometry import NodeGeometry, WeightedSpace
 
 DEFAULT_INTERIOR_NODES = 64
 DEFAULT_BOUNDARY_NODES = 256
 GRAM_FLOOR = 1e-12
 PATCH_PHI_TOL = 1e-8
 
-Integrand = Callable[[np.ndarray], np.ndarray]
+Integrand = Union[Callable[[np.ndarray], np.ndarray], "GeometryIntegrand"]
 
 
 class QuadratureError(ValueError):
     """Non-finite integrand, degenerate patch, or singular density."""
+
+
+@dataclass(frozen=True)
+class GeometryIntegrand:
+    """An integrand of a batch's ``NodeGeometry`` rather than of its nodes,
+    so that all its rows read the geometry the rule built for the batch."""
+
+    fn: Callable[[NodeGeometry], np.ndarray]
+
+
+def _rows(F, geom: NodeGeometry) -> np.ndarray:
+    return np.asarray(F.fn(geom) if isinstance(F, GeometryIntegrand)
+                      else F(geom.x))
+
+
+def _check_finite(fv: np.ndarray, x: np.ndarray):
+    if not np.all(np.isfinite(fv)):
+        bad = int(np.nonzero(~np.isfinite(fv))[-1][0])
+        raise QuadratureError(f"non-finite integrand value at node {x[:, bad]}")
+
+
+def _row_sums(terms: np.ndarray):
+    """One ordered sum per integrand row; a float for a single row."""
+    sums = [float(np.sum(row)) for row in terms.reshape(-1, terms.shape[-1])]
+    return sums[0] if terms.ndim == 1 else sums
 
 
 @dataclass
@@ -51,13 +81,16 @@ class BoundaryPatch:
         return len(self.param_box)
 
 
+@lru_cache(maxsize=256)
 def gauss_rule(lo: float, hi: float, m: int):
-    """m-point Gauss-Legendre nodes/weights on [lo, hi]."""
+    """m-point Gauss-Legendre nodes/weights on [lo, hi], read-only (cached)."""
     if m < 1:
         raise QuadratureError(f"node count must be >= 1, got {m}")
     t, w = np.polynomial.legendre.leggauss(m)
     half = 0.5 * (hi - lo)
-    return lo + half * (t + 1.0), half * w
+    nodes, weights = lo + half * (t + 1.0), half * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def tensor_rule(box, counts):
@@ -82,33 +115,35 @@ def _counts(counts, d, default):
 
 
 def integrate_interior(space: WeightedSpace, F: Integrand,
-                       counts=None, chunk: int = 16384) -> float:
-    """Integral of F over Omega = {phi < 0} against exp(-V) dVol_g."""
+                       counts=None, chunk: int = 16384):
+    """Integral of F over Omega = {phi < 0} against exp(-V) dVol_g
+    (one integral per row of F)."""
     counts = _counts(counts, space.dim, DEFAULT_INTERIOR_NODES)
     pts, wts = tensor_rule(space.chart_box, counts)
-    total = np.zeros(pts.shape[1])
+    total = None
     for start in range(0, pts.shape[1], chunk):
         sl = slice(start, start + chunk)
         x = pts[:, sl]
         phi = np.asarray(space.defining_fn.value(x))
         inside = phi < 0.0
-        fv = np.asarray(F(x)) * inside
-        if not np.all(np.isfinite(fv)):
-            bad = int(np.argmax(~np.isfinite(fv)))
-            raise QuadratureError(
-                f"non-finite integrand value at node {x[:, bad]}")
-        frame = frame_at(space, x)
-        if np.any((np.abs(fv) > 0) & (frame.sqrt_det <= GRAM_FLOOR)):
+        geom = NodeGeometry(space, x)
+        fv = _rows(F, geom) * inside
+        sqrt_det = geom.frame.sqrt_det
+        del geom  # one batch's geometry alive at a time
+        _check_finite(fv, x)
+        if np.any((np.abs(fv) > 0) & (sqrt_det <= GRAM_FLOOR)):
             raise QuadratureError(
                 "integrand supported on a chart-singular node "
                 "(sqrt det g below floor)")
-        dens = np.exp(-np.asarray(space.weight.value(x))) * frame.sqrt_det
-        total[sl] = wts[sl] * fv * dens
-    return float(np.sum(total))
+        dens = np.exp(-np.asarray(space.weight.value(x))) * sqrt_det
+        if total is None:
+            total = np.zeros(fv.shape[:-1] + pts.shape[1:])
+        total[..., sl] = wts[sl] * fv * dens
+    return _row_sums(total)
 
 
 def _patch_geometry(space: WeightedSpace, patch: BoundaryPatch, s: np.ndarray):
-    """Image points, tangent pushforwards and Gram density on a patch."""
+    """Geometry at the image points of a patch, and its Gram density."""
     n = space.dim
     d = patch.param_dim
     if d != n - 1:
@@ -123,28 +158,27 @@ def _patch_geometry(space: WeightedSpace, patch: BoundaryPatch, s: np.ndarray):
             f"{np.max(np.abs(phi)):.3e} > {PATCH_PHI_TOL}")
     T = np.stack([np.stack([jmaps[i].partial(a).value for i in range(n)])
                   for a in range(d)])  # (d, n, ...)
-    frame = frame_at(space, x)
-    gram = np.einsum("ai...,ij...,bj...->ab...", T, frame.metric, T)
+    geom = NodeGeometry(space, x)
+    gram = np.einsum("ai...,ij...,bj...->ab...", T, geom.frame.metric, T)
     gram_mat = np.moveaxis(gram, (0, 1), (-2, -1))
     det = np.linalg.det(gram_mat)
     if np.any(det <= GRAM_FLOOR):
         raise QuadratureError(
             f"degenerate patch Gram determinant ({np.min(det):.3e})")
-    return x, np.sqrt(det), frame
+    return geom, np.sqrt(det)
 
 
 def integrate_boundary(space: WeightedSpace, F: Integrand,
-                       patch: BoundaryPatch, counts=None) -> float:
-    """Integral of F over a boundary patch against exp(-V) dH^{n-1}."""
+                       patch: BoundaryPatch, counts=None):
+    """Integral of F over a boundary patch against exp(-V) dH^{n-1}
+    (one integral per row of F)."""
     counts = _counts(counts, patch.param_dim, DEFAULT_BOUNDARY_NODES)
     s, wts = tensor_rule(patch.param_box, counts)
-    x, dens_gram, _ = _patch_geometry(space, patch, s)
-    fv = np.asarray(F(x))
-    if not np.all(np.isfinite(fv)):
-        bad = int(np.argmax(~np.isfinite(fv)))
-        raise QuadratureError(f"non-finite integrand value at node {x[:, bad]}")
-    dens = np.exp(-np.asarray(space.weight.value(x))) * dens_gram
-    return float(np.sum(wts * fv * dens))
+    geom, dens_gram = _patch_geometry(space, patch, s)
+    fv = _rows(F, geom)
+    _check_finite(fv, geom.x)
+    dens = np.exp(-np.asarray(space.weight.value(geom.x))) * dens_gram
+    return _row_sums(wts * fv * dens)
 
 
 def integrate_boundary_all(space: WeightedSpace, F: Integrand,
@@ -167,5 +201,4 @@ def patch_points(space: WeightedSpace, patch: BoundaryPatch, counts=None,
         s = np.stack([g.ravel() for g in grids])
     else:
         s, _ = tensor_rule(patch.param_box, counts)
-    x, _, _ = _patch_geometry(space, patch, s)
-    return x
+    return _patch_geometry(space, patch, s)[0].x

@@ -22,12 +22,11 @@ import numpy as np
 from .boundary import NeumannTestFunction, second_fundamental_form
 from .config import SpaceConfig
 from .fields import CutoffField, CutoffSpec, ExprField, ScalarField
-from .geometry import WeightedSpace, bakry_emery_ricci, frame_at
+from .geometry import NodeGeometry, WeightedSpace, bakry_emery_ricci
 from .verify import (CheckResult, CurvatureReport, SamplePlan, boundary_grid,
                      certify, check_bochner, check_dimension_term,
-                     check_green, check_ii_identity, check_mv_laplacian,
-                     check_ricci_decomposition, eigenvalues_relative,
-                     flatness_report, interior_grid)
+                     check_ii_identity, eigenvalues_relative,
+                     flatness_report, interior_grid, weak_checks)
 
 _VAR_NAMES = ("x", "y", "z", "w")
 
@@ -104,16 +103,11 @@ def run_suite(target: Target, k_list: Sequence[float] = (0.0,),
     results.append(check_dimension_term(
         space, fields, bochner_points(target), float(space.dim)))
     g = target.neumann()
-    h = target.h_field()
-    results.append(check_green(space, h, g, plan.quad_interior,
-                               plan.quad_boundary))
-    results.append(check_mv_laplacian(space, g, h, plan.quad_interior,
-                                      plan.quad_boundary))
-    results.append(check_ii_identity(
-        space, g, boundary_counts=plan.boundary_counts))
-    results.append(check_ricci_decomposition(
-        space, g, h, plan.quad_interior, plan.quad_boundary,
-        plan.boundary_counts))
+    green, mv_laplacian, decomposition = weak_checks(
+        space, g, target.h_field(), plan.quad_interior, plan.quad_boundary,
+        plan.boundary_counts)
+    results += [green, mv_laplacian, check_ii_identity(
+        space, g, boundary_counts=plan.boundary_counts), decomposition]
     cert = certify(space, k_list, n_list, plan=plan)
     flat = flatness_report(space, plan=plan)
     return {
@@ -184,9 +178,9 @@ def render_csv(target: Target) -> str:
         return col + [""] * (4 - len(col))
 
     x = interior_grid(space, plan.interior_counts)
-    frame = frame_at(space, x)
-    eigs = eigenvalues_relative(bakry_emery_ricci(space, x, frame),
-                                frame.metric)
+    geom = NodeGeometry(space, x)
+    eigs = eigenvalues_relative(bakry_emery_ricci(space, x, geom),
+                                geom.frame.metric)
     for k in range(x.shape[1]):
         wr.writerow(["interior", k] + coords(x, k)
                     + [f"{eigs[k, 0]:.17g}", f"{eigs[k, -1]:.17g}"])

@@ -11,6 +11,11 @@ Ricci tensor is one named, reportable check:
 * ``check_dimension_term``      -- |Hess f|^2_HS >= (trace_g Hess f)^2 / N
 * ``certify`` / ``flatness_report`` -- sampled eigenvalue certificates
 
+Green's formula and the weak Laplacian are one identity read from two
+sides.  ``weak_checks`` gets both and the decomposition from one sweep
+that builds the geometry and the jets of g and h once per node batch;
+the standalone checks run the same sweep.
+
 Every check that assumes the Neumann hypothesis re-verifies it first and
 fails loudly (GateError) if violated: that is a broken hypothesis, not a
 broken theorem.  All verdicts are sampled necessary-condition
@@ -27,9 +32,12 @@ import numpy as np
 from .boundary import (NeumannTestFunction, boundary_frame,
                        normal_field_jets, second_fundamental_form)
 from .fields import ScalarField
-from .geometry import (WeightedSpace, as_points, bakry_emery_ricci, frame_at,
-                       gamma2_parts, hessian_from_jet, hs_norm_sq)
-from .quadrature import (integrate_boundary, integrate_interior, patch_points)
+from .geometry import (NodeGeometry, WeightedSpace, as_points,
+                       bakry_emery_ricci, gamma1, gamma2_parts, hessian,
+                       hs_norm_sq, witten_laplacian)
+from .jets import Jet
+from .quadrature import (GeometryIntegrand, integrate_boundary,
+                         integrate_interior, patch_points)
 
 POINTWISE_TOL = 1e-8
 QUADRATURE_TOL = 1e-5
@@ -114,13 +122,14 @@ def check_bochner(space: WeightedSpace, fields: Sequence[ScalarField],
                   points, tol: float = POINTWISE_TOL) -> CheckResult:
     """Bochner identity Gamma2(f) = Ricci_V(grad f, grad f) + |Hess f|^2."""
     x = as_points(space, np.asarray(points, dtype=float))
-    ricv = bakry_emery_ricci(space, x)
+    geom = NodeGeometry(space, x)
+    ricv = bakry_emery_ricci(space, x, geom)
     worst = -1.0
     witness: Dict = {}
     for fi, f in enumerate(fields):
-        parts = gamma2_parts(space, f, x)
-        frame = parts.frame
-        H = hessian_from_jet(space, parts.f_jet, frame)
+        parts = gamma2_parts(space, f, x, geom)
+        frame = geom.frame
+        H = hessian(space, parts.f_jet, x, geom)
         df = np.stack([parts.f_jet.partial(i).value
                        for i in range(space.dim)])
         gf = np.einsum("ij...,j...->i...", frame.inverse, df)
@@ -138,42 +147,110 @@ def check_bochner(space: WeightedSpace, fields: Sequence[ScalarField],
         metadata={"fields": len(fields), "points": npts})
 
 
-def normal_flux(space: WeightedSpace, u: ScalarField, x) -> np.ndarray:
-    """g(N, grad u) with N the level-set unit normal field."""
-    jN = normal_field_jets(space, x)
-    ju = u.jet(x)
-    acc = 0.0
-    for i in range(space.dim):
-        acc = acc + jN[i].value * ju.partial(i).value
-    return acc
-
-
 def _as_field(g) -> ScalarField:
     return g.field if isinstance(g, NeumannTestFunction) else g
+
+
+def _g_terms(space: WeightedSpace, geom: NodeGeometry, jg: Jet):
+    """The h-free interior pieces of the decomposition on one batch:
+    grad Gamma(g,g), Gamma(g, Lg), |Hess g|^2_HS, Ricci_V(grad g, grad g)."""
+    x, frame, n = geom.x, geom.frame, space.dim
+    parts = gamma2_parts(space, jg, x, geom)
+    dgam = np.stack([parts.gamma_ff_jet.partial(i).value for i in range(n)])
+    df = np.stack([jg.partial(i).value for i in range(n)])
+    dlf = np.stack([parts.lf_jet.partial(i).value for i in range(n)])
+    g_f_lf = np.einsum("ij...,i...,j...->...", frame.inverse, df, dlf)
+    hs = hs_norm_sq(space, hessian(space, jg, x, geom), x, frame)
+    gfv = np.einsum("ij...,j...->i...", frame.inverse, df)
+    ric = np.einsum("ij...,i...,j...->...", bakry_emery_ricci(space, x, geom),
+                    gfv, gfv)
+    return dgam, g_f_lf, hs, ric
+
+
+def _ii_of_gradient(space: WeightedSpace, bframe, ju: Jet) -> np.ndarray:
+    """II(grad u, grad u), through v_a = g(grad u, e_a) = e_a^i d_i u."""
+    II = second_fundamental_form(space, bframe.point, bframe)
+    du = np.stack([ju.partial(i).value for i in range(space.dim)])
+    v = np.einsum("ai...,i...->a...", bframe.tangents, du)
+    return np.einsum("ab...,a...,b...->...", II, v, v)
+
+
+def _weak_integrals(space: WeightedSpace, g: ScalarField, h: ScalarField,
+                    quad_interior=None, quad_boundary=None,
+                    decomposition: bool = True) -> Dict[str, float]:
+    """One quadrature sweep for the weak identities of g tested against h:
+    int Gamma(h,g), int h Lg and oint h g(N, grad g), plus, with
+    ``decomposition``, the decomposition's LHS and interior and boundary
+    RHS.  Every row of a batch reads its one ``NodeGeometry`` and one jet
+    each of g and h."""
+    def interior(geom: NodeGeometry) -> np.ndarray:
+        x = geom.x
+        jg, jh = g.jet(x), h.jet(x)
+        hv = np.asarray(h.value(x))
+        rows = [gamma1(space, jh, jg, x, geom),
+                hv * witten_laplacian(space, jg, x, geom)]
+        if decomposition:
+            dgam, g_f_lf, hs, ric = _g_terms(space, geom, jg)
+            dh = np.stack([jh.partial(i).value for i in range(space.dim)])
+            g_h_gam = np.einsum("ij...,i...,j...->...", geom.frame.inverse,
+                                dh, dgam)
+            rows += [-0.5 * g_h_gam - hv * g_f_lf - hv * hs, hv * ric]
+        return np.stack(rows)
+
+    def boundary(geom: NodeGeometry) -> np.ndarray:
+        x = geom.x
+        jg = g.jet(x)
+        hv = np.asarray(h.value(x))
+        jN = normal_field_jets(space, x, geom)
+        flux = 0.0  # g(N, grad g)
+        for i in range(space.dim):
+            flux = flux + jN[i].value * jg.partial(i).value
+        rows = [hv * flux]
+        if decomposition:
+            bf = boundary_frame(space, x, geom=geom)
+            rows.append(hv * _ii_of_gradient(space, bf, jg))
+        return np.stack(rows)
+
+    ints = integrate_interior(space, GeometryIntegrand(interior),
+                              quad_interior)
+    bds = [integrate_boundary(space, GeometryIntegrand(boundary), p,
+                              quad_boundary) for p in space.boundary_patches]
+    out = dict(zip(("gamma", "laplacian", "lhs", "rhs_interior"), ints))
+    out["flux"] = sum(b[0] for b in bds)
+    if decomposition:
+        out["rhs_boundary"] = sum(b[1] for b in bds)
+    return out
+
+
+def _laplacian_results(ints: Dict[str, float], is_neumann: bool,
+                       tol: float) -> List[CheckResult]:
+    """Green's formula and the weak Laplacian, one identity read from its
+    two sides: -Gamma(h,g) against h Lg - h g(N, grad g).  Negating a
+    difference is exact, so both sides give the same residual."""
+    i_gamma, i_lap, i_bd = ints["gamma"], ints["laplacian"], ints["flux"]
+    scale = 1.0 + abs(i_gamma) + abs(i_lap) + abs(i_bd)
+    res = abs(i_gamma - (-i_lap + i_bd)) / scale
+    meta = {"lhs": -i_gamma, "interior_density": i_lap, "boundary_flux": i_bd,
+            "neumann": is_neumann}
+    leak = is_neumann and abs(i_bd) > NEUMANN_GATE_TOL * (1.0 + abs(i_gamma))
+    if leak:
+        meta["neumann_boundary_leak"] = abs(i_bd)
+    return [CheckResult(name="green", residual=res, tolerance=tol,
+                        passed=res <= tol,
+                        metadata={"interior_gamma": i_gamma,
+                                  "interior_laplacian": i_lap,
+                                  "boundary_flux": i_bd}),
+            CheckResult(name="mv_laplacian", residual=res, tolerance=tol,
+                        passed=res <= tol and not leak, metadata=meta)]
 
 
 def check_green(space: WeightedSpace, f: ScalarField, g: ScalarField,
                 quad_interior=None, quad_boundary=None,
                 tol: float = QUADRATURE_TOL) -> CheckResult:
     """Green's formula: int Gamma(f,g) = -int f L g + oint f g(N, grad g)."""
-    from .geometry import gamma1, witten_laplacian
-
-    f = _as_field(f)
-    g = _as_field(g)
-    i_gamma = integrate_interior(
-        space, lambda x: gamma1(space, f, g, x), quad_interior)
-    i_lap = integrate_interior(
-        space, lambda x: np.asarray(f.value(x)) * witten_laplacian(space, g, x),
-        quad_interior)
-    i_bd = sum(integrate_boundary(
-        space, lambda x: np.asarray(f.value(x)) * normal_flux(space, g, x),
-        p, quad_boundary) for p in space.boundary_patches)
-    scale = 1.0 + abs(i_gamma) + abs(i_lap) + abs(i_bd)
-    res = abs(i_gamma - (-i_lap + i_bd)) / scale
-    return CheckResult(
-        name="green", residual=res, tolerance=tol, passed=res <= tol,
-        metadata={"interior_gamma": i_gamma, "interior_laplacian": i_lap,
-                  "boundary_flux": i_bd})
+    ints = _weak_integrals(space, _as_field(g), _as_field(f), quad_interior,
+                           quad_boundary, decomposition=False)
+    return _laplacian_results(ints, False, tol)[0]
 
 
 def check_mv_laplacian(space: WeightedSpace, g, h: ScalarField,
@@ -185,34 +262,10 @@ def check_mv_laplacian(space: WeightedSpace, g, h: ScalarField,
     For a Neumann test function the boundary term must itself vanish
     (the measure Laplacian is absolutely continuous).
     """
-    from .geometry import gamma1, witten_laplacian
-
-    is_neumann = isinstance(g, NeumannTestFunction)
-    gf = _as_field(g)
-    lhs = -integrate_interior(
-        space, lambda x: gamma1(space, h, gf, x), quad_interior)
-    i_lap = integrate_interior(
-        space, lambda x: np.asarray(h.value(x)) * witten_laplacian(space, gf, x),
-        quad_interior)
-    i_bd = sum(integrate_boundary(
-        space, lambda x: np.asarray(h.value(x)) * normal_flux(space, gf, x),
-        p, quad_boundary) for p in space.boundary_patches)
-    scale = 1.0 + abs(lhs) + abs(i_lap) + abs(i_bd)
-    res = abs(lhs - (i_lap - i_bd)) / scale
-    passed = res <= tol
-    meta = {"lhs": lhs, "interior_density": i_lap, "boundary_flux": i_bd,
-            "neumann": is_neumann}
-    if is_neumann and abs(i_bd) > NEUMANN_GATE_TOL * (1.0 + abs(lhs)):
-        passed = False
-        meta["neumann_boundary_leak"] = abs(i_bd)
-    return CheckResult(name="mv_laplacian", residual=res, tolerance=tol,
-                       passed=passed, metadata=meta)
-
-
-def _tangential_gradient_components(space, bframe, jet):
-    """Components v_a = g(grad u, e_a) = e_a^i d_i u on the tangent frame."""
-    du = np.stack([jet.partial(i).value for i in range(space.dim)])
-    return np.einsum("ai...,i...->a...", bframe.tangents, du)
+    ints = _weak_integrals(space, _as_field(g), h, quad_interior,
+                           quad_boundary, decomposition=False)
+    return _laplacian_results(
+        ints, isinstance(g, NeumannTestFunction), tol)[1]
 
 
 def neumann_gate(space: WeightedSpace, g: NeumannTestFunction,
@@ -237,6 +290,25 @@ def neumann_gate(space: WeightedSpace, g: NeumannTestFunction,
     return worst
 
 
+def weak_checks(space: WeightedSpace, g: NeumannTestFunction,
+                h: ScalarField, quad_interior=None, quad_boundary=None,
+                boundary_counts=None, tol: float = QUADRATURE_TOL
+                ) -> List[CheckResult]:
+    """Green, the weak Laplacian and the Ricci decomposition for (g, h),
+    from one Neumann gate and one quadrature sweep."""
+    gate = neumann_gate(space, g, boundary_counts)
+    ints = _weak_integrals(space, g.field, h, quad_interior, quad_boundary)
+    lhs, rhs_i, rhs_b = ints["lhs"], ints["rhs_interior"], ints["rhs_boundary"]
+    rhs = rhs_i + rhs_b
+    res = abs(lhs - rhs) / (1.0 + abs(rhs))
+    decomposition = CheckResult(
+        name="ricci_decomposition", residual=res, tolerance=tol,
+        passed=res <= tol,
+        metadata={"lhs": lhs, "rhs_interior": rhs_i, "rhs_boundary": rhs_b,
+                  "neumann_gate": gate})
+    return _laplacian_results(ints, True, tol) + [decomposition]
+
+
 def check_ricci_decomposition(space: WeightedSpace, g: NeumannTestFunction,
                               h: ScalarField, quad_interior=None,
                               quad_boundary=None, boundary_counts=None,
@@ -248,54 +320,8 @@ def check_ricci_decomposition(space: WeightedSpace, g: NeumannTestFunction,
     RHS(h) = int h Ricci_V(grad g, grad g) dm
              + oint h II(grad g, grad g) dsigma.
     """
-    gate = neumann_gate(space, g, boundary_counts)
-    gf = g.field
-
-    def lhs_integrand(x):
-        parts = gamma2_parts(space, gf, x)
-        frame = parts.frame
-        jh = h.jet(x)
-        dh = np.stack([jh.partial(i).value for i in range(space.dim)])
-        dgam = np.stack([parts.gamma_ff_jet.partial(i).value
-                         for i in range(space.dim)])
-        g_h_gam = np.einsum("ij...,i...,j...->...", frame.inverse, dh, dgam)
-        df = np.stack([parts.f_jet.partial(i).value
-                       for i in range(space.dim)])
-        dlf = np.stack([parts.lf_jet.partial(i).value
-                        for i in range(space.dim)])
-        g_f_lf = np.einsum("ij...,i...,j...->...", frame.inverse, df, dlf)
-        H = hessian_from_jet(space, parts.f_jet, frame)
-        hs = hs_norm_sq(space, H, x, frame)
-        hv = np.asarray(h.value(x))
-        return -0.5 * g_h_gam - hv * g_f_lf - hv * hs
-
-    def rhs_interior(x):
-        frame = frame_at(space, x)
-        ricv = bakry_emery_ricci(space, x, frame)
-        jf = gf.jet(x)
-        df = np.stack([jf.partial(i).value for i in range(space.dim)])
-        gfv = np.einsum("ij...,j...->i...", frame.inverse, df)
-        return np.asarray(h.value(x)) * np.einsum(
-            "ij...,i...,j...->...", ricv, gfv, gfv)
-
-    def rhs_boundary(x):
-        bf = boundary_frame(space, x)
-        II = second_fundamental_form(space, x, bf)
-        v = _tangential_gradient_components(space, bf, gf.jet(x))
-        return np.asarray(h.value(x)) * np.einsum(
-            "ab...,a...,b...->...", II, v, v)
-
-    lhs = integrate_interior(space, lhs_integrand, quad_interior)
-    rhs_i = integrate_interior(space, rhs_interior, quad_interior)
-    rhs_b = sum(integrate_boundary(space, rhs_boundary, p, quad_boundary)
-                for p in space.boundary_patches)
-    rhs = rhs_i + rhs_b
-    res = abs(lhs - rhs) / (1.0 + abs(rhs))
-    return CheckResult(
-        name="ricci_decomposition", residual=res, tolerance=tol,
-        passed=res <= tol,
-        metadata={"lhs": lhs, "rhs_interior": rhs_i, "rhs_boundary": rhs_b,
-                  "neumann_gate": gate})
+    return weak_checks(space, g, h, quad_interior, quad_boundary,
+                       boundary_counts, tol)[2]
 
 
 def decomposition_batch(space: WeightedSpace, g: NeumannTestFunction,
@@ -324,23 +350,14 @@ def decomposition_batch(space: WeightedSpace, g: NeumannTestFunction,
         x = pts[:, sl]
         phi = np.asarray(space.defining_fn.value(x))
         inside = phi < 0.0
-        parts = gamma2_parts(space, gf, x)
-        frame = parts.frame
+        geom = NodeGeometry(space, x)
+        dgam, g_f_lf, hs_sq, ric_gg = _g_terms(space, geom, gf.jet(x))
+        frame = geom.frame
         dens = wts[sl] * inside * \
             np.exp(-np.asarray(space.weight.value(x))) * frame.sqrt_det
         if np.any(inside & (frame.sqrt_det <= GRAM_FLOOR)):
             raise QuadratureError(
                 "interior node with sqrt det g below floor")
-        dgam = np.stack([parts.gamma_ff_jet.partial(i).value
-                         for i in range(n)])
-        df = np.stack([parts.f_jet.partial(i).value for i in range(n)])
-        dlf = np.stack([parts.lf_jet.partial(i).value for i in range(n)])
-        g_f_lf = np.einsum("ij...,i...,j...->...", frame.inverse, df, dlf)
-        H = hessian_from_jet(space, parts.f_jet, frame)
-        hs_sq = hs_norm_sq(space, H, x, frame)
-        ricv = bakry_emery_ricci(space, x, frame)
-        gfv = np.einsum("ij...,j...->i...", frame.inverse, df)
-        ric_gg = np.einsum("ij...,i...,j...->...", ricv, gfv, gfv)
         # shared pieces: LHS = -1/2 Gamma(h, Gamma(g,g)) + h * base
         base = -g_f_lf - hs_sq
         half_gdgam = -0.5 * np.einsum("ij...,j...->i...",
@@ -355,31 +372,17 @@ def decomposition_batch(space: WeightedSpace, g: NeumannTestFunction,
                 raise QuadratureError("non-finite decomposition integrand")
             lhs[k] += float(np.sum(dens * integrand))
             rhs[k] += float(np.sum(dens * hv * ric_gg))
-    bcounts = None
     for patch in space.boundary_patches:
         pb = _counts(quad_boundary, patch.param_dim, DEFAULT_BOUNDARY_NODES)
         s, bw = tensor_rule(patch.param_box, pb)
-        xb, dens_gram, _ = _patch_geometry(space, patch, s)
-        bf = boundary_frame(space, xb)
-        II = second_fundamental_form(space, xb, bf)
-        v = _tangential_gradient_components(space, bf, gf.jet(xb))
-        iigg = np.einsum("ab...,a...,b...->...", II, v, v)
+        bgeom, dens_gram = _patch_geometry(space, patch, s)
+        xb = bgeom.x
+        iigg = _ii_of_gradient(space, boundary_frame(space, xb, geom=bgeom),
+                               gf.jet(xb))
         bdens = bw * np.exp(-np.asarray(space.weight.value(xb))) * dens_gram
         for k, h in enumerate(hs):
             rhs[k] += float(np.sum(bdens * np.asarray(h.value(xb)) * iigg))
     return list(zip(lhs.tolist(), rhs.tolist()))
-
-
-def decomposition_sides(space: WeightedSpace, g: NeumannTestFunction,
-                        h: ScalarField, quad_interior=None,
-                        quad_boundary=None, boundary_counts=None
-                        ) -> Tuple[float, float]:
-    """(LHS, RHS) of the decomposition at given node counts (for the
-    node-doubling Cauchy criterion)."""
-    r = check_ricci_decomposition(space, g, h, quad_interior, quad_boundary,
-                                  boundary_counts)
-    return (r.metadata["lhs"],
-            r.metadata["rhs_interior"] + r.metadata["rhs_boundary"])
 
 
 def check_ii_identity(space: WeightedSpace, g: NeumannTestFunction,
@@ -395,10 +398,8 @@ def check_ii_identity(space: WeightedSpace, g: NeumannTestFunction,
     witness: Dict = {}
     for x in batches:
         bf = boundary_frame(space, x)
-        II = second_fundamental_form(space, x, bf)
-        parts = gamma2_parts(space, gf, x)
-        v = _tangential_gradient_components(space, bf, parts.f_jet)
-        lhs = np.einsum("ab...,a...,b...->...", II, v, v)
+        parts = gamma2_parts(space, gf, x, bf.geom)
+        lhs = _ii_of_gradient(space, bf, parts.f_jet)
         dgam = np.stack([parts.gamma_ff_jet.partial(i).value
                          for i in range(space.dim)])
         rhs = -0.5 * np.einsum("i...,i...->...", bf.normal, dgam)
@@ -421,12 +422,12 @@ def check_dimension_term(space: WeightedSpace, fields: Sequence[ScalarField],
             f"dimension parameter N = {n_dim} < chart dimension "
             f"{space.dim}: the trace inequality is unsatisfiable")
     x = as_points(space, points)
-    frame = frame_at(space, x)
+    geom = NodeGeometry(space, x)
+    frame = geom.frame
     worst = -np.inf
     witness: Dict = {}
     for fi, f in enumerate(fields):
-        jf = f.jet(x)
-        H = hessian_from_jet(space, jf, frame)
+        H = hessian(space, f, x, geom)
         lap = np.einsum("ij...,ij...->...", frame.inverse, H)
         gap = lap**2 / n_dim - hs_norm_sq(space, H, x, frame)
         k = int(np.argmax(gap))
@@ -503,9 +504,9 @@ def certify(space: WeightedSpace, k_list: Sequence[float],
     x = interior_grid(space, interior_counts)
     if x.shape[1] == 0:
         raise ValueError("empty interior sample plan")
-    frame = frame_at(space, x)
-    ricv = bakry_emery_ricci(space, x, frame)
-    eigs = eigenvalues_relative(ricv, frame.metric)
+    geom = NodeGeometry(space, x)
+    ricv = bakry_emery_ricci(space, x, geom)
+    eigs = eigenvalues_relative(ricv, geom.frame.metric)
     lam_min = eigs[..., 0]
     ki = int(np.argmin(lam_min))
     k_interior = float(lam_min[ki])
@@ -558,9 +559,9 @@ def flatness_report(space: WeightedSpace, plan: Optional[SamplePlan] = None,
         interior_counts = plan.interior_counts
         boundary_counts = plan.boundary_counts
     x = interior_grid(space, interior_counts)
-    frame = frame_at(space, x)
-    ricv = bakry_emery_ricci(space, x, frame)
-    eigs = eigenvalues_relative(ricv, frame.metric)
+    geom = NodeGeometry(space, x)
+    ricv = bakry_emery_ricci(space, x, geom)
+    eigs = eigenvalues_relative(ricv, geom.frame.metric)
     max_ricci = float(np.max(np.abs(eigs)))
     max_tr = 0.0
     max_ii = 0.0

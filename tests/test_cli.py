@@ -148,9 +148,18 @@ class TestReport:
         assert "timing_seconds" not in doc
 
     def test_text_format(self, capsys):
-        code, out, err = run(capsys, "report", "--zoo", "half_space",
-                             "--format", "csv")
+        code, out, err = run(capsys, "report", "--zoo", "ball",
+                             "--format", "text", "--no-timing")
         assert code == 0
+        lines = out.splitlines()
+        for name in ("bochner", "dimension_term", "green", "mv_laplacian",
+                     "ii_identity", "ricci_decomposition"):
+            assert sum(ln.startswith(f"[PASS] {name}:") for ln in lines) == 1
+        assert "curvature certificate (sampled necessary conditions):" \
+            in lines
+        assert any(ln.startswith("  K_interior    = ") for ln in lines)
+        assert lines[-1] == "overall: PASS"
+        assert "timing_seconds" not in out
 
     def test_csv_parses(self, capsys):
         code, out, err = run(capsys, "report", "--zoo", "ball",

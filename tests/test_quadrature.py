@@ -49,6 +49,16 @@ class TestRules:
                                                  rel=1e-13)
         assert np.sum(w) == pytest.approx(4.0, rel=1e-14)
 
+    def test_gauss_rule_cached_read_only(self):
+        x, w = gauss_rule(-1.0, 3.0, 256)
+        assert gauss_rule(-1.0, 3.0, 256)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        t, tw = np.polynomial.legendre.leggauss(256)
+        assert np.array_equal(x, -1.0 + 2.0 * (t + 1.0))
+        assert np.array_equal(w, 2.0 * tw)
+
     def test_gauss_rule_invalid_count(self):
         with pytest.raises(QuadratureError):
             gauss_rule(0.0, 1.0, 0)

@@ -1,16 +1,17 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
+from curvcert import boundary, geometry, quadrature, report, verify
 from curvcert.boundary import NeumannTestFunction
-from curvcert.fields import ConstField, CutoffField, ExprField
+from curvcert.fields import ConstField, CutoffField, ExprField, ScalarField
 from curvcert.verify import (CheckResult, GateError, certify, check_bochner,
                              check_dimension_term, check_green,
                              check_ii_identity, check_mv_laplacian,
-                             check_ricci_decomposition, decomposition_sides,
-                             eigenvalues_relative, flatness_report,
-                             neumann_gate)
+                             check_ricci_decomposition, eigenvalues_relative,
+                             flatness_report, neumann_gate)
 
 
 class TestGate:
@@ -34,6 +35,15 @@ class TestGate:
         assert worst < 1e-10
 
 
+def decomposition_sides(space, g, h, plan):
+    """(LHS, RHS) of the decomposition check's metadata."""
+    meta = check_ricci_decomposition(
+        space, g, h, plan.quad_interior, plan.quad_boundary,
+        plan.boundary_counts).metadata
+    return np.array([meta["lhs"],
+                     meta["rhs_interior"] + meta["rhs_boundary"]])
+
+
 class TestDecomposition:
     def test_passes_on_ball(self, ball):
         g = ball.neumann_family()[0]
@@ -50,9 +60,7 @@ class TestDecomposition:
         a, b = 2.0, -0.5
 
         def sides(h):
-            return np.array(decomposition_sides(
-                ball.space, g, h, ball.plan.quad_interior,
-                ball.plan.quad_boundary, ball.plan.boundary_counts))
+            return decomposition_sides(ball.space, g, h, ball.plan)
 
         s1, s2 = sides(h1), sides(h2)
         combo = sides(a * h1 + b * h2)
@@ -65,12 +73,8 @@ class TestDecomposition:
             ball.space, weight=ConstField(2, c), label="shifted")
         g = ball.neumann_family()[0]
         h = ball.h_fields()[0]
-        base = np.array(decomposition_sides(
-            ball.space, g, h, ball.plan.quad_interior,
-            ball.plan.quad_boundary, ball.plan.boundary_counts))
-        shift = np.array(decomposition_sides(
-            shifted, g, h, ball.plan.quad_interior,
-            ball.plan.quad_boundary, ball.plan.boundary_counts))
+        base = decomposition_sides(ball.space, g, h, ball.plan)
+        shift = decomposition_sides(shifted, g, h, ball.plan)
         np.testing.assert_allclose(shift, np.exp(-c) * base,
                                    rtol=1e-10, atol=1e-12)
 
@@ -103,6 +107,72 @@ class TestGreenAndLaplacian:
                                ball.plan.quad_boundary)
         assert not r.passed
         assert "neumann_boundary_leak" in r.metadata
+
+
+class CountingField(ScalarField):
+    """A field that counts its jet evaluations."""
+
+    def __init__(self, inner):
+        self.inner, self.dim, self.jets = inner, inner.dim, 0
+
+    def jet(self, x):
+        self.jets += 1
+        return self.inner.jet(x)
+
+    def value(self, x):
+        return self.inner.value(x)
+
+
+class TestSharedSweep:
+    @pytest.mark.parametrize("name, chunks, patches",
+                             [("ball", 1, 1), ("half_space", 3, 1)])
+    def test_geometry_once_per_batch(self, entry, monkeypatch, name, chunks,
+                                     patches):
+        e = entry(name)
+        calls = collections.Counter()
+
+        def counted(label, fn):
+            def wrapper(*args, **kwargs):
+                calls[label] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        space_cls = geometry.WeightedSpace
+        monkeypatch.setattr(space_cls, "metric_jets", counted(
+            "metric_jets", space_cls.metric_jets))
+        for fname in ("frame_at", "christoffel_jets"):
+            original = getattr(geometry, fname)
+            for module in (geometry, boundary, quadrature, verify, report):
+                if getattr(module, fname, None) is original:
+                    monkeypatch.setattr(module, fname,
+                                        counted(fname, original))
+        g = CountingField(e.neumann_family()[0].field)
+        h = CountingField(e.h_fields()[0])
+        ints = verify._weak_integrals(e.space, g, h, e.plan.quad_interior,
+                                      e.plan.quad_boundary)
+        assert set(ints) == {"gamma", "laplacian", "flux", "lhs",
+                             "rhs_interior", "rhs_boundary"}
+        batches = chunks + patches
+        assert calls["frame_at"] == batches
+        assert calls["metric_jets"] == batches
+        # the boundary integrands read neither the Christoffel jets nor
+        # the derivatives of h
+        assert calls["christoffel_jets"] == chunks
+        assert g.jets == batches and h.jets == chunks
+
+    def test_suite_matches_standalone_checks(self, entry):
+        e = entry("annulus")
+        target = report.target_from_zoo(e)
+        suite = {r.name: r.to_dict()
+                 for r in report.run_suite(target)["checks"]}
+        g, h, plan = target.neumann(), target.h_field(), target.plan
+        qi, qb = plan.quad_interior, plan.quad_boundary
+        assert suite["green"] == check_green(e.space, h, g, qi,
+                                             qb).to_dict()
+        assert suite["mv_laplacian"] == check_mv_laplacian(
+            e.space, g, h, qi, qb).to_dict()
+        assert suite["ricci_decomposition"] == check_ricci_decomposition(
+            e.space, g, h, qi, qb, plan.boundary_counts).to_dict()
 
 
 class TestPointwiseChecks:
