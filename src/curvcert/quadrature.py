@@ -190,15 +190,14 @@ def integrate_boundary_all(space: WeightedSpace, F: Integrand,
                      for p in space.boundary_patches))
 
 
-def patch_points(space: WeightedSpace, patch: BoundaryPatch, counts=None,
-                 midpoint: bool = False) -> np.ndarray:
-    """Boundary sample points (chart coordinates) on a patch grid."""
+def patch_points(space: WeightedSpace, patch: BoundaryPatch,
+                 counts=None) -> NodeGeometry:
+    """Geometry at the boundary sample points of a patch: the images of
+    the midpoint grid over its parameter box, checked on the boundary and
+    non-degenerate.  ``.x`` holds the points in chart coordinates."""
     counts = _counts(counts, patch.param_dim, DEFAULT_BOUNDARY_NODES)
-    if midpoint:
-        axes = [lo + (hi - lo) * (np.arange(m) + 0.5) / m
-                for (lo, hi), m in zip(patch.param_box, counts)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        s = np.stack([g.ravel() for g in grids])
-    else:
-        s, _ = tensor_rule(patch.param_box, counts)
-    return _patch_geometry(space, patch, s)[0].x
+    axes = [lo + (hi - lo) * (np.arange(m) + 0.5) / m
+            for (lo, hi), m in zip(patch.param_box, counts)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    s = np.stack([g.ravel() for g in grids])
+    return _patch_geometry(space, patch, s)[0]

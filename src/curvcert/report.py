@@ -19,14 +19,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .boundary import NeumannTestFunction, second_fundamental_form
+from .boundary import NeumannTestFunction
 from .config import SpaceConfig
 from .fields import CutoffField, CutoffSpec, ExprField, ScalarField
-from .geometry import NodeGeometry, WeightedSpace, bakry_emery_ricci
-from .verify import (CheckResult, CurvatureReport, SamplePlan, boundary_grid,
-                     certify, check_bochner, check_dimension_term,
-                     check_ii_identity, eigenvalues_relative,
-                     flatness_report, interior_grid, weak_checks)
+from .geometry import WeightedSpace
+from .verify import (CheckResult, CurvatureReport, SamplePlan,
+                     boundary_spectra, certify, check_bochner,
+                     check_dimension_term, interior_grid, interior_spectrum,
+                     weak_checks)
 
 _VAR_NAMES = ("x", "y", "z", "w")
 
@@ -97,24 +97,20 @@ def run_suite(target: Target, k_list: Sequence[float] = (0.0,),
               n_list: Sequence[float] = ()) -> Dict:
     """Full battery: pointwise checks, weak identities, certificates."""
     space, plan = target.space, target.plan
-    results: List[CheckResult] = []
-    fields = target.random_fields(10, seed=11)
-    results.append(check_bochner(space, fields, bochner_points(target)))
-    results.append(check_dimension_term(
-        space, fields, bochner_points(target), float(space.dim)))
-    g = target.neumann()
-    green, mv_laplacian, decomposition = weak_checks(
-        space, g, target.h_field(), plan.quad_interior, plan.quad_boundary,
-        plan.boundary_counts)
-    results += [green, mv_laplacian, check_ii_identity(
-        space, g, boundary_counts=plan.boundary_counts), decomposition]
+    x = bochner_points(target)
+    jets = [f.jet(x) for f in target.random_fields(10, seed=11)]
+    results: List[CheckResult] = [
+        check_bochner(space, jets, x),
+        check_dimension_term(space, jets, x, float(space.dim))]
+    results += weak_checks(space, target.neumann(), target.h_field(),
+                           plan.quad_interior, plan.quad_boundary,
+                           plan.boundary_counts)
     cert = certify(space, k_list, n_list, plan=plan)
-    flat = flatness_report(space, plan=plan)
     return {
         "label": target.label,
         "checks": results,
         "certificate": cert,
-        "flatness": flat,
+        "flatness": cert.flatness(),
         "passed": all(r.passed for r in results),
     }
 
@@ -177,18 +173,12 @@ def render_csv(target: Target) -> str:
         col = [f"{v:.17g}" for v in (x if x.ndim == 1 else x[:, k])]
         return col + [""] * (4 - len(col))
 
-    x = interior_grid(space, plan.interior_counts)
-    geom = NodeGeometry(space, x)
-    eigs = eigenvalues_relative(bakry_emery_ricci(space, x, geom),
-                                geom.frame.metric)
+    x, eigs = interior_spectrum(space, plan.interior_counts)
     for k in range(x.shape[1]):
         wr.writerow(["interior", k] + coords(x, k)
                     + [f"{eigs[k, 0]:.17g}", f"{eigs[k, -1]:.17g}"])
     idx = 0
-    for xb in boundary_grid(space, plan.boundary_counts):
-        II = second_fundamental_form(space, xb)
-        eig = np.linalg.eigvalsh(np.moveaxis(II, (0, 1), (-2, -1)))
-        tr = np.einsum("aa...->...", II)
+    for xb, eig, tr in boundary_spectra(space, plan.boundary_counts):
         for k in range(xb.shape[1]):
             wr.writerow(["boundary", idx] + coords(xb, k)
                         + [f"{eig[k, 0]:.17g}", f"{tr[k]:.17g}"])

@@ -12,9 +12,11 @@ Ricci tensor is one named, reportable check:
 * ``certify`` / ``flatness_report`` -- sampled eigenvalue certificates
 
 Green's formula and the weak Laplacian are one identity read from two
-sides.  ``weak_checks`` gets both and the decomposition from one sweep
-that builds the geometry and the jets of g and h once per node batch;
-the standalone checks run the same sweep.
+sides.  ``weak_checks`` returns the four Neumann-gated checks (green,
+mv_laplacian, ii_identity, ricci_decomposition) from one gate and one
+sweep that builds the geometry and the jets of g and h once per node
+batch.  Each boundary sample grid has one frame per patch, which the
+gate, the II identity and the certificate spectra all read.
 
 Every check that assumes the Neumann hypothesis re-verifies it first and
 fails loudly (GateError) if violated: that is a broken hypothesis, not a
@@ -25,14 +27,14 @@ certificates over stated grids, never proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .boundary import (NeumannTestFunction, boundary_frame,
+from .boundary import (BoundaryFrame, NeumannTestFunction, boundary_frame,
                        normal_field_jets, second_fundamental_form)
 from .fields import ScalarField
-from .geometry import (NodeGeometry, WeightedSpace, as_points,
+from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace, as_points,
                        bakry_emery_ricci, gamma1, gamma2_parts, hessian,
                        hs_norm_sq, witten_laplacian)
 from .jets import Jet
@@ -103,10 +105,11 @@ def interior_grid(space: WeightedSpace, counts) -> np.ndarray:
     return pts[:, phi < -1e-10]
 
 
-def boundary_grid(space: WeightedSpace, counts) -> List[np.ndarray]:
-    """Midpoint boundary sample points, one array per patch."""
-    return [patch_points(space, p, counts, midpoint=True)
-            for p in space.boundary_patches]
+def boundary_grid(space: WeightedSpace, counts) -> List[BoundaryFrame]:
+    """One frame per patch at its midpoint sample points, built on the
+    geometry ``patch_points`` checked them with."""
+    geoms = [patch_points(space, p, counts) for p in space.boundary_patches]
+    return [boundary_frame(space, geom.x, geom=geom) for geom in geoms]
 
 
 def _witness_point(x: np.ndarray, flat_index: int) -> List[float]:
@@ -118,7 +121,7 @@ def _witness_point(x: np.ndarray, flat_index: int) -> List[float]:
 # -- pointwise identity checks ------------------------------------------
 
 
-def check_bochner(space: WeightedSpace, fields: Sequence[ScalarField],
+def check_bochner(space: WeightedSpace, fields: Sequence[FieldOrJet],
                   points, tol: float = POINTWISE_TOL) -> CheckResult:
     """Bochner identity Gamma2(f) = Ricci_V(grad f, grad f) + |Hess f|^2."""
     x = as_points(space, np.asarray(points, dtype=float))
@@ -268,35 +271,43 @@ def check_mv_laplacian(space: WeightedSpace, g, h: ScalarField,
         ints, isinstance(g, NeumannTestFunction), tol)[1]
 
 
-def neumann_gate(space: WeightedSpace, g: NeumannTestFunction,
-                 boundary_counts, tol: float = NEUMANN_GATE_TOL):
-    """Max normalized Neumann residual over boundary sample grids."""
+def _gated_grid(space: WeightedSpace, g: NeumannTestFunction,
+                boundary_counts, tol: float = NEUMANN_GATE_TOL):
+    """The boundary frames, the jets of g there and the max Neumann
+    residual |g(N, grad g)| over them; GateError above ``tol``."""
+    frames = boundary_grid(space, boundary_counts)
+    jets = [g.field.jet(bf.point) for bf in frames]
     worst = 0.0
     witness = None
-    for x in boundary_grid(space, boundary_counts):
-        bf = boundary_frame(space, x)
-        jg = g.field.jet(x)
+    for bf, jg in zip(frames, jets):
         du = np.stack([jg.partial(i).value for i in range(space.dim)])
         res = np.abs(np.einsum("i...,i...->...", bf.normal, du))
         k = int(np.argmax(res))
         if float(res[k]) >= worst:
             worst = float(res[k])
-            witness = _witness_point(x, k)
+            witness = _witness_point(bf.point, k)
     if worst > tol:
         raise GateError(
             f"Neumann hypothesis violated: |g(N, grad g)| = {worst:.3e} "
             f"> {tol} at boundary point {witness}; the theorem's "
             f"hypothesis fails, the theorem is not being tested")
-    return worst
+    return frames, jets, worst
+
+
+def neumann_gate(space: WeightedSpace, g: NeumannTestFunction,
+                 boundary_counts, tol: float = NEUMANN_GATE_TOL):
+    """Max normalized Neumann residual over boundary sample grids."""
+    return _gated_grid(space, g, boundary_counts, tol)[2]
 
 
 def weak_checks(space: WeightedSpace, g: NeumannTestFunction,
                 h: ScalarField, quad_interior=None, quad_boundary=None,
                 boundary_counts=None, tol: float = QUADRATURE_TOL
                 ) -> List[CheckResult]:
-    """Green, the weak Laplacian and the Ricci decomposition for (g, h),
-    from one Neumann gate and one quadrature sweep."""
-    gate = neumann_gate(space, g, boundary_counts)
+    """The four Neumann-gated checks in ``run_suite``'s order: green,
+    mv_laplacian, ii_identity and ricci_decomposition, from the II
+    check's gate and one quadrature sweep."""
+    ii = check_ii_identity(space, g, boundary_counts)
     ints = _weak_integrals(space, g.field, h, quad_interior, quad_boundary)
     lhs, rhs_i, rhs_b = ints["lhs"], ints["rhs_interior"], ints["rhs_boundary"]
     rhs = rhs_i + rhs_b
@@ -305,8 +316,8 @@ def weak_checks(space: WeightedSpace, g: NeumannTestFunction,
         name="ricci_decomposition", residual=res, tolerance=tol,
         passed=res <= tol,
         metadata={"lhs": lhs, "rhs_interior": rhs_i, "rhs_boundary": rhs_b,
-                  "neumann_gate": gate})
-    return _laplacian_results(ints, True, tol) + [decomposition]
+                  "neumann_gate": ii.metadata["neumann_gate"]})
+    return _laplacian_results(ints, True, tol) + [ii, decomposition]
 
 
 def check_ricci_decomposition(space: WeightedSpace, g: NeumannTestFunction,
@@ -321,7 +332,7 @@ def check_ricci_decomposition(space: WeightedSpace, g: NeumannTestFunction,
              + oint h II(grad g, grad g) dsigma.
     """
     return weak_checks(space, g, h, quad_interior, quad_boundary,
-                       boundary_counts, tol)[2]
+                       boundary_counts, tol)[3]
 
 
 def decomposition_batch(space: WeightedSpace, g: NeumannTestFunction,
@@ -386,20 +397,16 @@ def decomposition_batch(space: WeightedSpace, g: NeumannTestFunction,
 
 
 def check_ii_identity(space: WeightedSpace, g: NeumannTestFunction,
-                      boundary_points=None, boundary_counts=None,
+                      boundary_counts=None,
                       tol: float = POINTWISE_TOL) -> CheckResult:
-    """II(grad g, grad g) = -1/2 g(N, grad |grad g|^2) on the boundary."""
-    gate = neumann_gate(space, g, boundary_counts)
-    batches = ([np.asarray(boundary_points, dtype=float)]
-               if boundary_points is not None
-               else boundary_grid(space, boundary_counts))
-    gf = g.field
+    """II(grad g, grad g) = -1/2 g(N, grad |grad g|^2) on the boundary,
+    on the frames and jets of g that the Neumann gate read."""
+    frames, jets, gate = _gated_grid(space, g, boundary_counts)
     worst = -1.0
     witness: Dict = {}
-    for x in batches:
-        bf = boundary_frame(space, x)
-        parts = gamma2_parts(space, gf, x, bf.geom)
-        lhs = _ii_of_gradient(space, bf, parts.f_jet)
+    for bf, jg in zip(frames, jets):
+        parts = gamma2_parts(space, jg, bf.point, bf.geom)
+        lhs = _ii_of_gradient(space, bf, jg)
         dgam = np.stack([parts.gamma_ff_jet.partial(i).value
                          for i in range(space.dim)])
         rhs = -0.5 * np.einsum("i...,i...->...", bf.normal, dgam)
@@ -407,13 +414,13 @@ def check_ii_identity(space: WeightedSpace, g: NeumannTestFunction,
         k = int(np.argmax(rel))
         if float(rel[k]) > worst:
             worst = float(rel[k])
-            witness = {"point": _witness_point(x, k)}
+            witness = {"point": _witness_point(bf.point, k)}
     return CheckResult(name="ii_identity", residual=worst, tolerance=tol,
                        passed=worst <= tol, witness=witness,
                        metadata={"neumann_gate": gate})
 
 
-def check_dimension_term(space: WeightedSpace, fields: Sequence[ScalarField],
+def check_dimension_term(space: WeightedSpace, fields: Sequence[FieldOrJet],
                          points, n_dim: float,
                          tol: float = DIMENSION_TOL) -> CheckResult:
     """(trace_g Hess f)^2 / N <= |Hess f|^2_HS whenever N >= n."""
@@ -471,6 +478,7 @@ class CurvatureReport:
     boundary_samples: int
     interior_witness: List[float]
     boundary_witness: List[float]
+    max_abs_ricci_v: float  # read by flatness(), not serialized
 
     def certified_k(self) -> float:
         """Largest K certified at this sampling (or -inf for non-convex)."""
@@ -493,6 +501,40 @@ class CurvatureReport:
             "certificate": "sampled necessary-condition certificate",
         }
 
+    def flatness(self, tol: float = VERDICT_SLACK) -> CheckResult:
+        """Measure-Ricci-flatness on these samples: Ricci_V = 0 inside,
+        II (or tr II) = 0 on the boundary.  Both the strong (full II) and
+        trace-only readings are reported."""
+        max_ricci = self.max_abs_ricci_v
+        max_ii = max(abs(self.lambda_min_ii), abs(self.lambda_max_ii))
+        max_tr = max(abs(self.tr_ii_range[0]), abs(self.tr_ii_range[1]))
+        strong = max_ricci <= tol and max_ii <= tol
+        return CheckResult(
+            name="flatness", residual=max(max_ricci, max_ii), tolerance=tol,
+            passed=strong,
+            metadata={"max_abs_ricci_v": max_ricci, "max_abs_tr_ii": max_tr,
+                      "max_abs_ii": max_ii, "strong_flat": strong,
+                      "minimal_trace": max_tr <= tol,
+                      "interior_flat": max_ricci <= tol})
+
+
+def interior_spectrum(space: WeightedSpace, counts):
+    """Interior sample points and the eigenvalues of Ricci_V relative to
+    g there, (m, n) ascending."""
+    x = interior_grid(space, counts)
+    geom = NodeGeometry(space, x)
+    return x, eigenvalues_relative(bakry_emery_ricci(space, x, geom),
+                                   geom.frame.metric)
+
+
+def boundary_spectra(space: WeightedSpace, counts) -> Iterator[Tuple]:
+    """Per patch: the boundary sample points, the eigenvalues of II there,
+    (m, n-1) ascending, and tr II."""
+    for bf in boundary_grid(space, counts):
+        II = second_fundamental_form(space, bf.point, bf)
+        yield (bf.point, np.linalg.eigvalsh(np.moveaxis(II, (0, 1), (-2, -1))),
+               np.einsum("aa...->...", II))
+
 
 def certify(space: WeightedSpace, k_list: Sequence[float],
             n_list: Sequence[float] = (), plan: Optional[SamplePlan] = None,
@@ -501,12 +543,9 @@ def certify(space: WeightedSpace, k_list: Sequence[float],
     if plan is not None:
         interior_counts = plan.interior_counts
         boundary_counts = plan.boundary_counts
-    x = interior_grid(space, interior_counts)
+    x, eigs = interior_spectrum(space, interior_counts)
     if x.shape[1] == 0:
         raise ValueError("empty interior sample plan")
-    geom = NodeGeometry(space, x)
-    ricv = bakry_emery_ricci(space, x, geom)
-    eigs = eigenvalues_relative(ricv, geom.frame.metric)
     lam_min = eigs[..., 0]
     ki = int(np.argmin(lam_min))
     k_interior = float(lam_min[ki])
@@ -517,17 +556,13 @@ def certify(space: WeightedSpace, k_list: Sequence[float],
     tr_lo, tr_hi = np.inf, -np.inf
     boundary_witness: List[float] = []
     n_boundary = 0
-    for xb in boundary_grid(space, boundary_counts):
-        II = second_fundamental_form(space, xb)
-        IIm = np.moveaxis(II, (0, 1), (-2, -1))
-        eig = np.linalg.eigvalsh(IIm)
+    for xb, eig, tr in boundary_spectra(space, boundary_counts):
         n_boundary += xb.shape[1]
         bi = int(np.argmin(eig[..., 0]))
         if float(eig[bi, 0]) < lam_ii_min:
             lam_ii_min = float(eig[bi, 0])
             boundary_witness = _witness_point(xb, bi)
         lam_ii_max = max(lam_ii_max, float(np.max(eig[..., -1])))
-        tr = np.einsum("aa...->...", II)
         tr_lo = min(tr_lo, float(np.min(tr)))
         tr_hi = max(tr_hi, float(np.max(tr)))
     if n_boundary == 0:
@@ -546,37 +581,12 @@ def certify(space: WeightedSpace, k_list: Sequence[float],
         lambda_max_ii=lam_ii_max, tr_ii_range=(tr_lo, tr_hi),
         rcd_infinity=rcd_inf, rcd_star=rcd_star,
         interior_samples=x.shape[1], boundary_samples=n_boundary,
-        interior_witness=interior_witness, boundary_witness=boundary_witness)
+        interior_witness=interior_witness, boundary_witness=boundary_witness,
+        max_abs_ricci_v=float(np.max(np.abs(eigs))))
 
 
-def flatness_report(space: WeightedSpace, plan: Optional[SamplePlan] = None,
-                    interior_counts=None, boundary_counts=None,
+def flatness_report(space: WeightedSpace, plan: SamplePlan,
                     tol: float = VERDICT_SLACK) -> CheckResult:
-    """Measure-Ricci-flatness: Ricci_V = 0 inside, II (or tr II) = 0 on
-    the boundary.  Both the strong (full II) and trace-only readings are
-    reported."""
-    if plan is not None:
-        interior_counts = plan.interior_counts
-        boundary_counts = plan.boundary_counts
-    x = interior_grid(space, interior_counts)
-    geom = NodeGeometry(space, x)
-    ricv = bakry_emery_ricci(space, x, geom)
-    eigs = eigenvalues_relative(ricv, geom.frame.metric)
-    max_ricci = float(np.max(np.abs(eigs)))
-    max_tr = 0.0
-    max_ii = 0.0
-    for xb in boundary_grid(space, boundary_counts):
-        II = second_fundamental_form(space, xb)
-        eig = np.linalg.eigvalsh(np.moveaxis(II, (0, 1), (-2, -1)))
-        max_ii = max(max_ii, float(np.max(np.abs(eig))))
-        tr = np.einsum("aa...->...", II)
-        max_tr = max(max_tr, float(np.max(np.abs(tr))))
-    strong = max_ricci <= tol and max_ii <= tol
-    minimal = max_tr <= tol
-    return CheckResult(
-        name="flatness", residual=max(max_ricci, max_ii), tolerance=tol,
-        passed=strong,
-        metadata={"max_abs_ricci_v": max_ricci, "max_abs_tr_ii": max_tr,
-                  "max_abs_ii": max_ii, "strong_flat": strong,
-                  "minimal_trace": minimal,
-                  "interior_flat": max_ricci <= tol})
+    """Measure-Ricci-flatness at the plan's sampling: the certificate's
+    spectra read by ``CurvatureReport.flatness``."""
+    return certify(space, (), plan=plan).flatness(tol)

@@ -428,8 +428,7 @@ def _light_validate(entry: ZooEntry):
     frame_at(entry.space, x)  # raises on non-SPD
     for patch in entry.space.boundary_patches:
         from .quadrature import patch_points
-        patch_points(entry.space, patch, (4,) * patch.param_dim,
-                     midpoint=True)
+        patch_points(entry.space, patch, (4,) * patch.param_dim)
 
 
 def parse_ref(ref: str) -> ZooEntry:

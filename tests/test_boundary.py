@@ -179,9 +179,9 @@ class TestNeumannFactory:
         for name in ("ball", "hemisphere", "annulus", "gaussian_half_space"):
             e = entry(name)
             from curvcert.verify import boundary_grid
-            patches = boundary_grid(e.space, e.plan.boundary_counts)
+            frames = boundary_grid(e.space, e.plan.boundary_counts)
             for nt in e.neumann_family():
-                for pts in patches:
+                for bf in frames:
                     res = np.asarray(
-                        neumann_residual(e.space, nt.field, pts))
+                        neumann_residual(e.space, nt.field, bf.point, bf))
                     assert np.max(np.abs(res)) < 1e-8, (name, nt.label)

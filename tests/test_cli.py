@@ -5,6 +5,7 @@ import json
 import pytest
 
 from curvcert.cli import main
+from curvcert.verify import certify
 from curvcert.zoo import list_entries
 
 
@@ -168,6 +169,25 @@ class TestReport:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0][0] == "kind"
         assert len(rows) > 10
+
+    @pytest.mark.parametrize("name", ["annulus", "ball3"])
+    def test_csv_values_match_certificate(self, capsys, entry, name):
+        # %.17g round-trips a double, so the CSV holds the certificate's
+        # extremes exactly
+        code, out, err = run(capsys, "report", "--zoo", name,
+                             "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        inner = [r for r in rows if r["kind"] == "interior"]
+        bound = [r for r in rows if r["kind"] == "boundary"]
+        e = entry(name)
+        rep = certify(e.space, k_list=(), plan=e.plan)
+        assert (len(inner), len(bound)) == (rep.interior_samples,
+                                            rep.boundary_samples)
+        assert min(float(r["value_a"]) for r in inner) == rep.k_interior
+        assert min(float(r["value_a"]) for r in bound) == rep.lambda_min_ii
+        tr = [float(r["value_b"]) for r in bound]
+        assert (min(tr), max(tr)) == rep.tr_ii_range
 
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "r.csv"

@@ -142,8 +142,7 @@ class TestBoundary:
 
     def test_patch_points_on_boundary(self):
         sp = disk(1.0)
-        pts = patch_points(sp, sp.boundary_patches[0], counts=(32,),
-                           midpoint=True)
+        pts = patch_points(sp, sp.boundary_patches[0], counts=(32,)).x
         r = np.sqrt((pts ** 2).sum(axis=0))
         np.testing.assert_allclose(r, 1.0, atol=1e-12)
         assert pts.shape == (2, 32)

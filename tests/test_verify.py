@@ -23,6 +23,9 @@ class TestGate:
             cutoff=ball.cutoff, label="corrupted")
         with pytest.raises(GateError, match="hypothesis"):
             neumann_gate(ball.space, raw, ball.plan.boundary_counts)
+        with pytest.raises(GateError, match="hypothesis"):
+            check_ii_identity(ball.space, raw,
+                              boundary_counts=ball.plan.boundary_counts)
         with pytest.raises(GateError):
             check_ricci_decomposition(
                 ball.space, raw, ball.h_fields()[0],
@@ -110,17 +113,40 @@ class TestGreenAndLaplacian:
 
 
 class CountingField(ScalarField):
-    """A field that counts its jet evaluations."""
+    """A field that counts its jet evaluations and keeps their points."""
 
     def __init__(self, inner):
-        self.inner, self.dim, self.jets = inner, inner.dim, 0
+        self.inner, self.dim, self.jets, self.points = inner, inner.dim, 0, []
 
     def jet(self, x):
         self.jets += 1
+        self.points.append(np.asarray(x))
         return self.inner.jet(x)
 
     def value(self, x):
         return self.inner.value(x)
+
+
+def count_geometry(monkeypatch):
+    """Count ``metric_jets``, ``frame_at`` and ``christoffel_jets`` calls,
+    patched in every module that binds them."""
+    calls = collections.Counter()
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    space_cls = geometry.WeightedSpace
+    monkeypatch.setattr(space_cls, "metric_jets", counted(
+        "metric_jets", space_cls.metric_jets))
+    for fname in ("frame_at", "christoffel_jets"):
+        original = getattr(geometry, fname)
+        for module in (geometry, boundary, quadrature, verify, report):
+            if getattr(module, fname, None) is original:
+                monkeypatch.setattr(module, fname, counted(fname, original))
+    return calls
 
 
 class TestSharedSweep:
@@ -129,23 +155,7 @@ class TestSharedSweep:
     def test_geometry_once_per_batch(self, entry, monkeypatch, name, chunks,
                                      patches):
         e = entry(name)
-        calls = collections.Counter()
-
-        def counted(label, fn):
-            def wrapper(*args, **kwargs):
-                calls[label] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        space_cls = geometry.WeightedSpace
-        monkeypatch.setattr(space_cls, "metric_jets", counted(
-            "metric_jets", space_cls.metric_jets))
-        for fname in ("frame_at", "christoffel_jets"):
-            original = getattr(geometry, fname)
-            for module in (geometry, boundary, quadrature, verify, report):
-                if getattr(module, fname, None) is original:
-                    monkeypatch.setattr(module, fname,
-                                        counted(fname, original))
+        calls = count_geometry(monkeypatch)
         g = CountingField(e.neumann_family()[0].field)
         h = CountingField(e.h_fields()[0])
         ints = verify._weak_integrals(e.space, g, h, e.plan.quad_interior,
@@ -163,8 +173,8 @@ class TestSharedSweep:
     def test_suite_matches_standalone_checks(self, entry):
         e = entry("annulus")
         target = report.target_from_zoo(e)
-        suite = {r.name: r.to_dict()
-                 for r in report.run_suite(target)["checks"]}
+        run = report.run_suite(target)
+        suite = {r.name: r.to_dict() for r in run["checks"]}
         g, h, plan = target.neumann(), target.h_field(), target.plan
         qi, qb = plan.quad_interior, plan.quad_boundary
         assert suite["green"] == check_green(e.space, h, g, qi,
@@ -173,6 +183,34 @@ class TestSharedSweep:
             e.space, g, h, qi, qb).to_dict()
         assert suite["ricci_decomposition"] == check_ricci_decomposition(
             e.space, g, h, qi, qb, plan.boundary_counts).to_dict()
+        assert suite["ii_identity"] == check_ii_identity(
+            e.space, g, boundary_counts=plan.boundary_counts).to_dict()
+        assert run["certificate"].to_dict() == certify(
+            e.space, k_list=(0.0,), plan=plan).to_dict()
+        assert run["flatness"].to_dict() == flatness_report(
+            e.space, plan=plan).to_dict()
+
+    def test_suite_geometry_once_per_sample_grid(self, entry, monkeypatch):
+        e = entry("ball")
+        target = report.target_from_zoo(e)
+        patch, = e.space.boundary_patches
+        (lo, hi), = patch.param_box
+        m, = e.plan.boundary_counts
+        s = (lo + (hi - lo) * (np.arange(m) + 0.5) / m)[None]
+        grid = np.stack([f.jet(s).value for f in patch.maps])
+        neumann = target.neumann()
+        g = CountingField(neumann.field)
+        target.neumann = lambda: dataclasses.replace(neumann, field=g)
+        calls = count_geometry(monkeypatch)
+        assert report.run_suite(target)["passed"]
+        # bochner and dimension_term share one geometry each; the sample
+        # grid one (gate and II identity); the weak sweep one chunk and
+        # one patch; certify its interior and boundary grids; flatness
+        # none, being read off the certificate
+        assert calls["frame_at"] == 7
+        on_grid = [x for x in g.points if x.shape == grid.shape
+                   and np.allclose(x, grid, rtol=0, atol=1e-12)]
+        assert len(on_grid) == 1  # the gate and the II identity share it
 
 
 class TestPointwiseChecks:
@@ -253,6 +291,26 @@ class TestFlatness:
         r = flatness_report(ball.space, plan=ball.plan)
         assert not r.passed
         assert r.metadata["max_abs_ii"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_certificate_extremes_give_full_maxima(self, entry):
+        # flatness reduces the certificate's extremes; that equals the
+        # max of |.| over every sampled eigenvalue and trace exactly
+        e = entry("annulus")
+        counts = e.plan.interior_counts, e.plan.boundary_counts
+        _, eigs = verify.interior_spectrum(e.space, counts[0])
+        spectra = list(verify.boundary_spectra(e.space, counts[1]))
+        meta = flatness_report(e.space, plan=e.plan).metadata
+        assert meta["max_abs_ricci_v"] == float(np.max(np.abs(eigs)))
+        assert meta["max_abs_ii"] == max(float(np.max(np.abs(eig)))
+                                         for _, eig, _ in spectra)
+        assert meta["max_abs_tr_ii"] == max(float(np.max(np.abs(tr)))
+                                            for _, _, tr in spectra)
+
+    def test_no_boundary_patches_rejected(self, ball):
+        # a boundary that was never sampled is not certified flat
+        unsampled = dataclasses.replace(ball.space, boundary_patches=())
+        with pytest.raises(ValueError, match="empty boundary"):
+            flatness_report(unsampled, plan=ball.plan)
 
 
 class TestHelpers:
