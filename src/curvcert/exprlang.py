@@ -303,34 +303,35 @@ def _fmt_point(x):
 
 def evaluate_value(ast, x):
     """Plain (jet-free) evaluation; the brute-force oracle route."""
-    x = np.asarray(x, dtype=float)
+    return _value(ast, np.asarray(x, dtype=float))
 
-    def ev(node):
-        if isinstance(node, Num):
-            return np.broadcast_to(node.value, x.shape[1:]).astype(float) \
-                if x.ndim > 1 else node.value
-        if isinstance(node, Var):
-            return x[node.index]
-        if isinstance(node, Neg):
-            return -ev(node.operand)
-        if isinstance(node, Bin):
-            a = ev(node.left)
-            if node.op == "+":
-                return a + ev(node.right)
-            if node.op == "-":
-                return a - ev(node.right)
-            if node.op == "*":
-                return a * ev(node.right)
-            if node.op == "/":
-                return a / ev(node.right)
-            return np.power(a, ev(node.right))
-        if isinstance(node, Call):
-            if node.fn == "pow":
-                return np.power(ev(node.args[0]), ev(node.args[1]))
-            return getattr(np, node.fn)(ev(node.args[0]))
-        raise TypeError(f"not an AST node: {node!r}")
 
-    return ev(ast)
+def _value(node, x):
+    # a module function, not a closure: no reference cycle holds ``x``
+    if isinstance(node, Num):
+        return np.broadcast_to(node.value, x.shape[1:]).astype(float) \
+            if x.ndim > 1 else node.value
+    if isinstance(node, Var):
+        return x[node.index]
+    if isinstance(node, Neg):
+        return -_value(node.operand, x)
+    if isinstance(node, Bin):
+        a = _value(node.left, x)
+        b = _value(node.right, x)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            return a / b
+        return np.power(a, b)
+    if isinstance(node, Call):
+        if node.fn == "pow":
+            return np.power(_value(node.args[0], x), _value(node.args[1], x))
+        return getattr(np, node.fn)(_value(node.args[0], x))
+    raise TypeError(f"not an AST node: {node!r}")
 
 
 # -- pretty printer -----------------------------------------------------

@@ -8,19 +8,22 @@ is exact for integrands carrying a compact-support cutoff inside Omega
 clipping never cuts through the support).  Boundary integrals run over
 parametrized patches with the pullback density exp(-V) sqrt(det Gram).
 
-One ``NodeGeometry`` per node batch (interior chunk, boundary patch)
-gives the density and whatever a ``GeometryIntegrand`` reads.  An
-integrand may return k rows per batch; each is reduced like a single row.
+The interior rule runs in chunks of ``CHUNK`` nodes, one ``NodeGeometry``
+per chunk (and one per boundary patch) giving the density and whatever a
+``GeometryIntegrand`` reads.  An integrand returns one row or k rows per
+batch, or yields its rows one at a time; each row is reduced as it
+arrives, so no array longer than one batch is held per row.
 
-Reductions are ordered (numpy pairwise summation over a fixed node
-ordering), so results are reproducible bit-for-bit.
+Reductions are ordered: each row's batch sum is numpy's pairwise sum over
+a fixed node ordering, and the chunk sums are added in chunk order, so
+results are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .geometry import NodeGeometry, WeightedSpace
 
 DEFAULT_INTERIOR_NODES = 64
 DEFAULT_BOUNDARY_NODES = 256
+CHUNK = 16384  # interior nodes per batch
 GRAM_FLOOR = 1e-12
 PATCH_PHI_TOL = 1e-8
 
@@ -42,26 +46,37 @@ class QuadratureError(ValueError):
 @dataclass(frozen=True)
 class GeometryIntegrand:
     """An integrand of a batch's ``NodeGeometry`` rather than of its nodes,
-    so that all its rows read the geometry the rule built for the batch."""
+    so that all its rows, returned or yielded, read the geometry the rule
+    built for the batch."""
 
-    fn: Callable[[NodeGeometry], np.ndarray]
-
-
-def _rows(F, geom: NodeGeometry) -> np.ndarray:
-    return np.asarray(F.fn(geom) if isinstance(F, GeometryIntegrand)
-                      else F(geom.x))
+    fn: Callable[[NodeGeometry], Union[np.ndarray, Iterator[np.ndarray]]]
 
 
-def _check_finite(fv: np.ndarray, x: np.ndarray):
-    if not np.all(np.isfinite(fv)):
-        bad = int(np.nonzero(~np.isfinite(fv))[-1][0])
-        raise QuadratureError(f"non-finite integrand value at node {x[:, bad]}")
-
-
-def _row_sums(terms: np.ndarray):
-    """One ordered sum per integrand row; a float for a single row."""
-    sums = [float(np.sum(row)) for row in terms.reshape(-1, terms.shape[-1])]
-    return sums[0] if terms.ndim == 1 else sums
+def _batch_sums(F, geom: NodeGeometry, wts: np.ndarray, dens: np.ndarray,
+                mask=None, sqrt_det=None):
+    """One ordered sum of wts * row * dens per row of F on one batch, and
+    whether F gave a single row.  Each row is checked finite and, with
+    ``sqrt_det``, zero wherever sqrt det g is below the floor."""
+    out = F.fn(geom) if isinstance(F, GeometryIntegrand) else F(geom.x)
+    single = False
+    if not isinstance(out, Iterator):
+        out = np.asarray(out)
+        single = out.ndim <= 1
+        out = [out] if single else out.reshape(-1, out.shape[-1])
+    sums = []
+    for row in out:
+        fv = np.asarray(row) if mask is None else row * mask
+        if not np.all(np.isfinite(fv)):
+            bad = int(np.nonzero(~np.isfinite(fv))[-1][0])
+            raise QuadratureError(
+                f"non-finite integrand value at node {geom.x[:, bad]}")
+        if sqrt_det is not None and np.any((np.abs(fv) > 0)
+                                           & (sqrt_det <= GRAM_FLOOR)):
+            raise QuadratureError(
+                "integrand supported on a chart-singular node "
+                "(sqrt det g below floor)")
+        sums.append(float(np.sum(wts * fv * dens)))
+    return sums, single
 
 
 @dataclass
@@ -114,32 +129,24 @@ def _counts(counts, d, default):
     return counts
 
 
-def integrate_interior(space: WeightedSpace, F: Integrand,
-                       counts=None, chunk: int = 16384):
+def integrate_interior(space: WeightedSpace, F: Integrand, counts=None):
     """Integral of F over Omega = {phi < 0} against exp(-V) dVol_g
-    (one integral per row of F)."""
+    (one integral per row of F; a float for a single row)."""
     counts = _counts(counts, space.dim, DEFAULT_INTERIOR_NODES)
     pts, wts = tensor_rule(space.chart_box, counts)
     total = None
-    for start in range(0, pts.shape[1], chunk):
-        sl = slice(start, start + chunk)
+    for start in range(0, pts.shape[1], CHUNK):
+        sl = slice(start, start + CHUNK)
         x = pts[:, sl]
-        phi = np.asarray(space.defining_fn.value(x))
-        inside = phi < 0.0
+        inside = np.asarray(space.defining_fn.value(x)) < 0.0
         geom = NodeGeometry(space, x)
-        fv = _rows(F, geom) * inside
         sqrt_det = geom.frame.sqrt_det
-        del geom  # one batch's geometry alive at a time
-        _check_finite(fv, x)
-        if np.any((np.abs(fv) > 0) & (sqrt_det <= GRAM_FLOOR)):
-            raise QuadratureError(
-                "integrand supported on a chart-singular node "
-                "(sqrt det g below floor)")
         dens = np.exp(-np.asarray(space.weight.value(x))) * sqrt_det
-        if total is None:
-            total = np.zeros(fv.shape[:-1] + pts.shape[1:])
-        total[..., sl] = wts[sl] * fv * dens
-    return _row_sums(total)
+        sums, single = _batch_sums(F, geom, wts[sl], dens, inside, sqrt_det)
+        del geom  # one batch's geometry alive at a time
+        total = sums if total is None else \
+            [a + b for a, b in zip(total, sums, strict=True)]
+    return total[0] if single else total
 
 
 def _patch_geometry(space: WeightedSpace, patch: BoundaryPatch, s: np.ndarray):
@@ -175,10 +182,9 @@ def integrate_boundary(space: WeightedSpace, F: Integrand,
     counts = _counts(counts, patch.param_dim, DEFAULT_BOUNDARY_NODES)
     s, wts = tensor_rule(patch.param_box, counts)
     geom, dens_gram = _patch_geometry(space, patch, s)
-    fv = _rows(F, geom)
-    _check_finite(fv, geom.x)
     dens = np.exp(-np.asarray(space.weight.value(geom.x))) * dens_gram
-    return _row_sums(wts * fv * dens)
+    sums, single = _batch_sums(F, geom, wts, dens)
+    return sums[0] if single else sums
 
 
 def integrate_boundary_all(space: WeightedSpace, F: Integrand,

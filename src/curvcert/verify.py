@@ -14,9 +14,11 @@ Ricci tensor is one named, reportable check:
 Green's formula and the weak Laplacian are one identity read from two
 sides.  ``weak_checks`` returns the four Neumann-gated checks (green,
 mv_laplacian, ii_identity, ricci_decomposition) from one gate and one
-sweep that builds the geometry and the jets of g and h once per node
-batch.  Each boundary sample grid has one frame per patch, which the
-gate, the II identity and the certificate spectra all read.
+sweep, which builds the geometry and g's terms once per node batch and
+streams the rows of each test density from one jet of it;
+``decomposition_batch`` is the gate plus that sweep over a family of
+densities.  Each boundary sample grid has one frame per patch, which
+the gate, the II identity and the certificate spectra all read.
 
 Every check that assumes the Neumann hypothesis re-verifies it first and
 fails loudly (GateError) if violated: that is a broken hypothesis, not a
@@ -35,8 +37,8 @@ from .boundary import (BoundaryFrame, NeumannTestFunction, boundary_frame,
                        normal_field_jets, second_fundamental_form)
 from .fields import ScalarField
 from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace, as_points,
-                       bakry_emery_ricci, gamma1, gamma2_parts, hessian,
-                       hs_norm_sq, witten_laplacian)
+                       bakry_emery_ricci, gamma2_parts, hessian, hs_norm_sq,
+                       witten_laplacian)
 from .jets import Jet
 from .quadrature import (GeometryIntegrand, integrate_boundary,
                          integrate_interior, patch_points)
@@ -178,50 +180,63 @@ def _ii_of_gradient(space: WeightedSpace, bframe, ju: Jet) -> np.ndarray:
     return np.einsum("ab...,a...,b...->...", II, v, v)
 
 
-def _weak_integrals(space: WeightedSpace, g: ScalarField, h: ScalarField,
-                    quad_interior=None, quad_boundary=None,
-                    decomposition: bool = True) -> Dict[str, float]:
-    """One quadrature sweep for the weak identities of g tested against h:
-    int Gamma(h,g), int h Lg and oint h g(N, grad g), plus, with
-    ``decomposition``, the decomposition's LHS and interior and boundary
-    RHS.  Every row of a batch reads its one ``NodeGeometry`` and one jet
-    each of g and h."""
-    def interior(geom: NodeGeometry) -> np.ndarray:
-        x = geom.x
-        jg, jh = g.jet(x), h.jet(x)
-        hv = np.asarray(h.value(x))
-        rows = [gamma1(space, jh, jg, x, geom),
-                hv * witten_laplacian(space, jg, x, geom)]
+def _weak_integrals(space: WeightedSpace, g: ScalarField,
+                    hs: Sequence[ScalarField], quad_interior=None,
+                    quad_boundary=None, decomposition: bool = True
+                    ) -> List[Dict[str, float]]:
+    """One quadrature sweep for the weak identities of g tested against
+    each h in ``hs``: int Gamma(h,g), int h Lg and oint h g(N, grad g),
+    plus, with ``decomposition``, the decomposition's LHS and interior and
+    boundary RHS; one dict per h.  Each batch builds one ``NodeGeometry``,
+    jets g once and computes its h-free terms once, then yields each h's
+    rows from one jet of that h."""
+    def interior(geom: NodeGeometry) -> Iterator[np.ndarray]:
+        x, ginv = geom.x, geom.frame.inverse
+        jg = g.jet(x)
+        lg = witten_laplacian(space, jg, x, geom)
+        dg = np.stack([jg.partial(i).value for i in range(space.dim)])
         if decomposition:
-            dgam, g_f_lf, hs, ric = _g_terms(space, geom, jg)
+            dgam, g_f_lf, hs_sq, ric = _g_terms(space, geom, jg)
+        del jg  # the order-3 jet is not held across the yields
+        for h in hs:
+            jh = h.jet(x)
+            hv = jh.value
             dh = np.stack([jh.partial(i).value for i in range(space.dim)])
-            g_h_gam = np.einsum("ij...,i...,j...->...", geom.frame.inverse,
-                                dh, dgam)
-            rows += [-0.5 * g_h_gam - hv * g_f_lf - hv * hs, hv * ric]
-        return np.stack(rows)
+            yield np.einsum("ij...,i...,j...->...", ginv, dh, dg)  # Gamma(h,g)
+            yield hv * lg
+            if decomposition:
+                g_h_gam = np.einsum("ij...,i...,j...->...", ginv, dh, dgam)
+                yield -0.5 * g_h_gam - hv * g_f_lf - hv * hs_sq
+                yield hv * ric
 
-    def boundary(geom: NodeGeometry) -> np.ndarray:
+    def boundary(geom: NodeGeometry) -> Iterator[np.ndarray]:
         x = geom.x
         jg = g.jet(x)
-        hv = np.asarray(h.value(x))
         jN = normal_field_jets(space, x, geom)
         flux = 0.0  # g(N, grad g)
         for i in range(space.dim):
             flux = flux + jN[i].value * jg.partial(i).value
-        rows = [hv * flux]
         if decomposition:
-            bf = boundary_frame(space, x, geom=geom)
-            rows.append(hv * _ii_of_gradient(space, bf, jg))
-        return np.stack(rows)
+            ii = _ii_of_gradient(space, boundary_frame(space, x, geom=geom), jg)
+        for h in hs:
+            hv = np.asarray(h.value(x))
+            yield hv * flux
+            if decomposition:
+                yield hv * ii
 
-    ints = integrate_interior(space, GeometryIntegrand(interior),
-                              quad_interior)
-    bds = [integrate_boundary(space, GeometryIntegrand(boundary), p,
-                              quad_boundary) for p in space.boundary_patches]
-    out = dict(zip(("gamma", "laplacian", "lhs", "rhs_interior"), ints))
-    out["flux"] = sum(b[0] for b in bds)
-    if decomposition:
-        out["rhs_boundary"] = sum(b[1] for b in bds)
+    ints = iter(integrate_interior(space, GeometryIntegrand(interior),
+                                   quad_interior))
+    bds = [iter(integrate_boundary(space, GeometryIntegrand(boundary), p,
+                                   quad_boundary))
+           for p in space.boundary_patches]
+    keys = ("gamma", "laplacian", "lhs", "rhs_interior")
+    out = []
+    for _ in hs:  # each h's rows in the order its integrands yield them
+        w = dict(zip(keys[:4 if decomposition else 2], ints))
+        w["flux"] = sum(next(b) for b in bds)
+        if decomposition:
+            w["rhs_boundary"] = sum(next(b) for b in bds)
+        out.append(w)
     return out
 
 
@@ -251,8 +266,8 @@ def check_green(space: WeightedSpace, f: ScalarField, g: ScalarField,
                 quad_interior=None, quad_boundary=None,
                 tol: float = QUADRATURE_TOL) -> CheckResult:
     """Green's formula: int Gamma(f,g) = -int f L g + oint f g(N, grad g)."""
-    ints = _weak_integrals(space, _as_field(g), _as_field(f), quad_interior,
-                           quad_boundary, decomposition=False)
+    ints, = _weak_integrals(space, _as_field(g), [_as_field(f)],
+                            quad_interior, quad_boundary, decomposition=False)
     return _laplacian_results(ints, False, tol)[0]
 
 
@@ -265,8 +280,8 @@ def check_mv_laplacian(space: WeightedSpace, g, h: ScalarField,
     For a Neumann test function the boundary term must itself vanish
     (the measure Laplacian is absolutely continuous).
     """
-    ints = _weak_integrals(space, _as_field(g), h, quad_interior,
-                           quad_boundary, decomposition=False)
+    ints, = _weak_integrals(space, _as_field(g), [h], quad_interior,
+                            quad_boundary, decomposition=False)
     return _laplacian_results(
         ints, isinstance(g, NeumannTestFunction), tol)[1]
 
@@ -308,7 +323,7 @@ def weak_checks(space: WeightedSpace, g: NeumannTestFunction,
     mv_laplacian, ii_identity and ricci_decomposition, from the II
     check's gate and one quadrature sweep."""
     ii = check_ii_identity(space, g, boundary_counts)
-    ints = _weak_integrals(space, g.field, h, quad_interior, quad_boundary)
+    ints, = _weak_integrals(space, g.field, [h], quad_interior, quad_boundary)
     lhs, rhs_i, rhs_b = ints["lhs"], ints["rhs_interior"], ints["rhs_boundary"]
     rhs = rhs_i + rhs_b
     res = abs(lhs - rhs) / (1.0 + abs(rhs))
@@ -337,63 +352,16 @@ def check_ricci_decomposition(space: WeightedSpace, g: NeumannTestFunction,
 
 def decomposition_batch(space: WeightedSpace, g: NeumannTestFunction,
                         hs: Sequence[ScalarField], quad_interior=None,
-                        quad_boundary=None, boundary_counts=None,
-                        chunk: int = 16384) -> List[Tuple[float, float]]:
-    """(LHS, RHS) of the decomposition for one g and many test h.
-
-    The expensive order-3 sweep over g's jets is shared across the whole
-    h family, so checking a family costs little more than one pair.
-    """
-    from .quadrature import _counts, tensor_rule, _patch_geometry
-    from .quadrature import (DEFAULT_BOUNDARY_NODES, DEFAULT_INTERIOR_NODES,
-                             GRAM_FLOOR, QuadratureError)
-
+                        quad_boundary=None, boundary_counts=None
+                        ) -> List[Tuple[float, float]]:
+    """(LHS, RHS) of the decomposition for one g and many test h, from the
+    Neumann gate and one weak sweep: g's order-3 terms are computed once
+    per batch for the whole h family, so checking a family costs little
+    more than one pair.  Each pair equals ``weak_checks``' for that h."""
     neumann_gate(space, g, boundary_counts)
-    gf = g.field
-    n = space.dim
-    counts = _counts(quad_interior, n, DEFAULT_INTERIOR_NODES)
-    pts, wts = tensor_rule(space.chart_box, counts)
-    nh = len(hs)
-    lhs = np.zeros(nh)
-    rhs = np.zeros(nh)
-    for start in range(0, pts.shape[1], chunk):
-        sl = slice(start, start + chunk)
-        x = pts[:, sl]
-        phi = np.asarray(space.defining_fn.value(x))
-        inside = phi < 0.0
-        geom = NodeGeometry(space, x)
-        dgam, g_f_lf, hs_sq, ric_gg = _g_terms(space, geom, gf.jet(x))
-        frame = geom.frame
-        dens = wts[sl] * inside * \
-            np.exp(-np.asarray(space.weight.value(x))) * frame.sqrt_det
-        if np.any(inside & (frame.sqrt_det <= GRAM_FLOOR)):
-            raise QuadratureError(
-                "interior node with sqrt det g below floor")
-        # shared pieces: LHS = -1/2 Gamma(h, Gamma(g,g)) + h * base
-        base = -g_f_lf - hs_sq
-        half_gdgam = -0.5 * np.einsum("ij...,j...->i...",
-                                      frame.inverse, dgam)
-        for k, h in enumerate(hs):
-            jh = h.jet(x)
-            hv = jh.value
-            dh = np.stack([jh.partial(i).value for i in range(n)])
-            integrand = np.einsum("i...,i...->...", dh, half_gdgam) \
-                + hv * base
-            if not np.all(np.isfinite(integrand * dens)):
-                raise QuadratureError("non-finite decomposition integrand")
-            lhs[k] += float(np.sum(dens * integrand))
-            rhs[k] += float(np.sum(dens * hv * ric_gg))
-    for patch in space.boundary_patches:
-        pb = _counts(quad_boundary, patch.param_dim, DEFAULT_BOUNDARY_NODES)
-        s, bw = tensor_rule(patch.param_box, pb)
-        bgeom, dens_gram = _patch_geometry(space, patch, s)
-        xb = bgeom.x
-        iigg = _ii_of_gradient(space, boundary_frame(space, xb, geom=bgeom),
-                               gf.jet(xb))
-        bdens = bw * np.exp(-np.asarray(space.weight.value(xb))) * dens_gram
-        for k, h in enumerate(hs):
-            rhs[k] += float(np.sum(bdens * np.asarray(h.value(xb)) * iigg))
-    return list(zip(lhs.tolist(), rhs.tolist()))
+    return [(w["lhs"], w["rhs_interior"] + w["rhs_boundary"])
+            for w in _weak_integrals(space, g.field, hs, quad_interior,
+                                     quad_boundary)]
 
 
 def check_ii_identity(space: WeightedSpace, g: NeumannTestFunction,

@@ -1,8 +1,16 @@
 import functools
+import os
+from pathlib import Path
 
 import pytest
 
 from curvcert import zoo
+
+# pyproject's ``pythonpath`` reaches this process only; the CLI tests'
+# child processes import the package through the environment
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"),
+    os.environ.get("PYTHONPATH")]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -144,6 +147,21 @@ class TestEvaluate:
         j = evaluate(ast, x)
         np.testing.assert_allclose(j.value, evaluate_value(ast, x),
                                    atol=1e-14)
+
+    def test_value_frees_nodes_without_collector(self):
+        # no reference cycle may keep the node array alive after the call
+        ast = parse("x*sin(y) + pow(x, 2) - 1.5", 2)
+        x = np.linspace(0.1, 1.0, 8).reshape(2, 4)
+        alive = weakref.ref(x)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            evaluate_value(ast, x)
+            del x
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_domain_error_carries_point(self):
         ast = parse("log(x)", 1)

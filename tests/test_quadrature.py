@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from curvcert.fields import ConstField, ExprField
-from curvcert.geometry import WeightedSpace
-from curvcert.quadrature import (BoundaryPatch, QuadratureError, gauss_rule,
+from curvcert.geometry import NodeGeometry, WeightedSpace
+from curvcert.quadrature import (CHUNK, BoundaryPatch, GeometryIntegrand,
+                                 QuadratureError, gauss_rule,
                                  integrate_boundary, integrate_boundary_all,
                                  integrate_interior, patch_points,
                                  tensor_rule)
@@ -102,6 +103,33 @@ class TestInterior:
         b = integrate_interior(sp, lambda x: np.sin(x[0] * x[1]),
                                counts=(48, 48))
         assert a == b
+
+    def test_rows_summed_per_chunk_in_order(self):
+        sp = gaussian_plane()
+        counts = (200, 200)
+        pts, wts = tensor_rule(sp.chart_box, counts)
+        assert 2 * CHUNK < pts.shape[1] <= 3 * CHUNK
+        fns = [lambda x: np.cos(x[0]) + x[1] ** 2,
+               lambda x: np.sin(x[0] * x[1]), lambda x: x[0] ** 3]
+        want = None
+        for start in range(0, pts.shape[1], CHUNK):
+            sl = slice(start, start + CHUNK)
+            x = pts[:, sl]
+            dens = np.exp(-sp.weight.value(x)) \
+                * NodeGeometry(sp, x).frame.sqrt_det
+            part = [float(np.sum(wts[sl] * f(x) * dens)) for f in fns]
+            want = part if want is None else \
+                [a + b for a, b in zip(want, part)]
+
+        def rows(geom):
+            for f in fns:
+                yield f(geom.x)
+
+        assert integrate_interior(sp, GeometryIntegrand(rows), counts) == want
+        assert integrate_interior(
+            sp, lambda x: np.stack([f(x) for f in fns]), counts) == want
+        one = integrate_interior(sp, fns[0], counts)
+        assert isinstance(one, float) and one == want[0]
 
 
 class TestBoundary:

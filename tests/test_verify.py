@@ -157,18 +157,33 @@ class TestSharedSweep:
         e = entry(name)
         calls = count_geometry(monkeypatch)
         g = CountingField(e.neumann_family()[0].field)
-        h = CountingField(e.h_fields()[0])
-        ints = verify._weak_integrals(e.space, g, h, e.plan.quad_interior,
+        hs = [CountingField(h) for h in e.h_fields()[:3]]
+        ints = verify._weak_integrals(e.space, g, hs, e.plan.quad_interior,
                                       e.plan.quad_boundary)
-        assert set(ints) == {"gamma", "laplacian", "flux", "lhs",
-                             "rhs_interior", "rhs_boundary"}
+        assert len(ints) == len(hs) == 3
+        for w in ints:
+            assert set(w) == {"gamma", "laplacian", "flux", "lhs",
+                              "rhs_interior", "rhs_boundary"}
         batches = chunks + patches
         assert calls["frame_at"] == batches
         assert calls["metric_jets"] == batches
         # the boundary integrands read neither the Christoffel jets nor
-        # the derivatives of h
+        # the derivatives of h; g is jetted once per batch for the family
         assert calls["christoffel_jets"] == chunks
-        assert g.jets == batches and h.jets == chunks
+        assert g.jets == batches
+        assert [h.jets for h in hs] == [chunks] * len(hs)
+
+    @pytest.mark.parametrize("name", ["annulus", "ball", "half_space"])
+    def test_batch_matches_weak_checks(self, entry, name):
+        e = entry(name)
+        g, hs, plan = e.neumann_family()[0], e.h_fields()[:3], e.plan
+        args = (plan.quad_interior, plan.quad_boundary, plan.boundary_counts)
+        batch = verify.decomposition_batch(e.space, g, hs, *args)
+        assert len(batch) == 3
+        for h, pair in zip(hs, batch):
+            meta = verify.weak_checks(e.space, g, h, *args)[3].metadata
+            assert pair == (meta["lhs"],
+                            meta["rhs_interior"] + meta["rhs_boundary"])
 
     def test_suite_matches_standalone_checks(self, entry):
         e = entry("annulus")
