@@ -63,8 +63,7 @@ def boundary_frame(space: WeightedSpace, x,
     n = space.dim
     geom = geom or NodeGeometry(space, x)
     frame = geom.frame
-    jphi = space.defining_fn.jet(x)
-    dphi = np.stack([jphi.partial(i).value for i in range(n)])
+    dphi = space.defining_fn.jet(x, 1).gradient()
     gphi = np.einsum("ij...,j...->i...", frame.inverse, dphi)
     norm2 = np.einsum("i...,i...->...", dphi, gphi)
     if np.any(norm2 < GRAD_PHI_FLOOR**2):
@@ -132,8 +131,7 @@ def second_fundamental_form(space: WeightedSpace, x,
     frame = bframe.geom.frame
     jN = normal_field_jets(space, x, bframe.geom)
     Nval = np.stack([j.value for j in jN])
-    dN = np.stack([np.stack([jN[k].partial(i).value for i in range(n)])
-                   for k in range(n)])  # [k, i]
+    dN = np.stack([j.gradient() for j in jN])  # [k, i]
     # covariant derivative of the normal field: d_i N^k + G^k_ij N^j
     covdN = dN + np.einsum("kij...,j...->ki...", frame.christoffels, Nval)
     II = np.einsum("ai...,ki...,kl...,bl...->ab...", bframe.tangents, covdN,
@@ -252,6 +250,5 @@ def neumann_residual(space: WeightedSpace, field: ScalarField, x,
     x = as_points(space, x)
     if bframe is None:
         bframe = boundary_frame(space, x)
-    jf = field.jet(x)
-    df = np.stack([jf.partial(i).value for i in range(space.dim)])
+    df = field.jet(x, 1).gradient()
     return np.einsum("i...,i...->...", bframe.normal, df)

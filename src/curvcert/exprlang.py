@@ -26,7 +26,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .jets import Jet, JetDomainError, apply_univariate, jet_pow, seed_variable
+from .jets import (MAX_ORDER, Jet, JetDomainError, apply_univariate, jet_pow,
+                   seed_variable)
 
 VAR_NAMES = ("x", "y", "z", "w")
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1, "tanh": 1,
@@ -254,9 +255,11 @@ def parse(src: str, dim: int):
 
 
 def evaluate_jet(ast, seeds) -> Jet:
-    """Fold the AST over jet arithmetic given coordinate seed jets."""
+    """Fold the AST over jet arithmetic given coordinate seed jets; the
+    result has at most the seeds' order."""
     if isinstance(ast, Num):
-        return Jet.constant(seeds[0].dim, ast.value, seeds[0].batch_shape)
+        return Jet.constant(seeds[0].dim, ast.value,
+                            seeds[0].batch_shape).truncate(seeds[0].order)
     if isinstance(ast, Var):
         return seeds[ast.index]
     if isinstance(ast, Neg):
@@ -285,10 +288,12 @@ def evaluate_jet(ast, seeds) -> Jet:
     raise TypeError(f"not an AST node: {ast!r}")
 
 
-def evaluate(ast, x) -> Jet:
-    """Order-3 jet of the field at point(s) x (shape (dim,) or (dim, m))."""
+def evaluate(ast, x, order: int = MAX_ORDER) -> Jet:
+    """Jet of the field at point(s) x (shape (dim,) or (dim, m)) through
+    ``order``: the seeds are truncated there, so no step of the fold
+    computes a slot above ``order``."""
     x = np.asarray(x, dtype=float)
-    seeds = [seed_variable(i, x) for i in range(x.shape[0])]
+    seeds = [seed_variable(i, x).truncate(order) for i in range(x.shape[0])]
     try:
         return evaluate_jet(ast, seeds)
     except JetDomainError as exc:

@@ -1,7 +1,14 @@
 """Scalar fields on a chart: expression-backed, cutoffs, combinators.
 
-A field maps chart points (shape ``(dim,)`` or ``(dim, m)``) to order-3
-jets.  Jet-wise arithmetic on fields is exact through order 3, so
+A field maps chart points (shape ``(dim,)`` or ``(dim, m)``) to jets of
+order 0 to 3, order 3 by default: a consumer asks for the order it reads
+(``jet(x, 1)`` for a value and gradient, ``value`` for the order-0 jet's
+value) and no slot above it is computed.  Truncated jet arithmetic forms
+each kept slot from the same terms in the same order as the order-3
+arithmetic, so an order-k jet holds the order-3 jet's slots up to k.
+(An order-0 composition skips adding the zero products of the nilpotent
+part, which shows only on a -0.0 outer value or a non-finite higher
+derivative.)  Jet-wise arithmetic on fields is exact through order 3, so
 products/sums/quotients of fields with exact jets again have exact jets.
 """
 
@@ -13,21 +20,23 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import exprlang
-from .jets import Jet, seed_variable
+from .jets import MAX_ORDER, Jet
 
 Box = Sequence[Tuple[float, float]]
 
 
 class ScalarField:
-    """Base: a C^3 scalar field evaluable to order-3 jets."""
+    """Base: a C^3 scalar field evaluable to jets of order up to 3."""
 
     dim: int
 
-    def jet(self, x) -> Jet:
+    def jet(self, x, order: int = MAX_ORDER) -> Jet:
+        """Jet of the field at x through ``order`` (its ``.order`` is at
+        most ``order``)."""
         raise NotImplementedError
 
     def value(self, x):
-        return self.jet(x).value
+        return self.jet(x, 0).value
 
     def __add__(self, other):
         return _BinField("+", self, _coerce(other, self.dim))
@@ -65,9 +74,9 @@ class ConstField(ScalarField):
         self.dim = dim
         self._value = float(value)
 
-    def jet(self, x) -> Jet:
+    def jet(self, x, order: int = MAX_ORDER) -> Jet:
         x = np.asarray(x, dtype=float)
-        return Jet.constant(self.dim, self._value, x.shape[1:])
+        return Jet.constant(self.dim, self._value, x.shape[1:]).truncate(order)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -90,8 +99,8 @@ class ExprField(ScalarField):
             self.ast = src
             self.source = exprlang.to_source(src)
 
-    def jet(self, x) -> Jet:
-        return exprlang.evaluate(self.ast, x)
+    def jet(self, x, order: int = MAX_ORDER) -> Jet:
+        return exprlang.evaluate(self.ast, x, order)
 
     def value(self, x):
         return exprlang.evaluate_value(self.ast, np.asarray(x, dtype=float))
@@ -109,9 +118,9 @@ class _BinField(ScalarField):
         self.a = a
         self.b = b
 
-    def jet(self, x) -> Jet:
-        ja = self.a.jet(x)
-        jb = self.b.jet(x)
+    def jet(self, x, order: int = MAX_ORDER) -> Jet:
+        ja = self.a.jet(x, order)
+        jb = self.b.jet(x, order)
         if self.op == "+":
             return ja + jb
         if self.op == "-":
@@ -136,21 +145,22 @@ def _bump_h(t):
     return np.stack([h, h1, h2, h3])
 
 
-def _smoothstep_jets(t):
-    """Taylor coefficients (c0..c3) of s(t)=h(t)/(h(t)+h(1-t)) at t."""
+def _smoothstep_jets(t, order: int = MAX_ORDER):
+    """Taylor coefficients (c0..c3) of s(t)=h(t)/(h(t)+h(1-t)) at t,
+    exact through ``order`` and zero above it."""
     t = np.asarray(t, dtype=float)
     ha = _bump_h(np.clip(t, None, 1.0))
     hb = _bump_h(1.0 - np.clip(t, 0.0, None))
     hb[1::2] *= -1.0  # chain rule for t -> 1-t on odd orders
     fact = np.array([1.0, 1.0, 2.0, 6.0]).reshape((4,) + (1,) * t.ndim)
-    ja = Jet(1, ha / fact)
-    jb = Jet(1, hb / fact)
+    ja = Jet(1, ha / fact, order)
+    jb = Jet(1, hb / fact, order)
     denom = ja + jb
     s = (ja / denom).coeffs
     lo = t <= 0.0
     hi = t >= 1.0
     s[0] = np.where(lo, 0.0, np.where(hi, 1.0, s[0]))
-    for k in range(1, 4):
+    for k in range(1, order + 1):
         s[k] = np.where(lo | hi, 0.0, s[k])
     return s
 
@@ -183,43 +193,52 @@ def make_cutoff_spec(inner: Box, outer: Box) -> CutoffSpec:
 
 
 class CutoffField(ScalarField):
-    """C-infinity plateau bump built from t -> exp(-1/(1-t^2)) edges."""
+    """C-infinity plateau bump built from t -> exp(-1/(1-t^2)) edges.
+
+    The field is a product of one univariate factor per tapered axis (an
+    axis whose inner and outer bounds differ on some side); untapered
+    factors are exactly 1 and are left out.  Each factor is evaluated
+    once per distinct coordinate of the batch and gathered to the nodes,
+    so a tensor-product chunk costs one evaluation per grid line.
+    """
 
     def __init__(self, spec: CutoffSpec):
         self.dim = len(spec.inner)
         self.spec = spec
+        self.tapered = tuple(
+            i for i, ((ilo, ihi), (olo, ohi))
+            in enumerate(zip(spec.inner, spec.outer))
+            if ilo > olo or ohi > ihi)
 
-    def _axis_coeffs(self, xi, axis):
-        """(4, ...) univariate Taylor coefficients of the axis factor."""
+    def _axis_coeffs(self, xi, axis, order: int = MAX_ORDER):
+        """(order + 1, ...) univariate Taylor coefficients of the axis
+        factor at the coordinates ``xi``."""
         (ilo, ihi) = self.spec.inner[axis]
         (olo, ohi) = self.spec.outer[axis]
         out = np.zeros((4,) + np.shape(xi))
         out[0] = 1.0
-        jet = Jet(1, out)
+        jet = Jet(1, out, order)
         if ilo > olo:
             scale = 1.0 / (ilo - olo)
-            c = _smoothstep_jets((xi - olo) * scale)
+            c = _smoothstep_jets((xi - olo) * scale, order)
             c *= (scale ** np.arange(4)).reshape((4,) + (1,) * np.ndim(xi))
-            jet = jet * Jet(1, c)
+            jet = jet * Jet(1, c, order)
         if ohi > ihi:
             scale = 1.0 / (ohi - ihi)
-            c = _smoothstep_jets((ohi - xi) * scale)
+            c = _smoothstep_jets((ohi - xi) * scale, order)
             c *= ((-scale) ** np.arange(4)).reshape((4,) + (1,) * np.ndim(xi))
-            jet = jet * Jet(1, c)
-        return jet.coeffs
+            jet = jet * Jet(1, c, order)
+        return jet.coeffs[:order + 1]
 
-    def jet(self, x) -> Jet:
+    def jet(self, x, order: int = MAX_ORDER) -> Jet:
         x = np.asarray(x, dtype=float)
-        out = Jet.constant(self.dim, 1.0, x.shape[1:])
-        for i in range(self.dim):
-            out = out * Jet.from_axis(self.dim, i, self._axis_coeffs(x[i], i))
-        return out
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.ones(x.shape[1:]) if x.ndim > 1 else 1.0
-        for i in range(self.dim):
-            out = out * self._axis_coeffs(x[i], i)[0]
+        out = Jet.constant(self.dim, 1.0, x.shape[1:]).truncate(order)
+        for i in self.tapered:
+            coords, where = np.unique(x[i], return_inverse=True)
+            c = self._axis_coeffs(coords, i, order)
+            # gather to the nodes; np.unique's inverse shape has varied
+            c = c[:, where.reshape(x[i].shape)]
+            out = out * Jet.from_axis(self.dim, i, c, order)
         return out
 
     def __repr__(self):

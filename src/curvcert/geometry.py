@@ -127,8 +127,7 @@ def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None
     for i in range(n):
         for j in range(n):
             G[i, j] = jg[i][j].value
-            for l in range(n):
-                dg[i, j, l] = jg[i][j].partial(l).value
+            dg[i, j] = jg[i][j].gradient()
     Gm = _to_mat(G)
     eig = np.linalg.eigvalsh(Gm)
     min_eig = eig[..., 0]
@@ -222,8 +221,7 @@ def ricci(space: WeightedSpace, x,
         for i in range(n):
             for j in range(n):
                 gam[k, i, j] = jgam[k][i][j].value
-                for l in range(n):
-                    dgam[k, i, j, l] = jgam[k][i][j].partial(l).value
+                dgam[k, i, j] = jgam[k][i][j].gradient()
     R = np.zeros((n, n) + batch)
     for i in range(n):
         for j in range(n):
@@ -261,7 +259,7 @@ def grad(space: WeightedSpace, f: FieldOrJet, x,
     x = as_points(space, x)
     frame = (geom or NodeGeometry(space, x)).frame
     jf = _jet(f, x)
-    df = np.stack([jf.partial(i).value for i in range(space.dim)])
+    df = jf.gradient()
     return np.einsum("ij...,j...->i...", frame.inverse, df)
 
 
@@ -272,9 +270,8 @@ def gamma1(space: WeightedSpace, f: FieldOrJet, h: FieldOrJet, x,
     frame = (geom or NodeGeometry(space, x)).frame
     jf = _jet(f, x)
     jh = jf if h is f else _jet(h, x)
-    df = np.stack([jf.partial(i).value for i in range(space.dim)])
-    dh = df if jh is jf else np.stack(
-        [jh.partial(i).value for i in range(space.dim)])
+    df = jf.gradient()
+    dh = df if jh is jf else jh.gradient()
     return np.einsum("ij...,i...,j...->...", frame.inverse, df, dh)
 
 
@@ -343,7 +340,7 @@ def gamma2_parts(space: WeightedSpace, f: FieldOrJet, x,
             lf = t if lf is None else lf + t
 
     half_l_gamma = 0.5 * _pointwise_witten(space, gamma_ff, jV, frame)
-    dlf = np.stack([lf.partial(i).value for i in range(n)])
+    dlf = lf.gradient()
     dfv = np.stack([d.value for d in df])
     gamma_f_lf = np.einsum("ij...,i...,j...->...", frame.inverse, dfv, dlf)
     return Gamma2Parts(f_jet=jf, gamma_ff_jet=gamma_ff,

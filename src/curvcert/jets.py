@@ -132,6 +132,14 @@ def _product(a, b, plan, n_out, batch):
 
 
 @lru_cache(maxsize=None)
+def _gradient_slots(dim: int) -> np.ndarray:
+    """Slot of the unit multi-index e_i for each axis i."""
+    slot = _slot_of(dim)
+    return np.array([slot[tuple(int(i == axis) for i in range(dim))]
+                     for axis in range(dim)])
+
+
+@lru_cache(maxsize=None)
 def _partial_table(dim: int, axis: int, degree: int):
     """(src, mult) so that slot k of d/dx_axis is mult[k] * c[src[k]].
 
@@ -346,6 +354,15 @@ class Jet:
         stored = self.stored[src] * _bshape(mult, self.stored.ndim)
         return Jet._make(self.dim, self.order - 1, self.degree - 1, stored)
 
+    def gradient(self) -> np.ndarray:
+        """First partials du/dx_i as one ``(dim,) + batch`` array, read off
+        the degree-1 slots: ``partial(i).value`` for every axis at once."""
+        if self.order == 0:
+            raise JetShapeError("cannot differentiate an order-0 jet")
+        if self.degree <= 0:
+            return np.zeros((self.dim,) + self.batch_shape)
+        return self.stored[_gradient_slots(self.dim)]
+
     def compose(self, derivs) -> "Jet":
         """Compose with a univariate function given by its derivatives.
 
@@ -435,7 +452,8 @@ def jet_pow(a: Jet, p) -> Jet:
     if p == int(p) and abs(p) <= 16:
         n = int(p)
         if n == 0:
-            return Jet.constant(a.dim, np.ones(a.batch_shape))
+            one = Jet.constant(a.dim, np.ones(a.batch_shape))
+            return one.truncate(a.order)
         base = a if n > 0 else a.reciprocal()
         out = base
         for _ in range(abs(n) - 1):

@@ -156,15 +156,14 @@ def _patch_geometry(space: WeightedSpace, patch: BoundaryPatch, s: np.ndarray):
     if d != n - 1:
         raise QuadratureError(
             f"patch has {d} parameters, expected {n - 1}")
-    jmaps = [patch.maps[i].jet(s) for i in range(n)]
+    jmaps = [patch.maps[i].jet(s, 1) for i in range(n)]
     x = np.stack([j.value for j in jmaps])
     phi = np.asarray(space.defining_fn.value(x))
     if np.any(np.abs(phi) > PATCH_PHI_TOL):
         raise QuadratureError(
             f"patch image leaves the boundary: |phi| = "
             f"{np.max(np.abs(phi)):.3e} > {PATCH_PHI_TOL}")
-    T = np.stack([np.stack([jmaps[i].partial(a).value for i in range(n)])
-                  for a in range(d)])  # (d, n, ...)
+    T = np.stack([j.gradient() for j in jmaps], axis=1)  # (d, n, ...)
     geom = NodeGeometry(space, x)
     gram = np.einsum("ai...,ij...,bj...->ab...", T, geom.frame.metric, T)
     gram_mat = np.moveaxis(gram, (0, 1), (-2, -1))
@@ -187,13 +186,16 @@ def integrate_boundary(space: WeightedSpace, F: Integrand,
     return sums[0] if single else sums
 
 
-def integrate_boundary_all(space: WeightedSpace, F: Integrand,
-                           counts=None) -> float:
-    """Sum of the patch integrals over every declared boundary patch."""
+def integrate_boundary_all(space: WeightedSpace, F: Integrand, counts=None):
+    """Sum of the patch integrals over every declared boundary patch, added
+    in patch order (one sum per row of F; a float for a single row)."""
     if not space.boundary_patches:
         raise QuadratureError("space declares no boundary patches")
-    return float(sum(integrate_boundary(space, F, p, counts)
-                     for p in space.boundary_patches))
+    per_patch = [integrate_boundary(space, F, p, counts)
+                 for p in space.boundary_patches]
+    if isinstance(per_patch[0], list):
+        return [float(sum(row)) for row in zip(*per_patch, strict=True)]
+    return float(sum(per_patch))
 
 
 def patch_points(space: WeightedSpace, patch: BoundaryPatch,

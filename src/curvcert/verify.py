@@ -135,8 +135,7 @@ def check_bochner(space: WeightedSpace, fields: Sequence[FieldOrJet],
         parts = gamma2_parts(space, f, x, geom)
         frame = geom.frame
         H = hessian(space, parts.f_jet, x, geom)
-        df = np.stack([parts.f_jet.partial(i).value
-                       for i in range(space.dim)])
+        df = parts.f_jet.gradient()
         gf = np.einsum("ij...,j...->i...", frame.inverse, df)
         rhs = np.einsum("ij...,i...,j...->...", ricv, gf, gf) \
             + hs_norm_sq(space, H, x, frame)
@@ -161,9 +160,9 @@ def _g_terms(space: WeightedSpace, geom: NodeGeometry, jg: Jet):
     grad Gamma(g,g), Gamma(g, Lg), |Hess g|^2_HS, Ricci_V(grad g, grad g)."""
     x, frame, n = geom.x, geom.frame, space.dim
     parts = gamma2_parts(space, jg, x, geom)
-    dgam = np.stack([parts.gamma_ff_jet.partial(i).value for i in range(n)])
-    df = np.stack([jg.partial(i).value for i in range(n)])
-    dlf = np.stack([parts.lf_jet.partial(i).value for i in range(n)])
+    dgam = parts.gamma_ff_jet.gradient()
+    df = jg.gradient()
+    dlf = parts.lf_jet.gradient()
     g_f_lf = np.einsum("ij...,i...,j...->...", frame.inverse, df, dlf)
     hs = hs_norm_sq(space, hessian(space, jg, x, geom), x, frame)
     gfv = np.einsum("ij...,j...->i...", frame.inverse, df)
@@ -175,7 +174,7 @@ def _g_terms(space: WeightedSpace, geom: NodeGeometry, jg: Jet):
 def _ii_of_gradient(space: WeightedSpace, bframe, ju: Jet) -> np.ndarray:
     """II(grad u, grad u), through v_a = g(grad u, e_a) = e_a^i d_i u."""
     II = second_fundamental_form(space, bframe.point, bframe)
-    du = np.stack([ju.partial(i).value for i in range(space.dim)])
+    du = ju.gradient()
     v = np.einsum("ai...,i...->a...", bframe.tangents, du)
     return np.einsum("ab...,a...,b...->...", II, v, v)
 
@@ -189,19 +188,22 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
     plus, with ``decomposition``, the decomposition's LHS and interior and
     boundary RHS; one dict per h.  Each batch builds one ``NodeGeometry``,
     jets g once and computes its h-free terms once, then yields each h's
-    rows from one jet of that h."""
+    rows from one jet of that h.  Each field is jetted to the order its
+    rows read: h enters only through h and grad h, so it is jetted at
+    order 1 inside and read as a value on the boundary; g needs order 3
+    inside (Gamma(g, Lg), |Hess g|^2) and order 1 on the boundary."""
     def interior(geom: NodeGeometry) -> Iterator[np.ndarray]:
         x, ginv = geom.x, geom.frame.inverse
         jg = g.jet(x)
         lg = witten_laplacian(space, jg, x, geom)
-        dg = np.stack([jg.partial(i).value for i in range(space.dim)])
+        dg = jg.gradient()
         if decomposition:
             dgam, g_f_lf, hs_sq, ric = _g_terms(space, geom, jg)
         del jg  # the order-3 jet is not held across the yields
         for h in hs:
-            jh = h.jet(x)
+            jh = h.jet(x, 1)
             hv = jh.value
-            dh = np.stack([jh.partial(i).value for i in range(space.dim)])
+            dh = jh.gradient()
             yield np.einsum("ij...,i...,j...->...", ginv, dh, dg)  # Gamma(h,g)
             yield hv * lg
             if decomposition:
@@ -211,11 +213,12 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
 
     def boundary(geom: NodeGeometry) -> Iterator[np.ndarray]:
         x = geom.x
-        jg = g.jet(x)
+        jg = g.jet(x, 1)
         jN = normal_field_jets(space, x, geom)
+        dg = jg.gradient()
         flux = 0.0  # g(N, grad g)
         for i in range(space.dim):
-            flux = flux + jN[i].value * jg.partial(i).value
+            flux = flux + jN[i].value * dg[i]
         if decomposition:
             ii = _ii_of_gradient(space, boundary_frame(space, x, geom=geom), jg)
         for h in hs:
@@ -295,7 +298,7 @@ def _gated_grid(space: WeightedSpace, g: NeumannTestFunction,
     worst = 0.0
     witness = None
     for bf, jg in zip(frames, jets):
-        du = np.stack([jg.partial(i).value for i in range(space.dim)])
+        du = jg.gradient()
         res = np.abs(np.einsum("i...,i...->...", bf.normal, du))
         k = int(np.argmax(res))
         if float(res[k]) >= worst:
@@ -375,8 +378,7 @@ def check_ii_identity(space: WeightedSpace, g: NeumannTestFunction,
     for bf, jg in zip(frames, jets):
         parts = gamma2_parts(space, jg, bf.point, bf.geom)
         lhs = _ii_of_gradient(space, bf, jg)
-        dgam = np.stack([parts.gamma_ff_jet.partial(i).value
-                         for i in range(space.dim)])
+        dgam = parts.gamma_ff_jet.gradient()
         rhs = -0.5 * np.einsum("i...,i...->...", bf.normal, dgam)
         rel = np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
         k = int(np.argmax(rel))

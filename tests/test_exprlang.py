@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -173,6 +174,43 @@ class TestEvaluate:
         ast = parse("1/x", 1)
         with pytest.raises(EvalError):
             evaluate(ast, np.array([0.0]))
+
+
+class TestEvaluateOrder:
+    """An order-k jet holds the order-3 jet's slots up to k, and its
+    order never exceeds k."""
+
+    @pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
+    def test_fuzz_truncated_fold_matches(self, batch):
+        rng = np.random.default_rng(31)
+        x = rng.uniform(-1.5, 1.5, (2,) + batch)
+        checked = 0
+        for _ in range(200):
+            ast = parse(_random_expr(rng, depth=3), 2)
+            with np.errstate(all="ignore"):
+                try:
+                    full = evaluate(ast, x)
+                except EvalError:
+                    continue
+                if not np.all(np.isfinite(full.stored)):
+                    continue
+                for k in range(3):
+                    jk = evaluate(ast, x, k)
+                    assert jk.order <= k
+                    assert np.array_equal(
+                        jk.stored, full.stored[:math.comb(2 + k, k)])
+            checked += 1
+        assert checked >= 150
+
+    @pytest.mark.parametrize("src", ["2.5", "0", "x^0", "pow(y, 0)",
+                                     "(x - x)*3", "sin(1) + 0*y"])
+    def test_constant_subtrees_respect_order(self, src):
+        ast = parse(src, 2)
+        x = np.array([[0.4, 1.2], [0.3, -0.8]])
+        for k in range(4):
+            jk = evaluate(ast, x, k)
+            assert jk.order <= k
+            assert np.array_equal(jk.value, evaluate(ast, x).value)
 
 
 class TestDifferentiate:

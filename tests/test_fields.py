@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from curvcert import zoo
 from curvcert.fields import (ConstField, CutoffField, CutoffSpec, ExprField,
-                             make_cutoff_spec)
+                             _BinField, _smoothstep_jets, make_cutoff_spec)
+from curvcert.jets import Jet
+from curvcert.quadrature import CHUNK, tensor_rule
 from oracles import richardson_partial
 
 SPEC = make_cutoff_spec(inner=((-1.0, 1.0), (0.0, 1.0)),
@@ -100,3 +105,133 @@ class TestFieldAlgebra:
     def test_cutoff_spec_immutable(self):
         with pytest.raises(AttributeError):
             SPEC.inner = ()
+
+
+def _zoo_fields(e):
+    """Every field a zoo entry certifies with: the metric entries, the
+    weight, the defining function, the Neumann fields and the h."""
+    sp = e.space
+    return ([sp.metric[i][j] for i in range(sp.dim) for j in range(i, sp.dim)]
+            + [sp.weight, sp.defining_fn]
+            + [g.field for g in e.neumann_family()] + e.h_fields())
+
+
+def _batches(x):
+    """Interior points in batch shapes (), (7,) and (3, 5)."""
+    return [x[:, 0], x[:, :7], x[:, :15].reshape(-1, 3, 5)]
+
+
+class TestOrderGraded:
+    @pytest.mark.parametrize("name", zoo.list_entries())
+    def test_truncated_jet_is_leading_slots(self, entry, name):
+        e = entry(name)
+        idx = np.random.default_rng(5).permutation(
+            e.interior_points().shape[1])
+        x = e.interior_points()[:, idx]
+        for f in _zoo_fields(e):
+            for xb in _batches(x):
+                full = f.jet(xb)
+                for k in range(3):
+                    jk = f.jet(xb, k)
+                    assert jk.order <= k
+                    assert np.array_equal(
+                        jk.stored,
+                        full.stored[:math.comb(e.space.dim + k, k)]), (f, k)
+
+    @pytest.mark.parametrize("name", zoo.list_entries())
+    def test_value_is_order3_value_bitwise(self, entry, name):
+        e = entry(name)
+        x = e.interior_points()
+        bins = [f for f in _zoo_fields(e) if isinstance(f, _BinField)]
+        assert bins
+        for f in bins:
+            for xb in _batches(x):
+                v, want = np.asarray(f.value(xb)), np.asarray(f.jet(xb).value)
+                assert v.shape == want.shape
+                assert v.tobytes() == want.tobytes()
+
+
+def _reference_cutoff_jet(spec, x):
+    """The cutoff's order-3 jet as first written: every axis factor,
+    tapered or not, evaluated at every node and multiplied in."""
+    x = np.asarray(x, dtype=float)
+    dim = len(spec.inner)
+    out = Jet.constant(dim, 1.0, x.shape[1:])
+    for i in range(dim):
+        (ilo, ihi), (olo, ohi) = spec.inner[i], spec.outer[i]
+        xi = x[i]
+        one = np.zeros((4,) + xi.shape)
+        one[0] = 1.0
+        factor = Jet(1, one)
+        powers = np.arange(4).reshape((4,) + (1,) * xi.ndim)
+        if ilo > olo:
+            scale = 1.0 / (ilo - olo)
+            c = _smoothstep_jets((xi - olo) * scale) * scale ** powers
+            factor = factor * Jet(1, c)
+        if ohi > ihi:
+            scale = 1.0 / (ohi - ihi)
+            c = _smoothstep_jets((ohi - xi) * scale) * (-scale) ** powers
+            factor = factor * Jet(1, c)
+        out = out * Jet.from_axis(dim, i, factor.coeffs)
+    return out
+
+
+class TestCutoffPerCoordinate:
+    """The cutoff evaluates each tapered axis once per distinct coordinate
+    and skips untapered axes; its jets equal the per-node loop's bit for
+    bit."""
+
+    UNTAPERED = make_cutoff_spec(inner=((-1.0, 1.0), (0.0, 1.0)),
+                                 outer=((-2.0, 2.0), (0.0, 1.0)))
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def _check(self, spec, x):
+        chi = CutoffField(spec)
+        ref = _reference_cutoff_jet(spec, x)
+        assert self._same_bits(chi.jet(x).coeffs, ref.coeffs)
+        assert self._same_bits(np.asarray(chi.value(x)),
+                               np.asarray(ref.value))
+
+    @pytest.mark.parametrize("name", ["ball", "half_space", "ball3"])
+    def test_interior_tensor_chunk(self, entry, name):
+        e = entry(name)
+        pts, _ = tensor_rule(e.space.chart_box, e.plan.quad_interior)
+        self._check(e.cutoff, pts[:, :CHUNK])
+
+    @pytest.mark.parametrize("spec", [SPEC, UNTAPERED])
+    def test_scattered_points(self, spec):
+        x = np.random.default_rng(3).uniform(-2.5, 2.5, (2, 500))
+        self._check(spec, x)
+
+    @pytest.mark.parametrize("spec", [SPEC, UNTAPERED])
+    def test_single_point(self, spec):
+        for pt in ([1.3, 0.4], [0.2, 1.2], [-2.2, 0.5]):
+            self._check(spec, np.array(pt))
+
+    def test_untapered_axis_tensor_grid(self):
+        pts, _ = tensor_rule([(-2.5, 2.5), (0.0, 1.0)], (40, 30))
+        self._check(self.UNTAPERED, pts)
+
+    def test_axis_factor_once_per_distinct_coordinate(self, entry,
+                                                      monkeypatch):
+        seen = []
+        original = CutoffField._axis_coeffs
+
+        def counted(self, xi, axis, order=3):
+            seen.append((axis, np.size(xi), np.unique(xi).size))
+            return original(self, xi, axis, order)
+
+        monkeypatch.setattr(CutoffField, "_axis_coeffs", counted)
+        e = entry("ball")
+        counts = e.plan.quad_interior
+        pts, _ = tensor_rule(e.space.chart_box, counts)
+        chi = CutoffField(e.cutoff)
+        assert chi.tapered == (0,)  # the angle axis carries no cutoff
+        chi.jet(pts[:, :CHUNK])
+        assert seen
+        for axis, size, distinct in seen:
+            assert axis in chi.tapered
+            assert size == distinct <= counts[axis]

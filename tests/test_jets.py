@@ -352,3 +352,18 @@ class TestGradedStorage:
             for other in (j.partial(0) if order else j, j.truncate(0),
                           j * 2.0, j + 1.0, -j):
                 assert other.coeffs.shape == (ncoeffs(dim), 4)
+
+    @pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_gradient_is_first_partials_bitwise(self, dim, batch):
+        rng = np.random.default_rng(100 + dim)
+        for degree, order in self.KINDS:
+            j = graded_jet(rng, dim, degree, order, batch)
+            if order == 0:
+                with pytest.raises(JetShapeError):
+                    j.gradient()
+                continue
+            grad = j.gradient()
+            want = np.stack([j.partial(i).value for i in range(dim)])
+            assert grad.shape == (dim,) + batch
+            assert grad.tobytes() == want.tobytes()

@@ -163,6 +163,19 @@ class TestBoundary:
             integrate_boundary(sp, lambda x: np.ones(x.shape[1]),
                                const_patch, counts=(8,))
 
+    def test_rows_summed_per_patch_in_order(self, entry):
+        space = entry("annulus").space
+        assert len(space.boundary_patches) == 2
+        fns = [lambda x: np.ones(x.shape[1]), lambda x: x[0] ** 2 + x[1]]
+        per_patch = [[integrate_boundary(space, f, p, (32,)) for f in fns]
+                     for p in space.boundary_patches]
+        want = [0 + a + b for a, b in zip(*per_patch)]
+        got = integrate_boundary_all(
+            space, lambda x: np.stack([f(x) for f in fns]), (32,))
+        assert got == want
+        one = integrate_boundary_all(space, fns[1], (32,))
+        assert isinstance(one, float) and one == want[1]
+
     def test_no_patches_rejected(self):
         sp = gaussian_plane()
         with pytest.raises(QuadratureError, match="no boundary patches"):

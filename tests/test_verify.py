@@ -7,6 +7,7 @@ import pytest
 from curvcert import boundary, geometry, quadrature, report, verify
 from curvcert.boundary import NeumannTestFunction
 from curvcert.fields import ConstField, CutoffField, ExprField, ScalarField
+from curvcert.jets import MAX_ORDER
 from curvcert.verify import (CheckResult, GateError, certify, check_bochner,
                              check_dimension_term, check_green,
                              check_ii_identity, check_mv_laplacian,
@@ -113,18 +114,18 @@ class TestGreenAndLaplacian:
 
 
 class CountingField(ScalarField):
-    """A field that counts its jet evaluations and keeps their points."""
+    """A field that counts its jet evaluations and keeps their points and
+    orders; a value is read from an order-0 jet, so it counts as one."""
 
     def __init__(self, inner):
-        self.inner, self.dim, self.jets, self.points = inner, inner.dim, 0, []
+        self.inner, self.dim, self.jets = inner, inner.dim, 0
+        self.points, self.orders = [], []
 
-    def jet(self, x):
+    def jet(self, x, order=MAX_ORDER):
         self.jets += 1
         self.points.append(np.asarray(x))
-        return self.inner.jet(x)
-
-    def value(self, x):
-        return self.inner.value(x)
+        self.orders.append(order)
+        return self.inner.jet(x, order)
 
 
 def count_geometry(monkeypatch):
@@ -168,10 +169,14 @@ class TestSharedSweep:
         assert calls["frame_at"] == batches
         assert calls["metric_jets"] == batches
         # the boundary integrands read neither the Christoffel jets nor
-        # the derivatives of h; g is jetted once per batch for the family
+        # the derivatives of h; g is jetted once per batch for the family,
+        # at order 3 inside and at order 1 (its gradient) on the boundary;
+        # each h at order 1 once per chunk and read as a value per patch
         assert calls["christoffel_jets"] == chunks
-        assert g.jets == batches
-        assert [h.jets for h in hs] == [chunks] * len(hs)
+        assert g.orders == [3] * chunks + [1] * patches
+        for h in hs:
+            assert h.orders == [1] * chunks + [0] * patches
+            assert 3 not in h.orders
 
     @pytest.mark.parametrize("name", ["annulus", "ball", "half_space"])
     def test_batch_matches_weak_checks(self, entry, name):
@@ -204,6 +209,15 @@ class TestSharedSweep:
             e.space, k_list=(0.0,), plan=plan).to_dict()
         assert run["flatness"].to_dict() == flatness_report(
             e.space, plan=plan).to_dict()
+
+    def test_suite_jets_h_to_the_order_read(self, entry):
+        # h enters the weak identities through h and grad h only: no
+        # order-3 jet of it is built anywhere in a suite
+        target = report.target_from_zoo(entry("ball"))
+        h = CountingField(target.h_field())
+        target.h_field = lambda: h
+        assert report.run_suite(target)["passed"]
+        assert h.orders == [1, 0]  # one interior chunk, one patch
 
     def test_suite_geometry_once_per_sample_grid(self, entry, monkeypatch):
         e = entry("ball")
