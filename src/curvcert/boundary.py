@@ -100,10 +100,11 @@ def boundary_frame(space: WeightedSpace, x,
 
 def normal_field_jets(space: WeightedSpace, x,
                       geom: Optional[NodeGeometry] = None) -> List[Jet]:
-    """Order-2 jets of the contravariant components of grad(phi)/|grad phi|_g."""
+    """Order-1 jets of the contravariant components of grad(phi)/|grad phi|_g:
+    the II reads their values and gradients, the flux their values."""
     n = space.dim
     jginv = (geom or NodeGeometry(space, x)).jginv
-    jphi = space.defining_fn.jet(x)
+    jphi = space.defining_fn.jet(x, 2)
     dphi = [jphi.partial(i) for i in range(n)]
     up = []
     for k in range(n):
@@ -121,15 +122,16 @@ def normal_field_jets(space: WeightedSpace, x,
 
 
 def second_fundamental_form(space: WeightedSpace, x,
-                            bframe: Optional[BoundaryFrame] = None
-                            ) -> np.ndarray:
-    """II_ab = g(nabla_{e_a} N, e_b) on the orthonormal tangent frame."""
+                            bframe: Optional[BoundaryFrame] = None,
+                            jN: Optional[List[Jet]] = None) -> np.ndarray:
+    """II_ab = g(nabla_{e_a} N, e_b) on the orthonormal tangent frame;
+    ``jN`` are the frame's ``normal_field_jets`` if already built."""
     x = as_points(space, x)
     if bframe is None:
         bframe = boundary_frame(space, x)
-    n = space.dim
     frame = bframe.geom.frame
-    jN = normal_field_jets(space, x, bframe.geom)
+    if jN is None:
+        jN = normal_field_jets(space, x, bframe.geom)
     Nval = np.stack([j.value for j in jN])
     dN = np.stack([j.gradient() for j in jN])  # [k, i]
     # covariant derivative of the normal field: d_i N^k + G^k_ij N^j

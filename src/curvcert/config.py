@@ -149,6 +149,7 @@ def load_config(path: str) -> SpaceConfig:
         [ConstField(dim, 1.0 if i == j else 0.0) for j in range(dim)]
         for i in range(dim)]
     if cp.has_section("metric"):
+        given: Dict[Tuple[int, int], str] = {}  # entry -> the key that set it
         for key, raw in cp.items("metric"):
             if not (len(key) == 3 and key.startswith("g")
                     and key[1:].isdigit()):
@@ -158,6 +159,13 @@ def load_config(path: str) -> SpaceConfig:
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ConfigError(f"[metric] {key}: index out of range "
                                   f"for dim {dim}")
+            entry = (min(i, j), max(i, j))
+            if entry in given:
+                raise ConfigError(
+                    f"[metric] {given[entry]} and {key} both give the "
+                    f"symmetric entry g{entry[0] + 1}{entry[1] + 1}; "
+                    f"give it once")
+            given[entry] = key
             src = _unquote(raw)
             f = _expr_field(src, dim, f"[metric] {key}")
             metric[i][j] = f

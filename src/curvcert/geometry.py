@@ -58,11 +58,14 @@ class WeightedSpace:
             raise GeometryError("chart_box length must equal dim")
 
     def metric_jets(self, x) -> List[List[Jet]]:
+        """Order-2 jets of the metric entries at x, the highest order any
+        consumer reads (Gamma(f,f) needs the inverse to order 2); the
+        (j, i) entry is the (i, j) jet."""
         n = self.dim
         jg: List[List[Optional[Jet]]] = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                jg[i][j] = jg[j][i] = self.metric[i][j].jet(x)
+                jg[i][j] = jg[j][i] = self.metric[i][j].jet(x, 2)
         return jg  # type: ignore[return-value]
 
 
@@ -125,9 +128,9 @@ def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None
     G = np.zeros((n, n) + batch)
     dg = np.zeros((n, n, n) + batch)
     for i in range(n):
-        for j in range(n):
-            G[i, j] = jg[i][j].value
-            dg[i, j] = jg[i][j].gradient()
+        for j in range(i, n):
+            G[i, j] = G[j, i] = jg[i][j].value
+            dg[i, j] = dg[j, i] = jg[i][j].gradient()
     Gm = _to_mat(G)
     eig = np.linalg.eigvalsh(Gm)
     min_eig = eig[..., 0]
@@ -142,44 +145,49 @@ def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None
     gamma = np.zeros((n, n, n) + batch)
     for k in range(n):
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 acc = 0.0
                 for l in range(n):
                     acc = acc + Ginv[k, l] * (dg[j, l, i] + dg[i, l, j]
                                               - dg[i, j, l])
-                gamma[k, i, j] = 0.5 * acc
+                gamma[k, i, j] = gamma[k, j, i] = 0.5 * acc
     return PointFrame(metric=G, inverse=Ginv, sqrt_det=sqrt_det,
                       christoffels=gamma)
 
 
 def christoffel_jets(space: WeightedSpace, x, jg: List[List[Jet]],
                      jginv: List[List[Jet]]) -> List[List[List[Jet]]]:
-    """Christoffel symbols as order-2 jets (for Ricci and Gamma2), from the
-    metric jets and their inverse at x."""
+    """Christoffel symbols as order-1 jets (Ricci reads their values and
+    gradients, Gamma2 their values), from the order-2 metric jets and
+    their inverse at x.  Each symbol is computed for j >= i only: the
+    (k, j, i) entry is the (k, i, j) jet, which it equals bit for bit."""
     n = space.dim
-    djg = [[[jg[i][j].partial(l) for l in range(n)] for j in range(n)]
-           for i in range(n)]
-    out = []
+    djg: List[List[Optional[List[Jet]]]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            djg[i][j] = djg[j][i] = [jg[i][j].partial(l) for l in range(n)]
+    out: List[List[List[Optional[Jet]]]] = [[[None] * n for _ in range(n)]
+                                            for _ in range(n)]
     for k in range(n):
-        rows = []
         for i in range(n):
-            row = []
-            for j in range(n):
+            for j in range(i, n):
                 acc = None
                 for l in range(n):
                     t = jginv[k][l] * (djg[j][l][i] + djg[i][l][j]
                                        - djg[i][j][l])
                     acc = t if acc is None else acc + t
-                row.append(0.5 * acc)
-            rows.append(row)
-        out.append(rows)
-    return out
+                out[k][i][j] = out[k][j][i] = 0.5 * acc
+    return out  # type: ignore[return-value]
 
 
 class NodeGeometry:
     """Metric and weight data of one node batch, computed once: metric jets
     and ``PointFrame`` up front; inverse, Christoffel and weight jets on
-    first use.  The operators below take it as ``geom``."""
+    first use.  The operators below take it as ``geom``.
+
+    Each jet is built to the highest order a consumer reads: ``jg``,
+    ``jginv`` and ``jV`` at order 2 (Gamma(f,f) and Hess V read second
+    derivatives), ``jgam`` at order 1 (Ricci reads first derivatives)."""
 
     def __init__(self, space: WeightedSpace, x):
         self.space = space
@@ -197,7 +205,7 @@ class NodeGeometry:
 
     @cached_property
     def jV(self) -> Jet:
-        return self.space.weight.jet(self.x)
+        return self.space.weight.jet(self.x, 2)
 
 
 FieldOrJet = Union[ScalarField, Jet]
@@ -313,6 +321,19 @@ class Gamma2Parts:
     gamma2: np.ndarray
 
 
+def carre_du_champ_jet(geom: NodeGeometry, df: Sequence[Jet]) -> Jet:
+    """Gamma(f,f) = g^{ij} d_i f d_j f as a jet, from the jets of the
+    first partials of f; its order is theirs, at most 2."""
+    n = len(df)
+    jginv = geom.jginv
+    gamma_ff = None
+    for i in range(n):
+        for j in range(n):
+            t = jginv[i][j] * df[i] * df[j]
+            gamma_ff = t if gamma_ff is None else gamma_ff + t
+    return gamma_ff
+
+
 def gamma2_parts(space: WeightedSpace, f: FieldOrJet, x,
                  geom: Optional[NodeGeometry] = None) -> Gamma2Parts:
     """Gamma2(f) via operator composition over jets of one order lower."""
@@ -323,12 +344,7 @@ def gamma2_parts(space: WeightedSpace, f: FieldOrJet, x,
     jf = _jet(f, x)
     df = [jf.partial(i) for i in range(n)]
     dV = [jV.partial(i) for i in range(n)]
-
-    gamma_ff = None
-    for i in range(n):
-        for j in range(n):
-            t = jginv[i][j] * df[i] * df[j]
-            gamma_ff = t if gamma_ff is None else gamma_ff + t
+    gamma_ff = carre_du_champ_jet(geom, df)
 
     lf = None
     for i in range(n):

@@ -367,8 +367,9 @@ class Jet:
         """Compose with a univariate function given by its derivatives.
 
         ``derivs`` are d0..d3 of the outer function at ``self.value``
-        (value-shaped arrays); returns the order-3 Taylor composition
-        via Horner on the nilpotent part.
+        (value-shaped arrays); returns the Taylor composition at this
+        jet's order via Horner on the nilpotent part, whose products
+        drop every slot above that order.
         """
         if self.degree > 0:
             w = self.stored.copy()

@@ -37,8 +37,8 @@ from .boundary import (BoundaryFrame, NeumannTestFunction, boundary_frame,
                        normal_field_jets, second_fundamental_form)
 from .fields import ScalarField
 from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace, as_points,
-                       bakry_emery_ricci, gamma2_parts, hessian, hs_norm_sq,
-                       witten_laplacian)
+                       bakry_emery_ricci, carre_du_champ_jet, gamma2_parts,
+                       hessian, hs_norm_sq, witten_laplacian)
 from .jets import Jet
 from .quadrature import (GeometryIntegrand, integrate_boundary,
                          integrate_interior, patch_points)
@@ -171,9 +171,10 @@ def _g_terms(space: WeightedSpace, geom: NodeGeometry, jg: Jet):
     return dgam, g_f_lf, hs, ric
 
 
-def _ii_of_gradient(space: WeightedSpace, bframe, ju: Jet) -> np.ndarray:
+def _ii_of_gradient(space: WeightedSpace, bframe, ju: Jet,
+                    jN: Optional[List[Jet]] = None) -> np.ndarray:
     """II(grad u, grad u), through v_a = g(grad u, e_a) = e_a^i d_i u."""
-    II = second_fundamental_form(space, bframe.point, bframe)
+    II = second_fundamental_form(space, bframe.point, bframe, jN)
     du = ju.gradient()
     v = np.einsum("ai...,i...->a...", bframe.tangents, du)
     return np.einsum("ab...,a...,b...->...", II, v, v)
@@ -220,7 +221,8 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
         for i in range(space.dim):
             flux = flux + jN[i].value * dg[i]
         if decomposition:
-            ii = _ii_of_gradient(space, boundary_frame(space, x, geom=geom), jg)
+            ii = _ii_of_gradient(space, boundary_frame(space, x, geom=geom),
+                                 jg, jN)
         for h in hs:
             hv = np.asarray(h.value(x))
             yield hv * flux
@@ -291,10 +293,11 @@ def check_mv_laplacian(space: WeightedSpace, g, h: ScalarField,
 
 def _gated_grid(space: WeightedSpace, g: NeumannTestFunction,
                 boundary_counts, tol: float = NEUMANN_GATE_TOL):
-    """The boundary frames, the jets of g there and the max Neumann
-    residual |g(N, grad g)| over them; GateError above ``tol``."""
+    """The boundary frames, the order-2 jets of g there (the gate and the
+    II identity read first derivatives of g and of Gamma(g,g)) and the max
+    Neumann residual |g(N, grad g)| over them; GateError above ``tol``."""
     frames = boundary_grid(space, boundary_counts)
-    jets = [g.field.jet(bf.point) for bf in frames]
+    jets = [g.field.jet(bf.point, 2) for bf in frames]
     worst = 0.0
     witness = None
     for bf, jg in zip(frames, jets):
@@ -376,9 +379,9 @@ def check_ii_identity(space: WeightedSpace, g: NeumannTestFunction,
     worst = -1.0
     witness: Dict = {}
     for bf, jg in zip(frames, jets):
-        parts = gamma2_parts(space, jg, bf.point, bf.geom)
         lhs = _ii_of_gradient(space, bf, jg)
-        dgam = parts.gamma_ff_jet.gradient()
+        dg = [jg.partial(i) for i in range(space.dim)]
+        dgam = carre_du_champ_jet(bf.geom, dg).gradient()
         rhs = -0.5 * np.einsum("i...,i...->...", bf.normal, dgam)
         rel = np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
         k = int(np.argmax(rel))

@@ -134,6 +134,21 @@ class TestErrors:
         with pytest.raises(ConfigError, match=msg):
             load_config(write(tmp_path, body))
 
+    @pytest.mark.parametrize("g21", ['"0.3"', '"0.1"'])
+    def test_symmetric_entry_given_twice(self, tmp_path, g21):
+        # g12 and g21 name one entry; the later one used to win silently
+        body = mutate(BALL_INI, 'g22 = "x^2"',
+                      f'g22 = "x^2"\ng12 = "0.1"\ng21 = {g21}')
+        with pytest.raises(ConfigError, match=r"g12 and g21 both give"):
+            load_config(write(tmp_path, body))
+
+    def test_off_diagonal_entry_is_symmetric(self, tmp_path):
+        body = mutate(BALL_INI, 'g22 = "x^2"', 'g22 = "x^2"\ng21 = "0.1"')
+        sp = load_config(write(tmp_path, body)).space
+        assert sp.metric[0][1] is sp.metric[1][0]
+        assert float(np.asarray(sp.metric[0][1].value(np.array([0.5, 1.0])))) \
+            == 0.1
+
     def test_missing_space_section(self, tmp_path):
         body = BALL_INI.replace("[space]\ndim = 2\n", "")
         with pytest.raises(ConfigError, match="space"):

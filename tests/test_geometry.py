@@ -1,14 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from curvcert import exprlang
+from curvcert import config, exprlang, quadrature, zoo
+from curvcert.boundary import normal_field_jets
 from curvcert.exprlang import differentiate, mul, parse, simplify
 from curvcert.fields import ConstField, ExprField
-from curvcert.geometry import (GeometryError, WeightedSpace,
+from curvcert.geometry import (GeometryError, NodeGeometry, WeightedSpace,
                                bakry_emery_ricci, frame_at, gamma1, gamma2,
-                               grad, hessian, hs_norm_sq, ricci,
-                               witten_laplacian)
+                               grad, hessian, hs_norm_sq, jet_matrix_inverse,
+                               ricci, witten_laplacian)
+from curvcert.jets import _nslots
 from oracles import fd_partial
+
+DENSE_INI = Path(__file__).resolve().parents[1] / "perfbench" / \
+    "dense_family.ini"
 
 
 def euclidean(dim=2, V=None):
@@ -222,3 +229,76 @@ class TestGamma2Flat:
             H = np.asarray(hessian(sp, f, x))
             hn = np.asarray(hs_norm_sq(sp, H, x))
             np.testing.assert_allclose(g2, hn, atol=1e-10, rtol=1e-10)
+
+
+def _space_and_plan(name):
+    if name == DENSE_INI.name:
+        cfg = config.load_config(str(DENSE_INI))
+        return cfg.space, cfg.plan
+    e = zoo.load(name)
+    return e.space, e.plan
+
+
+def _node_geometries(space, plan):
+    """The geometry of the first interior quadrature chunk and of each
+    boundary patch's quadrature nodes."""
+    pts, _ = quadrature.tensor_rule(space.chart_box, plan.quad_interior)
+    yield NodeGeometry(space, pts[:, :quadrature.CHUNK])
+    for patch in space.boundary_patches:
+        s, _ = quadrature.tensor_rule(patch.param_box, plan.quad_boundary)
+        yield quadrature._patch_geometry(space, patch, s)[0]
+
+
+def _order3_reference(space, x):
+    """Metric, inverse and weight jets at order 3, the Christoffel jets at
+    order 2 with every (k, i, j) formed on its own, and the normal field
+    at order 2: what the geometry built before it was graded."""
+    n = space.dim
+    jg = [[space.metric[min(i, j)][max(i, j)].jet(x, 3) for j in range(n)]
+          for i in range(n)]
+    jginv = jet_matrix_inverse(jg)
+    dg = [[[jg[i][j].partial(l) for l in range(n)] for j in range(n)]
+          for i in range(n)]
+    jgam = [[[0.5 * sum((jginv[k][l] * (dg[j][l][i] + dg[i][l][j]
+                                         - dg[i][j][l]) for l in range(1, n)),
+                        jginv[k][0] * (dg[j][0][i] + dg[i][0][j]
+                                       - dg[i][j][0]))
+              for j in range(n)] for i in range(n)] for k in range(n)]
+    jphi = space.defining_fn.jet(x, 3)
+    dphi = [jphi.partial(i) for i in range(n)]
+    up = [sum((jginv[k][j] * dphi[j] for j in range(1, n)),
+              jginv[k][0] * dphi[0]) for k in range(n)]
+    norm2 = sum((dphi[i] * up[i] for i in range(1, n)), dphi[0] * up[0])
+    jN = [u * norm2 ** -0.5 for u in up]
+    return jg, jginv, jgam, space.weight.jet(x, 3), jN
+
+
+class TestGradedGeometry:
+    """Each geometry jet is built only to the order its consumers read, and
+    its slots are bit for bit those of the order-3 computation."""
+
+    @pytest.mark.parametrize("name", zoo.list_entries() + [DENSE_INI.name])
+    def test_jets_are_truncations_of_order3(self, name):
+        space, plan = _space_and_plan(name)
+        n = space.dim
+        for geom in _node_geometries(space, plan):
+            jg, jginv, jgam, jV, jN = _order3_reference(space, geom.x)
+            got_N = normal_field_jets(space, geom.x, geom)
+
+            def same(a, b, order):
+                assert a.order == order
+                assert np.array_equal(a.stored,
+                                      b.stored[:_nslots(n, a.degree)])
+                assert a.degree == min(b.degree, order)
+
+            same(geom.jV, jV, 2)
+            for i in range(n):
+                same(got_N[i], jN[i], 1)
+                for j in range(n):
+                    same(geom.jg[i][j], jg[i][j], 2)
+                    same(geom.jginv[i][j], jginv[i][j], 2)
+                    for k in range(n):
+                        same(geom.jgam[k][i][j], jgam[k][i][j], 1)
+                        assert geom.jgam[k][i][j] is geom.jgam[k][j][i]
+            gamma = geom.frame.christoffels
+            assert np.array_equal(gamma, gamma.swapaxes(1, 2))

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -240,6 +241,61 @@ class TestSharedSweep:
         on_grid = [x for x in g.points if x.shape == grid.shape
                    and np.allclose(x, grid, rtol=0, atol=1e-12)]
         assert len(on_grid) == 1  # the gate and the II identity share it
+
+    def test_normal_field_once_per_patch(self, entry, monkeypatch):
+        # the weak sweep's flux and II rows read one normal-field jet per
+        # quadrature patch; the II identity builds one on the sample grid
+        e = entry("ball")
+        shapes = []
+        original = boundary.normal_field_jets
+
+        def counted(space, x, geom=None):
+            shapes.append(np.shape(x))
+            return original(space, x, geom)
+
+        for module in (boundary, verify):
+            monkeypatch.setattr(module, "normal_field_jets", counted)
+        plan = e.plan
+        verify.weak_checks(e.space, e.neumann_family()[0], e.h_fields()[0],
+                           plan.quad_interior, plan.quad_boundary,
+                           plan.boundary_counts)
+        assert sorted(shapes) == sorted(
+            [(2, *plan.boundary_counts), (2, *plan.quad_boundary)])
+
+    def test_suite_geometry_jets_to_the_order_read(self, entry, monkeypatch):
+        # no geometry jet above the order its consumers read is built
+        orders = collections.defaultdict(set)
+
+        def recorded(label, fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                stack = [out]
+                while stack:
+                    item = stack.pop()
+                    if isinstance(item, list):
+                        stack.extend(item)
+                    else:
+                        orders[label].add(item.order)
+                return out
+            return wrapper
+
+        space_cls, geom_cls = geometry.WeightedSpace, geometry.NodeGeometry
+        monkeypatch.setattr(space_cls, "metric_jets", recorded(
+            "metric_jets", space_cls.metric_jets))
+        for fname in ("jet_matrix_inverse", "christoffel_jets"):
+            monkeypatch.setattr(geometry, fname, recorded(
+                fname, getattr(geometry, fname)))
+        normal = recorded("normal_field_jets", boundary.normal_field_jets)
+        for module in (boundary, verify):
+            monkeypatch.setattr(module, "normal_field_jets", normal)
+        jV = functools.cached_property(recorded("jV", geom_cls.jV.func))
+        jV.__set_name__(geom_cls, "jV")
+        monkeypatch.setattr(geom_cls, "jV", jV)
+        assert report.run_suite(report.target_from_zoo(entry("ball3")))[
+            "passed"]
+        assert dict(orders) == {
+            "metric_jets": {2}, "jet_matrix_inverse": {2}, "jV": {2},
+            "christoffel_jets": {1}, "normal_field_jets": {1}}
 
 
 class TestPointwiseChecks:
