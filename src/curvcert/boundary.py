@@ -19,6 +19,7 @@ Gamma(phi, phi) > 0, and multiplied by a smooth plateau cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -38,12 +39,21 @@ class BoundaryError(ValueError):
 
 @dataclass
 class BoundaryFrame:
-    """Outward g-unit normal and g-orthonormal tangent frame at x."""
+    """Outward g-unit normal and g-orthonormal tangent frame at x; the
+    normal-field jets and II on first use, like ``NodeGeometry``'s jets."""
 
     point: np.ndarray
     normal: np.ndarray    # (n, ...) contravariant components
     tangents: np.ndarray  # (n-1, n, ...)
     geom: NodeGeometry
+
+    @cached_property
+    def normal_jets(self) -> List[Jet]:
+        return normal_field_jets(self.geom.space, self.point, self.geom)
+
+    @cached_property
+    def II(self) -> np.ndarray:
+        return second_fundamental_form(self.geom.space, self.point, self)
 
 
 def _check_on_boundary(space: WeightedSpace, x):
@@ -122,18 +132,14 @@ def normal_field_jets(space: WeightedSpace, x,
 
 
 def second_fundamental_form(space: WeightedSpace, x,
-                            bframe: Optional[BoundaryFrame] = None,
-                            jN: Optional[List[Jet]] = None) -> np.ndarray:
-    """II_ab = g(nabla_{e_a} N, e_b) on the orthonormal tangent frame;
-    ``jN`` are the frame's ``normal_field_jets`` if already built."""
-    x = as_points(space, x)
-    if bframe is None:
-        bframe = boundary_frame(space, x)
+                            bframe: Optional[BoundaryFrame] = None
+                            ) -> np.ndarray:
+    """II_ab = g(nabla_{e_a} N, e_b) on the orthonormal tangent frame,
+    from the frame's normal-field jets."""
+    bframe = bframe or boundary_frame(space, x)
     frame = bframe.geom.frame
-    if jN is None:
-        jN = normal_field_jets(space, x, bframe.geom)
-    Nval = np.stack([j.value for j in jN])
-    dN = np.stack([j.gradient() for j in jN])  # [k, i]
+    Nval = np.stack([j.value for j in bframe.normal_jets])
+    dN = np.stack([j.gradient() for j in bframe.normal_jets])  # [k, i]
     # covariant derivative of the normal field: d_i N^k + G^k_ij N^j
     covdN = dN + np.einsum("kij...,j...->ki...", frame.christoffels, Nval)
     II = np.einsum("ai...,ki...,kl...,bl...->ab...", bframe.tangents, covdN,

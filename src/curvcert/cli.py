@@ -19,13 +19,13 @@ from .exprlang import EvalError, ParseError
 from .fields import ExprField
 from .geometry import GeometryError
 from .quadrature import QuadratureError
-from .report import (Target, render_csv, render_json, render_text,
-                     target_from_config, target_from_zoo, timed_suite,
-                     bochner_points, run_suite)
-from .verify import (GateError, certify, check_bochner,
+from .report import (Target, bochner_geometry, render_csv, render_json,
+                     render_text, target_from_config, target_from_zoo,
+                     timed_suite)
+from .verify import (GateError, boundary_grid, certify, check_bochner,
                      check_dimension_term, check_green, check_ii_identity,
                      check_mv_laplacian, check_ricci_decomposition,
-                     flatness_report)
+                     flatness_report, interior_grid)
 
 CHECK_NAMES = ("bochner", "green", "laplacian", "theorem", "ii",
                "dimension")
@@ -126,13 +126,13 @@ def _cmd_describe(args) -> int:
 def _cmd_check(args) -> int:
     t = _target(args)
     space, plan = t.space, t.plan
-    if args.name == "bochner":
-        res = check_bochner(space, t.random_fields(10, seed=11),
-                            bochner_points(t))
-    elif args.name == "dimension":
+    if args.name in ("bochner", "dimension"):
+        fields = t.random_fields(10, seed=11)
+        geom = bochner_geometry(space,
+                                interior_grid(space, plan.interior_counts))
         n_dim = args.n_dim if args.n_dim is not None else float(space.dim)
-        res = check_dimension_term(space, t.random_fields(10, seed=11),
-                                   bochner_points(t), n_dim)
+        res = (check_bochner(space, fields, geom) if args.name == "bochner"
+               else check_dimension_term(space, fields, geom, n_dim))
     else:
         h = t.h_field(args.h)
         if args.raw_field:
@@ -152,12 +152,12 @@ def _cmd_check(args) -> int:
             res = check_mv_laplacian(space, g, h, plan.quad_interior,
                                      plan.quad_boundary)
         elif args.name == "ii":
-            res = check_ii_identity(space, g,
-                                    boundary_counts=plan.boundary_counts)
+            res = check_ii_identity(
+                space, g, boundary_grid(space, plan.boundary_counts))
         else:
             res = check_ricci_decomposition(
-                space, g, h, plan.quad_interior, plan.quad_boundary,
-                plan.boundary_counts)
+                space, g, h, boundary_grid(space, plan.boundary_counts),
+                plan.quad_interior, plan.quad_boundary)
     print(res)
     return 0 if res.passed else 1
 
@@ -168,7 +168,7 @@ def _cmd_certify(args) -> int:
     ns = _parse_floats(args.N, "N") if args.N else []
     if not ks:
         raise UsageError("--K needs at least one value")
-    rep = certify(t.space, ks, ns, plan=t.plan)
+    rep = certify(t.space, *t.plan.grids(t.space), ks, ns)
     print(f"space: {t.label}")
     print(f"K_interior    = {rep.k_interior:.12g}")
     print(f"lambda_min_II = {rep.lambda_min_ii:.12g}")

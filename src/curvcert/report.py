@@ -3,9 +3,9 @@
 A ``Target`` bundles everything a run needs: the space, sampling plan,
 cutoff, Neumann base expressions, and test-density expressions.  Targets
 come from the zoo or from an INI space file.  ``run_suite`` executes the
-full check battery; the render functions emit deterministic text, JSON,
-or CSV (ordered reductions, fixed field order, no wall clock except the
-explicitly labeled timing field).
+full check battery, building each sample grid once; the render functions
+emit deterministic text, JSON, or CSV (ordered reductions, fixed field
+order, no wall clock except the explicitly labeled timing field).
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ import numpy as np
 from .boundary import NeumannTestFunction
 from .config import SpaceConfig
 from .fields import CutoffField, CutoffSpec, ExprField, ScalarField
-from .geometry import WeightedSpace
+from .geometry import NodeGeometry, WeightedSpace
 from .verify import (CheckResult, CurvatureReport, SamplePlan,
-                     boundary_spectra, certify, check_bochner,
-                     check_dimension_term, interior_grid, interior_spectrum,
-                     weak_checks)
+                     boundary_spectrum, certify, check_bochner,
+                     check_dimension_term, interior_spectrum, weak_checks)
 
 _VAR_NAMES = ("x", "y", "z", "w")
 
@@ -85,27 +84,31 @@ def target_from_config(cfg: SpaceConfig) -> Target:
                   expressions=dict(cfg.expressions))
 
 
-def bochner_points(target: Target, limit: int = 100) -> np.ndarray:
-    x = interior_grid(target.space, target.plan.interior_counts)
+def bochner_geometry(space: WeightedSpace, x: np.ndarray,
+                     limit: int = 100) -> NodeGeometry:
+    """The pointwise checks' grid: geometry at at most ``limit`` of the
+    interior sample points x, evenly spread through them."""
     if x.shape[1] > limit:
         idx = np.linspace(0, x.shape[1] - 1, limit).astype(int)
         x = x[:, idx]
-    return x
+    return NodeGeometry(space, x)
 
 
 def run_suite(target: Target, k_list: Sequence[float] = (0.0,),
               n_list: Sequence[float] = ()) -> Dict:
-    """Full battery: pointwise checks, weak identities, certificates."""
+    """Full battery: pointwise checks, weak identities, certificates, each
+    grid built once and read by every check that samples it."""
     space, plan = target.space, target.plan
-    x = bochner_points(target)
-    jets = [f.jet(x) for f in target.random_fields(10, seed=11)]
+    x, frames = plan.grids(space)
+    geom = bochner_geometry(space, x)
+    jets = [f.jet(geom.x) for f in target.random_fields(10, seed=11)]
     results: List[CheckResult] = [
-        check_bochner(space, jets, x),
-        check_dimension_term(space, jets, x, float(space.dim))]
-    results += weak_checks(space, target.neumann(), target.h_field(),
-                           plan.quad_interior, plan.quad_boundary,
-                           plan.boundary_counts)
-    cert = certify(space, k_list, n_list, plan=plan)
+        check_bochner(space, jets, geom),
+        check_dimension_term(space, jets, geom, float(space.dim))]
+    del geom, jets  # the weak sweep reads neither
+    results += weak_checks(space, target.neumann(), target.h_field(), frames,
+                           plan.quad_interior, plan.quad_boundary)
+    cert = certify(space, x, frames, k_list, n_list)
     return {
         "label": target.label,
         "checks": results,
@@ -168,21 +171,15 @@ def render_csv(target: Target) -> str:
     wr = csv.writer(buf, lineterminator="\n")
     wr.writerow(["kind", "index", "x1", "x2", "x3", "x4",
                  "value_a", "value_b"])
-
-    def coords(x, k):
-        col = [f"{v:.17g}" for v in (x if x.ndim == 1 else x[:, k])]
-        return col + [""] * (4 - len(col))
-
-    x, eigs = interior_spectrum(space, plan.interior_counts)
-    for k in range(x.shape[1]):
-        wr.writerow(["interior", k] + coords(x, k)
-                    + [f"{eigs[k, 0]:.17g}", f"{eigs[k, -1]:.17g}"])
-    idx = 0
-    for xb, eig, tr in boundary_spectra(space, plan.boundary_counts):
-        for k in range(xb.shape[1]):
-            wr.writerow(["boundary", idx] + coords(xb, k)
-                        + [f"{eig[k, 0]:.17g}", f"{tr[k]:.17g}"])
-            idx += 1
+    x, frames = plan.grids(space)
+    eigs = interior_spectrum(space, x)
+    xb, eig, tr = boundary_spectrum(frames)
+    pad = [""] * (4 - space.dim)
+    for kind, pts, a, b in (("interior", x, eigs[:, 0], eigs[:, -1]),
+                            ("boundary", xb, eig[:, 0], tr)):
+        for k in range(pts.shape[1]):
+            wr.writerow([kind, k] + [f"{v:.17g}" for v in pts[:, k]] + pad
+                        + [f"{a[k]:.17g}", f"{b[k]:.17g}"])
     return buf.getvalue()
 
 

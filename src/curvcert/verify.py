@@ -17,26 +17,29 @@ mv_laplacian, ii_identity, ricci_decomposition) from one gate and one
 sweep, which builds the geometry and g's terms once per node batch and
 streams the rows of each test density from one jet of it;
 ``decomposition_batch`` is the gate plus that sweep over a family of
-densities.  Each boundary sample grid has one frame per patch, which
-the gate, the II identity and the certificate spectra all read.
+densities.  Each check takes the sample grid it reads (a
+``NodeGeometry``, interior points, or one ``BoundaryFrame`` per patch),
+not the counts that would rebuild it; ``SamplePlan.grids`` builds them.
 
 Every check that assumes the Neumann hypothesis re-verifies it first and
 fails loudly (GateError) if violated: that is a broken hypothesis, not a
-broken theorem.  All verdicts are sampled necessary-condition
-certificates over stated grids, never proofs.
+broken theorem.  A non-finite value in a pointwise check raises
+EvalError.  All verdicts are sampled necessary-condition certificates
+over stated grids, never proofs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .boundary import (BoundaryFrame, NeumannTestFunction, boundary_frame,
-                       normal_field_jets, second_fundamental_form)
+                       normal_field_jets)
+from .exprlang import EvalError
 from .fields import ScalarField
-from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace, as_points,
+from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace,
                        bakry_emery_ricci, carre_du_champ_jet, gamma2_parts,
                        hessian, hs_norm_sq, witten_laplacian)
 from .jets import Jet
@@ -96,6 +99,12 @@ class SamplePlan:
             "quad_boundary": list(self.quad_boundary),
         }
 
+    def grids(self, space: WeightedSpace
+              ) -> Tuple[np.ndarray, List[BoundaryFrame]]:
+        """The interior sample points and boundary sample frames."""
+        return (interior_grid(space, self.interior_counts),
+                boundary_grid(space, self.boundary_counts))
+
 
 def interior_grid(space: WeightedSpace, counts) -> np.ndarray:
     """Midpoint grid over the chart box, restricted to {phi < 0}."""
@@ -120,30 +129,45 @@ def _witness_point(x: np.ndarray, flat_index: int) -> List[float]:
     return [float(v) for v in x[:, flat_index]]
 
 
+def _largest(name: str, rows, worst: float, last: bool = False
+             ) -> Tuple[float, Dict]:
+    """The largest value over ``rows`` of (witness, values, points), and
+    its row's witness with the point: the first maximum, or with ``last``
+    the last.  A non-finite value cannot be ranked: EvalError."""
+    witness: Dict = {}
+    for extra, vals, x in rows:
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise EvalError(f"{name}: non-finite value at point "
+                            f"{_witness_point(x, int(bad[0]))}")
+        k = int(np.argmax(vals))
+        v = float(np.ravel(vals)[k])
+        if v > worst or (last and v == worst):
+            worst, witness = v, dict(extra, point=_witness_point(x, k))
+    return worst, witness
+
+
 # -- pointwise identity checks ------------------------------------------
 
 
 def check_bochner(space: WeightedSpace, fields: Sequence[FieldOrJet],
-                  points, tol: float = POINTWISE_TOL) -> CheckResult:
-    """Bochner identity Gamma2(f) = Ricci_V(grad f, grad f) + |Hess f|^2."""
-    x = as_points(space, np.asarray(points, dtype=float))
-    geom = NodeGeometry(space, x)
+                  geom: NodeGeometry, tol: float = POINTWISE_TOL
+                  ) -> CheckResult:
+    """Bochner identity Gamma2(f) = Ricci_V(grad f, grad f) + |Hess f|^2,
+    at the points of ``geom``."""
+    x, frame = geom.x, geom.frame
     ricv = bakry_emery_ricci(space, x, geom)
-    worst = -1.0
-    witness: Dict = {}
+    rows = []
     for fi, f in enumerate(fields):
         parts = gamma2_parts(space, f, x, geom)
-        frame = geom.frame
         H = hessian(space, parts.f_jet, x, geom)
         df = parts.f_jet.gradient()
         gf = np.einsum("ij...,j...->i...", frame.inverse, df)
         rhs = np.einsum("ij...,i...,j...->...", ricv, gf, gf) \
             + hs_norm_sq(space, H, x, frame)
         rel = np.abs(parts.gamma2 - rhs) / (1.0 + np.abs(parts.gamma2))
-        k = int(np.argmax(rel))
-        if np.max(rel) > worst:
-            worst = float(np.max(rel))
-            witness = {"field_index": fi, "point": _witness_point(x, k)}
+        rows.append(({"field_index": fi}, rel, x))
+    worst, witness = _largest("bochner", rows, -1.0)
     npts = 1 if x.ndim == 1 else x.shape[1]
     return CheckResult(
         name="bochner", residual=worst, tolerance=tol, passed=worst <= tol,
@@ -171,13 +195,11 @@ def _g_terms(space: WeightedSpace, geom: NodeGeometry, jg: Jet):
     return dgam, g_f_lf, hs, ric
 
 
-def _ii_of_gradient(space: WeightedSpace, bframe, ju: Jet,
-                    jN: Optional[List[Jet]] = None) -> np.ndarray:
+def _ii_of_gradient(bframe: BoundaryFrame, ju: Jet) -> np.ndarray:
     """II(grad u, grad u), through v_a = g(grad u, e_a) = e_a^i d_i u."""
-    II = second_fundamental_form(space, bframe.point, bframe, jN)
     du = ju.gradient()
     v = np.einsum("ai...,i...->a...", bframe.tangents, du)
-    return np.einsum("ab...,a...,b...->...", II, v, v)
+    return np.einsum("ab...,a...,b...->...", bframe.II, v, v)
 
 
 def _weak_integrals(space: WeightedSpace, g: ScalarField,
@@ -215,14 +237,14 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
     def boundary(geom: NodeGeometry) -> Iterator[np.ndarray]:
         x = geom.x
         jg = g.jet(x, 1)
-        jN = normal_field_jets(space, x, geom)
+        bf = boundary_frame(space, x, geom=geom) if decomposition else None
+        jN = bf.normal_jets if bf else normal_field_jets(space, x, geom)
         dg = jg.gradient()
         flux = 0.0  # g(N, grad g)
         for i in range(space.dim):
             flux = flux + jN[i].value * dg[i]
         if decomposition:
-            ii = _ii_of_gradient(space, boundary_frame(space, x, geom=geom),
-                                 jg, jN)
+            ii = _ii_of_gradient(bf, jg)
         for h in hs:
             hv = np.asarray(h.value(x))
             yield hv * flux
@@ -292,43 +314,38 @@ def check_mv_laplacian(space: WeightedSpace, g, h: ScalarField,
 
 
 def _gated_grid(space: WeightedSpace, g: NeumannTestFunction,
-                boundary_counts, tol: float = NEUMANN_GATE_TOL):
-    """The boundary frames, the order-2 jets of g there (the gate and the
-    II identity read first derivatives of g and of Gamma(g,g)) and the max
+                frames: Sequence[BoundaryFrame],
+                tol: float = NEUMANN_GATE_TOL):
+    """The order-2 jets of g at the boundary frames (the gate and the II
+    identity read first derivatives of g and of Gamma(g,g)) and the max
     Neumann residual |g(N, grad g)| over them; GateError above ``tol``."""
-    frames = boundary_grid(space, boundary_counts)
     jets = [g.field.jet(bf.point, 2) for bf in frames]
-    worst = 0.0
-    witness = None
-    for bf, jg in zip(frames, jets):
-        du = jg.gradient()
-        res = np.abs(np.einsum("i...,i...->...", bf.normal, du))
-        k = int(np.argmax(res))
-        if float(res[k]) >= worst:
-            worst = float(res[k])
-            witness = _witness_point(bf.point, k)
+    rows = [({}, np.abs(np.einsum("i...,i...->...", bf.normal, jg.gradient())),
+             bf.point) for bf, jg in zip(frames, jets)]
+    worst, witness = _largest("neumann_gate", rows, 0.0, last=True)
     if worst > tol:
         raise GateError(
             f"Neumann hypothesis violated: |g(N, grad g)| = {worst:.3e} "
-            f"> {tol} at boundary point {witness}; the theorem's "
+            f"> {tol} at boundary point {witness['point']}; the theorem's "
             f"hypothesis fails, the theorem is not being tested")
-    return frames, jets, worst
+    return jets, worst
 
 
 def neumann_gate(space: WeightedSpace, g: NeumannTestFunction,
-                 boundary_counts, tol: float = NEUMANN_GATE_TOL):
-    """Max normalized Neumann residual over boundary sample grids."""
-    return _gated_grid(space, g, boundary_counts, tol)[2]
+                 frames: Sequence[BoundaryFrame],
+                 tol: float = NEUMANN_GATE_TOL):
+    """Max raw Neumann residual |g(N, grad g)| over the boundary frames."""
+    return _gated_grid(space, g, frames, tol)[1]
 
 
 def weak_checks(space: WeightedSpace, g: NeumannTestFunction,
-                h: ScalarField, quad_interior=None, quad_boundary=None,
-                boundary_counts=None, tol: float = QUADRATURE_TOL
-                ) -> List[CheckResult]:
+                h: ScalarField, frames: Sequence[BoundaryFrame],
+                quad_interior=None, quad_boundary=None,
+                tol: float = QUADRATURE_TOL) -> List[CheckResult]:
     """The four Neumann-gated checks in ``run_suite``'s order: green,
     mv_laplacian, ii_identity and ricci_decomposition, from the II
-    check's gate and one quadrature sweep."""
-    ii = check_ii_identity(space, g, boundary_counts)
+    check's gate on ``frames`` and one quadrature sweep."""
+    ii = check_ii_identity(space, g, frames)
     ints, = _weak_integrals(space, g.field, [h], quad_interior, quad_boundary)
     lhs, rhs_i, rhs_b = ints["lhs"], ints["rhs_interior"], ints["rhs_boundary"]
     rhs = rhs_i + rhs_b
@@ -342,8 +359,8 @@ def weak_checks(space: WeightedSpace, g: NeumannTestFunction,
 
 
 def check_ricci_decomposition(space: WeightedSpace, g: NeumannTestFunction,
-                              h: ScalarField, quad_interior=None,
-                              quad_boundary=None, boundary_counts=None,
+                              h: ScalarField, frames: Sequence[BoundaryFrame],
+                              quad_interior=None, quad_boundary=None,
                               tol: float = QUADRATURE_TOL) -> CheckResult:
     """The headline check: weak measure Ricci = Ricci_V dm + II dsigma.
 
@@ -352,8 +369,8 @@ def check_ricci_decomposition(space: WeightedSpace, g: NeumannTestFunction,
     RHS(h) = int h Ricci_V(grad g, grad g) dm
              + oint h II(grad g, grad g) dsigma.
     """
-    return weak_checks(space, g, h, quad_interior, quad_boundary,
-                       boundary_counts, tol)[3]
+    return weak_checks(space, g, h, frames, quad_interior, quad_boundary,
+                       tol)[3]
 
 
 def decomposition_batch(space: WeightedSpace, g: NeumannTestFunction,
@@ -364,56 +381,48 @@ def decomposition_batch(space: WeightedSpace, g: NeumannTestFunction,
     Neumann gate and one weak sweep: g's order-3 terms are computed once
     per batch for the whole h family, so checking a family costs little
     more than one pair.  Each pair equals ``weak_checks``' for that h."""
-    neumann_gate(space, g, boundary_counts)
+    neumann_gate(space, g, boundary_grid(space, boundary_counts))
     return [(w["lhs"], w["rhs_interior"] + w["rhs_boundary"])
             for w in _weak_integrals(space, g.field, hs, quad_interior,
                                      quad_boundary)]
 
 
 def check_ii_identity(space: WeightedSpace, g: NeumannTestFunction,
-                      boundary_counts=None,
+                      frames: Sequence[BoundaryFrame],
                       tol: float = POINTWISE_TOL) -> CheckResult:
-    """II(grad g, grad g) = -1/2 g(N, grad |grad g|^2) on the boundary,
-    on the frames and jets of g that the Neumann gate read."""
-    frames, jets, gate = _gated_grid(space, g, boundary_counts)
-    worst = -1.0
-    witness: Dict = {}
+    """II(grad g, grad g) = -1/2 g(N, grad |grad g|^2) on the boundary
+    frames, on the jets of g that the Neumann gate read."""
+    jets, gate = _gated_grid(space, g, frames)
+    rows = []
     for bf, jg in zip(frames, jets):
-        lhs = _ii_of_gradient(space, bf, jg)
+        lhs = _ii_of_gradient(bf, jg)
         dg = [jg.partial(i) for i in range(space.dim)]
         dgam = carre_du_champ_jet(bf.geom, dg).gradient()
         rhs = -0.5 * np.einsum("i...,i...->...", bf.normal, dgam)
-        rel = np.abs(lhs - rhs) / (1.0 + np.abs(lhs))
-        k = int(np.argmax(rel))
-        if float(rel[k]) > worst:
-            worst = float(rel[k])
-            witness = {"point": _witness_point(bf.point, k)}
+        rows.append(({}, np.abs(lhs - rhs) / (1.0 + np.abs(lhs)), bf.point))
+    worst, witness = _largest("ii_identity", rows, -1.0)
     return CheckResult(name="ii_identity", residual=worst, tolerance=tol,
                        passed=worst <= tol, witness=witness,
                        metadata={"neumann_gate": gate})
 
 
 def check_dimension_term(space: WeightedSpace, fields: Sequence[FieldOrJet],
-                         points, n_dim: float,
+                         geom: NodeGeometry, n_dim: float,
                          tol: float = DIMENSION_TOL) -> CheckResult:
-    """(trace_g Hess f)^2 / N <= |Hess f|^2_HS whenever N >= n."""
+    """(trace_g Hess f)^2 / N <= |Hess f|^2_HS whenever N >= n, at the
+    points of ``geom``."""
     if n_dim < space.dim:
         raise ValueError(
             f"dimension parameter N = {n_dim} < chart dimension "
             f"{space.dim}: the trace inequality is unsatisfiable")
-    x = as_points(space, points)
-    geom = NodeGeometry(space, x)
-    frame = geom.frame
-    worst = -np.inf
-    witness: Dict = {}
+    x, frame = geom.x, geom.frame
+    rows = []
     for fi, f in enumerate(fields):
         H = hessian(space, f, x, geom)
         lap = np.einsum("ij...,ij...->...", frame.inverse, H)
         gap = lap**2 / n_dim - hs_norm_sq(space, H, x, frame)
-        k = int(np.argmax(gap))
-        if float(np.max(gap)) > worst:
-            worst = float(np.max(gap))
-            witness = {"field_index": fi, "point": _witness_point(x, k)}
+        rows.append(({"field_index": fi}, gap, x))
+    worst, witness = _largest("dimension_term", rows, -np.inf)
     return CheckResult(name="dimension_term", residual=worst, tolerance=tol,
                        passed=worst <= tol, witness=witness,
                        metadata={"n_dim": n_dim, "fields": len(fields)})
@@ -491,56 +500,38 @@ class CurvatureReport:
                       "interior_flat": max_ricci <= tol})
 
 
-def interior_spectrum(space: WeightedSpace, counts):
-    """Interior sample points and the eigenvalues of Ricci_V relative to
-    g there, (m, n) ascending."""
-    x = interior_grid(space, counts)
+def interior_spectrum(space: WeightedSpace, x: np.ndarray) -> np.ndarray:
+    """The eigenvalues of Ricci_V relative to g at the interior sample
+    points x, (m, n) ascending."""
     geom = NodeGeometry(space, x)
-    return x, eigenvalues_relative(bakry_emery_ricci(space, x, geom),
-                                   geom.frame.metric)
+    return eigenvalues_relative(bakry_emery_ricci(space, x, geom),
+                                geom.frame.metric)
 
 
-def boundary_spectra(space: WeightedSpace, counts) -> Iterator[Tuple]:
-    """Per patch: the boundary sample points, the eigenvalues of II there,
-    (m, n-1) ascending, and tr II."""
-    for bf in boundary_grid(space, counts):
-        II = second_fundamental_form(space, bf.point, bf)
-        yield (bf.point, np.linalg.eigvalsh(np.moveaxis(II, (0, 1), (-2, -1))),
-               np.einsum("aa...->...", II))
+def boundary_spectrum(frames: Sequence[BoundaryFrame]) -> Tuple:
+    """The points of the boundary frames in order, the eigenvalues of II
+    there, (m, n-1) ascending, and tr II."""
+    II = np.concatenate([bf.II for bf in frames], axis=-1)
+    return (np.concatenate([bf.point for bf in frames], axis=-1),
+            np.linalg.eigvalsh(np.moveaxis(II, (0, 1), (-2, -1))),
+            np.einsum("aa...->...", II))
 
 
-def certify(space: WeightedSpace, k_list: Sequence[float],
-            n_list: Sequence[float] = (), plan: Optional[SamplePlan] = None,
-            interior_counts=None, boundary_counts=None) -> CurvatureReport:
-    """Sampled RCD verdicts from relative eigenvalues of Ricci_V and II."""
-    if plan is not None:
-        interior_counts = plan.interior_counts
-        boundary_counts = plan.boundary_counts
-    x, eigs = interior_spectrum(space, interior_counts)
+def certify(space: WeightedSpace, x: np.ndarray,
+            frames: Sequence[BoundaryFrame], k_list: Sequence[float],
+            n_list: Sequence[float] = ()) -> CurvatureReport:
+    """Sampled RCD verdicts from relative eigenvalues of Ricci_V at the
+    interior sample points x and of II on the boundary sample frames."""
     if x.shape[1] == 0:
         raise ValueError("empty interior sample plan")
-    lam_min = eigs[..., 0]
-    ki = int(np.argmin(lam_min))
-    k_interior = float(lam_min[ki])
-    interior_witness = _witness_point(x, ki)
-
-    lam_ii_min = np.inf
-    lam_ii_max = -np.inf
-    tr_lo, tr_hi = np.inf, -np.inf
-    boundary_witness: List[float] = []
-    n_boundary = 0
-    for xb, eig, tr in boundary_spectra(space, boundary_counts):
-        n_boundary += xb.shape[1]
-        bi = int(np.argmin(eig[..., 0]))
-        if float(eig[bi, 0]) < lam_ii_min:
-            lam_ii_min = float(eig[bi, 0])
-            boundary_witness = _witness_point(xb, bi)
-        lam_ii_max = max(lam_ii_max, float(np.max(eig[..., -1])))
-        tr_lo = min(tr_lo, float(np.min(tr)))
-        tr_hi = max(tr_hi, float(np.max(tr)))
-    if n_boundary == 0:
+    if not frames:
         raise ValueError("empty boundary sample plan")
-
+    eigs = interior_spectrum(space, x)
+    ki = int(np.argmin(eigs[:, 0]))
+    k_interior = float(eigs[ki, 0])
+    xb, eig, tr = boundary_spectrum(frames)
+    bi = int(np.argmin(eig[:, 0]))
+    lam_ii_min = float(eig[bi, 0])
     convex = lam_ii_min >= -VERDICT_SLACK
     rcd_inf = {float(k): bool(convex and k_interior >= k - VERDICT_SLACK)
                for k in k_list}
@@ -551,10 +542,12 @@ def certify(space: WeightedSpace, k_list: Sequence[float],
                 rcd_inf[float(k)] and nn >= space.dim)
     return CurvatureReport(
         k_interior=k_interior, lambda_min_ii=lam_ii_min,
-        lambda_max_ii=lam_ii_max, tr_ii_range=(tr_lo, tr_hi),
+        lambda_max_ii=float(np.max(eig[:, -1])),
+        tr_ii_range=(float(np.min(tr)), float(np.max(tr))),
         rcd_infinity=rcd_inf, rcd_star=rcd_star,
-        interior_samples=x.shape[1], boundary_samples=n_boundary,
-        interior_witness=interior_witness, boundary_witness=boundary_witness,
+        interior_samples=x.shape[1], boundary_samples=xb.shape[1],
+        interior_witness=_witness_point(x, ki),
+        boundary_witness=_witness_point(xb, bi),
         max_abs_ricci_v=float(np.max(np.abs(eigs))))
 
 
@@ -562,4 +555,4 @@ def flatness_report(space: WeightedSpace, plan: SamplePlan,
                     tol: float = VERDICT_SLACK) -> CheckResult:
     """Measure-Ricci-flatness at the plan's sampling: the certificate's
     spectra read by ``CurvatureReport.flatness``."""
-    return certify(space, (), plan=plan).flatness(tol)
+    return certify(space, *plan.grids(space), ()).flatness(tol)

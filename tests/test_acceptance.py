@@ -13,9 +13,11 @@ from curvcert import zoo
 from curvcert.fields import CutoffField, ExprField
 from curvcert.jets import extract, multi_indices
 from curvcert.exprlang import ParseError, parse, to_source
-from curvcert.verify import (certify, check_bochner, check_dimension_term,
-                             check_green, check_ii_identity,
-                             check_mv_laplacian, decomposition_batch)
+from curvcert.geometry import NodeGeometry
+from curvcert.verify import (boundary_grid, certify, check_bochner,
+                             check_dimension_term, check_green,
+                             check_ii_identity, check_mv_laplacian,
+                             decomposition_batch)
 from oracles import Poly, richardson_partial
 from test_exprlang import MALFORMED, _corpus
 from test_jets import poly_jet
@@ -57,7 +59,8 @@ def test_criterion_1_bochner():
         e = entry(name)
         pts = sample_interior(e, 100, rng)
         fields = e.random_fields(10, seed=11)
-        r = check_bochner(e.space, fields, pts, tol=1e-8)
+        r = check_bochner(e.space, fields, NodeGeometry(e.space, pts),
+                          tol=1e-8)
         worst = max(worst, r.residual)
         assert r.passed, f"{name}: {r}"
     elapsed = time.perf_counter() - t0
@@ -113,9 +116,9 @@ def test_criterion_3_proof_steps():
                                e.plan.quad_boundary, tol=1e-5)
         assert r.passed, (name, str(r))
         worst["mv_laplacian"] = max(worst["mv_laplacian"], r.residual)
-        r = check_ii_identity(e.space, g,
-                              boundary_counts=e.plan.boundary_counts,
-                              tol=1e-8)
+        r = check_ii_identity(
+            e.space, g, boundary_grid(e.space, e.plan.boundary_counts),
+            tol=1e-8)
         assert r.passed, (name, str(r))
         worst["ii_identity"] = max(worst["ii_identity"], r.residual)
     # deliberately non-Neumann field: the boundary flux term of the weak
@@ -137,28 +140,28 @@ def test_criterion_3_proof_steps():
 
 def test_criterion_4_certifier_ground_truth():
     ghs = entry("gaussian_half_space")
-    rep = certify(ghs.space, k_list=[1.0, 1.0 + 1e-3], plan=ghs.plan)
+    rep = certify(ghs.space, *ghs.plan.grids(ghs.space), [1.0, 1.0 + 1e-3])
     assert rep.rcd_infinity[1.0] is True
     assert rep.rcd_infinity[1.0 + 1e-3] is False
 
     ball = entry("ball")
-    rb = certify(ball.space, k_list=[0.0], plan=ball.plan)
+    rb = certify(ball.space, *ball.plan.grids(ball.space), [0.0])
     assert rb.rcd_infinity[0.0] is True
     assert abs(rb.lambda_min_ii - 1.0) <= 1e-6
 
     ann = entry("annulus")
-    ra = certify(ann.space, k_list=[0.0], plan=ann.plan)
+    ra = certify(ann.space, *ann.plan.grids(ann.space), [0.0])
     assert ra.rcd_infinity[0.0] is False
     assert abs(ra.lambda_min_ii - (-2.0)) <= 1e-6
 
     hemi = entry("hemisphere")
-    rh = certify(hemi.space, k_list=[1.0], plan=hemi.plan)
+    rh = certify(hemi.space, *hemi.plan.grids(hemi.space), [1.0])
     assert rh.rcd_infinity[1.0] is True
     assert abs(rh.k_interior - 1.0) <= 1e-6
     assert max(abs(t) for t in rh.tr_ii_range) <= 1e-9
 
     cap = entry("poincare_cap")
-    rc = certify(cap.space, k_list=[-1.0], plan=cap.plan)
+    rc = certify(cap.space, *cap.plan.grids(cap.space), [-1.0])
     assert abs(rc.k_interior - (-1.0)) <= 1e-6
 
     verdict(4, True, "certifier ground truth: gaussian_half_space "
@@ -174,17 +177,18 @@ def test_criterion_5_dimension_term():
     for name in zoo.list_entries():
         e = entry(name)
         fields = e.random_fields(100, seed=55)
-        pts = e.interior_points()
+        geom = NodeGeometry(e.space, e.interior_points())
         for n_dim in (float(e.space.dim), float(e.space.dim) + 2.0):
-            r = check_dimension_term(e.space, fields, pts, n_dim,
+            r = check_dimension_term(e.space, fields, geom, n_dim,
                                      tol=1e-10)
             assert r.passed, (name, n_dim, str(r))
             worst = max(worst, r.residual)
     # conformal Hessian: Hess f = g, the trace bound is an equality
     hs = entry("half_space")
     f = ExprField("(x^2 + y^2)/2", 2)
-    r_eq = check_dimension_term(hs.space, [f], hs.interior_points(),
-                                float(hs.space.dim), tol=1e-10)
+    r_eq = check_dimension_term(
+        hs.space, [f], NodeGeometry(hs.space, hs.interior_points()),
+        float(hs.space.dim), tol=1e-10)
     assert abs(r_eq.residual) <= 1e-12
     ok = worst <= 1e-10
     verdict(5, ok, "dimension term on 100 random fields per space at "

@@ -86,6 +86,24 @@ class TestCheck:
         assert "unsatisfiable" in err
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_ii_non_finite_gate(self, capsys):
+        # exp(800) overflows on the boundary: the gate cannot rank a NaN
+        code, out, err = run(capsys, "check", "ii", "--zoo", "ball",
+                             "--w", "exp(800*x)")
+        assert code == 2
+        assert "neumann_gate: non-finite value at point [1.0," in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_bochner_non_finite(self, capsys, tmp_path):
+        from test_config import BALL_INI
+        p = tmp_path / "hot.ini"
+        p.write_text(BALL_INI + '[weight]\nV = "exp(900*x)"\n')
+        code, out, err = run(capsys, "check", "bochner", "--config", str(p))
+        assert code == 2
+        assert "bochner: non-finite value at point" in err
+
+
 class TestCertify:
     def test_gaussian_half_space_tight(self, capsys):
         code, out, err = run(capsys, "certify", "--zoo",
@@ -181,7 +199,7 @@ class TestReport:
         inner = [r for r in rows if r["kind"] == "interior"]
         bound = [r for r in rows if r["kind"] == "boundary"]
         e = entry(name)
-        rep = certify(e.space, k_list=(), plan=e.plan)
+        rep = certify(e.space, *e.plan.grids(e.space), ())
         assert (len(inner), len(bound)) == (rep.interior_samples,
                                             rep.boundary_samples)
         assert min(float(r["value_a"]) for r in inner) == rep.k_interior

@@ -72,7 +72,7 @@ class TestRoundTrip:
 
     def test_certify_matches_zoo_ball(self, tmp_path, ball):
         cfg = load_config(write(tmp_path, BALL_INI))
-        rep = certify(cfg.space, k_list=[0.0], plan=cfg.plan)
+        rep = certify(cfg.space, *cfg.plan.grids(cfg.space), [0.0])
         assert rep.k_interior == pytest.approx(0.0, abs=1e-9)
         assert rep.lambda_min_ii == pytest.approx(
             ball.expected["lambda_min_ii"], abs=1e-9)

@@ -7,13 +7,21 @@ import pytest
 
 from curvcert import boundary, geometry, quadrature, report, verify
 from curvcert.boundary import NeumannTestFunction
+from curvcert.exprlang import EvalError
 from curvcert.fields import ConstField, CutoffField, ExprField, ScalarField
+from curvcert.geometry import NodeGeometry
 from curvcert.jets import MAX_ORDER
-from curvcert.verify import (CheckResult, GateError, certify, check_bochner,
-                             check_dimension_term, check_green,
-                             check_ii_identity, check_mv_laplacian,
-                             check_ricci_decomposition, eigenvalues_relative,
-                             flatness_report, neumann_gate)
+from curvcert.verify import (CheckResult, GateError, boundary_grid, certify,
+                             check_bochner, check_dimension_term,
+                             check_green, check_ii_identity,
+                             check_mv_laplacian, check_ricci_decomposition,
+                             eigenvalues_relative, flatness_report,
+                             neumann_gate)
+
+
+def frames_of(e):
+    """The boundary sample frames of a zoo entry's plan."""
+    return boundary_grid(e.space, e.plan.boundary_counts)
 
 
 class TestGate:
@@ -23,28 +31,27 @@ class TestGate:
             base=ExprField("x*cos(y)", 2),
             field=CutoffField(ball.cutoff) * ExprField("x*cos(y)", 2),
             cutoff=ball.cutoff, label="corrupted")
+        frames = frames_of(ball)
         with pytest.raises(GateError, match="hypothesis"):
-            neumann_gate(ball.space, raw, ball.plan.boundary_counts)
+            neumann_gate(ball.space, raw, frames)
         with pytest.raises(GateError, match="hypothesis"):
-            check_ii_identity(ball.space, raw,
-                              boundary_counts=ball.plan.boundary_counts)
+            check_ii_identity(ball.space, raw, frames)
         with pytest.raises(GateError):
             check_ricci_decomposition(
-                ball.space, raw, ball.h_fields()[0],
-                ball.plan.quad_interior, ball.plan.quad_boundary,
-                ball.plan.boundary_counts)
+                ball.space, raw, ball.h_fields()[0], frames,
+                ball.plan.quad_interior, ball.plan.quad_boundary)
 
     def test_gate_value_small_for_honest_field(self, ball):
         g = ball.neumann_family()[0]
-        worst = neumann_gate(ball.space, g, ball.plan.boundary_counts)
+        worst = neumann_gate(ball.space, g, frames_of(ball))
         assert worst < 1e-10
 
 
 def decomposition_sides(space, g, h, plan):
     """(LHS, RHS) of the decomposition check's metadata."""
     meta = check_ricci_decomposition(
-        space, g, h, plan.quad_interior, plan.quad_boundary,
-        plan.boundary_counts).metadata
+        space, g, h, boundary_grid(space, plan.boundary_counts),
+        plan.quad_interior, plan.quad_boundary).metadata
     return np.array([meta["lhs"],
                      meta["rhs_interior"] + meta["rhs_boundary"]])
 
@@ -53,9 +60,8 @@ class TestDecomposition:
     def test_passes_on_ball(self, ball):
         g = ball.neumann_family()[0]
         r = check_ricci_decomposition(
-            ball.space, g, ball.h_fields()[0],
-            ball.plan.quad_interior, ball.plan.quad_boundary,
-            ball.plan.boundary_counts)
+            ball.space, g, ball.h_fields()[0], frames_of(ball),
+            ball.plan.quad_interior, ball.plan.quad_boundary)
         assert r.passed
         assert r.residual <= r.tolerance
 
@@ -183,11 +189,13 @@ class TestSharedSweep:
     def test_batch_matches_weak_checks(self, entry, name):
         e = entry(name)
         g, hs, plan = e.neumann_family()[0], e.h_fields()[:3], e.plan
-        args = (plan.quad_interior, plan.quad_boundary, plan.boundary_counts)
-        batch = verify.decomposition_batch(e.space, g, hs, *args)
+        qi, qb = plan.quad_interior, plan.quad_boundary
+        batch = verify.decomposition_batch(e.space, g, hs, qi, qb,
+                                           plan.boundary_counts)
         assert len(batch) == 3
         for h, pair in zip(hs, batch):
-            meta = verify.weak_checks(e.space, g, h, *args)[3].metadata
+            meta = verify.weak_checks(e.space, g, h, frames_of(e), qi,
+                                      qb)[3].metadata
             assert pair == (meta["lhs"],
                             meta["rhs_interior"] + meta["rhs_boundary"])
 
@@ -203,11 +211,11 @@ class TestSharedSweep:
         assert suite["mv_laplacian"] == check_mv_laplacian(
             e.space, g, h, qi, qb).to_dict()
         assert suite["ricci_decomposition"] == check_ricci_decomposition(
-            e.space, g, h, qi, qb, plan.boundary_counts).to_dict()
+            e.space, g, h, frames_of(e), qi, qb).to_dict()
         assert suite["ii_identity"] == check_ii_identity(
-            e.space, g, boundary_counts=plan.boundary_counts).to_dict()
+            e.space, g, frames_of(e)).to_dict()
         assert run["certificate"].to_dict() == certify(
-            e.space, k_list=(0.0,), plan=plan).to_dict()
+            e.space, *plan.grids(e.space), (0.0,)).to_dict()
         assert run["flatness"].to_dict() == flatness_report(
             e.space, plan=plan).to_dict()
 
@@ -233,14 +241,48 @@ class TestSharedSweep:
         target.neumann = lambda: dataclasses.replace(neumann, field=g)
         calls = count_geometry(monkeypatch)
         assert report.run_suite(target)["passed"]
-        # bochner and dimension_term share one geometry each; the sample
-        # grid one (gate and II identity); the weak sweep one chunk and
-        # one patch; certify its interior and boundary grids; flatness
-        # none, being read off the certificate
-        assert calls["frame_at"] == 7
+        # bochner and dimension_term share one geometry; the boundary
+        # sample grid one (gate, II identity and certificate); the weak
+        # sweep one chunk and one patch; certify its interior grid;
+        # flatness none, being read off the certificate
+        assert calls["frame_at"] == 5
         on_grid = [x for x in g.points if x.shape == grid.shape
                    and np.allclose(x, grid, rtol=0, atol=1e-12)]
         assert len(on_grid) == 1  # the gate and the II identity share it
+
+    def test_suite_builds_each_grid_once(self, entry, monkeypatch):
+        # one ball3 suite: no two geometries on equal point arrays, and
+        # the normal-field jets and II once per sample-grid patch and once
+        # per quadrature patch
+        e = entry("ball3")
+        points, shapes = [], collections.defaultdict(list)
+        init = geometry.NodeGeometry.__init__
+
+        def recorded_init(self, space, x):
+            points.append(np.array(x))
+            init(self, space, x)
+
+        monkeypatch.setattr(geometry.NodeGeometry, "__init__", recorded_init)
+        for fname in ("normal_field_jets", "second_fundamental_form"):
+            original = getattr(boundary, fname)
+
+            def counted(space, x, *args, _fn=original, _name=fname):
+                shapes[_name].append(np.shape(x))
+                return _fn(space, x, *args)
+
+            for module in (boundary, verify):
+                if getattr(module, fname, None) is original:
+                    monkeypatch.setattr(module, fname, counted)
+        assert report.run_suite(report.target_from_zoo(e))["passed"]
+        for i, a in enumerate(points):
+            for b in points[:i]:
+                assert not (a.shape == b.shape and np.array_equal(a, b))
+        grid = (3, int(np.prod(e.plan.boundary_counts)))
+        quad = (3, int(np.prod(e.plan.quad_boundary)))
+        assert len(e.space.boundary_patches) == 1
+        assert sorted(shapes["normal_field_jets"]) == sorted([grid, quad])
+        assert sorted(shapes["second_fundamental_form"]) == sorted(
+            [grid, quad])
 
     def test_normal_field_once_per_patch(self, entry, monkeypatch):
         # the weak sweep's flux and II rows read one normal-field jet per
@@ -257,8 +299,8 @@ class TestSharedSweep:
             monkeypatch.setattr(module, "normal_field_jets", counted)
         plan = e.plan
         verify.weak_checks(e.space, e.neumann_family()[0], e.h_fields()[0],
-                           plan.quad_interior, plan.quad_boundary,
-                           plan.boundary_counts)
+                           frames_of(e), plan.quad_interior,
+                           plan.quad_boundary)
         assert sorted(shapes) == sorted(
             [(2, *plan.boundary_counts), (2, *plan.quad_boundary)])
 
@@ -301,44 +343,46 @@ class TestSharedSweep:
 class TestPointwiseChecks:
     def test_bochner_random_fields(self, ball):
         fields = ball.random_fields(5, seed=11)
-        pts = ball.interior_points((8, 8))
-        r = check_bochner(ball.space, fields, pts)
+        geom = NodeGeometry(ball.space, ball.interior_points((8, 8)))
+        r = check_bochner(ball.space, fields, geom)
         assert r.passed
 
     def test_ii_identity(self, ball):
         g = ball.neumann_family()[0]
-        r = check_ii_identity(ball.space, g,
-                              boundary_counts=ball.plan.boundary_counts)
+        r = check_ii_identity(ball.space, g, frames_of(ball))
         assert r.passed
 
     def test_dimension_needs_n_at_least_dim(self, ball):
+        geom = NodeGeometry(ball.space, ball.interior_points((4, 4)))
         with pytest.raises(ValueError, match="unsatisfiable"):
-            check_dimension_term(ball.space, ball.random_fields(1, 1),
-                                 ball.interior_points((4, 4)), n_dim=1.5)
+            check_dimension_term(ball.space, ball.random_fields(1, 1), geom,
+                                 n_dim=1.5)
 
     def test_dimension_conformal_equality(self, half_space):
         # Hessian proportional to the metric: the trace bound is tight
         # exactly when N equals the chart dimension
         f = ExprField("(x^2 + y^2)/2", 2)
-        pts = half_space.interior_points((6, 6))
-        r = check_dimension_term(half_space.space, [f], pts, n_dim=2.0)
+        sp = half_space.space
+        geom = NodeGeometry(sp, half_space.interior_points((6, 6)))
+        r = check_dimension_term(sp, [f], geom, n_dim=2.0)
         assert r.passed
         assert abs(r.residual) < 1e-12
-        strict = check_dimension_term(half_space.space, [f], pts, n_dim=3.0)
+        strict = check_dimension_term(sp, [f], geom, n_dim=3.0)
         assert strict.passed
         assert strict.residual < -0.5  # slack opens up once N > n
 
     def test_dimension_random_fields(self, ball):
-        r = check_dimension_term(ball.space, ball.random_fields(10, 3),
-                                 ball.interior_points((8, 8)), n_dim=2.0)
+        geom = NodeGeometry(ball.space, ball.interior_points((8, 8)))
+        r = check_dimension_term(ball.space, ball.random_fields(10, 3), geom,
+                                 n_dim=2.0)
         assert r.passed
 
 
 class TestCertify:
     def test_monotone_in_k(self, gaussian_half_space):
         e = gaussian_half_space
-        rep = certify(e.space, k_list=[0.5, 1.0, 1.0 + 1e-3, 2.0],
-                      plan=e.plan)
+        rep = certify(e.space, *e.plan.grids(e.space),
+                      [0.5, 1.0, 1.0 + 1e-3, 2.0])
         verdicts = [rep.rcd_infinity[k]
                     for k in (0.5, 1.0, 1.0 + 1e-3, 2.0)]
         assert verdicts == sorted(verdicts, reverse=True)
@@ -346,24 +390,49 @@ class TestCertify:
 
     def test_rcd_star_needs_n_ge_dim(self, gaussian_half_space):
         e = gaussian_half_space
-        rep = certify(e.space, k_list=[0.0], n_list=[1.5, 2.0, 10.0],
-                      plan=e.plan)
+        rep = certify(e.space, *e.plan.grids(e.space), [0.0],
+                      [1.5, 2.0, 10.0])
         assert not rep.rcd_star[(0.0, 1.5)]
         assert rep.rcd_star[(0.0, 2.0)] and rep.rcd_star[(0.0, 10.0)]
 
     def test_certified_k_non_convex(self, entry):
         e = entry("annulus")
-        rep = certify(e.space, k_list=[0.0], plan=e.plan)
+        rep = certify(e.space, *e.plan.grids(e.space), [0.0])
         assert rep.certified_k() == float("-inf")
         assert rep.lambda_min_ii == pytest.approx(-2.0, abs=1e-6)
+
+    @pytest.mark.parametrize("name", ["annulus", "ball3"])
+    def test_boundary_reduction_matches_per_patch_loop(self, entry, name):
+        # the certificate reduces all patches' spectra at once; the
+        # per-patch loop it replaced is the reference, bit for bit
+        e = entry(name)
+        x, frames = e.plan.grids(e.space)
+        rep = certify(e.space, x, frames, [0.0])
+        lo, hi, tr_lo, tr_hi, witness, n = (np.inf, -np.inf, np.inf,
+                                            -np.inf, [], 0)
+        for bf in frames:
+            II = boundary.second_fundamental_form(e.space, bf.point, bf)
+            eig = np.linalg.eigvalsh(np.moveaxis(II, (0, 1), (-2, -1)))
+            tr = np.einsum("aa...->...", II)
+            n += bf.point.shape[1]
+            bi = int(np.argmin(eig[:, 0]))
+            if float(eig[bi, 0]) < lo:
+                lo = float(eig[bi, 0])
+                witness = [float(v) for v in bf.point[:, bi]]
+            hi = max(hi, float(np.max(eig[:, -1])))
+            tr_lo = min(tr_lo, float(np.min(tr)))
+            tr_hi = max(tr_hi, float(np.max(tr)))
+        assert (rep.lambda_min_ii, rep.lambda_max_ii, rep.tr_ii_range,
+                rep.boundary_witness, rep.boundary_samples) == (
+                    lo, hi, (tr_lo, tr_hi), witness, n)
 
     def test_empty_plan_rejected(self, ball):
         # phi >= 0 on the whole chart leaves no interior sample points
         exterior = dataclasses.replace(
             ball.space, defining_fn=ConstField(2, 1.0), label="empty")
         with pytest.raises(ValueError, match="empty interior"):
-            certify(exterior, k_list=[0.0], interior_counts=(4, 4),
-                    boundary_counts=ball.plan.boundary_counts)
+            certify(exterior, verify.interior_grid(exterior, (4, 4)),
+                    frames_of(ball), [0.0])
 
 
 class TestFlatness:
@@ -381,15 +450,13 @@ class TestFlatness:
         # flatness reduces the certificate's extremes; that equals the
         # max of |.| over every sampled eigenvalue and trace exactly
         e = entry("annulus")
-        counts = e.plan.interior_counts, e.plan.boundary_counts
-        _, eigs = verify.interior_spectrum(e.space, counts[0])
-        spectra = list(verify.boundary_spectra(e.space, counts[1]))
+        x, frames = e.plan.grids(e.space)
+        eigs = verify.interior_spectrum(e.space, x)
+        _, eig, tr = verify.boundary_spectrum(frames)
         meta = flatness_report(e.space, plan=e.plan).metadata
         assert meta["max_abs_ricci_v"] == float(np.max(np.abs(eigs)))
-        assert meta["max_abs_ii"] == max(float(np.max(np.abs(eig)))
-                                         for _, eig, _ in spectra)
-        assert meta["max_abs_tr_ii"] == max(float(np.max(np.abs(tr)))
-                                            for _, _, tr in spectra)
+        assert meta["max_abs_ii"] == float(np.max(np.abs(eig)))
+        assert meta["max_abs_tr_ii"] == float(np.max(np.abs(tr)))
 
     def test_no_boundary_patches_rejected(self, ball):
         # a boundary that was never sampled is not certified flat
@@ -399,6 +466,20 @@ class TestFlatness:
 
 
 class TestHelpers:
+    def test_largest_witness_rules(self):
+        # the first maximum by default, the last with ``last``; a NaN
+        # cannot be ranked and names the check and the point
+        x = np.array([[0.0, 1.0, 2.0]])
+        rows = [({"i": 0}, np.array([1.0, 3.0, 3.0]), x),
+                ({"i": 1}, np.array([3.0, 0.0, 0.0]), x)]
+        assert verify._largest("t", rows, -1.0) == (
+            3.0, {"i": 0, "point": [1.0]})
+        assert verify._largest("t", rows, -1.0, last=True) == (
+            3.0, {"i": 1, "point": [0.0]})
+        rows.append(({}, np.array([0.0, 1.0, np.nan]), x))
+        with pytest.raises(EvalError, match=r"^t: non-finite .* \[2.0\]$"):
+            verify._largest("t", rows, -1.0)
+
     def test_eigenvalues_relative_hand_case(self):
         A = np.array([[2.0, 0.0], [0.0, 8.0]])
         G = np.array([[1.0, 0.0], [0.0, 4.0]])

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from curvcert import zoo
-from curvcert.verify import (certify, check_bochner, check_green,
-                             check_ii_identity, check_mv_laplacian,
-                             check_ricci_decomposition)
+from curvcert.geometry import NodeGeometry
+from curvcert.verify import (boundary_grid, certify, check_bochner,
+                             check_green, check_ii_identity,
+                             check_mv_laplacian, check_ricci_decomposition)
 from oracles import fd_partial
 
 ALL_NAMES = ["annulus", "ball", "ball3", "gaussian_half_space", "half_space",
@@ -72,7 +73,7 @@ class TestExpectedValues:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_certify_matches_expected(self, entry, name):
         e = entry(name)
-        rep = certify(e.space, k_list=[0.0], plan=e.plan)
+        rep = certify(e.space, *e.plan.grids(e.space), [0.0])
         assert rep.k_interior == pytest.approx(e.expected["k_interior"],
                                                abs=1e-6)
         assert rep.lambda_min_ii == pytest.approx(
@@ -133,9 +134,10 @@ class TestFullCheckSuite:
         e = entry(name)
         g = e.neumann_family()[0]
         hs = e.h_fields()
-        pts = e.interior_points()
+        geom = NodeGeometry(e.space, e.interior_points())
+        frames = boundary_grid(e.space, e.plan.boundary_counts)
         fields = e.random_fields(3, seed=21)
-        r = check_bochner(e.space, fields, pts)
+        r = check_bochner(e.space, fields, geom)
         assert r.passed, f"{name} bochner: {r}"
         r = check_green(e.space, hs[1], g.field, e.plan.quad_interior,
                         e.plan.quad_boundary)
@@ -143,13 +145,11 @@ class TestFullCheckSuite:
         r = check_mv_laplacian(e.space, g, hs[1], e.plan.quad_interior,
                                e.plan.quad_boundary)
         assert r.passed, f"{name} mv_laplacian: {r}"
-        r = check_ricci_decomposition(e.space, g, hs[0],
+        r = check_ricci_decomposition(e.space, g, hs[0], frames,
                                       e.plan.quad_interior,
-                                      e.plan.quad_boundary,
-                                      e.plan.boundary_counts)
+                                      e.plan.quad_boundary)
         assert r.passed, f"{name} decomposition: {r}"
-        r = check_ii_identity(e.space, g,
-                              boundary_counts=e.plan.boundary_counts)
+        r = check_ii_identity(e.space, g, frames)
         assert r.passed, f"{name} ii_identity: {r}"
 
 
