@@ -16,7 +16,8 @@ must be C^3 on its chart.
 
 Fields defined here are evaluated either over jet arithmetic
 (:func:`evaluate_jet`) or as plain values (:func:`evaluate_value`, the
-brute-force route used by tests).
+brute-force route used by tests); :func:`variables` lists the chart
+variables an expression reads.
 """
 
 from __future__ import annotations
@@ -298,6 +299,23 @@ def evaluate(ast, x, order: int = MAX_ORDER) -> Jet:
         return evaluate_jet(ast, seeds)
     except JetDomainError as exc:
         raise EvalError(f"{exc} at point {_fmt_point(x)}") from exc
+
+
+def variables(node) -> Tuple[int, ...]:
+    """The indices of the chart variables an AST reads, ascending."""
+    found = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            found.add(node.index)
+        elif isinstance(node, Neg):
+            stack.append(node.operand)
+        elif isinstance(node, Bin):
+            stack += [node.left, node.right]
+        elif isinstance(node, Call):
+            stack += node.args
+    return tuple(sorted(found))
 
 
 def _fmt_point(x):

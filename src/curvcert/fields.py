@@ -10,12 +10,18 @@ arithmetic, so an order-k jet holds the order-3 jet's slots up to k.
 part, which shows only on a -0.0 outer value or a non-finite higher
 derivative.)  Jet-wise arithmetic on fields is exact through order 3, so
 products/sums/quotients of fields with exact jets again have exact jets.
+
+A field's ``reads`` are the chart axes it depends on.  An expression
+field is jetted once per distinct point of those axes and gathered to
+the points it was asked at (``distinct``); every jet operation is
+elementwise, so each point's jet is bit for bit the direct one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,10 +31,52 @@ from .jets import MAX_ORDER, Jet
 Box = Sequence[Tuple[float, float]]
 
 
+def distinct(x: np.ndarray, axes: Sequence[int]
+             ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The distinct points of x (shape ``(dim, ...)``) on the chart axes
+    ``axes``: the index of each one's first appearance in the flattened
+    batch, ascending, and the map from every point to its distinct point
+    (shaped like the batch).  Points are equal when their coordinates on
+    ``axes`` have equal bits.  None, meaning "evaluate directly", when
+    ``axes`` is every axis, x is a single point, a coordinate is
+    non-finite (the direct evaluation raises), or more than half the
+    points are distinct.
+    """
+    x = np.asarray(x, dtype=float)
+    if len(axes) == x.shape[0] or x.ndim < 2 or x[0].size < 2:
+        return None
+    if not np.all(np.isfinite(x)):
+        return None
+    flat = x.reshape(x.shape[0], -1)
+    m = flat.shape[1]
+    # one 1-D unique per axis, combined mixed-radix into an integer key
+    key = np.zeros(m, dtype=np.int64)
+    for i in axes:
+        bits = np.ascontiguousarray(flat[i]).view(np.int64)
+        values, rank = np.unique(bits, return_inverse=True)
+        if (int(key.max()) + 1) * len(values) >= 2**63:  # re-rank first
+            key = np.unique(key, return_inverse=True)[1].reshape(m)
+        key = key * len(values) + rank.reshape(m)
+    _, first, where = np.unique(key, return_index=True, return_inverse=True)
+    if 2 * len(first) > m:
+        return None
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[where.reshape(m)].reshape(x.shape[1:])
+
+
 class ScalarField:
     """Base: a C^3 scalar field evaluable to jets of order up to 3."""
 
     dim: int
+
+    @property
+    def reads(self) -> Tuple[int, ...]:
+        """The chart axes the field depends on, ascending: a static
+        property of the field, never of the points.  Every axis unless a
+        subclass knows better."""
+        return tuple(range(self.dim))
 
     def jet(self, x, order: int = MAX_ORDER) -> Jet:
         """Jet of the field at x through ``order`` (its ``.order`` is at
@@ -70,6 +118,8 @@ def _coerce(v, dim) -> "ScalarField":
 
 
 class ConstField(ScalarField):
+    reads = ()
+
     def __init__(self, dim: int, value: float):
         self.dim = dim
         self._value = float(value)
@@ -99,8 +149,24 @@ class ExprField(ScalarField):
             self.ast = src
             self.source = exprlang.to_source(src)
 
+    @cached_property
+    def reads(self) -> Tuple[int, ...]:
+        return exprlang.variables(self.ast)
+
     def jet(self, x, order: int = MAX_ORDER) -> Jet:
-        return exprlang.evaluate(self.ast, x, order)
+        x = np.asarray(x, dtype=float)
+        proj = distinct(x, self.reads)
+        if proj is None:
+            return exprlang.evaluate(self.ast, x, order)
+        first, where = proj
+        try:
+            jet = exprlang.evaluate(
+                self.ast, x.reshape(x.shape[0], -1)[:, first], order)
+        except exprlang.EvalError:
+            # evaluate every point, so that the error names the caller's
+            # batch
+            return exprlang.evaluate(self.ast, x, order)
+        return jet.gather(where)
 
     def value(self, x):
         return exprlang.evaluate_value(self.ast, np.asarray(x, dtype=float))
@@ -117,6 +183,10 @@ class _BinField(ScalarField):
         self.op = op
         self.a = a
         self.b = b
+
+    @property
+    def reads(self) -> Tuple[int, ...]:
+        return tuple(sorted(set(self.a.reads) | set(self.b.reads)))
 
     def jet(self, x, order: int = MAX_ORDER) -> Jet:
         ja = self.a.jet(x, order)
@@ -209,6 +279,10 @@ class CutoffField(ScalarField):
             i for i, ((ilo, ihi), (olo, ohi))
             in enumerate(zip(spec.inner, spec.outer))
             if ilo > olo or ohi > ihi)
+
+    @property
+    def reads(self) -> Tuple[int, ...]:
+        return self.tapered
 
     def _axis_coeffs(self, xi, axis, order: int = MAX_ORDER):
         """(order + 1, ...) univariate Taylor coefficients of the axis

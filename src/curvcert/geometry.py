@@ -23,8 +23,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fields import ScalarField
-from .jets import Jet
+from .fields import ScalarField, distinct
+from .jets import Jet, take_batch
 
 SPD_FLOOR = 1e-10
 GRAD_PHI_FLOOR = 1e-8
@@ -56,6 +56,15 @@ class WeightedSpace:
             raise GeometryError(f"chart dimension must be 2..4, got {self.dim}")
         if len(self.chart_box) != self.dim:
             raise GeometryError("chart_box length must equal dim")
+
+    @property
+    def reads(self) -> Tuple[int, ...]:
+        """The chart axes the metric entries and the weight read."""
+        axes = set(self.weight.reads)
+        for i in range(self.dim):
+            for j in range(i, self.dim):
+                axes.update(self.metric[i][j].reads)
+        return tuple(sorted(axes))
 
     def metric_jets(self, x) -> List[List[Jet]]:
         """Order-2 jets of the metric entries at x, the highest order any
@@ -181,31 +190,87 @@ def christoffel_jets(space: WeightedSpace, x, jg: List[List[Jet]],
 
 
 class NodeGeometry:
-    """Metric and weight data of one node batch, computed once: metric jets
-    and ``PointFrame`` up front; inverse, Christoffel and weight jets on
-    first use.  The operators below take it as ``geom``.
+    """Metric and weight data of one node batch, computed once: the
+    ``PointFrame`` up front; the metric, inverse, Christoffel and weight
+    jets on first use (the metric jets up front when the frame is computed
+    here, since it reads them); Ricci_V on each read.  The operators below
+    take it as ``geom``.
 
     Each jet is built to the highest order a consumer reads: ``jg``,
     ``jginv`` and ``jV`` at order 2 (Gamma(f,f) and Hess V read second
-    derivatives), ``jgam`` at order 1 (Ricci reads first derivatives)."""
+    derivatives), ``jgam`` at order 1 (Ricci reads first derivatives).
+
+    The data are computed once per distinct point of the axes the space's
+    metric and weight read (``WeightedSpace.reads``), on a plain
+    ``NodeGeometry`` of those points, and gathered to the nodes: on a
+    tensor-product grid of a chart whose geometry ignores an axis, that
+    axis costs nothing.  Every per-node operation is elementwise, so the
+    gathered data equal the direct ones bit for bit; the gather keeps the
+    symmetric aliasing (``jgam[k][i][j] is jgam[k][j][i]``), each jet's
+    order and degree, and broadcast constant storage."""
 
     def __init__(self, space: WeightedSpace, x):
         self.space = space
         self.x = as_points(space, x)
-        self.jg = space.metric_jets(self.x)
-        self.frame = frame_at(space, self.x, self.jg)
+        proj = distinct(self.x, space.reads)
+        if proj is None:
+            self._base = self._where = None
+            self.frame = frame_at(space, self.x, self.jg)
+        else:
+            first, self._where = proj
+            # its points are distinct on the axes read, so it computes
+            # directly
+            self._base = NodeGeometry(
+                space, self.x.reshape(space.dim, -1)[:, first])
+            frame, where = self._base.frame, self._where
+            self.frame = PointFrame(
+                metric=take_batch(frame.metric, where),
+                inverse=take_batch(frame.inverse, where),
+                sqrt_det=take_batch(frame.sqrt_det, where),
+                christoffels=take_batch(frame.christoffels, where))
+
+    def _shared(self, name: str, build):
+        """``build()`` here, or the distinct-point geometry's ``name``
+        gathered to the nodes, one gathered jet per jet object."""
+        if self._base is None:
+            return build()
+        where, memo = self._where, {}
+
+        def gather(item):
+            if isinstance(item, list):
+                return [gather(e) for e in item]
+            if isinstance(item, Jet):
+                if id(item) not in memo:
+                    memo[id(item)] = item.gather(where)
+                return memo[id(item)]
+            return take_batch(item, where)
+
+        return gather(getattr(self._base, name))
+
+    @cached_property
+    def jg(self) -> List[List[Jet]]:
+        return self._shared("jg", lambda: self.space.metric_jets(self.x))
 
     @cached_property
     def jginv(self) -> List[List[Jet]]:
-        return jet_matrix_inverse(self.jg)
+        return self._shared("jginv", lambda: jet_matrix_inverse(self.jg))
 
     @cached_property
     def jgam(self) -> List[List[List[Jet]]]:
-        return christoffel_jets(self.space, self.x, self.jg, self.jginv)
+        return self._shared("jgam", lambda: christoffel_jets(
+            self.space, self.x, self.jg, self.jginv))
 
     @cached_property
     def jV(self) -> Jet:
-        return self.space.weight.jet(self.x, 2)
+        return self._shared("jV", lambda: self.space.weight.jet(self.x, 2))
+
+    @property
+    def ricci_v(self) -> np.ndarray:
+        """Ricci_V = Ricci + Hess V at the nodes; each consumer reads it
+        once, so it is not kept."""
+        return self._shared("ricci_v", lambda: ricci(
+            self.space, self.x, self) + hessian(self.space, self.jV,
+                                                 self.x, self))
 
 
 FieldOrJet = Union[ScalarField, Jet]
@@ -289,9 +354,15 @@ def witten_laplacian(space: WeightedSpace, f: FieldOrJet, x,
     x = as_points(space, x)
     geom = geom or NodeGeometry(space, x)
     jf = _jet(f, x)
-    H = hessian(space, jf, x, geom)
+    return laplacian_of_hessian(space, jf, hessian(space, jf, x, geom), geom)
+
+
+def laplacian_of_hessian(space: WeightedSpace, jf: Jet, H: np.ndarray,
+                         geom: NodeGeometry) -> np.ndarray:
+    """L f at the nodes of ``geom`` from the jet of f and its Hessian
+    there, for a caller that reads Hess f itself too."""
     lap = np.einsum("ij...,ij...->...", geom.frame.inverse, H)
-    return lap - gamma1(space, geom.jV, jf, x, geom)
+    return lap - gamma1(space, geom.jV, jf, geom.x, geom)
 
 
 def hs_norm_sq(space: WeightedSpace, H: np.ndarray, x,
@@ -306,9 +377,7 @@ def hs_norm_sq(space: WeightedSpace, H: np.ndarray, x,
 def bakry_emery_ricci(space: WeightedSpace, x,
                       geom: Optional[NodeGeometry] = None) -> np.ndarray:
     """Ricci_V = Ricci + Hess V at x."""
-    x = as_points(space, x)
-    geom = geom or NodeGeometry(space, x)
-    return ricci(space, x, geom) + hessian(space, geom.jV, x, geom)
+    return (geom or NodeGeometry(space, x)).ricci_v
 
 
 @dataclass

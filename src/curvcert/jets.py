@@ -160,6 +160,16 @@ def _bshape(mult, nd):
     return mult.reshape((-1,) + (1,) * (nd - 1))
 
 
+def take_batch(a: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """``a`` gathered along its last (batch) axis: the result has shape
+    ``a.shape[:-1] + where.shape``.  A stride-0 batch axis, the broadcast
+    storage of a constant, stays a read-only broadcast view."""
+    if a.strides[-1] == 0:
+        row = a[..., 0][(...,) + (None,) * where.ndim]
+        return np.broadcast_to(row, a.shape[:-1] + where.shape)
+    return np.take(a, where, axis=-1)
+
+
 def _batch(a: "Jet", b: "Jet"):
     sa, sb = a.batch_shape, b.batch_shape
     return sa if sa == sb else np.broadcast_shapes(sa, sb)
@@ -250,6 +260,12 @@ class Jet:
         if self.dim != other.dim:
             raise JetShapeError(
                 f"jet dimension mismatch: {self.dim} vs {other.dim}")
+
+    def gather(self, where) -> "Jet":
+        """This jet at the points ``where`` indexes in its one batch axis,
+        with its order and degree (see ``take_batch``)."""
+        return Jet._make(self.dim, self.order, self.degree,
+                         take_batch(self.stored, where))
 
     def truncate(self, order: int) -> "Jet":
         order = min(order, self.order)

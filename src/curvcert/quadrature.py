@@ -10,9 +10,13 @@ parametrized patches with the pullback density exp(-V) sqrt(det Gram).
 
 The interior rule runs in chunks of ``CHUNK`` nodes, one ``NodeGeometry``
 per chunk (and one per boundary patch) giving the density and whatever a
-``GeometryIntegrand`` reads.  An integrand returns one row or k rows per
-batch, or yields its rows one at a time; each row is reduced as it
-arrives, so no array longer than one batch is held per row.
+``GeometryIntegrand`` reads.  A geometry is computed once per distinct
+point of the chart axes its metric and weight read, so where the
+geometry ignores an axis (ball3's never reads the azimuth, the polar 2-D
+charts' reads only the radius) the tensor-product rule repeats no
+geometry along it.  An integrand returns one row or k rows per batch, or
+yields its rows one at a time; each row is reduced as it arrives, so no
+array longer than one batch is held per row.
 
 Reductions are ordered: each row's batch sum is numpy's pairwise sum over
 a fixed node ordering, and the chunk sums are added in chunk order, so

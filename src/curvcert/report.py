@@ -105,10 +105,13 @@ def run_suite(target: Target, k_list: Sequence[float] = (0.0,),
     results: List[CheckResult] = [
         check_bochner(space, jets, geom),
         check_dimension_term(space, jets, geom, float(space.dim))]
-    del geom, jets  # the weak sweep reads neither
+    del jets  # the weak sweep does not read them
+    # certify reads the pointwise checks' geometry when it holds every
+    # interior sample point
+    geom = geom if geom.x.shape == x.shape else None
     results += weak_checks(space, target.neumann(), target.h_field(), frames,
                            plan.quad_interior, plan.quad_boundary)
-    cert = certify(space, x, frames, k_list, n_list)
+    cert = certify(space, x, frames, k_list, n_list, geom)
     return {
         "label": target.label,
         "checks": results,

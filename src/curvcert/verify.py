@@ -23,15 +23,16 @@ not the counts that would rebuild it; ``SamplePlan.grids`` builds them.
 
 Every check that assumes the Neumann hypothesis re-verifies it first and
 fails loudly (GateError) if violated: that is a broken hypothesis, not a
-broken theorem.  A non-finite value in a pointwise check raises
-EvalError.  All verdicts are sampled necessary-condition certificates
-over stated grids, never proofs.
+broken theorem.  A non-finite value in a pointwise check or in the
+interior spectrum of a certificate raises EvalError.  All verdicts are
+sampled necessary-condition certificates over stated grids, never
+proofs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .exprlang import EvalError
 from .fields import ScalarField
 from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace,
                        bakry_emery_ricci, carre_du_champ_jet, gamma2_parts,
-                       hessian, hs_norm_sq, witten_laplacian)
+                       hessian, hs_norm_sq, laplacian_of_hessian)
 from .jets import Jet
 from .quadrature import (GeometryIntegrand, integrate_boundary,
                          integrate_interior, patch_points)
@@ -180,19 +181,18 @@ def _as_field(g) -> ScalarField:
 
 
 def _g_terms(space: WeightedSpace, geom: NodeGeometry, jg: Jet):
-    """The h-free interior pieces of the decomposition on one batch:
-    grad Gamma(g,g), Gamma(g, Lg), |Hess g|^2_HS, Ricci_V(grad g, grad g)."""
-    x, frame, n = geom.x, geom.frame, space.dim
+    """The h-free interior pieces of the decomposition on one batch but
+    |Hess g|^2_HS: grad Gamma(g,g), Gamma(g, Lg), Ricci_V(grad g, grad g)."""
+    x, frame = geom.x, geom.frame
     parts = gamma2_parts(space, jg, x, geom)
     dgam = parts.gamma_ff_jet.gradient()
     df = jg.gradient()
     dlf = parts.lf_jet.gradient()
     g_f_lf = np.einsum("ij...,i...,j...->...", frame.inverse, df, dlf)
-    hs = hs_norm_sq(space, hessian(space, jg, x, geom), x, frame)
     gfv = np.einsum("ij...,j...->i...", frame.inverse, df)
     ric = np.einsum("ij...,i...,j...->...", bakry_emery_ricci(space, x, geom),
                     gfv, gfv)
-    return dgam, g_f_lf, hs, ric
+    return dgam, g_f_lf, ric
 
 
 def _ii_of_gradient(bframe: BoundaryFrame, ju: Jet) -> np.ndarray:
@@ -218,11 +218,14 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
     def interior(geom: NodeGeometry) -> Iterator[np.ndarray]:
         x, ginv = geom.x, geom.frame.inverse
         jg = g.jet(x)
-        lg = witten_laplacian(space, jg, x, geom)
         dg = jg.gradient()
+        H = hessian(space, jg, x, geom)  # one Hess g for Lg and |Hess g|^2
+        lg = laplacian_of_hessian(space, jg, H, geom)
         if decomposition:
-            dgam, g_f_lf, hs_sq, ric = _g_terms(space, geom, jg)
-        del jg  # the order-3 jet is not held across the yields
+            hs_sq = hs_norm_sq(space, H, x, geom.frame)
+            H = None  # not held while Gamma2's jets are built
+            dgam, g_f_lf, ric = _g_terms(space, geom, jg)
+        del jg, H  # neither is held across the yields
         for h in hs:
             jh = h.jet(x, 1)
             hv = jh.value
@@ -500,12 +503,16 @@ class CurvatureReport:
                       "interior_flat": max_ricci <= tol})
 
 
-def interior_spectrum(space: WeightedSpace, x: np.ndarray) -> np.ndarray:
+def interior_spectrum(space: WeightedSpace, x: np.ndarray,
+                      geom: Optional[NodeGeometry] = None) -> np.ndarray:
     """The eigenvalues of Ricci_V relative to g at the interior sample
-    points x, (m, n) ascending."""
-    geom = NodeGeometry(space, x)
-    return eigenvalues_relative(bakry_emery_ricci(space, x, geom),
+    points x, (m, n) ascending, on ``geom`` (the geometry at x) if given.
+    A non-finite eigenvalue cannot be ranked: EvalError at its point."""
+    geom = geom or NodeGeometry(space, x)
+    eigs = eigenvalues_relative(bakry_emery_ricci(space, x, geom),
                                 geom.frame.metric)
+    _largest("ricci_v", [({}, np.max(np.abs(eigs), axis=-1), x)], 0.0)
+    return eigs
 
 
 def boundary_spectrum(frames: Sequence[BoundaryFrame]) -> Tuple:
@@ -519,14 +526,16 @@ def boundary_spectrum(frames: Sequence[BoundaryFrame]) -> Tuple:
 
 def certify(space: WeightedSpace, x: np.ndarray,
             frames: Sequence[BoundaryFrame], k_list: Sequence[float],
-            n_list: Sequence[float] = ()) -> CurvatureReport:
+            n_list: Sequence[float] = (),
+            geom: Optional[NodeGeometry] = None) -> CurvatureReport:
     """Sampled RCD verdicts from relative eigenvalues of Ricci_V at the
-    interior sample points x and of II on the boundary sample frames."""
+    interior sample points x, on ``geom`` (the geometry at x) if given,
+    and of II on the boundary sample frames."""
     if x.shape[1] == 0:
         raise ValueError("empty interior sample plan")
     if not frames:
         raise ValueError("empty boundary sample plan")
-    eigs = interior_spectrum(space, x)
+    eigs = interior_spectrum(space, x, geom)
     ki = int(np.argmin(eigs[:, 0]))
     k_interior = float(eigs[ki, 0])
     xb, eig, tr = boundary_spectrum(frames)

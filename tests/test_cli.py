@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from curvcert.cli import main
@@ -102,6 +103,37 @@ class TestCheck:
         code, out, err = run(capsys, "check", "bochner", "--config", str(p))
         assert code == 2
         assert "bochner: non-finite value at point" in err
+
+
+def _hot_dense_ini(tmp_path):
+    """The dense_family INI with a weight whose jets overflow inside."""
+    from test_geometry import DENSE_INI
+    text = DENSE_INI.read_text().replace('V = "0.5*x^2 + 0.2*sin(y)"',
+                                         'V = "exp(900*x)"')
+    assert 'exp(900*x)' in text
+    p = tmp_path / "hot.ini"
+    p.write_text(text)
+    return p
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["certify", "flatness"])
+def test_non_finite_ricci_v(capsys, tmp_path, command):
+    # Ricci_V overflows at the interior samples: no verdict can rank it
+    from curvcert.config import load_config
+    from curvcert.verify import interior_grid
+    p = _hot_dense_ini(tmp_path)
+    extra = ["--K", "0"] if command == "certify" else []
+    code, out, err = run(capsys, command, "--config", str(p), *extra)
+    assert code == 2
+    assert out == ""
+    prefix = "error: ricci_v: non-finite value at point "
+    assert err.startswith(prefix)
+    point = json.loads(err[len(prefix):].strip())
+    cfg = load_config(str(p))
+    samples = interior_grid(cfg.space, cfg.plan.interior_counts)
+    assert any(np.array_equal(point, samples[:, k])
+               for k in range(samples.shape[1]))
 
 
 class TestCertify:

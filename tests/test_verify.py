@@ -5,7 +5,8 @@ import functools
 import numpy as np
 import pytest
 
-from curvcert import boundary, geometry, quadrature, report, verify
+from curvcert import (boundary, config, geometry, quadrature, report,
+                      verify)
 from curvcert.boundary import NeumannTestFunction
 from curvcert.exprlang import EvalError
 from curvcert.fields import ConstField, CutoffField, ExprField, ScalarField
@@ -283,6 +284,58 @@ class TestSharedSweep:
         assert sorted(shapes["normal_field_jets"]) == sorted([grid, quad])
         assert sorted(shapes["second_fundamental_form"]) == sorted(
             [grid, quad])
+
+    def test_small_plan_one_geometry_per_grid(self, tmp_path, monkeypatch):
+        # with at most 100 interior samples the pointwise checks' geometry
+        # holds every sample point, and certify reads it
+        from test_geometry import DENSE_INI
+        text = DENSE_INI.read_text().replace("interior = 24,24",
+                                             "interior = 8,8", 1)
+        assert "interior = 8,8" in text
+        p = tmp_path / "small.ini"
+        p.write_text(text)
+        target = report.target_from_config(config.load_config(str(p)))
+        points = []
+        init = geometry.NodeGeometry.__init__
+
+        def recorded_init(self, space, x):
+            points.append(np.array(x))
+            init(self, space, x)
+
+        monkeypatch.setattr(geometry.NodeGeometry, "__init__", recorded_init)
+        run = report.run_suite(target)
+        assert run["certificate"].interior_samples == 64
+        assert any(a.shape == (2, 64) for a in points)
+        for i, a in enumerate(points):
+            for b in points[:i]:
+                assert not (a.shape == b.shape and np.array_equal(a, b))
+
+    def test_hessian_of_g_once_per_chunk(self, entry, monkeypatch):
+        # Lg and |Hess g|^2 read one Hess g per interior chunk
+        e = entry("half_space")
+        g_jets, hessians = [], collections.Counter()  # by g_jets index
+
+        class RecordingField(CountingField):
+            def jet(self, x, order=MAX_ORDER):
+                out = super().jet(x, order)
+                g_jets.append(out)
+                return out
+
+        original = geometry.hessian
+
+        def counted(space, f, *args, **kwargs):
+            for k, j in enumerate(g_jets):
+                hessians[k] += j is f
+            return original(space, f, *args, **kwargs)
+
+        for module in (geometry, verify):
+            monkeypatch.setattr(module, "hessian", counted)
+        g = RecordingField(e.neumann_family()[0].field)
+        verify._weak_integrals(e.space, g, e.h_fields()[:2],
+                               e.plan.quad_interior, e.plan.quad_boundary)
+        interior = [k for k, j in enumerate(g_jets) if j.order == MAX_ORDER]
+        assert len(interior) == 3  # half_space's interior chunks
+        assert [hessians[k] for k in interior] == [1, 1, 1]
 
     def test_normal_field_once_per_patch(self, entry, monkeypatch):
         # the weak sweep's flux and II rows read one normal-field jet per
