@@ -207,7 +207,11 @@ class NodeGeometry:
     axis costs nothing.  Every per-node operation is elementwise, so the
     gathered data equal the direct ones bit for bit; the gather keeps the
     symmetric aliasing (``jgam[k][i][j] is jgam[k][j][i]``), each jet's
-    order and degree, and broadcast constant storage."""
+    order and degree, and broadcast constant storage.  ``on_distinct``
+    hands a consumer whose own fields read no other axis (the weak
+    sweep's g-only terms) that distinct-point geometry and the map, so
+    that it computes its terms there and gathers them the same way, bit
+    for bit."""
 
     def __init__(self, space: WeightedSpace, x):
         self.space = space
@@ -228,6 +232,19 @@ class NodeGeometry:
                 inverse=take_batch(frame.inverse, where),
                 sqrt_det=take_batch(frame.sqrt_det, where),
                 christoffels=take_batch(frame.christoffels, where))
+
+    def on_distinct(self, axes: Sequence[int]
+                    ) -> Optional[Tuple["NodeGeometry", np.ndarray]]:
+        """The geometry this one gathers from and the map from each node
+        to its point (see ``distinct``), when ``axes`` is among the axes
+        the metric and weight read; otherwise, or when this geometry was
+        computed at the nodes, None, meaning "compute at the nodes".
+        Terms computed from that geometry and fields that read only
+        ``axes``, elementwise per point, equal the terms computed here bit
+        for bit once gathered with ``take_batch``.  Nothing is built."""
+        if self._base is None or not set(axes) <= set(self.space.reads):
+            return None
+        return self._base, self._where
 
     def _shared(self, name: str, build):
         """``build()`` here, or the distinct-point geometry's ``name``
@@ -382,11 +399,9 @@ def bakry_emery_ricci(space: WeightedSpace, x,
 
 @dataclass
 class Gamma2Parts:
-    """Jet-assembled intermediates of Gamma2 reused by the checkers."""
+    """Gamma2(f) and the jet of f it was computed from."""
 
     f_jet: Jet                    # order 3
-    gamma_ff_jet: Jet             # order 2: Gamma(f,f) as a field
-    lf_jet: Jet                   # order 1: L f as a field
     gamma2: np.ndarray
 
 
@@ -403,15 +418,12 @@ def carre_du_champ_jet(geom: NodeGeometry, df: Sequence[Jet]) -> Jet:
     return gamma_ff
 
 
-def gamma2_parts(space: WeightedSpace, f: FieldOrJet, x,
-                 geom: Optional[NodeGeometry] = None) -> Gamma2Parts:
-    """Gamma2(f) via operator composition over jets of one order lower."""
-    x = as_points(space, x)
-    n = space.dim
-    geom = geom or NodeGeometry(space, x)
-    jginv, jgam, frame, jV = geom.jginv, geom.jgam, geom.frame, geom.jV
-    jf = _jet(f, x)
-    df = [jf.partial(i) for i in range(n)]
+def gamma2_jets(geom: NodeGeometry, df: Sequence[Jet]) -> Tuple[Jet, Jet]:
+    """Gamma(f,f) (order 2) and L f (order 1) as jets, from the jets of
+    the first partials of an order-3 jet of f: the two fields whose
+    derivatives Gamma2 and the weak decomposition read."""
+    n = len(df)
+    jginv, jgam, jV = geom.jginv, geom.jgam, geom.jV
     dV = [jV.partial(i) for i in range(n)]
     gamma_ff = carre_du_champ_jet(geom, df)
 
@@ -423,13 +435,24 @@ def gamma2_parts(space: WeightedSpace, f: FieldOrJet, x,
                 hij = hij - jgam[k][i][j] * df[k]
             t = jginv[i][j] * (hij - dV[i] * df[j])
             lf = t if lf is None else lf + t
+    return gamma_ff, lf
 
-    half_l_gamma = 0.5 * _pointwise_witten(space, gamma_ff, jV, frame)
+
+def gamma2_parts(space: WeightedSpace, f: FieldOrJet, x,
+                 geom: Optional[NodeGeometry] = None) -> Gamma2Parts:
+    """Gamma2(f) via operator composition over jets of one order lower."""
+    x = as_points(space, x)
+    geom = geom or NodeGeometry(space, x)
+    frame = geom.frame
+    jf = _jet(f, x)
+    df = [jf.partial(i) for i in range(space.dim)]
+    gamma_ff, lf = gamma2_jets(geom, df)
+
+    half_l_gamma = 0.5 * _pointwise_witten(space, gamma_ff, geom.jV, frame)
     dlf = lf.gradient()
     dfv = np.stack([d.value for d in df])
     gamma_f_lf = np.einsum("ij...,i...,j...->...", frame.inverse, dfv, dlf)
-    return Gamma2Parts(f_jet=jf, gamma_ff_jet=gamma_ff,
-                       lf_jet=lf, gamma2=half_l_gamma - gamma_f_lf)
+    return Gamma2Parts(f_jet=jf, gamma2=half_l_gamma - gamma_f_lf)
 
 
 def _pointwise_witten(space: WeightedSpace, ju: Jet, jV: Jet,

@@ -14,8 +14,9 @@ Ricci tensor is one named, reportable check:
 Green's formula and the weak Laplacian are one identity read from two
 sides.  ``weak_checks`` returns the four Neumann-gated checks (green,
 mv_laplacian, ii_identity, ricci_decomposition) from one gate and one
-sweep, which builds the geometry and g's terms once per node batch and
-streams the rows of each test density from one jet of it;
+sweep, which builds the geometry once per node batch and g's terms once
+per distinct point of the axes the geometry reads when g reads no other
+axis, and streams the rows of each test density from one jet of it at the nodes;
 ``decomposition_batch`` is the gate plus that sweep over a family of
 densities.  Each check takes the sample grid it reads (a
 ``NodeGeometry``, interior points, or one ``BoundaryFrame`` per patch),
@@ -41,9 +42,10 @@ from .boundary import (BoundaryFrame, NeumannTestFunction, boundary_frame,
 from .exprlang import EvalError
 from .fields import ScalarField
 from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace,
-                       bakry_emery_ricci, carre_du_champ_jet, gamma2_parts,
-                       hessian, hs_norm_sq, laplacian_of_hessian)
-from .jets import Jet
+                       bakry_emery_ricci, carre_du_champ_jet, gamma2_jets,
+                       gamma2_parts, hessian, hs_norm_sq,
+                       laplacian_of_hessian)
+from .jets import Jet, take_batch
 from .quadrature import (GeometryIntegrand, integrate_boundary,
                          integrate_interior, patch_points)
 
@@ -180,21 +182,6 @@ def _as_field(g) -> ScalarField:
     return g.field if isinstance(g, NeumannTestFunction) else g
 
 
-def _g_terms(space: WeightedSpace, geom: NodeGeometry, jg: Jet):
-    """The h-free interior pieces of the decomposition on one batch but
-    |Hess g|^2_HS: grad Gamma(g,g), Gamma(g, Lg), Ricci_V(grad g, grad g)."""
-    x, frame = geom.x, geom.frame
-    parts = gamma2_parts(space, jg, x, geom)
-    dgam = parts.gamma_ff_jet.gradient()
-    df = jg.gradient()
-    dlf = parts.lf_jet.gradient()
-    g_f_lf = np.einsum("ij...,i...,j...->...", frame.inverse, df, dlf)
-    gfv = np.einsum("ij...,j...->i...", frame.inverse, df)
-    ric = np.einsum("ij...,i...,j...->...", bakry_emery_ricci(space, x, geom),
-                    gfv, gfv)
-    return dgam, g_f_lf, ric
-
-
 def _ii_of_gradient(bframe: BoundaryFrame, ju: Jet) -> np.ndarray:
     """II(grad u, grad u), through v_a = g(grad u, e_a) = e_a^i d_i u."""
     du = ju.gradient()
@@ -214,20 +201,52 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
     rows from one jet of that h.  Each field is jetted to the order its
     rows read: h enters only through h and grad h, so it is jetted at
     order 1 inside and read as a value on the boundary; g needs order 3
-    inside (Gamma(g, Lg), |Hess g|^2) and order 1 on the boundary."""
-    def interior(geom: NodeGeometry) -> Iterator[np.ndarray]:
+    inside (Gamma(g, Lg), |Hess g|^2) and order 1 on the boundary.
+
+    The h-free interior terms (grad g, Lg, |Hess g|^2, grad Gamma(g,g),
+    Gamma(g, Lg), Ricci_V(grad g, grad g)) read only g and the geometry,
+    so when g reads no axis the metric and weight do not, they are
+    computed on the chunk's own distinct-point geometry
+    (``NodeGeometry.on_distinct``) and gathered to the nodes: a ball3
+    chunk computes them on its 2048 (r, theta) pairs, not its 16384
+    nodes.  Each is elementwise per node, so the gathered terms equal
+    the direct ones bit for bit; the h rows are formed at the nodes."""
+    def g_terms(geom: NodeGeometry) -> List[np.ndarray]:
         x, ginv = geom.x, geom.frame.inverse
         jg = g.jet(x)
         dg = jg.gradient()
         H = hessian(space, jg, x, geom)  # one Hess g for Lg and |Hess g|^2
-        lg = laplacian_of_hessian(space, jg, H, geom)
+        terms = [dg, laplacian_of_hessian(space, jg, H, geom)]
         if decomposition:
-            hs_sq = hs_norm_sq(space, H, x, geom.frame)
-            H = None  # not held while Gamma2's jets are built
-            dgam, g_f_lf, ric = _g_terms(space, geom, jg)
-        del jg, H  # neither is held across the yields
+            terms.append(hs_norm_sq(space, H, x, geom.frame))
+            del H  # not held while Gamma2's jets are built
+            gamma_gg, jlg = gamma2_jets(
+                geom, [jg.partial(i) for i in range(space.dim)])
+            gv = np.einsum("ij...,j...->i...", ginv, dg)  # grad g
+            terms += [gamma_gg.gradient(),
+                      np.einsum("ij...,i...,j...->...", ginv, dg,
+                                jlg.gradient()),  # Gamma(g, Lg)
+                      np.einsum("ij...,i...,j...->...",
+                                bakry_emery_ricci(space, x, geom), gv, gv)]
+        return terms
+
+    def interior(geom: NodeGeometry) -> Iterator[np.ndarray]:
+        ginv = geom.frame.inverse
+        proj = geom.on_distinct(g.reads)
+        if proj is None:
+            terms = g_terms(geom)
+        else:
+            try:
+                terms = [take_batch(t, proj[1]) for t in g_terms(proj[0])]
+            except EvalError:
+                # evaluate every node, so that the error names the chunk
+                terms = g_terms(geom)
+            del proj  # not held across the yields
+        dg, lg = terms[:2]
+        if decomposition:
+            hs_sq, dgam, g_f_lf, ric = terms[2:]
         for h in hs:
-            jh = h.jet(x, 1)
+            jh = h.jet(geom.x, 1)
             hv = jh.value
             dh = jh.gradient()
             yield np.einsum("ij...,i...,j...->...", ginv, dh, dg)  # Gamma(h,g)

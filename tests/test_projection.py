@@ -1,8 +1,11 @@
-"""Geometry and expression fields are evaluated once per distinct point of
-the chart axes they read, then gathered to the nodes.  The gathered
-results must equal the direct evaluation bit for bit, on every zoo entry
-and on the INI space, and errors must read as the direct evaluation's.
-The direct path is forced by making ``distinct`` return None."""
+"""Geometry, expression fields and the weak sweep's g-only terms are
+evaluated once per distinct point of the chart axes they read, then
+gathered to the nodes.  The gathered results must equal the direct
+evaluation bit for bit, on every zoo entry and on the INI space, and
+errors must read as the direct evaluation's.  The direct path is forced
+by making ``distinct`` return None."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -24,10 +27,17 @@ def _target(name):
     return report.target_from_zoo(zoo.load(name))
 
 
+DISTINCT = fields.distinct
+
+
 def _direct(mp):
-    """Evaluate directly: every module that binds ``distinct`` sees None."""
-    for module in (fields, geometry):
-        mp.setattr(module, "distinct", lambda x, axes: None)
+    """Evaluate directly: every name in a curvcert module that binds
+    ``distinct`` is rebound to a function that returns None."""
+    for name, module in list(sys.modules.items()):
+        if name == "curvcert" or name.startswith("curvcert."):
+            for attr, value in list(vars(module).items()):
+                if value is DISTINCT:
+                    mp.setattr(module, attr, lambda x, axes: None)
 
 
 def _both(monkeypatch, run):
@@ -53,6 +63,32 @@ def _grids(space, plan):
         yield bf.point
 
 
+def _sweep_case(name):
+    """(space, plan, g, hs): a Neumann g and two test densities on
+    ``name``."""
+    target = _target(name)
+    if name == DENSE_INI.name:
+        g = target.neumann("0.3*x + 0.2*x^2*cos(y) + (-0.25)*x*sin(y)")
+        hs = [target.h_field(f"1 + {c}*x^2*cos(y) + 0.1*sin(2*y)")
+              for c in ("0.2", "(-0.15)")]
+    else:
+        g, hs = target.neumann(), zoo.load(name).h_fields()[:2]
+    return target.space, target.plan, g, hs
+
+
+def _recording_geometries(monkeypatch):
+    """The batch shape of every ``NodeGeometry`` built from here on."""
+    built = []
+    init = NodeGeometry.__init__
+
+    def recorded_init(self, space, x):
+        built.append(np.shape(x))
+        init(self, space, x)
+
+    monkeypatch.setattr(NodeGeometry, "__init__", recorded_init)
+    return built
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("name", NAMES)
     def test_report_json(self, monkeypatch, name):
@@ -63,14 +99,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("name", ["ball3", DENSE_INI.name])
     def test_decomposition_batch_pairs(self, monkeypatch, name):
-        target = _target(name)
-        space, plan = target.space, target.plan
-        if name == DENSE_INI.name:
-            g = target.neumann("0.3*x + 0.2*x^2*cos(y) + (-0.25)*x*sin(y)")
-            hs = [target.h_field(f"1 + {c}*x^2*cos(y) + 0.1*sin(2*y)")
-                  for c in ("0.2", "(-0.15)")]
-        else:
-            g, hs = target.neumann(), zoo.load(name).h_fields()[:2]
+        space, plan, g, hs = _sweep_case(name)
 
         def pairs():
             return [tuple(float.hex(v) for v in pair)
@@ -125,14 +154,7 @@ class TestBitIdentity:
         assert distinct(x, (0, 1)) is None
         assert distinct(x, (0,)) is None
         space = zoo.load("ball3").space
-        built = []
-        init = NodeGeometry.__init__
-
-        def recorded_init(self, space, x):
-            built.append(np.shape(x))
-            init(self, space, x)
-
-        monkeypatch.setattr(NodeGeometry, "__init__", recorded_init)
+        built = _recording_geometries(monkeypatch)
         NodeGeometry(space, x)
         assert built == [(3, 400)]
 
@@ -244,3 +266,98 @@ class TestCountsAndErrors:
         g = j.gather(np.array([0, 0, 3, 1, 2]))
         assert g.stored.shape == (1, 5) and g.stored.strides[-1] == 0
         assert (g.order, g.degree) == (j.order, j.degree)
+
+
+class _Recorded(fields.ScalarField):
+    """A field that records the batch size of each order-3 jet taken of
+    it; ``reads`` is the wrapped field's, or every axis with ``opaque``."""
+
+    def __init__(self, field, opaque=False):
+        self.field, self.dim, self.sizes = field, field.dim, []
+        self.opaque = opaque
+
+    @property
+    def reads(self):
+        return tuple(range(self.dim)) if self.opaque else self.field.reads
+
+    def jet(self, x, order=3):
+        if order == 3:
+            self.sizes.append(int(np.prod(np.shape(x)[1:])))
+        return self.field.jet(x, order)
+
+
+def _sweep(space, plan, g, hs):
+    return [{k: float(v).hex() for k, v in w.items()}
+            for w in verify._weak_integrals(space, g, hs, plan.quad_interior,
+                                            plan.quad_boundary)]
+
+
+class TestWeakSweep:
+    def test_ball3_g_terms_on_distinct_pairs(self):
+        # each 16384-node chunk jets g on its 2048 (r, theta) pairs
+        space, plan, g, hs = _sweep_case("ball3")
+        assert g.field.reads == space.reads == (0, 1)
+        rec = _Recorded(g.field)
+        _sweep(space, plan, rec, hs)
+        assert rec.sizes == [2048, 2048]
+
+    def test_ball3_builds_no_extra_geometry(self, monkeypatch):
+        # the g terms use the geometry each chunk already gathers from;
+        # an opaque g (every axis read) takes the direct path
+        space, plan, g, hs = _sweep_case("ball3")
+        built = _recording_geometries(monkeypatch)
+        _sweep(space, plan, g.field, hs)
+        projected, built[:] = list(built), []
+        opaque = _Recorded(g.field, opaque=True)
+        _sweep(space, plan, opaque, hs)
+        assert opaque.sizes == [16384, 16384]
+        assert projected == built
+
+    @pytest.mark.parametrize("name", ["ball", "half_space", DENSE_INI.name])
+    def test_g_on_full_chunk(self, name):
+        # g reads every axis, so its terms are computed at the nodes
+        space, plan, g, hs = _sweep_case(name)
+        nodes = int(np.prod(plan.quad_interior))
+        rec = _Recorded(g.field)
+        _sweep(space, plan, rec, hs)
+        assert rec.sizes == [min(quadrature.CHUNK, nodes - start)
+                             for start in range(0, nodes, quadrature.CHUNK)]
+
+    def test_g_axes_strictly_contain_the_metric_axes(self, monkeypatch):
+        # the metric and weight read x, g reads (x, y) as well: the terms
+        # are computed at the nodes, and no geometry is built for them
+        def f(src):
+            return ExprField(src, 3)
+
+        one = fields.ConstField(3, 1.0)
+        zero = fields.ConstField(3, 0.0)
+        space = geometry.WeightedSpace(
+            dim=3, metric=[[f("1 + 0.1*x^2"), zero, zero],
+                           [zero, f("1 + 0.2*x"), zero],
+                           [zero, zero, one]],
+            weight=f("0.3*x^2"), defining_fn=f("x - 2"),
+            chart_box=[(0.5, 1.5), (0.0, 1.0), (0.0, 1.0)])
+        plan = verify.SamplePlan((4, 4, 4), (), (8, 8, 8), ())
+        g = _Recorded(f("sin(x)*cos(2*y)"))
+        hs = [f("1 + 0.5*z*x"), f("y^2")]
+        assert space.reads == (0,) and g.reads == (0, 1)
+        built = _recording_geometries(monkeypatch)
+        a, b = _both(monkeypatch, lambda: _sweep(space, plan, g, hs))
+        assert a == b
+        assert g.sizes == [512, 512]
+        # projected: the chunk and its base; then the direct chunk
+        assert built == [(3, 512), (3, 8), (3, 512)]
+
+    def test_eval_error_names_the_chunk(self, monkeypatch):
+        # g fails on the distinct pairs; the error names the chunk's batch
+        space, plan, _, hs = _sweep_case("ball3")
+        g = ExprField("log(x - 0.5)*cos(y)", 3)
+
+        def message():
+            with pytest.raises(EvalError) as info:
+                _sweep(space, plan, g, hs)
+            return str(info.value)
+
+        got, want = _both(monkeypatch, message)
+        assert got == want
+        assert want.endswith("at point batch of 16384 points")
