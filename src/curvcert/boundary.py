@@ -3,8 +3,9 @@
 The outward unit normal is the level-set normal N = grad(phi)/|grad phi|_g
 (phi increases along N since Omega = {phi < 0}); it is extended off the
 boundary by the same formula so the shape operator can be differentiated
-through jets.  The second fundamental form is II(X, Y) = g(nabla_X N, Y)
-on the g-orthonormal tangent frame, so II >= 0 means a convex boundary.
+through jets; ``normal_field_jets`` is its one formula.  The second
+fundamental form is II(X, Y) = g(nabla_X N, Y) on the g-orthonormal
+tangent frame, so II >= 0 means a convex boundary.
 
 ``make_neumann`` builds compactly supported fields with vanishing normal
 derivative on {phi = 0} by the exact correction
@@ -39,17 +40,14 @@ class BoundaryError(ValueError):
 
 @dataclass
 class BoundaryFrame:
-    """Outward g-unit normal and g-orthonormal tangent frame at x; the
-    normal-field jets and II on first use, like ``NodeGeometry``'s jets."""
+    """Outward g-unit normal, read off its jets, and g-orthonormal tangent
+    frame at x; II on first use, like ``NodeGeometry``'s jets."""
 
     point: np.ndarray
-    normal: np.ndarray    # (n, ...) contravariant components
-    tangents: np.ndarray  # (n-1, n, ...)
+    normal: np.ndarray      # (n, ...) contravariant: normal_jets' values
+    normal_jets: List[Jet]  # order 1, from normal_field_jets
+    tangents: np.ndarray    # (n-1, n, ...)
     geom: NodeGeometry
-
-    @cached_property
-    def normal_jets(self) -> List[Jet]:
-        return normal_field_jets(self.geom.space, self.point, self.geom)
 
     @cached_property
     def II(self) -> np.ndarray:
@@ -73,14 +71,8 @@ def boundary_frame(space: WeightedSpace, x,
     n = space.dim
     geom = geom or NodeGeometry(space, x)
     frame = geom.frame
-    dphi = space.defining_fn.jet(x, 1).gradient()
-    gphi = np.einsum("ij...,j...->i...", frame.inverse, dphi)
-    norm2 = np.einsum("i...,i...->...", dphi, gphi)
-    if np.any(norm2 < GRAD_PHI_FLOOR**2):
-        raise BoundaryError(
-            f"degenerate defining-function gradient: |grad phi|_g = "
-            f"{np.sqrt(np.min(norm2)):.3e} < {GRAD_PHI_FLOOR}")
-    N = gphi / np.sqrt(norm2)
+    jN = normal_field_jets(space, x, geom)
+    N = np.stack([j.value for j in jN])
 
     def g_dot(u, v):
         return np.einsum("i...,ij...,j...->...", u, frame.metric, v)
@@ -104,14 +96,15 @@ def boundary_frame(space: WeightedSpace, x,
             break
     if len(tangents) != n - 1:
         raise BoundaryError("could not build a full tangent frame")
-    return BoundaryFrame(point=x, normal=N, tangents=np.stack(tangents),
-                         geom=geom)
+    return BoundaryFrame(point=x, normal=N, normal_jets=jN,
+                         tangents=np.stack(tangents), geom=geom)
 
 
 def normal_field_jets(space: WeightedSpace, x,
                       geom: Optional[NodeGeometry] = None) -> List[Jet]:
     """Order-1 jets of the contravariant components of grad(phi)/|grad phi|_g:
-    the II reads their values and gradients, the flux their values."""
+    the II reads their values and gradients, the flux and the frame their
+    values.  BoundaryError where |grad phi|_g < GRAD_PHI_FLOOR."""
     n = space.dim
     jginv = (geom or NodeGeometry(space, x)).jginv
     jphi = space.defining_fn.jet(x, 2)
@@ -127,6 +120,10 @@ def normal_field_jets(space: WeightedSpace, x,
     for i in range(n):
         t = dphi[i] * up[i]
         norm2 = t if norm2 is None else norm2 + t
+    if np.any(norm2.value < GRAD_PHI_FLOOR**2):
+        raise BoundaryError(
+            f"degenerate defining-function gradient: |grad phi|_g = "
+            f"{np.sqrt(np.min(norm2.value)):.3e} < {GRAD_PHI_FLOOR}")
     inv_norm = norm2 ** -0.5
     return [u * inv_norm for u in up]
 
@@ -137,13 +134,12 @@ def second_fundamental_form(space: WeightedSpace, x,
     """II_ab = g(nabla_{e_a} N, e_b) on the orthonormal tangent frame,
     from the frame's normal-field jets."""
     bframe = bframe or boundary_frame(space, x)
-    frame = bframe.geom.frame
-    Nval = np.stack([j.value for j in bframe.normal_jets])
+    gam = bframe.geom.christoffels
     dN = np.stack([j.gradient() for j in bframe.normal_jets])  # [k, i]
     # covariant derivative of the normal field: d_i N^k + G^k_ij N^j
-    covdN = dN + np.einsum("kij...,j...->ki...", frame.christoffels, Nval)
+    covdN = dN + np.einsum("kij...,j...->ki...", gam, bframe.normal)
     II = np.einsum("ai...,ki...,kl...,bl...->ab...", bframe.tangents, covdN,
-                   frame.metric, bframe.tangents)
+                   bframe.geom.frame.metric, bframe.tangents)
     return 0.5 * (II + np.swapaxes(II, 0, 1))
 
 

@@ -13,6 +13,9 @@ conventions (the single normative statement for the whole package):
 * iterated operator ``Gamma2(f) = 1/2 L Gamma(f,f) - Gamma(f, L f)``,
   computed by running the operator arithmetic over jets of one order
   lower, never by finite differences.
+
+Each quantity has one formula: the Christoffel values are those of
+``christoffel_jets`` and Gamma2 reads L Gamma(f,f) from ``witten_laplacian``.
 """
 
 from __future__ import annotations
@@ -118,28 +121,26 @@ def jet_matrix_inverse(a: List[List[Jet]]) -> List[List[Jet]]:
 
 @dataclass
 class PointFrame:
-    """Cached per-point metric data consumed by every operator."""
+    """Per-point metric values, their inverse and the volume density; the
+    Christoffel values are ``NodeGeometry.christoffels``."""
 
     metric: np.ndarray        # (n, n, ...)
     inverse: np.ndarray       # (n, n, ...)
     sqrt_det: np.ndarray
-    christoffels: np.ndarray  # (n, n, n, ...) indexed [k, i, j]
 
 
 def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None
              ) -> PointFrame:
-    """Metric matrix, inverse, volume density and Christoffels at x."""
+    """Metric matrix, inverse and volume density at x."""
     x = as_points(space, x)
     n = space.dim
     if jg is None:
         jg = space.metric_jets(x)
     batch = jg[0][0].batch_shape
     G = np.zeros((n, n) + batch)
-    dg = np.zeros((n, n, n) + batch)
     for i in range(n):
         for j in range(i, n):
             G[i, j] = G[j, i] = jg[i][j].value
-            dg[i, j] = dg[j, i] = jg[i][j].gradient()
     Gm = _to_mat(G)
     eig = np.linalg.eigvalsh(Gm)
     min_eig = eig[..., 0]
@@ -151,25 +152,16 @@ def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None
             f"{np.min(min_eig):.3e} at point {np.asarray(pt).ravel()}")
     Ginv = _from_mat(np.linalg.inv(Gm))
     sqrt_det = np.sqrt(np.linalg.det(Gm))
-    gamma = np.zeros((n, n, n) + batch)
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                acc = 0.0
-                for l in range(n):
-                    acc = acc + Ginv[k, l] * (dg[j, l, i] + dg[i, l, j]
-                                              - dg[i, j, l])
-                gamma[k, i, j] = gamma[k, j, i] = 0.5 * acc
-    return PointFrame(metric=G, inverse=Ginv, sqrt_det=sqrt_det,
-                      christoffels=gamma)
+    return PointFrame(metric=G, inverse=Ginv, sqrt_det=sqrt_det)
 
 
 def christoffel_jets(space: WeightedSpace, x, jg: List[List[Jet]],
                      jginv: List[List[Jet]]) -> List[List[List[Jet]]]:
     """Christoffel symbols as order-1 jets (Ricci reads their values and
-    gradients, Gamma2 their values), from the order-2 metric jets and
-    their inverse at x.  Each symbol is computed for j >= i only: the
-    (k, j, i) entry is the (k, i, j) jet, which it equals bit for bit."""
+    gradients, the Hessian and the II their values), from the order-2
+    metric jets and their inverse at x.  Each symbol is computed for
+    j >= i only: the (k, j, i) entry is the (k, i, j) jet, which it equals
+    bit for bit."""
     n = space.dim
     djg: List[List[Optional[List[Jet]]]] = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -192,13 +184,15 @@ def christoffel_jets(space: WeightedSpace, x, jg: List[List[Jet]],
 class NodeGeometry:
     """Metric and weight data of one node batch, computed once: the
     ``PointFrame`` up front; the metric, inverse, Christoffel and weight
-    jets on first use (the metric jets up front when the frame is computed
-    here, since it reads them); Ricci_V on each read.  The operators below
-    take it as ``geom``.
+    jets and ``christoffels`` on first use (the metric jets up front when
+    the frame is computed here, since it reads them); Ricci_V on each
+    read.  The operators below take it as ``geom``.
 
     Each jet is built to the highest order a consumer reads: ``jg``,
     ``jginv`` and ``jV`` at order 2 (Gamma(f,f) and Hess V read second
     derivatives), ``jgam`` at order 1 (Ricci reads first derivatives).
+    ``christoffels`` (the values of ``jgam``) is not built with the frame,
+    where the jets it needs would be alive while g's order-3 jet is built.
 
     The data are computed once per distinct point of the axes the space's
     metric and weight read (``WeightedSpace.reads``), on a plain
@@ -230,8 +224,7 @@ class NodeGeometry:
             self.frame = PointFrame(
                 metric=take_batch(frame.metric, where),
                 inverse=take_batch(frame.inverse, where),
-                sqrt_det=take_batch(frame.sqrt_det, where),
-                christoffels=take_batch(frame.christoffels, where))
+                sqrt_det=take_batch(frame.sqrt_det, where))
 
     def on_distinct(self, axes: Sequence[int]
                     ) -> Optional[Tuple["NodeGeometry", np.ndarray]]:
@@ -278,6 +271,12 @@ class NodeGeometry:
             self.space, self.x, self.jg, self.jginv))
 
     @cached_property
+    def christoffels(self) -> np.ndarray:
+        """The values of ``jgam``, indexed [k, i, j] ahead of the batch."""
+        return self._shared("christoffels", lambda: np.array(
+            [[[c.value for c in row] for row in p] for p in self.jgam]))
+
+    @cached_property
     def jV(self) -> Jet:
         return self._shared("jV", lambda: self.space.weight.jet(self.x, 2))
 
@@ -303,16 +302,11 @@ def ricci(space: WeightedSpace, x,
     """Ricci tensor components R_ij at x, symmetrized."""
     x = as_points(space, x)
     n = space.dim
-    jgam = (geom or NodeGeometry(space, x)).jgam
-    batch = jgam[0][0][0].batch_shape
-    gam = np.zeros((n, n, n) + batch)
-    dgam = np.zeros((n, n, n, n) + batch)  # [k, i, j, l] = d_l G^k_ij
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                gam[k, i, j] = jgam[k][i][j].value
-                dgam[k, i, j] = jgam[k][i][j].gradient()
-    R = np.zeros((n, n) + batch)
+    geom = geom or NodeGeometry(space, x)
+    gam = geom.christoffels
+    dgam = np.array([[[c.gradient() for c in row] for row in p]
+                     for p in geom.jgam])  # [k, i, j, l] = d_l G^k_ij
+    R = np.zeros((n, n) + gam.shape[3:])
     for i in range(n):
         for j in range(n):
             acc = 0.0
@@ -329,7 +323,7 @@ def hessian(space: WeightedSpace, f: FieldOrJet, x,
             geom: Optional[NodeGeometry] = None) -> np.ndarray:
     """Covariant Hessian components (Hess f)_ij at x."""
     x = as_points(space, x)
-    frame = (geom or NodeGeometry(space, x)).frame
+    gam = (geom or NodeGeometry(space, x)).christoffels
     jf = _jet(f, x)
     n = space.dim
     df = [jf.partial(i) for i in range(n)]
@@ -338,7 +332,7 @@ def hessian(space: WeightedSpace, f: FieldOrJet, x,
         for j in range(i, n):
             v = df[i].partial(j).value
             for k in range(n):
-                v = v - frame.christoffels[k, i, j] * df[k].value
+                v = v - gam[k, i, j] * df[k].value
             H[i, j] = H[j, i] = v
     return H
 
@@ -443,32 +437,16 @@ def gamma2_parts(space: WeightedSpace, f: FieldOrJet, x,
     """Gamma2(f) via operator composition over jets of one order lower."""
     x = as_points(space, x)
     geom = geom or NodeGeometry(space, x)
-    frame = geom.frame
     jf = _jet(f, x)
     df = [jf.partial(i) for i in range(space.dim)]
     gamma_ff, lf = gamma2_jets(geom, df)
 
-    half_l_gamma = 0.5 * _pointwise_witten(space, gamma_ff, geom.jV, frame)
+    half_l_gamma = 0.5 * witten_laplacian(space, gamma_ff, x, geom)
     dlf = lf.gradient()
     dfv = np.stack([d.value for d in df])
-    gamma_f_lf = np.einsum("ij...,i...,j...->...", frame.inverse, dfv, dlf)
+    gamma_f_lf = np.einsum("ij...,i...,j...->...", geom.frame.inverse, dfv,
+                           dlf)
     return Gamma2Parts(f_jet=jf, gamma2=half_l_gamma - gamma_f_lf)
-
-
-def _pointwise_witten(space: WeightedSpace, ju: Jet, jV: Jet,
-                      frame: PointFrame) -> np.ndarray:
-    """L u at one point from the (order >= 2) jet of u."""
-    n = space.dim
-    du = [ju.partial(i) for i in range(n)]
-    acc = 0.0
-    for i in range(n):
-        for j in range(n):
-            hij = du[i].partial(j).value
-            for k in range(n):
-                hij = hij - frame.christoffels[k, i, j] * du[k].value
-            acc = acc + frame.inverse[i, j] * (
-                hij - jV.partial(i).value * du[j].value)
-    return acc
 
 
 def gamma2(space: WeightedSpace, f: ScalarField, x) -> np.ndarray:

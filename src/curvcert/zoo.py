@@ -163,7 +163,7 @@ def _half_space(weighted: bool) -> ZooEntry:
         plan=SamplePlan(interior_counts=(24, 24), boundary_counts=(96,),
                         quad_interior=(192, 192), quad_boundary=(256,)),
         cutoff=cutoff,
-        neumann_bases=["0.08*x", "0.06*x*y", "0.08*sin(x)",
+        neumann_bases=["0.08*x", "0.06*x*y^2", "0.08*sin(x)",
                        "0.06*x + 0.06*y^2", "0.05*x^2"],
         h_sources=["1 + 0.3*sin(x)", "1 + 0.2*x*y", "x^2/4 + 1",
                    "1 + 0.1*y", "cos(0.5*x)"])

@@ -3,7 +3,7 @@ import pytest
 
 from curvcert.boundary import (BoundaryError, boundary_frame, make_neumann,
                                mean_curvature, neumann_residual,
-                               second_fundamental_form)
+                               normal_field_jets, second_fundamental_form)
 from curvcert.fields import ConstField, ExprField, make_cutoff_spec
 from curvcert.geometry import WeightedSpace
 from oracles import fd_partial
@@ -44,6 +44,14 @@ class TestBoundaryFrame:
         sp = euclidean_space(2, "x^2 + y^2", [(-1.0, 1.0), (-1.0, 1.0)])
         with pytest.raises(BoundaryError, match="degenerate"):
             boundary_frame(sp, np.array([0.0, 0.0]))
+
+    def test_normal_field_degenerate_gradient_rejected(self):
+        # grad phi = 0 at x = 0: a BoundaryError, ahead of |grad phi|^-1
+        sp = euclidean_space(2, "x^2 - 1", [(-1.0, 1.0), (-1.0, 1.0)])
+        with pytest.raises(BoundaryError, match="degenerate"):
+            normal_field_jets(sp, np.array([0.0, 0.3]))
+        with pytest.raises(BoundaryError, match="degenerate"):
+            normal_field_jets(sp, np.array([[0.5, 0.0], [0.3, 0.3]]))
 
     def test_frame_g_orthonormal(self):
         sp = cartesian_ball()

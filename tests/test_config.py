@@ -1,11 +1,16 @@
+import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from curvcert.boundary import second_fundamental_form
 from curvcert.config import ConfigError, load_config
+from curvcert.report import run_suite, target_from_config
 from curvcert.verify import certify
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BALL_INI = textwrap.dedent("""\
     [space]
@@ -106,6 +111,15 @@ class TestRoundTrip:
         assert float(np.asarray(cfg.space.weight.value(x))) == 0.0
         assert cfg.cutoff is None
         assert cfg.plan.quad_interior == (64, 64)
+
+
+def test_readme_minimal_disk_passes(tmp_path):
+    # the INI example in the README certifies as written
+    block, = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    cfg = load_config(write(tmp_path, block))
+    assert cfg.plan.quad_interior == (224, 64)
+    run = run_suite(target_from_config(cfg))
+    assert run["passed"], [c.name for c in run["checks"] if not c.passed]
 
 
 class TestErrors:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvcert import config, exprlang, quadrature, zoo
-from curvcert.boundary import normal_field_jets
+from curvcert.boundary import boundary_frame, normal_field_jets
 from curvcert.exprlang import differentiate, mul, parse, simplify
 from curvcert.fields import ConstField, ExprField
 from curvcert.geometry import (GeometryError, NodeGeometry, WeightedSpace,
@@ -54,7 +54,8 @@ class TestFrame:
         np.testing.assert_allclose(fr.metric, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(fr.inverse, np.eye(2), atol=1e-15)
         assert float(np.asarray(fr.sqrt_det)) == pytest.approx(1.0)
-        np.testing.assert_allclose(fr.christoffels, 0.0, atol=1e-15)
+        np.testing.assert_allclose(NodeGeometry(sp, x).christoffels, 0.0,
+                                   atol=1e-15)
 
     def test_non_spd_rejected(self):
         sp = diag_space(["x", "1"], box=[(-2.0, 2.0), (-2.0, 2.0)])
@@ -64,7 +65,7 @@ class TestFrame:
     def test_christoffels_match_fd_oracle(self):
         sp = sphere()
         x = np.array([0.9, 1.4])
-        fr = frame_at(sp, x)
+        geom = NodeGeometry(sp, x)
         n = 2
         h = 1e-5
 
@@ -82,8 +83,7 @@ class TestFrame:
                     want[k, i, j] = 0.5 * sum(
                         ginv[k, l] * (dg[i, j, l] + dg[j, i, l]
                                       - dg[l, i, j]) for l in range(n))
-        np.testing.assert_allclose(np.asarray(fr.christoffels), want,
-                                   atol=1e-8)
+        np.testing.assert_allclose(geom.christoffels, want, atol=1e-8)
 
 
 class TestOperators:
@@ -300,5 +300,42 @@ class TestGradedGeometry:
                     for k in range(n):
                         same(geom.jgam[k][i][j], jgam[k][i][j], 1)
                         assert geom.jgam[k][i][j] is geom.jgam[k][j][i]
-            gamma = geom.frame.christoffels
+            gamma = geom.christoffels
             assert np.array_equal(gamma, gamma.swapaxes(1, 2))
+
+
+def _bits(a, shape):
+    """The float64 bit patterns of a broadcast to ``shape``."""
+    return np.ascontiguousarray(np.broadcast_to(a, shape)).view(np.uint64)
+
+
+class TestSingleSource:
+    """The Christoffel values and the outward normal have one formula each:
+    they are the values of ``christoffel_jets`` and ``normal_field_jets``
+    bit for bit, on every grid a suite builds."""
+
+    @pytest.mark.parametrize("name", zoo.list_entries() + [DENSE_INI.name])
+    def test_values_are_the_jets(self, name):
+        space, plan = _space_and_plan(name)
+        n = space.dim
+        x, frames = plan.grids(space)
+        geoms = list(_node_geometries(space, plan)) + [NodeGeometry(space, x)]
+        frames += [boundary_frame(space, g.x, geom=g) for g in geoms[1:-1]]
+        for geom in geoms + [bf.geom for bf in frames]:
+            gamma = geom.christoffels
+            batch = gamma.shape[3:]
+            assert batch == geom.x.shape[1:]
+            for k in range(n):
+                for i in range(n):
+                    for j in range(n):
+                        assert np.array_equal(
+                            _bits(gamma[k, i, j], batch),
+                            _bits(geom.jgam[k][i][j].value, batch))
+        for bf in frames:
+            batch = bf.point.shape[1:]
+            again = normal_field_jets(space, bf.point, bf.geom)
+            for k in range(n):
+                want = _bits(again[k].value, batch)
+                assert np.array_equal(_bits(bf.normal[k], batch), want)
+                assert np.array_equal(
+                    _bits(bf.normal_jets[k].value, batch), want)

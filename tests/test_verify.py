@@ -176,11 +176,13 @@ class TestSharedSweep:
         batches = chunks + patches
         assert calls["frame_at"] == batches
         assert calls["metric_jets"] == batches
-        # the boundary integrands read neither the Christoffel jets nor
-        # the derivatives of h; g is jetted once per batch for the family,
-        # at order 3 inside and at order 1 (its gradient) on the boundary;
-        # each h at order 1 once per chunk and read as a value per patch
-        assert calls["christoffel_jets"] == chunks
+        # the Christoffel jets once per batch: inside for Gamma2 and
+        # Ricci_V, on the boundary for the II's Christoffel values; h's
+        # derivatives are not read on the boundary; g is jetted once per
+        # batch for the family, at order 3 inside and at order 1 (its
+        # gradient) on the boundary; each h at order 1 once per chunk and
+        # read as a value per patch
+        assert calls["christoffel_jets"] == batches
         assert g.orders == [3] * chunks + [1] * patches
         for h in hs:
             assert h.orders == [1] * chunks + [0] * patches

@@ -111,17 +111,15 @@ class TestExpectedValues:
 
         def gamma_tpp(t):
             # Gamma^theta_{phi phi} = -sin(t) cos(t) for the unit sphere
-            from curvcert.geometry import frame_at
-            fr = frame_at(sp, np.array([t, 0.5]))
-            return float(np.asarray(fr.christoffels)[0, 1, 1])
+            gam = NodeGeometry(sp, np.array([t, 0.5])).christoffels
+            return float(gam[0, 1, 1])
 
         d = float(fd_partial(lambda p: gamma_tpp(p[0]),
                              np.array([theta]), 0, 1, 1e-5))
         # R^t_{ptp} = d/dtheta Gamma^t_{pp} - Gamma^t_{pp} Gamma^p_{tp}
         gtpp = gamma_tpp(theta)
-        from curvcert.geometry import frame_at
-        gptp = float(np.asarray(
-            frame_at(sp, np.array([theta, 0.5])).christoffels)[1, 0, 1])
+        gptp = float(NodeGeometry(sp, np.array([theta, 0.5])).christoffels[
+            1, 0, 1])
         sec = (d - gtpp * gptp) / np.sin(theta) ** 2
         assert sec == pytest.approx(e.expected["k_interior"], abs=1e-8)
 
@@ -172,6 +170,11 @@ class TestEntryPlumbing:
             fam = e.neumann_family()
             assert len(fam) == len(e.neumann_bases)
             assert len(e.h_fields()) >= 2
+            # no member is projected to zero: each one tests something
+            x = e.interior_points()
+            for nt in fam:
+                assert np.max(np.abs(nt.field.value(x))) > 0.0, \
+                    (name, nt.base)
 
     def test_annulus_two_patches(self, entry):
         e = entry("annulus")
