@@ -15,9 +15,10 @@ declared chart dimension.  Functions: sin, cos, exp, log, sqrt, tanh
 must be C^3 on its chart.
 
 Fields defined here are evaluated either over jet arithmetic
-(:func:`evaluate_jet`) or as plain values (:func:`evaluate_value`, the
-brute-force route used by tests); :func:`variables` lists the chart
-variables an expression reads.
+(:func:`evaluate_jet`, the one jet evaluator, fed seeds at the points or
+on the axis lines of a tensor grid) or as plain values
+(:func:`evaluate_value`, the brute-force route used by tests);
+:func:`variables` lists the chart variables an expression reads.
 """
 
 from __future__ import annotations
@@ -257,10 +258,19 @@ def parse(src: str, dim: int):
 
 def evaluate_jet(ast, seeds) -> Jet:
     """Fold the AST over jet arithmetic given coordinate seed jets; the
-    result has at most the seeds' order."""
+    result has at most the seeds' order.
+
+    The seeds are either node seeds, every one at the same points, or
+    the line seeds of a tensor grid, seed i holding axis i's line shaped
+    to broadcast along that axis only (``(n0, 1)`` and ``(1, n1)``).  A
+    constant takes the batch every seed broadcasts against, the seeds'
+    elementwise smallest batch: the points themselves for node seeds, all
+    ones for line seeds, so that a subexpression costs the size of the
+    axes it reads."""
     if isinstance(ast, Num):
+        batch = tuple(map(min, zip(*(s.batch_shape for s in seeds))))
         return Jet.constant(seeds[0].dim, ast.value,
-                            seeds[0].batch_shape).truncate(seeds[0].order)
+                            batch).truncate(seeds[0].order)
     if isinstance(ast, Var):
         return seeds[ast.index]
     if isinstance(ast, Neg):

@@ -11,22 +11,31 @@ part, which shows only on a -0.0 outer value or a non-finite higher
 derivative.)  Jet-wise arithmetic on fields is exact through order 3, so
 products/sums/quotients of fields with exact jets again have exact jets.
 
-A field's ``reads`` are the chart axes it depends on.  An expression
-field is jetted once per distinct point of those axes and gathered to
-the points it was asked at (``distinct``); every jet operation is
-elementwise, so each point's jet is bit for bit the direct one.
+Where the points are a C-ordered tensor grid (``grid_lines``: every
+interior quadrature chunk that holds whole rows of its rule, the sample
+grids, the boundary patch grids), the whole field tree is jetted on the
+grid's axis lines: axis i gets one seed shaped to broadcast along it,
+every subfield is jetted at the broadcast shape of the axes it reads
+(``sin(y)`` on the line of y, ``x^2*cos(y)`` as one product of two
+lines), and the root's jet is flattened to the points once.  Elsewhere
+each subfield is jetted at the points; there a field's ``reads``, the
+chart axes it depends on, let an expression be jetted once per distinct
+point of those axes and gathered (``distinct``), and a cutoff once per
+distinct coordinate of each tapered axis.  Every jet operation is
+elementwise, so on either path each point's jet is bit for bit the jet
+at that point alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import exprlang
-from .jets import MAX_ORDER, Jet
+from .jets import MAX_ORDER, Jet, JetDomainError, seed_variable
 
 Box = Sequence[Tuple[float, float]]
 
@@ -66,8 +75,52 @@ def distinct(x: np.ndarray, axes: Sequence[int]
     return first[order], rank[where.reshape(m)].reshape(x.shape[1:])
 
 
+def grid_lines(x: np.ndarray) -> Optional[List[np.ndarray]]:
+    """The axis lines of x (shape ``(dim, ...)``) when its flattened
+    points are a C-ordered tensor grid of shape ``(n0, ..., n_{dim-1})``:
+    line i holds axis i's n_i coordinates, shaped to broadcast along axis
+    i only, and point k is the line values at k's C-order grid index.
+    Coordinates are compared by their bits, so 0.0 and -0.0 differ.  The
+    run length of each axis's first value fixes the shape, and every
+    coordinate is then checked against its line: O(dim m) comparisons,
+    no sort.  None, meaning "jet at the points", when x is a single point
+    or not such a grid, or a coordinate is not finite (the points' jet
+    raises).
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2 or x[0].size < 2:
+        return None
+    flat = x.reshape(x.shape[0], -1)
+    bits = flat.view(np.int64)
+    dim, m = bits.shape
+    shape, run = [], m
+    for row in bits[:-1]:
+        step = int((row[:run] != row[0]).argmax()) or run
+        if run % step:
+            return None
+        shape.append(run // step)
+        run = step
+    shape.append(run)
+    lines, step = [None] * dim, 1
+    for i in reversed(range(dim)):  # scattered points fail on the last
+        n = shape[i]
+        along = [1] * dim
+        along[i] = n
+        line = flat[i, :n * step:step].reshape(along)
+        if not ((bits[i].reshape(shape) == line.view(np.int64)).all()
+                and np.isfinite(line).all()):
+            return None
+        lines[i] = line
+        step *= n
+    return lines
+
+
 class ScalarField:
-    """Base: a C^3 scalar field evaluable to jets of order up to 3."""
+    """Base: a C^3 scalar field evaluable to jets of order up to 3.
+
+    A subclass jets itself at points (``_node_jet``) and on a grid's
+    axis lines (``_line_jet``); ``jet`` picks the path.
+    """
 
     dim: int
 
@@ -80,7 +133,32 @@ class ScalarField:
 
     def jet(self, x, order: int = MAX_ORDER) -> Jet:
         """Jet of the field at x through ``order`` (its ``.order`` is at
-        most ``order``)."""
+        most ``order``): on the axis lines when x is a tensor grid
+        (``grid_lines``), flattened to the points once, here; otherwise
+        at the points."""
+        x = np.asarray(x, dtype=float)
+        lines = grid_lines(x)
+        if lines is not None:
+            # seed i reads row i of a (dim,) + line-shaped point array
+            seeds = [seed_variable(i, np.repeat(line[None], len(lines), 0))
+                     .truncate(order) for i, line in enumerate(lines)]
+            try:
+                jet = self._line_jet(seeds, order)
+            except JetDomainError:
+                pass  # jet the points, so that the error names x
+            else:
+                shape = tuple(line.size for line in lines)
+                return jet.on_grid(shape, x.shape[1:])
+        return self._node_jet(x, order)
+
+    def _node_jet(self, x, order: int) -> Jet:
+        """The jet at the points x (shape ``(dim,)`` or ``(dim, ...)``)."""
+        raise NotImplementedError
+
+    def _line_jet(self, seeds: Sequence[Jet], order: int) -> Jet:
+        """The jet on a tensor grid, given one seed per axis line (see
+        ``exprlang.evaluate_jet``), at the broadcast shape of the axes
+        the field reads."""
         raise NotImplementedError
 
     def value(self, x):
@@ -125,8 +203,15 @@ class ConstField(ScalarField):
         self._value = float(value)
 
     def jet(self, x, order: int = MAX_ORDER) -> Jet:
-        x = np.asarray(x, dtype=float)
+        # the same at every point, so no grid is worth detecting
+        return self._node_jet(np.asarray(x, dtype=float), order)
+
+    def _node_jet(self, x, order: int) -> Jet:
         return Jet.constant(self.dim, self._value, x.shape[1:]).truncate(order)
+
+    def _line_jet(self, seeds: Sequence[Jet], order: int) -> Jet:
+        return Jet.constant(self.dim, self._value,
+                            (1,) * len(seeds)).truncate(order)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -153,8 +238,7 @@ class ExprField(ScalarField):
     def reads(self) -> Tuple[int, ...]:
         return exprlang.variables(self.ast)
 
-    def jet(self, x, order: int = MAX_ORDER) -> Jet:
-        x = np.asarray(x, dtype=float)
+    def _node_jet(self, x, order: int) -> Jet:
         proj = distinct(x, self.reads)
         if proj is None:
             return exprlang.evaluate(self.ast, x, order)
@@ -167,6 +251,9 @@ class ExprField(ScalarField):
             # batch
             return exprlang.evaluate(self.ast, x, order)
         return jet.gather(where)
+
+    def _line_jet(self, seeds: Sequence[Jet], order: int) -> Jet:
+        return exprlang.evaluate_jet(self.ast, seeds)
 
     def value(self, x):
         return exprlang.evaluate_value(self.ast, np.asarray(x, dtype=float))
@@ -188,9 +275,15 @@ class _BinField(ScalarField):
     def reads(self) -> Tuple[int, ...]:
         return tuple(sorted(set(self.a.reads) | set(self.b.reads)))
 
-    def jet(self, x, order: int = MAX_ORDER) -> Jet:
-        ja = self.a.jet(x, order)
-        jb = self.b.jet(x, order)
+    def _node_jet(self, x, order: int) -> Jet:
+        return self._apply(self.a._node_jet(x, order),
+                           self.b._node_jet(x, order))
+
+    def _line_jet(self, seeds: Sequence[Jet], order: int) -> Jet:
+        return self._apply(self.a._line_jet(seeds, order),
+                           self.b._line_jet(seeds, order))
+
+    def _apply(self, ja: Jet, jb: Jet) -> Jet:
         if self.op == "+":
             return ja + jb
         if self.op == "-":
@@ -268,8 +361,8 @@ class CutoffField(ScalarField):
     The field is a product of one univariate factor per tapered axis (an
     axis whose inner and outer bounds differ on some side); untapered
     factors are exactly 1 and are left out.  Each factor is evaluated
-    once per distinct coordinate of the batch and gathered to the nodes,
-    so a tensor-product chunk costs one evaluation per grid line.
+    on its axis line of a tensor grid, or else once per distinct
+    coordinate of the batch and gathered to the nodes.
     """
 
     def __init__(self, spec: CutoffSpec):
@@ -304,14 +397,20 @@ class CutoffField(ScalarField):
             jet = jet * Jet(1, c, order)
         return jet.coeffs[:order + 1]
 
-    def jet(self, x, order: int = MAX_ORDER) -> Jet:
-        x = np.asarray(x, dtype=float)
+    def _node_jet(self, x, order: int) -> Jet:
         out = Jet.constant(self.dim, 1.0, x.shape[1:]).truncate(order)
         for i in self.tapered:
             coords, where = np.unique(x[i], return_inverse=True)
             c = self._axis_coeffs(coords, i, order)
             # gather to the nodes; np.unique's inverse shape has varied
             c = c[:, where.reshape(x[i].shape)]
+            out = out * Jet.from_axis(self.dim, i, c, order)
+        return out
+
+    def _line_jet(self, seeds: Sequence[Jet], order: int) -> Jet:
+        out = Jet.constant(self.dim, 1.0, (1,) * len(seeds)).truncate(order)
+        for i in self.tapered:
+            c = self._axis_coeffs(seeds[i].value, i, order)
             out = out * Jet.from_axis(self.dim, i, c, order)
         return out
 

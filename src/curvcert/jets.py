@@ -13,7 +13,10 @@ convolution and reduced-order jets carry no dead slots.
 All operations are exact truncated Taylor arithmetic: sums, Leibniz
 products, quotients and composition with the elementary functions.
 Coefficients may carry trailing batch axes, so a single Jet can
-represent the same field evaluated at many points.
+represent the same field evaluated at many points.  Operands broadcast
+like numpy arrays over their batch axes (a lower-rank batch gains
+leading unit axes), so jets on the axis lines of a tensor grid, shaped
+``(n0, 1)`` and ``(1, n1)``, combine into the jet on the grid.
 
 Jets are immutable values; every operation returns a fresh Jet.
 """
@@ -170,9 +173,29 @@ def take_batch(a: np.ndarray, where: np.ndarray) -> np.ndarray:
     return np.take(a, where, axis=-1)
 
 
-def _batch(a: "Jet", b: "Jet"):
+def _at_rank(stored: np.ndarray, rank: int) -> np.ndarray:
+    """Slots whose batch is padded with leading unit axes to ``rank``
+    batch axes, so that broadcasting never meets the slot axis with a
+    batch axis."""
+    pad = rank - (stored.ndim - 1)
+    if pad <= 0:
+        return stored
+    return stored.reshape(stored.shape[:1] + (1,) * pad + stored.shape[1:])
+
+
+def _aligned(a: "Jet", b: "Jet"):
+    """Both operands' slots with their batches at one rank, and the
+    broadcast batch shape; batches that do not broadcast raise."""
     sa, sb = a.batch_shape, b.batch_shape
-    return sa if sa == sb else np.broadcast_shapes(sa, sb)
+    if sa == sb:
+        return a.stored, b.stored, sa
+    rank = max(len(sa), len(sb))
+    pa = (1,) * (rank - len(sa)) + sa
+    pb = (1,) * (rank - len(sb)) + sb
+    if any(p != q and p != 1 and q != 1 for p, q in zip(pa, pb)):
+        raise JetShapeError(f"jet batch shapes {sa} and {sb} do not broadcast")
+    batch = tuple(q if p == 1 else p for p, q in zip(pa, pb))
+    return _at_rank(a.stored, rank), _at_rank(b.stored, rank), batch
 
 
 class Jet:
@@ -221,7 +244,9 @@ class Jet:
     def constant(dim: int, value, batch_shape=()) -> "Jet":
         """Constant jet; a scalar 0 gives the zero jet."""
         value = np.asarray(value, dtype=float)
-        shape = np.broadcast_shapes(value.shape, batch_shape)
+        shape = tuple(batch_shape)
+        if value.ndim and value.shape != shape:
+            shape = np.broadcast_shapes(value.shape, shape)
         if value.ndim == 0 and value == 0.0:
             return Jet._zero(dim, MAX_ORDER, shape)
         return Jet._make(dim, MAX_ORDER, 0,
@@ -267,6 +292,23 @@ class Jet:
         return Jet._make(self.dim, self.order, self.degree,
                          take_batch(self.stored, where))
 
+    def on_grid(self, shape, batch_shape) -> "Jet":
+        """This jet, whose batch broadcasts against the tensor-grid shape
+        ``shape``, at every node of the grid in C order, reshaped to
+        ``batch_shape``.  A constant stored as one broadcast value stays
+        a read-only broadcast view, as ``constant`` stores it; any other
+        jet is materialised, so no jet of positive degree is a view."""
+        batch_shape = tuple(batch_shape)
+        if self.degree < 0:
+            return Jet._zero(self.dim, self.order, batch_shape)
+        n, full = self.stored.shape[0], self.stored
+        if full.shape[1:] != tuple(shape):
+            full = np.broadcast_to(full, (n,) + tuple(shape))
+        if self.degree > 0 or any(self.stored.strides[1:]):
+            full = np.ascontiguousarray(full)
+        return Jet._make(self.dim, self.order, self.degree,
+                         full.reshape((n,) + batch_shape))
+
     def truncate(self, order: int) -> "Jet":
         order = min(order, self.order)
         degree = min(self.degree, order)
@@ -279,27 +321,28 @@ class Jet:
         if isinstance(other, Jet):
             self._check_mate(other)
             order = min(self.order, other.order)
-            lo, hi = ((self, other) if self.degree <= other.degree
-                      else (other, self))
+            a, b, batch = _aligned(self, other)
+            if self.degree <= other.degree:
+                lo, hi, hi_slots = self, other, b
+            else:
+                lo, hi, hi_slots = other, self, a
             degree = min(hi.degree, order)
             n = _nslots(self.dim, degree)
             n_lo = _nslots(self.dim, min(lo.degree, degree))
-            batch = _batch(self, other)
             if n_lo == 0:
-                stored = hi.stored[:n]
+                stored = hi_slots[:n]
                 if stored.shape[1:] != batch:
                     stored = np.broadcast_to(stored, (n,) + batch)
             else:
                 stored = np.empty((n,) + batch)
-                np.add(self.stored[:n_lo], other.stored[:n_lo],
-                       out=stored[:n_lo])
-                stored[n_lo:] = hi.stored[n_lo:n]
+                np.add(a[:n_lo], b[:n_lo], out=stored[:n_lo])
+                stored[n_lo:] = hi_slots[n_lo:n]
             return Jet._make(self.dim, order, degree, stored)
         degree = max(self.degree, 0)
         n = _nslots(self.dim, degree)
-        stored = np.empty((n,) + np.broadcast_shapes(self.batch_shape,
-                                                      np.shape(other)))
-        stored[1:] = self.stored[1:]
+        batch = np.broadcast_shapes(self.batch_shape, np.shape(other))
+        stored = np.empty((n,) + batch)
+        stored[1:] = _at_rank(self.stored[1:], len(batch))
         stored[0] = self.value + other
         return Jet._make(self.dim, self.order, degree, stored)
 
@@ -316,17 +359,17 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
+            other = np.asarray(other)
             return Jet._make(self.dim, self.order, self.degree,
-                             self.stored * np.asarray(other))
+                             _at_rank(self.stored, other.ndim) * other)
         self._check_mate(other)
         order = min(self.order, other.order)
-        batch = _batch(self, other)
+        a, b, batch = _aligned(self, other)
         da, db = self.degree, other.degree
         if da < 0 or db < 0:
             return Jet._zero(self.dim, order, batch)
         degree = min(da + db, order)
         n = _nslots(self.dim, degree)
-        a, b = self.stored, other.stored
         if da == 0:
             stored = a[0] * b[:n]
         elif db == 0:
@@ -347,8 +390,9 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.reciprocal()
+        other = np.asarray(other)
         return Jet._make(self.dim, self.order, self.degree,
-                         self.stored / np.asarray(other))
+                         _at_rank(self.stored, other.ndim) / other)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -387,12 +431,13 @@ class Jet:
         jet's order via Horner on the nilpotent part, whose products
         drop every slot above that order.
         """
-        if self.degree > 0:
-            w = self.stored.copy()
-            w[0] = 0.0
-            wjet = Jet._make(self.dim, self.order, self.degree, w)
-        else:
-            wjet = Jet._zero(self.dim, self.order, self.batch_shape)
+        if self.degree <= 0:
+            # no nilpotent part: each Horner product is the zero jet
+            return Jet.constant(self.dim, derivs[0],
+                                self.batch_shape).truncate(self.order)
+        w = self.stored.copy()
+        w[0] = 0.0
+        wjet = Jet._make(self.dim, self.order, self.degree, w)
         res = Jet.constant(self.dim, derivs[3] / 6.0, self.batch_shape)
         res = res * wjet + Jet.constant(self.dim, derivs[2] / 2.0, self.batch_shape)
         res = res * wjet + Jet.constant(self.dim, derivs[1], self.batch_shape)
@@ -409,7 +454,7 @@ def seed_variable(axis: int, x) -> Jet:
     dim = x.shape[0]
     if not 0 <= axis < dim:
         raise JetShapeError(f"variable index {axis} out of range for dim {dim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise JetError("non-finite point coordinates")
     stored = np.zeros((dim + 1,) + x.shape[1:])
     stored[0] = x[axis]

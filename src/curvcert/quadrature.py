@@ -14,7 +14,12 @@ per chunk (and one per boundary patch) giving the density and whatever a
 point of the chart axes its metric and weight read, so where the
 geometry ignores an axis (ball3's never reads the azimuth, the polar 2-D
 charts' reads only the radius) the tensor-product rule repeats no
-geometry along it.  An integrand returns one row or k rows per batch, or
+geometry along it.  Where the counts allow it (``CHUNK`` a multiple of a
+row, the nodes of the trailing axes), a chunk holds whole rows of the
+rule, so it is itself a tensor grid and every field on it is jetted on
+its axis lines (``fields.grid_lines``); a patch's nodes are one grid.
+Chunks that cut a row (half_space's 192 x 192 rule) are jetted at their
+nodes.  An integrand returns one row or k rows per batch, or
 yields its rows one at a time; each row is reduced as it arrives, so no
 array longer than one batch is held per row.
 

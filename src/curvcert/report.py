@@ -20,14 +20,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .boundary import NeumannTestFunction
-from .config import SpaceConfig
+from .config import ConfigError, SpaceConfig
 from .fields import CutoffField, CutoffSpec, ExprField, ScalarField
 from .geometry import NodeGeometry, WeightedSpace
 from .verify import (CheckResult, CurvatureReport, SamplePlan,
                      boundary_spectrum, certify, check_bochner,
-                     check_dimension_term, interior_spectrum, weak_checks)
+                     check_dimension_term, interior_grid, interior_spectrum,
+                     weak_checks)
+from .zoo import ZooError
 
 _VAR_NAMES = ("x", "y", "z", "w")
+# a Neumann field below this share of its base's size is rounding noise
+NEUMANN_ZERO_REL = 1e-12
 
 
 @dataclass
@@ -41,16 +45,42 @@ class Target:
     collars: Tuple[CutoffSpec, ...] = ()
     expected: Dict[str, float] = field(default_factory=dict)
     expressions: Dict[str, str] = field(default_factory=dict)
+    # raised for a bad input of the target: ZooError or ConfigError
+    error: type = ValueError
+    # (base, interior counts) pairs whose Neumann field was checked
+    # non-zero: each suite rebuilds its field, and the check reads nothing
+    # else
+    _nonzero: set = field(default_factory=set, init=False, repr=False,
+                          compare=False)
 
     def neumann(self, w_src: Optional[str] = None) -> NeumannTestFunction:
+        """The Neumann test function of base ``w_src`` (the first base by
+        default).  A base whose Neumann projection is 0 at every interior
+        sample point, up to ``NEUMANN_ZERO_REL`` times the base there, is
+        refused: every weak identity would read 0 = 0."""
         from .boundary import make_neumann
         if self.cutoff is None:
             raise ValueError(
                 f"{self.label}: no cutoff available; theorem-grade checks "
                 f"need a [cutoff] section or a zoo entry")
         src = w_src if w_src is not None else self.neumann_bases[0]
-        return make_neumann(self.space, ExprField(src, self.space.dim),
-                            self.cutoff, self.collars, label=src)
+        g = make_neumann(self.space, ExprField(src, self.space.dim),
+                         self.cutoff, self.collars, label=src)
+        key = (src, self.plan.interior_counts)
+        if key in self._nonzero:
+            return g
+        x = interior_grid(self.space, self.plan.interior_counts)
+        g_max = np.max(np.abs(g.field.value(x)))
+        w_max = np.max(np.abs(g.base.value(x)))
+        # a non-finite field is left to the Neumann gate, which names it
+        if np.isfinite(g_max) and g_max <= NEUMANN_ZERO_REL * w_max:
+            raise self.error(
+                f"{self.label}: the Neumann field of base {src!r} is 0 to "
+                f"rounding at all {x.shape[1]} interior sample points "
+                f"(max |g| {g_max:.3e}, max |w| {w_max:.3e}), so it "
+                f"exercises no identity")
+        self._nonzero.add(key)
+        return g
 
     def h_field(self, src: Optional[str] = None) -> ScalarField:
         if self.cutoff is None:
@@ -73,7 +103,7 @@ def target_from_zoo(entry) -> Target:
                   neumann_bases=list(entry.neumann_bases),
                   h_sources=list(entry.h_sources),
                   collars=entry.neumann_collars,
-                  expected=dict(entry.expected))
+                  expected=dict(entry.expected), error=ZooError)
 
 
 def target_from_config(cfg: SpaceConfig) -> Target:
@@ -81,7 +111,7 @@ def target_from_config(cfg: SpaceConfig) -> Target:
     bases = [f"0.3*{_VAR_NAMES[i]}" for i in range(dim)]
     return Target(label=cfg.source_path, space=cfg.space, plan=cfg.plan,
                   cutoff=cfg.cutoff, neumann_bases=bases, h_sources=[],
-                  expressions=dict(cfg.expressions))
+                  expressions=dict(cfg.expressions), error=ConfigError)
 
 
 def bochner_geometry(space: WeightedSpace, x: np.ndarray,

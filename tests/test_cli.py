@@ -86,6 +86,41 @@ class TestCheck:
         assert code == 2
         assert "unsatisfiable" in err
 
+    def test_zero_neumann_field_zoo(self, capsys):
+        # phi = -y on half_space, so w - phi*Gamma(phi,w)/Gamma(phi,phi)
+        # maps x*y to 0: every weak identity would read 0 = 0
+        code, out, err = run(capsys, "check", "green", "--zoo", "half_space",
+                             "--w", "0.06*x*y")
+        assert code == 2
+        assert "is 0 to rounding at all 576 interior sample points" in err
+        code, out, err = run(capsys, "check", "green", "--zoo", "half_space",
+                             "--w", "0.06*x*y^2")
+        assert code == 0
+
+    def test_zero_neumann_field_config(self, capsys, tmp_path):
+        # on the INI disk (r = x, phi = x - 1) the base x - 1 projects to 0
+        from test_config import BALL_INI
+        p = tmp_path / "ball.ini"
+        p.write_text(BALL_INI)
+        code, out, err = run(capsys, "check", "laplacian", "--config", str(p),
+                             "--w", "x - 1")
+        assert code == 2
+        assert "is 0 to rounding at all 576 interior sample points" in err
+
+    def test_zero_neumann_field_error_types(self, tmp_path):
+        from test_config import BALL_INI
+        from curvcert import config, report, zoo
+        target = report.target_from_zoo(zoo.load("half_space"))
+        for _ in range(2):  # a refused base is refused on every call
+            with pytest.raises(zoo.ZooError, match="base '0.06\\*x\\*y'"):
+                target.neumann("0.06*x*y")
+        p = tmp_path / "ball.ini"
+        p.write_text(BALL_INI)
+        target = report.target_from_config(config.load_config(str(p)))
+        with pytest.raises(config.ConfigError):
+            target.neumann("x - 1")
+        assert target.neumann().label == "0.3*x"
+
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_ii_non_finite_gate(self, capsys):

@@ -252,6 +252,72 @@ class TestBatch:
         np.testing.assert_array_equal(j.value, np.full(5, 3.0))
 
 
+OPS = {"*": lambda a, b: a * b, "+": lambda a, b: a + b,
+       "/": lambda a, b: a / b}
+
+
+class TestBatchRank:
+    """Operands whose batches differ in rank broadcast like numpy arrays:
+    the lower-rank batch gains leading unit axes and never meets the slot
+    axis."""
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_lower_rank_operand_is_one_point(self, op):
+        c = Jet.constant(2, [1.0, 2.0, 3.0])     # batch (3,)
+        v = seed_variable(0, [0.5, 0.25])        # batch (): one point
+        for a, b in ((c, v), (v, c)):
+            got = OPS[op](a, b)
+            assert got.batch_shape == (3,)
+            for k, ck in enumerate([1.0, 2.0, 3.0]):
+                one = Jet.constant(2, ck)
+                want = OPS[op](one, v) if a is c else OPS[op](v, one)
+                assert got.coeffs[:, k].tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_array_operand_of_higher_rank(self, op):
+        v = seed_variable(0, [0.5, 0.25])        # batch ()
+        got = OPS[op](v, np.array([1.0, 2.0, 4.0]))
+        assert got.batch_shape == (3,)
+        for k, ck in enumerate([1.0, 2.0, 4.0]):
+            want = OPS[op](v, ck)
+            assert got.coeffs[:, k].tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_grid_lines_combine(self, op):
+        # jets on (2, 1) and (1, 3) lines equal the jets at the 6 nodes
+        rng = np.random.default_rng(7)
+        a = graded_jet(rng, 2, 3, 3, (2, 1))
+        b = graded_jet(rng, 2, 2, 3, (1, 3))
+        b = b + 1.0 + float(np.max(np.abs(b.value)))  # no zero value
+        got = OPS[op](a, b)
+        assert got.batch_shape == (2, 3)
+        for i, j in itertools.product(range(2), range(3)):
+            want = OPS[op](Jet._make(2, 3, 3, a.stored[:, i, 0]),
+                           Jet._make(2, 3, 2, b.stored[:, 0, j]))
+            assert got.stored[:, i, j].tobytes() == want.stored.tobytes()
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_batches_that_do_not_broadcast_raise(self, op):
+        a = Jet.constant(2, [1.0, 2.0, 3.0])
+        b = seed_variable(1, np.ones((2, 2)))
+        with pytest.raises(JetShapeError, match="do not broadcast"):
+            OPS[op](a, b)
+
+    def test_on_grid(self):
+        rng = np.random.default_rng(8)
+        line = graded_jet(rng, 2, 3, 3, (1, 3))
+        flat = line.on_grid((2, 3), (6,))
+        assert flat.stored.shape == (10, 6) and flat.stored.strides[-1]
+        assert np.array_equal(flat.stored, np.tile(line.stored[:, 0], 2))
+        # a broadcast constant stays one; a computed one is materialised
+        const = Jet.constant(2, 1.5, (1, 1)).on_grid((2, 3), (6,))
+        assert const.stored.shape == (1, 6) and const.stored.strides[-1] == 0
+        one = Jet.constant(2, np.ones((1, 1))) * 2.0
+        assert one.on_grid((2, 3), (6,)).stored.strides[-1] != 0
+        zero = Jet.constant(2, 0.0, (1, 1)).on_grid((2, 3), (6,))
+        assert zero.degree == -1 and zero.stored.shape == (0, 6)
+
+
 def dense_product(dim, a, b, order):
     """Reference product over full coefficient arrays: the Leibniz pair
     table grouped by output slot and summed by one ``np.add.reduceat``,

@@ -1,9 +1,10 @@
 """Geometry, expression fields and the weak sweep's g-only terms are
 evaluated once per distinct point of the chart axes they read, then
-gathered to the nodes.  The gathered results must equal the direct
-evaluation bit for bit, on every zoo entry and on the INI space, and
-errors must read as the direct evaluation's.  The direct path is forced
-by making ``distinct`` return None."""
+gathered to the nodes, and fields on a tensor grid are jetted on its
+axis lines.  The results must equal the direct evaluation at every node
+bit for bit, on every zoo entry and on the INI space, and errors must
+read as the direct evaluation's.  The direct path is forced by making
+``distinct`` and ``grid_lines`` return None."""
 
 import sys
 
@@ -13,7 +14,7 @@ import pytest
 from curvcert import config, exprlang, fields, geometry, quadrature, report
 from curvcert import verify, zoo
 from curvcert.exprlang import EvalError
-from curvcert.fields import ExprField, distinct
+from curvcert.fields import ExprField, distinct, grid_lines
 from curvcert.geometry import GeometryError, NodeGeometry
 from curvcert.jets import Jet, JetError
 from test_geometry import DENSE_INI
@@ -28,16 +29,20 @@ def _target(name):
 
 
 DISTINCT = fields.distinct
+GRID_LINES = fields.grid_lines
 
 
 def _direct(mp):
-    """Evaluate directly: every name in a curvcert module that binds
-    ``distinct`` is rebound to a function that returns None."""
+    """Evaluate directly, at every node: every name in a curvcert module
+    that binds ``distinct`` or ``grid_lines`` is rebound to a function
+    that returns None."""
     for name, module in list(sys.modules.items()):
         if name == "curvcert" or name.startswith("curvcert."):
             for attr, value in list(vars(module).items()):
                 if value is DISTINCT:
                     mp.setattr(module, attr, lambda x, axes: None)
+                elif value is GRID_LINES:
+                    mp.setattr(module, attr, lambda x: None)
 
 
 def _both(monkeypatch, run):
@@ -61,6 +66,14 @@ def _grids(space, plan):
     yield x
     for bf in frames:
         yield bf.point
+
+
+def _same_jet(a, b):
+    assert (a.order, a.degree) == (b.order, b.degree)
+    assert a.stored.shape == b.stored.shape
+    assert np.array_equal(a.stored, b.stored)
+    # broadcast constants and zero jets stay broadcast views
+    assert (a.stored.strides[-1] == 0) == (b.stored.strides[-1] == 0)
 
 
 def _sweep_case(name):
@@ -114,14 +127,6 @@ class TestBitIdentity:
     def test_node_geometry_arrays_and_jets(self, monkeypatch, name):
         target = _target(name)
         space, n = target.space, target.space.dim
-
-        def same_jet(a, b):
-            assert (a.order, a.degree) == (b.order, b.degree)
-            assert a.stored.shape == b.stored.shape
-            assert np.array_equal(a.stored, b.stored)
-            # broadcast constants and zero jets stay broadcast views
-            assert (a.stored.strides[-1] == 0) == (b.stored.strides[-1] == 0)
-
         for x in _grids(space, target.plan):
             got, want = _both(monkeypatch, lambda: NodeGeometry(space, x))
             for attr in ("metric", "inverse", "sqrt_det"):
@@ -129,14 +134,14 @@ class TestBitIdentity:
                                       getattr(want.frame, attr))
             assert np.array_equal(got.christoffels, want.christoffels)
             assert np.array_equal(got.ricci_v, want.ricci_v)
-            same_jet(got.jV, want.jV)
+            _same_jet(got.jV, want.jV)
             for i in range(n):
                 for j in range(n):
-                    same_jet(got.jg[i][j], want.jg[i][j])
-                    same_jet(got.jginv[i][j], want.jginv[i][j])
+                    _same_jet(got.jg[i][j], want.jg[i][j])
+                    _same_jet(got.jginv[i][j], want.jginv[i][j])
                     assert got.jg[i][j] is got.jg[j][i]
                     for k in range(n):
-                        same_jet(got.jgam[k][i][j], want.jgam[k][i][j])
+                        _same_jet(got.jgam[k][i][j], want.jgam[k][i][j])
                         assert got.jgam[k][i][j] is got.jgam[k][j][i]
 
     def test_curved_entries_project(self):
@@ -362,3 +367,163 @@ class TestWeakSweep:
         got, want = _both(monkeypatch, message)
         assert got == want
         assert want.endswith("at point batch of 16384 points")
+
+
+def _tensor(*axes):
+    """The C-ordered tensor grid of the axis coordinates, shape (dim, m)."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
+def _chunks(space, counts):
+    pts, _ = quadrature.tensor_rule(space.chart_box, counts)
+    return [pts[:, s:s + quadrature.CHUNK]
+            for s in range(0, pts.shape[1], quadrature.CHUNK)]
+
+
+def _case_fields(name):
+    """Every field a suite jets on ``name``: metric, weight, Neumann g and
+    test densities."""
+    space, _, g, hs = _sweep_case(name)
+    n = space.dim
+    return ([space.metric[i][j] for i in range(n) for j in range(i, n)]
+            + [space.weight, g.field] + list(hs))
+
+
+def _recording(mp, attr):
+    """Batch sizes of each call of ``fields.<attr>`` from here on."""
+    calls, original = [], getattr(fields, attr)
+
+    def recorded(x, *args):
+        calls.append(int(np.prod(np.shape(x)[1:])))
+        return original(x, *args)
+
+    mp.setattr(fields, attr, recorded)
+    return calls
+
+
+class TestGridPath:
+    """Fields on a C-ordered tensor grid are jetted on its axis lines and
+    flattened once; every other batch is jetted at its nodes."""
+
+    @pytest.mark.parametrize("name", ["ball", "annulus", "hemisphere",
+                                      "poincare_cap", "ball3",
+                                      DENSE_INI.name])
+    def test_interior_chunks_are_grids(self, name):
+        # chunks of whole rows of the rule: each is one grid
+        target = _target(name)
+        space, plan = target.space, target.plan
+        for counts in (plan.quad_interior,
+                       tuple(2 * c for c in plan.quad_interior)):
+            for x in _chunks(space, counts):
+                lines = grid_lines(x)
+                assert lines is not None
+                shape = tuple(line.size for line in lines)
+                assert shape[1:] == counts[1:]
+                assert np.prod(shape) == x.shape[1]
+        for x in _grids(space, plan):
+            assert grid_lines(x) is not None
+
+    def test_lines_are_the_axes(self):
+        a, b, c = [0.5, 0.25, 2.0], [1.0, -3.0], [7.0, 8.0, 9.0, 10.0]
+        lines = grid_lines(_tensor(a, b, c))
+        assert [line.shape for line in lines] == [(3, 1, 1), (1, 2, 1),
+                                                  (1, 1, 4)]
+        assert [line.ravel().tolist() for line in lines] == [a, b, c]
+
+    @pytest.mark.parametrize("name", ["ball", "hemisphere", DENSE_INI.name])
+    def test_single_row_patch_grid(self, monkeypatch, name):
+        # the patch images of a polar chart have r = 1: a (1, n) grid, on
+        # which x^2 must still come out materialised, as at the nodes
+        space = _target(name).space
+        patch = space.boundary_patches[0]
+        x = quadrature.patch_points(space, patch, (16,)).x
+        lines = grid_lines(x)
+        assert [line.shape for line in lines] == [(1, 1), (1, 16)]
+        for f in _case_fields(name) + [ExprField("x^2", 2)]:
+            for order in (3, 1, 0):
+                _same_jet(*_both(monkeypatch, lambda: f.jet(x, order)))
+        jet = ExprField("x^2", 2).jet(x)
+        assert jet.degree == 2 and jet.stored.strides[-1] != 0
+
+    def test_ball3_chunk(self, monkeypatch):
+        target = _target("ball3")
+        x = _chunks(target.space, target.plan.quad_interior)[0]
+        assert [line.size for line in grid_lines(x)] == [128, 16, 8]
+        for f in _case_fields("ball3"):
+            for order in (3, 1):
+                _same_jet(*_both(monkeypatch, lambda: f.jet(x, order)))
+
+    def test_half_space_chunk_is_not_whole_rows(self, monkeypatch):
+        # 16384 nodes of a 192 x 192 rule: 85 1/3 rows, no grid, so the
+        # fields take the node path and its projection
+        target = _target("half_space")
+        assert target.plan.quad_interior == (192, 192)
+        x = _chunks(target.space, target.plan.quad_interior)[0]
+        assert grid_lines(x) is None
+        for f in _case_fields("half_space"):
+            _same_jet(*_both(monkeypatch, lambda: f.jet(x)))
+        with monkeypatch.context() as mp:
+            calls = _recording(mp, "distinct")
+            target.neumann().field.jet(x)
+        assert calls and set(calls) == {quadrature.CHUNK}
+
+    def test_signed_zero_kept_apart(self, monkeypatch):
+        f = ExprField("x*exp(y)", 2)
+        x = _tensor([-1.0, 0.0, 1.0], [0.5, -0.0, 2.0])
+        lines = grid_lines(x)
+        assert np.signbit(lines[1].ravel()).tolist() == [False, True, False]
+        a, b = _both(monkeypatch, lambda: f.jet(x))
+        assert a.stored.tobytes() == b.stored.tobytes()
+        x[0, 4] = -0.0  # one node's 0.0 on axis 0 is -0.0: no grid
+        assert grid_lines(x) is None
+        a, b = _both(monkeypatch, lambda: f.jet(x))
+        assert a.stored.tobytes() == b.stored.tobytes()
+        assert np.signbit(a.value[4]) and not np.signbit(a.value[3])
+
+    @pytest.mark.parametrize("where", ["line", "node"])
+    def test_non_finite_coordinate_raises_as_at_nodes(self, monkeypatch,
+                                                      where):
+        f = ExprField("sin(y)", 2)  # reads y; the bad coordinate is on x
+        x = _tensor([0.5, 1.0, 1.5], [0.0, 1.0])
+        if where == "line":
+            x[0, :2] = np.inf  # a whole grid line: the bits still match
+        else:
+            x[0, 3] = np.nan
+        assert grid_lines(x) is None
+
+        def message():
+            with pytest.raises(JetError) as info:
+                f.jet(x)
+            return str(info.value)
+
+        got, want = _both(monkeypatch, message)
+        assert got == want == "non-finite point coordinates"
+        # a field that reads no coordinate does not raise, on either path
+        const = fields.ConstField(2, 1.5)
+        _same_jet(*_both(monkeypatch, lambda: const.jet(x)))
+
+    def test_scattered_points(self, monkeypatch):
+        x = np.random.default_rng(3).uniform(0.2, 0.9, (2, 300))
+        assert grid_lines(x) is None
+        assert grid_lines(x[:, :1]) is None  # one point
+        for f in _case_fields("ball"):
+            _same_jet(*_both(monkeypatch, lambda: f.jet(x)))
+
+    def test_domain_error_names_callers_batch(self):
+        f = ExprField("log(x)*cos(y)", 2)
+        x = _tensor([1.0, -1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
+        assert grid_lines(x) is not None
+        with pytest.raises(EvalError, match="at point batch of 12 points$"):
+            f.jet(x)
+
+    def test_light_validate_takes_the_grid_path(self, monkeypatch):
+        # building a zoo entry jets its fields on small sample and patch
+        # grids: on their lines, with no distinct-point projection
+        with monkeypatch.context() as mp:
+            grids = _recording(mp, "grid_lines")
+            projected = _recording(mp, "distinct")
+            for name in zoo.list_entries():
+                zoo.load(name)
+        # one-point base geometries still call it, which returns at once
+        assert max(projected) == 1
+        assert {36, 216} <= set(grids)
