@@ -17,8 +17,7 @@ must be C^3 on its chart.
 Fields defined here are evaluated either over jet arithmetic
 (:func:`evaluate_jet`, the one jet evaluator, fed seeds at the points or
 on the axis lines of a tensor grid) or as plain values
-(:func:`evaluate_value`, the brute-force route used by tests);
-:func:`variables` lists the chart variables an expression reads.
+(:func:`evaluate_value`, the brute-force route used by tests).
 """
 
 from __future__ import annotations
@@ -299,33 +298,20 @@ def evaluate_jet(ast, seeds) -> Jet:
     raise TypeError(f"not an AST node: {ast!r}")
 
 
-def evaluate(ast, x, order: int = MAX_ORDER) -> Jet:
+def evaluate(ast, x, order: int = MAX_ORDER, seeds=None) -> Jet:
     """Jet of the field at point(s) x (shape (dim,) or (dim, m)) through
     ``order``: the seeds are truncated there, so no step of the fold
-    computes a slot above ``order``."""
+    computes a slot above ``order``.  ``seeds`` are the caller's seeds of
+    x (see ``evaluate_jet``), else x's rows.  A domain error is an
+    EvalError naming x."""
     x = np.asarray(x, dtype=float)
-    seeds = [seed_variable(i, x).truncate(order) for i in range(x.shape[0])]
+    if seeds is None:
+        seeds = [seed_variable(i, x).truncate(order)
+                 for i in range(x.shape[0])]
     try:
         return evaluate_jet(ast, seeds)
     except JetDomainError as exc:
         raise EvalError(f"{exc} at point {_fmt_point(x)}") from exc
-
-
-def variables(node) -> Tuple[int, ...]:
-    """The indices of the chart variables an AST reads, ascending."""
-    found = set()
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            found.add(node.index)
-        elif isinstance(node, Neg):
-            stack.append(node.operand)
-        elif isinstance(node, Bin):
-            stack += [node.left, node.right]
-        elif isinstance(node, Call):
-            stack += node.args
-    return tuple(sorted(found))
 
 
 def _fmt_point(x):

@@ -26,8 +26,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fields import ScalarField, distinct
-from .jets import Jet, take_batch
+from .fields import Lines, ScalarField
+from .jets import Jet
 
 SPD_FLOOR = 1e-10
 GRAD_PHI_FLOOR = 1e-8
@@ -42,7 +42,7 @@ class WeightedSpace:
     """A chart of a weighted Riemannian manifold with boundary.
 
     ``metric[i][j]`` are scalar fields (symmetric: only i <= j need be
-    distinct objects), ``weight`` is V in the reference measure
+    separate objects), ``weight`` is V in the reference measure
     ``exp(-V) dVol_g`` and ``defining_fn`` is phi with Omega = {phi < 0}.
     """
 
@@ -60,24 +60,16 @@ class WeightedSpace:
         if len(self.chart_box) != self.dim:
             raise GeometryError("chart_box length must equal dim")
 
-    @property
-    def reads(self) -> Tuple[int, ...]:
-        """The chart axes the metric entries and the weight read."""
-        axes = set(self.weight.reads)
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                axes.update(self.metric[i][j].reads)
-        return tuple(sorted(axes))
-
-    def metric_jets(self, x) -> List[List[Jet]]:
-        """Order-2 jets of the metric entries at x, the highest order any
-        consumer reads (Gamma(f,f) needs the inverse to order 2); the
-        (j, i) entry is the (i, j) jet."""
+    def metric_jets(self, x, lines: Lines = None) -> List[List[Jet]]:
+        """Order-2 jets of the metric entries at x (on its grid ``lines``
+        if given, see ``ScalarField.jet``), the highest order any consumer
+        reads (Gamma(f,f) needs the inverse to order 2); the (j, i) entry
+        is the (i, j) jet."""
         n = self.dim
         jg: List[List[Optional[Jet]]] = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                jg[i][j] = jg[j][i] = self.metric[i][j].jet(x, 2)
+                jg[i][j] = jg[j][i] = self.metric[i][j].jet(x, 2, lines)
         return jg  # type: ignore[return-value]
 
 
@@ -129,14 +121,17 @@ class PointFrame:
     sqrt_det: np.ndarray
 
 
-def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None
-             ) -> PointFrame:
-    """Metric matrix, inverse and volume density at x."""
+def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None,
+             lines: Lines = None) -> PointFrame:
+    """Metric matrix, inverse and volume density at x, at the broadcast
+    shape of the metric jets (``jg``, or those at x on its grid ``lines``
+    if given)."""
     x = as_points(space, x)
     n = space.dim
     if jg is None:
-        jg = space.metric_jets(x)
-    batch = jg[0][0].batch_shape
+        jg = space.metric_jets(x, lines)
+    batch = np.broadcast_shapes(*(jg[i][j].batch_shape for i in range(n)
+                                  for j in range(i, n)))
     G = np.zeros((n, n) + batch)
     for i in range(n):
         for j in range(i, n):
@@ -145,6 +140,9 @@ def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None
     eig = np.linalg.eigvalsh(Gm)
     min_eig = eig[..., 0]
     if np.any(min_eig <= SPD_FLOOR):
+        if lines is not None:  # at the nodes, to name the first worst one
+            min_eig = np.broadcast_to(min_eig, np.broadcast_shapes(
+                *(line.shape for line in lines))).reshape(x.shape[1:])
         bad = np.argmin(min_eig)
         pt = x if x.ndim == 1 else x[:, np.unravel_index(bad, min_eig.shape)]
         raise GeometryError(
@@ -194,107 +192,87 @@ class NodeGeometry:
     ``christoffels`` (the values of ``jgam``) is not built with the frame,
     where the jets it needs would be alive while g's order-3 jet is built.
 
-    The data are computed once per distinct point of the axes the space's
-    metric and weight read (``WeightedSpace.reads``), on a plain
-    ``NodeGeometry`` of those points, and gathered to the nodes: on a
-    tensor-product grid of a chart whose geometry ignores an axis, that
-    axis costs nothing.  Every per-node operation is elementwise, so the
-    gathered data equal the direct ones bit for bit; the gather keeps the
-    symmetric aliasing (``jgam[k][i][j] is jgam[k][j][i]``), each jet's
-    order and degree, and broadcast constant storage.  ``on_distinct``
-    hands a consumer whose own fields read no other axis (the weak
-    sweep's g-only terms) that distinct-point geometry and the map, so
-    that it computes its terms there and gathers them the same way, bit
-    for bit."""
+    ``x`` holds the points.  Given ``lines``, the axis lines of the
+    tensor grid x lists in C order (an interior quadrature chunk), the
+    metric and weight are jetted on the lines, and every jet and array
+    here stays at the broadcast shape of the axes they read: ball3's at
+    (r, theta), since its geometry never reads the azimuth.  The frame,
+    ``christoffels`` and Ricci_V are at the broadcast shape of all of
+    them; ``grid`` is the shape of the nodes themselves, against which
+    everything broadcasts.  Every per-node operation is elementwise, so
+    once broadcast to ``grid`` and flattened each value equals the one
+    computed at the points bit for bit."""
 
-    def __init__(self, space: WeightedSpace, x):
+    def __init__(self, space: WeightedSpace, x, lines: Lines = None):
         self.space = space
         self.x = as_points(space, x)
-        proj = distinct(self.x, space.reads)
-        if proj is None:
-            self._base = self._where = None
-            self.frame = frame_at(space, self.x, self.jg)
-        else:
-            first, self._where = proj
-            # its points are distinct on the axes read, so it computes
-            # directly
-            self._base = NodeGeometry(
-                space, self.x.reshape(space.dim, -1)[:, first])
-            frame, where = self._base.frame, self._where
-            self.frame = PointFrame(
-                metric=take_batch(frame.metric, where),
-                inverse=take_batch(frame.inverse, where),
-                sqrt_det=take_batch(frame.sqrt_det, where))
+        self.lines = lines
+        self.grid = self.x.shape[1:] if lines is None else \
+            np.broadcast_shapes(*(line.shape for line in lines))
+        self.frame = frame_at(space, self.x, self.jg, lines)
 
-    def on_distinct(self, axes: Sequence[int]
-                    ) -> Optional[Tuple["NodeGeometry", np.ndarray]]:
-        """The geometry this one gathers from and the map from each node
-        to its point (see ``distinct``), when ``axes`` is among the axes
-        the metric and weight read; otherwise, or when this geometry was
-        computed at the nodes, None, meaning "compute at the nodes".
-        Terms computed from that geometry and fields that read only
-        ``axes``, elementwise per point, equal the terms computed here bit
-        for bit once gathered with ``take_batch``.  Nothing is built."""
-        if self._base is None or not set(axes) <= set(self.space.reads):
-            return None
-        return self._base, self._where
-
-    def _shared(self, name: str, build):
-        """``build()`` here, or the distinct-point geometry's ``name``
-        gathered to the nodes, one gathered jet per jet object."""
-        if self._base is None:
-            return build()
-        where, memo = self._where, {}
-
-        def gather(item):
-            if isinstance(item, list):
-                return [gather(e) for e in item]
-            if isinstance(item, Jet):
-                if id(item) not in memo:
-                    memo[id(item)] = item.gather(where)
-                return memo[id(item)]
-            return take_batch(item, where)
-
-        return gather(getattr(self._base, name))
+    def at_nodes(self, a: np.ndarray) -> np.ndarray:
+        """Per-node values whose trailing axes broadcast against ``grid``,
+        materialised at ``grid``: at every node, in x's order once the
+        grid axes are flattened."""
+        a = np.asarray(a)
+        head = a.shape[:a.ndim - len(self.grid)]
+        return np.ascontiguousarray(np.broadcast_to(a, head + self.grid))
 
     @cached_property
     def jg(self) -> List[List[Jet]]:
-        return self._shared("jg", lambda: self.space.metric_jets(self.x))
+        return self.space.metric_jets(self.x, self.lines)
 
     @cached_property
     def jginv(self) -> List[List[Jet]]:
-        return self._shared("jginv", lambda: jet_matrix_inverse(self.jg))
+        return jet_matrix_inverse(self.jg)
 
     @cached_property
     def jgam(self) -> List[List[List[Jet]]]:
-        return self._shared("jgam", lambda: christoffel_jets(
-            self.space, self.x, self.jg, self.jginv))
+        return christoffel_jets(self.space, self.x, self.jg, self.jginv)
 
     @cached_property
     def christoffels(self) -> np.ndarray:
         """The values of ``jgam``, indexed [k, i, j] ahead of the batch."""
-        return self._shared("christoffels", lambda: np.array(
-            [[[c.value for c in row] for row in p] for p in self.jgam]))
+        batch = self.frame.sqrt_det.shape
+        return np.array([[[np.broadcast_to(c.value, batch) for c in row]
+                          for row in p] for p in self.jgam])
 
     @cached_property
     def jV(self) -> Jet:
-        return self._shared("jV", lambda: self.space.weight.jet(self.x, 2))
+        return self.space.weight.jet(self.x, 2, self.lines)
 
     @property
     def ricci_v(self) -> np.ndarray:
-        """Ricci_V = Ricci + Hess V at the nodes; each consumer reads it
-        once, so it is not kept."""
-        return self._shared("ricci_v", lambda: ricci(
-            self.space, self.x, self) + hessian(self.space, self.jV,
-                                                 self.x, self))
+        """Ricci_V = Ricci + Hess V; each consumer reads it once, so it is
+        not kept."""
+        return ricci(self.space, self.x, self) + hessian(
+            self.space, self.jV, self.x, self)
 
 
 FieldOrJet = Union[ScalarField, Jet]
 
 
-def _jet(f: FieldOrJet, x) -> Jet:
-    """The jet of f at x; f is a field or already that jet."""
-    return f if isinstance(f, Jet) else f.jet(x)
+def contract(spec: str, *ops: np.ndarray) -> np.ndarray:
+    """``np.einsum(spec, *ops)``, where each operand's batch axes (its
+    ``...``) broadcast against the others'.  Operands at differing batch
+    shapes are first materialised at the common one: einsum may sum the
+    terms of a broadcast operand in another order, and the result must
+    equal the per-node one bit for bit."""
+    heads = [len(term) - 3 for term in spec.split("->")[0].split(",")]
+    batches = [op.shape[h:] for h, op in zip(heads, ops)]
+    if len(set(batches)) > 1:
+        batch = np.broadcast_shapes(*batches)
+        ops = tuple(np.ascontiguousarray(np.broadcast_to(op, op.shape[:h]
+                                                         + batch))
+                    for h, op in zip(heads, ops))
+    return np.einsum(spec, *ops)
+
+
+def _jet(f: FieldOrJet, geom: NodeGeometry) -> Jet:
+    """The jet of f at the nodes of ``geom`` (on its lines, if any); f is
+    a field or already that jet."""
+    return f if isinstance(f, Jet) else f.jet(geom.x, lines=geom.lines)
 
 
 def ricci(space: WeightedSpace, x,
@@ -304,7 +282,8 @@ def ricci(space: WeightedSpace, x,
     n = space.dim
     geom = geom or NodeGeometry(space, x)
     gam = geom.christoffels
-    dgam = np.array([[[c.gradient() for c in row] for row in p]
+    dgam = np.array([[[np.broadcast_to(c.gradient(), (n,) + gam.shape[3:])
+                       for c in row] for row in p]
                      for p in geom.jgam])  # [k, i, j, l] = d_l G^k_ij
     R = np.zeros((n, n) + gam.shape[3:])
     for i in range(n):
@@ -323,11 +302,12 @@ def hessian(space: WeightedSpace, f: FieldOrJet, x,
             geom: Optional[NodeGeometry] = None) -> np.ndarray:
     """Covariant Hessian components (Hess f)_ij at x."""
     x = as_points(space, x)
-    gam = (geom or NodeGeometry(space, x)).christoffels
-    jf = _jet(f, x)
+    geom = geom or NodeGeometry(space, x)
+    gam = geom.christoffels
+    jf = _jet(f, geom)
     n = space.dim
     df = [jf.partial(i) for i in range(n)]
-    H = np.zeros((n, n) + jf.batch_shape)
+    H = np.zeros((n, n) + np.broadcast_shapes(jf.batch_shape, gam.shape[3:]))
     for i in range(n):
         for j in range(i, n):
             v = df[i].partial(j).value
@@ -341,22 +321,22 @@ def grad(space: WeightedSpace, f: FieldOrJet, x,
          geom: Optional[NodeGeometry] = None) -> np.ndarray:
     """Contravariant gradient components of f at x."""
     x = as_points(space, x)
-    frame = (geom or NodeGeometry(space, x)).frame
-    jf = _jet(f, x)
+    geom = geom or NodeGeometry(space, x)
+    jf = _jet(f, geom)
     df = jf.gradient()
-    return np.einsum("ij...,j...->i...", frame.inverse, df)
+    return contract("ij...,j...->i...", geom.frame.inverse, df)
 
 
 def gamma1(space: WeightedSpace, f: FieldOrJet, h: FieldOrJet, x,
            geom: Optional[NodeGeometry] = None) -> np.ndarray:
     """Carre du champ Gamma(f,h) = g^{ij} d_i f d_j h at x."""
     x = as_points(space, x)
-    frame = (geom or NodeGeometry(space, x)).frame
-    jf = _jet(f, x)
-    jh = jf if h is f else _jet(h, x)
+    geom = geom or NodeGeometry(space, x)
+    jf = _jet(f, geom)
+    jh = jf if h is f else _jet(h, geom)
     df = jf.gradient()
     dh = df if jh is jf else jh.gradient()
-    return np.einsum("ij...,i...,j...->...", frame.inverse, df, dh)
+    return contract("ij...,i...,j...->...", geom.frame.inverse, df, dh)
 
 
 def witten_laplacian(space: WeightedSpace, f: FieldOrJet, x,
@@ -364,7 +344,7 @@ def witten_laplacian(space: WeightedSpace, f: FieldOrJet, x,
     """L f = trace_g Hess f - Gamma(V, f) at x."""
     x = as_points(space, x)
     geom = geom or NodeGeometry(space, x)
-    jf = _jet(f, x)
+    jf = _jet(f, geom)
     return laplacian_of_hessian(space, jf, hessian(space, jf, x, geom), geom)
 
 
@@ -372,7 +352,7 @@ def laplacian_of_hessian(space: WeightedSpace, jf: Jet, H: np.ndarray,
                          geom: NodeGeometry) -> np.ndarray:
     """L f at the nodes of ``geom`` from the jet of f and its Hessian
     there, for a caller that reads Hess f itself too."""
-    lap = np.einsum("ij...,ij...->...", geom.frame.inverse, H)
+    lap = contract("ij...,ij...->...", geom.frame.inverse, H)
     return lap - gamma1(space, geom.jV, jf, geom.x, geom)
 
 
@@ -381,8 +361,8 @@ def hs_norm_sq(space: WeightedSpace, H: np.ndarray, x,
     """Squared Hilbert-Schmidt norm g^{ik} g^{jl} H_ij H_kl."""
     if frame is None:
         frame = frame_at(space, as_points(space, x))
-    return np.einsum("ik...,jl...,ij...,kl...->...",
-                     frame.inverse, frame.inverse, H, H)
+    return contract("ik...,jl...,ij...,kl...->...",
+                    frame.inverse, frame.inverse, H, H)
 
 
 def bakry_emery_ricci(space: WeightedSpace, x,
@@ -437,15 +417,15 @@ def gamma2_parts(space: WeightedSpace, f: FieldOrJet, x,
     """Gamma2(f) via operator composition over jets of one order lower."""
     x = as_points(space, x)
     geom = geom or NodeGeometry(space, x)
-    jf = _jet(f, x)
+    jf = _jet(f, geom)
     df = [jf.partial(i) for i in range(space.dim)]
     gamma_ff, lf = gamma2_jets(geom, df)
 
     half_l_gamma = 0.5 * witten_laplacian(space, gamma_ff, x, geom)
     dlf = lf.gradient()
     dfv = np.stack([d.value for d in df])
-    gamma_f_lf = np.einsum("ij...,i...,j...->...", geom.frame.inverse, dfv,
-                           dlf)
+    gamma_f_lf = contract("ij...,i...,j...->...", geom.frame.inverse, dfv,
+                          dlf)
     return Gamma2Parts(f_jet=jf, gamma2=half_l_gamma - gamma_f_lf)
 
 

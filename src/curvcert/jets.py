@@ -163,16 +163,6 @@ def _bshape(mult, nd):
     return mult.reshape((-1,) + (1,) * (nd - 1))
 
 
-def take_batch(a: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """``a`` gathered along its last (batch) axis: the result has shape
-    ``a.shape[:-1] + where.shape``.  A stride-0 batch axis, the broadcast
-    storage of a constant, stays a read-only broadcast view."""
-    if a.strides[-1] == 0:
-        row = a[..., 0][(...,) + (None,) * where.ndim]
-        return np.broadcast_to(row, a.shape[:-1] + where.shape)
-    return np.take(a, where, axis=-1)
-
-
 def _at_rank(stored: np.ndarray, rank: int) -> np.ndarray:
     """Slots whose batch is padded with leading unit axes to ``rank``
     batch axes, so that broadcasting never meets the slot axis with a
@@ -285,29 +275,6 @@ class Jet:
         if self.dim != other.dim:
             raise JetShapeError(
                 f"jet dimension mismatch: {self.dim} vs {other.dim}")
-
-    def gather(self, where) -> "Jet":
-        """This jet at the points ``where`` indexes in its one batch axis,
-        with its order and degree (see ``take_batch``)."""
-        return Jet._make(self.dim, self.order, self.degree,
-                         take_batch(self.stored, where))
-
-    def on_grid(self, shape, batch_shape) -> "Jet":
-        """This jet, whose batch broadcasts against the tensor-grid shape
-        ``shape``, at every node of the grid in C order, reshaped to
-        ``batch_shape``.  A constant stored as one broadcast value stays
-        a read-only broadcast view, as ``constant`` stores it; any other
-        jet is materialised, so no jet of positive degree is a view."""
-        batch_shape = tuple(batch_shape)
-        if self.degree < 0:
-            return Jet._zero(self.dim, self.order, batch_shape)
-        n, full = self.stored.shape[0], self.stored
-        if full.shape[1:] != tuple(shape):
-            full = np.broadcast_to(full, (n,) + tuple(shape))
-        if self.degree > 0 or any(self.stored.strides[1:]):
-            full = np.ascontiguousarray(full)
-        return Jet._make(self.dim, self.order, self.degree,
-                         full.reshape((n,) + batch_shape))
 
     def truncate(self, order: int) -> "Jet":
         order = min(order, self.order)

@@ -8,31 +8,32 @@ is exact for integrands carrying a compact-support cutoff inside Omega
 clipping never cuts through the support).  Boundary integrals run over
 parametrized patches with the pullback density exp(-V) sqrt(det Gram).
 
-The interior rule runs in chunks of ``CHUNK`` nodes, one ``NodeGeometry``
-per chunk (and one per boundary patch) giving the density and whatever a
-``GeometryIntegrand`` reads.  A geometry is computed once per distinct
-point of the chart axes its metric and weight read, so where the
-geometry ignores an axis (ball3's never reads the azimuth, the polar 2-D
-charts' reads only the radius) the tensor-product rule repeats no
-geometry along it.  Where the counts allow it (``CHUNK`` a multiple of a
-row, the nodes of the trailing axes), a chunk holds whole rows of the
-rule, so it is itself a tensor grid and every field on it is jetted on
-its axis lines (``fields.grid_lines``); a patch's nodes are one grid.
-Chunks that cut a row (half_space's 192 x 192 rule) are jetted at their
-nodes.  An integrand returns one row or k rows per batch, or
-yields its rows one at a time; each row is reduced as it arrives, so no
-array longer than one batch is held per row.
+The interior rule runs in chunks (``interior_chunks``) of at most
+``CHUNK`` nodes, each a C-order block of whole rows of the rule (a row:
+the nodes that share their index on the first axis), or a sub-box of one
+row where a row is longer.  So every chunk is itself a tensor grid, and
+it comes with its axis lines: the chunk's ``NodeGeometry`` jets the
+metric and weight on them, at the broadcast shape of the axes they read
+(ball3's never reads the azimuth, the polar 2-D charts' reads only the
+radius), and so does any ``GeometryIntegrand`` that passes
+``geom.lines`` on to its fields.  A boundary patch's nodes are one batch,
+jetted at its points.  An integrand returns one row or k rows per batch,
+or yields its rows one at a time; each row is reduced as it arrives, so
+no array longer than one batch is held per row.
 
-Reductions are ordered: each row's batch sum is numpy's pairwise sum over
-a fixed node ordering, and the chunk sums are added in chunk order, so
-results are reproducible bit-for-bit.
+Reductions are ordered: each row and the density are broadcast to the
+batch's nodes and flattened, each row's batch sum is numpy's pairwise
+sum over that fixed node ordering, and the chunk sums are added in chunk
+order, so results are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,17 +65,25 @@ class GeometryIntegrand:
 def _batch_sums(F, geom: NodeGeometry, wts: np.ndarray, dens: np.ndarray,
                 mask=None, sqrt_det=None):
     """One ordered sum of wts * row * dens per row of F on one batch, and
-    whether F gave a single row.  Each row is checked finite and, with
-    ``sqrt_det``, zero wherever sqrt det g is below the floor."""
+    whether F gave a single row.  A row at the shape of the points' batch
+    is taken as it is; any other row broadcasts against the nodes' grid
+    (``NodeGeometry.grid``) and is flattened to the points first.  Each
+    row is checked finite and, with ``sqrt_det``, zero wherever sqrt
+    det g is below the floor."""
     out = F.fn(geom) if isinstance(F, GeometryIntegrand) else F(geom.x)
     single = False
     if not isinstance(out, Iterator):
         out = np.asarray(out)
         single = out.ndim <= 1
         out = [out] if single else out.reshape(-1, out.shape[-1])
+    nodes = geom.x.shape[1:]
     sums = []
     for row in out:
-        fv = np.asarray(row) if mask is None else row * mask
+        fv = np.asarray(row)
+        if fv.shape != nodes:
+            fv = geom.at_nodes(fv).reshape(nodes)
+        if mask is not None:
+            fv = fv * mask
         if not np.all(np.isfinite(fv)):
             bad = int(np.nonzero(~np.isfinite(fv))[-1][0])
             raise QuadratureError(
@@ -138,20 +147,45 @@ def _counts(counts, d, default):
     return counts
 
 
+def interior_chunks(space: WeightedSpace, counts
+                    ) -> Iterator[Tuple[np.ndarray, np.ndarray,
+                                        List[np.ndarray]]]:
+    """The interior rule's batches in order, as (points (d, m), weights
+    (m,), axis lines): C-order blocks of whole rows of at most ``CHUNK``
+    nodes, or, where the nodes behind one index of the leading axes
+    outnumber ``CHUNK``, blocks of the next axis with those indices fixed.
+    Line i holds the chunk's nodes on axis i, shaped to broadcast along
+    axis i only, and the points are its grid in C order."""
+    counts = _counts(counts, space.dim, DEFAULT_INTERIOR_NODES)
+    pts, wts = tensor_rule(space.chart_box, counts)
+    d = len(counts)
+    pts, wts = pts.reshape((d,) + counts), wts.reshape(counts)
+    axis = 0  # the axis whose index ranges over a chunk
+    while math.prod(counts[axis + 1:]) > CHUNK:
+        axis += 1
+    step = CHUNK // math.prod(counts[axis + 1:])
+    rest = (slice(None),) * (d - axis - 1)
+    for lead in itertools.product(*map(range, counts[:axis])):
+        for start in range(0, counts[axis], step):
+            box = tuple(slice(i, i + 1) for i in lead) \
+                + (slice(start, start + step),) + rest
+            chunk = pts[(slice(None),) + box]
+            lines = [chunk[(i,) + tuple(slice(None) if k == i else
+                                        slice(0, 1) for k in range(d))]
+                     for i in range(d)]
+            yield chunk.reshape(d, -1), wts[box].reshape(-1), lines
+
+
 def integrate_interior(space: WeightedSpace, F: Integrand, counts=None):
     """Integral of F over Omega = {phi < 0} against exp(-V) dVol_g
     (one integral per row of F; a float for a single row)."""
-    counts = _counts(counts, space.dim, DEFAULT_INTERIOR_NODES)
-    pts, wts = tensor_rule(space.chart_box, counts)
     total = None
-    for start in range(0, pts.shape[1], CHUNK):
-        sl = slice(start, start + CHUNK)
-        x = pts[:, sl]
+    for x, wts, lines in interior_chunks(space, counts):
         inside = np.asarray(space.defining_fn.value(x)) < 0.0
-        geom = NodeGeometry(space, x)
-        sqrt_det = geom.frame.sqrt_det
+        geom = NodeGeometry(space, x, lines)
+        sqrt_det = geom.at_nodes(geom.frame.sqrt_det).reshape(-1)
         dens = np.exp(-np.asarray(space.weight.value(x))) * sqrt_det
-        sums, single = _batch_sums(F, geom, wts[sl], dens, inside, sqrt_det)
+        sums, single = _batch_sums(F, geom, wts, dens, inside, sqrt_det)
         del geom  # one batch's geometry alive at a time
         total = sums if total is None else \
             [a + b for a, b in zip(total, sums, strict=True)]

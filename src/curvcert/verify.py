@@ -14,13 +14,15 @@ Ricci tensor is one named, reportable check:
 Green's formula and the weak Laplacian are one identity read from two
 sides.  ``weak_checks`` returns the four Neumann-gated checks (green,
 mv_laplacian, ii_identity, ricci_decomposition) from one gate and one
-sweep, which builds the geometry once per node batch and g's terms once
-per distinct point of the axes the geometry reads when g reads no other
-axis, and streams the rows of each test density from one jet of it at the nodes;
-``decomposition_batch`` is the gate plus that sweep over a family of
-densities.  Each check takes the sample grid it reads (a
-``NodeGeometry``, interior points, or one ``BoundaryFrame`` per patch),
-not the counts that would rebuild it; ``SamplePlan.grids`` builds them.
+sweep, which builds the geometry and g's terms once per node batch and
+streams the rows of each test density from one jet of it.  Inside, every
+jet and term is taken on the quadrature chunk's axis lines, at the
+broadcast shape of the axes it reads, and the rows are flattened to the
+nodes only for their sums; ``decomposition_batch`` is the gate plus that
+sweep over a family of densities.  Each check takes the sample grid it
+reads (a ``NodeGeometry``, interior points, or one ``BoundaryFrame`` per
+patch), not the counts that would rebuild it; ``SamplePlan.grids``
+builds them.
 
 Every check that assumes the Neumann hypothesis re-verifies it first and
 fails loudly (GateError) if violated: that is a broken hypothesis, not a
@@ -42,10 +44,10 @@ from .boundary import (BoundaryFrame, NeumannTestFunction, boundary_frame,
 from .exprlang import EvalError
 from .fields import ScalarField
 from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace,
-                       bakry_emery_ricci, carre_du_champ_jet, gamma2_jets,
-                       gamma2_parts, hessian, hs_norm_sq,
+                       bakry_emery_ricci, carre_du_champ_jet, contract,
+                       gamma2_jets, gamma2_parts, hessian, hs_norm_sq,
                        laplacian_of_hessian)
-from .jets import Jet, take_batch
+from .jets import Jet
 from .quadrature import (GeometryIntegrand, integrate_boundary,
                          integrate_interior, patch_points)
 
@@ -203,56 +205,48 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
     order 1 inside and read as a value on the boundary; g needs order 3
     inside (Gamma(g, Lg), |Hess g|^2) and order 1 on the boundary.
 
-    The h-free interior terms (grad g, Lg, |Hess g|^2, grad Gamma(g,g),
-    Gamma(g, Lg), Ricci_V(grad g, grad g)) read only g and the geometry,
-    so when g reads no axis the metric and weight do not, they are
-    computed on the chunk's own distinct-point geometry
-    (``NodeGeometry.on_distinct``) and gathered to the nodes: a ball3
+    Inside, g and each h are jetted on the chunk's axis lines
+    (``geom.lines``), so the h-free terms (grad g, Lg, |Hess g|^2,
+    grad Gamma(g,g), Gamma(g, Lg), Ricci_V(grad g, grad g)) come out at
+    the broadcast shape of the axes g and the geometry read: a ball3
     chunk computes them on its 2048 (r, theta) pairs, not its 16384
-    nodes.  Each is elementwise per node, so the gathered terms equal
-    the direct ones bit for bit; the h rows are formed at the nodes."""
+    nodes.  The terms an h row contracts with (g^{ij}, grad g and
+    grad Gamma(g,g)) are then materialised at the nodes once per chunk,
+    and each h row is formed by broadcasting; the quadrature flattens it
+    to the nodes.  Every term is elementwise per node, so the rows equal
+    those computed at the points bit for bit."""
     def g_terms(geom: NodeGeometry) -> List[np.ndarray]:
         x, ginv = geom.x, geom.frame.inverse
-        jg = g.jet(x)
+        jg = g.jet(x, 3, geom.lines)
         dg = jg.gradient()
         H = hessian(space, jg, x, geom)  # one Hess g for Lg and |Hess g|^2
-        terms = [dg, laplacian_of_hessian(space, jg, H, geom)]
+        terms = [geom.at_nodes(dg), laplacian_of_hessian(space, jg, H, geom)]
         if decomposition:
             terms.append(hs_norm_sq(space, H, x, geom.frame))
             del H  # not held while Gamma2's jets are built
             gamma_gg, jlg = gamma2_jets(
                 geom, [jg.partial(i) for i in range(space.dim)])
-            gv = np.einsum("ij...,j...->i...", ginv, dg)  # grad g
-            terms += [gamma_gg.gradient(),
-                      np.einsum("ij...,i...,j...->...", ginv, dg,
-                                jlg.gradient()),  # Gamma(g, Lg)
-                      np.einsum("ij...,i...,j...->...",
-                                bakry_emery_ricci(space, x, geom), gv, gv)]
+            gv = contract("ij...,j...->i...", ginv, dg)  # grad g
+            terms += [geom.at_nodes(gamma_gg.gradient()),
+                      contract("ij...,i...,j...->...", ginv, dg,
+                               jlg.gradient()),  # Gamma(g, Lg)
+                      contract("ij...,i...,j...->...",
+                               bakry_emery_ricci(space, x, geom), gv, gv)]
         return terms
 
     def interior(geom: NodeGeometry) -> Iterator[np.ndarray]:
-        ginv = geom.frame.inverse
-        proj = geom.on_distinct(g.reads)
-        if proj is None:
-            terms = g_terms(geom)
-        else:
-            try:
-                terms = [take_batch(t, proj[1]) for t in g_terms(proj[0])]
-            except EvalError:
-                # evaluate every node, so that the error names the chunk
-                terms = g_terms(geom)
-            del proj  # not held across the yields
-        dg, lg = terms[:2]
+        ginv = geom.at_nodes(geom.frame.inverse)
+        dg, lg, *rest = g_terms(geom)
         if decomposition:
-            hs_sq, dgam, g_f_lf, ric = terms[2:]
+            hs_sq, dgam, g_f_lf, ric = rest
         for h in hs:
-            jh = h.jet(geom.x, 1)
+            jh = h.jet(geom.x, 1, geom.lines)
             hv = jh.value
             dh = jh.gradient()
-            yield np.einsum("ij...,i...,j...->...", ginv, dh, dg)  # Gamma(h,g)
+            yield contract("ij...,i...,j...->...", ginv, dh, dg)  # Gamma(h,g)
             yield hv * lg
             if decomposition:
-                g_h_gam = np.einsum("ij...,i...,j...->...", ginv, dh, dgam)
+                g_h_gam = contract("ij...,i...,j...->...", ginv, dh, dgam)
                 yield -0.5 * g_h_gam - hv * g_f_lf - hv * hs_sq
                 yield hv * ric
 

@@ -5,9 +5,10 @@ import pytest
 
 from curvcert import zoo
 from curvcert.fields import (ConstField, CutoffField, CutoffSpec, ExprField,
-                             _BinField, _smoothstep_jets, make_cutoff_spec)
+                             _BinField, _bump_h, _smoothstep_jets,
+                             make_cutoff_spec)
 from curvcert.jets import Jet
-from curvcert.quadrature import CHUNK, tensor_rule
+from curvcert.quadrature import interior_chunks, tensor_rule
 from oracles import richardson_partial
 
 SPEC = make_cutoff_spec(inner=((-1.0, 1.0), (0.0, 1.0)),
@@ -177,9 +178,9 @@ def _reference_cutoff_jet(spec, x):
 
 
 class TestCutoffPerCoordinate:
-    """The cutoff evaluates each tapered axis once per distinct coordinate
-    and skips untapered axes; its jets equal the per-node loop's bit for
-    bit."""
+    """On a chunk's axis lines the cutoff evaluates each tapered axis once
+    per distinct coordinate, and it skips untapered axes; its jets equal
+    the per-node loop's bit for bit, on lines or at points."""
 
     UNTAPERED = make_cutoff_spec(inner=((-1.0, 1.0), (0.0, 1.0)),
                                  outer=((-2.0, 2.0), (0.0, 1.0)))
@@ -198,8 +199,32 @@ class TestCutoffPerCoordinate:
     @pytest.mark.parametrize("name", ["ball", "half_space", "ball3"])
     def test_interior_tensor_chunk(self, entry, name):
         e = entry(name)
-        pts, _ = tensor_rule(e.space.chart_box, e.plan.quad_interior)
-        self._check(e.cutoff, pts[:, :CHUNK])
+        x, _, lines = next(interior_chunks(e.space, e.plan.quad_interior))
+        self._check(e.cutoff, x)
+        ref = _reference_cutoff_jet(e.cutoff, x).coeffs
+        jet = CutoffField(e.cutoff).jet(x, 3, lines)
+        on_lines = np.broadcast_to(jet.coeffs, (len(ref),) + tuple(
+            line.size for line in lines)).reshape(ref.shape)
+        assert self._same_bits(on_lines, ref)
+
+    @pytest.mark.parametrize("spec", [SPEC, UNTAPERED])
+    def test_orders_below_3_are_slots_of_order_3(self, spec):
+        # exp(-1/t)'s derivative rows above the order asked for are not
+        # computed, and the kept slots do not move
+        x = np.random.default_rng(4).uniform(-2.5, 2.5, (2, 300))
+        x[:, :4] = [[-1.0, 1.0, -2.0, 2.5], [0.5, 0.5, 0.5, 0.5]]
+        chi = CutoffField(spec)
+        full = chi.jet(x)
+        for order in (0, 1, 2):
+            jet = chi.jet(x, order)
+            assert jet.order == order
+            assert self._same_bits(jet.stored, full.stored[:len(jet.stored)])
+        for t in (x[0], 0.3, 1e-13):
+            rows = _bump_h(t)
+            for order in (0, 1, 2):
+                below = _bump_h(t, order)
+                assert self._same_bits(below[:order + 1], rows[:order + 1])
+                assert not below[order + 1:].any()
 
     @pytest.mark.parametrize("spec", [SPEC, UNTAPERED])
     def test_scattered_points(self, spec):
@@ -227,10 +252,10 @@ class TestCutoffPerCoordinate:
         monkeypatch.setattr(CutoffField, "_axis_coeffs", counted)
         e = entry("ball")
         counts = e.plan.quad_interior
-        pts, _ = tensor_rule(e.space.chart_box, counts)
+        x, _, lines = next(interior_chunks(e.space, counts))
         chi = CutoffField(e.cutoff)
         assert chi.tapered == (0,)  # the angle axis carries no cutoff
-        chi.jet(pts[:, :CHUNK])
+        chi.jet(x, 3, lines)
         assert seen
         for axis, size, distinct in seen:
             assert axis in chi.tapered

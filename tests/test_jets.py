@@ -303,20 +303,6 @@ class TestBatchRank:
         with pytest.raises(JetShapeError, match="do not broadcast"):
             OPS[op](a, b)
 
-    def test_on_grid(self):
-        rng = np.random.default_rng(8)
-        line = graded_jet(rng, 2, 3, 3, (1, 3))
-        flat = line.on_grid((2, 3), (6,))
-        assert flat.stored.shape == (10, 6) and flat.stored.strides[-1]
-        assert np.array_equal(flat.stored, np.tile(line.stored[:, 0], 2))
-        # a broadcast constant stays one; a computed one is materialised
-        const = Jet.constant(2, 1.5, (1, 1)).on_grid((2, 3), (6,))
-        assert const.stored.shape == (1, 6) and const.stored.strides[-1] == 0
-        one = Jet.constant(2, np.ones((1, 1))) * 2.0
-        assert one.on_grid((2, 3), (6,)).stored.strides[-1] != 0
-        zero = Jet.constant(2, 0.0, (1, 1)).on_grid((2, 3), (6,))
-        assert zero.degree == -1 and zero.stored.shape == (0, 6)
-
 
 def dense_product(dim, a, b, order):
     """Reference product over full coefficient arrays: the Leibniz pair

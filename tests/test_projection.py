@@ -1,22 +1,21 @@
-"""Geometry, expression fields and the weak sweep's g-only terms are
-evaluated once per distinct point of the chart axes they read, then
-gathered to the nodes, and fields on a tensor grid are jetted on its
-axis lines.  The results must equal the direct evaluation at every node
-bit for bit, on every zoo entry and on the INI space, and errors must
-read as the direct evaluation's.  The direct path is forced by making
-``distinct`` and ``grid_lines`` return None."""
-
-import sys
+"""Each interior quadrature chunk is a tensor grid handed over with its
+axis lines, and the geometry, the fields and the weak sweep's terms are
+jetted on those lines, at the broadcast shape of the axes they read.
+Broadcast to the nodes and flattened, every value must equal the one
+computed at the chunk's points bit for bit, on every zoo entry and on
+the INI space, and errors must read as they do at the points.  The point
+path is forced by handing each chunk over without its lines."""
 
 import numpy as np
 import pytest
 
-from curvcert import config, exprlang, fields, geometry, quadrature, report
-from curvcert import verify, zoo
+from curvcert import config, fields, geometry, quadrature, report, verify
+from curvcert import zoo
 from curvcert.exprlang import EvalError
-from curvcert.fields import ExprField, distinct, grid_lines
+from curvcert.fields import ExprField
 from curvcert.geometry import GeometryError, NodeGeometry
-from curvcert.jets import Jet, JetError
+from curvcert.jets import JetError
+from curvcert.quadrature import GeometryIntegrand, interior_chunks
 from test_geometry import DENSE_INI
 
 NAMES = zoo.list_entries() + [DENSE_INI.name]
@@ -28,52 +27,50 @@ def _target(name):
     return report.target_from_zoo(zoo.load(name))
 
 
-DISTINCT = fields.distinct
-GRID_LINES = fields.grid_lines
+CHUNKS = quadrature.interior_chunks
 
 
-def _direct(mp):
-    """Evaluate directly, at every node: every name in a curvcert module
-    that binds ``distinct`` or ``grid_lines`` is rebound to a function
-    that returns None."""
-    for name, module in list(sys.modules.items()):
-        if name == "curvcert" or name.startswith("curvcert."):
-            for attr, value in list(vars(module).items()):
-                if value is DISTINCT:
-                    mp.setattr(module, attr, lambda x, axes: None)
-                elif value is GRID_LINES:
-                    mp.setattr(module, attr, lambda x: None)
+def _at_points(mp):
+    """Hand every interior chunk over without its lines, so that it is
+    jetted at its points."""
+    def without_lines(space, counts):
+        for x, wts, _ in CHUNKS(space, counts):
+            yield x, wts, None
+
+    mp.setattr(quadrature, "interior_chunks", without_lines)
 
 
 def _both(monkeypatch, run):
-    """``run()`` projected, then with the direct path forced."""
-    projected = run()
+    """``run()`` on the chunks' lines, then at their points."""
+    on_lines = run()
     with monkeypatch.context() as mp:
-        _direct(mp)
-        return projected, run()
+        _at_points(mp)
+        return on_lines, run()
 
 
-def _grids(space, plan):
-    """Each geometry a suite builds on a grid: the first interior
-    quadrature chunk, each boundary patch's quadrature nodes, and the
-    interior and boundary sample grids."""
-    pts, _ = quadrature.tensor_rule(space.chart_box, plan.quad_interior)
-    yield pts[:, :quadrature.CHUNK]
-    for patch in space.boundary_patches:
-        s, _ = quadrature.tensor_rule(patch.param_box, plan.quad_boundary)
-        yield quadrature._patch_geometry(space, patch, s)[0].x
-    x, frames = plan.grids(space)
-    yield x
-    for bf in frames:
-        yield bf.point
+def _flat(a, grid, m):
+    """Per-node values broadcast against ``grid``, flattened to its m
+    nodes."""
+    a = np.asarray(a)
+    head = a.shape[:a.ndim - len(grid)]
+    return np.broadcast_to(a, head + grid).reshape(head + (m,))
 
 
-def _same_jet(a, b):
+def _same(a, b, grid):
+    """a (broadcasting against ``grid``) at the nodes has b's bits."""
+    b = np.asarray(b)
+    got = _flat(a, grid, b.shape[-1])
+    assert got.shape == b.shape
+    assert got.tobytes() == b.tobytes()
+
+
+def _same_jet(a, b, grid):
     assert (a.order, a.degree) == (b.order, b.degree)
-    assert a.stored.shape == b.stored.shape
-    assert np.array_equal(a.stored, b.stored)
-    # broadcast constants and zero jets stay broadcast views
-    assert (a.stored.strides[-1] == 0) == (b.stored.strides[-1] == 0)
+    _same(a.stored, b.stored, grid)
+
+
+def _grid(lines):
+    return tuple(line.size for line in lines)
 
 
 def _sweep_case(name):
@@ -90,16 +87,41 @@ def _sweep_case(name):
 
 
 def _recording_geometries(monkeypatch):
-    """The batch shape of every ``NodeGeometry`` built from here on."""
+    """(points, lines) of every ``NodeGeometry`` built from here on."""
     built = []
     init = NodeGeometry.__init__
 
-    def recorded_init(self, space, x):
-        built.append(np.shape(x))
-        init(self, space, x)
+    def recorded_init(self, space, x, lines=None):
+        built.append((np.shape(x), lines))
+        init(self, space, x, lines)
 
     monkeypatch.setattr(NodeGeometry, "__init__", recorded_init)
     return built
+
+
+def _sweep_rows(monkeypatch, space, plan, g, hs):
+    """The bytes of every row the weak sweep of g against ``hs`` yields,
+    flattened to the nodes, on the chunks' lines and at their points."""
+    rows = []
+    batch_sums = quadrature._batch_sums
+
+    def recorded(F, geom, *args):
+        def fn(geom):
+            for row in F.fn(geom):
+                rows.append(geom.at_nodes(row).reshape(-1).tobytes())
+                yield row
+
+        return batch_sums(GeometryIntegrand(fn), geom, *args)
+
+    def sweep():
+        rows.clear()
+        verify._weak_integrals(space, g, hs, plan.quad_interior,
+                               plan.quad_boundary)
+        return list(rows)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(quadrature, "_batch_sums", recorded)
+        return _both(mp, sweep)
 
 
 class TestBitIdentity:
@@ -124,76 +146,67 @@ class TestBitIdentity:
         assert a == b
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_node_geometry_arrays_and_jets(self, monkeypatch, name):
+    def test_node_geometry_arrays_and_jets(self, name):
         target = _target(name)
         space, n = target.space, target.space.dim
-        for x in _grids(space, target.plan):
-            got, want = _both(monkeypatch, lambda: NodeGeometry(space, x))
+        for x, _, lines in interior_chunks(space, target.plan.quad_interior):
+            got, want = NodeGeometry(space, x, lines), NodeGeometry(space, x)
+            grid = _grid(lines)
+            assert got.grid == grid and want.grid == x.shape[1:]
             for attr in ("metric", "inverse", "sqrt_det"):
-                assert np.array_equal(getattr(got.frame, attr),
-                                      getattr(want.frame, attr))
-            assert np.array_equal(got.christoffels, want.christoffels)
-            assert np.array_equal(got.ricci_v, want.ricci_v)
-            _same_jet(got.jV, want.jV)
+                _same(getattr(got.frame, attr), getattr(want.frame, attr),
+                      grid)
+            _same(got.christoffels, want.christoffels, grid)
+            _same(got.ricci_v, want.ricci_v, grid)
+            _same_jet(got.jV, want.jV, grid)
             for i in range(n):
                 for j in range(n):
-                    _same_jet(got.jg[i][j], want.jg[i][j])
-                    _same_jet(got.jginv[i][j], want.jginv[i][j])
+                    _same_jet(got.jg[i][j], want.jg[i][j], grid)
+                    _same_jet(got.jginv[i][j], want.jginv[i][j], grid)
                     assert got.jg[i][j] is got.jg[j][i]
                     for k in range(n):
-                        _same_jet(got.jgam[k][i][j], want.jgam[k][i][j])
+                        _same_jet(got.jgam[k][i][j], want.jgam[k][i][j],
+                                  grid)
                         assert got.jgam[k][i][j] is got.jgam[k][j][i]
 
+    @pytest.mark.parametrize("name", NAMES)
+    def test_sweep_rows(self, monkeypatch, name):
+        # every row the weak sweep yields, inside and on the boundary
+        space, plan, g, hs = _sweep_case(name)
+        a, b = _sweep_rows(monkeypatch, space, plan, g.field, hs)
+        assert len(a) == len(b) > 0 and a == b
+
     def test_curved_entries_project(self):
-        # the identity tests above exercise the gather: every curved 2-D
-        # entry's metric reads the radius only, ball3's (r, theta)
-        for name, axes in [("ball", (0,)), ("annulus", (0,)),
-                           ("hemisphere", (0,)), ("poincare_cap", (0,)),
-                           ("ball3", (0, 1)), ("half_space", ()),
-                           ("gaussian_half_space", (0, 1))]:
-            space = zoo.load(name).space
-            assert space.reads == axes
-        assert _target(DENSE_INI.name).space.reads == (0, 1)
+        # the geometry of the first chunk stays at the broadcast shape of
+        # the axes its metric (the frame) and its metric and weight
+        # (Ricci_V) read: the curved 2-D entries' read the radius only,
+        # ball3's (r, theta), the half-spaces' metric nothing
+        for name, frame, ricci in [
+                ("ball", (224, 1), (224, 1)),
+                ("annulus", (224, 1), (224, 1)),
+                ("hemisphere", (256, 1), (256, 1)),
+                ("poincare_cap", (224, 1), (224, 1)),
+                ("ball3", (128, 16, 1), (128, 16, 1)),
+                ("half_space", (1, 1), (1, 1)),
+                ("gaussian_half_space", (1, 1), (85, 192)),
+                (DENSE_INI.name, (224, 32), (224, 32))]:
+            target = _target(name)
+            x, _, lines = next(interior_chunks(target.space,
+                                               target.plan.quad_interior))
+            geom = NodeGeometry(target.space, x, lines)
+            assert geom.frame.sqrt_det.shape == frame, name
+            assert geom.christoffels.shape[3:] == frame, name
+            assert geom.ricci_v.shape[2:] == ricci, name
 
     def test_scattered_points_evaluate_directly(self, monkeypatch):
         x = np.random.default_rng(5).uniform(0.1, 1.0, (3, 400))
-        assert distinct(x, (0, 1)) is None
-        assert distinct(x, (0,)) is None
         space = zoo.load("ball3").space
         built = _recording_geometries(monkeypatch)
-        NodeGeometry(space, x)
-        assert built == [(3, 400)]
-
-
-class TestDistinct:
-    def test_first_appearance_and_inverse(self):
-        x = np.array([[2.0, 1.0, 2.0, 1.0, 3.0, 2.0],
-                      [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]])
-        first, where = distinct(x, (0,))
-        assert first.tolist() == [0, 1, 4]
-        assert np.array_equal(x[0, first][where], x[0])
-
-    def test_signed_zero_is_its_own_point(self):
-        x = np.array([[0.0, -0.0, 0.0, -0.0], [1.0, 2.0, 3.0, 4.0]])
-        first, where = distinct(x, (0,))
-        assert first.tolist() == [0, 1]
-        assert where.tolist() == [0, 1, 0, 1]
-
-    def test_direct_cases(self):
-        x = np.tile(np.array([[1.0], [2.0], [3.0]]), (1, 8))
-        assert distinct(x, (0, 1, 2)) is None   # every axis
-        assert distinct(x[:, 0], (0,)) is None  # a single point
-        assert distinct(x[:, :1], (0,)) is None
-        x[2, 3] = np.inf  # non-finite, even on an axis not read
-        assert distinct(x, (0,)) is None
-        assert distinct(x[:, :3], ()) is not None
-
-    def test_batch_shape_kept(self):
-        x = np.zeros((2, 3, 4))
-        x[0] = np.arange(4.0)
-        first, where = distinct(x, (0,))
-        assert first.tolist() == [0, 1, 2, 3]
-        assert where.shape == (3, 4)
+        geom = NodeGeometry(space, x)
+        assert built == [((3, 400), None)]
+        assert geom.grid == (400,)
+        assert geom.frame.sqrt_det.shape == (400,)
+        assert {j.batch_shape for row in geom.jg for j in row} == {(400,)}
 
 
 class TestCountsAndErrors:
@@ -205,9 +218,10 @@ class TestCountsAndErrors:
         seen = []
         original = geometry.frame_at
 
-        def recorded(space, x, *args):
-            seen.append(np.shape(x)[1])
-            return original(space, x, *args)
+        def recorded(*args, **kwargs):
+            frame = original(*args, **kwargs)
+            seen.append(frame.sqrt_det.size)
+            return frame
 
         monkeypatch.setattr(geometry, "frame_at", recorded)
         assert report.run_suite(report.target_from_zoo(e))["passed"]
@@ -216,80 +230,52 @@ class TestCountsAndErrors:
 
     def test_eval_error_names_callers_batch(self):
         f = ExprField("log(x) + 1", 2)
-        x = np.array([[1.0, 2.0, -1.0, 1.0, 2.0, -1.0, 1.0, 2.0],
-                      np.arange(8.0)])
-        assert distinct(x, f.reads) is not None
-        with pytest.raises(EvalError, match="at point batch of 8 points$"):
-            f.jet(x)
+        lines = [np.array([[1.0], [2.0], [-1.0], [1.5]]),
+                 np.array([[0.0, 1.0]])]
+        x = _tensor(lines[0].ravel(), lines[1].ravel())
+        for given in (None, lines):
+            with pytest.raises(EvalError,
+                               match="at point batch of 8 points$"):
+                f.jet(x, 3, given)
 
-    def test_geometry_error_names_direct_point(self, monkeypatch):
+    def test_geometry_error_names_direct_point(self):
         space = zoo.load("ball").space
-        r, theta = np.meshgrid([0.4, 0.0, 0.7], [0.1, 0.2, 0.3, 0.4],
-                               indexing="xy")
-        x = np.stack([r.ravel(), theta.ravel()])
-        assert distinct(x, space.reads) is not None
+        lines = [np.array([[0.4], [0.0], [0.7]]),
+                 np.array([[0.1, 0.2, 0.3, 0.4]])]
+        x = _tensor(lines[0].ravel(), lines[1].ravel())
 
-        def message():
+        def message(given):
             with pytest.raises(GeometryError) as info:
-                NodeGeometry(space, x)
+                NodeGeometry(space, x, given)
             return str(info.value)
 
-        got, want = _both(monkeypatch, message)
-        assert got == want
-        assert want.endswith("at point [0.  0.1]")
+        assert message(lines) == message(None)
+        assert message(None).endswith("at point [0.  0.1]")
 
-    def test_non_finite_coordinate_same_jet_error(self, monkeypatch):
+    def test_non_finite_coordinate_same_jet_error(self):
         space = zoo.load("ball3").space
-        x = np.tile(np.array([[0.5], [1.0], [2.0]]), (1, 6))
-        x[2, 4] = np.nan  # on z, which the geometry does not read
-
-        def message():
-            with pytest.raises(JetError) as info:
-                NodeGeometry(space, x)
-            return str(info.value)
-
-        got, want = _both(monkeypatch, message)
-        assert got == want == "non-finite point coordinates"
-
-    def test_field_reads(self):
-        assert exprlang.variables(exprlang.parse("x*sin(z) + 2^w", 4)) \
-            == (0, 2, 3)
-        f = ExprField("3*y", 3)
-        assert f.reads == (1,)
-        assert (f + fields.ConstField(3, 1.0)).reads == (1,)
-        assert (f * ExprField("x", 3)).reads == (0, 1)
-        assert fields.ConstField(3, 2.0).reads == ()
-        ball = zoo.load("ball")
-        assert fields.CutoffField(ball.cutoff).reads == (0,)
-
-        class Opaque(fields.ScalarField):
-            dim = 3
-
-        assert Opaque().reads == (0, 1, 2)
-
-    def test_gathered_constant_is_broadcast(self):
-        j = Jet.constant(2, 1.5, (4,))
-        g = j.gather(np.array([0, 0, 3, 1, 2]))
-        assert g.stored.shape == (1, 5) and g.stored.strides[-1] == 0
-        assert (g.order, g.degree) == (j.order, j.degree)
+        lines = [np.array([[[0.5]]]), np.array([[[1.0]], [[1.5]]]),
+                 np.array([[[2.0, np.nan, 2.5]]])]
+        x = _tensor(*(line.ravel() for line in lines))
+        for given in (None, lines):
+            # on z, which the geometry does not read
+            with pytest.raises(JetError,
+                               match="^non-finite point coordinates$"):
+                NodeGeometry(space, x, given)
 
 
 class _Recorded(fields.ScalarField):
-    """A field that records the batch size of each order-3 jet taken of
-    it; ``reads`` is the wrapped field's, or every axis with ``opaque``."""
+    """A field that records the batch shape of each order-3 jet taken of
+    it."""
 
-    def __init__(self, field, opaque=False):
-        self.field, self.dim, self.sizes = field, field.dim, []
-        self.opaque = opaque
+    def __init__(self, field):
+        self.field, self.dim, self.shapes = field, field.dim, []
 
-    @property
-    def reads(self):
-        return tuple(range(self.dim)) if self.opaque else self.field.reads
-
-    def jet(self, x, order=3):
+    def jet(self, x, order=3, lines=None):
+        out = self.field.jet(x, order, lines)
         if order == 3:
-            self.sizes.append(int(np.prod(np.shape(x)[1:])))
-        return self.field.jet(x, order)
+            self.shapes.append(out.batch_shape)
+        return out
 
 
 def _sweep(space, plan, g, hs):
@@ -298,40 +284,85 @@ def _sweep(space, plan, g, hs):
                                             plan.quad_boundary)]
 
 
+def _tensor(*axes):
+    """The C-ordered tensor grid of the axis coordinates, shape (dim, m)."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
 class TestWeakSweep:
     def test_ball3_g_terms_on_distinct_pairs(self):
         # each 16384-node chunk jets g on its 2048 (r, theta) pairs
         space, plan, g, hs = _sweep_case("ball3")
-        assert g.field.reads == space.reads == (0, 1)
         rec = _Recorded(g.field)
         _sweep(space, plan, rec, hs)
-        assert rec.sizes == [2048, 2048]
+        assert rec.shapes == [(128, 16, 1), (128, 16, 1)]
 
     def test_ball3_builds_no_extra_geometry(self, monkeypatch):
-        # the g terms use the geometry each chunk already gathers from;
-        # an opaque g (every axis read) takes the direct path
+        # one geometry per chunk and per patch, whatever axes g reads
         space, plan, g, hs = _sweep_case("ball3")
+        target = _target("ball3")
         built = _recording_geometries(monkeypatch)
         _sweep(space, plan, g.field, hs)
-        projected, built[:] = list(built), []
-        opaque = _Recorded(g.field, opaque=True)
-        _sweep(space, plan, opaque, hs)
-        assert opaque.sizes == [16384, 16384]
-        assert projected == built
+        radial, built[:] = list(built), []
+        _sweep(space, plan, target.neumann("0.4*x + 0.1*x^2*cos(z)").field,
+               hs)
+        assert [s for s, _ in built] == [s for s, _ in radial] \
+            == [(3, 16384), (3, 16384), (3, 256)]
+        assert [lines is None for _, lines in built] == [False, False, True]
+
+    def test_phi_dependent_g_keeps_the_geometry_shape(self, monkeypatch):
+        # a g that reads the azimuth is jetted on every node, and the
+        # geometry stays on the (r, theta) pairs; the sweep's rows are
+        # still those computed at the points
+        space, plan, _, hs = _sweep_case("ball3")
+        g = _target("ball3").neumann("0.4*x + 0.1*x^2*cos(z)").field
+        geoms = []
+        metric_jets = geometry.WeightedSpace.metric_jets
+
+        def recorded(self, x, lines=None):
+            jg = metric_jets(self, x, lines)
+            geoms.append(np.broadcast_shapes(
+                *(j.batch_shape for row in jg for j in row)))
+            return jg
+
+        monkeypatch.setattr(geometry.WeightedSpace, "metric_jets", recorded)
+        rec = _Recorded(g)
+        a, b = _both(monkeypatch, lambda: _sweep(space, plan, rec, hs))
+        assert a == b
+        assert rec.shapes == [(128, 16, 8)] * 2 + [(16384,)] * 2
+        assert geoms[:2] == [(128, 16, 1), (128, 16, 1)]
+
+    def test_half_space_geometry_once_per_chunk(self, monkeypatch):
+        # the flat metric is built once per chunk, at one broadcast point
+        space, plan, g, hs = _sweep_case("half_space")
+        frames = []
+        original = geometry.frame_at
+
+        def recorded(*args, **kwargs):
+            frame = original(*args, **kwargs)
+            frames.append(frame.sqrt_det.shape)
+            return frame
+
+        monkeypatch.setattr(geometry, "frame_at", recorded)
+        built = _recording_geometries(monkeypatch)
+        _sweep(space, plan, g.field, hs)
+        assert [s for s, _ in built] == [(2, 16320), (2, 16320), (2, 4224),
+                                         (2, 256)]
+        assert frames == [(1, 1), (1, 1), (1, 1), (256,)]
 
     @pytest.mark.parametrize("name", ["ball", "half_space", DENSE_INI.name])
     def test_g_on_full_chunk(self, name):
-        # g reads every axis, so its terms are computed at the nodes
+        # g reads every axis, so its terms are at each chunk's full grid
         space, plan, g, hs = _sweep_case(name)
-        nodes = int(np.prod(plan.quad_interior))
         rec = _Recorded(g.field)
         _sweep(space, plan, rec, hs)
-        assert rec.sizes == [min(quadrature.CHUNK, nodes - start)
-                             for start in range(0, nodes, quadrature.CHUNK)]
+        assert rec.shapes == [
+            _grid(lines) for _, _, lines in interior_chunks(
+                space, plan.quad_interior)]
 
     def test_g_axes_strictly_contain_the_metric_axes(self, monkeypatch):
-        # the metric and weight read x, g reads (x, y) as well: the terms
-        # are computed at the nodes, and no geometry is built for them
+        # the metric and weight read x, g reads (x, y) as well: g's terms
+        # are at the (x, y) shape, the geometry at the x shape
         def f(src):
             return ExprField(src, 3)
 
@@ -346,38 +377,50 @@ class TestWeakSweep:
         plan = verify.SamplePlan((4, 4, 4), (), (8, 8, 8), ())
         g = _Recorded(f("sin(x)*cos(2*y)"))
         hs = [f("1 + 0.5*z*x"), f("y^2")]
-        assert space.reads == (0,) and g.reads == (0, 1)
         built = _recording_geometries(monkeypatch)
         a, b = _both(monkeypatch, lambda: _sweep(space, plan, g, hs))
         assert a == b
-        assert g.sizes == [512, 512]
-        # projected: the chunk and its base; then the direct chunk
-        assert built == [(3, 512), (3, 8), (3, 512)]
+        assert g.shapes == [(8, 8, 1), (512,)]
+        assert [s for s, _ in built] == [(3, 512), (3, 512)]
+        x, _, lines = next(interior_chunks(space, plan.quad_interior))
+        assert NodeGeometry(space, x, lines).frame.sqrt_det.shape \
+            == (8, 1, 1)
+
+    def test_weight_reads_more_axes_than_g(self, monkeypatch):
+        # Lg's Gamma(V, g) contracts g^{ij} and grad g, neither of which
+        # reads z, with grad V, which does: einsum sums such operands in
+        # another order unless they are materialised at one shape
+        def f(src):
+            return ExprField(src, 3)
+
+        zero = fields.ConstField(3, 0.0)
+        space = geometry.WeightedSpace(
+            dim=3, metric=[[f("1 + 0.1*x^2"), f("0.1*x"), zero],
+                           [f("0.1*x"), f("1 + 0.2*x"), zero],
+                           [zero, zero, fields.ConstField(3, 1.0)]],
+            weight=f("0.3*x^2 + 0.2*y*z"), defining_fn=f("x - 2"),
+            chart_box=[(0.5, 1.5), (0.0, 1.0), (0.0, 1.0)])
+        plan = verify.SamplePlan((4, 4, 4), (), (32, 32, 16), ())
+        g = _Recorded(f("sin(3*x)*cos(2*y)"))
+        hs = [f("1 + 0.5*z*x"), f("y^2")]
+        a, b = _sweep_rows(monkeypatch, space, plan, g, hs)
+        assert len(a) == len(b) == 8 and a == b
+        assert g.shapes == [(32, 32, 1), (16384,)]
 
     def test_eval_error_names_the_chunk(self, monkeypatch):
-        # g fails on the distinct pairs; the error names the chunk's batch
-        space, plan, _, hs = _sweep_case("ball3")
-        g = ExprField("log(x - 0.5)*cos(y)", 3)
+        # g fails on the chunk's lines; the error names the chunk's batch
+        for name, nodes in [("ball3", 16384), ("half_space", 16320)]:
+            space, plan, _, hs = _sweep_case(name)
+            g = ExprField("log(x - 0.5)*cos(y)", space.dim)
 
-        def message():
-            with pytest.raises(EvalError) as info:
-                _sweep(space, plan, g, hs)
-            return str(info.value)
+            def message():
+                with pytest.raises(EvalError) as info:
+                    _sweep(space, plan, g, hs)
+                return str(info.value)
 
-        got, want = _both(monkeypatch, message)
-        assert got == want
-        assert want.endswith("at point batch of 16384 points")
-
-
-def _tensor(*axes):
-    """The C-ordered tensor grid of the axis coordinates, shape (dim, m)."""
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-
-
-def _chunks(space, counts):
-    pts, _ = quadrature.tensor_rule(space.chart_box, counts)
-    return [pts[:, s:s + quadrature.CHUNK]
-            for s in range(0, pts.shape[1], quadrature.CHUNK)]
+            got, want = _both(monkeypatch, message)
+            assert got == want
+            assert want.endswith(f"at point batch of {nodes} points")
 
 
 def _case_fields(name):
@@ -389,141 +432,120 @@ def _case_fields(name):
             + [space.weight, g.field] + list(hs))
 
 
-def _recording(mp, attr):
-    """Batch sizes of each call of ``fields.<attr>`` from here on."""
-    calls, original = [], getattr(fields, attr)
-
-    def recorded(x, *args):
-        calls.append(int(np.prod(np.shape(x)[1:])))
-        return original(x, *args)
-
-    mp.setattr(fields, attr, recorded)
-    return calls
+def _same_on_lines(f, x, lines, order=3):
+    """f's jet on ``lines`` equals its jet at the points x."""
+    _same_jet(f.jet(x, order, lines), f.jet(x, order), _grid(lines))
 
 
 class TestGridPath:
-    """Fields on a C-ordered tensor grid are jetted on its axis lines and
-    flattened once; every other batch is jetted at its nodes."""
+    """Each interior chunk is a C-ordered tensor grid of whole rows of the
+    rule, handed over with its lines; fields jetted on the lines equal
+    their jets at the points."""
 
-    @pytest.mark.parametrize("name", ["ball", "annulus", "hemisphere",
-                                      "poincare_cap", "ball3",
-                                      DENSE_INI.name])
+    @pytest.mark.parametrize("name", NAMES)
     def test_interior_chunks_are_grids(self, name):
-        # chunks of whole rows of the rule: each is one grid
         target = _target(name)
         space, plan = target.space, target.plan
         for counts in (plan.quad_interior,
                        tuple(2 * c for c in plan.quad_interior)):
-            for x in _chunks(space, counts):
-                lines = grid_lines(x)
-                assert lines is not None
-                shape = tuple(line.size for line in lines)
-                assert shape[1:] == counts[1:]
-                assert np.prod(shape) == x.shape[1]
-        for x in _grids(space, plan):
-            assert grid_lines(x) is not None
+            for x, _, lines in interior_chunks(space, counts):
+                shape = _grid(lines)
+                assert shape[1:] == counts[1:]  # whole rows
+                assert x.shape[1] == np.prod(shape) <= quadrature.CHUNK
+                assert np.array_equal(
+                    x, _tensor(*(line.ravel() for line in lines)))
 
     def test_lines_are_the_axes(self):
-        a, b, c = [0.5, 0.25, 2.0], [1.0, -3.0], [7.0, 8.0, 9.0, 10.0]
-        lines = grid_lines(_tensor(a, b, c))
-        assert [line.shape for line in lines] == [(3, 1, 1), (1, 2, 1),
-                                                  (1, 1, 4)]
-        assert [line.ravel().tolist() for line in lines] == [a, b, c]
+        target = _target("ball3")
+        box, counts = target.space.chart_box, target.plan.quad_interior
+        chunks = list(interior_chunks(target.space, counts))
+        assert len(chunks) == 2
+        for c, (_, _, lines) in enumerate(chunks):
+            assert [line.shape for line in lines] == [(128, 1, 1),
+                                                      (1, 16, 1), (1, 1, 8)]
+            want = [quadrature.gauss_rule(lo, hi, m)[0]
+                    for (lo, hi), m in zip(box, counts)]
+            want[0] = want[0][128 * c:128 * (c + 1)]
+            assert [line.ravel().tolist() for line in lines] \
+                == [w.tolist() for w in want]
 
     @pytest.mark.parametrize("name", ["ball", "hemisphere", DENSE_INI.name])
-    def test_single_row_patch_grid(self, monkeypatch, name):
-        # the patch images of a polar chart have r = 1: a (1, n) grid, on
-        # which x^2 must still come out materialised, as at the nodes
+    def test_single_row_patch_grid(self, name):
+        # the patch images of a polar chart have r = 1: a (1, 16) grid;
+        # given its lines, x^2 comes back on the one radius
         space = _target(name).space
         patch = space.boundary_patches[0]
         x = quadrature.patch_points(space, patch, (16,)).x
-        lines = grid_lines(x)
-        assert [line.shape for line in lines] == [(1, 1), (1, 16)]
+        lines = [x[0, :1].reshape(1, 1), x[1].reshape(1, 16)]
+        assert np.array_equal(x, _tensor(*(line.ravel() for line in lines)))
         for f in _case_fields(name) + [ExprField("x^2", 2)]:
             for order in (3, 1, 0):
-                _same_jet(*_both(monkeypatch, lambda: f.jet(x, order)))
-        jet = ExprField("x^2", 2).jet(x)
-        assert jet.degree == 2 and jet.stored.strides[-1] != 0
+                _same_on_lines(f, x, lines, order)
+        assert ExprField("x^2", 2).jet(x, 3, lines).batch_shape == (1, 1)
 
-    def test_ball3_chunk(self, monkeypatch):
+    def test_ball3_chunk(self):
         target = _target("ball3")
-        x = _chunks(target.space, target.plan.quad_interior)[0]
-        assert [line.size for line in grid_lines(x)] == [128, 16, 8]
+        x, _, lines = next(interior_chunks(target.space,
+                                           target.plan.quad_interior))
+        assert _grid(lines) == (128, 16, 8)
         for f in _case_fields("ball3"):
             for order in (3, 1):
-                _same_jet(*_both(monkeypatch, lambda: f.jet(x, order)))
+                _same_on_lines(f, x, lines, order)
 
-    def test_half_space_chunk_is_not_whole_rows(self, monkeypatch):
-        # 16384 nodes of a 192 x 192 rule: 85 1/3 rows, no grid, so the
-        # fields take the node path and its projection
+    def test_half_space_chunk_is_whole_rows(self):
+        # 36864 nodes of a 192 x 192 rule: 85, 85 and 22 rows of 192
         target = _target("half_space")
         assert target.plan.quad_interior == (192, 192)
-        x = _chunks(target.space, target.plan.quad_interior)[0]
-        assert grid_lines(x) is None
+        chunks = list(interior_chunks(target.space,
+                                      target.plan.quad_interior))
+        assert [_grid(lines) for _, _, lines in chunks] == [
+            (85, 192), (85, 192), (22, 192)]
+        x, _, lines = chunks[0]
         for f in _case_fields("half_space"):
-            _same_jet(*_both(monkeypatch, lambda: f.jet(x)))
-        with monkeypatch.context() as mp:
-            calls = _recording(mp, "distinct")
-            target.neumann().field.jet(x)
-        assert calls and set(calls) == {quadrature.CHUNK}
+            _same_on_lines(f, x, lines)
 
-    def test_signed_zero_kept_apart(self, monkeypatch):
+    def test_signed_zero_kept_apart(self):
         f = ExprField("x*exp(y)", 2)
-        x = _tensor([-1.0, 0.0, 1.0], [0.5, -0.0, 2.0])
-        lines = grid_lines(x)
-        assert np.signbit(lines[1].ravel()).tolist() == [False, True, False]
-        a, b = _both(monkeypatch, lambda: f.jet(x))
-        assert a.stored.tobytes() == b.stored.tobytes()
-        x[0, 4] = -0.0  # one node's 0.0 on axis 0 is -0.0: no grid
-        assert grid_lines(x) is None
-        a, b = _both(monkeypatch, lambda: f.jet(x))
-        assert a.stored.tobytes() == b.stored.tobytes()
-        assert np.signbit(a.value[4]) and not np.signbit(a.value[3])
+        lines = [np.array([[-0.0], [0.0], [1.0]]),
+                 np.array([[0.5, -0.0, 2.0]])]
+        x = _tensor(lines[0].ravel(), lines[1].ravel())
+        assert np.signbit(x[1]).tolist() == [False, True, False] * 3
+        _same_on_lines(f, x, lines)
+        a = f.jet(x, 3, lines)
+        assert np.signbit(a.value[:, 0]).tolist() == [True, False, False]
 
     @pytest.mark.parametrize("where", ["line", "node"])
-    def test_non_finite_coordinate_raises_as_at_nodes(self, monkeypatch,
-                                                      where):
+    def test_non_finite_coordinate_raises_as_at_nodes(self, where):
         f = ExprField("sin(y)", 2)  # reads y; the bad coordinate is on x
-        x = _tensor([0.5, 1.0, 1.5], [0.0, 1.0])
-        if where == "line":
-            x[0, :2] = np.inf  # a whole grid line: the bits still match
-        else:
-            x[0, 3] = np.nan
-        assert grid_lines(x) is None
-
-        def message():
-            with pytest.raises(JetError) as info:
-                f.jet(x)
-            return str(info.value)
-
-        got, want = _both(monkeypatch, message)
-        assert got == want == "non-finite point coordinates"
+        lines = [np.array([[0.5], [1.0], [1.5]]), np.array([[0.0, 1.0]])]
+        lines[0][0, 0] = np.inf if where == "line" else np.nan
+        x = _tensor(lines[0].ravel(), lines[1].ravel())
+        for given in (None, lines):
+            with pytest.raises(JetError,
+                               match="^non-finite point coordinates$"):
+                f.jet(x, 3, given)
         # a field that reads no coordinate does not raise, on either path
         const = fields.ConstField(2, 1.5)
-        _same_jet(*_both(monkeypatch, lambda: const.jet(x)))
+        _same_on_lines(const, x, lines)
 
-    def test_scattered_points(self, monkeypatch):
+    def test_scattered_points(self):
+        # no lines: each point's jet is the jet at that point alone
         x = np.random.default_rng(3).uniform(0.2, 0.9, (2, 300))
-        assert grid_lines(x) is None
-        assert grid_lines(x[:, :1]) is None  # one point
         for f in _case_fields("ball"):
-            _same_jet(*_both(monkeypatch, lambda: f.jet(x)))
+            jet = f.jet(x)
+            assert jet.batch_shape == (300,)
+            for k in (0, 77, 299):
+                one = f.jet(x[:, k])
+                assert (one.order, one.degree) == (jet.order, jet.degree)
+                assert jet.stored[:, k].tobytes() \
+                    == np.asarray(one.stored).tobytes()
 
     def test_domain_error_names_callers_batch(self):
         f = ExprField("log(x)*cos(y)", 2)
-        x = _tensor([1.0, -1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
-        assert grid_lines(x) is not None
-        with pytest.raises(EvalError, match="at point batch of 12 points$"):
-            f.jet(x)
-
-    def test_light_validate_takes_the_grid_path(self, monkeypatch):
-        # building a zoo entry jets its fields on small sample and patch
-        # grids: on their lines, with no distinct-point projection
-        with monkeypatch.context() as mp:
-            grids = _recording(mp, "grid_lines")
-            projected = _recording(mp, "distinct")
-            for name in zoo.list_entries():
-                zoo.load(name)
-        # one-point base geometries still call it, which returns at once
-        assert max(projected) == 1
-        assert {36, 216} <= set(grids)
+        lines = [np.array([[1.0], [-1.0], [2.0]]),
+                 np.array([[0.0, 1.0, 2.0, 3.0]])]
+        x = _tensor(lines[0].ravel(), lines[1].ravel())
+        for given in (None, lines):
+            with pytest.raises(EvalError,
+                               match="at point batch of 12 points$"):
+                f.jet(x, 3, given)

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+
+from curvcert import quadrature
 
 from curvcert.fields import ConstField, ExprField
 from curvcert.geometry import NodeGeometry, WeightedSpace
 from curvcert.quadrature import (CHUNK, BoundaryPatch, GeometryIntegrand,
                                  QuadratureError, gauss_rule,
                                  integrate_boundary, integrate_boundary_all,
-                                 integrate_interior, patch_points,
-                                 tensor_rule)
+                                 integrate_interior, interior_chunks,
+                                 patch_points, tensor_rule)
 
 TWO_PI = 2.0 * np.pi
 
@@ -105,15 +109,20 @@ class TestInterior:
         assert a == b
 
     def test_rows_summed_per_chunk_in_order(self):
+        # a chunk is a block of whole rows: 81 rows of 200 nodes, twice,
+        # then the last 38
         sp = gaussian_plane()
         counts = (200, 200)
         pts, wts = tensor_rule(sp.chart_box, counts)
-        assert 2 * CHUNK < pts.shape[1] <= 3 * CHUNK
+        size = (CHUNK // counts[1]) * counts[1]
+        assert size == 16200 and 2 * size < pts.shape[1] <= 3 * size
+        assert [x.shape[1] for x, _, _ in interior_chunks(sp, counts)] \
+            == [16200, 16200, 7600]
         fns = [lambda x: np.cos(x[0]) + x[1] ** 2,
                lambda x: np.sin(x[0] * x[1]), lambda x: x[0] ** 3]
         want = None
-        for start in range(0, pts.shape[1], CHUNK):
-            sl = slice(start, start + CHUNK)
+        for start in range(0, pts.shape[1], size):
+            sl = slice(start, start + size)
             x = pts[:, sl]
             dens = np.exp(-sp.weight.value(x)) \
                 * NodeGeometry(sp, x).frame.sqrt_det
@@ -130,6 +139,52 @@ class TestInterior:
             sp, lambda x: np.stack([f(x) for f in fns]), counts) == want
         one = integrate_interior(sp, fns[0], counts)
         assert isinstance(one, float) and one == want[0]
+
+    @pytest.mark.parametrize("counts, boxes", [
+        # one row (the nodes behind an index of axis 0) is 100 nodes
+        ((2, 100), [(i, slice(a, b)) for i in range(2)
+                    for a, b in ((0, 64), (64, 100))]),
+        # a row is 13 x 10 nodes: blocks of 6 lines of 10 within it
+        ((3, 13, 10), [(i, slice(a, b), slice(None)) for i in range(3)
+                       for a, b in ((0, 6), (6, 12), (12, 13))])])
+    def test_row_longer_than_chunk(self, monkeypatch, counts, boxes):
+        monkeypatch.setattr(quadrature, "CHUNK", 64)
+        dim = len(counts)
+        sp = WeightedSpace(
+            dim=dim, metric=[[ConstField(dim, float(i == j))
+                              for j in range(dim)] for i in range(dim)],
+            weight=ExprField("x^2/2 + y^2/8", dim),
+            defining_fn=ConstField(dim, -1.0),
+            chart_box=[(-3.0, 3.0), (-4.0, 4.0), (0.0, 1.0)][:dim])
+        pts, wts = tensor_rule(sp.chart_box, counts)
+        pts, wts = pts.reshape((dim,) + counts), wts.reshape(counts)
+        nodes = [gauss_rule(lo, hi, m)[0]
+                 for (lo, hi), m in zip(sp.chart_box, counts)]
+        chunks = list(interior_chunks(sp, counts))
+        assert len(chunks) == len(boxes)
+        assert sum(x.shape[1] for x, _, _ in chunks) == math.prod(counts)
+        fns = [lambda x: np.cos(x[0]) + x[1] ** 2, lambda x: x[0] * x[1]]
+        want = [0.0, 0.0]
+        for (x, w, lines), box in zip(chunks, boxes):
+            assert x.shape[1] <= 64
+            # the chunk is the sub-grid of its lines, in C order
+            assert [line.ndim for line in lines] == [dim] * dim
+            for i, line in enumerate(lines):
+                assert line.shape[i] == line.size
+                assert np.array_equal(line.ravel(),
+                                      np.atleast_1d(nodes[i][box[i]]))
+            grid = np.meshgrid(*[line.ravel() for line in lines],
+                               indexing="ij")
+            assert np.array_equal(x, np.stack([g.ravel() for g in grid]))
+            assert np.array_equal(x, pts[(slice(None),) + box].reshape(
+                dim, -1))
+            assert np.array_equal(w, wts[box].reshape(-1))
+            dens = np.exp(-sp.weight.value(x))
+            want = [a + float(np.sum(w * f(x) * dens))
+                    for a, f in zip(want, fns)]
+        got = integrate_interior(sp, lambda x: np.stack([f(x) for f in fns]),
+                                 counts)
+        assert got == want
 
 
 class TestBoundary:

@@ -7,9 +7,8 @@
 import importlib.util
 from pathlib import Path
 
-import numpy as np
-
-from curvcert import boundary, fields, geometry, verify
+from curvcert import (boundary, fields, geometry, quadrature, report, verify,
+                      zoo)
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -37,28 +36,30 @@ def test_tracer_installs_and_uninstalls():
 
 
 def test_field_jets_are_traced_on_grids():
-    # moving the evaluation behind ``jet`` must not empty the field spans
+    # a suite jets its fields on the axis lines of each interior chunk;
+    # the field and frame spans still see every call, and their hooks
+    # still read the points (``np.asarray`` of the second argument)
     spec = importlib.util.spec_from_file_location("layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     classes = [cls for cls in vars(fields).values()
                if isinstance(cls, type) and issubclass(cls, fields.ScalarField)]
     before = {cls: vars(cls).get("jet") for cls in classes}
-    expr_jet = fields.ExprField.jet
-    x = np.stack([g.ravel() for g in np.meshgrid(
-        np.linspace(0.1, 1.0, 8), np.linspace(0.0, 6.0, 5), indexing="ij")])
-    assert fields.grid_lines(x) is not None
-    f = fields.ExprField("x^2*cos(y)", 2)
+    target = report.target_from_zoo(zoo.load("ball"))
+    chunks = list(quadrature.interior_chunks(target.space,
+                                             target.plan.quad_interior))
+    assert chunks and all(lines for _, _, lines in chunks)
     tracer = layers.Tracer()
     try:
         tracer.install()
         wrapped = [cls for cls in classes
                    if vars(cls).get("jet") is not before[cls]]
-        assert fields.ScalarField in wrapped or len(wrapped) > 1
-        assert fields.ExprField.jet is not expr_jet
-        f.jet(x)
-        assert tracer.calls["fields.jet"] == 1
+        assert fields.ScalarField in wrapped and fields.ConstField in wrapped
+        assert report.run_suite(target)["passed"]
+        assert tracer.calls["fields.jet"] > 0
         assert tracer.inclusive["fields.jet"] > 0.0
+        assert tracer.calls["geometry.frame_at"] > 0
+        assert tracer.counts["quadrature.interior.chunks"] == len(chunks)
     finally:
         tracer.uninstall()
     assert {cls: vars(cls).get("jet") for cls in classes} == before

@@ -129,11 +129,11 @@ class CountingField(ScalarField):
         self.inner, self.dim, self.jets = inner, inner.dim, 0
         self.points, self.orders = [], []
 
-    def jet(self, x, order=MAX_ORDER):
+    def jet(self, x, order=MAX_ORDER, lines=None):
         self.jets += 1
         self.points.append(np.asarray(x))
         self.orders.append(order)
-        return self.inner.jet(x, order)
+        return self.inner.jet(x, order, lines)
 
 
 def count_geometry(monkeypatch):
@@ -261,9 +261,9 @@ class TestSharedSweep:
         points, shapes = [], collections.defaultdict(list)
         init = geometry.NodeGeometry.__init__
 
-        def recorded_init(self, space, x):
+        def recorded_init(self, space, x, lines=None):
             points.append(np.array(x))
-            init(self, space, x)
+            init(self, space, x, lines)
 
         monkeypatch.setattr(geometry.NodeGeometry, "__init__", recorded_init)
         for fname in ("normal_field_jets", "second_fundamental_form"):
@@ -300,9 +300,9 @@ class TestSharedSweep:
         points = []
         init = geometry.NodeGeometry.__init__
 
-        def recorded_init(self, space, x):
+        def recorded_init(self, space, x, lines=None):
             points.append(np.array(x))
-            init(self, space, x)
+            init(self, space, x, lines)
 
         monkeypatch.setattr(geometry.NodeGeometry, "__init__", recorded_init)
         run = report.run_suite(target)
@@ -318,8 +318,8 @@ class TestSharedSweep:
         g_jets, hessians = [], collections.Counter()  # by g_jets index
 
         class RecordingField(CountingField):
-            def jet(self, x, order=MAX_ORDER):
-                out = super().jet(x, order)
+            def jet(self, x, order=MAX_ORDER, lines=None):
+                out = super().jet(x, order, lines)
                 g_jets.append(out)
                 return out
 
