@@ -255,17 +255,20 @@ FieldOrJet = Union[ScalarField, Jet]
 
 def contract(spec: str, *ops: np.ndarray) -> np.ndarray:
     """``np.einsum(spec, *ops)``, where each operand's batch axes (its
-    ``...``) broadcast against the others'.  Operands at differing batch
-    shapes are first materialised at the common one: einsum may sum the
-    terms of a broadcast operand in another order, and the result must
-    equal the per-node one bit for bit."""
+    ``...``) broadcast against the others' as numpy's do: a lower-rank
+    batch gains leading unit axes, after the index axes, so the ``(m,)``
+    geometry meets a ``(k, m)`` stack of fields.  Operands at differing
+    batch shapes are first materialised at the common one: einsum may sum
+    the terms of a broadcast operand in another order, and the result
+    must equal the per-node one bit for bit."""
     heads = [len(term) - 3 for term in spec.split("->")[0].split(",")]
     batches = [op.shape[h:] for h, op in zip(heads, ops)]
     if len(set(batches)) > 1:
         batch = np.broadcast_shapes(*batches)
-        ops = tuple(np.ascontiguousarray(np.broadcast_to(op, op.shape[:h]
-                                                         + batch))
-                    for h, op in zip(heads, ops))
+        ops = tuple(np.ascontiguousarray(np.broadcast_to(
+            op.reshape(op.shape[:h] + (1,) * (len(batch) - len(b)) + b),
+            op.shape[:h] + batch))
+            for h, b, op in zip(heads, batches, ops))
     return np.einsum(spec, *ops)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -428,6 +429,31 @@ def seed_variable(axis: int, x) -> Jet:
     e = tuple(1 if i == axis else 0 for i in range(dim))
     stored[_slot_of(dim)[e]] = 1.0
     return Jet._make(dim, MAX_ORDER, 1, stored)
+
+
+def stack(js: Sequence[Jet], rank: int = 0) -> Jet:
+    """The jets ``js`` as one jet of batch ``(len(js),) + b``, whose row i
+    is ``js[i]``: b is their broadcast batch, padded with leading unit
+    axes to at least ``rank`` axes (the rank of the batch the stack is to
+    meet, so that a jet of batch () meets an (m,) one at (k, m)).  Its
+    order is the least of theirs and its degree the greatest (at most that
+    order), and a row's slots above its own degree are zero.  Every jet
+    operation is elementwise over the batch, so a row of a result is the
+    result on that row's jet, up to the sign of a zero."""
+    if not js:
+        raise JetShapeError("no jets to stack")
+    for j in js[1:]:
+        js[0]._check_mate(j)
+    dim = js[0].dim
+    order = min(j.order for j in js)
+    degree = min(max(j.degree for j in js), order)
+    batch = np.broadcast_shapes(*(j.batch_shape for j in js))
+    batch = (1,) * (rank - len(batch)) + batch
+    stored = np.zeros((_nslots(dim, degree), len(js)) + batch)
+    for i, j in enumerate(js):
+        n = _nslots(dim, min(j.degree, degree))
+        stored[:n, i] = _at_rank(j.stored[:n], len(batch))
+    return Jet._make(dim, order, degree, stored)
 
 
 def extract(a: Jet, alpha) -> float:

@@ -11,6 +11,9 @@ Ricci tensor is one named, reportable check:
 * ``check_dimension_term``      -- |Hess f|^2_HS >= (trace_g Hess f)^2 / N
 * ``certify`` / ``flatness_report`` -- sampled eigenvalue certificates
 
+The two pointwise checks run their test fields through the operators
+as one stacked jet of batch (k, m) and rank one row per field.
+
 Green's formula and the weak Laplacian are one identity read from two
 sides.  ``weak_checks`` returns the four Neumann-gated checks (green,
 mv_laplacian, ii_identity, ricci_decomposition) from one gate and one
@@ -45,9 +48,9 @@ from .exprlang import EvalError
 from .fields import ScalarField
 from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace,
                        bakry_emery_ricci, carre_du_champ_jet, contract,
-                       gamma2_jets, gamma2_parts, hessian, hs_norm_sq,
-                       laplacian_of_hessian)
-from .jets import Jet
+                       _jet, gamma2_jets, gamma2_parts, hessian,
+                       hs_norm_sq, laplacian_of_hessian)
+from .jets import Jet, stack
 from .quadrature import (GeometryIntegrand, integrate_boundary,
                          integrate_interior, patch_points)
 
@@ -155,23 +158,36 @@ def _largest(name: str, rows, worst: float, last: bool = False
 # -- pointwise identity checks ------------------------------------------
 
 
+def _stacked_jets(fields: Sequence[FieldOrJet], geom: NodeGeometry) -> Jet:
+    """The fields' jets at the points of ``geom`` as one jet of batch
+    (k,) + the geometry's, row i field i."""
+    return stack([_jet(f, geom) for f in fields], len(geom.grid))
+
+
+def _field_rows(vals: np.ndarray, x: np.ndarray) -> List[Tuple]:
+    """``_largest``'s rows, one per field, from values stacked (k, m)."""
+    return [({"field_index": fi}, v, x) for fi, v in enumerate(vals)]
+
+
 def check_bochner(space: WeightedSpace, fields: Sequence[FieldOrJet],
                   geom: NodeGeometry, tol: float = POINTWISE_TOL
                   ) -> CheckResult:
     """Bochner identity Gamma2(f) = Ricci_V(grad f, grad f) + |Hess f|^2,
-    at the points of ``geom``."""
+    at the points of ``geom``.  The fields go through Gamma2, Hess f and
+    the Ricci_V contraction as one stacked jet; the residual is the first
+    maximum in field order, its witness that field and point."""
     x, frame = geom.x, geom.frame
-    ricv = bakry_emery_ricci(space, x, geom)
     rows = []
-    for fi, f in enumerate(fields):
-        parts = gamma2_parts(space, f, x, geom)
+    if fields:
+        parts = gamma2_parts(space, _stacked_jets(fields, geom), x, geom)
         H = hessian(space, parts.f_jet, x, geom)
-        df = parts.f_jet.gradient()
-        gf = np.einsum("ij...,j...->i...", frame.inverse, df)
-        rhs = np.einsum("ij...,i...,j...->...", ricv, gf, gf) \
+        gf = contract("ij...,j...->i...", frame.inverse,
+                      parts.f_jet.gradient())
+        rhs = contract("ij...,i...,j...->...",
+                       bakry_emery_ricci(space, x, geom), gf, gf) \
             + hs_norm_sq(space, H, x, frame)
         rel = np.abs(parts.gamma2 - rhs) / (1.0 + np.abs(parts.gamma2))
-        rows.append(({"field_index": fi}, rel, x))
+        rows = _field_rows(rel, x)
     worst, witness = _largest("bochner", rows, -1.0)
     npts = 1 if x.ndim == 1 else x.shape[1]
     return CheckResult(
@@ -426,18 +442,20 @@ def check_dimension_term(space: WeightedSpace, fields: Sequence[FieldOrJet],
                          geom: NodeGeometry, n_dim: float,
                          tol: float = DIMENSION_TOL) -> CheckResult:
     """(trace_g Hess f)^2 / N <= |Hess f|^2_HS whenever N >= n, at the
-    points of ``geom``."""
+    points of ``geom``.  The fields' Hessians are one stacked batch; the
+    residual is the first maximum in field order, its witness that field
+    and point."""
     if n_dim < space.dim:
         raise ValueError(
             f"dimension parameter N = {n_dim} < chart dimension "
             f"{space.dim}: the trace inequality is unsatisfiable")
     x, frame = geom.x, geom.frame
     rows = []
-    for fi, f in enumerate(fields):
-        H = hessian(space, f, x, geom)
-        lap = np.einsum("ij...,ij...->...", frame.inverse, H)
-        gap = lap**2 / n_dim - hs_norm_sq(space, H, x, frame)
-        rows.append(({"field_index": fi}, gap, x))
+    if fields:
+        H = hessian(space, _stacked_jets(fields, geom), x, geom)
+        lap = contract("ij...,ij...->...", frame.inverse, H)
+        rows = _field_rows(lap**2 / n_dim - hs_norm_sq(space, H, x, frame),
+                           x)
     worst, witness = _largest("dimension_term", rows, -np.inf)
     return CheckResult(name="dimension_term", residual=worst, tolerance=tol,
                        passed=worst <= tol, witness=witness,

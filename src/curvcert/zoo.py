@@ -81,7 +81,9 @@ class ZooEntry:
 
 
 def random_fields(dim: int, count: int, seed: int) -> List[ScalarField]:
-    """Random bounded polynomial/trig composite test fields."""
+    """Random bounded polynomial/trig composite test fields: the same
+    sources for the same (dim, count, seed), parsed afresh into a new
+    list on each call."""
     rng = np.random.default_rng(seed)
     names = ["x", "y", "z", "w"][:dim]
     fields: List[ScalarField] = []

@@ -8,9 +8,9 @@ from curvcert.boundary import boundary_frame, normal_field_jets
 from curvcert.exprlang import differentiate, mul, parse, simplify
 from curvcert.fields import ConstField, ExprField
 from curvcert.geometry import (GeometryError, NodeGeometry, WeightedSpace,
-                               bakry_emery_ricci, frame_at, gamma1, gamma2,
-                               grad, hessian, hs_norm_sq, jet_matrix_inverse,
-                               ricci, witten_laplacian)
+                               bakry_emery_ricci, contract, frame_at, gamma1,
+                               gamma2, grad, hessian, hs_norm_sq,
+                               jet_matrix_inverse, ricci, witten_laplacian)
 from curvcert.jets import _nslots
 from oracles import fd_partial
 
@@ -62,6 +62,36 @@ class TestFrame:
         with pytest.raises(GeometryError):
             frame_at(sp, np.array([-1.0, 0.0]))
 
+    SPD_POINTS = np.array([[0.1, 0.5, -0.3, 0.5], [0.2, 0.4, 0.6, 0.9]])
+
+    @staticmethod
+    def _full_metric_space(g11, g12, g22):
+        m = [[ExprField(g11, 2), ExprField(g12, 2)],
+             [ExprField(g12, 2), ExprField(g22, 2)]]
+        return WeightedSpace(dim=2, metric=m, weight=ConstField(2, 0.0),
+                             defining_fn=ExprField("x - 1", 2),
+                             chart_box=[(-2.0, 2.0), (-2.0, 2.0)])
+
+    def test_spd_floor_passes_just_above(self):
+        fr = frame_at(diag_space(["1", "1e-9"], box=[(-2.0, 2.0)] * 2),
+                      self.SPD_POINTS)
+        np.testing.assert_allclose(fr.sqrt_det, np.sqrt(1e-9), rtol=1e-15)
+
+    @pytest.mark.parametrize("g11, g12, g22, message", [
+        ("1", "0", "1e-11", "min eigenvalue 1.000e-11 at point [0.1 0.2]"),
+        ("1", "0", "1e-10", "min eigenvalue 1.000e-10 at point [0.1 0.2]"),
+        ("1", "0", "1e-11 + (x - 0.5)^2",
+         "min eigenvalue 1.000e-11 at point [0.5 0.4]"),
+        ("1", "2", "1", "min eigenvalue -1.000e+00 at point [0.1 0.2]"),
+    ])
+    def test_spd_floor_message(self, g11, g12, g22, message):
+        # at or below SPD_FLOOR eigvalsh names the least eigenvalue and
+        # its first node
+        sp = self._full_metric_space(g11, g12, g22)
+        with pytest.raises(GeometryError) as err:
+            frame_at(sp, self.SPD_POINTS)
+        assert str(err.value) == f"metric not positive definite: {message}"
+
     def test_christoffels_match_fd_oracle(self):
         sp = sphere()
         x = np.array([0.9, 1.4])
@@ -84,6 +114,34 @@ class TestFrame:
                         ginv[k, l] * (dg[i, j, l] + dg[j, i, l]
                                       - dg[l, i, j]) for l in range(n))
         np.testing.assert_allclose(geom.christoffels, want, atol=1e-8)
+
+
+class TestContract:
+    def test_batches_of_differing_rank_broadcast(self):
+        # the (m,) geometry against a (k, m) stack of fields: the lower
+        # rank batch gains leading unit axes, as in np.einsum
+        rng = np.random.default_rng(5)
+        ginv = rng.standard_normal((2, 2, 100))
+        df = rng.standard_normal((2, 10, 100))
+        got = contract("ij...,j...->i...", ginv, df)
+        assert got.shape == (2, 10, 100)
+        for k in range(10):
+            want = np.einsum("ij...,j...->i...", ginv, df[:, k])
+            assert got[:, k].tobytes() == want.tobytes()
+        np.testing.assert_array_equal(
+            contract("ij...,j...->i...", np.ones((2, 2, 100)),
+                     np.ones((2, 10, 100))), np.full((2, 10, 100), 2.0))
+
+    def test_lower_rank_materialised_per_node(self):
+        rng = np.random.default_rng(6)
+        ginv = rng.standard_normal((3, 3, 1, 7))
+        h = rng.standard_normal((3, 3, 4, 2, 7))
+        got = contract("ik...,jl...,ij...,kl...->...", ginv, ginv, h, h)
+        assert got.shape == (4, 2, 7)
+        for a, b in np.ndindex(4, 2):
+            want = np.einsum("ik...,jl...,ij...,kl...->...", ginv[:, :, 0],
+                             ginv[:, :, 0], h[:, :, a, b], h[:, :, a, b])
+            assert got[a, b].tobytes() == want.tobytes()
 
 
 class TestOperators:

@@ -8,7 +8,7 @@ import pytest
 from curvcert.fields import ConstField
 from curvcert.jets import (Jet, JetDomainError, JetError, JetShapeError,
                            apply_univariate, extract, jet_pow, multi_indices,
-                           ncoeffs, seed_variable)
+                           ncoeffs, seed_variable, stack)
 from oracles import Poly, all_multi_indices, richardson_partial
 
 
@@ -419,3 +419,70 @@ class TestGradedStorage:
             want = np.stack([j.partial(i).value for i in range(dim)])
             assert grad.shape == (dim,) + batch
             assert grad.tobytes() == want.tobytes()
+
+
+class TestStack:
+    """``stack`` puts k jets into one of batch (k,) + their broadcast
+    batch: the greatest degree, the least order, and zeros in a row's
+    slots above its own degree."""
+
+    def test_rows_are_the_jets_zero_padded(self):
+        rng = np.random.default_rng(3)
+        js = [graded_jet(rng, 3, degree, 3, (5,)) for degree in (-1, 0, 2, 3)]
+        s = stack(js)
+        assert (s.degree, s.order, s.dim) == (3, 3, 3)
+        assert s.stored.shape == (ncoeffs(3), 4, 5)
+        for i, j in enumerate(js):
+            n = j.stored.shape[0]
+            assert s.stored[:n, i].tobytes() == j.stored.tobytes()
+            assert not s.stored[n:, i].any()
+
+    def test_degree_capped_by_least_order(self):
+        rng = np.random.default_rng(4)
+        s = stack([graded_jet(rng, 2, 3, 3, (2,)),
+                   graded_jet(rng, 2, 1, 1, (2,))])
+        assert (s.degree, s.order) == (1, 1)
+        assert s.stored.shape == (3, 2, 2)
+
+    def test_all_zero_jets(self):
+        s = stack([Jet.constant(2, 0.0, (3,))] * 2)
+        assert (s.degree, s.order) == (-1, 3)
+        assert s.stored.shape == (0, 2, 3)
+        np.testing.assert_array_equal(s.value, np.zeros((2, 3)))
+
+    def test_batches_broadcast(self):
+        point = seed_variable(0, [0.5, 0.25])             # batch ()
+        line = seed_variable(1, np.ones((2, 1, 4)))        # batch (1, 4)
+        col = Jet.constant(2, np.arange(3.0)[:, None], (3, 1))
+        s = stack([point, line, col])
+        assert s.batch_shape == (3, 3, 4)
+        for i, j in enumerate([point, line, col]):
+            want = np.broadcast_to(j.coeffs[:, None, None] if j is point
+                                   else j.coeffs, (ncoeffs(2), 3, 4))
+            assert np.array_equal(s.coeffs[:, i], want)
+
+    def test_rank_pads_batch(self):
+        # a jet of batch () stacked to meet an (m,) batch: rows (k, 1)
+        j = Jet.constant(2, 2.0)
+        s = stack([j], rank=1)
+        assert s.batch_shape == (1, 1)
+        assert s.stored[:, 0, 0].tobytes() == j.stored.tobytes()
+        s = stack([j, seed_variable(0, np.ones((2, 6)))], rank=1)
+        assert s.batch_shape == (2, 6)
+        np.testing.assert_array_equal(s.value[0], np.full(6, 2.0))
+        assert stack([seed_variable(0, np.ones((2, 6)))],
+                     rank=1).batch_shape == (1, 6)
+
+    def test_one_jet_is_a_stack_of_one(self):
+        j = seed_variable(0, np.ones((2, 6))) * 2.0
+        s = stack([j])
+        assert s.batch_shape == (1, 6)
+        assert s.stored[:, 0].tobytes() == j.stored.tobytes()
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(JetShapeError, match="dimension mismatch"):
+            stack([Jet.constant(2, 1.0), Jet.constant(3, 1.0)])
+
+    def test_empty_raises(self):
+        with pytest.raises(JetShapeError, match="no jets"):
+            stack([])
