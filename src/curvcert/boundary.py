@@ -3,7 +3,8 @@
 The outward unit normal is the level-set normal N = grad(phi)/|grad phi|_g
 (phi increases along N since Omega = {phi < 0}); it is extended off the
 boundary by the same formula so the shape operator can be differentiated
-through jets; ``normal_field_jets`` is its one formula.  The second
+through jets; ``normal_field_jets`` is its one formula, and
+``BoundaryFrame.flux`` that of the Neumann flux g(N, grad u).  The second
 fundamental form is II(X, Y) = g(nabla_X N, Y) on the g-orthonormal
 tangent frame, so II >= 0 means a convex boundary.
 
@@ -52,6 +53,11 @@ class BoundaryFrame:
     @cached_property
     def II(self) -> np.ndarray:
         return second_fundamental_form(self.geom.space, self.point, self)
+
+    def flux(self, du: np.ndarray) -> np.ndarray:
+        """g(N, grad u) = N^i d_i u from u's first partials ``du`` (n, ...)
+        at the frame's points: the one formula for the Neumann flux."""
+        return np.einsum("i...,i...->...", self.normal, du)
 
 
 def _check_on_boundary(space: WeightedSpace, x):
@@ -254,5 +260,4 @@ def neumann_residual(space: WeightedSpace, field: ScalarField, x,
     x = as_points(space, x)
     if bframe is None:
         bframe = boundary_frame(space, x)
-    df = field.jet(x, 1).gradient()
-    return np.einsum("i...,i...->...", bframe.normal, df)
+    return bframe.flux(field.jet(x, 1).gradient())

@@ -15,14 +15,17 @@ conventions (the single normative statement for the whole package):
   lower, never by finite differences.
 
 Each quantity has one formula: the Christoffel values are those of
-``christoffel_jets`` and Gamma2 reads L Gamma(f,f) from ``witten_laplacian``.
+``christoffel_jets``, Hess f is formed by ``hessian_jets`` from the jets of
+f's first partials, L f by ``laplacian_jet`` on top of it (``hessian``,
+``witten_laplacian``, ``gamma2_parts`` and Ricci_V's Hess V read these
+two), and Gamma2 reads L Gamma(f,f) from ``witten_laplacian``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -301,23 +304,52 @@ def ricci(space: WeightedSpace, x,
     return 0.5 * (R + np.swapaxes(R, 0, 1))
 
 
+def hessian_jets(geom: NodeGeometry, df: Sequence[Jet]
+                 ) -> Iterator[Tuple[int, int, Jet]]:
+    """(i, j, (Hess f)_ij) for every index pair in C order, as jets one
+    order below the jets ``df`` of the first partials of f: the one
+    formula for the Hessian.  The entries are formed one at a time, so a
+    caller that folds each into a sum holds one at once."""
+    n = len(df)
+    jgam = geom.jgam
+    for i in range(n):
+        for j in range(n):
+            hij = df[i].partial(j)
+            for k in range(n):
+                hij = hij - jgam[k][i][j] * df[k]
+            yield i, j, hij
+
+
 def hessian(space: WeightedSpace, f: FieldOrJet, x,
             geom: Optional[NodeGeometry] = None) -> np.ndarray:
-    """Covariant Hessian components (Hess f)_ij at x."""
+    """Covariant Hessian components (Hess f)_ij at x, as ``laplacian_jet``
+    hands them back."""
     x = as_points(space, x)
     geom = geom or NodeGeometry(space, x)
-    gam = geom.christoffels
-    jf = _jet(f, geom)
-    n = space.dim
-    df = [jf.partial(i) for i in range(n)]
-    H = np.zeros((n, n) + np.broadcast_shapes(jf.batch_shape, gam.shape[3:]))
-    for i in range(n):
-        for j in range(i, n):
-            v = df[i].partial(j).value
-            for k in range(n):
-                v = v - gam[k, i, j] * df[k].value
-            H[i, j] = H[j, i] = v
-    return H
+    jf = _jet(f, geom).truncate(2)  # values are all that is read
+    return laplacian_jet(geom, [jf.partial(i) for i in range(space.dim)])[1]
+
+
+def laplacian_jet(geom: NodeGeometry, df: Sequence[Jet]
+                  ) -> Tuple[Jet, np.ndarray]:
+    """L f = g^{ij} (Hess_ij f - d_i V d_j f) as a jet one order below the
+    jets ``df`` of the first partials of f, the one formula for L, and the
+    values of the Hess f it was formed from, (n, n, ...) at their
+    broadcast shape with the geometry's.  Each entry of ``hessian_jets``
+    is folded into L f as it is formed."""
+    n = len(df)
+    jginv = geom.jginv
+    dV = [geom.jV.partial(i) for i in range(n)]
+    lf, vals = None, {}
+    for i, j, hij in hessian_jets(geom, df):
+        vals[i, j] = hij.value
+        t = jginv[i][j] * (hij - dV[i] * df[j])
+        lf = t if lf is None else lf + t
+    H = np.zeros((n, n) + np.broadcast_shapes(
+        geom.frame.sqrt_det.shape, *(v.shape for v in vals.values())))
+    for (i, j), v in vals.items():
+        H[i, j] = v
+    return lf, H
 
 
 def grad(space: WeightedSpace, f: FieldOrJet, x,
@@ -347,16 +379,9 @@ def witten_laplacian(space: WeightedSpace, f: FieldOrJet, x,
     """L f = trace_g Hess f - Gamma(V, f) at x."""
     x = as_points(space, x)
     geom = geom or NodeGeometry(space, x)
-    jf = _jet(f, geom)
-    return laplacian_of_hessian(space, jf, hessian(space, jf, x, geom), geom)
-
-
-def laplacian_of_hessian(space: WeightedSpace, jf: Jet, H: np.ndarray,
-                         geom: NodeGeometry) -> np.ndarray:
-    """L f at the nodes of ``geom`` from the jet of f and its Hessian
-    there, for a caller that reads Hess f itself too."""
-    lap = contract("ij...,ij...->...", geom.frame.inverse, H)
-    return lap - gamma1(space, geom.jV, jf, geom.x, geom)
+    jf = _jet(f, geom).truncate(2)  # values are all that is read
+    return laplacian_jet(geom, [jf.partial(i) for i in range(space.dim)]
+                         )[0].value
 
 
 def hs_norm_sq(space: WeightedSpace, H: np.ndarray, x,
@@ -376,10 +401,11 @@ def bakry_emery_ricci(space: WeightedSpace, x,
 
 @dataclass
 class Gamma2Parts:
-    """Gamma2(f) and the jet of f it was computed from."""
+    """Gamma2(f), the jet of f and the Hess f it was computed from."""
 
     f_jet: Jet                    # order 3
     gamma2: np.ndarray
+    hessian: np.ndarray           # (n, n, ...)
 
 
 def carre_du_champ_jet(geom: NodeGeometry, df: Sequence[Jet]) -> Jet:
@@ -395,26 +421,6 @@ def carre_du_champ_jet(geom: NodeGeometry, df: Sequence[Jet]) -> Jet:
     return gamma_ff
 
 
-def gamma2_jets(geom: NodeGeometry, df: Sequence[Jet]) -> Tuple[Jet, Jet]:
-    """Gamma(f,f) (order 2) and L f (order 1) as jets, from the jets of
-    the first partials of an order-3 jet of f: the two fields whose
-    derivatives Gamma2 and the weak decomposition read."""
-    n = len(df)
-    jginv, jgam, jV = geom.jginv, geom.jgam, geom.jV
-    dV = [jV.partial(i) for i in range(n)]
-    gamma_ff = carre_du_champ_jet(geom, df)
-
-    lf = None
-    for i in range(n):
-        for j in range(n):
-            hij = df[i].partial(j)
-            for k in range(n):
-                hij = hij - jgam[k][i][j] * df[k]
-            t = jginv[i][j] * (hij - dV[i] * df[j])
-            lf = t if lf is None else lf + t
-    return gamma_ff, lf
-
-
 def gamma2_parts(space: WeightedSpace, f: FieldOrJet, x,
                  geom: Optional[NodeGeometry] = None) -> Gamma2Parts:
     """Gamma2(f) via operator composition over jets of one order lower."""
@@ -422,14 +428,13 @@ def gamma2_parts(space: WeightedSpace, f: FieldOrJet, x,
     geom = geom or NodeGeometry(space, x)
     jf = _jet(f, geom)
     df = [jf.partial(i) for i in range(space.dim)]
-    gamma_ff, lf = gamma2_jets(geom, df)
-
-    half_l_gamma = 0.5 * witten_laplacian(space, gamma_ff, x, geom)
-    dlf = lf.gradient()
+    lf, H = laplacian_jet(geom, df)
+    half_l_gamma = 0.5 * witten_laplacian(
+        space, carre_du_champ_jet(geom, df), x, geom)
     dfv = np.stack([d.value for d in df])
     gamma_f_lf = contract("ij...,i...,j...->...", geom.frame.inverse, dfv,
-                          dlf)
-    return Gamma2Parts(f_jet=jf, gamma2=half_l_gamma - gamma_f_lf)
+                          lf.gradient())
+    return Gamma2Parts(f_jet=jf, gamma2=half_l_gamma - gamma_f_lf, hessian=H)
 
 
 def gamma2(space: WeightedSpace, f: ScalarField, x) -> np.ndarray:

@@ -37,6 +37,7 @@ from typing import Callable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from .boundary import ON_BOUNDARY_TOL
 from .fields import ScalarField
 from .geometry import NodeGeometry, WeightedSpace
 
@@ -44,7 +45,6 @@ DEFAULT_INTERIOR_NODES = 64
 DEFAULT_BOUNDARY_NODES = 256
 CHUNK = 16384  # interior nodes per batch
 GRAM_FLOOR = 1e-12
-PATCH_PHI_TOL = 1e-8
 
 Integrand = Union[Callable[[np.ndarray], np.ndarray], "GeometryIntegrand"]
 
@@ -202,10 +202,10 @@ def _patch_geometry(space: WeightedSpace, patch: BoundaryPatch, s: np.ndarray):
     jmaps = [patch.maps[i].jet(s, 1) for i in range(n)]
     x = np.stack([j.value for j in jmaps])
     phi = np.asarray(space.defining_fn.value(x))
-    if np.any(np.abs(phi) > PATCH_PHI_TOL):
+    if np.any(np.abs(phi) > ON_BOUNDARY_TOL):
         raise QuadratureError(
             f"patch image leaves the boundary: |phi| = "
-            f"{np.max(np.abs(phi)):.3e} > {PATCH_PHI_TOL}")
+            f"{np.max(np.abs(phi)):.3e} > {ON_BOUNDARY_TOL}")
     T = np.stack([j.gradient() for j in jmaps], axis=1)  # (d, n, ...)
     geom = NodeGeometry(space, x)
     gram = np.einsum("ai...,ij...,bj...->ab...", T, geom.frame.metric, T)

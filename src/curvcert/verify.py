@@ -16,9 +16,12 @@ as one stacked jet of batch (k, m) and rank one row per field.
 
 Green's formula and the weak Laplacian are one identity read from two
 sides.  ``weak_checks`` returns the four Neumann-gated checks (green,
-mv_laplacian, ii_identity, ricci_decomposition) from one gate and one
-sweep, which builds the geometry and g's terms once per node batch and
-streams the rows of each test density from one jet of it.  Inside, every
+mv_laplacian, ii_identity, ricci_decomposition) from one gate
+(``neumann_gate``, which also hands the II identity its jets of g) and
+one sweep, which builds the geometry and g's terms once per node batch
+and streams the rows of each test density from one jet of it.  The sweep
+always yields all its rows; standalone ``check_green`` and
+``check_mv_laplacian`` read three of them.  Inside, every
 jet and term is taken on the quadrature chunk's axis lines, at the
 broadcast shape of the axes it reads, and the rows are flattened to the
 nodes only for their sums; ``decomposition_batch`` is the gate plus that
@@ -42,14 +45,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .boundary import (BoundaryFrame, NeumannTestFunction, boundary_frame,
-                       normal_field_jets)
+from .boundary import BoundaryFrame, NeumannTestFunction, boundary_frame
 from .exprlang import EvalError
 from .fields import ScalarField
 from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace,
                        bakry_emery_ricci, carre_du_champ_jet, contract,
-                       _jet, gamma2_jets, gamma2_parts, hessian,
-                       hs_norm_sq, laplacian_of_hessian)
+                       _jet, gamma2_parts, hessian, hs_norm_sq, laplacian_jet)
 from .jets import Jet, stack
 from .quadrature import (GeometryIntegrand, integrate_boundary,
                          integrate_interior, patch_points)
@@ -180,12 +181,11 @@ def check_bochner(space: WeightedSpace, fields: Sequence[FieldOrJet],
     rows = []
     if fields:
         parts = gamma2_parts(space, _stacked_jets(fields, geom), x, geom)
-        H = hessian(space, parts.f_jet, x, geom)
         gf = contract("ij...,j...->i...", frame.inverse,
                       parts.f_jet.gradient())
         rhs = contract("ij...,i...,j...->...",
                        bakry_emery_ricci(space, x, geom), gf, gf) \
-            + hs_norm_sq(space, H, x, frame)
+            + hs_norm_sq(space, parts.hessian, x, frame)
         rel = np.abs(parts.gamma2 - rhs) / (1.0 + np.abs(parts.gamma2))
         rows = _field_rows(rel, x)
     worst, witness = _largest("bochner", rows, -1.0)
@@ -209,92 +209,73 @@ def _ii_of_gradient(bframe: BoundaryFrame, ju: Jet) -> np.ndarray:
 
 def _weak_integrals(space: WeightedSpace, g: ScalarField,
                     hs: Sequence[ScalarField], quad_interior=None,
-                    quad_boundary=None, decomposition: bool = True
-                    ) -> List[Dict[str, float]]:
+                    quad_boundary=None) -> List[Dict[str, float]]:
     """One quadrature sweep for the weak identities of g tested against
     each h in ``hs``: int Gamma(h,g), int h Lg and oint h g(N, grad g),
-    plus, with ``decomposition``, the decomposition's LHS and interior and
-    boundary RHS; one dict per h.  Each batch builds one ``NodeGeometry``,
-    jets g once and computes its h-free terms once, then yields each h's
-    rows from one jet of that h.  Each field is jetted to the order its
-    rows read: h enters only through h and grad h, so it is jetted at
-    order 1 inside and read as a value on the boundary; g needs order 3
-    inside (Gamma(g, Lg), |Hess g|^2) and order 1 on the boundary.
+    and the decomposition's LHS and interior and boundary RHS; one dict
+    per h.  Each batch builds one ``NodeGeometry``, jets g once and
+    computes its h-free terms once, then yields each h's rows from one jet
+    of that h.  Each field is jetted to the order its rows read: h enters
+    only through h and grad h, so it is jetted at order 1 inside and read
+    as a value on the boundary; g needs order 3 inside (Gamma(g, Lg),
+    |Hess g|^2) and order 1 on the boundary.
 
     Inside, g and each h are jetted on the chunk's axis lines
     (``geom.lines``), so the h-free terms (grad g, Lg, |Hess g|^2,
     grad Gamma(g,g), Gamma(g, Lg), Ricci_V(grad g, grad g)) come out at
     the broadcast shape of the axes g and the geometry read: a ball3
     chunk computes them on its 2048 (r, theta) pairs, not its 16384
-    nodes.  The terms an h row contracts with (g^{ij}, grad g and
+    nodes.  Lg and |Hess g|^2 read the one Hess g ``laplacian_jet`` forms
+    per chunk.  The terms an h row contracts with (g^{ij}, grad g and
     grad Gamma(g,g)) are then materialised at the nodes once per chunk,
     and each h row is formed by broadcasting; the quadrature flattens it
     to the nodes.  Every term is elementwise per node, so the rows equal
     those computed at the points bit for bit."""
-    def g_terms(geom: NodeGeometry) -> List[np.ndarray]:
+    def interior(geom: NodeGeometry) -> Iterator[np.ndarray]:
         x, ginv = geom.x, geom.frame.inverse
         jg = g.jet(x, 3, geom.lines)
         dg = jg.gradient()
-        H = hessian(space, jg, x, geom)  # one Hess g for Lg and |Hess g|^2
-        terms = [geom.at_nodes(dg), laplacian_of_hessian(space, jg, H, geom)]
-        if decomposition:
-            terms.append(hs_norm_sq(space, H, x, geom.frame))
-            del H  # not held while Gamma2's jets are built
-            gamma_gg, jlg = gamma2_jets(
-                geom, [jg.partial(i) for i in range(space.dim)])
-            gv = contract("ij...,j...->i...", ginv, dg)  # grad g
-            terms += [geom.at_nodes(gamma_gg.gradient()),
-                      contract("ij...,i...,j...->...", ginv, dg,
-                               jlg.gradient()),  # Gamma(g, Lg)
-                      contract("ij...,i...,j...->...",
-                               bakry_emery_ricci(space, x, geom), gv, gv)]
-        return terms
-
-    def interior(geom: NodeGeometry) -> Iterator[np.ndarray]:
-        ginv = geom.at_nodes(geom.frame.inverse)
-        dg, lg, *rest = g_terms(geom)
-        if decomposition:
-            hs_sq, dgam, g_f_lf, ric = rest
+        partials = [jg.partial(i) for i in range(space.dim)]
+        jlg, H = laplacian_jet(geom, partials)
+        hs_sq = hs_norm_sq(space, H, x, geom.frame)
+        del H  # not held while Gamma(g,g)'s jet is built
+        dgam = geom.at_nodes(carre_du_champ_jet(geom, partials).gradient())
+        gv = contract("ij...,j...->i...", ginv, dg)  # grad g
+        g_f_lf = contract("ij...,i...,j...->...", ginv, dg, jlg.gradient())
+        ric = contract("ij...,i...,j...->...",
+                       bakry_emery_ricci(space, x, geom), gv, gv)
+        lg, dg, ginv = jlg.value, geom.at_nodes(dg), geom.at_nodes(ginv)
+        del jg, partials, jlg, gv  # not held while the h rows are formed
         for h in hs:
-            jh = h.jet(geom.x, 1, geom.lines)
+            jh = h.jet(x, 1, geom.lines)
             hv = jh.value
             dh = jh.gradient()
             yield contract("ij...,i...,j...->...", ginv, dh, dg)  # Gamma(h,g)
             yield hv * lg
-            if decomposition:
-                g_h_gam = contract("ij...,i...,j...->...", ginv, dh, dgam)
-                yield -0.5 * g_h_gam - hv * g_f_lf - hv * hs_sq
-                yield hv * ric
+            g_h_gam = contract("ij...,i...,j...->...", ginv, dh, dgam)
+            yield -0.5 * g_h_gam - hv * g_f_lf - hv * hs_sq
+            yield hv * ric
 
     def boundary(geom: NodeGeometry) -> Iterator[np.ndarray]:
         x = geom.x
         jg = g.jet(x, 1)
-        bf = boundary_frame(space, x, geom=geom) if decomposition else None
-        jN = bf.normal_jets if bf else normal_field_jets(space, x, geom)
-        dg = jg.gradient()
-        flux = 0.0  # g(N, grad g)
-        for i in range(space.dim):
-            flux = flux + jN[i].value * dg[i]
-        if decomposition:
-            ii = _ii_of_gradient(bf, jg)
+        bf = boundary_frame(space, x, geom=geom)
+        flux, ii = bf.flux(jg.gradient()), _ii_of_gradient(bf, jg)
         for h in hs:
             hv = np.asarray(h.value(x))
             yield hv * flux
-            if decomposition:
-                yield hv * ii
+            yield hv * ii
 
     ints = iter(integrate_interior(space, GeometryIntegrand(interior),
                                    quad_interior))
     bds = [iter(integrate_boundary(space, GeometryIntegrand(boundary), p,
                                    quad_boundary))
            for p in space.boundary_patches]
-    keys = ("gamma", "laplacian", "lhs", "rhs_interior")
     out = []
     for _ in hs:  # each h's rows in the order its integrands yield them
-        w = dict(zip(keys[:4 if decomposition else 2], ints))
+        w = dict(zip(("gamma", "laplacian", "lhs", "rhs_interior"), ints))
         w["flux"] = sum(next(b) for b in bds)
-        if decomposition:
-            w["rhs_boundary"] = sum(next(b) for b in bds)
+        w["rhs_boundary"] = sum(next(b) for b in bds)
         out.append(w)
     return out
 
@@ -326,7 +307,7 @@ def check_green(space: WeightedSpace, f: ScalarField, g: ScalarField,
                 tol: float = QUADRATURE_TOL) -> CheckResult:
     """Green's formula: int Gamma(f,g) = -int f L g + oint f g(N, grad g)."""
     ints, = _weak_integrals(space, _as_field(g), [_as_field(f)],
-                            quad_interior, quad_boundary, decomposition=False)
+                            quad_interior, quad_boundary)
     return _laplacian_results(ints, False, tol)[0]
 
 
@@ -340,20 +321,20 @@ def check_mv_laplacian(space: WeightedSpace, g, h: ScalarField,
     (the measure Laplacian is absolutely continuous).
     """
     ints, = _weak_integrals(space, _as_field(g), [h], quad_interior,
-                            quad_boundary, decomposition=False)
+                            quad_boundary)
     return _laplacian_results(
         ints, isinstance(g, NeumannTestFunction), tol)[1]
 
 
-def _gated_grid(space: WeightedSpace, g: NeumannTestFunction,
-                frames: Sequence[BoundaryFrame],
-                tol: float = NEUMANN_GATE_TOL):
+def neumann_gate(space: WeightedSpace, g: NeumannTestFunction,
+                 frames: Sequence[BoundaryFrame],
+                 tol: float = NEUMANN_GATE_TOL) -> Tuple[List[Jet], float]:
     """The order-2 jets of g at the boundary frames (the gate and the II
     identity read first derivatives of g and of Gamma(g,g)) and the max
     Neumann residual |g(N, grad g)| over them; GateError above ``tol``."""
     jets = [g.field.jet(bf.point, 2) for bf in frames]
-    rows = [({}, np.abs(np.einsum("i...,i...->...", bf.normal, jg.gradient())),
-             bf.point) for bf, jg in zip(frames, jets)]
+    rows = [({}, np.abs(bf.flux(jg.gradient())), bf.point)
+            for bf, jg in zip(frames, jets)]
     worst, witness = _largest("neumann_gate", rows, 0.0, last=True)
     if worst > tol:
         raise GateError(
@@ -361,13 +342,6 @@ def _gated_grid(space: WeightedSpace, g: NeumannTestFunction,
             f"> {tol} at boundary point {witness['point']}; the theorem's "
             f"hypothesis fails, the theorem is not being tested")
     return jets, worst
-
-
-def neumann_gate(space: WeightedSpace, g: NeumannTestFunction,
-                 frames: Sequence[BoundaryFrame],
-                 tol: float = NEUMANN_GATE_TOL):
-    """Max raw Neumann residual |g(N, grad g)| over the boundary frames."""
-    return _gated_grid(space, g, frames, tol)[1]
 
 
 def weak_checks(space: WeightedSpace, g: NeumannTestFunction,
@@ -424,13 +398,12 @@ def check_ii_identity(space: WeightedSpace, g: NeumannTestFunction,
                       tol: float = POINTWISE_TOL) -> CheckResult:
     """II(grad g, grad g) = -1/2 g(N, grad |grad g|^2) on the boundary
     frames, on the jets of g that the Neumann gate read."""
-    jets, gate = _gated_grid(space, g, frames)
+    jets, gate = neumann_gate(space, g, frames)
     rows = []
     for bf, jg in zip(frames, jets):
         lhs = _ii_of_gradient(bf, jg)
         dg = [jg.partial(i) for i in range(space.dim)]
-        dgam = carre_du_champ_jet(bf.geom, dg).gradient()
-        rhs = -0.5 * np.einsum("i...,i...->...", bf.normal, dgam)
+        rhs = -0.5 * bf.flux(carre_du_champ_jet(bf.geom, dg).gradient())
         rows.append(({}, np.abs(lhs - rhs) / (1.0 + np.abs(lhs)), bf.point))
     worst, witness = _largest("ii_identity", rows, -1.0)
     return CheckResult(name="ii_identity", residual=worst, tolerance=tol,

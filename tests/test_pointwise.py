@@ -9,7 +9,7 @@ import collections
 import numpy as np
 import pytest
 
-from curvcert import config, report, verify, zoo
+from curvcert import config, geometry, report, verify, zoo
 from curvcert.fields import ConstField, ExprField
 from curvcert.geometry import (bakry_emery_ricci, gamma2_parts, hessian,
                                hs_norm_sq)
@@ -162,16 +162,36 @@ class TestCounts:
         return calls
 
     def test_one_batch_per_check(self, monkeypatch):
+        # each check forms Hess f once, through the one Hessian formula,
+        # on the fields' stacked jet
         target = _target("hemisphere")
         geom = _suite_geometry(target)
         fields = target.random_fields(10, seed=11)
+        stacked, hess_f = [], collections.Counter()
+        stack, hessian_jets = verify._stacked_jets, geometry.hessian_jets
+
+        def recorded(*args):
+            stacked.append(stack(*args))
+            return stacked[-1]
+
+        def counted(geom, df):  # a Hessian of the fields' stacked jet
+            jf, = stacked
+            hess_f["hessian_jets"] += df[0].value.tobytes() == \
+                jf.partial(0).value.tobytes()
+            return hessian_jets(geom, df)
+        monkeypatch.setattr(verify, "_stacked_jets", recorded)
+        monkeypatch.setattr(geometry, "hessian_jets", counted)
         calls = self._counted(monkeypatch, ("gamma2_parts", "hessian",
                                             "hs_norm_sq"))
         verify.check_bochner(target.space, fields, geom)
-        assert calls == {"gamma2_parts": 1, "hessian": 1, "hs_norm_sq": 1}
+        assert calls == {"gamma2_parts": 1, "hs_norm_sq": 1}
+        assert hess_f == {"hessian_jets": 1}
         calls.clear()
+        stacked.clear()
+        hess_f.clear()
         verify.check_dimension_term(target.space, fields, geom, 2.0)
         assert calls == {"hessian": 1, "hs_norm_sq": 1}
+        assert hess_f == {"hessian_jets": 1}
 
     def test_random_fields_same_sources_fresh_list(self):
         first = zoo.random_fields(2, 10, seed=11)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvcert import quadrature
-
+from curvcert.boundary import ON_BOUNDARY_TOL, BoundaryError, boundary_frame
 from curvcert.fields import ConstField, ExprField
 from curvcert.geometry import NodeGeometry, WeightedSpace
 from curvcert.quadrature import (CHUNK, BoundaryPatch, GeometryIntegrand,
@@ -207,6 +207,34 @@ class TestBoundary:
         with pytest.raises(QuadratureError, match="leaves the boundary"):
             integrate_boundary_all(sp, lambda x: np.ones(x.shape[1]),
                                    counts=(16,))
+
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9])
+    def test_patch_off_by_the_on_boundary_tolerance_rejected(self, offset):
+        # the patch images and the boundary frames hold |phi| to one
+        # tolerance, so a patch 1e-9 off {phi = 0} is refused, as a frame
+        # there is; on the boundary the same patch integrates
+        metric = [[ConstField(2, float(i == j)) for j in range(2)]
+                  for i in range(2)]
+
+        def strip(off):
+            patch = BoundaryPatch(param_box=[(-1.0, 1.0)],
+                                  maps=[ExprField("x", 1), ConstField(1, off)])
+            return WeightedSpace(dim=2, metric=metric,
+                                 weight=ConstField(2, 0.0),
+                                 defining_fn=ExprField("y", 2),
+                                 chart_box=[(-1.0, 1.0), (-1.0, 1.0)],
+                                 boundary_patches=[patch], label="strip")
+
+        def length(sp):
+            return integrate_boundary(sp, lambda x: np.ones(x.shape[1]),
+                                      sp.boundary_patches[0], counts=(8,))
+
+        assert abs(offset) > ON_BOUNDARY_TOL
+        with pytest.raises(QuadratureError, match="leaves the boundary"):
+            length(strip(offset))
+        with pytest.raises(BoundaryError, match="not on boundary"):
+            boundary_frame(strip(offset), np.array([[0.0], [offset]]))
+        assert length(strip(0.0)) == pytest.approx(2.0, rel=1e-14)
 
     def test_degenerate_gram_rejected(self):
         sp = disk(1.0)

@@ -63,3 +63,19 @@ def test_field_jets_are_traced_on_grids():
     finally:
         tracer.uninstall()
     assert {cls: vars(cls).get("jet") for cls in classes} == before
+
+
+def test_suite_gate_is_traced():
+    # a suite's gated checks share one Neumann gate, which the benchmark
+    # counts as ``verify.neumann_gate.calls``
+    spec = importlib.util.spec_from_file_location("layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    target = report.target_from_zoo(zoo.load("ball"))
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        assert report.run_suite(target)["passed"]
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["verify.neumann_gate"] == 1

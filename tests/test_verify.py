@@ -44,7 +44,7 @@ class TestGate:
 
     def test_gate_value_small_for_honest_field(self, ball):
         g = ball.neumann_family()[0]
-        worst = neumann_gate(ball.space, g, frames_of(ball))
+        _, worst = neumann_gate(ball.space, g, frames_of(ball))
         assert worst < 1e-10
 
 
@@ -313,7 +313,8 @@ class TestSharedSweep:
                 assert not (a.shape == b.shape and np.array_equal(a, b))
 
     def test_hessian_of_g_once_per_chunk(self, entry, monkeypatch):
-        # Lg and |Hess g|^2 read one Hess g per interior chunk
+        # Lg, |Hess g|^2 and Gamma(g, Lg) read one Hess g per interior
+        # chunk, formed by the one Hessian formula from g's partials
         e = entry("half_space")
         g_jets, hessians = [], collections.Counter()  # by g_jets index
 
@@ -323,15 +324,16 @@ class TestSharedSweep:
                 g_jets.append(out)
                 return out
 
-        original = geometry.hessian
+        original = geometry.hessian_jets
 
-        def counted(space, f, *args, **kwargs):
+        def counted(geom, df):
             for k, j in enumerate(g_jets):
-                hessians[k] += j is f
-            return original(space, f, *args, **kwargs)
+                d = j.partial(0).stored
+                hessians[k] += df[0].stored.shape == d.shape and \
+                    df[0].stored.tobytes() == d.tobytes()
+            return original(geom, df)
 
-        for module in (geometry, verify):
-            monkeypatch.setattr(module, "hessian", counted)
+        monkeypatch.setattr(geometry, "hessian_jets", counted)
         g = RecordingField(e.neumann_family()[0].field)
         verify._weak_integrals(e.space, g, e.h_fields()[:2],
                                e.plan.quad_interior, e.plan.quad_boundary)
@@ -350,8 +352,7 @@ class TestSharedSweep:
             shapes.append(np.shape(x))
             return original(space, x, geom)
 
-        for module in (boundary, verify):
-            monkeypatch.setattr(module, "normal_field_jets", counted)
+        monkeypatch.setattr(boundary, "normal_field_jets", counted)
         plan = e.plan
         verify.weak_checks(e.space, e.neumann_family()[0], e.h_fields()[0],
                            frames_of(e), plan.quad_interior,
@@ -382,9 +383,8 @@ class TestSharedSweep:
         for fname in ("jet_matrix_inverse", "christoffel_jets"):
             monkeypatch.setattr(geometry, fname, recorded(
                 fname, getattr(geometry, fname)))
-        normal = recorded("normal_field_jets", boundary.normal_field_jets)
-        for module in (boundary, verify):
-            monkeypatch.setattr(module, "normal_field_jets", normal)
+        monkeypatch.setattr(boundary, "normal_field_jets", recorded(
+            "normal_field_jets", boundary.normal_field_jets))
         jV = functools.cached_property(recorded("jV", geom_cls.jV.func))
         jV.__set_name__(geom_cls, "jV")
         monkeypatch.setattr(geom_cls, "jV", jV)
@@ -393,6 +393,67 @@ class TestSharedSweep:
         assert dict(orders) == {
             "metric_jets": {2}, "jet_matrix_inverse": {2}, "jV": {2},
             "christoffel_jets": {1}, "normal_field_jets": {1}}
+
+
+class TestOneFormula:
+    """Hess f, L f and the Neumann flux each have one formula, so an edit
+    to it reaches every consumer."""
+
+    def test_hessian_edit_reaches_lg_and_gamma_g_lg(self, ball, monkeypatch):
+        # drop the connection term from the Hessian: the sweep's Lg row
+        # moves, and so does Gamma(g, Lg) in its LHS row, read here with
+        # |Hess g|^2 held at 0 so that no other LHS term reads a Hessian;
+        # against this h neither row is near 0
+        g, h, plan = ball.neumann_family()[0].field, ball.h_fields()[1], \
+            ball.plan
+        monkeypatch.setattr(verify, "hs_norm_sq",
+                            lambda space, H, x, frame=None: 0.0)
+
+        def sweep():
+            w, = verify._weak_integrals(ball.space, g, [h], plan.quad_interior,
+                                        plan.quad_boundary)
+            return w
+
+        def without_connection(geom, df):
+            for i in range(len(df)):
+                for j in range(len(df)):
+                    yield i, j, df[i].partial(j)
+
+        before = sweep()
+        monkeypatch.setattr(geometry, "hessian_jets", without_connection)
+        after = sweep()
+        for key in ("laplacian", "lhs"):
+            assert abs(before[key]) > 0.1, key
+            assert abs(after[key] - before[key]) > 1e-3 * abs(before[key]), key
+        for key in ("gamma", "rhs_interior", "flux", "rhs_boundary"):
+            assert after[key] == before[key], key
+
+    def test_flux_edit_reaches_gate_sweep_and_residual(self, ball,
+                                                       monkeypatch):
+        # doubling the flux doubles each consumer's reading exactly, on a
+        # field that is not Neumann, so that its flux is not 0
+        base = ExprField("x*cos(y)", 2)
+        g = NeumannTestFunction(base=base,
+                                field=CutoffField(ball.cutoff) * base,
+                                cutoff=ball.cutoff, label="raw")
+        frames, plan = frames_of(ball), ball.plan
+
+        def consumers():
+            _, gate = neumann_gate(ball.space, g, frames, tol=np.inf)
+            w, = verify._weak_integrals(ball.space, g.field,
+                                        [ball.h_fields()[0]],
+                                        plan.quad_interior, plan.quad_boundary)
+            residual = boundary.neumann_residual(ball.space, g.field,
+                                                 frames[0].point, frames[0])
+            return np.array([gate, w["flux"], *residual])
+
+        before = consumers()
+        flux = boundary.BoundaryFrame.flux
+        monkeypatch.setattr(boundary.BoundaryFrame, "flux",
+                            lambda self, du: 2.0 * flux(self, du))
+        after = consumers()
+        assert np.all(before[:2] != 0.0)
+        assert np.array_equal(after, 2.0 * before)
 
 
 class TestPointwiseChecks:
