@@ -76,12 +76,11 @@ def boundary_frame(space: WeightedSpace, x,
     _check_on_boundary(space, x)
     n = space.dim
     geom = geom or NodeGeometry(space, x)
-    frame = geom.frame
     jN = normal_field_jets(space, x, geom)
     N = np.stack([j.value for j in jN])
 
     def g_dot(u, v):
-        return np.einsum("i...,ij...,j...->...", u, frame.metric, v)
+        return np.einsum("i...,ij...,j...->...", u, geom.metric, v)
 
     tangents: List[np.ndarray] = []
     order = list(axis_order) if axis_order is not None else list(range(n))
@@ -145,7 +144,7 @@ def second_fundamental_form(space: WeightedSpace, x,
     # covariant derivative of the normal field: d_i N^k + G^k_ij N^j
     covdN = dN + np.einsum("kij...,j...->ki...", gam, bframe.normal)
     II = np.einsum("ai...,ki...,kl...,bl...->ab...", bframe.tangents, covdN,
-                   bframe.geom.frame.metric, bframe.tangents)
+                   bframe.geom.metric, bframe.tangents)
     return 0.5 * (II + np.swapaxes(II, 0, 1))
 
 

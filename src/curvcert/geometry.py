@@ -14,11 +14,12 @@ conventions (the single normative statement for the whole package):
   computed by running the operator arithmetic over jets of one order
   lower, never by finite differences.
 
-Each quantity has one formula: the Christoffel values are those of
-``christoffel_jets``, Hess f is formed by ``hessian_jets`` from the jets of
-f's first partials, L f by ``laplacian_jet`` on top of it (``hessian``,
-``witten_laplacian``, ``gamma2_parts`` and Ricci_V's Hess V read these
-two), and Gamma2 reads L Gamma(f,f) from ``witten_laplacian``.
+Each quantity has one formula: g^{ij} is read off ``jet_matrix_inverse``
+(``NodeGeometry.inverse`` holds its values), the Christoffel values are
+those of ``christoffel_jets``, Hess f is formed by ``hessian_jets`` from
+the jets of f's first partials, L f by ``laplacian_jet`` on top of it
+(``hessian``, ``witten_laplacian``, ``gamma2_parts`` and Ricci_V's Hess V
+read these two), and Gamma2 reads L Gamma(f,f) from ``witten_laplacian``.
 """
 
 from __future__ import annotations
@@ -84,15 +85,6 @@ def as_points(space: WeightedSpace, x) -> np.ndarray:
     return x
 
 
-def _to_mat(a: np.ndarray) -> np.ndarray:
-    """(n, n, ...) -> (..., n, n) for numpy.linalg."""
-    return np.moveaxis(a, (0, 1), (-2, -1))
-
-
-def _from_mat(a: np.ndarray) -> np.ndarray:
-    return np.moveaxis(a, (-2, -1), (0, 1))
-
-
 def jet_matrix_inverse(a: List[List[Jet]]) -> List[List[Jet]]:
     """Inverse of a jet-valued SPD matrix by Gauss-Jordan elimination."""
     n = len(a)
@@ -114,21 +106,11 @@ def jet_matrix_inverse(a: List[List[Jet]]) -> List[List[Jet]]:
     return inv
 
 
-@dataclass
-class PointFrame:
-    """Per-point metric values, their inverse and the volume density; the
-    Christoffel values are ``NodeGeometry.christoffels``."""
-
-    metric: np.ndarray        # (n, n, ...)
-    inverse: np.ndarray       # (n, n, ...)
-    sqrt_det: np.ndarray
-
-
 def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None,
-             lines: Lines = None) -> PointFrame:
-    """Metric matrix, inverse and volume density at x, at the broadcast
+             lines: Lines = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Metric matrix (n, n, ...) and volume density at x, at the broadcast
     shape of the metric jets (``jg``, or those at x on its grid ``lines``
-    if given)."""
+    if given); GeometryError where the metric is not positive definite."""
     x = as_points(space, x)
     n = space.dim
     if jg is None:
@@ -139,7 +121,7 @@ def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None,
     for i in range(n):
         for j in range(i, n):
             G[i, j] = G[j, i] = jg[i][j].value
-    Gm = _to_mat(G)
+    Gm = np.moveaxis(G, (0, 1), (-2, -1))  # (..., n, n) for numpy.linalg
     eig = np.linalg.eigvalsh(Gm)
     min_eig = eig[..., 0]
     if np.any(min_eig <= SPD_FLOOR):
@@ -151,9 +133,7 @@ def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None,
         raise GeometryError(
             f"metric not positive definite: min eigenvalue "
             f"{np.min(min_eig):.3e} at point {np.asarray(pt).ravel()}")
-    Ginv = _from_mat(np.linalg.inv(Gm))
-    sqrt_det = np.sqrt(np.linalg.det(Gm))
-    return PointFrame(metric=G, inverse=Ginv, sqrt_det=sqrt_det)
+    return G, np.sqrt(np.linalg.det(Gm))
 
 
 def christoffel_jets(space: WeightedSpace, x, jg: List[List[Jet]],
@@ -183,28 +163,26 @@ def christoffel_jets(space: WeightedSpace, x, jg: List[List[Jet]],
 
 
 class NodeGeometry:
-    """Metric and weight data of one node batch, computed once: the
-    ``PointFrame`` up front; the metric, inverse, Christoffel and weight
-    jets and ``christoffels`` on first use (the metric jets up front when
-    the frame is computed here, since it reads them); Ricci_V on each
-    read.  The operators below take it as ``geom``.
+    """Metric and weight data of one node batch, computed once: the metric
+    jets, the metric values ``metric`` and volume density ``sqrt_det`` up
+    front; the inverse, Christoffel and weight jets, and ``inverse`` (g^{ij})
+    and ``christoffels``, the values of the first two, on first use;
+    Ricci_V on each read.  The operators below take it as ``geom``.
 
     Each jet is built to the highest order a consumer reads: ``jg``,
     ``jginv`` and ``jV`` at order 2 (Gamma(f,f) and Hess V read second
     derivatives), ``jgam`` at order 1 (Ricci reads first derivatives).
-    ``christoffels`` (the values of ``jgam``) is not built with the frame,
-    where the jets it needs would be alive while g's order-3 jet is built.
 
     ``x`` holds the points.  Given ``lines``, the axis lines of the
     tensor grid x lists in C order (an interior quadrature chunk), the
     metric and weight are jetted on the lines, and every jet and array
     here stays at the broadcast shape of the axes they read: ball3's at
-    (r, theta), since its geometry never reads the azimuth.  The frame,
-    ``christoffels`` and Ricci_V are at the broadcast shape of all of
-    them; ``grid`` is the shape of the nodes themselves, against which
-    everything broadcasts.  Every per-node operation is elementwise, so
-    once broadcast to ``grid`` and flattened each value equals the one
-    computed at the points bit for bit."""
+    (r, theta), since its geometry never reads the azimuth.  The metric
+    arrays and Ricci_V are at the broadcast shape of all of them; ``grid``
+    is the shape of the nodes themselves, against which everything
+    broadcasts.  Every per-node operation is elementwise, so once
+    broadcast to ``grid`` and flattened each value equals the one computed
+    at the points bit for bit."""
 
     def __init__(self, space: WeightedSpace, x, lines: Lines = None):
         self.space = space
@@ -212,7 +190,7 @@ class NodeGeometry:
         self.lines = lines
         self.grid = self.x.shape[1:] if lines is None else \
             np.broadcast_shapes(*(line.shape for line in lines))
-        self.frame = frame_at(space, self.x, self.jg, lines)
+        self.metric, self.sqrt_det = frame_at(space, self.x, self.jg, lines)
 
     def at_nodes(self, a: np.ndarray) -> np.ndarray:
         """Per-node values whose trailing axes broadcast against ``grid``,
@@ -231,13 +209,20 @@ class NodeGeometry:
         return jet_matrix_inverse(self.jg)
 
     @cached_property
+    def inverse(self) -> np.ndarray:
+        """The values of ``jginv``, indexed [i, j] ahead of the batch."""
+        batch = self.sqrt_det.shape
+        return np.array([[np.broadcast_to(e.value, batch) for e in row]
+                         for row in self.jginv])
+
+    @cached_property
     def jgam(self) -> List[List[List[Jet]]]:
         return christoffel_jets(self.space, self.x, self.jg, self.jginv)
 
     @cached_property
     def christoffels(self) -> np.ndarray:
         """The values of ``jgam``, indexed [k, i, j] ahead of the batch."""
-        batch = self.frame.sqrt_det.shape
+        batch = self.sqrt_det.shape
         return np.array([[[np.broadcast_to(c.value, batch) for c in row]
                           for row in p] for p in self.jgam])
 
@@ -346,7 +331,7 @@ def laplacian_jet(geom: NodeGeometry, df: Sequence[Jet]
         t = jginv[i][j] * (hij - dV[i] * df[j])
         lf = t if lf is None else lf + t
     H = np.zeros((n, n) + np.broadcast_shapes(
-        geom.frame.sqrt_det.shape, *(v.shape for v in vals.values())))
+        geom.sqrt_det.shape, *(v.shape for v in vals.values())))
     for (i, j), v in vals.items():
         H[i, j] = v
     return lf, H
@@ -359,7 +344,7 @@ def grad(space: WeightedSpace, f: FieldOrJet, x,
     geom = geom or NodeGeometry(space, x)
     jf = _jet(f, geom)
     df = jf.gradient()
-    return contract("ij...,j...->i...", geom.frame.inverse, df)
+    return contract("ij...,j...->i...", geom.inverse, df)
 
 
 def gamma1(space: WeightedSpace, f: FieldOrJet, h: FieldOrJet, x,
@@ -371,7 +356,7 @@ def gamma1(space: WeightedSpace, f: FieldOrJet, h: FieldOrJet, x,
     jh = jf if h is f else _jet(h, geom)
     df = jf.gradient()
     dh = df if jh is jf else jh.gradient()
-    return contract("ij...,i...,j...->...", geom.frame.inverse, df, dh)
+    return contract("ij...,i...,j...->...", geom.inverse, df, dh)
 
 
 def witten_laplacian(space: WeightedSpace, f: FieldOrJet, x,
@@ -385,12 +370,10 @@ def witten_laplacian(space: WeightedSpace, f: FieldOrJet, x,
 
 
 def hs_norm_sq(space: WeightedSpace, H: np.ndarray, x,
-               frame: Optional[PointFrame] = None) -> np.ndarray:
+               geom: Optional[NodeGeometry] = None) -> np.ndarray:
     """Squared Hilbert-Schmidt norm g^{ik} g^{jl} H_ij H_kl."""
-    if frame is None:
-        frame = frame_at(space, as_points(space, x))
-    return contract("ik...,jl...,ij...,kl...->...",
-                    frame.inverse, frame.inverse, H, H)
+    ginv = (geom or NodeGeometry(space, as_points(space, x))).inverse
+    return contract("ik...,jl...,ij...,kl...->...", ginv, ginv, H, H)
 
 
 def bakry_emery_ricci(space: WeightedSpace, x,
@@ -432,7 +415,7 @@ def gamma2_parts(space: WeightedSpace, f: FieldOrJet, x,
     half_l_gamma = 0.5 * witten_laplacian(
         space, carre_du_champ_jet(geom, df), x, geom)
     dfv = np.stack([d.value for d in df])
-    gamma_f_lf = contract("ij...,i...,j...->...", geom.frame.inverse, dfv,
+    gamma_f_lf = contract("ij...,i...,j...->...", geom.inverse, dfv,
                           lf.gradient())
     return Gamma2Parts(f_jet=jf, gamma2=half_l_gamma - gamma_f_lf, hessian=H)
 

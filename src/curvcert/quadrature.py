@@ -136,6 +136,20 @@ def tensor_rule(box, counts):
     return pts, wts
 
 
+def midpoint_grid(box, counts) -> np.ndarray:
+    """The midpoint grid (d, M) over a box, ``counts`` cells per axis."""
+    axes = [lo + (hi - lo) * (np.arange(m) + 0.5) / m
+            for (lo, hi), m in zip(box, counts)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids])
+
+
+def weighted_density(space: WeightedSpace, x, vol) -> np.ndarray:
+    """exp(-V) vol at the points x, for the volume density vol: sqrt det g
+    inside, sqrt det Gram on a boundary patch."""
+    return np.exp(-np.asarray(space.weight.value(x))) * vol
+
+
 def _counts(counts, d, default):
     if counts is None:
         return (default,) * d
@@ -183,8 +197,8 @@ def integrate_interior(space: WeightedSpace, F: Integrand, counts=None):
     for x, wts, lines in interior_chunks(space, counts):
         inside = np.asarray(space.defining_fn.value(x)) < 0.0
         geom = NodeGeometry(space, x, lines)
-        sqrt_det = geom.at_nodes(geom.frame.sqrt_det).reshape(-1)
-        dens = np.exp(-np.asarray(space.weight.value(x))) * sqrt_det
+        sqrt_det = geom.at_nodes(geom.sqrt_det).reshape(-1)
+        dens = weighted_density(space, x, sqrt_det)
         sums, single = _batch_sums(F, geom, wts, dens, inside, sqrt_det)
         del geom  # one batch's geometry alive at a time
         total = sums if total is None else \
@@ -208,7 +222,7 @@ def _patch_geometry(space: WeightedSpace, patch: BoundaryPatch, s: np.ndarray):
             f"{np.max(np.abs(phi)):.3e} > {ON_BOUNDARY_TOL}")
     T = np.stack([j.gradient() for j in jmaps], axis=1)  # (d, n, ...)
     geom = NodeGeometry(space, x)
-    gram = np.einsum("ai...,ij...,bj...->ab...", T, geom.frame.metric, T)
+    gram = np.einsum("ai...,ij...,bj...->ab...", T, geom.metric, T)
     gram_mat = np.moveaxis(gram, (0, 1), (-2, -1))
     det = np.linalg.det(gram_mat)
     if np.any(det <= GRAM_FLOOR):
@@ -224,8 +238,8 @@ def integrate_boundary(space: WeightedSpace, F: Integrand,
     counts = _counts(counts, patch.param_dim, DEFAULT_BOUNDARY_NODES)
     s, wts = tensor_rule(patch.param_box, counts)
     geom, dens_gram = _patch_geometry(space, patch, s)
-    dens = np.exp(-np.asarray(space.weight.value(geom.x))) * dens_gram
-    sums, single = _batch_sums(F, geom, wts, dens)
+    sums, single = _batch_sums(F, geom, wts,
+                               weighted_density(space, geom.x, dens_gram))
     return sums[0] if single else sums
 
 
@@ -247,8 +261,5 @@ def patch_points(space: WeightedSpace, patch: BoundaryPatch,
     the midpoint grid over its parameter box, checked on the boundary and
     non-degenerate.  ``.x`` holds the points in chart coordinates."""
     counts = _counts(counts, patch.param_dim, DEFAULT_BOUNDARY_NODES)
-    axes = [lo + (hi - lo) * (np.arange(m) + 0.5) / m
-            for (lo, hi), m in zip(patch.param_box, counts)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    s = np.stack([g.ravel() for g in grids])
-    return _patch_geometry(space, patch, s)[0]
+    return _patch_geometry(space, patch,
+                           midpoint_grid(patch.param_box, counts))[0]

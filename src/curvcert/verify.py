@@ -53,7 +53,7 @@ from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace,
                        _jet, gamma2_parts, hessian, hs_norm_sq, laplacian_jet)
 from .jets import Jet, stack
 from .quadrature import (GeometryIntegrand, integrate_boundary,
-                         integrate_interior, patch_points)
+                         integrate_interior, midpoint_grid, patch_points)
 
 POINTWISE_TOL = 1e-8
 QUADRATURE_TOL = 1e-5
@@ -117,10 +117,7 @@ class SamplePlan:
 
 def interior_grid(space: WeightedSpace, counts) -> np.ndarray:
     """Midpoint grid over the chart box, restricted to {phi < 0}."""
-    axes = [lo + (hi - lo) * (np.arange(m) + 0.5) / m
-            for (lo, hi), m in zip(space.chart_box, counts)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids])
+    pts = midpoint_grid(space.chart_box, counts)
     phi = np.asarray(space.defining_fn.value(pts))
     return pts[:, phi < -1e-10]
 
@@ -177,15 +174,14 @@ def check_bochner(space: WeightedSpace, fields: Sequence[FieldOrJet],
     at the points of ``geom``.  The fields go through Gamma2, Hess f and
     the Ricci_V contraction as one stacked jet; the residual is the first
     maximum in field order, its witness that field and point."""
-    x, frame = geom.x, geom.frame
+    x = geom.x
     rows = []
     if fields:
         parts = gamma2_parts(space, _stacked_jets(fields, geom), x, geom)
-        gf = contract("ij...,j...->i...", frame.inverse,
-                      parts.f_jet.gradient())
+        gf = contract("ij...,j...->i...", geom.inverse, parts.f_jet.gradient())
         rhs = contract("ij...,i...,j...->...",
                        bakry_emery_ricci(space, x, geom), gf, gf) \
-            + hs_norm_sq(space, parts.hessian, x, frame)
+            + hs_norm_sq(space, parts.hessian, x, geom)
         rel = np.abs(parts.gamma2 - rhs) / (1.0 + np.abs(parts.gamma2))
         rows = _field_rows(rel, x)
     worst, witness = _largest("bochner", rows, -1.0)
@@ -232,12 +228,12 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
     to the nodes.  Every term is elementwise per node, so the rows equal
     those computed at the points bit for bit."""
     def interior(geom: NodeGeometry) -> Iterator[np.ndarray]:
-        x, ginv = geom.x, geom.frame.inverse
+        x, ginv = geom.x, geom.inverse
         jg = g.jet(x, 3, geom.lines)
         dg = jg.gradient()
         partials = [jg.partial(i) for i in range(space.dim)]
         jlg, H = laplacian_jet(geom, partials)
-        hs_sq = hs_norm_sq(space, H, x, geom.frame)
+        hs_sq = hs_norm_sq(space, H, x, geom)
         del H  # not held while Gamma(g,g)'s jet is built
         dgam = geom.at_nodes(carre_du_champ_jet(geom, partials).gradient())
         gv = contract("ij...,j...->i...", ginv, dg)  # grad g
@@ -422,13 +418,12 @@ def check_dimension_term(space: WeightedSpace, fields: Sequence[FieldOrJet],
         raise ValueError(
             f"dimension parameter N = {n_dim} < chart dimension "
             f"{space.dim}: the trace inequality is unsatisfiable")
-    x, frame = geom.x, geom.frame
+    x = geom.x
     rows = []
     if fields:
         H = hessian(space, _stacked_jets(fields, geom), x, geom)
-        lap = contract("ij...,ij...->...", frame.inverse, H)
-        rows = _field_rows(lap**2 / n_dim - hs_norm_sq(space, H, x, frame),
-                           x)
+        lap = contract("ij...,ij...->...", geom.inverse, H)
+        rows = _field_rows(lap**2 / n_dim - hs_norm_sq(space, H, x, geom), x)
     worst, witness = _largest("dimension_term", rows, -np.inf)
     return CheckResult(name="dimension_term", residual=worst, tolerance=tol,
                        passed=worst <= tol, witness=witness,
@@ -514,7 +509,7 @@ def interior_spectrum(space: WeightedSpace, x: np.ndarray,
     A non-finite eigenvalue cannot be ranked: EvalError at its point."""
     geom = geom or NodeGeometry(space, x)
     eigs = eigenvalues_relative(bakry_emery_ricci(space, x, geom),
-                                geom.frame.metric)
+                                geom.metric)
     _largest("ricci_v", [({}, np.max(np.abs(eigs), axis=-1), x)], 0.0)
     return eigs
 

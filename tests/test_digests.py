@@ -25,7 +25,7 @@ PINNED = {
     "gaussian_half_space":
         "593038aab26edacc02d8f8095ba73c3cc83cb574e5e22e7968c94fcd2d2b8912",
     DENSE_INI.name:
-        "42ce2a93544289183373fee484940e93fa867bbd87b813dd791ef4d8591d8e7b",
+        "8f7cded5941304015f5e34c951abd6221f80a8acd1345efa64c156c760b9cde0",
 }
 
 

@@ -50,12 +50,12 @@ class TestFrame:
     def test_euclidean_frame(self):
         sp = euclidean()
         x = np.array([0.3, 0.8])
-        fr = frame_at(sp, x)
-        np.testing.assert_allclose(fr.metric, np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(fr.inverse, np.eye(2), atol=1e-15)
-        assert float(np.asarray(fr.sqrt_det)) == pytest.approx(1.0)
-        np.testing.assert_allclose(NodeGeometry(sp, x).christoffels, 0.0,
-                                   atol=1e-15)
+        metric, sqrt_det = frame_at(sp, x)
+        geom = NodeGeometry(sp, x)
+        np.testing.assert_allclose(metric, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(geom.inverse, np.eye(2), atol=1e-15)
+        assert float(np.asarray(sqrt_det)) == pytest.approx(1.0)
+        np.testing.assert_allclose(geom.christoffels, 0.0, atol=1e-15)
 
     def test_non_spd_rejected(self):
         sp = diag_space(["x", "1"], box=[(-2.0, 2.0), (-2.0, 2.0)])
@@ -73,9 +73,9 @@ class TestFrame:
                              chart_box=[(-2.0, 2.0), (-2.0, 2.0)])
 
     def test_spd_floor_passes_just_above(self):
-        fr = frame_at(diag_space(["1", "1e-9"], box=[(-2.0, 2.0)] * 2),
-                      self.SPD_POINTS)
-        np.testing.assert_allclose(fr.sqrt_det, np.sqrt(1e-9), rtol=1e-15)
+        sp = diag_space(["1", "1e-9"], box=[(-2.0, 2.0)] * 2)
+        _, sqrt_det = frame_at(sp, self.SPD_POINTS)
+        np.testing.assert_allclose(sqrt_det, np.sqrt(1e-9), rtol=1e-15)
 
     @pytest.mark.parametrize("g11, g12, g22, message", [
         ("1", "0", "1e-11", "min eigenvalue 1.000e-11 at point [0.1 0.2]"),
@@ -203,8 +203,8 @@ class TestCurvature:
         sp = sphere(1.0)
         x = np.array([[0.7, 1.2, 2.0], [0.5, 3.0, 5.5]])
         R = np.asarray(ricci(sp, x))
-        fr = frame_at(sp, x)
-        np.testing.assert_allclose(R, np.asarray(fr.metric), atol=1e-10)
+        metric, _ = frame_at(sp, x)
+        np.testing.assert_allclose(R, np.asarray(metric), atol=1e-10)
 
     def test_sphere_radius_scaling(self):
         # Ricci = (1/r^2) g on the round sphere of radius r
@@ -212,7 +212,7 @@ class TestCurvature:
         sp = sphere(r)
         x = np.array([1.1, 0.4])
         R = np.asarray(ricci(sp, x))
-        g = np.asarray(frame_at(sp, x).metric)
+        g = np.asarray(frame_at(sp, x)[0])
         np.testing.assert_allclose(R, g / r**2, atol=1e-10)
 
     def test_hyperbolic_ricci(self):
@@ -221,7 +221,7 @@ class TestCurvature:
                         box=[(0.1, 0.9), (0.0, 6.28)])
         x = np.array([[0.3, 0.6], [1.0, 4.0]])
         R = np.asarray(ricci(sp, x))
-        g = np.asarray(frame_at(sp, x).metric)
+        g = np.asarray(frame_at(sp, x)[0])
         np.testing.assert_allclose(R, -g, atol=1e-10)
 
     def test_bakry_emery_quadratic_weight(self):
@@ -368,9 +368,10 @@ def _bits(a, shape):
 
 
 class TestSingleSource:
-    """The Christoffel values and the outward normal have one formula each:
-    they are the values of ``christoffel_jets`` and ``normal_field_jets``
-    bit for bit, on every grid a suite builds."""
+    """g^{ij}, the Christoffel values and the outward normal have one
+    formula each: they are the values of ``jet_matrix_inverse``,
+    ``christoffel_jets`` and ``normal_field_jets`` bit for bit, on every
+    grid a suite builds."""
 
     @pytest.mark.parametrize("name", zoo.list_entries() + [DENSE_INI.name])
     def test_values_are_the_jets(self, name):
@@ -383,7 +384,11 @@ class TestSingleSource:
             gamma = geom.christoffels
             batch = gamma.shape[3:]
             assert batch == geom.x.shape[1:]
+            assert geom.inverse.shape[2:] == batch
             for k in range(n):
+                assert np.array_equal(
+                    _bits(geom.inverse[k], (n,) + batch), np.stack(
+                        [_bits(e.value, batch) for e in geom.jginv[k]]))
                 for i in range(n):
                     for j in range(n):
                         assert np.array_equal(

@@ -34,21 +34,21 @@ def _suite_geometry(target):
 def _looped_rows(space, fields, geom, n_dim):
     """Reference: each field's Bochner and dimension-term rows, one field
     at a time, each contraction an einsum over (m,) operands."""
-    x, frame = geom.x, geom.frame
+    x = geom.x
     ricv = bakry_emery_ricci(space, x, geom)
     bochner, dimension = [], []
     for f in fields:
         parts = gamma2_parts(space, f, x, geom)
         H = hessian(space, parts.f_jet, x, geom)
-        gf = np.einsum("ij...,j...->i...", frame.inverse,
+        gf = np.einsum("ij...,j...->i...", geom.inverse,
                        parts.f_jet.gradient())
         rhs = np.einsum("ij...,i...,j...->...", ricv, gf, gf) \
-            + hs_norm_sq(space, H, x, frame)
+            + hs_norm_sq(space, H, x, geom)
         bochner.append(np.abs(parts.gamma2 - rhs)
                        / (1.0 + np.abs(parts.gamma2)))
         H = hessian(space, f, x, geom)
-        lap = np.einsum("ij...,ij...->...", frame.inverse, H)
-        dimension.append(lap**2 / n_dim - hs_norm_sq(space, H, x, frame))
+        lap = np.einsum("ij...,ij...->...", geom.inverse, H)
+        dimension.append(lap**2 / n_dim - hs_norm_sq(space, H, x, geom))
     return np.array(bochner), np.array(dimension)
 
 

@@ -154,8 +154,7 @@ class TestBitIdentity:
             grid = _grid(lines)
             assert got.grid == grid and want.grid == x.shape[1:]
             for attr in ("metric", "inverse", "sqrt_det"):
-                _same(getattr(got.frame, attr), getattr(want.frame, attr),
-                      grid)
+                _same(getattr(got, attr), getattr(want, attr), grid)
             _same(got.christoffels, want.christoffels, grid)
             _same(got.ricci_v, want.ricci_v, grid)
             _same_jet(got.jV, want.jV, grid)
@@ -194,7 +193,7 @@ class TestBitIdentity:
             x, _, lines = next(interior_chunks(target.space,
                                                target.plan.quad_interior))
             geom = NodeGeometry(target.space, x, lines)
-            assert geom.frame.sqrt_det.shape == frame, name
+            assert geom.sqrt_det.shape == frame, name
             assert geom.christoffels.shape[3:] == frame, name
             assert geom.ricci_v.shape[2:] == ricci, name
 
@@ -205,7 +204,7 @@ class TestBitIdentity:
         geom = NodeGeometry(space, x)
         assert built == [((3, 400), None)]
         assert geom.grid == (400,)
-        assert geom.frame.sqrt_det.shape == (400,)
+        assert geom.sqrt_det.shape == (400,)
         assert {j.batch_shape for row in geom.jg for j in row} == {(400,)}
 
 
@@ -219,9 +218,9 @@ class TestCountsAndErrors:
         original = geometry.frame_at
 
         def recorded(*args, **kwargs):
-            frame = original(*args, **kwargs)
-            seen.append(frame.sqrt_det.size)
-            return frame
+            metric, sqrt_det = original(*args, **kwargs)
+            seen.append(sqrt_det.size)
+            return metric, sqrt_det
 
         monkeypatch.setattr(geometry, "frame_at", recorded)
         assert report.run_suite(report.target_from_zoo(e))["passed"]
@@ -339,9 +338,9 @@ class TestWeakSweep:
         original = geometry.frame_at
 
         def recorded(*args, **kwargs):
-            frame = original(*args, **kwargs)
-            frames.append(frame.sqrt_det.shape)
-            return frame
+            metric, sqrt_det = original(*args, **kwargs)
+            frames.append(sqrt_det.shape)
+            return metric, sqrt_det
 
         monkeypatch.setattr(geometry, "frame_at", recorded)
         built = _recording_geometries(monkeypatch)
@@ -383,7 +382,7 @@ class TestWeakSweep:
         assert g.shapes == [(8, 8, 1), (512,)]
         assert [s for s, _ in built] == [(3, 512), (3, 512)]
         x, _, lines = next(interior_chunks(space, plan.quad_interior))
-        assert NodeGeometry(space, x, lines).frame.sqrt_det.shape \
+        assert NodeGeometry(space, x, lines).sqrt_det.shape \
             == (8, 1, 1)
 
     def test_weight_reads_more_axes_than_g(self, monkeypatch):

@@ -125,7 +125,7 @@ class TestInterior:
             sl = slice(start, start + size)
             x = pts[:, sl]
             dens = np.exp(-sp.weight.value(x)) \
-                * NodeGeometry(sp, x).frame.sqrt_det
+                * NodeGeometry(sp, x).sqrt_det
             part = [float(np.sum(wts[sl] * f(x) * dens)) for f in fns]
             want = part if want is None else \
                 [a + b for a, b in zip(want, part)]

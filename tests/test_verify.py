@@ -407,7 +407,7 @@ class TestOneFormula:
         g, h, plan = ball.neumann_family()[0].field, ball.h_fields()[1], \
             ball.plan
         monkeypatch.setattr(verify, "hs_norm_sq",
-                            lambda space, H, x, frame=None: 0.0)
+                            lambda space, H, x, geom=None: 0.0)
 
         def sweep():
             w, = verify._weak_integrals(ball.space, g, [h], plan.quad_interior,
