@@ -15,9 +15,9 @@ from .config import ConfigError, SpaceConfig, load_config
 from .exprlang import EvalError, ParseError, differentiate, parse, to_source
 from .fields import (ConstField, CutoffField, CutoffSpec, ExprField,
                      ScalarField, make_cutoff_spec)
-from .geometry import (GeometryError, WeightedSpace, bakry_emery_ricci,
-                       frame_at, gamma1, gamma2, grad, hessian, hs_norm_sq,
-                       ricci, witten_laplacian)
+from .geometry import (GeometryError, NodeGeometry, WeightedSpace,
+                       bakry_emery_ricci, gamma1, gamma2, grad, hessian,
+                       hs_norm_sq, ricci, witten_laplacian)
 from .jets import Jet, JetDomainError, JetError, JetShapeError
 from .quadrature import (BoundaryPatch, QuadratureError, integrate_boundary,
                          integrate_boundary_all, integrate_interior)
@@ -33,12 +33,12 @@ __all__ = [
     "ConfigError", "ConstField", "CurvatureReport", "CutoffField",
     "CutoffSpec", "EvalError", "ExprField", "GateError", "GeometryError",
     "Jet", "JetDomainError", "JetError", "JetShapeError",
-    "NeumannTestFunction", "ParseError", "QuadratureError", "SamplePlan",
-    "ScalarField", "SpaceConfig", "WeightedSpace", "bakry_emery_ricci",
-    "boundary_frame", "certify", "check_bochner", "check_dimension_term",
-    "check_green", "check_ii_identity", "check_mv_laplacian",
-    "check_ricci_decomposition", "differentiate", "flatness_report",
-    "frame_at", "gamma1", "gamma2", "grad", "hessian", "hs_norm_sq",
+    "NeumannTestFunction", "NodeGeometry", "ParseError", "QuadratureError",
+    "SamplePlan", "ScalarField", "SpaceConfig", "WeightedSpace",
+    "bakry_emery_ricci", "boundary_frame", "certify", "check_bochner",
+    "check_dimension_term", "check_green", "check_ii_identity",
+    "check_mv_laplacian", "check_ricci_decomposition", "differentiate",
+    "flatness_report", "gamma1", "gamma2", "grad", "hessian", "hs_norm_sq",
     "integrate_boundary", "integrate_boundary_all", "integrate_interior",
     "load_config", "make_cutoff_spec", "make_neumann", "mean_curvature",
     "neumann_residual", "parse", "ricci", "second_fundamental_form",

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from . import exprlang
 from .exprlang import add, differentiate, div, mul, simplify, sub
 from .fields import ConstField, CutoffField, CutoffSpec, ExprField, ScalarField
-from .geometry import GRAD_PHI_FLOOR, NodeGeometry, WeightedSpace, as_points
+from .geometry import GRAD_PHI_FLOOR, NodeGeometry, WeightedSpace
 from .jets import Jet
 
 ON_BOUNDARY_TOL = 1e-10
@@ -42,17 +42,21 @@ class BoundaryError(ValueError):
 @dataclass
 class BoundaryFrame:
     """Outward g-unit normal, read off its jets, and g-orthonormal tangent
-    frame at x; II on first use, like ``NodeGeometry``'s jets."""
+    frame at the nodes of ``geom``; II on first use, like
+    ``NodeGeometry``'s jets."""
 
-    point: np.ndarray
     normal: np.ndarray      # (n, ...) contravariant: normal_jets' values
     normal_jets: List[Jet]  # order 1, from normal_field_jets
     tangents: np.ndarray    # (n-1, n, ...)
     geom: NodeGeometry
 
+    @property
+    def point(self) -> np.ndarray:
+        return self.geom.x
+
     @cached_property
     def II(self) -> np.ndarray:
-        return second_fundamental_form(self.geom.space, self.point, self)
+        return second_fundamental_form(self)
 
     def flux(self, du: np.ndarray) -> np.ndarray:
         """g(N, grad u) = N^i d_i u from u's first partials ``du`` (n, ...)
@@ -60,31 +64,23 @@ class BoundaryFrame:
         return np.einsum("i...,i...->...", self.normal, du)
 
 
-def _check_on_boundary(space: WeightedSpace, x):
-    phi = np.asarray(space.defining_fn.value(x))
+def boundary_frame(geom: NodeGeometry) -> BoundaryFrame:
+    """Normal + tangent frame at the nodes of ``geom``; Gram-Schmidt
+    seeded by the chart axes in order."""
+    phi = np.asarray(geom.space.defining_fn.value(geom.x))
     if np.any(np.abs(phi) > ON_BOUNDARY_TOL):
         raise BoundaryError(
             f"point not on boundary: |phi| = {np.max(np.abs(phi)):.3e} "
             f"> {ON_BOUNDARY_TOL}")
-
-
-def boundary_frame(space: WeightedSpace, x,
-                   axis_order: Optional[Sequence[int]] = None,
-                   geom: Optional[NodeGeometry] = None) -> BoundaryFrame:
-    """Normal + tangent frame; Gram-Schmidt seeded by chart axes in order."""
-    x = as_points(space, x)
-    _check_on_boundary(space, x)
-    n = space.dim
-    geom = geom or NodeGeometry(space, x)
-    jN = normal_field_jets(space, x, geom)
+    n = geom.space.dim
+    jN = normal_field_jets(geom)
     N = np.stack([j.value for j in jN])
 
     def g_dot(u, v):
         return np.einsum("i...,ij...,j...->...", u, geom.metric, v)
 
     tangents: List[np.ndarray] = []
-    order = list(axis_order) if axis_order is not None else list(range(n))
-    for axis in order:
+    for axis in range(n):
         v = np.zeros_like(N)
         v[axis] = 1.0
         v = v - g_dot(v, N) * N
@@ -101,24 +97,22 @@ def boundary_frame(space: WeightedSpace, x,
             break
     if len(tangents) != n - 1:
         raise BoundaryError("could not build a full tangent frame")
-    return BoundaryFrame(point=x, normal=N, normal_jets=jN,
+    return BoundaryFrame(normal=N, normal_jets=jN,
                          tangents=np.stack(tangents), geom=geom)
 
 
-def normal_field_jets(space: WeightedSpace, x,
-                      geom: Optional[NodeGeometry] = None) -> List[Jet]:
-    """Order-1 jets of the contravariant components of grad(phi)/|grad phi|_g:
-    the II reads their values and gradients, the flux and the frame their
-    values.  BoundaryError where |grad phi|_g < GRAD_PHI_FLOOR."""
-    n = space.dim
-    jginv = (geom or NodeGeometry(space, x)).jginv
-    jphi = space.defining_fn.jet(x, 2)
+def normal_field_jets(geom: NodeGeometry) -> List[Jet]:
+    """Order-1 jets of the contravariant components of grad(phi)/|grad phi|_g
+    at the nodes: the II reads their values and gradients, the flux and the
+    frame their values.  BoundaryError where |grad phi|_g < GRAD_PHI_FLOOR."""
+    n = geom.space.dim
+    jphi = geom.space.defining_fn.jet(geom.x, 2)
     dphi = [jphi.partial(i) for i in range(n)]
     up = []
     for k in range(n):
         acc = None
         for j in range(n):
-            t = jginv[k][j] * dphi[j]
+            t = geom.jginv[k][j] * dphi[j]
             acc = t if acc is None else acc + t
         up.append(acc)
     norm2 = None
@@ -133,12 +127,9 @@ def normal_field_jets(space: WeightedSpace, x,
     return [u * inv_norm for u in up]
 
 
-def second_fundamental_form(space: WeightedSpace, x,
-                            bframe: Optional[BoundaryFrame] = None
-                            ) -> np.ndarray:
+def second_fundamental_form(bframe: BoundaryFrame) -> np.ndarray:
     """II_ab = g(nabla_{e_a} N, e_b) on the orthonormal tangent frame,
     from the frame's normal-field jets."""
-    bframe = bframe or boundary_frame(space, x)
     gam = bframe.geom.christoffels
     dN = np.stack([j.gradient() for j in bframe.normal_jets])  # [k, i]
     # covariant derivative of the normal field: d_i N^k + G^k_ij N^j
@@ -148,10 +139,9 @@ def second_fundamental_form(space: WeightedSpace, x,
     return 0.5 * (II + np.swapaxes(II, 0, 1))
 
 
-def mean_curvature(space: WeightedSpace, x,
-                   bframe: Optional[BoundaryFrame] = None) -> np.ndarray:
+def mean_curvature(bframe: BoundaryFrame) -> np.ndarray:
     """Trace of II over the orthonormal tangent frame."""
-    II = second_fundamental_form(space, x, bframe)
+    II = second_fundamental_form(bframe)
     return np.einsum("aa...->...", II)
 
 
@@ -253,10 +243,7 @@ def make_neumann(space: WeightedSpace, w: ScalarField, cutoff: CutoffSpec,
                                collars=tuple(collars), label=label)
 
 
-def neumann_residual(space: WeightedSpace, field: ScalarField, x,
-                     bframe: Optional[BoundaryFrame] = None) -> np.ndarray:
-    """g(N, grad field) at boundary point(s) x; the theorem's gate."""
-    x = as_points(space, x)
-    if bframe is None:
-        bframe = boundary_frame(space, x)
-    return bframe.flux(field.jet(x, 1).gradient())
+def neumann_residual(bframe: BoundaryFrame, field: ScalarField) -> np.ndarray:
+    """g(N, grad field) at the frame's boundary points; the theorem's
+    gate."""
+    return bframe.flux(field.jet(bframe.point, 1).gradient())

@@ -8,16 +8,16 @@ expression errors (expression errors carry the offending position).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-import time
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from . import zoo
-from .boundary import BoundaryError
+from .boundary import BoundaryError, NeumannTestFunction
 from .config import ConfigError, load_config
 from .exprlang import EvalError, ParseError
-from .fields import ExprField
-from .geometry import GeometryError
+from .fields import CutoffField, ExprField
+from .geometry import GeometryError, NodeGeometry
 from .quadrature import QuadratureError
 from .report import (Target, bochner_geometry, render_csv, render_json,
                      render_text, target_from_config, target_from_zoo,
@@ -27,8 +27,11 @@ from .verify import (GateError, boundary_grid, certify, check_bochner,
                      check_mv_laplacian, check_ricci_decomposition,
                      flatness_report, interior_grid)
 
-CHECK_NAMES = ("bochner", "green", "laplacian", "theorem", "ii",
-               "dimension")
+# the options of ``check`` that each check reads; it refuses the others
+_WEAK = ("w", "h", "raw_field")
+CHECK_FLAGS = {"bochner": (), "green": _WEAK, "laplacian": _WEAK,
+               "theorem": _WEAK, "ii": ("w", "raw_field"),
+               "dimension": ("n_dim",)}
 
 
 class UsageError(ValueError):
@@ -48,11 +51,22 @@ def _target(args) -> Target:
     return target_from_config(load_config(args.config))
 
 
-def _parse_floats(raw: str, what: str) -> List[float]:
+def _parse_floats(raw: str, what: str,
+                  ok: Callable[[float], bool]) -> List[float]:
     try:
-        return [float(p) for p in raw.split(",") if p.strip()]
+        vals = [float(p) for p in raw.split(",") if p.strip()]
     except ValueError:
-        raise UsageError(f"bad {what} list {raw!r}") from None
+        vals = None
+    if vals is None or not all(map(ok, vals)):
+        raise UsageError(f"bad {what} list {raw!r}")
+    return vals
+
+
+def _parse_kn(args) -> Tuple[List[float], List[float]]:
+    """The --K and --N lists: each K finite, each N a number (N = inf
+    asks for RCD*(K, inf))."""
+    return (_parse_floats(args.K, "K", math.isfinite),
+            _parse_floats(args.N, "N", lambda n: not math.isnan(n)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_args(p)
 
     p = sub.add_parser("check", help="run one named check")
-    p.add_argument("name", choices=CHECK_NAMES)
+    p.add_argument("name", choices=CHECK_FLAGS)
     _add_space_args(p)
     p.add_argument("--w", help="Neumann base expression (default: first "
                                "of the space's family)")
@@ -76,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "the cutoff)")
     p.add_argument("--n-dim", type=float, default=None,
                    help="dimension parameter N for 'dimension'")
-    p.add_argument("--raw-field", action="store_true",
+    p.add_argument("--raw-field", action="store_true", default=None,
                    help="use the uncorrected base field (deliberately "
                         "non-Neumann) where applicable")
 
@@ -124,21 +138,24 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    for flag in ("w", "h", "n_dim", "raw_field"):  # None: not given
+        if getattr(args, flag) is not None \
+                and flag not in CHECK_FLAGS[args.name]:
+            raise UsageError(f"check {args.name} does not read "
+                             f"--{flag.replace('_', '-')}")
     t = _target(args)
     space, plan = t.space, t.plan
     if args.name in ("bochner", "dimension"):
         fields = t.random_fields(10, seed=11)
-        geom = bochner_geometry(space,
-                                interior_grid(space, plan.interior_counts))
+        geom = bochner_geometry(NodeGeometry(
+            space, interior_grid(space, plan.interior_counts)))
         n_dim = args.n_dim if args.n_dim is not None else float(space.dim)
-        res = (check_bochner(space, fields, geom) if args.name == "bochner"
-               else check_dimension_term(space, fields, geom, n_dim))
+        res = (check_bochner(fields, geom) if args.name == "bochner"
+               else check_dimension_term(fields, geom, n_dim))
     else:
         h = t.h_field(args.h)
         if args.raw_field:
             src = args.w if args.w is not None else t.neumann_bases[0]
-            from .boundary import NeumannTestFunction
-            from .fields import CutoffField
             base = ExprField(src, space.dim)
             g = NeumannTestFunction(
                 base=base, field=CutoffField(t.cutoff) * base,
@@ -153,7 +170,7 @@ def _cmd_check(args) -> int:
                                      plan.quad_boundary)
         elif args.name == "ii":
             res = check_ii_identity(
-                space, g, boundary_grid(space, plan.boundary_counts))
+                g, boundary_grid(space, plan.boundary_counts))
         else:
             res = check_ricci_decomposition(
                 space, g, h, boundary_grid(space, plan.boundary_counts),
@@ -164,11 +181,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_certify(args) -> int:
     t = _target(args)
-    ks = _parse_floats(args.K, "K")
-    ns = _parse_floats(args.N, "N") if args.N else []
+    ks, ns = _parse_kn(args)
     if not ks:
         raise UsageError("--K needs at least one value")
-    rep = certify(t.space, *t.plan.grids(t.space), ks, ns)
+    rep = certify(*t.plan.grids(t.space), ks, ns)
     print(f"space: {t.label}")
     print(f"K_interior    = {rep.k_interior:.12g}")
     print(f"lambda_min_II = {rep.lambda_min_ii:.12g}")
@@ -201,8 +217,7 @@ def _cmd_flatness(args) -> int:
 
 def _cmd_report(args) -> int:
     t = _target(args)
-    ks = _parse_floats(args.K, "K")
-    ns = _parse_floats(args.N, "N") if args.N else []
+    ks, ns = _parse_kn(args)
     if args.format == "csv":
         payload = render_csv(t)
         passed = True

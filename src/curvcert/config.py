@@ -46,7 +46,7 @@ import configparser
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .exprlang import ParseError, parse
+from .exprlang import ParseError
 from .fields import ConstField, CutoffSpec, ExprField, ScalarField
 from .geometry import WeightedSpace
 from .quadrature import BoundaryPatch

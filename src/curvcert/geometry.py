@@ -1,8 +1,9 @@
 """Intrinsic weighted-manifold calculus, pointwise from jet evaluations.
 
-Every operation accepts a single chart point (shape ``(n,)``) or a batch
-(shape ``(n, m)``); outputs carry the batch axes last.  Curvature
-conventions (the single normative statement for the whole package):
+Every operator takes the ``NodeGeometry`` built once at a single chart
+point (shape ``(n,)``) or a batch (shape ``(n, m)``); outputs carry the
+batch axes last.  Curvature conventions (the single normative statement
+for the whole package):
 
 * Christoffel symbols ``G^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)``
 * Ricci tensor ``R_ij = d_k G^k_ij - d_j G^k_ik + G^k_kl G^l_ij - G^k_jl G^l_ik``
@@ -77,14 +78,6 @@ class WeightedSpace:
         return jg  # type: ignore[return-value]
 
 
-def as_points(space: WeightedSpace, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != space.dim:
-        raise GeometryError(
-            f"point has {x.shape[0]} coordinates, chart dim is {space.dim}")
-    return x
-
-
 def jet_matrix_inverse(a: List[List[Jet]]) -> List[List[Jet]]:
     """Inverse of a jet-valued SPD matrix by Gauss-Jordan elimination."""
     n = len(a)
@@ -106,15 +99,12 @@ def jet_matrix_inverse(a: List[List[Jet]]) -> List[List[Jet]]:
     return inv
 
 
-def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None,
-             lines: Lines = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Metric matrix (n, n, ...) and volume density at x, at the broadcast
-    shape of the metric jets (``jg``, or those at x on its grid ``lines``
-    if given); GeometryError where the metric is not positive definite."""
-    x = as_points(space, x)
+def frame_at(space: WeightedSpace, x: np.ndarray, jg: List[List[Jet]],
+             lines: Lines) -> Tuple[np.ndarray, np.ndarray]:
+    """Metric matrix (n, n, ...) and volume density at the points x, at the
+    broadcast shape of their metric jets ``jg`` (on the grid ``lines``, if
+    any); GeometryError where the metric is not positive definite."""
     n = space.dim
-    if jg is None:
-        jg = space.metric_jets(x, lines)
     batch = np.broadcast_shapes(*(jg[i][j].batch_shape for i in range(n)
                                   for j in range(i, n)))
     G = np.zeros((n, n) + batch)
@@ -136,14 +126,14 @@ def frame_at(space: WeightedSpace, x, jg: Optional[List[List[Jet]]] = None,
     return G, np.sqrt(np.linalg.det(Gm))
 
 
-def christoffel_jets(space: WeightedSpace, x, jg: List[List[Jet]],
-                     jginv: List[List[Jet]]) -> List[List[List[Jet]]]:
+def christoffel_jets(jg: List[List[Jet]], jginv: List[List[Jet]]
+                     ) -> List[List[List[Jet]]]:
     """Christoffel symbols as order-1 jets (Ricci reads their values and
     gradients, the Hessian and the II their values), from the order-2
-    metric jets and their inverse at x.  Each symbol is computed for
-    j >= i only: the (k, j, i) entry is the (k, i, j) jet, which it equals
-    bit for bit."""
-    n = space.dim
+    metric jets and their inverse.  Each symbol is computed for j >= i
+    only: the (k, j, i) entry is the (k, i, j) jet, which it equals bit
+    for bit."""
+    n = len(jg)
     djg: List[List[Optional[List[Jet]]]] = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -185,9 +175,10 @@ class NodeGeometry:
     at the points bit for bit."""
 
     def __init__(self, space: WeightedSpace, x, lines: Lines = None):
-        self.space = space
-        self.x = as_points(space, x)
-        self.lines = lines
+        self.space, self.x, self.lines = space, np.asarray(x, float), lines
+        if self.x.shape[0] != space.dim:
+            raise GeometryError(f"point has {self.x.shape[0]} coordinates, "
+                                f"chart dim is {space.dim}")
         self.grid = self.x.shape[1:] if lines is None else \
             np.broadcast_shapes(*(line.shape for line in lines))
         self.metric, self.sqrt_det = frame_at(space, self.x, self.jg, lines)
@@ -217,7 +208,7 @@ class NodeGeometry:
 
     @cached_property
     def jgam(self) -> List[List[List[Jet]]]:
-        return christoffel_jets(self.space, self.x, self.jg, self.jginv)
+        return christoffel_jets(self.jg, self.jginv)
 
     @cached_property
     def christoffels(self) -> np.ndarray:
@@ -234,8 +225,7 @@ class NodeGeometry:
     def ricci_v(self) -> np.ndarray:
         """Ricci_V = Ricci + Hess V; each consumer reads it once, so it is
         not kept."""
-        return ricci(self.space, self.x, self) + hessian(
-            self.space, self.jV, self.x, self)
+        return ricci(self) + hessian(self, self.jV)
 
 
 FieldOrJet = Union[ScalarField, Jet]
@@ -266,12 +256,9 @@ def _jet(f: FieldOrJet, geom: NodeGeometry) -> Jet:
     return f if isinstance(f, Jet) else f.jet(geom.x, lines=geom.lines)
 
 
-def ricci(space: WeightedSpace, x,
-          geom: Optional[NodeGeometry] = None) -> np.ndarray:
-    """Ricci tensor components R_ij at x, symmetrized."""
-    x = as_points(space, x)
-    n = space.dim
-    geom = geom or NodeGeometry(space, x)
+def ricci(geom: NodeGeometry) -> np.ndarray:
+    """Ricci tensor components R_ij at the nodes, symmetrized."""
+    n = geom.space.dim
     gam = geom.christoffels
     dgam = np.array([[[np.broadcast_to(c.gradient(), (n,) + gam.shape[3:])
                        for c in row] for row in p]
@@ -305,14 +292,11 @@ def hessian_jets(geom: NodeGeometry, df: Sequence[Jet]
             yield i, j, hij
 
 
-def hessian(space: WeightedSpace, f: FieldOrJet, x,
-            geom: Optional[NodeGeometry] = None) -> np.ndarray:
-    """Covariant Hessian components (Hess f)_ij at x, as ``laplacian_jet``
-    hands them back."""
-    x = as_points(space, x)
-    geom = geom or NodeGeometry(space, x)
+def hessian(geom: NodeGeometry, f: FieldOrJet) -> np.ndarray:
+    """Covariant Hessian components (Hess f)_ij at the nodes, as
+    ``laplacian_jet`` hands them back."""
     jf = _jet(f, geom).truncate(2)  # values are all that is read
-    return laplacian_jet(geom, [jf.partial(i) for i in range(space.dim)])[1]
+    return laplacian_jet(geom, [jf.partial(i) for i in range(jf.dim)])[1]
 
 
 def laplacian_jet(geom: NodeGeometry, df: Sequence[Jet]
@@ -337,21 +321,13 @@ def laplacian_jet(geom: NodeGeometry, df: Sequence[Jet]
     return lf, H
 
 
-def grad(space: WeightedSpace, f: FieldOrJet, x,
-         geom: Optional[NodeGeometry] = None) -> np.ndarray:
-    """Contravariant gradient components of f at x."""
-    x = as_points(space, x)
-    geom = geom or NodeGeometry(space, x)
-    jf = _jet(f, geom)
-    df = jf.gradient()
-    return contract("ij...,j...->i...", geom.inverse, df)
+def grad(geom: NodeGeometry, f: FieldOrJet) -> np.ndarray:
+    """Contravariant gradient components of f at the nodes."""
+    return contract("ij...,j...->i...", geom.inverse, _jet(f, geom).gradient())
 
 
-def gamma1(space: WeightedSpace, f: FieldOrJet, h: FieldOrJet, x,
-           geom: Optional[NodeGeometry] = None) -> np.ndarray:
-    """Carre du champ Gamma(f,h) = g^{ij} d_i f d_j h at x."""
-    x = as_points(space, x)
-    geom = geom or NodeGeometry(space, x)
+def gamma1(geom: NodeGeometry, f: FieldOrJet, h: FieldOrJet) -> np.ndarray:
+    """Carre du champ Gamma(f,h) = g^{ij} d_i f d_j h at the nodes."""
     jf = _jet(f, geom)
     jh = jf if h is f else _jet(h, geom)
     df = jf.gradient()
@@ -359,27 +335,22 @@ def gamma1(space: WeightedSpace, f: FieldOrJet, h: FieldOrJet, x,
     return contract("ij...,i...,j...->...", geom.inverse, df, dh)
 
 
-def witten_laplacian(space: WeightedSpace, f: FieldOrJet, x,
-                     geom: Optional[NodeGeometry] = None) -> np.ndarray:
-    """L f = trace_g Hess f - Gamma(V, f) at x."""
-    x = as_points(space, x)
-    geom = geom or NodeGeometry(space, x)
+def witten_laplacian(geom: NodeGeometry, f: FieldOrJet) -> np.ndarray:
+    """L f = trace_g Hess f - Gamma(V, f) at the nodes."""
     jf = _jet(f, geom).truncate(2)  # values are all that is read
-    return laplacian_jet(geom, [jf.partial(i) for i in range(space.dim)]
+    return laplacian_jet(geom, [jf.partial(i) for i in range(jf.dim)]
                          )[0].value
 
 
-def hs_norm_sq(space: WeightedSpace, H: np.ndarray, x,
-               geom: Optional[NodeGeometry] = None) -> np.ndarray:
+def hs_norm_sq(geom: NodeGeometry, H: np.ndarray) -> np.ndarray:
     """Squared Hilbert-Schmidt norm g^{ik} g^{jl} H_ij H_kl."""
-    ginv = (geom or NodeGeometry(space, as_points(space, x))).inverse
+    ginv = geom.inverse
     return contract("ik...,jl...,ij...,kl...->...", ginv, ginv, H, H)
 
 
-def bakry_emery_ricci(space: WeightedSpace, x,
-                      geom: Optional[NodeGeometry] = None) -> np.ndarray:
-    """Ricci_V = Ricci + Hess V at x."""
-    return (geom or NodeGeometry(space, x)).ricci_v
+def bakry_emery_ricci(geom: NodeGeometry) -> np.ndarray:
+    """Ricci_V = Ricci + Hess V at the nodes."""
+    return geom.ricci_v
 
 
 @dataclass
@@ -404,21 +375,17 @@ def carre_du_champ_jet(geom: NodeGeometry, df: Sequence[Jet]) -> Jet:
     return gamma_ff
 
 
-def gamma2_parts(space: WeightedSpace, f: FieldOrJet, x,
-                 geom: Optional[NodeGeometry] = None) -> Gamma2Parts:
+def gamma2_parts(geom: NodeGeometry, f: FieldOrJet) -> Gamma2Parts:
     """Gamma2(f) via operator composition over jets of one order lower."""
-    x = as_points(space, x)
-    geom = geom or NodeGeometry(space, x)
     jf = _jet(f, geom)
-    df = [jf.partial(i) for i in range(space.dim)]
+    df = [jf.partial(i) for i in range(jf.dim)]
     lf, H = laplacian_jet(geom, df)
-    half_l_gamma = 0.5 * witten_laplacian(
-        space, carre_du_champ_jet(geom, df), x, geom)
+    half_l_gamma = 0.5 * witten_laplacian(geom, carre_du_champ_jet(geom, df))
     dfv = np.stack([d.value for d in df])
     gamma_f_lf = contract("ij...,i...,j...->...", geom.inverse, dfv,
                           lf.gradient())
     return Gamma2Parts(f_jet=jf, gamma2=half_l_gamma - gamma_f_lf, hessian=H)
 
 
-def gamma2(space: WeightedSpace, f: ScalarField, x) -> np.ndarray:
-    return gamma2_parts(space, f, x).gamma2
+def gamma2(geom: NodeGeometry, f: FieldOrJet) -> np.ndarray:
+    return gamma2_parts(geom, f).gamma2

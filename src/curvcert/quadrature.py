@@ -15,11 +15,11 @@ row where a row is longer.  So every chunk is itself a tensor grid, and
 it comes with its axis lines: the chunk's ``NodeGeometry`` jets the
 metric and weight on them, at the broadcast shape of the axes they read
 (ball3's never reads the azimuth, the polar 2-D charts' reads only the
-radius), and so does any ``GeometryIntegrand`` that passes
-``geom.lines`` on to its fields.  A boundary patch's nodes are one batch,
-jetted at its points.  An integrand returns one row or k rows per batch,
-or yields its rows one at a time; each row is reduced as it arrives, so
-no array longer than one batch is held per row.
+radius), and so does any integrand that passes ``geom.lines`` on to its
+fields.  A boundary patch's nodes are one batch, jetted at its points.
+An integrand is a callable of the batch's ``NodeGeometry``: it returns
+one row or k rows per batch, or yields its rows one at a time; each row
+is reduced as it arrives, so no array longer than one batch is held per row.
 
 Reductions are ordered: each row and the density are broadcast to the
 batch's nodes and flattened, each row's batch sum is numpy's pairwise
@@ -46,20 +46,11 @@ DEFAULT_BOUNDARY_NODES = 256
 CHUNK = 16384  # interior nodes per batch
 GRAM_FLOOR = 1e-12
 
-Integrand = Union[Callable[[np.ndarray], np.ndarray], "GeometryIntegrand"]
+Integrand = Callable[[NodeGeometry], Union[np.ndarray, Iterator[np.ndarray]]]
 
 
 class QuadratureError(ValueError):
     """Non-finite integrand, degenerate patch, or singular density."""
-
-
-@dataclass(frozen=True)
-class GeometryIntegrand:
-    """An integrand of a batch's ``NodeGeometry`` rather than of its nodes,
-    so that all its rows, returned or yielded, read the geometry the rule
-    built for the batch."""
-
-    fn: Callable[[NodeGeometry], Union[np.ndarray, Iterator[np.ndarray]]]
 
 
 def _batch_sums(F, geom: NodeGeometry, wts: np.ndarray, dens: np.ndarray,
@@ -70,7 +61,7 @@ def _batch_sums(F, geom: NodeGeometry, wts: np.ndarray, dens: np.ndarray,
     (``NodeGeometry.grid``) and is flattened to the points first.  Each
     row is checked finite and, with ``sqrt_det``, zero wherever sqrt
     det g is below the floor."""
-    out = F.fn(geom) if isinstance(F, GeometryIntegrand) else F(geom.x)
+    out = F(geom)
     single = False
     if not isinstance(out, Iterator):
         out = np.asarray(out)

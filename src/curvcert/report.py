@@ -114,14 +114,15 @@ def target_from_config(cfg: SpaceConfig) -> Target:
                   expressions=dict(cfg.expressions), error=ConfigError)
 
 
-def bochner_geometry(space: WeightedSpace, x: np.ndarray,
-                     limit: int = 100) -> NodeGeometry:
-    """The pointwise checks' grid: geometry at at most ``limit`` of the
-    interior sample points x, evenly spread through them."""
-    if x.shape[1] > limit:
-        idx = np.linspace(0, x.shape[1] - 1, limit).astype(int)
-        x = x[:, idx]
-    return NodeGeometry(space, x)
+def bochner_geometry(sample: NodeGeometry, limit: int = 100) -> NodeGeometry:
+    """The pointwise checks' grid: the geometry at at most ``limit`` of the
+    interior sample points of ``sample``, evenly spread through them;
+    ``sample`` itself when it holds no more."""
+    x = sample.x
+    if x.shape[1] <= limit:
+        return sample
+    idx = np.linspace(0, x.shape[1] - 1, limit).astype(int)
+    return NodeGeometry(sample.space, x[:, idx])
 
 
 def run_suite(target: Target, k_list: Sequence[float] = (0.0,),
@@ -129,19 +130,16 @@ def run_suite(target: Target, k_list: Sequence[float] = (0.0,),
     """Full battery: pointwise checks, weak identities, certificates, each
     grid built once and read by every check that samples it."""
     space, plan = target.space, target.plan
-    x, frames = plan.grids(space)
-    geom = bochner_geometry(space, x)
+    sample, frames = plan.grids(space)
+    geom = bochner_geometry(sample)
     jets = [f.jet(geom.x) for f in target.random_fields(10, seed=11)]
     results: List[CheckResult] = [
-        check_bochner(space, jets, geom),
-        check_dimension_term(space, jets, geom, float(space.dim))]
-    del jets  # the weak sweep does not read them
-    # certify reads the pointwise checks' geometry when it holds every
-    # interior sample point
-    geom = geom if geom.x.shape == x.shape else None
+        check_bochner(jets, geom),
+        check_dimension_term(jets, geom, float(space.dim))]
+    cert = certify(sample, frames, k_list, n_list)
+    del jets, geom, sample  # not held through the weak sweep
     results += weak_checks(space, target.neumann(), target.h_field(), frames,
                            plan.quad_interior, plan.quad_boundary)
-    cert = certify(space, x, frames, k_list, n_list, geom)
     return {
         "label": target.label,
         "checks": results,
@@ -204,8 +202,8 @@ def render_csv(target: Target) -> str:
     wr = csv.writer(buf, lineterminator="\n")
     wr.writerow(["kind", "index", "x1", "x2", "x3", "x4",
                  "value_a", "value_b"])
-    x, frames = plan.grids(space)
-    eigs = interior_spectrum(space, x)
+    sample, frames = plan.grids(space)
+    x, eigs = sample.x, interior_spectrum(sample)
     xb, eig, tr = boundary_spectrum(frames)
     pad = [""] * (4 - space.dim)
     for kind, pts, a, b in (("interior", x, eigs[:, 0], eigs[:, -1]),

@@ -25,10 +25,11 @@ always yields all its rows; standalone ``check_green`` and
 jet and term is taken on the quadrature chunk's axis lines, at the
 broadcast shape of the axes it reads, and the rows are flattened to the
 nodes only for their sums; ``decomposition_batch`` is the gate plus that
-sweep over a family of densities.  Each check takes the sample grid it
-reads (a ``NodeGeometry``, interior points, or one ``BoundaryFrame`` per
-patch), not the counts that would rebuild it; ``SamplePlan.grids``
-builds them.
+sweep over a family of densities.  A check that reads one sample grid
+takes its ``NodeGeometry``, or one ``BoundaryFrame`` per patch, and
+nothing they hold (``SamplePlan.grids`` builds both); a check that runs
+a sweep takes the space.  Operators are bound by name from ``geometry``
+and ``boundary``.
 
 Every check that assumes the Neumann hypothesis re-verifies it first and
 fails loudly (GateError) if violated: that is a broken hypothesis, not a
@@ -41,7 +42,7 @@ proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -50,10 +51,11 @@ from .exprlang import EvalError
 from .fields import ScalarField
 from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace,
                        bakry_emery_ricci, carre_du_champ_jet, contract,
-                       _jet, gamma2_parts, hessian, hs_norm_sq, laplacian_jet)
+                       _jet, gamma2_parts, grad, hessian, hs_norm_sq,
+                       laplacian_jet)
 from .jets import Jet, stack
-from .quadrature import (GeometryIntegrand, integrate_boundary,
-                         integrate_interior, midpoint_grid, patch_points)
+from .quadrature import (integrate_boundary, integrate_interior,
+                         midpoint_grid, patch_points)
 
 POINTWISE_TOL = 1e-8
 QUADRATURE_TOL = 1e-5
@@ -109,9 +111,11 @@ class SamplePlan:
         }
 
     def grids(self, space: WeightedSpace
-              ) -> Tuple[np.ndarray, List[BoundaryFrame]]:
-        """The interior sample points and boundary sample frames."""
-        return (interior_grid(space, self.interior_counts),
+              ) -> Tuple[NodeGeometry, List[BoundaryFrame]]:
+        """The geometry at the interior sample points, and the boundary
+        sample frames."""
+        x = interior_grid(space, self.interior_counts)
+        return (NodeGeometry(space, x),
                 boundary_grid(space, self.boundary_counts))
 
 
@@ -125,8 +129,8 @@ def interior_grid(space: WeightedSpace, counts) -> np.ndarray:
 def boundary_grid(space: WeightedSpace, counts) -> List[BoundaryFrame]:
     """One frame per patch at its midpoint sample points, built on the
     geometry ``patch_points`` checked them with."""
-    geoms = [patch_points(space, p, counts) for p in space.boundary_patches]
-    return [boundary_frame(space, geom.x, geom=geom) for geom in geoms]
+    return [boundary_frame(patch_points(space, p, counts))
+            for p in space.boundary_patches]
 
 
 def _witness_point(x: np.ndarray, flat_index: int) -> List[float]:
@@ -167,9 +171,8 @@ def _field_rows(vals: np.ndarray, x: np.ndarray) -> List[Tuple]:
     return [({"field_index": fi}, v, x) for fi, v in enumerate(vals)]
 
 
-def check_bochner(space: WeightedSpace, fields: Sequence[FieldOrJet],
-                  geom: NodeGeometry, tol: float = POINTWISE_TOL
-                  ) -> CheckResult:
+def check_bochner(fields: Sequence[FieldOrJet], geom: NodeGeometry,
+                  tol: float = POINTWISE_TOL) -> CheckResult:
     """Bochner identity Gamma2(f) = Ricci_V(grad f, grad f) + |Hess f|^2,
     at the points of ``geom``.  The fields go through Gamma2, Hess f and
     the Ricci_V contraction as one stacked jet; the residual is the first
@@ -177,11 +180,10 @@ def check_bochner(space: WeightedSpace, fields: Sequence[FieldOrJet],
     x = geom.x
     rows = []
     if fields:
-        parts = gamma2_parts(space, _stacked_jets(fields, geom), x, geom)
-        gf = contract("ij...,j...->i...", geom.inverse, parts.f_jet.gradient())
-        rhs = contract("ij...,i...,j...->...",
-                       bakry_emery_ricci(space, x, geom), gf, gf) \
-            + hs_norm_sq(space, parts.hessian, x, geom)
+        parts = gamma2_parts(geom, _stacked_jets(fields, geom))
+        gf = grad(geom, parts.f_jet)
+        rhs = contract("ij...,i...,j...->...", bakry_emery_ricci(geom), gf,
+                       gf) + hs_norm_sq(geom, parts.hessian)
         rel = np.abs(parts.gamma2 - rhs) / (1.0 + np.abs(parts.gamma2))
         rows = _field_rows(rel, x)
     worst, witness = _largest("bochner", rows, -1.0)
@@ -233,13 +235,13 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
         dg = jg.gradient()
         partials = [jg.partial(i) for i in range(space.dim)]
         jlg, H = laplacian_jet(geom, partials)
-        hs_sq = hs_norm_sq(space, H, x, geom)
+        hs_sq = hs_norm_sq(geom, H)
         del H  # not held while Gamma(g,g)'s jet is built
         dgam = geom.at_nodes(carre_du_champ_jet(geom, partials).gradient())
         gv = contract("ij...,j...->i...", ginv, dg)  # grad g
         g_f_lf = contract("ij...,i...,j...->...", ginv, dg, jlg.gradient())
-        ric = contract("ij...,i...,j...->...",
-                       bakry_emery_ricci(space, x, geom), gv, gv)
+        ric = contract("ij...,i...,j...->...", bakry_emery_ricci(geom), gv,
+                       gv)
         lg, dg, ginv = jlg.value, geom.at_nodes(dg), geom.at_nodes(ginv)
         del jg, partials, jlg, gv  # not held while the h rows are formed
         for h in hs:
@@ -255,17 +257,15 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
     def boundary(geom: NodeGeometry) -> Iterator[np.ndarray]:
         x = geom.x
         jg = g.jet(x, 1)
-        bf = boundary_frame(space, x, geom=geom)
+        bf = boundary_frame(geom)
         flux, ii = bf.flux(jg.gradient()), _ii_of_gradient(bf, jg)
         for h in hs:
             hv = np.asarray(h.value(x))
             yield hv * flux
             yield hv * ii
 
-    ints = iter(integrate_interior(space, GeometryIntegrand(interior),
-                                   quad_interior))
-    bds = [iter(integrate_boundary(space, GeometryIntegrand(boundary), p,
-                                   quad_boundary))
+    ints = iter(integrate_interior(space, interior, quad_interior))
+    bds = [iter(integrate_boundary(space, boundary, p, quad_boundary))
            for p in space.boundary_patches]
     out = []
     for _ in hs:  # each h's rows in the order its integrands yield them
@@ -322,8 +322,7 @@ def check_mv_laplacian(space: WeightedSpace, g, h: ScalarField,
         ints, isinstance(g, NeumannTestFunction), tol)[1]
 
 
-def neumann_gate(space: WeightedSpace, g: NeumannTestFunction,
-                 frames: Sequence[BoundaryFrame],
+def neumann_gate(g: NeumannTestFunction, frames: Sequence[BoundaryFrame],
                  tol: float = NEUMANN_GATE_TOL) -> Tuple[List[Jet], float]:
     """The order-2 jets of g at the boundary frames (the gate and the II
     identity read first derivatives of g and of Gamma(g,g)) and the max
@@ -347,7 +346,7 @@ def weak_checks(space: WeightedSpace, g: NeumannTestFunction,
     """The four Neumann-gated checks in ``run_suite``'s order: green,
     mv_laplacian, ii_identity and ricci_decomposition, from the II
     check's gate on ``frames`` and one quadrature sweep."""
-    ii = check_ii_identity(space, g, frames)
+    ii = check_ii_identity(g, frames)
     ints, = _weak_integrals(space, g.field, [h], quad_interior, quad_boundary)
     lhs, rhs_i, rhs_b = ints["lhs"], ints["rhs_interior"], ints["rhs_boundary"]
     rhs = rhs_i + rhs_b
@@ -383,22 +382,22 @@ def decomposition_batch(space: WeightedSpace, g: NeumannTestFunction,
     Neumann gate and one weak sweep: g's order-3 terms are computed once
     per batch for the whole h family, so checking a family costs little
     more than one pair.  Each pair equals ``weak_checks``' for that h."""
-    neumann_gate(space, g, boundary_grid(space, boundary_counts))
+    neumann_gate(g, boundary_grid(space, boundary_counts))
     return [(w["lhs"], w["rhs_interior"] + w["rhs_boundary"])
             for w in _weak_integrals(space, g.field, hs, quad_interior,
                                      quad_boundary)]
 
 
-def check_ii_identity(space: WeightedSpace, g: NeumannTestFunction,
+def check_ii_identity(g: NeumannTestFunction,
                       frames: Sequence[BoundaryFrame],
                       tol: float = POINTWISE_TOL) -> CheckResult:
     """II(grad g, grad g) = -1/2 g(N, grad |grad g|^2) on the boundary
     frames, on the jets of g that the Neumann gate read."""
-    jets, gate = neumann_gate(space, g, frames)
+    jets, gate = neumann_gate(g, frames)
     rows = []
     for bf, jg in zip(frames, jets):
         lhs = _ii_of_gradient(bf, jg)
-        dg = [jg.partial(i) for i in range(space.dim)]
+        dg = [jg.partial(i) for i in range(jg.dim)]
         rhs = -0.5 * bf.flux(carre_du_champ_jet(bf.geom, dg).gradient())
         rows.append(({}, np.abs(lhs - rhs) / (1.0 + np.abs(lhs)), bf.point))
     worst, witness = _largest("ii_identity", rows, -1.0)
@@ -407,23 +406,22 @@ def check_ii_identity(space: WeightedSpace, g: NeumannTestFunction,
                        metadata={"neumann_gate": gate})
 
 
-def check_dimension_term(space: WeightedSpace, fields: Sequence[FieldOrJet],
-                         geom: NodeGeometry, n_dim: float,
-                         tol: float = DIMENSION_TOL) -> CheckResult:
+def check_dimension_term(fields: Sequence[FieldOrJet], geom: NodeGeometry,
+                         n_dim: float, tol: float = DIMENSION_TOL
+                         ) -> CheckResult:
     """(trace_g Hess f)^2 / N <= |Hess f|^2_HS whenever N >= n, at the
     points of ``geom``.  The fields' Hessians are one stacked batch; the
     residual is the first maximum in field order, its witness that field
     and point."""
-    if n_dim < space.dim:
+    if not n_dim >= geom.space.dim:  # NaN too
         raise ValueError(
-            f"dimension parameter N = {n_dim} < chart dimension "
-            f"{space.dim}: the trace inequality is unsatisfiable")
-    x = geom.x
+            f"dimension parameter N = {n_dim} is not >= the chart dimension "
+            f"{geom.space.dim}: the trace inequality is unsatisfiable")
     rows = []
     if fields:
-        H = hessian(space, _stacked_jets(fields, geom), x, geom)
+        H = hessian(geom, _stacked_jets(fields, geom))
         lap = contract("ij...,ij...->...", geom.inverse, H)
-        rows = _field_rows(lap**2 / n_dim - hs_norm_sq(space, H, x, geom), x)
+        rows = _field_rows(lap**2 / n_dim - hs_norm_sq(geom, H), geom.x)
     worst, witness = _largest("dimension_term", rows, -np.inf)
     return CheckResult(name="dimension_term", residual=worst, tolerance=tol,
                        passed=worst <= tol, witness=witness,
@@ -502,15 +500,12 @@ class CurvatureReport:
                       "interior_flat": max_ricci <= tol})
 
 
-def interior_spectrum(space: WeightedSpace, x: np.ndarray,
-                      geom: Optional[NodeGeometry] = None) -> np.ndarray:
+def interior_spectrum(geom: NodeGeometry) -> np.ndarray:
     """The eigenvalues of Ricci_V relative to g at the interior sample
-    points x, (m, n) ascending, on ``geom`` (the geometry at x) if given.
-    A non-finite eigenvalue cannot be ranked: EvalError at its point."""
-    geom = geom or NodeGeometry(space, x)
-    eigs = eigenvalues_relative(bakry_emery_ricci(space, x, geom),
-                                geom.metric)
-    _largest("ricci_v", [({}, np.max(np.abs(eigs), axis=-1), x)], 0.0)
+    points of ``geom``, (m, n) ascending.  A non-finite eigenvalue cannot
+    be ranked: EvalError at its point."""
+    eigs = eigenvalues_relative(bakry_emery_ricci(geom), geom.metric)
+    _largest("ricci_v", [({}, np.max(np.abs(eigs), axis=-1), geom.x)], 0.0)
     return eigs
 
 
@@ -523,18 +518,18 @@ def boundary_spectrum(frames: Sequence[BoundaryFrame]) -> Tuple:
             np.einsum("aa...->...", II))
 
 
-def certify(space: WeightedSpace, x: np.ndarray,
-            frames: Sequence[BoundaryFrame], k_list: Sequence[float],
-            n_list: Sequence[float] = (),
-            geom: Optional[NodeGeometry] = None) -> CurvatureReport:
+def certify(geom: NodeGeometry, frames: Sequence[BoundaryFrame],
+            k_list: Sequence[float], n_list: Sequence[float] = ()
+            ) -> CurvatureReport:
     """Sampled RCD verdicts from relative eigenvalues of Ricci_V at the
-    interior sample points x, on ``geom`` (the geometry at x) if given,
-    and of II on the boundary sample frames."""
+    interior sample points of ``geom`` and of II on the boundary sample
+    frames."""
+    x = geom.x
     if x.shape[1] == 0:
         raise ValueError("empty interior sample plan")
     if not frames:
         raise ValueError("empty boundary sample plan")
-    eigs = interior_spectrum(space, x, geom)
+    eigs = interior_spectrum(geom)
     ki = int(np.argmin(eigs[:, 0]))
     k_interior = float(eigs[ki, 0])
     xb, eig, tr = boundary_spectrum(frames)
@@ -547,7 +542,7 @@ def certify(space: WeightedSpace, x: np.ndarray,
     for k in k_list:
         for nn in n_list:
             rcd_star[(float(k), float(nn))] = bool(
-                rcd_inf[float(k)] and nn >= space.dim)
+                rcd_inf[float(k)] and nn >= geom.space.dim)
     return CurvatureReport(
         k_interior=k_interior, lambda_min_ii=lam_ii_min,
         lambda_max_ii=float(np.max(eig[:, -1])),
@@ -563,4 +558,4 @@ def flatness_report(space: WeightedSpace, plan: SamplePlan,
                     tol: float = VERDICT_SLACK) -> CheckResult:
     """Measure-Ricci-flatness at the plan's sampling: the certificate's
     spectra read by ``CurvatureReport.flatness``."""
-    return certify(space, *plan.grids(space), ()).flatness(tol)
+    return certify(*plan.grids(space), ()).flatness(tol)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .boundary import NeumannTestFunction, make_neumann
 from .fields import ConstField, CutoffField, CutoffSpec, ExprField, ScalarField
-from .geometry import WeightedSpace, frame_at
+from .geometry import NodeGeometry, WeightedSpace
 from .quadrature import BoundaryPatch
 from .verify import SamplePlan, interior_grid
 
@@ -427,7 +427,7 @@ def load(name: str, **params) -> ZooEntry:
 def _light_validate(entry: ZooEntry):
     """SPD metric on a coarse interior grid; patches reachable."""
     x = interior_grid(entry.space, (6,) * entry.space.dim)
-    frame_at(entry.space, x)  # raises on non-SPD
+    NodeGeometry(entry.space, x)  # raises on non-SPD
     for patch in entry.space.boundary_patches:
         from .quadrature import patch_points
         patch_points(entry.space, patch, (4,) * patch.param_dim)

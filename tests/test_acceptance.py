@@ -59,8 +59,7 @@ def test_criterion_1_bochner():
         e = entry(name)
         pts = sample_interior(e, 100, rng)
         fields = e.random_fields(10, seed=11)
-        r = check_bochner(e.space, fields, NodeGeometry(e.space, pts),
-                          tol=1e-8)
+        r = check_bochner(fields, NodeGeometry(e.space, pts), tol=1e-8)
         worst = max(worst, r.residual)
         assert r.passed, f"{name}: {r}"
     elapsed = time.perf_counter() - t0
@@ -117,8 +116,7 @@ def test_criterion_3_proof_steps():
         assert r.passed, (name, str(r))
         worst["mv_laplacian"] = max(worst["mv_laplacian"], r.residual)
         r = check_ii_identity(
-            e.space, g, boundary_grid(e.space, e.plan.boundary_counts),
-            tol=1e-8)
+            g, boundary_grid(e.space, e.plan.boundary_counts), tol=1e-8)
         assert r.passed, (name, str(r))
         worst["ii_identity"] = max(worst["ii_identity"], r.residual)
     # deliberately non-Neumann field: the boundary flux term of the weak
@@ -140,28 +138,28 @@ def test_criterion_3_proof_steps():
 
 def test_criterion_4_certifier_ground_truth():
     ghs = entry("gaussian_half_space")
-    rep = certify(ghs.space, *ghs.plan.grids(ghs.space), [1.0, 1.0 + 1e-3])
+    rep = certify(*ghs.plan.grids(ghs.space), [1.0, 1.0 + 1e-3])
     assert rep.rcd_infinity[1.0] is True
     assert rep.rcd_infinity[1.0 + 1e-3] is False
 
     ball = entry("ball")
-    rb = certify(ball.space, *ball.plan.grids(ball.space), [0.0])
+    rb = certify(*ball.plan.grids(ball.space), [0.0])
     assert rb.rcd_infinity[0.0] is True
     assert abs(rb.lambda_min_ii - 1.0) <= 1e-6
 
     ann = entry("annulus")
-    ra = certify(ann.space, *ann.plan.grids(ann.space), [0.0])
+    ra = certify(*ann.plan.grids(ann.space), [0.0])
     assert ra.rcd_infinity[0.0] is False
     assert abs(ra.lambda_min_ii - (-2.0)) <= 1e-6
 
     hemi = entry("hemisphere")
-    rh = certify(hemi.space, *hemi.plan.grids(hemi.space), [1.0])
+    rh = certify(*hemi.plan.grids(hemi.space), [1.0])
     assert rh.rcd_infinity[1.0] is True
     assert abs(rh.k_interior - 1.0) <= 1e-6
     assert max(abs(t) for t in rh.tr_ii_range) <= 1e-9
 
     cap = entry("poincare_cap")
-    rc = certify(cap.space, *cap.plan.grids(cap.space), [-1.0])
+    rc = certify(*cap.plan.grids(cap.space), [-1.0])
     assert abs(rc.k_interior - (-1.0)) <= 1e-6
 
     verdict(4, True, "certifier ground truth: gaussian_half_space "
@@ -179,15 +177,14 @@ def test_criterion_5_dimension_term():
         fields = e.random_fields(100, seed=55)
         geom = NodeGeometry(e.space, e.interior_points())
         for n_dim in (float(e.space.dim), float(e.space.dim) + 2.0):
-            r = check_dimension_term(e.space, fields, geom, n_dim,
-                                     tol=1e-10)
+            r = check_dimension_term(fields, geom, n_dim, tol=1e-10)
             assert r.passed, (name, n_dim, str(r))
             worst = max(worst, r.residual)
     # conformal Hessian: Hess f = g, the trace bound is an equality
     hs = entry("half_space")
     f = ExprField("(x^2 + y^2)/2", 2)
     r_eq = check_dimension_term(
-        hs.space, [f], NodeGeometry(hs.space, hs.interior_points()),
+        [f], NodeGeometry(hs.space, hs.interior_points()),
         float(hs.space.dim), tol=1e-10)
     assert abs(r_eq.residual) <= 1e-12
     ok = worst <= 1e-10

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,13 @@ from curvcert.boundary import (BoundaryError, boundary_frame, make_neumann,
                                mean_curvature, neumann_residual,
                                normal_field_jets, second_fundamental_form)
 from curvcert.fields import ConstField, ExprField, make_cutoff_spec
-from curvcert.geometry import WeightedSpace
+from curvcert.geometry import NodeGeometry, WeightedSpace
 from oracles import fd_partial
+
+
+def frame(space, x):
+    """The boundary frame at the points x."""
+    return boundary_frame(NodeGeometry(space, x))
 
 
 def euclidean_space(dim, phi, box):
@@ -26,38 +33,39 @@ def cartesian_ball(dim=2):
 class TestBoundaryFrame:
     def test_half_space_frame(self, half_space):
         sp = half_space.space
-        bf = boundary_frame(sp, np.array([3.0, 0.0]))
+        bf = frame(sp, np.array([3.0, 0.0]))
         np.testing.assert_allclose(bf.normal, [0.0, -1.0], atol=1e-14)
         np.testing.assert_allclose(bf.tangents[0], [1.0, 0.0], atol=1e-14)
 
     def test_ball_outward_normal(self):
         sp = cartesian_ball()
-        bf = boundary_frame(sp, np.array([0.0, 1.0]))
+        bf = frame(sp, np.array([0.0, 1.0]))
         np.testing.assert_allclose(bf.normal, [0.0, 1.0], atol=1e-14)
 
     def test_off_boundary_rejected(self):
         sp = cartesian_ball()
         with pytest.raises(BoundaryError, match="not on boundary"):
-            boundary_frame(sp, np.array([0.5, 0.5]))
+            frame(sp, np.array([0.5, 0.5]))
 
     def test_degenerate_gradient_rejected(self):
         sp = euclidean_space(2, "x^2 + y^2", [(-1.0, 1.0), (-1.0, 1.0)])
         with pytest.raises(BoundaryError, match="degenerate"):
-            boundary_frame(sp, np.array([0.0, 0.0]))
+            frame(sp, np.array([0.0, 0.0]))
 
     def test_normal_field_degenerate_gradient_rejected(self):
         # grad phi = 0 at x = 0: a BoundaryError, ahead of |grad phi|^-1
         sp = euclidean_space(2, "x^2 - 1", [(-1.0, 1.0), (-1.0, 1.0)])
         with pytest.raises(BoundaryError, match="degenerate"):
-            normal_field_jets(sp, np.array([0.0, 0.3]))
+            normal_field_jets(NodeGeometry(sp, np.array([0.0, 0.3])))
         with pytest.raises(BoundaryError, match="degenerate"):
-            normal_field_jets(sp, np.array([[0.5, 0.0], [0.3, 0.3]]))
+            normal_field_jets(NodeGeometry(
+                sp, np.array([[0.5, 0.0], [0.3, 0.3]])))
 
     def test_frame_g_orthonormal(self):
         sp = cartesian_ball()
         t = np.linspace(0.2, 6.0, 7)
         x = np.stack([np.cos(t), np.sin(t)])
-        bf = boundary_frame(sp, x)
+        bf = frame(sp, x)
         np.testing.assert_allclose(
             np.einsum("i...,i...->...", bf.normal, bf.normal), 1.0,
             atol=1e-12)
@@ -71,7 +79,7 @@ class TestSecondFundamentalForm:
         sp = cartesian_ball()
         t = np.linspace(0.1, 6.1, 9)
         x = np.stack([np.cos(t), np.sin(t)])
-        II = np.asarray(second_fundamental_form(sp, x))
+        II = np.asarray(second_fundamental_form(frame(sp, x)))
         np.testing.assert_allclose(II[0, 0], 1.0, atol=1e-12)
 
     def test_polar_ball_radius(self, entry):
@@ -79,41 +87,44 @@ class TestSecondFundamentalForm:
         for R in (1.0, 2.0):
             e = entry("ball") if R == 1.0 else parse_ref(f"ball,R={R}")
             x = np.array([[R, R, R], [0.3, 2.0, 5.0]])
-            II = np.asarray(second_fundamental_form(e.space, x))
+            II = np.asarray(second_fundamental_form(frame(e.space, x)))
             np.testing.assert_allclose(II[0, 0], 1.0 / R, atol=1e-12)
 
     def test_annulus_inner_concave(self, entry):
         e = entry("annulus")
-        inner = np.asarray(second_fundamental_form(
-            e.space, np.array([0.5, 1.0])))
-        outer = np.asarray(second_fundamental_form(
-            e.space, np.array([1.0, 1.0])))
+        inner = second_fundamental_form(frame(e.space, np.array([0.5, 1.0])))
+        outer = second_fundamental_form(frame(e.space, np.array([1.0, 1.0])))
         assert float(inner[0, 0]) == pytest.approx(-2.0, abs=1e-12)
         assert float(outer[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_hemisphere_equator_geodesic(self, entry):
         e = entry("hemisphere")
         x = np.array([[np.pi / 2] * 3, [0.5, 2.5, 4.5]])
-        II = np.asarray(second_fundamental_form(e.space, x))
+        bf = frame(e.space, x)
+        II = np.asarray(second_fundamental_form(bf))
         np.testing.assert_allclose(II, 0.0, atol=1e-12)
         np.testing.assert_allclose(
-            np.asarray(mean_curvature(e.space, x)), 0.0, atol=1e-12)
+            np.asarray(mean_curvature(bf)), 0.0, atol=1e-12)
 
     def test_defining_fn_rescaling_invariance(self):
         a = euclidean_space(2, "x^2 + y^2 - 1", [(-1.2, 1.2)] * 2)
         b = euclidean_space(2, "7*(x^2 + y^2 - 1)", [(-1.2, 1.2)] * 2)
         x = np.array([0.6, 0.8])
         np.testing.assert_allclose(
-            np.asarray(second_fundamental_form(a, x)),
-            np.asarray(second_fundamental_form(b, x)), atol=1e-10)
+            np.asarray(second_fundamental_form(frame(a, x))),
+            np.asarray(second_fundamental_form(frame(b, x))), atol=1e-10)
 
     def test_tangent_frame_permutation_invariance(self):
-        sp = cartesian_ball(dim=3)
-        x = np.array([0.36, 0.48, 0.8])
+        # II's eigenvalues do not depend on the g-orthonormal tangent
+        # frame: the built one, its permutation and a rotation of it
+        bf = frame(cartesian_ball(dim=3), np.array([0.36, 0.48, 0.8]))
+        t = bf.tangents
+        c, s = np.cos(0.7), np.sin(0.7)
         eigs = []
-        for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
-            bf = boundary_frame(sp, x, axis_order=order)
-            II = np.asarray(second_fundamental_form(sp, x, bframe=bf))
+        for tangents in (t, t[::-1], np.stack([c * t[0] + s * t[1],
+                                               c * t[1] - s * t[0]])):
+            II = second_fundamental_form(
+                dataclasses.replace(bf, tangents=tangents))
             eigs.append(np.sort(np.linalg.eigvalsh(II)))
         np.testing.assert_allclose(eigs[1], eigs[0], atol=1e-10)
         np.testing.assert_allclose(eigs[2], eigs[0], atol=1e-10)
@@ -132,7 +143,7 @@ class TestSecondFundamentalForm:
 
         div = sum(float(fd_partial(normal_k(k), x, k, 1, 1e-6))
                   for k in range(3))
-        H = float(np.asarray(mean_curvature(sp, x)))
+        H = float(np.asarray(mean_curvature(frame(sp, x))))
         assert H == pytest.approx(div, abs=1e-8)
         assert H == pytest.approx(2.0, abs=1e-12)
 
@@ -154,8 +165,8 @@ class TestNeumannFactory:
 
     def test_raw_field_fails_gate(self):
         sp = cartesian_ball()
-        res = neumann_residual(sp, ExprField("x1^2 + x2^2 - 1", 2),
-                               np.array([0.0, 1.0]))
+        res = neumann_residual(frame(sp, np.array([0.0, 1.0])),
+                               ExprField("x1^2 + x2^2 - 1", 2))
         assert float(np.asarray(res)) == pytest.approx(2.0, abs=1e-12)
 
     def test_corrected_field_passes_gate(self):
@@ -164,7 +175,7 @@ class TestNeumannFactory:
             nt = make_neumann(sp, ExprField(src, 2), self.CUTOFF)
             t = np.linspace(0.1, 6.1, 11)
             x = np.stack([np.cos(t), np.sin(t)])
-            res = np.asarray(neumann_residual(sp, nt.field, x))
+            res = np.asarray(neumann_residual(frame(sp, x), nt.field))
             assert np.max(np.abs(res)) < 1e-10
 
     def test_phi_as_base_is_corrected_to_flat(self):
@@ -173,7 +184,7 @@ class TestNeumannFactory:
         nt = make_neumann(sp, ExprField("x1^2 + x2^2 - 1", 2), self.CUTOFF)
         t = np.linspace(0.3, 5.9, 7)
         x = np.stack([np.cos(t), np.sin(t)])
-        res = np.asarray(neumann_residual(sp, nt.field, x))
+        res = np.asarray(neumann_residual(frame(sp, x), nt.field))
         assert np.max(np.abs(res)) < 1e-10
 
     def test_cutoff_exceeding_chart_rejected(self):
@@ -190,6 +201,5 @@ class TestNeumannFactory:
             frames = boundary_grid(e.space, e.plan.boundary_counts)
             for nt in e.neumann_family():
                 for bf in frames:
-                    res = np.asarray(
-                        neumann_residual(e.space, nt.field, bf.point, bf))
+                    res = np.asarray(neumann_residual(bf, nt.field))
                     assert np.max(np.abs(res)) < 1e-8, (name, nt.label)

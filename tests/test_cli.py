@@ -86,6 +86,26 @@ class TestCheck:
         assert code == 2
         assert "unsatisfiable" in err
 
+    def test_dimension_nan_n(self, capsys):
+        # NaN >= n is false, so NaN gets the N error, not a non-finite
+        # value at some sample point
+        code, out, err = run(capsys, "check", "dimension", "--zoo", "ball",
+                             "--n-dim", "nan")
+        assert code == 2
+        assert "N = nan is not >= the chart dimension 2" in err
+        assert "unsatisfiable" in err
+
+    @pytest.mark.parametrize("name, flag", [
+        ("bochner", "--n-dim=1"), ("bochner", "--n-dim=0"),
+        ("bochner", "--w=x"), ("bochner", "--h=1"), ("bochner", "--raw-field"),
+        ("dimension", "--w=x"), ("dimension", "--h=1"),
+        ("dimension", "--raw-field"), ("ii", "--h=1"), ("green", "--n-dim=2")])
+    def test_unread_flag_refused(self, capsys, name, flag):
+        code, out, err = run(capsys, "check", name, "--zoo", "ball", flag)
+        assert code == 2
+        assert out == ""
+        assert f"check {name} does not read {flag.split('=')[0]}" in err
+
     def test_zero_neumann_field_zoo(self, capsys):
         # phi = -y on half_space, so w - phi*Gamma(phi,w)/Gamma(phi,phi)
         # maps x*y to 0: every weak identity would read 0 = 0
@@ -201,6 +221,24 @@ class TestCertify:
                              "--K", "abc")
         assert code == 2
 
+    @pytest.mark.parametrize("command, values", [
+        ("certify", "--K=nan"), ("certify", "--K=inf"),
+        ("certify", "--K=0,-inf"), ("certify", "--K=0 --N=nan"),
+        ("report", "--K=nan"), ("report", "--N=2,nan")])
+    def test_non_finite_k_and_nan_n_refused(self, capsys, command, values):
+        # no verdict is computed about a bound that is not a number
+        code, out, err = run(capsys, command, "--zoo", "ball",
+                             *values.split())
+        assert code == 2
+        assert out == ""
+        assert "bad " in err
+
+    def test_infinite_n(self, capsys):
+        code, out, err = run(capsys, "certify", "--zoo", "ball",
+                             "--K", "0", "--N", "inf")
+        assert code == 0
+        assert "RCD*(0, inf): holds on samples" in out
+
 
 class TestFlatness:
     def test_half_space(self, capsys):
@@ -266,7 +304,7 @@ class TestReport:
         inner = [r for r in rows if r["kind"] == "interior"]
         bound = [r for r in rows if r["kind"] == "boundary"]
         e = entry(name)
-        rep = certify(e.space, *e.plan.grids(e.space), ())
+        rep = certify(*e.plan.grids(e.space), ())
         assert (len(inner), len(bound)) == (rep.interior_samples,
                                             rep.boundary_samples)
         assert min(float(r["value_a"]) for r in inner) == rep.k_interior

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvcert.boundary import second_fundamental_form
+from curvcert.boundary import boundary_frame, second_fundamental_form
 from curvcert.config import ConfigError, load_config
+from curvcert.geometry import NodeGeometry
 from curvcert.report import run_suite, target_from_config
 from curvcert.verify import certify
 
@@ -66,7 +67,8 @@ class TestRoundTrip:
         assert float(np.asarray(sp.metric[1][1].value(x))) == 0.25
         assert float(np.asarray(sp.weight.value(x))) == 0.0  # default V
         assert float(np.asarray(sp.defining_fn.value(x))) == -0.5
-        II = np.asarray(second_fundamental_form(sp, np.array([1.0, 2.0])))
+        II = second_fundamental_form(boundary_frame(NodeGeometry(
+            sp, np.array([1.0, 2.0]))))
         assert float(II[0, 0]) == pytest.approx(1.0, abs=1e-12)
         assert cfg.plan.interior_counts == (24, 24)
         assert cfg.plan.boundary_counts == (96,)
@@ -77,7 +79,7 @@ class TestRoundTrip:
 
     def test_certify_matches_zoo_ball(self, tmp_path, ball):
         cfg = load_config(write(tmp_path, BALL_INI))
-        rep = certify(cfg.space, *cfg.plan.grids(cfg.space), [0.0])
+        rep = certify(*cfg.plan.grids(cfg.space), [0.0])
         assert rep.k_interior == pytest.approx(0.0, abs=1e-9)
         assert rep.lambda_min_ii == pytest.approx(
             ball.expected["lambda_min_ii"], abs=1e-9)

@@ -8,9 +8,9 @@ from curvcert.boundary import boundary_frame, normal_field_jets
 from curvcert.exprlang import differentiate, mul, parse, simplify
 from curvcert.fields import ConstField, ExprField
 from curvcert.geometry import (GeometryError, NodeGeometry, WeightedSpace,
-                               bakry_emery_ricci, contract, frame_at, gamma1,
-                               gamma2, grad, hessian, hs_norm_sq,
-                               jet_matrix_inverse, ricci, witten_laplacian)
+                               bakry_emery_ricci, contract, gamma1, gamma2,
+                               grad, hessian, hs_norm_sq, jet_matrix_inverse,
+                               ricci, witten_laplacian)
 from curvcert.jets import _nslots
 from oracles import fd_partial
 
@@ -50,17 +50,16 @@ class TestFrame:
     def test_euclidean_frame(self):
         sp = euclidean()
         x = np.array([0.3, 0.8])
-        metric, sqrt_det = frame_at(sp, x)
         geom = NodeGeometry(sp, x)
-        np.testing.assert_allclose(metric, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(geom.metric, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(geom.inverse, np.eye(2), atol=1e-15)
-        assert float(np.asarray(sqrt_det)) == pytest.approx(1.0)
+        assert float(np.asarray(geom.sqrt_det)) == pytest.approx(1.0)
         np.testing.assert_allclose(geom.christoffels, 0.0, atol=1e-15)
 
     def test_non_spd_rejected(self):
         sp = diag_space(["x", "1"], box=[(-2.0, 2.0), (-2.0, 2.0)])
         with pytest.raises(GeometryError):
-            frame_at(sp, np.array([-1.0, 0.0]))
+            NodeGeometry(sp, np.array([-1.0, 0.0]))
 
     SPD_POINTS = np.array([[0.1, 0.5, -0.3, 0.5], [0.2, 0.4, 0.6, 0.9]])
 
@@ -74,7 +73,7 @@ class TestFrame:
 
     def test_spd_floor_passes_just_above(self):
         sp = diag_space(["1", "1e-9"], box=[(-2.0, 2.0)] * 2)
-        _, sqrt_det = frame_at(sp, self.SPD_POINTS)
+        sqrt_det = NodeGeometry(sp, self.SPD_POINTS).sqrt_det
         np.testing.assert_allclose(sqrt_det, np.sqrt(1e-9), rtol=1e-15)
 
     @pytest.mark.parametrize("g11, g12, g22, message", [
@@ -89,7 +88,7 @@ class TestFrame:
         # its first node
         sp = self._full_metric_space(g11, g12, g22)
         with pytest.raises(GeometryError) as err:
-            frame_at(sp, self.SPD_POINTS)
+            NodeGeometry(sp, self.SPD_POINTS)
         assert str(err.value) == f"metric not positive definite: {message}"
 
     def test_christoffels_match_fd_oracle(self):
@@ -148,47 +147,46 @@ class TestOperators:
     def test_hand_worked_euclidean_example(self):
         sp = euclidean()
         f = ExprField("x^2 + 3*x*y", 2)
-        x = np.array([1.0, 2.0])
-        H = hessian(sp, f, x)
+        geom = NodeGeometry(sp, np.array([1.0, 2.0]))
+        H = hessian(geom, f)
         np.testing.assert_allclose(np.asarray(H),
                                    [[2.0, 3.0], [3.0, 0.0]], atol=1e-13)
-        assert float(np.asarray(gamma1(sp, f, f, x))) == pytest.approx(73.0)
-        assert float(np.asarray(witten_laplacian(sp, f, x))) \
+        assert float(np.asarray(gamma1(geom, f, f))) == pytest.approx(73.0)
+        assert float(np.asarray(witten_laplacian(geom, f))) \
             == pytest.approx(2.0)
-        assert float(np.asarray(gamma2(sp, f, x))) == pytest.approx(22.0)
-        assert float(np.asarray(hs_norm_sq(sp, np.asarray(H), x))) \
+        assert float(np.asarray(gamma2(geom, f))) == pytest.approx(22.0)
+        assert float(np.asarray(hs_norm_sq(geom, np.asarray(H)))) \
             == pytest.approx(22.0)
 
     def test_gamma1_symmetric_bilinear(self):
         sp = sphere()
         f = ExprField("sin(x)*cos(y)", 2)
         g = ExprField("x^2 + y", 2)
-        x = np.array([[1.0, 0.7], [2.0, 3.0]])
-        np.testing.assert_allclose(np.asarray(gamma1(sp, f, g, x)),
-                                   np.asarray(gamma1(sp, g, f, x)),
+        geom = NodeGeometry(sp, np.array([[1.0, 0.7], [2.0, 3.0]]))
+        np.testing.assert_allclose(np.asarray(gamma1(geom, f, g)),
+                                   np.asarray(gamma1(geom, g, f)),
                                    atol=1e-14)
 
     def test_witten_drift(self):
         # L f = Delta f - Gamma(V, f); quadratic V gives linear drift
         sp = euclidean(V=ExprField("(x^2 + y^2)/2", 2))
         f = ExprField("x^2", 2)
-        x = np.array([1.5, -0.5])
-        assert float(np.asarray(witten_laplacian(sp, f, x))) \
+        geom = NodeGeometry(sp, np.array([1.5, -0.5]))
+        assert float(np.asarray(witten_laplacian(geom, f))) \
             == pytest.approx(2.0 - 1.5 * 2 * 1.5)
 
     def test_hs_norm_scaling_law(self):
         c = 2.5
         sp = diag_space([repr(c), repr(c)], box=[(-2.0, 2.0), (-2.0, 2.0)])
         H = np.array([[2.0, 3.0], [3.0, 0.0]])
-        x = np.array([0.3, 0.4])
-        got = float(np.asarray(hs_norm_sq(sp, H, x)))
+        got = float(np.asarray(hs_norm_sq(NodeGeometry(
+            sp, np.array([0.3, 0.4])), H)))
         assert got == pytest.approx(22.0 / c**2)
 
     def test_grad_contravariant(self):
         sp = sphere()
         f = ExprField("x", 2)   # f = theta
-        x = np.array([1.0, 0.0])
-        gf = np.asarray(grad(sp, f, x))
+        gf = np.asarray(grad(NodeGeometry(sp, np.array([1.0, 0.0])), f))
         np.testing.assert_allclose(gf, [1.0, 0.0], atol=1e-14)
 
 
@@ -196,38 +194,36 @@ class TestCurvature:
     def test_euclidean_ricci_zero(self):
         sp = euclidean()
         x = np.array([[0.5], [1.5]])
-        np.testing.assert_allclose(np.asarray(ricci(sp, x)), 0.0,
+        np.testing.assert_allclose(np.asarray(ricci(NodeGeometry(sp, x))), 0.0,
                                    atol=1e-13)
 
     def test_sphere_ricci_equals_metric(self):
         sp = sphere(1.0)
         x = np.array([[0.7, 1.2, 2.0], [0.5, 3.0, 5.5]])
-        R = np.asarray(ricci(sp, x))
-        metric, _ = frame_at(sp, x)
-        np.testing.assert_allclose(R, np.asarray(metric), atol=1e-10)
+        geom = NodeGeometry(sp, x)
+        R = np.asarray(ricci(geom))
+        np.testing.assert_allclose(R, geom.metric, atol=1e-10)
 
     def test_sphere_radius_scaling(self):
         # Ricci = (1/r^2) g on the round sphere of radius r
         r = 2.0
         sp = sphere(r)
-        x = np.array([1.1, 0.4])
-        R = np.asarray(ricci(sp, x))
-        g = np.asarray(frame_at(sp, x)[0])
-        np.testing.assert_allclose(R, g / r**2, atol=1e-10)
+        geom = NodeGeometry(sp, np.array([1.1, 0.4]))
+        R = np.asarray(ricci(geom))
+        np.testing.assert_allclose(R, geom.metric / r**2, atol=1e-10)
 
     def test_hyperbolic_ricci(self):
         # Poincare disk metric in polar coordinates: Ricci = -g
         sp = diag_space(["4/(1 - x^2)^2", "4*x^2/(1 - x^2)^2"],
                         box=[(0.1, 0.9), (0.0, 6.28)])
-        x = np.array([[0.3, 0.6], [1.0, 4.0]])
-        R = np.asarray(ricci(sp, x))
-        g = np.asarray(frame_at(sp, x)[0])
-        np.testing.assert_allclose(R, -g, atol=1e-10)
+        geom = NodeGeometry(sp, np.array([[0.3, 0.6], [1.0, 4.0]]))
+        R = np.asarray(ricci(geom))
+        np.testing.assert_allclose(R, -geom.metric, atol=1e-10)
 
     def test_bakry_emery_quadratic_weight(self):
         sp = euclidean(V=ExprField("(x^2 + y^2)/2", 2))
         x = np.array([[0.3, -1.0], [0.7, 2.0]])
-        rv = np.asarray(bakry_emery_ricci(sp, x))
+        rv = np.asarray(bakry_emery_ricci(NodeGeometry(sp, x)))
         np.testing.assert_allclose(rv, np.broadcast_to(
             np.eye(2)[:, :, None], rv.shape), atol=1e-13)
 
@@ -240,8 +236,8 @@ class TestCurvature:
             box=[(0.1 + c, 0.9 + c), (0.0, 6.28)])
         x = np.array([0.4, 2.0])
         xs = np.array([0.4 + c, 2.0])
-        np.testing.assert_allclose(np.asarray(ricci(base, x)),
-                                   np.asarray(ricci(shifted, xs)),
+        np.testing.assert_allclose(ricci(NodeGeometry(base, x)),
+                                   ricci(NodeGeometry(shifted, xs)),
                                    atol=1e-12)
 
 
@@ -265,14 +261,14 @@ class TestAbstractHessian:
             f = ExprField(f_ast, 2)
             g = ExprField(g_ast, 2)
             h = ExprField(h_ast, 2)
-            x = np.array([[0.6, -0.8], [0.2, 1.1]])
-            H = np.asarray(hessian(sp, f, x))
-            gg = np.asarray(grad(sp, g, x))
-            gh = np.asarray(grad(sp, h, x))
+            geom = NodeGeometry(sp, np.array([[0.6, -0.8], [0.2, 1.1]]))
+            H = np.asarray(hessian(geom, f))
+            gg = np.asarray(grad(geom, g))
+            gh = np.asarray(grad(geom, h))
             lhs = 2.0 * np.einsum("ij...,i...,j...->...", H, gg, gh)
-            rhs = np.asarray(gamma1(sp, g, gamma_field(f_ast, h_ast), x)) \
-                + np.asarray(gamma1(sp, h, gamma_field(f_ast, g_ast), x)) \
-                - np.asarray(gamma1(sp, f, gamma_field(g_ast, h_ast), x))
+            rhs = np.asarray(gamma1(geom, g, gamma_field(f_ast, h_ast))) \
+                + np.asarray(gamma1(geom, h, gamma_field(f_ast, g_ast))) \
+                - np.asarray(gamma1(geom, f, gamma_field(g_ast, h_ast)))
             np.testing.assert_allclose(lhs, rhs, atol=1e-8, rtol=1e-8)
 
 
@@ -281,11 +277,12 @@ class TestGamma2Flat:
         sp = euclidean()
         rng = np.random.default_rng(5)
         from curvcert.zoo import random_fields
-        x = np.stack([rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20)])
+        geom = NodeGeometry(sp, np.stack([rng.uniform(-1, 1, 20),
+                                          rng.uniform(-1, 1, 20)]))
         for f in random_fields(2, 5, seed=3):
-            g2 = np.asarray(gamma2(sp, f, x))
-            H = np.asarray(hessian(sp, f, x))
-            hn = np.asarray(hs_norm_sq(sp, H, x))
+            g2 = np.asarray(gamma2(geom, f))
+            H = np.asarray(hessian(geom, f))
+            hn = np.asarray(hs_norm_sq(geom, H))
             np.testing.assert_allclose(g2, hn, atol=1e-10, rtol=1e-10)
 
 
@@ -341,7 +338,7 @@ class TestGradedGeometry:
         n = space.dim
         for geom in _node_geometries(space, plan):
             jg, jginv, jgam, jV, jN = _order3_reference(space, geom.x)
-            got_N = normal_field_jets(space, geom.x, geom)
+            got_N = normal_field_jets(geom)
 
             def same(a, b, order):
                 assert a.order == order
@@ -377,9 +374,9 @@ class TestSingleSource:
     def test_values_are_the_jets(self, name):
         space, plan = _space_and_plan(name)
         n = space.dim
-        x, frames = plan.grids(space)
-        geoms = list(_node_geometries(space, plan)) + [NodeGeometry(space, x)]
-        frames += [boundary_frame(space, g.x, geom=g) for g in geoms[1:-1]]
+        sample, frames = plan.grids(space)
+        geoms = list(_node_geometries(space, plan)) + [sample]
+        frames += [boundary_frame(g) for g in geoms[1:-1]]
         for geom in geoms + [bf.geom for bf in frames]:
             gamma = geom.christoffels
             batch = gamma.shape[3:]
@@ -396,7 +393,7 @@ class TestSingleSource:
                             _bits(geom.jgam[k][i][j].value, batch))
         for bf in frames:
             batch = bf.point.shape[1:]
-            again = normal_field_jets(space, bf.point, bf.geom)
+            again = normal_field_jets(bf.geom)
             for k in range(n):
                 want = _bits(again[k].value, batch)
                 assert np.array_equal(_bits(bf.normal[k], batch), want)

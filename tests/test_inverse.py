@@ -10,8 +10,8 @@ import pytest
 from curvcert import geometry, report, verify, zoo
 from curvcert.geometry import (NodeGeometry, gamma1, gamma2_parts, grad,
                                hessian, hs_norm_sq)
-from curvcert.quadrature import (GeometryIntegrand, _patch_geometry,
-                                 interior_chunks, patch_points, tensor_rule)
+from curvcert.quadrature import (_patch_geometry, interior_chunks,
+                                 patch_points, tensor_rule)
 from test_geometry import DENSE_INI
 from test_pointwise import _checked_rows, _target
 from test_projection import _sweep_case
@@ -32,11 +32,11 @@ def _interior_rows(mp, space, plan, g, hs):
 
     def recorded(space, F, counts=None):
         def fn(geom):
-            for row in F.fn(geom):
+            for row in F(geom):
                 rows.append(geom.at_nodes(row).reshape(-1))
                 yield row
 
-        return integrate(space, GeometryIntegrand(fn), counts)
+        return integrate(space, fn, counts)
 
     mp.setattr(verify, "integrate_interior", recorded)
     verify._weak_integrals(space, g, hs, plan.quad_interior,
@@ -49,8 +49,7 @@ def _readings(monkeypatch, name, H):
     weak sweep; ``H`` is held fixed for ``hs_norm_sq``."""
     target = _target(name)
     space = target.space
-    x, _ = target.plan.grids(space)
-    geom = report.bochner_geometry(space, x)
+    geom = report.bochner_geometry(target.plan.grids(space)[0])
     f, h = target.random_fields(2, seed=5)
     fields = [fi.jet(geom.x) for fi in target.random_fields(4, seed=11)]
     with monkeypatch.context() as mp:
@@ -59,10 +58,10 @@ def _readings(monkeypatch, name, H):
     _, plan, g, hs = _sweep_case(name)
     with monkeypatch.context() as mp:
         rows = _interior_rows(mp, space, plan, g.field, hs)
-    return {"grad": grad(space, f, geom.x, geom),
-            "gamma1": gamma1(space, f, h, geom.x, geom),
-            "hs_norm_sq": hs_norm_sq(space, H, geom.x, geom),
-            "gamma2_parts": gamma2_parts(space, f, geom.x, geom).gamma2,
+    return {"grad": grad(geom, f),
+            "gamma1": gamma1(geom, f, h),
+            "hs_norm_sq": hs_norm_sq(geom, H),
+            "gamma2_parts": gamma2_parts(geom, f).gamma2,
             "bochner": bochner, "dimension_term": dimension,
             "weak_interior": rows}
 
@@ -70,10 +69,8 @@ def _readings(monkeypatch, name, H):
 @pytest.mark.parametrize("name", ["ball", DENSE_INI.name])
 def test_every_consumer_reads_the_jet_inverse(monkeypatch, name):
     target = _target(name)
-    x, _ = target.plan.grids(target.space)
-    geom = report.bochner_geometry(target.space, x)
-    H = hessian(target.space, target.random_fields(1, seed=3)[0], geom.x,
-                geom)
+    geom = report.bochner_geometry(target.plan.grids(target.space)[0])
+    H = hessian(geom, target.random_fields(1, seed=3)[0])
     want = _readings(monkeypatch, name, H)
     with monkeypatch.context() as mp:
         _doubled(mp)
@@ -98,9 +95,9 @@ def _geometries(space, plan):
     points and quadrature nodes."""
     for x, _, lines in interior_chunks(space, plan.quad_interior):
         yield NodeGeometry(space, x, lines)
-    x, _ = plan.grids(space)
-    yield NodeGeometry(space, x)
-    yield report.bochner_geometry(space, x)
+    sample, _ = plan.grids(space)
+    yield sample
+    yield report.bochner_geometry(sample)
     for patch in space.boundary_patches:
         yield patch_points(space, patch, plan.boundary_counts)
         s, _ = tensor_rule(patch.param_box, plan.quad_boundary)

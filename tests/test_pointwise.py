@@ -27,28 +27,26 @@ def _target(name):
 
 
 def _suite_geometry(target):
-    x, _ = target.plan.grids(target.space)
-    return bochner_geometry(target.space, x)
+    return bochner_geometry(target.plan.grids(target.space)[0])
 
 
 def _looped_rows(space, fields, geom, n_dim):
     """Reference: each field's Bochner and dimension-term rows, one field
     at a time, each contraction an einsum over (m,) operands."""
-    x = geom.x
-    ricv = bakry_emery_ricci(space, x, geom)
+    ricv = bakry_emery_ricci(geom)
     bochner, dimension = [], []
     for f in fields:
-        parts = gamma2_parts(space, f, x, geom)
-        H = hessian(space, parts.f_jet, x, geom)
+        parts = gamma2_parts(geom, f)
+        H = hessian(geom, parts.f_jet)
         gf = np.einsum("ij...,j...->i...", geom.inverse,
                        parts.f_jet.gradient())
         rhs = np.einsum("ij...,i...,j...->...", ricv, gf, gf) \
-            + hs_norm_sq(space, H, x, geom)
+            + hs_norm_sq(geom, H)
         bochner.append(np.abs(parts.gamma2 - rhs)
                        / (1.0 + np.abs(parts.gamma2)))
-        H = hessian(space, f, x, geom)
+        H = hessian(geom, f)
         lap = np.einsum("ij...,ij...->...", geom.inverse, H)
-        dimension.append(lap**2 / n_dim - hs_norm_sq(space, H, x, geom))
+        dimension.append(lap**2 / n_dim - hs_norm_sq(geom, H))
     return np.array(bochner), np.array(dimension)
 
 
@@ -75,8 +73,8 @@ def _checked_rows(monkeypatch, space, fields, geom, n_dim):
         return largest(name, got, worst, last)
 
     monkeypatch.setattr(verify, "_largest", recording)
-    results = (verify.check_bochner(space, fields, geom),
-               verify.check_dimension_term(space, fields, geom, n_dim))
+    results = (verify.check_bochner(fields, geom),
+               verify.check_dimension_term(fields, geom, n_dim))
     return results, rows["bochner"], rows["dimension_term"]
 
 
@@ -140,8 +138,8 @@ class TestNoFields:
     def test_empty_list_passes_vacuously(self):
         target = _target("ball")
         geom = _suite_geometry(target)
-        bochner = verify.check_bochner(target.space, [], geom)
-        dimension = verify.check_dimension_term(target.space, [], geom, 2.0)
+        bochner = verify.check_bochner([], geom)
+        dimension = verify.check_dimension_term([], geom, 2.0)
         assert (bochner.residual, bochner.passed, bochner.witness) == \
             (-1.0, True, {})
         assert (dimension.residual, dimension.passed, dimension.witness) == \
@@ -183,13 +181,13 @@ class TestCounts:
         monkeypatch.setattr(geometry, "hessian_jets", counted)
         calls = self._counted(monkeypatch, ("gamma2_parts", "hessian",
                                             "hs_norm_sq"))
-        verify.check_bochner(target.space, fields, geom)
+        verify.check_bochner(fields, geom)
         assert calls == {"gamma2_parts": 1, "hs_norm_sq": 1}
         assert hess_f == {"hessian_jets": 1}
         calls.clear()
         stacked.clear()
         hess_f.clear()
-        verify.check_dimension_term(target.space, fields, geom, 2.0)
+        verify.check_dimension_term(fields, geom, 2.0)
         assert calls == {"hessian": 1, "hs_norm_sq": 1}
         assert hess_f == {"hessian_jets": 1}
 

@@ -15,7 +15,7 @@ from curvcert.exprlang import EvalError
 from curvcert.fields import ExprField
 from curvcert.geometry import GeometryError, NodeGeometry
 from curvcert.jets import JetError
-from curvcert.quadrature import GeometryIntegrand, interior_chunks
+from curvcert.quadrature import interior_chunks
 from test_geometry import DENSE_INI
 
 NAMES = zoo.list_entries() + [DENSE_INI.name]
@@ -107,11 +107,11 @@ def _sweep_rows(monkeypatch, space, plan, g, hs):
 
     def recorded(F, geom, *args):
         def fn(geom):
-            for row in F.fn(geom):
+            for row in F(geom):
                 rows.append(geom.at_nodes(row).reshape(-1).tobytes())
                 yield row
 
-        return batch_sums(GeometryIntegrand(fn), geom, *args)
+        return batch_sums(fn, geom, *args)
 
     def sweep():
         rows.clear()

@@ -7,8 +7,8 @@ from curvcert import quadrature
 from curvcert.boundary import ON_BOUNDARY_TOL, BoundaryError, boundary_frame
 from curvcert.fields import ConstField, ExprField
 from curvcert.geometry import NodeGeometry, WeightedSpace
-from curvcert.quadrature import (CHUNK, BoundaryPatch, GeometryIntegrand,
-                                 QuadratureError, gauss_rule,
+from curvcert.quadrature import (CHUNK, BoundaryPatch, QuadratureError,
+                                 gauss_rule,
                                  integrate_boundary, integrate_boundary_all,
                                  integrate_interior, interior_chunks,
                                  patch_points, tensor_rule)
@@ -77,19 +77,19 @@ class TestRules:
 class TestInterior:
     def test_gaussian_mass(self):
         sp = gaussian_plane()
-        got = integrate_interior(sp, lambda x: np.ones(x.shape[1]),
+        got = integrate_interior(sp, lambda g: np.ones(g.x.shape[1]),
                                  counts=(64, 64))
         assert got == pytest.approx(TWO_PI, abs=1e-6)
 
     def test_phi_clips_domain(self):
         sp = disk(1.0)
-        got = integrate_interior(sp, lambda x: np.ones(x.shape[1]),
+        got = integrate_interior(sp, lambda g: np.ones(g.x.shape[1]),
                                  counts=(256, 256))
         assert got == pytest.approx(np.pi, abs=1e-3)
 
     def test_node_doubling_cauchy(self):
         sp = gaussian_plane()
-        vals = [integrate_interior(sp, lambda x: np.cos(x[0]) + x[1] ** 2,
+        vals = [integrate_interior(sp, lambda g: np.cos(g.x[0]) + g.x[1] ** 2,
                                    counts=(m, m)) for m in (32, 64, 128)]
         assert abs(vals[2] - vals[1]) < 1e-9 * (1 + abs(vals[2]))
         assert abs(vals[2] - vals[1]) <= abs(vals[1] - vals[0]) + 1e-12
@@ -97,14 +97,14 @@ class TestInterior:
     def test_non_finite_integrand_rejected(self):
         sp = gaussian_plane()
         with pytest.raises(QuadratureError, match="non-finite"):
-            integrate_interior(sp, lambda x: np.full(x.shape[1], np.nan),
+            integrate_interior(sp, lambda g: np.full(g.x.shape[1], np.nan),
                                counts=(8, 8))
 
     def test_deterministic(self):
         sp = gaussian_plane()
-        a = integrate_interior(sp, lambda x: np.sin(x[0] * x[1]),
+        a = integrate_interior(sp, lambda g: np.sin(g.x[0] * g.x[1]),
                                counts=(48, 48))
-        b = integrate_interior(sp, lambda x: np.sin(x[0] * x[1]),
+        b = integrate_interior(sp, lambda g: np.sin(g.x[0] * g.x[1]),
                                counts=(48, 48))
         assert a == b
 
@@ -134,10 +134,10 @@ class TestInterior:
             for f in fns:
                 yield f(geom.x)
 
-        assert integrate_interior(sp, GeometryIntegrand(rows), counts) == want
+        assert integrate_interior(sp, rows, counts) == want
         assert integrate_interior(
-            sp, lambda x: np.stack([f(x) for f in fns]), counts) == want
-        one = integrate_interior(sp, fns[0], counts)
+            sp, lambda g: np.stack([f(g.x) for f in fns]), counts) == want
+        one = integrate_interior(sp, lambda g: fns[0](g.x), counts)
         assert isinstance(one, float) and one == want[0]
 
     @pytest.mark.parametrize("counts, boxes", [
@@ -182,8 +182,8 @@ class TestInterior:
             dens = np.exp(-sp.weight.value(x))
             want = [a + float(np.sum(w * f(x) * dens))
                     for a, f in zip(want, fns)]
-        got = integrate_interior(sp, lambda x: np.stack([f(x) for f in fns]),
-                                 counts)
+        got = integrate_interior(
+            sp, lambda g: np.stack([f(g.x) for f in fns]), counts)
         assert got == want
 
 
@@ -191,21 +191,21 @@ class TestBoundary:
     @pytest.mark.parametrize("R", [1.0, 2.0, 0.5])
     def test_circle_length(self, R):
         sp = disk(R)
-        got = integrate_boundary_all(sp, lambda x: np.ones(x.shape[1]),
+        got = integrate_boundary_all(sp, lambda g: np.ones(g.x.shape[1]),
                                      counts=(64,))
         assert got == pytest.approx(TWO_PI * R, rel=1e-10)
 
     def test_weighted_moment(self):
         # integral of x^2 over the unit circle is pi
         sp = disk(1.0)
-        got = integrate_boundary(sp, lambda x: x[0] ** 2,
+        got = integrate_boundary(sp, lambda g: g.x[0] ** 2,
                                  sp.boundary_patches[0], counts=(64,))
         assert got == pytest.approx(np.pi, rel=1e-10)
 
     def test_patch_leaving_boundary_rejected(self):
         sp = disk(1.0, patch_ok=False)
         with pytest.raises(QuadratureError, match="leaves the boundary"):
-            integrate_boundary_all(sp, lambda x: np.ones(x.shape[1]),
+            integrate_boundary_all(sp, lambda g: np.ones(g.x.shape[1]),
                                    counts=(16,))
 
     @pytest.mark.parametrize("offset", [1e-9, -1e-9])
@@ -226,14 +226,15 @@ class TestBoundary:
                                  boundary_patches=[patch], label="strip")
 
         def length(sp):
-            return integrate_boundary(sp, lambda x: np.ones(x.shape[1]),
+            return integrate_boundary(sp, lambda g: np.ones(g.x.shape[1]),
                                       sp.boundary_patches[0], counts=(8,))
 
         assert abs(offset) > ON_BOUNDARY_TOL
         with pytest.raises(QuadratureError, match="leaves the boundary"):
             length(strip(offset))
         with pytest.raises(BoundaryError, match="not on boundary"):
-            boundary_frame(strip(offset), np.array([[0.0], [offset]]))
+            boundary_frame(NodeGeometry(strip(offset),
+                                        np.array([[0.0], [offset]])))
         assert length(strip(0.0)) == pytest.approx(2.0, rel=1e-14)
 
     def test_degenerate_gram_rejected(self):
@@ -243,18 +244,19 @@ class TestBoundary:
             maps=[ExprField("1 + 0*x", 1), ExprField("0*x", 1)],
             label="point")
         with pytest.raises(QuadratureError, match="Gram"):
-            integrate_boundary(sp, lambda x: np.ones(x.shape[1]),
+            integrate_boundary(sp, lambda g: np.ones(g.x.shape[1]),
                                const_patch, counts=(8,))
 
     def test_rows_summed_per_patch_in_order(self, entry):
         space = entry("annulus").space
         assert len(space.boundary_patches) == 2
-        fns = [lambda x: np.ones(x.shape[1]), lambda x: x[0] ** 2 + x[1]]
+        fns = [lambda g: np.ones(g.x.shape[1]),
+               lambda g: g.x[0] ** 2 + g.x[1]]
         per_patch = [[integrate_boundary(space, f, p, (32,)) for f in fns]
                      for p in space.boundary_patches]
         want = [0 + a + b for a, b in zip(*per_patch)]
         got = integrate_boundary_all(
-            space, lambda x: np.stack([f(x) for f in fns]), (32,))
+            space, lambda g: np.stack([f(g) for f in fns]), (32,))
         assert got == want
         one = integrate_boundary_all(space, fns[1], (32,))
         assert isinstance(one, float) and one == want[1]
@@ -262,7 +264,7 @@ class TestBoundary:
     def test_no_patches_rejected(self):
         sp = gaussian_plane()
         with pytest.raises(QuadratureError, match="no boundary patches"):
-            integrate_boundary_all(sp, lambda x: np.ones(x.shape[1]))
+            integrate_boundary_all(sp, lambda g: np.ones(g.x.shape[1]))
 
     def test_patch_points_on_boundary(self):
         sp = disk(1.0)

@@ -34,9 +34,9 @@ class TestGate:
             cutoff=ball.cutoff, label="corrupted")
         frames = frames_of(ball)
         with pytest.raises(GateError, match="hypothesis"):
-            neumann_gate(ball.space, raw, frames)
+            neumann_gate(raw, frames)
         with pytest.raises(GateError, match="hypothesis"):
-            check_ii_identity(ball.space, raw, frames)
+            check_ii_identity(raw, frames)
         with pytest.raises(GateError):
             check_ricci_decomposition(
                 ball.space, raw, ball.h_fields()[0], frames,
@@ -44,7 +44,7 @@ class TestGate:
 
     def test_gate_value_small_for_honest_field(self, ball):
         g = ball.neumann_family()[0]
-        _, worst = neumann_gate(ball.space, g, frames_of(ball))
+        _, worst = neumann_gate(g, frames_of(ball))
         assert worst < 1e-10
 
 
@@ -216,9 +216,9 @@ class TestSharedSweep:
         assert suite["ricci_decomposition"] == check_ricci_decomposition(
             e.space, g, h, frames_of(e), qi, qb).to_dict()
         assert suite["ii_identity"] == check_ii_identity(
-            e.space, g, frames_of(e)).to_dict()
+            g, frames_of(e)).to_dict()
         assert run["certificate"].to_dict() == certify(
-            e.space, *plan.grids(e.space), (0.0,)).to_dict()
+            *plan.grids(e.space), (0.0,)).to_dict()
         assert run["flatness"].to_dict() == flatness_report(
             e.space, plan=plan).to_dict()
 
@@ -269,9 +269,10 @@ class TestSharedSweep:
         for fname in ("normal_field_jets", "second_fundamental_form"):
             original = getattr(boundary, fname)
 
-            def counted(space, x, *args, _fn=original, _name=fname):
-                shapes[_name].append(np.shape(x))
-                return _fn(space, x, *args)
+            def counted(arg, _fn=original, _name=fname):
+                # a NodeGeometry, or a BoundaryFrame on one
+                shapes[_name].append(np.shape(getattr(arg, "geom", arg).x))
+                return _fn(arg)
 
             for module in (boundary, verify):
                 if getattr(module, fname, None) is original:
@@ -348,9 +349,9 @@ class TestSharedSweep:
         shapes = []
         original = boundary.normal_field_jets
 
-        def counted(space, x, geom=None):
-            shapes.append(np.shape(x))
-            return original(space, x, geom)
+        def counted(geom):
+            shapes.append(np.shape(geom.x))
+            return original(geom)
 
         monkeypatch.setattr(boundary, "normal_field_jets", counted)
         plan = e.plan
@@ -407,7 +408,7 @@ class TestOneFormula:
         g, h, plan = ball.neumann_family()[0].field, ball.h_fields()[1], \
             ball.plan
         monkeypatch.setattr(verify, "hs_norm_sq",
-                            lambda space, H, x, geom=None: 0.0)
+                            lambda geom, H: 0.0)
 
         def sweep():
             w, = verify._weak_integrals(ball.space, g, [h], plan.quad_interior,
@@ -439,12 +440,11 @@ class TestOneFormula:
         frames, plan = frames_of(ball), ball.plan
 
         def consumers():
-            _, gate = neumann_gate(ball.space, g, frames, tol=np.inf)
+            _, gate = neumann_gate(g, frames, tol=np.inf)
             w, = verify._weak_integrals(ball.space, g.field,
                                         [ball.h_fields()[0]],
                                         plan.quad_interior, plan.quad_boundary)
-            residual = boundary.neumann_residual(ball.space, g.field,
-                                                 frames[0].point, frames[0])
+            residual = boundary.neumann_residual(frames[0], g.field)
             return np.array([gate, w["flux"], *residual])
 
         before = consumers()
@@ -460,19 +460,18 @@ class TestPointwiseChecks:
     def test_bochner_random_fields(self, ball):
         fields = ball.random_fields(5, seed=11)
         geom = NodeGeometry(ball.space, ball.interior_points((8, 8)))
-        r = check_bochner(ball.space, fields, geom)
+        r = check_bochner(fields, geom)
         assert r.passed
 
     def test_ii_identity(self, ball):
         g = ball.neumann_family()[0]
-        r = check_ii_identity(ball.space, g, frames_of(ball))
+        r = check_ii_identity(g, frames_of(ball))
         assert r.passed
 
     def test_dimension_needs_n_at_least_dim(self, ball):
         geom = NodeGeometry(ball.space, ball.interior_points((4, 4)))
         with pytest.raises(ValueError, match="unsatisfiable"):
-            check_dimension_term(ball.space, ball.random_fields(1, 1), geom,
-                                 n_dim=1.5)
+            check_dimension_term(ball.random_fields(1, 1), geom, n_dim=1.5)
 
     def test_dimension_conformal_equality(self, half_space):
         # Hessian proportional to the metric: the trace bound is tight
@@ -480,24 +479,23 @@ class TestPointwiseChecks:
         f = ExprField("(x^2 + y^2)/2", 2)
         sp = half_space.space
         geom = NodeGeometry(sp, half_space.interior_points((6, 6)))
-        r = check_dimension_term(sp, [f], geom, n_dim=2.0)
+        r = check_dimension_term([f], geom, n_dim=2.0)
         assert r.passed
         assert abs(r.residual) < 1e-12
-        strict = check_dimension_term(sp, [f], geom, n_dim=3.0)
+        strict = check_dimension_term([f], geom, n_dim=3.0)
         assert strict.passed
         assert strict.residual < -0.5  # slack opens up once N > n
 
     def test_dimension_random_fields(self, ball):
         geom = NodeGeometry(ball.space, ball.interior_points((8, 8)))
-        r = check_dimension_term(ball.space, ball.random_fields(10, 3), geom,
-                                 n_dim=2.0)
+        r = check_dimension_term(ball.random_fields(10, 3), geom, n_dim=2.0)
         assert r.passed
 
 
 class TestCertify:
     def test_monotone_in_k(self, gaussian_half_space):
         e = gaussian_half_space
-        rep = certify(e.space, *e.plan.grids(e.space),
+        rep = certify(*e.plan.grids(e.space),
                       [0.5, 1.0, 1.0 + 1e-3, 2.0])
         verdicts = [rep.rcd_infinity[k]
                     for k in (0.5, 1.0, 1.0 + 1e-3, 2.0)]
@@ -506,14 +504,14 @@ class TestCertify:
 
     def test_rcd_star_needs_n_ge_dim(self, gaussian_half_space):
         e = gaussian_half_space
-        rep = certify(e.space, *e.plan.grids(e.space), [0.0],
+        rep = certify(*e.plan.grids(e.space), [0.0],
                       [1.5, 2.0, 10.0])
         assert not rep.rcd_star[(0.0, 1.5)]
         assert rep.rcd_star[(0.0, 2.0)] and rep.rcd_star[(0.0, 10.0)]
 
     def test_certified_k_non_convex(self, entry):
         e = entry("annulus")
-        rep = certify(e.space, *e.plan.grids(e.space), [0.0])
+        rep = certify(*e.plan.grids(e.space), [0.0])
         assert rep.certified_k() == float("-inf")
         assert rep.lambda_min_ii == pytest.approx(-2.0, abs=1e-6)
 
@@ -522,12 +520,12 @@ class TestCertify:
         # the certificate reduces all patches' spectra at once; the
         # per-patch loop it replaced is the reference, bit for bit
         e = entry(name)
-        x, frames = e.plan.grids(e.space)
-        rep = certify(e.space, x, frames, [0.0])
+        sample, frames = e.plan.grids(e.space)
+        rep = certify(sample, frames, [0.0])
         lo, hi, tr_lo, tr_hi, witness, n = (np.inf, -np.inf, np.inf,
                                             -np.inf, [], 0)
         for bf in frames:
-            II = boundary.second_fundamental_form(e.space, bf.point, bf)
+            II = boundary.second_fundamental_form(bf)
             eig = np.linalg.eigvalsh(np.moveaxis(II, (0, 1), (-2, -1)))
             tr = np.einsum("aa...->...", II)
             n += bf.point.shape[1]
@@ -547,7 +545,8 @@ class TestCertify:
         exterior = dataclasses.replace(
             ball.space, defining_fn=ConstField(2, 1.0), label="empty")
         with pytest.raises(ValueError, match="empty interior"):
-            certify(exterior, verify.interior_grid(exterior, (4, 4)),
+            certify(NodeGeometry(exterior,
+                                 verify.interior_grid(exterior, (4, 4))),
                     frames_of(ball), [0.0])
 
 
@@ -566,8 +565,8 @@ class TestFlatness:
         # flatness reduces the certificate's extremes; that equals the
         # max of |.| over every sampled eigenvalue and trace exactly
         e = entry("annulus")
-        x, frames = e.plan.grids(e.space)
-        eigs = verify.interior_spectrum(e.space, x)
+        sample, frames = e.plan.grids(e.space)
+        eigs = verify.interior_spectrum(sample)
         _, eig, tr = verify.boundary_spectrum(frames)
         meta = flatness_report(e.space, plan=e.plan).metadata
         assert meta["max_abs_ricci_v"] == float(np.max(np.abs(eigs)))

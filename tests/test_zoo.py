@@ -73,7 +73,7 @@ class TestExpectedValues:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_certify_matches_expected(self, entry, name):
         e = entry(name)
-        rep = certify(e.space, *e.plan.grids(e.space), [0.0])
+        rep = certify(*e.plan.grids(e.space), [0.0])
         assert rep.k_interior == pytest.approx(e.expected["k_interior"],
                                                abs=1e-6)
         assert rep.lambda_min_ii == pytest.approx(
@@ -135,7 +135,7 @@ class TestFullCheckSuite:
         geom = NodeGeometry(e.space, e.interior_points())
         frames = boundary_grid(e.space, e.plan.boundary_counts)
         fields = e.random_fields(3, seed=21)
-        r = check_bochner(e.space, fields, geom)
+        r = check_bochner(fields, geom)
         assert r.passed, f"{name} bochner: {r}"
         r = check_green(e.space, hs[1], g.field, e.plan.quad_interior,
                         e.plan.quad_boundary)
@@ -147,7 +147,7 @@ class TestFullCheckSuite:
                                       e.plan.quad_interior,
                                       e.plan.quad_boundary)
         assert r.passed, f"{name} decomposition: {r}"
-        r = check_ii_identity(e.space, g, frames)
+        r = check_ii_identity(g, frames)
         assert r.passed, f"{name} ii_identity: {r}"
 
 
