@@ -140,9 +140,8 @@ def second_fundamental_form(bframe: BoundaryFrame) -> np.ndarray:
 
 
 def mean_curvature(bframe: BoundaryFrame) -> np.ndarray:
-    """Trace of II over the orthonormal tangent frame."""
-    II = second_fundamental_form(bframe)
-    return np.einsum("aa...->...", II)
+    """Trace of the frame's II over its orthonormal tangent frame."""
+    return np.einsum("aa...->...", bframe.II)
 
 
 # -- Neumann test-function factory -------------------------------------

@@ -15,9 +15,10 @@ declared chart dimension.  Functions: sin, cos, exp, log, sqrt, tanh
 must be C^3 on its chart.
 
 Fields defined here are evaluated either over jet arithmetic
-(:func:`evaluate_jet`, the one jet evaluator, fed seeds at the points or
-on the axis lines of a tensor grid) or as plain values
-(:func:`evaluate_value`, the brute-force route used by tests).
+(:func:`evaluate_jet`, the one jet evaluator, fed whatever seeds the
+field is given) or as plain values (:func:`evaluate_value`, the jet-free
+route of ``ExprField.value``: phi on the sample grids and chunks,
+exp(-V) in the weighted density).
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .jets import (MAX_ORDER, Jet, JetDomainError, apply_univariate, jet_pow,
-                   seed_variable)
+from .jets import Jet, apply_univariate, jet_pow
 
 VAR_NAMES = ("x", "y", "z", "w")
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "log": 1, "sqrt": 1, "tanh": 1,
@@ -256,16 +256,16 @@ def parse(src: str, dim: int):
 
 
 def evaluate_jet(ast, seeds) -> Jet:
-    """Fold the AST over jet arithmetic given coordinate seed jets; the
-    result has at most the seeds' order.
+    """Fold the AST over jet arithmetic given seed jets; the result has
+    at most the seeds' order.
 
-    The seeds are either node seeds, every one at the same points, or
-    the line seeds of a tensor grid, seed i holding axis i's line shaped
-    to broadcast along that axis only (``(n0, 1)`` and ``(1, n1)``).  A
-    constant takes the batch every seed broadcasts against, the seeds'
-    elementwise smallest batch: the points themselves for node seeds, all
-    ones for line seeds, so that a subexpression costs the size of the
-    axes it reads."""
+    The seeds are either jets at the same points (the coordinates there,
+    or a chart map's components), or the line seeds of a tensor grid,
+    seed i holding axis i's line shaped to broadcast along that axis only
+    (``(n0, 1)`` and ``(1, n1)``).  A constant takes the batch every seed
+    broadcasts against, the seeds' elementwise smallest batch: the points
+    themselves for node seeds, all ones for line seeds, so that a
+    subexpression costs the size of the axes it reads."""
     if isinstance(ast, Num):
         batch = tuple(map(min, zip(*(s.batch_shape for s in seeds))))
         return Jet.constant(seeds[0].dim, ast.value,
@@ -298,30 +298,8 @@ def evaluate_jet(ast, seeds) -> Jet:
     raise TypeError(f"not an AST node: {ast!r}")
 
 
-def evaluate(ast, x, order: int = MAX_ORDER, seeds=None) -> Jet:
-    """Jet of the field at point(s) x (shape (dim,) or (dim, m)) through
-    ``order``: the seeds are truncated there, so no step of the fold
-    computes a slot above ``order``.  ``seeds`` are the caller's seeds of
-    x (see ``evaluate_jet``), else x's rows.  A domain error is an
-    EvalError naming x."""
-    x = np.asarray(x, dtype=float)
-    if seeds is None:
-        seeds = [seed_variable(i, x).truncate(order)
-                 for i in range(x.shape[0])]
-    try:
-        return evaluate_jet(ast, seeds)
-    except JetDomainError as exc:
-        raise EvalError(f"{exc} at point {_fmt_point(x)}") from exc
-
-
-def _fmt_point(x):
-    if x.ndim == 1:
-        return tuple(float(v) for v in x)
-    return f"batch of {x.shape[1]} points"
-
-
 def evaluate_value(ast, x):
-    """Plain (jet-free) evaluation; the brute-force oracle route."""
+    """Plain (jet-free) evaluation: what ``ExprField.value`` returns."""
     return _value(ast, np.asarray(x, dtype=float))
 
 

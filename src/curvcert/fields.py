@@ -11,9 +11,11 @@ part, which shows only on a -0.0 outer value or a non-finite higher
 derivative.)  Jet-wise arithmetic on fields is exact through order 3, so
 products/sums/quotients of fields with exact jets again have exact jets.
 
-Every field is jetted by folding its tree over coordinate seeds
-(``exprlang.evaluate_jet`` for expressions).  The seeds are built from
-the points' rows, or, where the caller passes the axis lines of the
+A field is a function of its seed jets: it folds its tree over any
+seeds (``exprlang.evaluate_jet`` for expressions, ``compose`` for cutoff
+factors), so on the jets of a chart map's components it is the field
+composed with the map.  ``ScalarField.jet`` builds coordinate seeds
+from the points' rows, or, where the caller passes the axis lines of the
 tensor grid the points form (an interior quadrature chunk), from the
 lines: axis i's seed is shaped to broadcast along that axis only, every
 subfield is jetted at the broadcast shape of the axes it reads
@@ -31,7 +33,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import exprlang
-from .jets import MAX_ORDER, Jet, seed_variable
+from .jets import MAX_ORDER, Jet, JetDomainError, ncoeffs, seed_variable
 
 Box = Sequence[Tuple[float, float]]
 Lines = Optional[Sequence[np.ndarray]]
@@ -40,8 +42,8 @@ Lines = Optional[Sequence[np.ndarray]]
 class ScalarField:
     """Base: a C^3 scalar field evaluable to jets of order up to 3.
 
-    A subclass jets itself on coordinate seeds (``_jet``); ``jet`` builds
-    the seeds."""
+    A subclass jets itself on any seeds (``_jet``); ``jet`` builds the
+    coordinate seeds and names the points in a domain error."""
 
     dim: int
 
@@ -51,18 +53,23 @@ class ScalarField:
         ``lines``, the axis lines of the tensor grid whose nodes x lists
         in C order (line i shaped to broadcast along axis i only), it is
         jetted on the lines and comes back at the broadcast shape of the
-        axes it reads.  A domain error names x either way."""
+        axes it reads.  A domain error is an EvalError naming x either
+        way."""
         x = np.asarray(x, dtype=float)
         if lines is None:
             seeds = [seed_variable(i, x) for i in range(x.shape[0])]
         else:  # seed i reads row i of a (dim,) + line-shaped point array
             seeds = [seed_variable(i, np.repeat(line[None], len(lines), 0))
                      for i, line in enumerate(lines)]
-        return self._jet([s.truncate(order) for s in seeds], x)
+        try:
+            return self._jet([s.truncate(order) for s in seeds])
+        except JetDomainError as exc:
+            where = (tuple(float(v) for v in x) if x.ndim == 1
+                     else f"batch of {x.shape[1]} points")
+            raise exprlang.EvalError(f"{exc} at point {where}") from exc
 
-    def _jet(self, seeds: Sequence[Jet], x: np.ndarray) -> Jet:
-        """The jet on the coordinate seeds of the points x (see
-        ``exprlang.evaluate_jet``), through the seeds' order."""
+    def _jet(self, seeds: Sequence[Jet]) -> Jet:
+        """The field composed with the seeds, through their order."""
         raise NotImplementedError
 
     def value(self, x):
@@ -109,7 +116,7 @@ class ConstField(ScalarField):
         batch = np.shape(x)[1:] if lines is None else (1,) * len(lines)
         return Jet.constant(self.dim, self._value, batch).truncate(order)
 
-    def _jet(self, seeds: Sequence[Jet], x: np.ndarray) -> Jet:
+    def _jet(self, seeds: Sequence[Jet]) -> Jet:
         return exprlang.evaluate_jet(exprlang.Num(self._value), seeds)
 
     def value(self, x):
@@ -133,8 +140,8 @@ class ExprField(ScalarField):
             self.ast = src
             self.source = exprlang.to_source(src)
 
-    def _jet(self, seeds: Sequence[Jet], x: np.ndarray) -> Jet:
-        return exprlang.evaluate(self.ast, x, seeds=seeds)
+    def _jet(self, seeds: Sequence[Jet]) -> Jet:
+        return exprlang.evaluate_jet(self.ast, seeds)
 
     def value(self, x):
         return exprlang.evaluate_value(self.ast, np.asarray(x, dtype=float))
@@ -152,8 +159,8 @@ class _BinField(ScalarField):
         self.a = a
         self.b = b
 
-    def _jet(self, seeds: Sequence[Jet], x: np.ndarray) -> Jet:
-        ja, jb = self.a._jet(seeds, x), self.b._jet(seeds, x)
+    def _jet(self, seeds: Sequence[Jet]) -> Jet:
+        ja, jb = self.a._jet(seeds), self.b._jet(seeds)
         if self.op == "+":
             return ja + jb
         if self.op == "-":
@@ -236,8 +243,9 @@ class CutoffField(ScalarField):
 
     The field is a product of one univariate factor per tapered axis (an
     axis whose inner and outer bounds differ on some side); untapered
-    factors are exactly 1 and are left out.  Each factor is evaluated
-    on its axis's seed: at the points, or on the axis line of a grid.
+    factors are exactly 1 and are left out.  Each factor is composed
+    with its axis's seed: at the points, on the axis line of a grid, or
+    on a chart map's component.
     """
 
     def __init__(self, spec: CutoffSpec):
@@ -249,8 +257,9 @@ class CutoffField(ScalarField):
             if ilo > olo or ohi > ihi)
 
     def _axis_coeffs(self, xi, axis, order: int = MAX_ORDER):
-        """(order + 1, ...) univariate Taylor coefficients of the axis
-        factor at the coordinates ``xi``."""
+        """(4, ...) univariate Taylor coefficients of the axis factor at
+        the coordinates ``xi``, exact through ``order`` and zero above
+        it."""
         (ilo, ihi) = self.spec.inner[axis]
         (olo, ohi) = self.spec.outer[axis]
         out = np.zeros((4,) + np.shape(xi))
@@ -266,15 +275,18 @@ class CutoffField(ScalarField):
             c = _smoothstep_jets((ohi - xi) * scale, order)
             c *= ((-scale) ** np.arange(4)).reshape((4,) + (1,) * np.ndim(xi))
             jet = jet * Jet(1, c, order)
-        return jet.coeffs[:order + 1]
+        return jet.coeffs
 
-    def _jet(self, seeds: Sequence[Jet], x: np.ndarray) -> Jet:
+    def _jet(self, seeds: Sequence[Jet]) -> Jet:
         order = seeds[0].order
         out = exprlang.evaluate_jet(exprlang.ONE, seeds)
         for i in self.tapered:
             c = self._axis_coeffs(seeds[i].value, i, order)
-            out = out * Jet.from_axis(self.dim, i, c, order)
-        return out
+            out = out * seeds[i].compose(c)
+        # Horner leaves -0.0 where a negative coefficient met a zero slot
+        # of the seed; adding +0.0 clears it, so that leaving out the
+        # factor of an untapered axis (exactly 1) changes no bit
+        return out + Jet(self.dim, np.zeros(ncoeffs(self.dim)))
 
     def __repr__(self):
         return f"CutoffField(inner={self.spec.inner}, outer={self.spec.outer})"

@@ -243,17 +243,6 @@ class Jet:
         return Jet._make(dim, MAX_ORDER, 0,
                          np.broadcast_to(value, (1,) + shape))
 
-    @staticmethod
-    def from_axis(dim: int, axis: int, coeffs1d, order: int = MAX_ORDER) -> "Jet":
-        """Embed univariate Taylor coefficients along one chart axis."""
-        coeffs1d = np.asarray(coeffs1d, dtype=float)
-        slot = _slot_of(dim)
-        stored = np.zeros((_nslots(dim, order),) + coeffs1d.shape[1:])
-        for k in range(order + 1):
-            e = tuple(k if i == axis else 0 for i in range(dim))
-            stored[slot[e]] = coeffs1d[k]
-        return Jet._make(dim, order, order, stored)
-
     @property
     def coeffs(self):
         out = np.zeros((ncoeffs(self.dim),) + self.batch_shape)
@@ -353,7 +342,8 @@ class Jet:
         v = self.value
         if np.any(v == 0.0):
             raise JetDomainError("division by a jet with zero value")
-        return self.compose((1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4))
+        return self.compose((1.0 / v, -1.0 / v**2, 2.0 / v**3 / 2.0,
+                             -6.0 / v**4 / 6.0))
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -391,25 +381,26 @@ class Jet:
             return np.zeros((self.dim,) + self.batch_shape)
         return self.stored[_gradient_slots(self.dim)]
 
-    def compose(self, derivs) -> "Jet":
-        """Compose with a univariate function given by its derivatives.
-
-        ``derivs`` are d0..d3 of the outer function at ``self.value``
-        (value-shaped arrays); returns the Taylor composition at this
-        jet's order via Horner on the nilpotent part, whose products
-        drop every slot above that order.
+    def compose(self, coeffs) -> "Jet":
+        """Compose with a univariate function given by its Taylor
+        coefficients c0..c3 at ``self.value`` (ck = dk/k!, value-shaped
+        arrays): Horner on the nilpotent part, whose products drop every
+        slot above this jet's order.  Each ck is a degree-0 jet, also where
+        it is a 0-d zero, so a point takes the degree path of its batch.
         """
+        def const(c):
+            return Jet._make(self.dim, MAX_ORDER, 0,
+                             np.broadcast_to(c, (1,) + self.batch_shape))
+
         if self.degree <= 0:
             # no nilpotent part: each Horner product is the zero jet
-            return Jet.constant(self.dim, derivs[0],
-                                self.batch_shape).truncate(self.order)
+            return const(coeffs[0]).truncate(self.order)
         w = self.stored.copy()
         w[0] = 0.0
         wjet = Jet._make(self.dim, self.order, self.degree, w)
-        res = Jet.constant(self.dim, derivs[3] / 6.0, self.batch_shape)
-        res = res * wjet + Jet.constant(self.dim, derivs[2] / 2.0, self.batch_shape)
-        res = res * wjet + Jet.constant(self.dim, derivs[1], self.batch_shape)
-        res = res * wjet + Jet.constant(self.dim, derivs[0], self.batch_shape)
+        res = const(coeffs[3])
+        for c in coeffs[2::-1]:
+            res = res * wjet + const(c)
         return res.truncate(self.order)
 
     def __repr__(self):
@@ -475,26 +466,29 @@ def apply_univariate(fn: str, a: Jet) -> Jet:
     v = a.value
     if fn == "exp":
         e = np.exp(v)
-        return a.compose((e, e, e, e))
+        return a.compose((e, e, e / 2.0, e / 6.0))
     if fn == "sin":
         s, c = np.sin(v), np.cos(v)
-        return a.compose((s, c, -s, -c))
+        return a.compose((s, c, -s / 2.0, -c / 6.0))
     if fn == "cos":
         s, c = np.sin(v), np.cos(v)
-        return a.compose((c, -s, -c, s))
+        return a.compose((c, -s, -c / 2.0, s / 6.0))
     if fn == "tanh":
         t = np.tanh(v)
         s = 1.0 - t * t
-        return a.compose((t, s, -2.0 * t * s, s * (6.0 * t * t - 2.0)))
+        return a.compose((t, s, -2.0 * t * s / 2.0,
+                          s * (6.0 * t * t - 2.0) / 6.0))
     if fn == "log":
         if np.any(v <= 0.0):
             raise JetDomainError("log of a nonpositive jet value")
-        return a.compose((np.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3))
+        return a.compose((np.log(v), 1.0 / v, -1.0 / v**2 / 2.0,
+                          2.0 / v**3 / 6.0))
     if fn == "sqrt":
         if np.any(v <= 0.0):
             raise JetDomainError("sqrt of a nonpositive jet value")
         r = np.sqrt(v)
-        return a.compose((r, 0.5 / r, -0.25 / (v * r), 0.375 / (v * v * r)))
+        return a.compose((r, 0.5 / r, -0.25 / (v * r) / 2.0,
+                          0.375 / (v * v * r) / 6.0))
     raise JetError(f"unknown elementary function {fn!r}")
 
 
@@ -518,5 +512,5 @@ def jet_pow(a: Jet, p) -> Jet:
     if np.any(v <= 0.0):
         raise JetDomainError(
             f"non-integer power {p} of a nonpositive jet value")
-    return a.compose((v**p, p * v**(p - 1), p * (p - 1) * v**(p - 2),
-                      p * (p - 1) * (p - 2) * v**(p - 3)))
+    return a.compose((v**p, p * v**(p - 1), p * (p - 1) * v**(p - 2) / 2.0,
+                      p * (p - 1) * (p - 2) * v**(p - 3) / 6.0))

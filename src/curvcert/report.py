@@ -53,19 +53,24 @@ class Target:
     _nonzero: set = field(default_factory=set, init=False, repr=False,
                           compare=False)
 
+    def require_cutoff(self) -> CutoffSpec:
+        """The cutoff of every Neumann field and test density."""
+        if self.cutoff is None:
+            raise ValueError(
+                f"{self.label}: no cutoff available; theorem-grade checks "
+                f"need a [cutoff] section or a zoo entry")
+        return self.cutoff
+
     def neumann(self, w_src: Optional[str] = None) -> NeumannTestFunction:
         """The Neumann test function of base ``w_src`` (the first base by
         default).  A base whose Neumann projection is 0 at every interior
         sample point, up to ``NEUMANN_ZERO_REL`` times the base there, is
         refused: every weak identity would read 0 = 0."""
         from .boundary import make_neumann
-        if self.cutoff is None:
-            raise ValueError(
-                f"{self.label}: no cutoff available; theorem-grade checks "
-                f"need a [cutoff] section or a zoo entry")
+        cutoff = self.require_cutoff()
         src = w_src if w_src is not None else self.neumann_bases[0]
         g = make_neumann(self.space, ExprField(src, self.space.dim),
-                         self.cutoff, self.collars, label=src)
+                         cutoff, self.collars, label=src)
         key = (src, self.plan.interior_counts)
         if key in self._nonzero:
             return g
@@ -83,10 +88,7 @@ class Target:
         return g
 
     def h_field(self, src: Optional[str] = None) -> ScalarField:
-        if self.cutoff is None:
-            raise ValueError(
-                f"{self.label}: no cutoff available for a test density")
-        chi = CutoffField(self.cutoff)
+        chi = CutoffField(self.require_cutoff())
         if src is None and not self.h_sources:
             return chi
         return chi * ExprField(src if src is not None else self.h_sources[0],

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from curvcert import boundary
 from curvcert.boundary import (BoundaryError, boundary_frame, make_neumann,
                                mean_curvature, neumann_residual,
                                normal_field_jets, second_fundamental_form)
@@ -129,6 +130,22 @@ class TestSecondFundamentalForm:
         np.testing.assert_allclose(eigs[1], eigs[0], atol=1e-10)
         np.testing.assert_allclose(eigs[2], eigs[0], atol=1e-10)
         np.testing.assert_allclose(eigs[0], 1.0, atol=1e-10)
+
+    def test_mean_curvature_reads_the_frames_II(self, monkeypatch):
+        # II is formed once per frame; the mean curvature is its trace
+        calls = []
+        original = boundary.second_fundamental_form
+
+        def counted(bf):
+            calls.append(bf)
+            return original(bf)
+
+        monkeypatch.setattr(boundary, "second_fundamental_form", counted)
+        bf = frame(cartesian_ball(dim=3), np.array([0.36, 0.48, 0.8]))
+        II = bf.II
+        assert float(mean_curvature(bf)) == float(np.trace(II))
+        assert float(mean_curvature(bf)) == pytest.approx(2.0, abs=1e-12)
+        assert calls == [bf]
 
     def test_mean_curvature_vs_fd_normal_oracle(self):
         # H = div(N) for the Euclidean sphere of radius r: (n-1)/r

@@ -142,6 +142,20 @@ class TestCheck:
         assert target.neumann().label == "0.3*x"
 
 
+    @pytest.mark.parametrize("raw", [(), ("--raw-field",)])
+    def test_ii_without_cutoff(self, capsys, tmp_path, raw):
+        # the II identity reads no test density: with no [cutoff] it is
+        # refused for its Neumann field's missing cutoff
+        from test_config import BALL_INI
+        cut = BALL_INI.index("[cutoff]")
+        p = tmp_path / "no_cutoff.ini"
+        p.write_text(BALL_INI[:cut] + BALL_INI[BALL_INI.index("[samples]"):])
+        code, out, err = run(capsys, "check", "ii", "--config", str(p), *raw)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {p}: no cutoff available; theorem-grade "
+                       f"checks need a [cutoff] section or a zoo entry\n")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_ii_non_finite_gate(self, capsys):
         # exp(800) overflows on the boundary: the gate cannot rank a NaN

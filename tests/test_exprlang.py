@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from curvcert.exprlang import (EvalError, ParseError, differentiate,
-                               evaluate, evaluate_value, parse, simplify,
-                               to_source)
+                               evaluate_value, parse, simplify, to_source)
+from curvcert.fields import ExprField
 from oracles import richardson_partial
 
 # a corpus of 200 expressions covering every operator, function,
@@ -145,7 +145,7 @@ class TestEvaluate:
     def test_jet_matches_value(self):
         ast = parse("sin(x)*exp(y/2) + x^3", 2)
         x = np.array([[0.3, 1.1], [0.2, -0.4]])
-        j = evaluate(ast, x)
+        j = ExprField(ast, 2).jet(x)
         np.testing.assert_allclose(j.value, evaluate_value(ast, x),
                                    atol=1e-14)
 
@@ -167,13 +167,13 @@ class TestEvaluate:
     def test_domain_error_carries_point(self):
         ast = parse("log(x)", 1)
         with pytest.raises(EvalError) as exc_info:
-            evaluate(ast, np.array([-1.0]))
+            ExprField(ast, 1).jet(np.array([-1.0]))
         assert "log" in str(exc_info.value)
 
     def test_division_by_zero(self):
         ast = parse("1/x", 1)
         with pytest.raises(EvalError):
-            evaluate(ast, np.array([0.0]))
+            ExprField(ast, 1).jet(np.array([0.0]))
 
 
 class TestEvaluateOrder:
@@ -186,16 +186,16 @@ class TestEvaluateOrder:
         x = rng.uniform(-1.5, 1.5, (2,) + batch)
         checked = 0
         for _ in range(200):
-            ast = parse(_random_expr(rng, depth=3), 2)
+            f = ExprField(_random_expr(rng, depth=3), 2)
             with np.errstate(all="ignore"):
                 try:
-                    full = evaluate(ast, x)
+                    full = f.jet(x)
                 except EvalError:
                     continue
                 if not np.all(np.isfinite(full.stored)):
                     continue
                 for k in range(3):
-                    jk = evaluate(ast, x, k)
+                    jk = f.jet(x, k)
                     assert jk.order <= k
                     assert np.array_equal(
                         jk.stored, full.stored[:math.comb(2 + k, k)])
@@ -205,12 +205,12 @@ class TestEvaluateOrder:
     @pytest.mark.parametrize("src", ["2.5", "0", "x^0", "pow(y, 0)",
                                      "(x - x)*3", "sin(1) + 0*y"])
     def test_constant_subtrees_respect_order(self, src):
-        ast = parse(src, 2)
+        f = ExprField(src, 2)
         x = np.array([[0.4, 1.2], [0.3, -0.8]])
         for k in range(4):
-            jk = evaluate(ast, x, k)
+            jk = f.jet(x, k)
             assert jk.order <= k
-            assert np.array_equal(jk.value, evaluate(ast, x).value)
+            assert np.array_equal(jk.value, f.jet(x).value)
 
 
 class TestDifferentiate:

@@ -1,13 +1,16 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from curvcert import zoo
+from curvcert.exprlang import EvalError
 from curvcert.fields import (ConstField, CutoffField, CutoffSpec, ExprField,
                              _BinField, _bump_h, _smoothstep_jets,
                              make_cutoff_spec)
-from curvcert.jets import Jet
+from curvcert.jets import Jet, extract, multi_indices, seed_variable
 from curvcert.quadrature import interior_chunks, tensor_rule
 from oracles import richardson_partial
 
@@ -107,6 +110,22 @@ class TestFieldAlgebra:
         with pytest.raises(AttributeError):
             SPEC.inner = ()
 
+    def test_combinator_domain_error_names_the_points(self):
+        # a domain error inside a combinator reads as one inside an
+        # expression: an EvalError naming the point or the batch
+        lines = [np.array([[-0.5], [1.0]]), np.array([[0.0, 0.5, 1.0]])]
+        x = np.stack(np.broadcast_arrays(*lines)).reshape(2, -1)
+        for f, pt in [(ExprField("x", 2) / ExprField("y", 2), [1.0, 0.0]),
+                      (CutoffField(SPEC) * ExprField("log(x)", 2),
+                       [-0.5, 0.5])]:
+            with pytest.raises(EvalError, match=re.escape(
+                    f"at point {tuple(pt)}") + "$"):
+                f.jet(np.array(pt))
+            for given in (None, lines):
+                with pytest.raises(EvalError,
+                                   match="at point batch of 6 points$"):
+                    f.jet(x, 3, given)
+
 
 def _zoo_fields(e):
     """Every field a zoo entry certifies with: the metric entries, the
@@ -173,7 +192,7 @@ def _reference_cutoff_jet(spec, x):
             scale = 1.0 / (ohi - ihi)
             c = _smoothstep_jets((ohi - xi) * scale) * (-scale) ** powers
             factor = factor * Jet(1, c)
-        out = out * Jet.from_axis(dim, i, factor.coeffs)
+        out = out * seed_variable(i, x).compose(factor.coeffs)
     return out
 
 
@@ -227,6 +246,23 @@ class TestCutoffPerCoordinate:
                 assert not below[order + 1:].any()
 
     @pytest.mark.parametrize("spec", [SPEC, UNTAPERED])
+    def test_values_of_the_axis_embedding(self, spec):
+        # composed on its coordinate seed, a factor holds its univariate
+        # coefficients in the slots k*e_i of its axis and 0 elsewhere: the
+        # values (not the signs of zero) of placing them there directly
+        x = np.random.default_rng(3).uniform(-2.5, 2.5, (2, 500))
+        chi = CutoffField(spec)
+        slot = {alpha: k for k, alpha in enumerate(multi_indices(2))}
+        out = Jet.constant(2, 1.0, (500,))
+        for i in chi.tapered:
+            c = chi._axis_coeffs(x[i], i)
+            placed = np.zeros((len(slot), 500))
+            for k in range(4):
+                placed[slot[(k, 0) if i == 0 else (0, k)]] = c[k]
+            out = out * Jet(2, placed)
+        assert np.array_equal(chi.jet(x).coeffs, out.coeffs)
+
+    @pytest.mark.parametrize("spec", [SPEC, UNTAPERED])
     def test_scattered_points(self, spec):
         x = np.random.default_rng(3).uniform(-2.5, 2.5, (2, 500))
         self._check(spec, x)
@@ -260,3 +296,62 @@ class TestCutoffPerCoordinate:
         for axis, size, distinct in seen:
             assert axis in chi.tapered
             assert size == distinct <= counts[axis]
+
+
+def _affine_seeds(a, b, x):
+    """The jets at x of the components of F(x) = a x + b, over x's
+    coordinate seeds."""
+    seeds = [seed_variable(j, x) for j in range(len(b))]
+    out = []
+    for i in range(len(b)):
+        acc = seeds[0] * a[i, 0]
+        for j in range(1, len(b)):
+            acc = acc + seeds[j] * a[i, j]
+        out.append(acc + b[i])
+    return out
+
+
+def _derivatives(jet, k):
+    """The order-k derivative tensor of a jet, (dim,)*k + batch."""
+    n = jet.dim
+    return np.stack([
+        extract(jet, [axes.count(i) for i in range(n)])
+        for axes in itertools.product(range(n), repeat=k)]).reshape(
+            (n,) * k + jet.batch_shape)
+
+
+class TestChartMap:
+    """A field is a function of its seed jets: jetted on the seeds of an
+    affine chart map F(x) = a x + b it is the field composed with F, its
+    value the field's at F(x) and its derivatives the chain rule's."""
+
+    MAPS = {2: (np.array([[0.8, 0.3], [-0.2, 0.9]]), np.array([0.1, -0.05])),
+            3: (np.array([[0.9, 0.2, -0.1], [0.15, 0.8, 0.25],
+                          [-0.3, 0.1, 1.1]]), np.array([0.05, -0.1, 0.2]))}
+
+    @staticmethod
+    def _fields(e):
+        n = e.space.dim
+        src = "sin(x)*exp(y/3) + x^2*y" + (" - z*cos(x*z)" if n == 3 else "")
+        expr = ExprField(src, n)
+        return [expr, ConstField(n, 2.5),
+                expr / ExprField("2 + cos(x*y)", n) - 0.5 * expr,
+                CutoffField(e.cutoff), e.neumann_family()[0].field]
+
+    @pytest.mark.parametrize("name", ["half_space", "ball3"])
+    def test_jet_on_affine_seeds_is_the_chain_rule(self, entry, name):
+        e = entry(name)
+        a, b = self.MAPS[e.space.dim]
+        y = e.interior_points()[:, ::25]
+        seeds = _affine_seeds(a, b, np.linalg.solve(a, y - b[:, None]))
+        fy = np.stack([s.value for s in seeds])  # F(x) as the seeds hold it
+        for f in self._fields(e):
+            got, at_fy = f._jet(seeds), f.jet(fy)
+            assert got.value.tobytes() == at_fy.value.tobytes(), f
+            for k in (1, 2, 3):
+                want = _derivatives(at_fy, k)
+                for _ in range(k):  # d/dx_a = sum_i a[i, a] d/dy_i
+                    want = np.moveaxis(np.tensordot(a, want, ([0], [0])),
+                                       0, k - 1)
+                err = np.abs(_derivatives(got, k) - want).max()
+                assert err <= 1e-12 * np.abs(want).max(), (f, k)
