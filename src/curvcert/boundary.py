@@ -153,13 +153,6 @@ class NeumannTestFunction:
 
     base: ScalarField          # the raw ingredient w
     field: ScalarField         # cutoff * (w - collar * phi * q)
-    cutoff: CutoffSpec
-    collars: tuple = ()
-    label: str = ""
-
-    @property
-    def dim(self) -> int:
-        return self.field.dim
 
 
 def _symbolic_adjugate(metric_asts):
@@ -202,8 +195,7 @@ def _require_expr(field: ScalarField, what: str):
 
 
 def make_neumann(space: WeightedSpace, w: ScalarField, cutoff: CutoffSpec,
-                 collars: Sequence[CutoffSpec] = (), label: str = ""
-                 ) -> NeumannTestFunction:
+                 collars: Sequence[CutoffSpec] = ()) -> NeumannTestFunction:
     """Exact-correction Neumann field chi * (w - collar * phi * q).
 
     ``q = Gamma(phi, w)/Gamma(phi, phi)`` is built symbolically (the
@@ -238,8 +230,7 @@ def make_neumann(space: WeightedSpace, w: ScalarField, cutoff: CutoffSpec,
             collar_sum = collar_sum + CutoffField(spec)
         correction = collar_sum * correction
     field = CutoffField(cutoff) * (w - correction)
-    return NeumannTestFunction(base=w, field=field, cutoff=cutoff,
-                               collars=tuple(collars), label=label)
+    return NeumannTestFunction(base=w, field=field)
 
 
 def neumann_residual(bframe: BoundaryFrame, field: ScalarField) -> np.ndarray:

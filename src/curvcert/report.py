@@ -70,7 +70,7 @@ class Target:
         cutoff = self.require_cutoff()
         src = w_src if w_src is not None else self.neumann_bases[0]
         g = make_neumann(self.space, ExprField(src, self.space.dim),
-                         cutoff, self.collars, label=src)
+                         cutoff, self.collars)
         key = (src, self.plan.interior_counts)
         if key in self._nonzero:
             return g

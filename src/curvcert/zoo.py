@@ -15,6 +15,9 @@ Entries (parameters in brackets):
 * ``poincare_cap(rho)``   -- hyperbolic disk (conformal factor
                              4/(1-rho^2)^2), rho < cap radius
 * ``ball3(R)``            -- Euclidean 3-ball (spherical chart)
+
+The four polar entries (ball, annulus, hemisphere, poincare_cap) are
+parameter sets of one builder, ``_polar``, on one chart skeleton.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .verify import SamplePlan, interior_grid
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2.0
+Range = Tuple[float, float]  # an interval of one chart axis
 
 # On periodic charts the angle axis carries no cutoff at all: every
 # base/test field is chosen 2*pi-periodic, so the integrands are
@@ -60,7 +64,7 @@ class ZooEntry:
 
     def neumann(self, w_src: str) -> NeumannTestFunction:
         return make_neumann(self.space, ExprField(w_src, self.space.dim),
-                            self.cutoff, self.neumann_collars, label=w_src)
+                            self.cutoff, self.neumann_collars)
 
     def neumann_family(self) -> List[NeumannTestFunction]:
         return [self.neumann(w) for w in self.neumann_bases]
@@ -171,182 +175,126 @@ def _half_space(weighted: bool) -> ZooEntry:
                    "1 + 0.1*y", "cos(0.5*x)"])
 
 
-def _ball(R: float) -> ZooEntry:
-    _require(R > 0, f"ball radius must be positive, got {R}")
-    dim = 2
+def _radial_spec(inner: Range, outer: Range) -> CutoffSpec:
+    return _spec(inner=(inner, _FULL_ANGLE), outer=(outer, _FULL_ANGLE))
+
+
+# the test densities' factors on every polar entry: 2*pi-periodic in the
+# angle, so the integrands stay analytic there (see ``_FULL_ANGLE``)
+_POLAR_H_SOURCES = ("1 + 0.3*sin(y)", "1 + 0.2*x", "x^2", "1 + 0.1*x*cos(y)",
+                    "1 + 0.2*sin(2*y)")
+
+
+def _polar(name: str, label: str, metric: Tuple[str, str], phi: str,
+           radial: Range, circles: Sequence[Tuple[float, str]],
+           cutoff: Tuple[Range, Range], curvature: Tuple[float, str],
+           geodesic_curvature: Tuple[float, str], bases: List[str],
+           collars: Sequence[Tuple[Range, Range]] = (),
+           quad_radial: int = 224) -> ZooEntry:
+    """An unweighted 2-D entry on the polar chart ``radial`` x (0, 2*pi)
+    in (x, y) = (radius, angle), with the diagonal metric
+    ``metric`` = (g_xx, g_yy) and the defining function ``phi``.
+
+    Each ``(radius, label)`` of ``circles`` is a boundary circle, and
+    ``cutoff`` and each of ``collars`` an (inner, outer) pair of radial
+    ranges: they taper in the radius only.  ``curvature`` is the Gauss
+    curvature K (Ricci = K g) and ``geodesic_curvature`` the boundary's
+    II, each a (value, provenance) pair; a boundary curve's II has one
+    eigenvalue, which is also its trace."""
     space = WeightedSpace(
-        dim=dim, metric=_diag_metric(dim, ["1", "x^2"]),
-        weight=ConstField(dim, 0.0),
-        defining_fn=ExprField(f"x - {R!r}", dim),
-        chart_box=[(0.1 * R, R), (0.0, TWO_PI)],
+        dim=2, metric=_diag_metric(2, metric), weight=ConstField(2, 0.0),
+        defining_fn=ExprField(phi, 2), chart_box=[radial, (0.0, TWO_PI)],
         boundary_patches=[BoundaryPatch(
             param_box=[(0.0, TWO_PI)],
-            maps=[ExprField(f"{R!r}", 1), ExprField("x", 1)],
-            label="rho=R")],
-        label=f"ball(R={R})")
-    cutoff = _spec(inner=((0.6 * R, R), _FULL_ANGLE),
-                   outer=((0.15 * R, R), _FULL_ANGLE))
+            maps=[ExprField(f"{rho!r}", 1), ExprField("x", 1)], label=where)
+            for rho, where in circles],
+        label=label)
+    (k, k_source), (kappa, kappa_source) = curvature, geodesic_curvature
     expected = {
-        "k_interior": 0.0,
-        "lambda_min_ii": 1.0 / R,
-        "tr_ii": 1.0 / R,
-        "strong_flat": False,
-        "minimal_trace": False,
+        "k_interior": k,
+        "lambda_min_ii": kappa,
+        "tr_ii": kappa,
+        "strong_flat": k == 0.0 and kappa == 0.0,
+        "minimal_trace": kappa == 0.0,
     }
-    provenance = {
-        "k_interior": "TRIVIAL: flat metric in polar coordinates",
-        "lambda_min_ii": "DERIVED: finite-difference normal oracle; "
-                         "classical circle curvature 1/R",
-        "tr_ii": "DERIVED: same oracle",
-    }
+    provenance = {"k_interior": k_source, "lambda_min_ii": kappa_source,
+                  "tr_ii": "DERIVED: same oracle"}
     return ZooEntry(
-        name="ball", space=space, expected=expected, provenance=provenance,
+        name=name, space=space, expected=expected, provenance=provenance,
         plan=SamplePlan(interior_counts=(24, 24), boundary_counts=(96,),
-                        quad_interior=(224, 32), quad_boundary=(256,)),
-        cutoff=cutoff,
-        neumann_bases=["0.4*sin(y)", "0.4*x*cos(y)", "0.3*x^2",
-                       "0.3*x*sin(y)", "0.25*x^2*cos(y)"],
-        h_sources=["1 + 0.3*sin(y)", "1 + 0.2*x", "x^2",
-                   "1 + 0.1*x*cos(y)", "1 + 0.2*sin(2*y)"])
+                        quad_interior=(quad_radial, 32),
+                        quad_boundary=(256,)),
+        cutoff=_radial_spec(*cutoff),
+        neumann_bases=bases,
+        neumann_collars=tuple(_radial_spec(*c) for c in collars),
+        h_sources=list(_POLAR_H_SOURCES))
+
+
+def _ball(R: float) -> ZooEntry:
+    _require(R > 0, f"ball radius must be positive, got {R}")
+    return _polar(
+        "ball", f"ball(R={R})", metric=("1", "x^2"), phi=f"x - {R!r}",
+        radial=(0.1 * R, R), circles=[(R, "rho=R")],
+        cutoff=((0.6 * R, R), (0.15 * R, R)),
+        curvature=(0.0, "TRIVIAL: flat metric in polar coordinates"),
+        geodesic_curvature=(1.0 / R, "DERIVED: finite-difference normal "
+                            "oracle; classical circle curvature 1/R"),
+        bases=["0.4*sin(y)", "0.4*x*cos(y)", "0.3*x^2", "0.3*x*sin(y)",
+               "0.25*x^2*cos(y)"])
 
 
 def _annulus(r: float, R: float) -> ZooEntry:
     _require(0 < r < R, f"annulus needs 0 < r < R, got r={r}, R={R}")
-    dim = 2
-    space = WeightedSpace(
-        dim=dim, metric=_diag_metric(dim, ["1", "x^2"]),
-        weight=ConstField(dim, 0.0),
-        defining_fn=ExprField(f"(x - {r!r})*(x - {R!r})", dim),
-        chart_box=[(r, R), (0.0, TWO_PI)],
-        boundary_patches=[
-            BoundaryPatch(param_box=[(0.0, TWO_PI)],
-                          maps=[ExprField(f"{r!r}", 1), ExprField("x", 1)],
-                          label="inner"),
-            BoundaryPatch(param_box=[(0.0, TWO_PI)],
-                          maps=[ExprField(f"{R!r}", 1), ExprField("x", 1)],
-                          label="outer"),
-        ],
-        label=f"annulus(r={r},R={R})")
     w = R - r
-    cutoff = _spec(inner=((r, R), _FULL_ANGLE),
-                   outer=((r, R), _FULL_ANGLE))
-    # correction collars hug each boundary circle, away from the
-    # mid-annulus critical point of phi where Gamma(phi,phi) = 0
-    collars = (
-        _spec(inner=((r, r + 0.15 * w), (0.0, TWO_PI)),
-              outer=((r, r + 0.44 * w), (0.0, TWO_PI))),
-        _spec(inner=((R - 0.15 * w, R), (0.0, TWO_PI)),
-              outer=((R - 0.44 * w, R), (0.0, TWO_PI))),
-    )
-    expected = {
-        "k_interior": 0.0,
-        "lambda_min_ii": -1.0 / r,
-        "tr_ii": -1.0 / r,
-        "strong_flat": False,
-        "minimal_trace": False,
-    }
-    provenance = {
-        "k_interior": "TRIVIAL: flat metric",
-        "lambda_min_ii": "DERIVED: finite-difference normal oracle on the "
-                         "inner circle; sign fixed by the outward convention",
-        "tr_ii": "DERIVED: same oracle",
-    }
-    return ZooEntry(
-        name="annulus", space=space, expected=expected,
-        provenance=provenance,
-        plan=SamplePlan(interior_counts=(24, 24), boundary_counts=(96,),
-                        quad_interior=(224, 32), quad_boundary=(256,)),
-        cutoff=cutoff, neumann_collars=collars,
-        neumann_bases=["0.4*sin(y)", "0.4*x*cos(y)", "0.3*x^2",
-                       "0.3*x*sin(y)", "0.3*x"],
-        h_sources=["1 + 0.3*sin(y)", "1 + 0.2*x", "x^2",
-                   "1 + 0.1*x*cos(y)", "1 + 0.2*sin(2*y)"])
+    return _polar(
+        "annulus", f"annulus(r={r},R={R})", metric=("1", "x^2"),
+        phi=f"(x - {r!r})*(x - {R!r})", radial=(r, R),
+        circles=[(r, "inner"), (R, "outer")], cutoff=((r, R), (r, R)),
+        # correction collars hug each boundary circle, away from the
+        # mid-annulus critical point of phi where Gamma(phi,phi) = 0
+        collars=(((r, r + 0.15 * w), (r, r + 0.44 * w)),
+                 ((R - 0.15 * w, R), (R - 0.44 * w, R))),
+        curvature=(0.0, "TRIVIAL: flat metric"),
+        geodesic_curvature=(-1.0 / r, "DERIVED: finite-difference normal "
+                            "oracle on the inner circle; sign fixed by the "
+                            "outward convention"),
+        bases=["0.4*sin(y)", "0.4*x*cos(y)", "0.3*x^2", "0.3*x*sin(y)",
+               "0.3*x"])
 
 
 def _hemisphere(r: float) -> ZooEntry:
     _require(r > 0, f"hemisphere radius must be positive, got {r}")
-    dim = 2
-    space = WeightedSpace(
-        dim=dim,
-        metric=_diag_metric(dim, [f"{r * r!r}", f"{r * r!r}*sin(x)^2"]),
-        weight=ConstField(dim, 0.0),
-        defining_fn=ExprField(f"x - {HALF_PI!r}", dim),
-        chart_box=[(0.2, HALF_PI), (0.0, TWO_PI)],
-        boundary_patches=[BoundaryPatch(
-            param_box=[(0.0, TWO_PI)],
-            maps=[ExprField(f"{HALF_PI!r}", 1), ExprField("x", 1)],
-            label="equator")],
-        label=f"hemisphere(r={r})")
-    # supports stay away from the chart singularity at the pole theta=0
-    cutoff = _spec(inner=((0.9, HALF_PI), _FULL_ANGLE),
-                   outer=((0.35, HALF_PI), _FULL_ANGLE))
-    expected = {
-        "k_interior": 1.0 / (r * r),
-        "lambda_min_ii": 0.0,
-        "tr_ii": 0.0,
-        "strong_flat": False,
-        "minimal_trace": True,
-    }
-    provenance = {
-        "k_interior": "DERIVED: finite-difference Christoffel oracle; "
-                      "round-sphere Ricci = (1/r^2) g",
-        "lambda_min_ii": "DERIVED: equator is totally geodesic",
-        "tr_ii": "DERIVED: same oracle",
-    }
-    return ZooEntry(
-        name="hemisphere", space=space, expected=expected,
-        provenance=provenance,
-        plan=SamplePlan(interior_counts=(24, 24), boundary_counts=(96,),
-                        quad_interior=(256, 32), quad_boundary=(256,)),
-        cutoff=cutoff,
-        neumann_bases=["0.4*sin(x)*sin(y)", "0.4*sin(x)*cos(y)",
-                       "0.5*cos(x)", "0.3*x*sin(y)", "0.25*x^2"],
-        h_sources=["1 + 0.3*sin(y)", "1 + 0.2*x", "x^2",
-                   "1 + 0.1*x*cos(y)", "1 + 0.2*sin(2*y)"])
+    return _polar(
+        "hemisphere", f"hemisphere(r={r})",
+        metric=(f"{r * r!r}", f"{r * r!r}*sin(x)^2"),
+        phi=f"x - {HALF_PI!r}", radial=(0.2, HALF_PI),
+        circles=[(HALF_PI, "equator")],
+        # supports stay away from the chart singularity at the pole theta=0
+        cutoff=((0.9, HALF_PI), (0.35, HALF_PI)),
+        curvature=(1.0 / (r * r), "DERIVED: finite-difference Christoffel "
+                   "oracle; round-sphere Ricci = (1/r^2) g"),
+        geodesic_curvature=(0.0, "DERIVED: equator is totally geodesic"),
+        bases=["0.4*sin(x)*sin(y)", "0.4*sin(x)*cos(y)", "0.5*cos(x)",
+               "0.3*x*sin(y)", "0.25*x^2"],
+        quad_radial=256)
 
 
 def _poincare_cap(rho: float) -> ZooEntry:
     _require(0 < rho < 1, f"poincare_cap needs 0 < rho < 1, got {rho}")
-    dim = 2
-    space = WeightedSpace(
-        dim=dim,
-        metric=_diag_metric(dim, ["4/(1 - x^2)^2", "4*x^2/(1 - x^2)^2"]),
-        weight=ConstField(dim, 0.0),
-        defining_fn=ExprField(f"x - {rho!r}", dim),
-        chart_box=[(0.1 * rho, rho), (0.0, TWO_PI)],
-        boundary_patches=[BoundaryPatch(
-            param_box=[(0.0, TWO_PI)],
-            maps=[ExprField(f"{rho!r}", 1), ExprField("x", 1)],
-            label="cap")],
-        label=f"poincare_cap(rho={rho})")
-    cutoff = _spec(inner=((0.6 * rho, rho), _FULL_ANGLE),
-                   outer=((0.15 * rho, rho), _FULL_ANGLE))
-    expected = {
-        "k_interior": -1.0,
+    return _polar(
+        "poincare_cap", f"poincare_cap(rho={rho})",
+        metric=("4/(1 - x^2)^2", "4*x^2/(1 - x^2)^2"), phi=f"x - {rho!r}",
+        radial=(0.1 * rho, rho), circles=[(rho, "cap")],
+        cutoff=((0.6 * rho, rho), (0.15 * rho, rho)),
+        curvature=(-1.0, "DERIVED: finite-difference curvature oracle; "
+                   "hyperbolic plane Ricci = -g"),
         # geodesic curvature of the hyperbolic circle of Euclidean
         # radius rho in the disk model
-        "lambda_min_ii": (1.0 + rho * rho) / (2.0 * rho),
-        "tr_ii": (1.0 + rho * rho) / (2.0 * rho),
-        "strong_flat": False,
-        "minimal_trace": False,
-    }
-    provenance = {
-        "k_interior": "DERIVED: finite-difference curvature oracle; "
-                      "hyperbolic plane Ricci = -g",
-        "lambda_min_ii": "DERIVED: finite-difference normal oracle; "
-                         "coth of the hyperbolic radius",
-        "tr_ii": "DERIVED: same oracle",
-    }
-    return ZooEntry(
-        name="poincare_cap", space=space, expected=expected,
-        provenance=provenance,
-        plan=SamplePlan(interior_counts=(24, 24), boundary_counts=(96,),
-                        quad_interior=(224, 32), quad_boundary=(256,)),
-        cutoff=cutoff,
-        neumann_bases=["0.4*sin(y)", "0.4*x*cos(y)", "0.3*x^2",
-                       "0.3*x*sin(y)", "0.25*x^2*cos(y)"],
-        h_sources=["1 + 0.3*sin(y)", "1 + 0.2*x", "x^2",
-                   "1 + 0.1*x*cos(y)", "1 + 0.2*sin(2*y)"])
+        geodesic_curvature=((1.0 + rho * rho) / (2.0 * rho),
+                            "DERIVED: finite-difference normal oracle; "
+                            "coth of the hyperbolic radius"),
+        bases=["0.4*sin(y)", "0.4*x*cos(y)", "0.3*x^2", "0.3*x*sin(y)",
+               "0.25*x^2*cos(y)"])
 
 
 def _ball3(R: float) -> ZooEntry:

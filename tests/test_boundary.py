@@ -219,4 +219,4 @@ class TestNeumannFactory:
             for nt in e.neumann_family():
                 for bf in frames:
                     res = np.asarray(neumann_residual(bf, nt.field))
-                    assert np.max(np.abs(res)) < 1e-8, (name, nt.label)
+                    assert np.max(np.abs(res)) < 1e-8, (name, nt.base.source)

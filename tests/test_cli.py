@@ -74,6 +74,23 @@ class TestCheck:
                              "--w", "x*cos(y)", "--raw-field")
         assert code == 0
 
+    def test_laplacian_raw_field_boundary_term(self, capsys):
+        # the raw field's flux is a term of the weak Laplacian formula, as
+        # of Green's, not a Neumann leak: both read the same residual
+        args = ("--zoo", "ball", "--w", "x*cos(y)", "--raw-field",
+                "--h", "1+0.2*cos(y)")
+        code, out, err = run(capsys, "check", "laplacian", *args)
+        assert (code, err) == (0, "")
+        assert out.startswith("[PASS] mv_laplacian: residual ")
+        assert run(capsys, "check", "green", *args) == (
+            0, out.replace("mv_laplacian", "green"), "")
+
+    def test_ii_raw_field_gate(self, capsys):
+        code, out, err = run(capsys, "check", "ii", "--zoo", "ball",
+                             "--w", "x*cos(y)", "--raw-field")
+        assert (code, out) == (2, "")
+        assert "hypothesis" in err
+
     def test_bad_expression_offset(self, capsys):
         code, out, err = run(capsys, "check", "green", "--zoo", "ball",
                              "--h", "1 + (x")
@@ -139,7 +156,7 @@ class TestCheck:
         target = report.target_from_config(config.load_config(str(p)))
         with pytest.raises(config.ConfigError):
             target.neumann("x - 1")
-        assert target.neumann().label == "0.3*x"
+        assert target.neumann().base.source == "0.3*x"
 
 
     @pytest.mark.parametrize("raw", [(), ("--raw-field",)])

@@ -1,10 +1,13 @@
-"""The benchmark's tracer finds every function it wraps.
+"""The benchmark's tracer finds every function it wraps, and the
+arguments its hooks read.
 
-``perfbench/layers.py`` wraps curvcert functions by name, so a rename in
-``src/`` would otherwise surface only in a traced benchmark run.
+``perfbench/layers.py`` wraps curvcert functions by name and reads some
+of their arguments by position, so a rename or a reordering in ``src/``
+would otherwise surface only in a traced benchmark run, or not at all.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 from curvcert import (boundary, fields, geometry, quadrature, report, verify,
@@ -79,3 +82,23 @@ def test_suite_gate_is_traced():
     finally:
         tracer.uninstall()
     assert tracer.calls["verify.neumann_gate"] == 1
+
+
+def test_tracer_argument_positions():
+    # the tracer's hooks read these arguments by position, and assume the
+    # interior chunk size; a drift would miscount its layers silently
+    def name_at(fn, pos):
+        return list(inspect.signature(fn).parameters)[pos]
+
+    jets = [cls.jet for cls in vars(fields).values()
+            if isinstance(cls, type) and issubclass(cls, fields.ScalarField)
+            and "jet" in vars(cls)]
+    assert fields.ScalarField.jet in jets
+    for fn in [geometry.frame_at] + jets:
+        assert name_at(fn, 1) == "x", fn
+    assert name_at(quadrature.integrate_interior, 2) == "counts"
+    assert name_at(quadrature.integrate_boundary, 2) == "patch"
+    assert name_at(quadrature.integrate_boundary, 3) == "counts"
+    assert name_at(verify.decomposition_batch, 3) == "quad_interior"
+    assert name_at(verify.decomposition_batch, 4) == "quad_boundary"
+    assert quadrature.CHUNK == 16384

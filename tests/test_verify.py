@@ -30,8 +30,7 @@ class TestGate:
         # skip the exact correction: chi * w has a boundary-normal gradient
         raw = NeumannTestFunction(
             base=ExprField("x*cos(y)", 2),
-            field=CutoffField(ball.cutoff) * ExprField("x*cos(y)", 2),
-            cutoff=ball.cutoff, label="corrupted")
+            field=CutoffField(ball.cutoff) * ExprField("x*cos(y)", 2))
         frames = frames_of(ball)
         with pytest.raises(GateError, match="hypothesis"):
             neumann_gate(raw, frames)
@@ -112,8 +111,7 @@ class TestGreenAndLaplacian:
     def test_mv_laplacian_leak_flagged(self, ball):
         leaky = NeumannTestFunction(
             base=ExprField("x^2", 2),
-            field=CutoffField(ball.cutoff) * ExprField("x^2", 2),
-            cutoff=ball.cutoff, label="leaky")
+            field=CutoffField(ball.cutoff) * ExprField("x^2", 2))
         r = check_mv_laplacian(ball.space, leaky, ball.h_fields()[0],
                                ball.plan.quad_interior,
                                ball.plan.quad_boundary)
@@ -435,8 +433,7 @@ class TestOneFormula:
         # field that is not Neumann, so that its flux is not 0
         base = ExprField("x*cos(y)", 2)
         g = NeumannTestFunction(base=base,
-                                field=CutoffField(ball.cutoff) * base,
-                                cutoff=ball.cutoff, label="raw")
+                                field=CutoffField(ball.cutoff) * base)
         frames, plan = frames_of(ball), ball.plan
 
         def consumers():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from curvcert import zoo
+from curvcert import report, zoo
 from curvcert.geometry import NodeGeometry
 from curvcert.verify import (boundary_grid, certify, check_bochner,
                              check_green, check_ii_identity,
-                             check_mv_laplacian, check_ricci_decomposition)
+                             check_mv_laplacian, check_ricci_decomposition,
+                             weak_checks)
 from oracles import fd_partial
 
 ALL_NAMES = ["annulus", "ball", "ball3", "gaussian_half_space", "half_space",
@@ -181,3 +182,38 @@ class TestEntryPlumbing:
         assert len(e.space.boundary_patches) == 2
         labels = {p.label for p in e.space.boundary_patches}
         assert len(labels) == 2
+
+
+# The decomposition residuals of annulus's bases that fail at its plan:
+# the identity holds (doubling the 224 radial nodes takes 0.3*x to
+# 6.9e-8), but the order-3 terms are under-resolved through the collars'
+# steep tapers.  ROADMAP item 10(a) fixes the plan.
+ANNULUS_UNRESOLVED = {"0.4*x*cos(y)": 4.62e-3, "0.3*x^2": 1.17e-2,
+                      "0.3*x*sin(y)": 2.60e-3, "0.3*x": 5.19e-3}
+
+
+def _every_base():
+    for name in ALL_NAMES:
+        for w in zoo.load(name).neumann_bases:
+            marks = ()
+            if name == "annulus" and w in ANNULUS_UNRESOLVED:
+                marks = pytest.mark.xfail(
+                    strict=True, raises=AssertionError, reason=(
+                        f"ricci_decomposition residual "
+                        f"{ANNULUS_UNRESOLVED[w]:.2e} at the plan's 224 "
+                        f"radial nodes (ROADMAP item 10(a))"))
+            yield pytest.param(name, w, marks=marks, id=f"{name}-{w}")
+
+
+@pytest.mark.parametrize("name,w", _every_base())
+def test_every_declared_base_passes_the_weak_checks(entry, name, w):
+    # run_suite reads only the first base; every declared base is a
+    # witness the entry offers, so each must pass at the entry's plan
+    target = report.target_from_zoo(entry(name))
+    plan = target.plan
+    results = weak_checks(
+        target.space, target.neumann(w), target.h_field(),
+        boundary_grid(target.space, plan.boundary_counts),
+        plan.quad_interior, plan.quad_boundary)
+    failed = [str(r) for r in results if not r.passed]
+    assert not failed, failed
