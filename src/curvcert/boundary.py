@@ -29,7 +29,7 @@ import numpy as np
 from . import exprlang
 from .exprlang import add, differentiate, div, mul, simplify, sub
 from .fields import ConstField, CutoffField, CutoffSpec, ExprField, ScalarField
-from .geometry import GRAD_PHI_FLOOR, NodeGeometry, WeightedSpace
+from .geometry import GRAD_PHI_FLOOR, NodeGeometry, WeightedSpace, jet_sum
 from .jets import Jet
 
 ON_BOUNDARY_TOL = 1e-10
@@ -108,23 +108,14 @@ def normal_field_jets(geom: NodeGeometry) -> List[Jet]:
     n = geom.space.dim
     jphi = geom.space.defining_fn.jet(geom.x, 2)
     dphi = [jphi.partial(i) for i in range(n)]
-    up = []
-    for k in range(n):
-        acc = None
-        for j in range(n):
-            t = geom.jginv[k][j] * dphi[j]
-            acc = t if acc is None else acc + t
-        up.append(acc)
-    norm2 = None
-    for i in range(n):
-        t = dphi[i] * up[i]
-        norm2 = t if norm2 is None else norm2 + t
+    up = [jet_sum(zip(geom.jginv[k], dphi)) for k in range(n)]
+    norm2 = jet_sum(zip(dphi, up))
     if np.any(norm2.value < GRAD_PHI_FLOOR**2):
         raise BoundaryError(
             f"degenerate defining-function gradient: |grad phi|_g = "
             f"{np.sqrt(np.min(norm2.value)):.3e} < {GRAD_PHI_FLOOR}")
     inv_norm = norm2 ** -0.5
-    return [u * inv_norm for u in up]
+    return [jet_sum([(u, inv_norm)]) for u in up]
 
 
 def second_fundamental_form(bframe: BoundaryFrame) -> np.ndarray:

@@ -33,7 +33,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import exprlang
-from .jets import MAX_ORDER, Jet, JetDomainError, ncoeffs, seed_variable
+from .jets import MAX_ORDER, Jet, JetDomainError, seed_variable
 
 Box = Sequence[Tuple[float, float]]
 Lines = Optional[Sequence[np.ndarray]]
@@ -53,8 +53,8 @@ class ScalarField:
         ``lines``, the axis lines of the tensor grid whose nodes x lists
         in C order (line i shaped to broadcast along axis i only), it is
         jetted on the lines and comes back at the broadcast shape of the
-        axes it reads.  A domain error is an EvalError naming x either
-        way."""
+        axes it reads.  A domain error is an EvalError naming the first
+        point of x, in x's order, where the field leaves its domain."""
         x = np.asarray(x, dtype=float)
         if lines is None:
             seeds = [seed_variable(i, x) for i in range(x.shape[0])]
@@ -64,8 +64,7 @@ class ScalarField:
         try:
             return self._jet([s.truncate(order) for s in seeds])
         except JetDomainError as exc:
-            where = (tuple(float(v) for v in x) if x.ndim == 1
-                     else f"batch of {x.shape[1]} points")
+            where = _point_of(x, lines, exc.index)
             raise exprlang.EvalError(f"{exc} at point {where}") from exc
 
     def _jet(self, seeds: Sequence[Jet]) -> Jet:
@@ -98,6 +97,19 @@ class ScalarField:
 
     def __neg__(self):
         return _BinField("-", ConstField(self.dim, 0.0), self)
+
+
+def _point_of(x: np.ndarray, lines: Lines, index: Tuple[int, ...]) -> tuple:
+    """The point of x at entry ``index`` of a jet's batch: that batch
+    broadcasts against x's (or, on lines, against the grid x lists in C
+    order), so an axis of size 1 is read at its only entry, the first
+    node along it."""
+    if x.ndim == 1:
+        return tuple(float(v) for v in x)
+    grid = x.shape[1:] if lines is None else \
+        np.broadcast_shapes(*(line.shape for line in lines))
+    node = np.ravel_multi_index((0,) * (len(grid) - len(index)) + index, grid)
+    return tuple(float(v) for v in x.reshape(len(x), -1)[:, node])
 
 
 def _coerce(v, dim) -> "ScalarField":
@@ -283,10 +295,7 @@ class CutoffField(ScalarField):
         for i in self.tapered:
             c = self._axis_coeffs(seeds[i].value, i, order)
             out = out * seeds[i].compose(c)
-        # Horner leaves -0.0 where a negative coefficient met a zero slot
-        # of the seed; adding +0.0 clears it, so that leaving out the
-        # factor of an untapered axis (exactly 1) changes no bit
-        return out + Jet(self.dim, np.zeros(ncoeffs(self.dim)))
+        return out
 
     def __repr__(self):
         return f"CutoffField(inner={self.spec.inner}, outer={self.spec.outer})"

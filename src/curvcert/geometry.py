@@ -15,6 +15,12 @@ for the whole package):
   computed by running the operator arithmetic over jets of one order
   lower, never by finite differences.
 
+The tensor-index loops form their sums with ``jet_sum``, which skips
+every term with a zero-jet factor (a structural zero, such as an
+off-diagonal entry of a diagonal metric): the term costs no product, and
+each component keeps the batch shape of what it reads instead of being
+broadcast to that of its zero terms.
+
 Each quantity has one formula: g^{ij} is read off ``jet_matrix_inverse``
 (``NodeGeometry.inverse`` holds its values), the Christoffel values are
 those of ``christoffel_jets``, Hess f is formed by ``hessian_jets`` from
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,8 +84,37 @@ class WeightedSpace:
         return jg  # type: ignore[return-value]
 
 
+def jet_sum(plus: Iterable[Sequence[Jet]],
+            minus: Iterable[Sequence[Jet]] = ()) -> Jet:
+    """The sum of the products of the factor tuples in ``plus`` less those
+    in ``minus``, formed left to right: ``((p0 + p1) ... - m0) - m1``.
+    A term with a zero-jet factor is left out, product and all: it is
+    exactly zero, and adding it would only broadcast the sum to its batch.
+    With every term left out, the sum is the zero jet at the least order
+    and the broadcast batch of all the factors, as the full sum is; only
+    their shapes are kept meanwhile, not the jets."""
+    acc, skipped = None, []
+    for sign, terms in ((1, plus), (-1, minus)):
+        for factors in terms:
+            if any(f.is_zero for f in factors):
+                skipped += [(f.dim, f.order, f.batch_shape) for f in factors]
+                continue
+            t = factors[0]
+            for f in factors[1:]:
+                t = t * f
+            if sign < 0:
+                t = -t
+            acc = t if acc is None else acc + t
+    if acc is None:
+        dims, orders, batches = zip(*skipped)
+        return Jet.constant(dims[0], 0.0, np.broadcast_shapes(*batches)
+                            ).truncate(min(orders))
+    return acc
+
+
 def jet_matrix_inverse(a: List[List[Jet]]) -> List[List[Jet]]:
-    """Inverse of a jet-valued SPD matrix by Gauss-Jordan elimination."""
+    """Inverse of a jet-valued SPD matrix by Gauss-Jordan elimination; a
+    row update whose factor is the zero jet is skipped."""
     n = len(a)
     dim = a[0][0].dim
     batch = a[0][0].batch_shape
@@ -88,14 +123,15 @@ def jet_matrix_inverse(a: List[List[Jet]]) -> List[List[Jet]]:
             for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = m[col][col].reciprocal()
-        m[col] = [e * piv for e in m[col]]
-        inv[col] = [e * piv for e in inv[col]]
+        m[col] = [jet_sum([(e, piv)]) for e in m[col]]
+        inv[col] = [jet_sum([(e, piv)]) for e in inv[col]]
         for r in range(n):
-            if r == col:
-                continue
             f = m[r][col]
-            m[r] = [m[r][c] - f * m[col][c] for c in range(n)]
-            inv[r] = [inv[r][c] - f * inv[col][c] for c in range(n)]
+            if r == col or f.is_zero:
+                continue
+            m[r] = [jet_sum([(m[r][c],)], [(f, m[col][c])]) for c in range(n)]
+            inv[r] = [jet_sum([(inv[r][c],)], [(f, inv[col][c])])
+                      for c in range(n)]
     return inv
 
 
@@ -138,17 +174,17 @@ def christoffel_jets(jg: List[List[Jet]], jginv: List[List[Jet]]
     for i in range(n):
         for j in range(i, n):
             djg[i][j] = djg[j][i] = [jg[i][j].partial(l) for l in range(n)]
+    # d_i g_jl + d_j g_il - d_l g_ij, formed once for every k
+    first = {(i, j): [jet_sum([(djg[j][l][i],), (djg[i][l][j],)],
+                              [(djg[i][j][l],)]) for l in range(n)]
+             for i in range(n) for j in range(i, n)}
     out: List[List[List[Optional[Jet]]]] = [[[None] * n for _ in range(n)]
                                             for _ in range(n)]
     for k in range(n):
         for i in range(n):
             for j in range(i, n):
-                acc = None
-                for l in range(n):
-                    t = jginv[k][l] * (djg[j][l][i] + djg[i][l][j]
-                                       - djg[i][j][l])
-                    acc = t if acc is None else acc + t
-                out[k][i][j] = out[k][j][i] = 0.5 * acc
+                out[k][i][j] = out[k][j][i] = \
+                    0.5 * jet_sum(zip(jginv[k], first[i, j]))
     return out  # type: ignore[return-value]
 
 
@@ -286,10 +322,8 @@ def hessian_jets(geom: NodeGeometry, df: Sequence[Jet]
     jgam = geom.jgam
     for i in range(n):
         for j in range(n):
-            hij = df[i].partial(j)
-            for k in range(n):
-                hij = hij - jgam[k][i][j] * df[k]
-            yield i, j, hij
+            yield i, j, jet_sum([(df[i].partial(j),)],
+                                ((jgam[k][i][j], df[k]) for k in range(n)))
 
 
 def hessian(geom: NodeGeometry, f: FieldOrJet) -> np.ndarray:
@@ -309,11 +343,14 @@ def laplacian_jet(geom: NodeGeometry, df: Sequence[Jet]
     n = len(df)
     jginv = geom.jginv
     dV = [geom.jV.partial(i) for i in range(n)]
-    lf, vals = None, {}
-    for i, j, hij in hessian_jets(geom, df):
-        vals[i, j] = hij.value
-        t = jginv[i][j] * (hij - dV[i] * df[j])
-        lf = t if lf is None else lf + t
+    vals = {}
+
+    def terms():
+        for i, j, hij in hessian_jets(geom, df):
+            vals[i, j] = hij.value
+            yield jginv[i][j], jet_sum([(hij,)], [(dV[i], df[j])])
+
+    lf = jet_sum(terms())
     H = np.zeros((n, n) + np.broadcast_shapes(
         geom.sqrt_det.shape, *(v.shape for v in vals.values())))
     for (i, j), v in vals.items():
@@ -367,12 +404,8 @@ def carre_du_champ_jet(geom: NodeGeometry, df: Sequence[Jet]) -> Jet:
     first partials of f; its order is theirs, at most 2."""
     n = len(df)
     jginv = geom.jginv
-    gamma_ff = None
-    for i in range(n):
-        for j in range(n):
-            t = jginv[i][j] * df[i] * df[j]
-            gamma_ff = t if gamma_ff is None else gamma_ff + t
-    return gamma_ff
+    return jet_sum((jginv[i][j], df[i], df[j]) for i in range(n)
+                   for j in range(n))
 
 
 def gamma2_parts(geom: NodeGeometry, f: FieldOrJet) -> Gamma2Parts:

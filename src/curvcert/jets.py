@@ -3,12 +3,23 @@
 A ``Jet`` holds the value and all partial derivatives of a scalar
 quantity up to total order 3, in 1..4 chart variables, as coefficients
 indexed by multi-indices alpha (the slot for alpha holds
-``d^alpha u / alpha!``), ordered by total degree.  Storage is graded: a
-jet keeps only the slots up to its structural degree, the highest total
-degree that can be nonzero (-1 for the zero jet, 0 for a constant, 1 for
-a coordinate), and every slot above it is an exact zero.  Degrees follow
-the arithmetic, so a product with a zero or constant operand costs no
-convolution and reduced-order jets carry no dead slots.
+``d^alpha u / alpha!``), ordered by total degree.  Storage is graded
+twice over:
+
+* by degree: a jet keeps only the slots up to its structural degree,
+  the highest total degree that can be nonzero (-1 for the zero jet, 0
+  for a constant, 1 for a coordinate);
+* by variable support: a jet records the chart variables whose seeds it
+  was built from (none for a constant, ``{i}`` for the coordinate x_i,
+  the union of the operands' for a sum or product) and keeps only the
+  slots whose multi-index is zero on every other variable.
+
+Every slot a jet does not store is an exact zero.  Degrees and supports
+follow the arithmetic, so a product with a zero or constant operand
+costs no convolution, a product of jets in different variables
+multiplies only the pairs both store, and reduced-order jets carry no
+dead slots.  Within one support the stored slots are graded, so a
+truncation keeps a prefix of them.
 
 All operations are exact truncated Taylor arithmetic: sums, Leibniz
 products, quotients and composition with the elementary functions.
@@ -34,13 +45,25 @@ MAX_DIM = 4
 
 UNARY_FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 
+_NO_VARIABLES = frozenset()
+
 
 class JetError(ValueError):
     """Base error for jet arithmetic."""
 
 
 class JetDomainError(JetError):
-    """Elementary function evaluated outside its domain (log/sqrt/1/x)."""
+    """Elementary function evaluated outside its domain (log/sqrt/1/x).
+
+    ``index`` is the first entry, in C order, of the jet's batch where
+    the argument is outside the domain, given the mask ``bad`` of such
+    entries."""
+
+    def __init__(self, message: str, bad):
+        super().__init__(message)
+        bad = np.asarray(bad)
+        self.index = tuple(int(k) for k in
+                           np.unravel_index(np.argmax(bad), bad.shape))
 
 
 class JetShapeError(JetError):
@@ -51,9 +74,10 @@ def ncoeffs(dim: int) -> int:
     return math.comb(dim + MAX_ORDER, MAX_ORDER)
 
 
-def _nslots(dim: int, degree: int) -> int:
-    """Number of multi-indices with |alpha| <= degree (0 for degree -1)."""
-    return math.comb(dim + degree, degree) if degree >= 0 else 0
+def _nslots(nvars: int, degree: int) -> int:
+    """Number of multi-indices in ``nvars`` variables with |alpha| <=
+    degree (0 for degree -1)."""
+    return math.comb(nvars + degree, degree) if degree >= 0 else 0
 
 
 def _compositions(total, dim):
@@ -77,42 +101,77 @@ def multi_indices(dim: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _slot_of(dim: int):
-    return {alpha: k for k, alpha in enumerate(multi_indices(dim))}
+def _every_variable(dim: int) -> frozenset:
+    return frozenset(range(dim))
+
+
+def _index_array(values) -> np.ndarray:
+    """Read-only slot indices: the cached tables below are shared."""
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
-def _mul_plan(dim: int, deg_a: int, deg_b: int, deg_out: int) -> tuple:
-    """Leibniz terms of a product of graded jets, per output slot.
+def _indices_on(dim: int, support: frozenset) -> tuple:
+    """The multi-indices that are zero off ``support``, in slot order: the
+    slots a jet with that support stores, up to its degree."""
+    return tuple(alpha for alpha in multi_indices(dim)
+                 if all(a == 0 for i, a in enumerate(alpha)
+                        if i not in support))
 
-    One ``(k, lead, rest)`` per output slot k: ``lead`` says whether the
-    pair (0, k) is present, and ``rest`` lists the other (i, j) pairs in
-    increasing i.  Pairs that read a slot above an operand's degree are
-    structural zeros and are left out.
+
+@lru_cache(maxsize=None)
+def _slot_on(dim: int, support: frozenset) -> dict:
+    """Stored slot of each multi-index of ``_indices_on(dim, support)``."""
+    return {alpha: k for k, alpha in enumerate(_indices_on(dim, support))}
+
+
+@lru_cache(maxsize=None)
+def _embedding(dim: int, sub: frozenset, sup: frozenset) -> np.ndarray:
+    """Slot in the storage of support ``sup`` of each slot of ``sub``,
+    a subset of it."""
+    slot = _slot_on(dim, sup)
+    return _index_array([slot[alpha] for alpha in _indices_on(dim, sub)])
+
+
+@lru_cache(maxsize=None)
+def _mul_plan(dim: int, sa: frozenset, deg_a: int, sb: frozenset, deg_b: int,
+              deg_out: int) -> tuple:
+    """Leibniz terms of a product of stored slots, per output slot.
+
+    One ``(k, lead, rest)`` per slot k of the union support up to
+    ``deg_out``: ``lead`` is the slot of b paired with a's slot 0 (None
+    where b does not store it), and ``rest`` lists the other pairs (i, j)
+    both operands store, in increasing slot i of a.  Every other pair of
+    the dense table reads a slot that is an exact zero and is left out.
     """
-    idx = multi_indices(dim)
-    slot = _slot_of(dim)
-    na, nb = _nslots(dim, deg_a), _nslots(dim, deg_b)
+    a_idx = _indices_on(dim, sa)[:_nslots(len(sa), deg_a)]
+    b_slot = _slot_on(dim, sb)
+    nb = _nslots(len(sb), deg_b)
+    out = sa | sb
     plan = []
-    for k in range(_nslots(dim, deg_out)):
-        c = idx[k]
+    for k, c in enumerate(_indices_on(dim, out)[:_nslots(len(out), deg_out)]):
         rest = []
-        for i in range(1, na):
-            d = tuple(y - x for x, y in zip(idx[i], c))
-            if min(d) >= 0 and slot[d] < nb:
-                rest.append((i, slot[d]))
-        plan.append((k, k < nb, tuple(rest)))
+        for i in range(1, len(a_idx)):
+            d = tuple(y - x for x, y in zip(a_idx[i], c))
+            j = b_slot.get(d, nb) if min(d) >= 0 else nb
+            if j < nb:
+                rest.append((i, j))
+        lead = b_slot.get(c, nb)
+        plan.append((k, lead if lead < nb else None, tuple(rest)))
     return tuple(plan)
 
 
 def _product(a, b, plan, n_out, batch):
-    """Graded Leibniz product of stored slots ``a`` and ``b``.
+    """Leibniz product of stored slots ``a`` and ``b`` by ``plan``.
 
-    Each output slot is ``a[0]*b[k] + (((r0 + r1) + r2) ...)`` over the
-    plan's remaining terms r, the association ``np.add.reduceat`` gives
-    the dense pair table (the first pair of a segment plus the in-order
-    sum of the rest, fewer than eight of them).  Dropped pairs are exact
-    zeros, so the result equals the dense product bit for bit.
+    Each output slot is ``a[0]*b[lead] + (((r0 + r1) + r2) ...)`` over
+    the plan's remaining terms r, the association ``np.add.reduceat``
+    gives the dense pair table (the first pair of a segment plus the
+    in-order sum of the rest, fewer than eight of them), and a slot no
+    stored pair reaches is 0.0.  Dropped pairs are exact zeros, so the
+    result equals the dense product up to the sign of a zero.
     """
     if not batch:  # rows must be arrays to serve as out= buffers
         return _product(a[:, None], b[:, None], plan, n_out, (1,))[:, 0]
@@ -122,42 +181,63 @@ def _product(a, b, plan, n_out, batch):
     for k, lead, rest in plan:
         o = out[k]
         if rest:
-            s = acc if lead else o
+            s = o if lead is None else acc
             (i, j), more = rest[0], rest[1:]
             np.multiply(a[i], b[j], out=s)
             for i, j in more:
                 np.multiply(a[i], b[j], out=tmp)
                 np.add(s, tmp, out=s)
-        if lead:
-            np.multiply(a[0], b[k], out=o)
+        if lead is not None:
+            np.multiply(a[0], b[lead], out=o)
             if rest:
                 np.add(o, acc, out=o)
+        elif not rest:
+            o.fill(0.0)
     return out
 
 
 @lru_cache(maxsize=None)
-def _gradient_slots(dim: int) -> np.ndarray:
-    """Slot of the unit multi-index e_i for each axis i."""
-    slot = _slot_of(dim)
-    return np.array([slot[tuple(int(i == axis) for i in range(dim))]
-                     for axis in range(dim)])
+def _sum_plan(dim: int, sa: frozenset, na: int, sb: frozenset, nb: int):
+    """The slots of the union support that the first ``na`` slots of a
+    fill, then those that b's first ``nb`` fill where a stores none, with
+    their sources in b, then those both fill, with their sources in b."""
+    out = sa | sb
+    pa = _embedding(dim, sa, out)[:na]
+    pb = _embedding(dim, sb, out)[:nb]
+    shared = np.isin(pb, pa)
+    return (pa, _index_array(pb[~shared]),
+            _index_array(np.flatnonzero(~shared)), _index_array(pb[shared]),
+            _index_array(np.flatnonzero(shared)))
 
 
 @lru_cache(maxsize=None)
-def _partial_table(dim: int, axis: int, degree: int):
-    """(src, mult) so that slot k of d/dx_axis is mult[k] * c[src[k]].
+def _gradient_slots(dim: int, support: frozenset):
+    """The axes of ``support`` and the stored slot of each one's unit
+    multi-index e_i."""
+    slot = _slot_on(dim, support)
+    axes = sorted(support)
+    return (_index_array(axes),
+            _index_array([slot[tuple(int(i == axis) for i in range(dim))]
+                          for axis in axes]))
+
+
+@lru_cache(maxsize=None)
+def _partial_table(dim: int, support: frozenset, axis: int, degree: int):
+    """(src, mult) so that stored slot k of d/dx_axis is mult[k] *
+    c[src[k]], for a jet of that support (which holds ``axis``).
 
     Covers the output slots up to ``degree - 1`` of a degree-``degree``
     jet.
     """
-    idx = multi_indices(dim)
-    slot = _slot_of(dim)
+    slot = _slot_on(dim, support)
     src, mult = [], []
-    for a in idx[:_nslots(dim, degree - 1)]:
+    for a in _indices_on(dim, support)[:_nslots(len(support), degree - 1)]:
         up = tuple(x + (1 if i == axis else 0) for i, x in enumerate(a))
         src.append(slot[up])
         mult.append(a[axis] + 1)
-    return np.array(src), np.array(mult, dtype=float)
+    mult = np.array(mult, dtype=float)
+    mult.flags.writeable = False
+    return _index_array(src), mult
 
 
 def _bshape(mult, nd):
@@ -192,17 +272,19 @@ def _aligned(a: "Jet", b: "Jet"):
 class Jet:
     """Order-3 truncated Taylor value in ``dim`` chart variables.
 
-    ``stored`` has shape ``(nslots,) + batch`` and holds the slots up to
-    ``degree``; ``degree <= order``, and slots above ``order`` are not
-    part of the jet (reduced-order jets appear as intermediate results of
-    differentiation).  ``coeffs`` is the full ``(ncoeffs(dim),) + batch``
-    array, zero-padded, as a fresh copy.
+    ``support`` is the frozenset of chart variables the jet may depend on
+    (empty when ``degree <= 0``).  ``stored`` has shape ``(nslots,) +
+    batch`` and holds the slots of the multi-indices zero off the support,
+    in slot order, up to ``degree``; ``degree <= order``, and slots above
+    ``order`` are not part of the jet (reduced-order jets appear as
+    intermediate results of differentiation).  ``coeffs`` is the full
+    ``(ncoeffs(dim),) + batch`` array, zero-padded, as a fresh copy.
 
     ``Jet(dim, coeffs, order)`` takes a full coefficient array and keeps
-    its slots up to ``order``.
+    its slots up to ``order``, with every variable in its support.
     """
 
-    __slots__ = ("dim", "order", "degree", "stored")
+    __slots__ = ("dim", "order", "degree", "support", "stored")
 
     def __init__(self, dim: int, coeffs, order: int = MAX_ORDER):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -213,21 +295,26 @@ class Jet:
         self.dim = dim
         self.order = order
         self.degree = order
+        self.support = _every_variable(dim) if order > 0 else _NO_VARIABLES
         self.stored = coeffs[:_nslots(dim, order)]
 
     @classmethod
-    def _make(cls, dim: int, order: int, degree: int, stored) -> "Jet":
-        """Jet from graded slots: ``stored.shape[0] == _nslots(dim, degree)``."""
+    def _make(cls, dim: int, order: int, degree: int, stored,
+              support: frozenset) -> "Jet":
+        """Jet from graded slots on ``support``: ``stored.shape[0] ==
+        _nslots(len(support), degree)``."""
         jet = object.__new__(cls)
         jet.dim = dim
         jet.order = order
         jet.degree = degree
+        jet.support = support if degree > 0 else _NO_VARIABLES
         jet.stored = stored
         return jet
 
     @classmethod
     def _zero(cls, dim: int, order: int, batch_shape) -> "Jet":
-        return cls._make(dim, order, -1, np.empty((0,) + batch_shape))
+        return cls._make(dim, order, -1, np.empty((0,) + batch_shape),
+                         _NO_VARIABLES)
 
     # -- constructors -------------------------------------------------
 
@@ -241,12 +328,13 @@ class Jet:
         if value.ndim == 0 and value == 0.0:
             return Jet._zero(dim, MAX_ORDER, shape)
         return Jet._make(dim, MAX_ORDER, 0,
-                         np.broadcast_to(value, (1,) + shape))
+                         np.broadcast_to(value, (1,) + shape), _NO_VARIABLES)
 
     @property
     def coeffs(self):
         out = np.zeros((ncoeffs(self.dim),) + self.batch_shape)
-        out[:self.stored.shape[0]] = self.stored
+        slots = _embedding(self.dim, self.support, _every_variable(self.dim))
+        out[slots[:self.stored.shape[0]]] = self.stored
         return out
 
     @property
@@ -259,6 +347,11 @@ class Jet:
     def batch_shape(self):
         return self.stored.shape[1:]
 
+    @property
+    def is_zero(self) -> bool:
+        """Whether this is the zero jet, which stores no slot."""
+        return self.degree < 0
+
     # -- helpers ------------------------------------------------------
 
     def _check_mate(self, other: "Jet"):
@@ -269,8 +362,9 @@ class Jet:
     def truncate(self, order: int) -> "Jet":
         order = min(order, self.order)
         degree = min(self.degree, order)
-        return Jet._make(self.dim, order, degree,
-                         self.stored[:_nslots(self.dim, degree)])
+        n = _nslots(len(self.support), degree)
+        return Jet._make(self.dim, order, degree, self.stored[:n],
+                         self.support)
 
     # -- ring operations ----------------------------------------------
 
@@ -280,33 +374,44 @@ class Jet:
             order = min(self.order, other.order)
             a, b, batch = _aligned(self, other)
             if self.degree <= other.degree:
-                lo, hi, hi_slots = self, other, b
+                lo, hi, lo_slots, hi_slots = self, other, a, b
             else:
-                lo, hi, hi_slots = other, self, a
+                lo, hi, lo_slots, hi_slots = other, self, b, a
             degree = min(hi.degree, order)
-            n = _nslots(self.dim, degree)
-            n_lo = _nslots(self.dim, min(lo.degree, degree))
+            support = lo.support | hi.support
+            n = _nslots(len(support), degree)
+            n_lo = _nslots(len(lo.support), min(lo.degree, degree))
             if n_lo == 0:
                 stored = hi_slots[:n]
                 if stored.shape[1:] != batch:
                     stored = np.broadcast_to(stored, (n,) + batch)
-            else:
+            elif lo.support == hi.support or lo.degree == 0:
+                # one layout: lo's slots are a prefix of hi's
                 stored = np.empty((n,) + batch)
                 np.add(a[:n_lo], b[:n_lo], out=stored[:n_lo])
                 stored[n_lo:] = hi_slots[n_lo:n]
-            return Jet._make(self.dim, order, degree, stored)
+            else:
+                n_hi = _nslots(len(hi.support), degree)
+                pa, pb, ib, pab, iab = _sum_plan(
+                    self.dim, lo.support, n_lo, hi.support, n_hi)
+                stored = np.zeros((n,) + batch)  # slots neither stores
+                stored[pa] = lo_slots[:n_lo]
+                stored[pb] = hi_slots[ib]
+                stored[pab] += hi_slots[iab]
+            return Jet._make(self.dim, order, degree, stored, support)
         degree = max(self.degree, 0)
-        n = _nslots(self.dim, degree)
+        n = _nslots(len(self.support), degree)
         batch = np.broadcast_shapes(self.batch_shape, np.shape(other))
         stored = np.empty((n,) + batch)
         stored[1:] = _at_rank(self.stored[1:], len(batch))
         stored[0] = self.value + other
-        return Jet._make(self.dim, self.order, degree, stored)
+        return Jet._make(self.dim, self.order, degree, stored, self.support)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet._make(self.dim, self.order, self.degree, -self.stored)
+        return Jet._make(self.dim, self.order, self.degree, -self.stored,
+                         self.support)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -np.asarray(other))
@@ -318,7 +423,8 @@ class Jet:
         if not isinstance(other, Jet):
             other = np.asarray(other)
             return Jet._make(self.dim, self.order, self.degree,
-                             _at_rank(self.stored, other.ndim) * other)
+                             _at_rank(self.stored, other.ndim) * other,
+                             self.support)
         self._check_mate(other)
         order = min(self.order, other.order)
         a, b, batch = _aligned(self, other)
@@ -326,22 +432,25 @@ class Jet:
         if da < 0 or db < 0:
             return Jet._zero(self.dim, order, batch)
         degree = min(da + db, order)
-        n = _nslots(self.dim, degree)
+        support = self.support | other.support
+        n = _nslots(len(support), degree)
         if da == 0:
             stored = a[0] * b[:n]
         elif db == 0:
             stored = a[:n] * b[0]
         else:
-            stored = _product(a, b, _mul_plan(self.dim, da, db, degree), n,
-                              batch)
-        return Jet._make(self.dim, order, degree, stored)
+            plan = _mul_plan(self.dim, self.support, da, other.support, db,
+                             degree)
+            stored = _product(a, b, plan, n, batch)
+        return Jet._make(self.dim, order, degree, stored, support)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Jet":
         v = self.value
-        if np.any(v == 0.0):
-            raise JetDomainError("division by a jet with zero value")
+        bad = v == 0.0
+        if np.any(bad):
+            raise JetDomainError("division by a jet with zero value", bad)
         return self.compose((1.0 / v, -1.0 / v**2, 2.0 / v**3 / 2.0,
                              -6.0 / v**4 / 6.0))
 
@@ -350,7 +459,8 @@ class Jet:
             return self * other.reciprocal()
         other = np.asarray(other)
         return Jet._make(self.dim, self.order, self.degree,
-                         _at_rank(self.stored, other.ndim) / other)
+                         _at_rank(self.stored, other.ndim) / other,
+                         self.support)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -361,25 +471,29 @@ class Jet:
     # -- calculus -----------------------------------------------------
 
     def partial(self, axis: int) -> "Jet":
-        """Jet of du/dx_axis, one order lower."""
+        """Jet of du/dx_axis, one order lower; the zero jet when x_axis is
+        not in the support."""
         if not 0 <= axis < self.dim:
             raise JetShapeError(f"axis {axis} out of range for dim {self.dim}")
         if self.order == 0:
             raise JetShapeError("cannot differentiate an order-0 jet")
-        if self.degree <= 0:
+        if axis not in self.support:
             return Jet._zero(self.dim, self.order - 1, self.batch_shape)
-        src, mult = _partial_table(self.dim, axis, self.degree)
+        src, mult = _partial_table(self.dim, self.support, axis, self.degree)
         stored = self.stored[src] * _bshape(mult, self.stored.ndim)
-        return Jet._make(self.dim, self.order - 1, self.degree - 1, stored)
+        return Jet._make(self.dim, self.order - 1, self.degree - 1, stored,
+                         self.support)
 
     def gradient(self) -> np.ndarray:
         """First partials du/dx_i as one ``(dim,) + batch`` array, read off
-        the degree-1 slots: ``partial(i).value`` for every axis at once."""
+        the degree-1 slots: ``partial(i).value`` for every axis at once,
+        a zero row off the support."""
         if self.order == 0:
             raise JetShapeError("cannot differentiate an order-0 jet")
-        if self.degree <= 0:
-            return np.zeros((self.dim,) + self.batch_shape)
-        return self.stored[_gradient_slots(self.dim)]
+        out = np.zeros((self.dim,) + self.batch_shape)
+        axes, slots = _gradient_slots(self.dim, self.support)
+        out[axes] = self.stored[slots]
+        return out
 
     def compose(self, coeffs) -> "Jet":
         """Compose with a univariate function given by its Taylor
@@ -387,17 +501,19 @@ class Jet:
         arrays): Horner on the nilpotent part, whose products drop every
         slot above this jet's order.  Each ck is a degree-0 jet, also where
         it is a 0-d zero, so a point takes the degree path of its batch.
+        The result keeps this jet's support.
         """
         def const(c):
             return Jet._make(self.dim, MAX_ORDER, 0,
-                             np.broadcast_to(c, (1,) + self.batch_shape))
+                             np.broadcast_to(c, (1,) + self.batch_shape),
+                             _NO_VARIABLES)
 
         if self.degree <= 0:
             # no nilpotent part: each Horner product is the zero jet
             return const(coeffs[0]).truncate(self.order)
         w = self.stored.copy()
         w[0] = 0.0
-        wjet = Jet._make(self.dim, self.order, self.degree, w)
+        wjet = Jet._make(self.dim, self.order, self.degree, w, self.support)
         res = const(coeffs[3])
         for c in coeffs[2::-1]:
             res = res * wjet + const(c)
@@ -408,18 +524,18 @@ class Jet:
 
 
 def seed_variable(axis: int, x) -> Jet:
-    """Jet of the coordinate function x_axis at point(s) x (shape (dim,...))."""
+    """Jet of the coordinate function x_axis at point(s) x (shape (dim,...)):
+    support {axis}, slots (value, 1)."""
     x = np.asarray(x, dtype=float)
     dim = x.shape[0]
     if not 0 <= axis < dim:
         raise JetShapeError(f"variable index {axis} out of range for dim {dim}")
     if not np.isfinite(x).all():
         raise JetError("non-finite point coordinates")
-    stored = np.zeros((dim + 1,) + x.shape[1:])
+    stored = np.empty((2,) + x.shape[1:])
     stored[0] = x[axis]
-    e = tuple(1 if i == axis else 0 for i in range(dim))
-    stored[_slot_of(dim)[e]] = 1.0
-    return Jet._make(dim, MAX_ORDER, 1, stored)
+    stored[1] = 1.0
+    return Jet._make(dim, MAX_ORDER, 1, stored, frozenset((axis,)))
 
 
 def stack(js: Sequence[Jet], rank: int = 0) -> Jet:
@@ -427,10 +543,11 @@ def stack(js: Sequence[Jet], rank: int = 0) -> Jet:
     is ``js[i]``: b is their broadcast batch, padded with leading unit
     axes to at least ``rank`` axes (the rank of the batch the stack is to
     meet, so that a jet of batch () meets an (m,) one at (k, m)).  Its
-    order is the least of theirs and its degree the greatest (at most that
-    order), and a row's slots above its own degree are zero.  Every jet
-    operation is elementwise over the batch, so a row of a result is the
-    result on that row's jet, up to the sign of a zero."""
+    order is the least of theirs, its degree the greatest (at most that
+    order) and its support the union of theirs, and a row's slots that
+    its own jet does not store are zero.  Every jet operation is
+    elementwise over the batch, so a row of a result is the result on
+    that row's jet, up to the sign of a zero."""
     if not js:
         raise JetShapeError("no jets to stack")
     for j in js[1:]:
@@ -438,13 +555,18 @@ def stack(js: Sequence[Jet], rank: int = 0) -> Jet:
     dim = js[0].dim
     order = min(j.order for j in js)
     degree = min(max(j.degree for j in js), order)
+    support = _NO_VARIABLES.union(*(j.support for j in js))
     batch = np.broadcast_shapes(*(j.batch_shape for j in js))
     batch = (1,) * (rank - len(batch)) + batch
-    stored = np.zeros((_nslots(dim, degree), len(js)) + batch)
+    stored = np.zeros((_nslots(len(support), degree), len(js)) + batch)
     for i, j in enumerate(js):
-        n = _nslots(dim, min(j.degree, degree))
-        stored[:n, i] = _at_rank(j.stored[:n], len(batch))
-    return Jet._make(dim, order, degree, stored)
+        n = _nslots(len(j.support), min(j.degree, degree))
+        rows = _at_rank(j.stored[:n], len(batch))
+        if j.support == support:
+            stored[:n, i] = rows
+        else:
+            stored[_embedding(dim, j.support, support)[:n], i] = rows
+    return Jet._make(dim, order, degree, stored, support)
 
 
 def extract(a: Jet, alpha) -> float:
@@ -456,9 +578,10 @@ def extract(a: Jet, alpha) -> float:
     if total > a.order:
         raise JetError(f"order overflow: |alpha|={total} > jet order {a.order}")
     fact = math.prod(math.factorial(v) for v in alpha)
-    if total > a.degree:
+    slot = _slot_on(a.dim, a.support).get(alpha)
+    if total > a.degree or slot is None:
         return np.zeros(a.batch_shape)[()] * fact
-    return a.stored[_slot_of(a.dim)[alpha]] * fact
+    return a.stored[slot] * fact
 
 
 def apply_univariate(fn: str, a: Jet) -> Jet:
@@ -479,13 +602,15 @@ def apply_univariate(fn: str, a: Jet) -> Jet:
         return a.compose((t, s, -2.0 * t * s / 2.0,
                           s * (6.0 * t * t - 2.0) / 6.0))
     if fn == "log":
-        if np.any(v <= 0.0):
-            raise JetDomainError("log of a nonpositive jet value")
+        bad = v <= 0.0
+        if np.any(bad):
+            raise JetDomainError("log of a nonpositive jet value", bad)
         return a.compose((np.log(v), 1.0 / v, -1.0 / v**2 / 2.0,
                           2.0 / v**3 / 6.0))
     if fn == "sqrt":
-        if np.any(v <= 0.0):
-            raise JetDomainError("sqrt of a nonpositive jet value")
+        bad = v <= 0.0
+        if np.any(bad):
+            raise JetDomainError("sqrt of a nonpositive jet value", bad)
         r = np.sqrt(v)
         return a.compose((r, 0.5 / r, -0.25 / (v * r) / 2.0,
                           0.375 / (v * v * r) / 6.0))
@@ -509,8 +634,9 @@ def jet_pow(a: Jet, p) -> Jet:
             out = out * base
         return out
     v = a.value
-    if np.any(v <= 0.0):
+    bad = v <= 0.0
+    if np.any(bad):
         raise JetDomainError(
-            f"non-integer power {p} of a nonpositive jet value")
+            f"non-integer power {p} of a nonpositive jet value", bad)
     return a.compose((v**p, p * v**(p - 1), p * (p - 1) * v**(p - 2) / 2.0,
                       p * (p - 1) * (p - 2) * v**(p - 3) / 6.0))

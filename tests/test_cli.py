@@ -190,6 +190,23 @@ class TestCheck:
         assert code == 2
         assert "bochner: non-finite value at point" in err
 
+    @pytest.mark.parametrize("zoo,h,fn,argument", [
+        ("ball", "log(x-0.5)", "log", lambda p: p[0] - 0.5),
+        ("ball3", "sqrt(y-1)", "sqrt", lambda p: p[1] - 1.0)])
+    def test_domain_error_names_a_failing_point(self, capsys, zoo, h, fn,
+                                                argument):
+        # the density leaves its domain on part of the chart only: the
+        # error names a point of the chart where it does
+        code, out, err = run(capsys, "check", "green", "--zoo", zoo,
+                             "--h", h)
+        assert code == 2
+        assert out == ""
+        prefix = f"error: {fn} of a nonpositive jet value at point ("
+        assert err.startswith(prefix) and err.endswith(")\n")
+        point = [float(v) for v in err[len(prefix):-2].split(",")]
+        assert len(point) == (3 if zoo == "ball3" else 2)
+        assert argument(point) <= 0.0
+
 
 def _hot_dense_ini(tmp_path):
     """The dense_family INI with a weight whose jets overflow inside."""

@@ -1,5 +1,4 @@
 import gc
-import math
 import weakref
 
 import numpy as np
@@ -197,8 +196,9 @@ class TestEvaluateOrder:
                 for k in range(3):
                     jk = f.jet(x, k)
                     assert jk.order <= k
-                    assert np.array_equal(
-                        jk.stored, full.stored[:math.comb(2 + k, k)])
+                    want = full.truncate(k)  # a prefix on one support
+                    assert jk.support == want.support
+                    assert np.array_equal(jk.stored, want.stored)
             checked += 1
         assert checked >= 150
 

@@ -3,15 +3,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvcert import config, exprlang, quadrature, zoo
+from curvcert import config, exprlang, quadrature, report, zoo
+from curvcert import jets as jets_module
 from curvcert.boundary import boundary_frame, normal_field_jets
 from curvcert.exprlang import differentiate, mul, parse, simplify
 from curvcert.fields import ConstField, ExprField
 from curvcert.geometry import (GeometryError, NodeGeometry, WeightedSpace,
-                               bakry_emery_ricci, contract, gamma1, gamma2,
-                               grad, hessian, hs_norm_sq, jet_matrix_inverse,
+                               bakry_emery_ricci, carre_du_champ_jet,
+                               contract, gamma1, gamma2, grad, hessian,
+                               hs_norm_sq, jet_matrix_inverse, laplacian_jet,
                                ricci, witten_laplacian)
-from curvcert.jets import _nslots
+from curvcert.jets import Jet
 from oracles import fd_partial
 
 DENSE_INI = Path(__file__).resolve().parents[1] / "perfbench" / \
@@ -342,9 +344,9 @@ class TestGradedGeometry:
 
             def same(a, b, order):
                 assert a.order == order
-                assert np.array_equal(a.stored,
-                                      b.stored[:_nslots(n, a.degree)])
-                assert a.degree == min(b.degree, order)
+                want = b.truncate(order)  # a prefix on one support
+                assert (a.degree, a.support) == (want.degree, want.support)
+                assert np.array_equal(a.stored, want.stored)
 
             same(geom.jV, jV, 2)
             for i in range(n):
@@ -357,6 +359,66 @@ class TestGradedGeometry:
                         assert geom.jgam[k][i][j] is geom.jgam[k][j][i]
             gamma = geom.christoffels
             assert np.array_equal(gamma, gamma.swapaxes(1, 2))
+
+
+class TestStructuralZeros:
+    """ball3's geometry never reads the azimuth, and its metric is
+    diagonal: its jets skip the azimuth's slots and its tensor loops skip
+    zero components, so each component keeps the shape of the axes it
+    reads, and a suite multiplies few slot pairs."""
+
+    AZIMUTH = 2
+
+    def test_ball3_chunk_jets_skip_the_azimuth(self):
+        e = zoo.load("ball3")
+        x, _, lines = next(quadrature.interior_chunks(
+            e.space, e.plan.quad_interior))
+        geom = NodeGeometry(e.space, x, lines)
+        g = e.neumann_family()[0].field.jet(x, 3, lines)
+        assert g.order == 3
+        jets = [geom.jV, g] + [j for row in geom.jg + geom.jginv
+                               for j in row]
+        jets += [c for p in geom.jgam for row in p for c in row]
+        assert not [j for j in jets if self.AZIMUTH in j.support]
+        assert geom.jginv[0][0].batch_shape == (1, 1, 1)  # g^{rr} = 1
+        assert geom.jginv[1][1].batch_shape == (lines[0].size, 1, 1)
+
+    def test_ball3_tensor_loops_multiply_no_zero_jet(self, monkeypatch):
+        zero_products = []
+        mul = Jet.__mul__
+
+        def recording(a, b):
+            if isinstance(b, Jet) and (a.is_zero or b.is_zero):
+                zero_products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(Jet, "__mul__", recording)
+        monkeypatch.setattr(Jet, "__rmul__", recording)
+        e = zoo.load("ball3")
+        interior, *patches = _node_geometries(e.space, e.plan)
+        g = e.neumann_family()[0].field.jet(interior.x, 3)
+        dg = [g.partial(i) for i in range(3)]
+        laplacian_jet(interior, dg)
+        carre_du_champ_jet(interior, dg)
+        for geom in patches:
+            normal_field_jets(geom)
+        assert not zero_products
+
+    def test_ball3_suite_slot_pairs(self, monkeypatch):
+        # the Leibniz pairs one ball3 suite multiplies: 8906 when every
+        # jet carried every variable and every zero metric component
+        pairs = []
+        product = jets_module._product
+
+        def counted(a, b, plan, n_out, batch):
+            pairs.append(sum((lead is not None) + len(rest)
+                             for _, lead, rest in plan))
+            return product(a, b, plan, n_out, batch)
+
+        monkeypatch.setattr(jets_module, "_product", counted)
+        target = report.target_from_zoo(zoo.load("ball3"))
+        assert report.run_suite(target)["passed"]
+        assert 0 < sum(pairs) <= 3000
 
 
 def _bits(a, shape):

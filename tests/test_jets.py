@@ -292,8 +292,8 @@ class TestBatchRank:
         got = OPS[op](a, b)
         assert got.batch_shape == (2, 3)
         for i, j in itertools.product(range(2), range(3)):
-            want = OPS[op](Jet._make(2, 3, 3, a.stored[:, i, 0]),
-                           Jet._make(2, 3, 2, b.stored[:, 0, j]))
+            want = OPS[op](Jet._make(2, 3, 3, a.stored[:, i, 0], a.support),
+                           Jet._make(2, 3, 2, b.stored[:, 0, j], b.support))
             assert got.stored[:, i, j].tobytes() == want.stored.tobytes()
 
     @pytest.mark.parametrize("op", sorted(OPS))
@@ -328,12 +328,14 @@ def truncated(dim, coeffs, order):
     return np.where(keep, coeffs, 0.0)
 
 
-def graded_jet(rng, dim, degree, order, batch):
-    """Random jet storing the slots up to ``degree``, values over 6 decades."""
-    n = math.comb(dim + degree, degree) if degree >= 0 else 0
+def graded_jet(rng, dim, degree, order, batch, support=None):
+    """Random jet on ``support`` (every variable by default) storing the
+    slots up to ``degree``, values over 6 decades."""
+    support = frozenset(range(dim) if support is None else support)
+    n = math.comb(len(support) + degree, degree) if degree >= 0 else 0
     shape = (n,) + batch
     stored = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
-    return Jet._make(dim, order, degree, stored)
+    return Jet._make(dim, order, degree, stored, support)
 
 
 class TestGradedStorage:
@@ -388,7 +390,8 @@ class TestGradedStorage:
         for axis in range(dim):
             j = seed_variable(axis, x)
             assert j.degree == 1
-            assert j.stored.shape == (dim + 1, 5)
+            assert j.support == {axis}
+            assert j.stored.shape == (2, 5)  # value and d/dx_axis
             assert j.coeffs.shape == (ncoeffs(dim), 5)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -486,3 +489,162 @@ class TestStack:
     def test_empty_raises(self):
         with pytest.raises(JetShapeError, match="no jets"):
             stack([])
+
+
+def dense_of(jet):
+    """The jet's full coefficient array rebuilt from ``stored`` by the slot
+    order alone: the multi-indices zero off ``support``, up to ``degree``,
+    in graded order.  Raises unless ``stored`` holds exactly those."""
+    kept = [k for k, alpha in enumerate(multi_indices(jet.dim))
+            if sum(alpha) <= jet.degree
+            and all(v == 0 for i, v in enumerate(alpha)
+                    if i not in jet.support)]
+    out = np.zeros((ncoeffs(jet.dim),) + jet.batch_shape)
+    assert jet.stored.shape == (len(kept),) + jet.batch_shape
+    out[kept] = jet.stored
+    return out
+
+
+def dense_partial(dim, c, axis, order):
+    """d/dx_axis of full coefficients c, through ``order`` - 1."""
+    idx = multi_indices(dim)
+    slot = {alpha: k for k, alpha in enumerate(idx)}
+    out = np.zeros_like(c)
+    for k, alpha in enumerate(idx):
+        if sum(alpha) <= order - 1:
+            up = tuple(v + (i == axis) for i, v in enumerate(alpha))
+            out[k] = (alpha[axis] + 1) * c[slot[up]]
+    return out
+
+
+def dense_compose(dim, c, derivs, order):
+    """Horner on the nilpotent part of full coefficients c, with dense
+    Leibniz products, through ``order``."""
+    w = c.copy()
+    w[0] = 0.0
+    res = np.zeros_like(c)
+    res[0] = derivs[3]
+    for d in derivs[2::-1]:
+        res = dense_product(dim, res, w, order)
+        res[0] = res[0] + d
+    return truncated(dim, res, order)
+
+
+def _kept(jet_degree, support):
+    return support if jet_degree > 0 else frozenset()
+
+
+def padded(c, rank):
+    """Full coefficients whose batch gains leading unit axes to ``rank``,
+    as jet operands broadcast."""
+    return c.reshape(c.shape[:1] + (1,) * (rank + 1 - c.ndim) + c.shape[1:])
+
+
+class TestVariableSupport:
+    """Jets store only the slots of their variable support: every result
+    equals the dense order-3 Leibniz reference on the slots it stores, up
+    to the sign of a zero, the reference is exactly 0 on every slot it
+    does not store, and its support is the union of its operands' (or
+    the kept support) wherever its degree is positive."""
+
+    BATCHES = [((), ()), ((4,), (4,)), ((3, 1), (1, 2)), ((), (2, 3)),
+               ((0,), ()), ((2, 1), (0,))]
+
+    @staticmethod
+    def random_jet(rng, dim, batch, min_order=0):
+        degree = int(rng.integers(-1, 4))
+        order = int(rng.integers(max(degree, min_order), 4))
+        support = {i for i in range(dim) if rng.random() < 0.5}
+        if degree > 0 and not support:
+            support = {int(rng.integers(dim))}
+        return graded_jet(rng, dim, degree, order, batch, support)
+
+    @staticmethod
+    def check(jet, ref, support):
+        got = dense_of(jet)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert jet.support == support
+
+    @pytest.mark.parametrize("batches", BATCHES)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_binary_operations(self, dim, batches):
+        rng = np.random.default_rng(1000 * dim + len(str(batches)))
+        rank = max(map(len, batches))
+        for _ in range(12):
+            a = self.random_jet(rng, dim, batches[0])
+            b = self.random_jet(rng, dim, batches[1])
+            A, B = (padded(dense_of(j), rank) for j in (a, b))
+            A, B = np.broadcast_arrays(A, B)
+            order = min(a.order, b.order)
+            union = a.support | b.support
+            prod = a * b
+            self.check(prod, dense_product(dim, A, B, order),
+                       _kept(prod.degree, union))
+            if a.is_zero or b.is_zero:
+                assert prod.is_zero
+            for out, want in ((a + b, A + B), (a - b, A - B)):
+                self.check(out, truncated(dim, want, order),
+                           _kept(out.degree, union))
+            if not b.is_zero:
+                b = b + (1.0 + np.max(np.abs(b.value), initial=0.0))
+                v = b.value
+                rec = b.reciprocal()
+                self.check(rec, dense_compose(
+                    dim, dense_of(b), (1.0 / v, -1.0 / v**2, 2.0 / v**3 / 2.0,
+                                       -6.0 / v**4 / 6.0), b.order),
+                    _kept(rec.degree, b.support))
+                quo = a / b
+                R = padded(dense_of(rec), rank)
+                self.check(quo, dense_product(dim, *np.broadcast_arrays(A, R),
+                                              order),
+                           _kept(quo.degree, union))
+
+    @pytest.mark.parametrize("batch", [(), (5,), (2, 3), (0,)])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_unary_operations(self, dim, batch):
+        rng = np.random.default_rng(2000 * dim + len(batch))
+        for _ in range(12):
+            a = self.random_jet(rng, dim, batch, min_order=1)
+            A = dense_of(a)
+            assert np.array_equal(a.coeffs, A)
+            assert np.array_equal(a.value, A[0])
+            for axis in range(dim):
+                d = a.partial(axis)
+                self.check(d, dense_partial(dim, A, axis, a.order),
+                           _kept(d.degree, a.support))
+                assert d.is_zero or axis in a.support
+            units = [tuple(int(i == axis) for i in range(dim))
+                     for axis in range(dim)]
+            slot = {alpha: k for k, alpha in enumerate(multi_indices(dim))}
+            assert np.array_equal(a.gradient(),
+                                  np.stack([A[slot[e]] for e in units]))
+            derivs = rng.standard_normal((4,) + batch)
+            comp = a.compose(derivs)
+            self.check(comp, dense_compose(dim, A, derivs, a.order),
+                       _kept(comp.degree, a.support))
+            for k in range(4):
+                t = a.truncate(k)
+                self.check(t, truncated(dim, A, k), _kept(t.degree, a.support))
+                assert np.array_equal(t.stored, a.stored[:len(t.stored)])
+            for alpha in multi_indices(dim):
+                if sum(alpha) <= a.order:
+                    fact = math.prod(math.factorial(v) for v in alpha)
+                    assert np.array_equal(extract(a, alpha),
+                                          A[slot[alpha]] * fact)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_stack(self, dim):
+        rng = np.random.default_rng(3000 + dim)
+        for batches in ([(4,), (4,), (1,)], [(), (2, 3)], [(0,), ()],
+                        [(3, 1), (1, 2), ()]):
+            js = [self.random_jet(rng, dim, b) for b in batches]
+            s = stack(js, rank=2)
+            batch = np.broadcast_shapes(*batches)
+            batch = (1,) * (2 - len(batch)) + batch
+            rows = [np.broadcast_to(padded(dense_of(j), len(batch)),
+                                    (ncoeffs(dim),) + batch) for j in js]
+            order = min(j.order for j in js)
+            self.check(s, truncated(dim, np.stack(rows, axis=1), order),
+                       _kept(s.degree, frozenset().union(
+                           *(j.support for j in js))))
