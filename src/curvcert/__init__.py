@@ -11,7 +11,7 @@ necessary-condition certificates.
 from .boundary import (BoundaryError, BoundaryFrame, NeumannTestFunction,
                        boundary_frame, make_neumann, mean_curvature,
                        neumann_residual, second_fundamental_form)
-from .config import ConfigError, SpaceConfig, load_config
+from .config import ConfigError, load_config
 from .exprlang import EvalError, ParseError, differentiate, parse, to_source
 from .fields import (ConstField, CutoffField, CutoffSpec, ExprField,
                      ScalarField, make_cutoff_spec)
@@ -22,7 +22,7 @@ from .jets import Jet, JetDomainError, JetError, JetShapeError
 from .quadrature import (BoundaryPatch, QuadratureError, integrate_boundary,
                          integrate_boundary_all, integrate_interior)
 from .verify import (CheckResult, CurvatureReport, GateError, SamplePlan,
-                     certify, check_bochner, check_dimension_term,
+                     Target, certify, check_bochner, check_dimension_term,
                      check_green, check_ii_identity, check_mv_laplacian,
                      check_ricci_decomposition, flatness_report)
 
@@ -34,7 +34,7 @@ __all__ = [
     "CutoffSpec", "EvalError", "ExprField", "GateError", "GeometryError",
     "Jet", "JetDomainError", "JetError", "JetShapeError",
     "NeumannTestFunction", "NodeGeometry", "ParseError", "QuadratureError",
-    "SamplePlan", "ScalarField", "SpaceConfig", "WeightedSpace",
+    "SamplePlan", "ScalarField", "Target", "WeightedSpace",
     "bakry_emery_ricci", "boundary_frame", "certify", "check_bochner",
     "check_dimension_term", "check_green", "check_ii_identity",
     "check_mv_laplacian", "check_ricci_decomposition", "differentiate",

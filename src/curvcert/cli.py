@@ -18,10 +18,9 @@ from .config import load_config
 from .exprlang import ParseError
 from .fields import CutoffField, ExprField
 from .geometry import NodeGeometry
-from .report import (Target, bochner_geometry, render_csv, render_json,
-                     render_text, target_from_config, target_from_zoo,
+from .report import (bochner_geometry, render_csv, render_json, render_text,
                      timed_suite)
-from .verify import (GateError, boundary_grid, certify, check_bochner,
+from .verify import (GateError, Target, boundary_grid, certify, check_bochner,
                      check_dimension_term, check_green, check_ii_identity,
                      check_mv_laplacian, check_ricci_decomposition,
                      flatness_report, interior_grid)
@@ -46,8 +45,8 @@ def _add_space_args(p: argparse.ArgumentParser):
 
 def _target(args) -> Target:
     if args.zoo is not None:
-        return target_from_zoo(zoo.parse_ref(args.zoo))
-    return target_from_config(load_config(args.config))
+        return zoo.parse_ref(args.zoo)
+    return load_config(args.config)
 
 
 def _parse_floats(raw: str, what: str,

@@ -36,34 +36,26 @@ A space file describes a weighted space in the expression language::
     interior = 224,64
     boundary = 256
 
-All raw expression strings are kept on the loaded object so reports can
-re-echo exactly what was configured.
+``load_config`` returns the space as a ``verify.Target`` whose Neumann
+bases are ``0.3*x, 0.3*y, ...`` (one per chart variable) and whose
+``expressions`` keep every raw expression string, so reports can re-echo
+exactly what was configured.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .exprlang import ParseError
+from .exprlang import VAR_NAMES, ParseError
 from .fields import ConstField, CutoffSpec, ExprField, ScalarField
 from .geometry import WeightedSpace
 from .quadrature import BoundaryPatch
-from .verify import SamplePlan
+from .verify import SamplePlan, Target
 
 
 class ConfigError(ValueError):
     """Malformed space file; message carries section/key context."""
-
-
-@dataclass
-class SpaceConfig:
-    space: WeightedSpace
-    cutoff: Optional[CutoffSpec]
-    plan: SamplePlan
-    source_path: str
-    expressions: Dict[str, str] = field(default_factory=dict)
 
 
 def _unquote(raw: str) -> str:
@@ -128,7 +120,7 @@ def _box(raw: str, dim: int, where: str) -> Tuple[Tuple[float, float], ...]:
     return tuple(out)
 
 
-def load_config(path: str) -> SpaceConfig:
+def load_config(path: str) -> Target:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cp.read(path)
     if not read:
@@ -246,5 +238,7 @@ def load_config(path: str) -> SpaceConfig:
     space = WeightedSpace(dim=dim, metric=metric, weight=weight,
                           defining_fn=phi, chart_box=chart_box,
                           boundary_patches=patches, label=path)
-    return SpaceConfig(space=space, cutoff=cutoff, plan=plan,
-                       source_path=path, expressions=expressions)
+    return Target(name=path, label=path, space=space, plan=plan,
+                  cutoff=cutoff,
+                  neumann_bases=[f"0.3*{v}" for v in VAR_NAMES[:dim]],
+                  expressions=expressions, error=ConfigError)

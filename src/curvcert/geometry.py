@@ -348,7 +348,11 @@ def laplacian_jet(geom: NodeGeometry, df: Sequence[Jet]
     def terms():
         for i, j, hij in hessian_jets(geom, df):
             vals[i, j] = hij.value
-            yield jginv[i][j], jet_sum([(hij,)], [(dV[i], df[j])])
+            gij = jginv[i][j]
+            # ``jet_sum`` reads only the shape of a term with a zero g^{ij},
+            # so its difference is not formed
+            diff = hij if gij.is_zero else jet_sum([(hij,)], [(dV[i], df[j])])
+            yield gij, diff
 
     lf = jet_sum(terms())
     H = np.zeros((n, n) + np.broadcast_shapes(

@@ -1,11 +1,11 @@
 """Assemble and serialize check suites for one space.
 
-A ``Target`` bundles everything a run needs: the space, sampling plan,
-cutoff, Neumann base expressions, and test-density expressions.  Targets
-come from the zoo or from an INI space file.  ``run_suite`` executes the
-full check battery, building each sample grid once; the render functions
-emit deterministic text, JSON, or CSV (ordered reductions, fixed field
-order, no wall clock except the explicitly labeled timing field).
+``run_suite`` executes the full check battery on a ``verify.Target``, the
+one record of a space under test that ``zoo.load`` and
+``config.load_config`` both return, building each sample grid once; the
+render functions emit deterministic text, JSON, or CSV (ordered
+reductions, fixed field order, no wall clock except the explicitly
+labeled timing field).
 """
 
 from __future__ import annotations
@@ -14,106 +14,24 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .boundary import NeumannTestFunction
-from .config import ConfigError, SpaceConfig
-from .fields import CutoffField, CutoffSpec, ExprField, ScalarField
-from .geometry import NodeGeometry, WeightedSpace
-from .verify import (CheckResult, CurvatureReport, SamplePlan,
-                     boundary_spectrum, certify, check_bochner,
-                     check_dimension_term, interior_grid, interior_spectrum,
-                     weak_checks)
-from .zoo import ZooError
-
-_VAR_NAMES = ("x", "y", "z", "w")
-# a Neumann field below this share of its base's size is rounding noise
-NEUMANN_ZERO_REL = 1e-12
+from .geometry import NodeGeometry
+from .verify import (CheckResult, CurvatureReport, Target, boundary_spectrum,
+                     certify, check_bochner, check_dimension_term,
+                     interior_spectrum, weak_checks)
 
 
-@dataclass
-class Target:
-    label: str
-    space: WeightedSpace
-    plan: SamplePlan
-    cutoff: Optional[CutoffSpec]
-    neumann_bases: List[str]
-    h_sources: List[str]
-    collars: Tuple[CutoffSpec, ...] = ()
-    expected: Dict[str, float] = field(default_factory=dict)
-    expressions: Dict[str, str] = field(default_factory=dict)
-    # raised for a bad input of the target: ZooError or ConfigError
-    error: type = ValueError
-    # (base, interior counts) pairs whose Neumann field was checked
-    # non-zero: each suite rebuilds its field, and the check reads nothing
-    # else
-    _nonzero: set = field(default_factory=set, init=False, repr=False,
-                          compare=False)
-
-    def require_cutoff(self) -> CutoffSpec:
-        """The cutoff of every Neumann field and test density."""
-        if self.cutoff is None:
-            raise ValueError(
-                f"{self.label}: no cutoff available; theorem-grade checks "
-                f"need a [cutoff] section or a zoo entry")
-        return self.cutoff
-
-    def neumann(self, w_src: Optional[str] = None) -> NeumannTestFunction:
-        """The Neumann test function of base ``w_src`` (the first base by
-        default).  A base whose Neumann projection is 0 at every interior
-        sample point, up to ``NEUMANN_ZERO_REL`` times the base there, is
-        refused: every weak identity would read 0 = 0."""
-        from .boundary import make_neumann
-        cutoff = self.require_cutoff()
-        src = w_src if w_src is not None else self.neumann_bases[0]
-        g = make_neumann(self.space, ExprField(src, self.space.dim),
-                         cutoff, self.collars)
-        key = (src, self.plan.interior_counts)
-        if key in self._nonzero:
-            return g
-        x = interior_grid(self.space, self.plan.interior_counts)
-        g_max = np.max(np.abs(g.field.value(x)))
-        w_max = np.max(np.abs(g.base.value(x)))
-        # a non-finite field is left to the Neumann gate, which names it
-        if np.isfinite(g_max) and g_max <= NEUMANN_ZERO_REL * w_max:
-            raise self.error(
-                f"{self.label}: the Neumann field of base {src!r} is 0 to "
-                f"rounding at all {x.shape[1]} interior sample points "
-                f"(max |g| {g_max:.3e}, max |w| {w_max:.3e}), so it "
-                f"exercises no identity")
-        self._nonzero.add(key)
-        return g
-
-    def h_field(self, src: Optional[str] = None) -> ScalarField:
-        chi = CutoffField(self.require_cutoff())
-        if src is None and not self.h_sources:
-            return chi
-        return chi * ExprField(src if src is not None else self.h_sources[0],
-                               self.space.dim)
-
-    def random_fields(self, count: int, seed: int) -> List[ScalarField]:
-        from .zoo import random_fields
-        return random_fields(self.space.dim, count, seed)
+# ``zoo.load`` and ``config.load_config`` return the ``Target`` itself;
+# perfbench/workloads.py still calls these two names
+def target_from_zoo(target: Target) -> Target:
+    return target
 
 
-def target_from_zoo(entry) -> Target:
-    return Target(label=entry.space.label, space=entry.space,
-                  plan=entry.plan, cutoff=entry.cutoff,
-                  neumann_bases=list(entry.neumann_bases),
-                  h_sources=list(entry.h_sources),
-                  collars=entry.neumann_collars,
-                  expected=dict(entry.expected), error=ZooError)
-
-
-def target_from_config(cfg: SpaceConfig) -> Target:
-    dim = cfg.space.dim
-    bases = [f"0.3*{_VAR_NAMES[i]}" for i in range(dim)]
-    return Target(label=cfg.source_path, space=cfg.space, plan=cfg.plan,
-                  cutoff=cfg.cutoff, neumann_bases=bases, h_sources=[],
-                  expressions=dict(cfg.expressions), error=ConfigError)
+def target_from_config(target: Target) -> Target:
+    return target
 
 
 def bochner_geometry(sample: NodeGeometry, limit: int = 100) -> NodeGeometry:

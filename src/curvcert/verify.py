@@ -31,6 +31,11 @@ nothing they hold (``SamplePlan.grids`` builds both); a check that runs
 a sweep takes the space.  Operators are bound by name from ``geometry``
 and ``boundary``.
 
+A ``Target`` is one space under test, as the zoo and the INI loader both
+build it: its ``neumann`` and ``h_field`` make every Neumann field and test
+density, and ``neumann`` refuses a base whose field is 0 at every sample
+point.
+
 Every check that assumes the Neumann hypothesis re-verifies it first and
 fails loudly (GateError) if violated: that is a broken hypothesis, not a
 broken theorem.  A non-finite value in a pointwise check or in the
@@ -42,13 +47,14 @@ proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .boundary import BoundaryFrame, NeumannTestFunction, boundary_frame
-from .exprlang import EvalError
-from .fields import ScalarField
+from .boundary import (BoundaryFrame, NeumannTestFunction, boundary_frame,
+                       make_neumann)
+from .exprlang import VAR_NAMES, EvalError
+from .fields import CutoffField, CutoffSpec, ExprField, ScalarField
 from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace,
                        bakry_emery_ricci, carre_du_champ_jet, contract,
                        _jet, gamma2_parts, grad, hessian, hs_norm_sq,
@@ -62,6 +68,8 @@ QUADRATURE_TOL = 1e-5
 DIMENSION_TOL = 1e-10
 VERDICT_SLACK = 1e-9
 NEUMANN_GATE_TOL = 1e-8
+# a Neumann field below this share of its base's size is rounding noise
+NEUMANN_ZERO_REL = 1e-12
 
 
 class GateError(RuntimeError):
@@ -131,6 +139,117 @@ def boundary_grid(space: WeightedSpace, counts) -> List[BoundaryFrame]:
     geometry ``patch_points`` checked them with."""
     return [boundary_frame(patch_points(space, p, counts))
             for p in space.boundary_patches]
+
+
+@dataclass
+class Target:
+    """One space under test: the space, its plan, and the cutoff, collars,
+    Neumann bases and test-density sources every g and h is built from.
+    ``zoo.load`` fills ``expected`` and ``provenance``, ``config.load_config``
+    the ``expressions`` the file gave; ``run_suite`` reads the rest."""
+
+    name: str
+    label: str
+    space: WeightedSpace
+    plan: SamplePlan
+    cutoff: Optional[CutoffSpec]
+    neumann_bases: List[str]
+    h_sources: List[str] = field(default_factory=list)
+    collars: Tuple[CutoffSpec, ...] = ()
+    expected: Dict[str, float] = field(default_factory=dict)
+    provenance: Dict[str, str] = field(default_factory=dict)
+    expressions: Dict[str, str] = field(default_factory=dict)
+    # raised for a bad input of the target: ZooError or ConfigError
+    error: type = ValueError
+    # (base, interior counts) pairs whose Neumann field was checked
+    # non-zero: each suite rebuilds its field, and the check reads nothing
+    # else
+    _nonzero: set = field(default_factory=set, init=False, repr=False,
+                          compare=False)
+
+    def require_cutoff(self) -> CutoffSpec:
+        """The cutoff of every Neumann field and test density."""
+        if self.cutoff is None:
+            raise ValueError(
+                f"{self.label}: no cutoff available; theorem-grade checks "
+                f"need a [cutoff] section or a zoo entry")
+        return self.cutoff
+
+    def neumann(self, w_src: Optional[str] = None) -> NeumannTestFunction:
+        """The Neumann test function of base ``w_src`` (the first base by
+        default).  A base whose Neumann projection is 0 at every interior
+        sample point, up to ``NEUMANN_ZERO_REL`` times the base there, is
+        refused: every weak identity would read 0 = 0."""
+        cutoff = self.require_cutoff()
+        src = w_src if w_src is not None else self.neumann_bases[0]
+        g = make_neumann(self.space, ExprField(src, self.space.dim),
+                         cutoff, self.collars)
+        key = (src, self.plan.interior_counts)
+        if key in self._nonzero:
+            return g
+        x = interior_grid(self.space, self.plan.interior_counts)
+        g_max = np.max(np.abs(g.field.value(x)))
+        w_max = np.max(np.abs(g.base.value(x)))
+        # a non-finite field is left to the Neumann gate, which names it
+        if np.isfinite(g_max) and g_max <= NEUMANN_ZERO_REL * w_max:
+            raise self.error(
+                f"{self.label}: the Neumann field of base {src!r} is 0 to "
+                f"rounding at all {x.shape[1]} interior sample points "
+                f"(max |g| {g_max:.3e}, max |w| {w_max:.3e}), so it "
+                f"exercises no identity")
+        self._nonzero.add(key)
+        return g
+
+    def neumann_family(self) -> List[NeumannTestFunction]:
+        return [self.neumann(w) for w in self.neumann_bases]
+
+    def h_field(self, src: Optional[str] = None) -> ScalarField:
+        """The cutoff times the density ``src`` (the first of
+        ``h_sources`` by default; the cutoff alone when there is none)."""
+        chi = CutoffField(self.require_cutoff())
+        if src is None and not self.h_sources:
+            return chi
+        return chi * ExprField(src if src is not None else self.h_sources[0],
+                               self.space.dim)
+
+    def h_fields(self) -> List[ScalarField]:
+        """The cutoff, then the cutoff times each of ``h_sources``."""
+        return [CutoffField(self.require_cutoff())] + [
+            self.h_field(src) for src in self.h_sources]
+
+    def random_fields(self, count: int, seed: int) -> List[ScalarField]:
+        return random_fields(self.space.dim, count, seed)
+
+
+def random_fields(dim: int, count: int, seed: int) -> List[ScalarField]:
+    """Random bounded polynomial/trig composite test fields: the same
+    sources for the same (dim, count, seed), parsed afresh into a new
+    list on each call."""
+    rng = np.random.default_rng(seed)
+    names = VAR_NAMES[:dim]
+    fields: List[ScalarField] = []
+    for _ in range(count):
+        terms = []
+        for _ in range(int(rng.integers(2, 5))):
+            c = round(float(rng.uniform(-1.5, 1.5)), 3) or 0.5
+            powers = rng.integers(0, 3, size=dim)
+            mono = "*".join(f"{v}^{p}" if p > 1 else v
+                            for v, p in zip(names, powers) if p > 0)
+            kind = rng.integers(0, 3)
+            if kind == 0 and mono:
+                terms.append(f"{c}*{mono}")
+            elif kind == 1:
+                v = names[int(rng.integers(0, dim))]
+                a = round(float(rng.uniform(0.3, 1.2)), 3)
+                fn = ["sin", "cos"][int(rng.integers(0, 2))]
+                inner = f"{fn}({a}*{v})"
+                terms.append(f"{c}*{mono}*{inner}" if mono
+                             else f"{c}*{inner}")
+            else:
+                v = names[int(rng.integers(0, dim))]
+                terms.append(f"{c}*exp(0.2*{v})")
+        fields.append(ExprField(" + ".join(terms), dim))
+    return fields
 
 
 def _witness_point(x: np.ndarray, flat_index: int) -> List[float]:

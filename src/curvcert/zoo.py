@@ -16,23 +16,21 @@ Entries (parameters in brackets):
                              4/(1-rho^2)^2), rho < cap radius
 * ``ball3(R)``            -- Euclidean 3-ball (spherical chart)
 
-The four polar entries (ball, annulus, hemisphere, poincare_cap) are
-parameter sets of one builder, ``_polar``, on one chart skeleton.
+``load`` and ``parse_ref`` return each entry as a ``verify.Target``
+carrying its expected values and their provenance.  The four polar
+entries (ball, annulus, hemisphere, poincare_cap) are parameter sets of
+one builder, ``_polar``, on one chart skeleton.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from .boundary import NeumannTestFunction, make_neumann
-from .fields import ConstField, CutoffField, CutoffSpec, ExprField, ScalarField
+from .fields import ConstField, CutoffSpec, ExprField
 from .geometry import NodeGeometry, WeightedSpace
-from .quadrature import BoundaryPatch
-from .verify import SamplePlan, interior_grid
+from .quadrature import BoundaryPatch, patch_points
+from .verify import SamplePlan, Target, interior_grid
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2.0
@@ -48,71 +46,6 @@ _FULL_ANGLE = (0.0, TWO_PI)
 
 class ZooError(ValueError):
     """Unknown entry name or invalid parameters."""
-
-
-@dataclass
-class ZooEntry:
-    name: str
-    space: WeightedSpace
-    expected: Dict[str, float]
-    provenance: Dict[str, str]
-    plan: SamplePlan
-    cutoff: CutoffSpec
-    neumann_bases: List[str]
-    neumann_collars: Tuple[CutoffSpec, ...] = ()
-    h_sources: List[str] = field(default_factory=list)
-
-    def neumann(self, w_src: str) -> NeumannTestFunction:
-        return make_neumann(self.space, ExprField(w_src, self.space.dim),
-                            self.cutoff, self.neumann_collars)
-
-    def neumann_family(self) -> List[NeumannTestFunction]:
-        return [self.neumann(w) for w in self.neumann_bases]
-
-    def h_fields(self) -> List[ScalarField]:
-        chi = CutoffField(self.cutoff)
-        out: List[ScalarField] = [chi]
-        for src in self.h_sources:
-            out.append(chi * ExprField(src, self.space.dim))
-        return out
-
-    def random_fields(self, count: int, seed: int) -> List[ScalarField]:
-        return random_fields(self.space.dim, count, seed)
-
-    def interior_points(self, counts=None) -> np.ndarray:
-        return interior_grid(self.space,
-                             counts or self.plan.interior_counts)
-
-
-def random_fields(dim: int, count: int, seed: int) -> List[ScalarField]:
-    """Random bounded polynomial/trig composite test fields: the same
-    sources for the same (dim, count, seed), parsed afresh into a new
-    list on each call."""
-    rng = np.random.default_rng(seed)
-    names = ["x", "y", "z", "w"][:dim]
-    fields: List[ScalarField] = []
-    for _ in range(count):
-        terms = []
-        for _ in range(int(rng.integers(2, 5))):
-            c = round(float(rng.uniform(-1.5, 1.5)), 3) or 0.5
-            powers = rng.integers(0, 3, size=dim)
-            mono = "*".join(f"{v}^{p}" if p > 1 else v
-                            for v, p in zip(names, powers) if p > 0)
-            kind = rng.integers(0, 3)
-            if kind == 0 and mono:
-                terms.append(f"{c}*{mono}")
-            elif kind == 1:
-                v = names[int(rng.integers(0, dim))]
-                a = round(float(rng.uniform(0.3, 1.2)), 3)
-                fn = ["sin", "cos"][int(rng.integers(0, 2))]
-                inner = f"{fn}({a}*{v})"
-                terms.append(f"{c}*{mono}*{inner}" if mono
-                             else f"{c}*{inner}")
-            else:
-                v = names[int(rng.integers(0, dim))]
-                terms.append(f"{c}*exp(0.2*{v})")
-        fields.append(ExprField(" + ".join(terms), dim))
-    return fields
 
 
 def _euclidean_metric(dim: int):
@@ -136,7 +69,18 @@ def _require(cond: bool, msg: str):
         raise ZooError(msg)
 
 
-def _half_space(weighted: bool) -> ZooEntry:
+def _entry(name: str, space: WeightedSpace, expected: Dict[str, float],
+           provenance: Dict[str, str], plan: SamplePlan, cutoff: CutoffSpec,
+           bases: List[str], h_sources: Sequence[str],
+           collars: Tuple[CutoffSpec, ...] = ()) -> Target:
+    """An entry as the ``Target`` every run reads, labelled as its space."""
+    return Target(name=name, label=space.label, space=space, plan=plan,
+                  cutoff=cutoff, neumann_bases=bases,
+                  h_sources=list(h_sources), collars=collars,
+                  expected=expected, provenance=provenance, error=ZooError)
+
+
+def _half_space(weighted: bool) -> Target:
     dim = 2
     V = ExprField("(x^2 + y^2)/2", dim) if weighted else ConstField(dim, 0.0)
     space = WeightedSpace(
@@ -163,14 +107,13 @@ def _half_space(weighted: bool) -> ZooEntry:
         "lambda_min_ii": "TRIVIAL: constant normal on a flat boundary",
         "tr_ii": "TRIVIAL: flat boundary",
     }
-    return ZooEntry(
-        name=space.label, space=space, expected=expected,
-        provenance=provenance,
+    return _entry(
+        space.label, space, expected, provenance,
         plan=SamplePlan(interior_counts=(24, 24), boundary_counts=(96,),
                         quad_interior=(192, 192), quad_boundary=(256,)),
         cutoff=cutoff,
-        neumann_bases=["0.08*x", "0.06*x*y^2", "0.08*sin(x)",
-                       "0.06*x + 0.06*y^2", "0.05*x^2"],
+        bases=["0.08*x", "0.06*x*y^2", "0.08*sin(x)", "0.06*x + 0.06*y^2",
+               "0.05*x^2"],
         h_sources=["1 + 0.3*sin(x)", "1 + 0.2*x*y", "x^2/4 + 1",
                    "1 + 0.1*y", "cos(0.5*x)"])
 
@@ -190,7 +133,7 @@ def _polar(name: str, label: str, metric: Tuple[str, str], phi: str,
            cutoff: Tuple[Range, Range], curvature: Tuple[float, str],
            geodesic_curvature: Tuple[float, str], bases: List[str],
            collars: Sequence[Tuple[Range, Range]] = (),
-           quad_radial: int = 224) -> ZooEntry:
+           quad_radial: int = 224) -> Target:
     """An unweighted 2-D entry on the polar chart ``radial`` x (0, 2*pi)
     in (x, y) = (radius, angle), with the diagonal metric
     ``metric`` = (g_xx, g_yy) and the defining function ``phi``.
@@ -219,18 +162,17 @@ def _polar(name: str, label: str, metric: Tuple[str, str], phi: str,
     }
     provenance = {"k_interior": k_source, "lambda_min_ii": kappa_source,
                   "tr_ii": "DERIVED: same oracle"}
-    return ZooEntry(
-        name=name, space=space, expected=expected, provenance=provenance,
+    return _entry(
+        name, space, expected, provenance,
         plan=SamplePlan(interior_counts=(24, 24), boundary_counts=(96,),
                         quad_interior=(quad_radial, 32),
                         quad_boundary=(256,)),
-        cutoff=_radial_spec(*cutoff),
-        neumann_bases=bases,
-        neumann_collars=tuple(_radial_spec(*c) for c in collars),
-        h_sources=list(_POLAR_H_SOURCES))
+        cutoff=_radial_spec(*cutoff), bases=bases,
+        h_sources=_POLAR_H_SOURCES,
+        collars=tuple(_radial_spec(*c) for c in collars))
 
 
-def _ball(R: float) -> ZooEntry:
+def _ball(R: float) -> Target:
     _require(R > 0, f"ball radius must be positive, got {R}")
     return _polar(
         "ball", f"ball(R={R})", metric=("1", "x^2"), phi=f"x - {R!r}",
@@ -243,7 +185,7 @@ def _ball(R: float) -> ZooEntry:
                "0.25*x^2*cos(y)"])
 
 
-def _annulus(r: float, R: float) -> ZooEntry:
+def _annulus(r: float, R: float) -> Target:
     _require(0 < r < R, f"annulus needs 0 < r < R, got r={r}, R={R}")
     w = R - r
     return _polar(
@@ -262,7 +204,7 @@ def _annulus(r: float, R: float) -> ZooEntry:
                "0.3*x"])
 
 
-def _hemisphere(r: float) -> ZooEntry:
+def _hemisphere(r: float) -> Target:
     _require(r > 0, f"hemisphere radius must be positive, got {r}")
     return _polar(
         "hemisphere", f"hemisphere(r={r})",
@@ -279,7 +221,7 @@ def _hemisphere(r: float) -> ZooEntry:
         quad_radial=256)
 
 
-def _poincare_cap(rho: float) -> ZooEntry:
+def _poincare_cap(rho: float) -> Target:
     _require(0 < rho < 1, f"poincare_cap needs 0 < rho < 1, got {rho}")
     return _polar(
         "poincare_cap", f"poincare_cap(rho={rho})",
@@ -297,7 +239,7 @@ def _poincare_cap(rho: float) -> ZooEntry:
                "0.25*x^2*cos(y)"])
 
 
-def _ball3(R: float) -> ZooEntry:
+def _ball3(R: float) -> Target:
     _require(R > 0, f"ball3 radius must be positive, got {R}")
     dim = 3
     space = WeightedSpace(
@@ -332,13 +274,12 @@ def _ball3(R: float) -> ZooEntry:
                          "principal curvatures 1/R",
         "tr_ii": "DERIVED: same oracle",
     }
-    return ZooEntry(
-        name="ball3", space=space, expected=expected, provenance=provenance,
+    return _entry(
+        "ball3", space, expected, provenance,
         plan=SamplePlan(interior_counts=(10, 10, 10),
                         boundary_counts=(20, 20),
                         quad_interior=(256, 16, 8), quad_boundary=(16, 16)),
-        cutoff=cutoff,
-        neumann_bases=["0.4*x", "0.3*x^2", "0.25*x^3"],
+        cutoff=cutoff, bases=["0.4*x", "0.3*x^2", "0.25*x^3"],
         h_sources=["1 + 0.3*sin(z)", "1 + 0.2*x", "1 + 0.2*cos(y)"])
 
 
@@ -357,7 +298,7 @@ def list_entries() -> List[str]:
     return sorted(_BUILDERS)
 
 
-def load(name: str, **params) -> ZooEntry:
+def load(name: str, **params) -> Target:
     """Load a zoo entry by name; unknown params are rejected."""
     if name not in _BUILDERS:
         raise ZooError(f"unknown zoo entry {name!r}; "
@@ -372,16 +313,15 @@ def load(name: str, **params) -> ZooEntry:
     return entry
 
 
-def _light_validate(entry: ZooEntry):
+def _light_validate(entry: Target):
     """SPD metric on a coarse interior grid; patches reachable."""
     x = interior_grid(entry.space, (6,) * entry.space.dim)
     NodeGeometry(entry.space, x)  # raises on non-SPD
     for patch in entry.space.boundary_patches:
-        from .quadrature import patch_points
         patch_points(entry.space, patch, (4,) * patch.param_dim)
 
 
-def parse_ref(ref: str) -> ZooEntry:
+def parse_ref(ref: str) -> Target:
     """Parse a CLI reference like ``annulus,r=0.5,R=1``."""
     parts = [p.strip() for p in ref.split(",") if p.strip()]
     if not parts:

@@ -20,7 +20,7 @@ def _entry(name):
 
 @pytest.fixture
 def entry():
-    """Cached zoo loader (entries are immutable)."""
+    """Cached zoo loader; a test that patches an entry loads its own."""
     return _entry
 
 

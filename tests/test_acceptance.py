@@ -17,7 +17,8 @@ from curvcert.geometry import NodeGeometry
 from curvcert.verify import (boundary_grid, certify, check_bochner,
                              check_dimension_term, check_green,
                              check_ii_identity, check_mv_laplacian,
-                             decomposition_batch)
+                             decomposition_batch, interior_grid,
+                             random_fields)
 from oracles import Poly, richardson_partial
 from test_exprlang import MALFORMED, _corpus
 from test_jets import poly_jet
@@ -175,7 +176,8 @@ def test_criterion_5_dimension_term():
     for name in zoo.list_entries():
         e = entry(name)
         fields = e.random_fields(100, seed=55)
-        geom = NodeGeometry(e.space, e.interior_points())
+        geom = NodeGeometry(e.space,
+                            interior_grid(e.space, e.plan.interior_counts))
         for n_dim in (float(e.space.dim), float(e.space.dim) + 2.0):
             r = check_dimension_term(fields, geom, n_dim, tol=1e-10)
             assert r.passed, (name, n_dim, str(r))
@@ -184,7 +186,8 @@ def test_criterion_5_dimension_term():
     hs = entry("half_space")
     f = ExprField("(x^2 + y^2)/2", 2)
     r_eq = check_dimension_term(
-        [f], NodeGeometry(hs.space, hs.interior_points()),
+        [f], NodeGeometry(hs.space,
+                          interior_grid(hs.space, hs.plan.interior_counts)),
         float(hs.space.dim), tol=1e-10)
     assert abs(r_eq.residual) <= 1e-12
     ok = worst <= 1e-10
@@ -199,7 +202,7 @@ def test_criterion_6_autodiff_oracle():
     plan = [(1, 250), (2, 350), (3, 250), (4, 150)]
     worst = -1.0
     for dim, count in plan:
-        fields = zoo.random_fields(dim, count, seed=600 + dim)
+        fields = random_fields(dim, count, seed=600 + dim)
         for f in fields:
             x = rng.uniform(-0.8, 0.8, size=dim)
             j = f.jet(x)

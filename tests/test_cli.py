@@ -1,10 +1,14 @@
 import csv
+import hashlib
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvcert
 from curvcert.cli import main
 from curvcert.verify import certify
 from curvcert.zoo import list_entries
@@ -39,6 +43,10 @@ class TestBasics:
     def test_no_command(self, capsys):
         assert main([]) == 2
 
+    def test_all_names_resolve(self):
+        assert [n for n in curvcert.__all__ if not hasattr(curvcert, n)] \
+            == []
+
     def test_unknown_zoo(self, capsys):
         code, out, err = run(capsys, "describe", "--zoo", "torus")
         assert code == 2
@@ -48,6 +56,41 @@ class TestBasics:
         code, out, err = run(capsys, "describe", "--config", "/nope.ini")
         assert code == 2
         assert "error" in err
+
+
+DENSE_INI = Path(__file__).resolve().parents[1] / "perfbench" / \
+    "dense_family.ini"
+# sha256 of ``describe``'s output for each zoo entry and for
+# dense_family.ini, whose label (its path) is replaced by its file name
+DESCRIBE_SHA256 = {
+    "half_space":
+        "3a3d29ed4990df336c5036b23a0485616719d2f9a13eb1919a2196915bda4350",
+    "gaussian_half_space":
+        "a603a74b1378ad8223d60cf76ce784d77f1adb0ab6f4e26e2636227906e625da",
+    "ball": "6f29a3d69d87b8a43b303081f12fb18b1b25e0ae8414c8d36e6c09530d765f77",
+    "annulus":
+        "2887f9a6d7f582b61ee97c8ec970431829d9d9d5a78d38a3ccd0ab36db48c8a9",
+    "hemisphere":
+        "ea0d457bafb67425c0f4afcaa23ae70c1c9a13c3504bd0600163880786a8877f",
+    "poincare_cap":
+        "a6fb7af0bc285979fc16e2ac9fbd80170e0f99bb51dac80af4a5b8b469de0b72",
+    "ball3":
+        "373fa470ef1602ff356011a51a82786315ed1e36f41dd544b9a09cb1ff9f7aef",
+    DENSE_INI.name:
+        "46b162f4e318939bf2196f3fed2f6eee912d3c5f0e060aecf0254f9738dac3a8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESCRIBE_SHA256))
+def test_describe_bytes_are_pinned(capsys, name):
+    if name == DENSE_INI.name:
+        code, out, _ = run(capsys, "describe", "--config", str(DENSE_INI))
+        out = re.sub(r"^label: .*$", f"label: {name}", out, count=1,
+                     flags=re.M)
+    else:
+        code, out, _ = run(capsys, "describe", "--zoo", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DESCRIBE_SHA256[name]
 
 
 class TestCheck:
@@ -146,14 +189,14 @@ class TestCheck:
 
     def test_zero_neumann_field_error_types(self, tmp_path):
         from test_config import BALL_INI
-        from curvcert import config, report, zoo
-        target = report.target_from_zoo(zoo.load("half_space"))
+        from curvcert import config, zoo
+        target = zoo.load("half_space")
         for _ in range(2):  # a refused base is refused on every call
             with pytest.raises(zoo.ZooError, match="base '0.06\\*x\\*y'"):
                 target.neumann("0.06*x*y")
         p = tmp_path / "ball.ini"
         p.write_text(BALL_INI)
-        target = report.target_from_config(config.load_config(str(p)))
+        target = config.load_config(str(p))
         with pytest.raises(config.ConfigError):
             target.neumann("x - 1")
         assert target.neumann().base.source == "0.3*x"

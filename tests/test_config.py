@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from curvcert import zoo
 from curvcert.boundary import boundary_frame, second_fundamental_form
 from curvcert.config import ConfigError, load_config
 from curvcert.geometry import NodeGeometry
-from curvcert.report import run_suite, target_from_config
-from curvcert.verify import certify
+from curvcert.report import run_suite
+from curvcert.verify import Target, certify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -77,6 +78,15 @@ class TestRoundTrip:
         assert cfg.cutoff is not None
         assert cfg.cutoff.outer[0] == (0.15, 1.0)
 
+    def test_file_and_zoo_load_one_record(self, tmp_path):
+        path = write(tmp_path, BALL_INI)
+        cfg = load_config(path)
+        assert (type(cfg), type(zoo.load("ball")),
+                type(zoo.parse_ref("ball,R=2"))) == (Target,) * 3
+        assert (cfg.name, cfg.label, cfg.error) == (path, path, ConfigError)
+        assert cfg.neumann_bases == ["0.3*x", "0.3*y"]
+        assert (cfg.h_sources, cfg.collars, cfg.expected) == ([], (), {})
+
     def test_certify_matches_zoo_ball(self, tmp_path, ball):
         cfg = load_config(write(tmp_path, BALL_INI))
         rep = certify(*cfg.plan.grids(cfg.space), [0.0])
@@ -120,7 +130,7 @@ def test_readme_minimal_disk_passes(tmp_path):
     block, = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
     cfg = load_config(write(tmp_path, block))
     assert cfg.plan.quad_interior == (224, 64)
-    run = run_suite(target_from_config(cfg))
+    run = run_suite(cfg)
     assert run["passed"], [c.name for c in run["checks"] if not c.passed]
 
 

@@ -1,9 +1,10 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curvcert import config, exprlang, quadrature, report, zoo
+from curvcert import config, exprlang, quadrature, report, verify, zoo
 from curvcert import jets as jets_module
 from curvcert.boundary import boundary_frame, normal_field_jets
 from curvcert.exprlang import differentiate, mul, parse, simplify
@@ -278,10 +279,9 @@ class TestGamma2Flat:
     def test_equals_hessian_norm(self):
         sp = euclidean()
         rng = np.random.default_rng(5)
-        from curvcert.zoo import random_fields
         geom = NodeGeometry(sp, np.stack([rng.uniform(-1, 1, 20),
                                           rng.uniform(-1, 1, 20)]))
-        for f in random_fields(2, 5, seed=3):
+        for f in verify.random_fields(2, 5, seed=3):
             g2 = np.asarray(gamma2(geom, f))
             H = np.asarray(hessian(geom, f))
             hn = np.asarray(hs_norm_sq(geom, H))
@@ -416,9 +416,40 @@ class TestStructuralZeros:
             return product(a, b, plan, n_out, batch)
 
         monkeypatch.setattr(jets_module, "_product", counted)
-        target = report.target_from_zoo(zoo.load("ball3"))
+        target = zoo.load("ball3")
         assert report.run_suite(target)["passed"]
         assert 0 < sum(pairs) <= 3000
+
+
+class TestLaplacianJet:
+    def test_zero_inverse_entry_forms_no_difference(self, monkeypatch):
+        # gaussian_half_space is weighted with a diagonal metric: its two
+        # zero g^{ij} leave their Hess_ij f - d_iV d_jf unformed, while
+        # Hess f keeps every entry
+        e = zoo.load("gaussian_half_space")
+        x, _, lines = next(quadrature.interior_chunks(
+            e.space, e.plan.quad_interior))
+        geom = NodeGeometry(e.space, x, lines)
+        g = e.neumann().field.jet(x, 3, lines)
+        df = [g.partial(i) for i in range(2)]
+        geom.jginv, geom.jgam, geom.jV  # built before the count
+        products = []
+        mul = Jet.__mul__
+
+        def counted(a, b):
+            if isinstance(b, Jet):
+                products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(Jet, "__mul__", counted)
+        lf, H = laplacian_jet(geom, df)
+        monkeypatch.undo()
+        assert len(products) == 4  # 6 when the differences were formed
+        digest = [hashlib.sha256(np.ascontiguousarray(a).tobytes()
+                                 ).hexdigest() for a in (lf.coeffs, H)]
+        assert digest == [
+            "7d037bf59c5b1b71e22237c4f1f6ca1169b281fe93edde74d222ffd15aa85ce6",
+            "74c1b2240f74caffe432d84938668ce7b81b07ed409bf999b8637cf90a97e60d"]
 
 
 def _bits(a, shape):

@@ -9,7 +9,7 @@ import collections
 import numpy as np
 import pytest
 
-from curvcert import config, geometry, report, verify, zoo
+from curvcert import config, geometry, verify, zoo
 from curvcert.fields import ConstField, ExprField
 from curvcert.geometry import (bakry_emery_ricci, gamma2_parts, hessian,
                                hs_norm_sq)
@@ -22,8 +22,8 @@ NAMES = zoo.list_entries() + [DENSE_INI.name]
 
 def _target(name):
     if name == DENSE_INI.name:
-        return report.target_from_config(config.load_config(str(DENSE_INI)))
-    return report.target_from_zoo(zoo.load(name))
+        return config.load_config(str(DENSE_INI))
+    return zoo.load(name)
 
 
 def _suite_geometry(target):
@@ -192,12 +192,12 @@ class TestCounts:
         assert hess_f == {"hessian_jets": 1}
 
     def test_random_fields_same_sources_fresh_list(self):
-        first = zoo.random_fields(2, 10, seed=11)
-        again = zoo.random_fields(2, 10, seed=11)
+        first = verify.random_fields(2, 10, seed=11)
+        again = verify.random_fields(2, 10, seed=11)
         assert again is not first
         assert [f.source for f in again] == [f.source for f in first]
         first.pop()
         first.append(ConstField(2, 1.0))
-        third = zoo.random_fields(2, 10, seed=11)
+        third = verify.random_fields(2, 10, seed=11)
         assert len(third) == 10
         assert [f.source for f in third] == [f.source for f in again]

@@ -25,8 +25,8 @@ NAMES = zoo.list_entries() + [DENSE_INI.name]
 
 def _target(name):
     if name == DENSE_INI.name:
-        return report.target_from_config(config.load_config(str(DENSE_INI)))
-    return report.target_from_zoo(zoo.load(name))
+        return config.load_config(str(DENSE_INI))
+    return zoo.load(name)
 
 
 CHUNKS = quadrature.interior_chunks
@@ -225,7 +225,7 @@ class TestCountsAndErrors:
             return metric, sqrt_det
 
         monkeypatch.setattr(geometry, "frame_at", recorded)
-        assert report.run_suite(report.target_from_zoo(e))["passed"]
+        assert report.run_suite(e)["passed"]
         assert max(seen) <= 2048
         assert seen.count(2048) == 2  # one per interior chunk
 

@@ -48,7 +48,7 @@ def test_field_jets_are_traced_on_grids():
     classes = [cls for cls in vars(fields).values()
                if isinstance(cls, type) and issubclass(cls, fields.ScalarField)]
     before = {cls: vars(cls).get("jet") for cls in classes}
-    target = report.target_from_zoo(zoo.load("ball"))
+    target = zoo.load("ball")
     chunks = list(quadrature.interior_chunks(target.space,
                                              target.plan.quad_interior))
     assert chunks and all(lines for _, _, lines in chunks)
@@ -74,7 +74,7 @@ def test_suite_gate_is_traced():
     spec = importlib.util.spec_from_file_location("layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    target = report.target_from_zoo(zoo.load("ball"))
+    target = zoo.load("ball")
     tracer = layers.Tracer()
     try:
         tracer.install()

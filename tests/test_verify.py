@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curvcert import (boundary, config, geometry, quadrature, report,
-                      verify)
+                      verify, zoo)
 from curvcert.boundary import NeumannTestFunction
 from curvcert.exprlang import EvalError
 from curvcert.fields import ConstField, CutoffField, ExprField, ScalarField
@@ -17,7 +17,7 @@ from curvcert.verify import (CheckResult, GateError, boundary_grid, certify,
                              check_green, check_ii_identity,
                              check_mv_laplacian, check_ricci_decomposition,
                              eigenvalues_relative, flatness_report,
-                             neumann_gate)
+                             interior_grid, neumann_gate)
 
 
 def frames_of(e):
@@ -201,8 +201,7 @@ class TestSharedSweep:
                             meta["rhs_interior"] + meta["rhs_boundary"])
 
     def test_suite_matches_standalone_checks(self, entry):
-        e = entry("annulus")
-        target = report.target_from_zoo(e)
+        e = target = entry("annulus")
         run = report.run_suite(target)
         suite = {r.name: r.to_dict() for r in run["checks"]}
         g, h, plan = target.neumann(), target.h_field(), target.plan
@@ -223,7 +222,7 @@ class TestSharedSweep:
     def test_suite_jets_h_to_the_order_read(self, entry):
         # h enters the weak identities through h and grad h only: no
         # order-3 jet of it is built anywhere in a suite
-        target = report.target_from_zoo(entry("ball"))
+        target = zoo.load("ball")  # not the cached entry: it is patched
         h = CountingField(target.h_field())
         target.h_field = lambda: h
         assert report.run_suite(target)["passed"]
@@ -231,7 +230,7 @@ class TestSharedSweep:
 
     def test_suite_geometry_once_per_sample_grid(self, entry, monkeypatch):
         e = entry("ball")
-        target = report.target_from_zoo(e)
+        target = zoo.load("ball")  # not the cached entry: it is patched
         patch, = e.space.boundary_patches
         (lo, hi), = patch.param_box
         m, = e.plan.boundary_counts
@@ -275,7 +274,7 @@ class TestSharedSweep:
             for module in (boundary, verify):
                 if getattr(module, fname, None) is original:
                     monkeypatch.setattr(module, fname, counted)
-        assert report.run_suite(report.target_from_zoo(e))["passed"]
+        assert report.run_suite(e)["passed"]
         for i, a in enumerate(points):
             for b in points[:i]:
                 assert not (a.shape == b.shape and np.array_equal(a, b))
@@ -295,7 +294,7 @@ class TestSharedSweep:
         assert "interior = 8,8" in text
         p = tmp_path / "small.ini"
         p.write_text(text)
-        target = report.target_from_config(config.load_config(str(p)))
+        target = config.load_config(str(p))
         points = []
         init = geometry.NodeGeometry.__init__
 
@@ -387,8 +386,7 @@ class TestSharedSweep:
         jV = functools.cached_property(recorded("jV", geom_cls.jV.func))
         jV.__set_name__(geom_cls, "jV")
         monkeypatch.setattr(geom_cls, "jV", jV)
-        assert report.run_suite(report.target_from_zoo(entry("ball3")))[
-            "passed"]
+        assert report.run_suite(entry("ball3"))["passed"]
         assert dict(orders) == {
             "metric_jets": {2}, "jet_matrix_inverse": {2}, "jV": {2},
             "christoffel_jets": {1}, "normal_field_jets": {1}}
@@ -456,7 +454,7 @@ class TestOneFormula:
 class TestPointwiseChecks:
     def test_bochner_random_fields(self, ball):
         fields = ball.random_fields(5, seed=11)
-        geom = NodeGeometry(ball.space, ball.interior_points((8, 8)))
+        geom = NodeGeometry(ball.space, interior_grid(ball.space, (8, 8)))
         r = check_bochner(fields, geom)
         assert r.passed
 
@@ -466,7 +464,7 @@ class TestPointwiseChecks:
         assert r.passed
 
     def test_dimension_needs_n_at_least_dim(self, ball):
-        geom = NodeGeometry(ball.space, ball.interior_points((4, 4)))
+        geom = NodeGeometry(ball.space, interior_grid(ball.space, (4, 4)))
         with pytest.raises(ValueError, match="unsatisfiable"):
             check_dimension_term(ball.random_fields(1, 1), geom, n_dim=1.5)
 
@@ -475,7 +473,7 @@ class TestPointwiseChecks:
         # exactly when N equals the chart dimension
         f = ExprField("(x^2 + y^2)/2", 2)
         sp = half_space.space
-        geom = NodeGeometry(sp, half_space.interior_points((6, 6)))
+        geom = NodeGeometry(sp, interior_grid(half_space.space, (6, 6)))
         r = check_dimension_term([f], geom, n_dim=2.0)
         assert r.passed
         assert abs(r.residual) < 1e-12
@@ -484,7 +482,7 @@ class TestPointwiseChecks:
         assert strict.residual < -0.5  # slack opens up once N > n
 
     def test_dimension_random_fields(self, ball):
-        geom = NodeGeometry(ball.space, ball.interior_points((8, 8)))
+        geom = NodeGeometry(ball.space, interior_grid(ball.space, (8, 8)))
         r = check_dimension_term(ball.random_fields(10, 3), geom, n_dim=2.0)
         assert r.passed
 

@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from curvcert import report, zoo
+from curvcert import zoo
 from curvcert.geometry import NodeGeometry
 from curvcert.verify import (boundary_grid, certify, check_bochner,
                              check_green, check_ii_identity,
                              check_mv_laplacian, check_ricci_decomposition,
-                             weak_checks)
+                             interior_grid, weak_checks)
 from oracles import fd_partial
 
 ALL_NAMES = ["annulus", "ball", "ball3", "gaussian_half_space", "half_space",
@@ -133,7 +135,8 @@ class TestFullCheckSuite:
         e = entry(name)
         g = e.neumann_family()[0]
         hs = e.h_fields()
-        geom = NodeGeometry(e.space, e.interior_points())
+        geom = NodeGeometry(e.space,
+                            interior_grid(e.space, e.plan.interior_counts))
         frames = boundary_grid(e.space, e.plan.boundary_counts)
         fields = e.random_fields(3, seed=21)
         r = check_bochner(fields, geom)
@@ -154,12 +157,12 @@ class TestFullCheckSuite:
 
 class TestEntryPlumbing:
     def test_interior_points_inside(self, ball):
-        x = ball.interior_points((12, 12))
+        x = interior_grid(ball.space, (12, 12))
         phi = np.asarray(ball.space.defining_fn.value(x))
         assert np.all(phi < 0)
 
     def test_random_fields_bounded(self, ball):
-        x = ball.interior_points((8, 8))
+        x = interior_grid(ball.space, (8, 8))
         for f in ball.random_fields(10, seed=5):
             v = np.asarray(f.value(x))
             assert np.all(np.isfinite(v))
@@ -172,10 +175,17 @@ class TestEntryPlumbing:
             assert len(fam) == len(e.neumann_bases)
             assert len(e.h_fields()) >= 2
             # no member is projected to zero: each one tests something
-            x = e.interior_points()
+            x = interior_grid(e.space, e.plan.interior_counts)
             for nt in fam:
                 assert np.max(np.abs(nt.field.value(x))) > 0.0, \
                     (name, nt.base)
+
+    def test_declared_family_goes_through_the_zero_guard(self):
+        # the Neumann projection of 0.06*x*y on the half space is 0
+        e = dataclasses.replace(zoo.load("half_space"),
+                                neumann_bases=["0.06*x*y"])
+        with pytest.raises(zoo.ZooError, match="base '0.06\\*x\\*y'"):
+            e.neumann_family()
 
     def test_annulus_two_patches(self, entry):
         e = entry("annulus")
@@ -209,7 +219,7 @@ def _every_base():
 def test_every_declared_base_passes_the_weak_checks(entry, name, w):
     # run_suite reads only the first base; every declared base is a
     # witness the entry offers, so each must pass at the entry's plan
-    target = report.target_from_zoo(entry(name))
+    target = entry(name)
     plan = target.plan
     results = weak_checks(
         target.space, target.neumann(w), target.h_field(),
