@@ -18,18 +18,19 @@ from .config import load_config
 from .exprlang import ParseError
 from .fields import CutoffField, ExprField
 from .geometry import NodeGeometry
-from .report import (bochner_geometry, render_csv, render_json, render_text,
-                     timed_suite)
+from .report import (pointwise_inputs, render_csv, render_json, render_text,
+                     timed_suite, verdict_lines)
 from .verify import (GateError, Target, boundary_grid, certify, check_bochner,
-                     check_dimension_term, check_green, check_ii_identity,
-                     check_mv_laplacian, check_ricci_decomposition,
-                     flatness_report, interior_grid)
+                     check_dimension_term, check_ii_identity, flatness_report,
+                     interior_grid, weak_checks)
 
 # the options of ``check`` that each check reads; it refuses the others
 _WEAK = ("w", "h", "raw_field")
 CHECK_FLAGS = {"bochner": (), "green": _WEAK, "laplacian": _WEAK,
                "theorem": _WEAK, "ii": ("w", "raw_field"),
                "dimension": ("n_dim",)}
+# each weak check's entry in ``weak_checks``
+WEAK_ENTRY = {"green": 0, "laplacian": 1, "theorem": 3}
 
 
 class UsageError(ValueError):
@@ -144,12 +145,11 @@ def _cmd_check(args) -> int:
     t = _target(args)
     space, plan = t.space, t.plan
     if args.name in ("bochner", "dimension"):
-        fields = t.random_fields(10, seed=11)
-        geom = bochner_geometry(NodeGeometry(
+        jets, geom = pointwise_inputs(t, NodeGeometry(
             space, interior_grid(space, plan.interior_counts)))
         n_dim = args.n_dim if args.n_dim is not None else float(space.dim)
-        res = (check_bochner(fields, geom) if args.name == "bochner"
-               else check_dimension_term(fields, geom, n_dim))
+        res = (check_bochner(jets, geom) if args.name == "bochner"
+               else check_dimension_term(jets, geom, n_dim))
     else:
         if args.raw_field:
             src = args.w if args.w is not None else t.neumann_bases[0]
@@ -167,16 +167,10 @@ def _cmd_check(args) -> int:
                 g, boundary_grid(space, plan.boundary_counts))
         else:  # the weak identities, against a test density
             h = t.h_field(args.h)
-            if args.name == "green":
-                res = check_green(space, h, g, plan.quad_interior,
-                                  plan.quad_boundary)
-            elif args.name == "laplacian":
-                res = check_mv_laplacian(space, g, h, plan.quad_interior,
-                                         plan.quad_boundary)
-            else:
-                res = check_ricci_decomposition(
-                    space, g, h, boundary_grid(space, plan.boundary_counts),
-                    plan.quad_interior, plan.quad_boundary)
+            frames = (boundary_grid(space, plan.boundary_counts)
+                      if args.name == "theorem" else None)
+            res = weak_checks(space, g, h, frames, plan.quad_interior,
+                              plan.quad_boundary)[WEAK_ENTRY[args.name]]
     print(res)
     return 0 if res.passed else 1
 
@@ -192,16 +186,10 @@ def _cmd_certify(args) -> int:
     print(f"lambda_min_II = {rep.lambda_min_ii:.12g}")
     print(f"tr II range   = [{rep.tr_ii_range[0]:.12g}, "
           f"{rep.tr_ii_range[1]:.12g}]")
-    ok = True
-    for k, verdict in rep.rcd_infinity.items():
-        print(f"RCD({k:g}, inf): "
-              f"{'holds on samples' if verdict else 'FAILS'}")
-        ok = ok and verdict
-    for (k, n), verdict in rep.rcd_star.items():
-        print(f"RCD*({k:g}, {n:g}): "
-              f"{'holds on samples' if verdict else 'FAILS'}")
-        ok = ok and verdict
+    for line in verdict_lines(rep):
+        print(line)
     print("note: sampled necessary-condition certificate, not a proof")
+    ok = all(rep.rcd_infinity.values()) and all(rep.rcd_star.values())
     return 0 if ok else 1
 
 

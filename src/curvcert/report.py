@@ -14,11 +14,12 @@ import csv
 import io
 import json
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import NodeGeometry
+from .jets import Jet
 from .verify import (CheckResult, CurvatureReport, Target, boundary_spectrum,
                      certify, check_bochner, check_dimension_term,
                      interior_spectrum, weak_checks)
@@ -45,14 +46,32 @@ def bochner_geometry(sample: NodeGeometry, limit: int = 100) -> NodeGeometry:
     return NodeGeometry(sample.space, x[:, idx])
 
 
+def pointwise_inputs(target: Target, sample: NodeGeometry
+                     ) -> Tuple[List[Jet], NodeGeometry]:
+    """What the pointwise checks read: the ten seed-11 test fields of
+    ``target``, jetted once on ``bochner_geometry(sample)``, and that
+    grid."""
+    geom = bochner_geometry(sample)
+    return [f.jet(geom.x) for f in target.random_fields(10, seed=11)], geom
+
+
+def verdict_lines(cert: CurvatureReport) -> List[str]:
+    """One line per sampled RCD verdict of ``cert``."""
+    verdicts = [(f"RCD({k:g}, inf)", ok)
+                for k, ok in cert.rcd_infinity.items()]
+    verdicts += [(f"RCD*({k:g}, {n:g})", ok)
+                 for (k, n), ok in cert.rcd_star.items()]
+    return [f"{name}: {'holds on samples' if ok else 'FAILS'}"
+            for name, ok in verdicts]
+
+
 def run_suite(target: Target, k_list: Sequence[float] = (0.0,),
               n_list: Sequence[float] = ()) -> Dict:
     """Full battery: pointwise checks, weak identities, certificates, each
     grid built once and read by every check that samples it."""
     space, plan = target.space, target.plan
     sample, frames = plan.grids(space)
-    geom = bochner_geometry(sample)
-    jets = [f.jet(geom.x) for f in target.random_fields(10, seed=11)]
+    jets, geom = pointwise_inputs(target, sample)
     results: List[CheckResult] = [
         check_bochner(jets, geom),
         check_dimension_term(jets, geom, float(space.dim))]
@@ -94,11 +113,7 @@ def render_text(suite: Dict, timing: Optional[float] = None) -> str:
     lines.append(f"  lambda_max_II = {cert.lambda_max_ii:.12g}")
     lines.append(f"  tr II range   = [{cert.tr_ii_range[0]:.12g}, "
                  f"{cert.tr_ii_range[1]:.12g}]")
-    for k, ok in cert.rcd_infinity.items():
-        lines.append(f"  RCD({k:g}, inf): {'holds on samples' if ok else 'FAILS'}")
-    for (k, n), ok in cert.rcd_star.items():
-        lines.append(f"  RCD*({k:g}, {n:g}): "
-                     f"{'holds on samples' if ok else 'FAILS'}")
+    lines += ["  " + line for line in verdict_lines(cert)]
     flat = suite["flatness"]
     lines.append("")
     lines.append(f"flatness: strong={flat.metadata['strong_flat']} "

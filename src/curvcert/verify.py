@@ -15,21 +15,22 @@ The two pointwise checks run their test fields through the operators
 as one stacked jet of batch (k, m) and rank one row per field.
 
 Green's formula and the weak Laplacian are one identity read from two
-sides.  ``weak_checks`` returns the four Neumann-gated checks (green,
-mv_laplacian, ii_identity, ricci_decomposition) from one gate
-(``neumann_gate``, which also hands the II identity its jets of g) and
-one sweep, which builds the geometry and g's terms once per node batch
-and streams the rows of each test density from one jet of it.  The sweep
-always yields all its rows; standalone ``check_green`` and
-``check_mv_laplacian`` read three of them.  Inside, every
-jet and term is taken on the quadrature chunk's axis lines, at the
-broadcast shape of the axes it reads, and the rows are flattened to the
-nodes only for their sums; ``decomposition_batch`` is the gate plus that
-sweep over a family of densities.  A check that reads one sample grid
-takes its ``NodeGeometry``, or one ``BoundaryFrame`` per patch, and
-nothing they hold (``SamplePlan.grids`` builds both); a check that runs
-a sweep takes the space.  Operators are bound by name from ``geometry``
-and ``boundary``.
+sides.  ``weak_checks`` is the one builder of the weak results: green
+and mv_laplacian from one sweep, which builds the geometry and g's terms
+once per node batch and streams the rows of each test density from one
+jet of it; given boundary frames, also ii_identity and
+ricci_decomposition, behind the one Neumann gate (``neumann_gate``,
+which also hands the II identity its jets of g).  ``check_green``,
+``check_mv_laplacian`` and ``check_ricci_decomposition`` are views of
+its entries.  Inside the sweep, every jet and term is taken on the
+quadrature chunk's axis lines, at the broadcast shape of the axes it
+reads, and the rows are flattened to the nodes only for their sums;
+``decomposition_batch`` is the gate plus that sweep over a family of
+densities.  A check that reads one sample grid takes its
+``NodeGeometry``, or one ``BoundaryFrame`` per patch, and nothing they
+hold (``SamplePlan.grids`` builds both); a check that runs a sweep takes
+the space.  Each check reads its identity's tolerance constant.
+Operators are bound by name from ``geometry`` and ``boundary``.
 
 A ``Target`` is one space under test, as the zoo and the INI loader both
 build it: its ``neumann`` and ``h_field`` make every Neumann field and test
@@ -131,7 +132,11 @@ def interior_grid(space: WeightedSpace, counts) -> np.ndarray:
     """Midpoint grid over the chart box, restricted to {phi < 0}."""
     pts = midpoint_grid(space.chart_box, counts)
     phi = np.asarray(space.defining_fn.value(pts))
-    return pts[:, phi < -1e-10]
+    x = pts[:, phi < -1e-10]
+    if x.shape[1] == 0:
+        raise ValueError(f"{space.label}: empty interior sample plan: none "
+                         f"of the {pts.shape[1]} grid points has phi < 0")
+    return x
 
 
 def boundary_grid(space: WeightedSpace, counts) -> List[BoundaryFrame]:
@@ -290,8 +295,8 @@ def _field_rows(vals: np.ndarray, x: np.ndarray) -> List[Tuple]:
     return [({"field_index": fi}, v, x) for fi, v in enumerate(vals)]
 
 
-def check_bochner(fields: Sequence[FieldOrJet], geom: NodeGeometry,
-                  tol: float = POINTWISE_TOL) -> CheckResult:
+def check_bochner(fields: Sequence[FieldOrJet], geom: NodeGeometry
+                  ) -> CheckResult:
     """Bochner identity Gamma2(f) = Ricci_V(grad f, grad f) + |Hess f|^2,
     at the points of ``geom``.  The fields go through Gamma2, Hess f and
     the Ricci_V contraction as one stacked jet; the residual is the first
@@ -308,13 +313,9 @@ def check_bochner(fields: Sequence[FieldOrJet], geom: NodeGeometry,
     worst, witness = _largest("bochner", rows, -1.0)
     npts = 1 if x.ndim == 1 else x.shape[1]
     return CheckResult(
-        name="bochner", residual=worst, tolerance=tol, passed=worst <= tol,
-        witness=witness,
+        name="bochner", residual=worst, tolerance=POINTWISE_TOL,
+        passed=worst <= POINTWISE_TOL, witness=witness,
         metadata={"fields": len(fields), "points": npts})
-
-
-def _as_field(g) -> ScalarField:
-    return g.field if isinstance(g, NeumannTestFunction) else g
 
 
 def _ii_of_gradient(bframe: BoundaryFrame, ju: Jet) -> np.ndarray:
@@ -395,52 +396,6 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
     return out
 
 
-def _laplacian_results(ints: Dict[str, float], is_neumann: bool,
-                       tol: float) -> List[CheckResult]:
-    """Green's formula and the weak Laplacian, one identity read from its
-    two sides: -Gamma(h,g) against h Lg - h g(N, grad g).  Negating a
-    difference is exact, so both sides give the same residual."""
-    i_gamma, i_lap, i_bd = ints["gamma"], ints["laplacian"], ints["flux"]
-    scale = 1.0 + abs(i_gamma) + abs(i_lap) + abs(i_bd)
-    res = abs(i_gamma - (-i_lap + i_bd)) / scale
-    meta = {"lhs": -i_gamma, "interior_density": i_lap, "boundary_flux": i_bd,
-            "neumann": is_neumann}
-    leak = is_neumann and abs(i_bd) > NEUMANN_GATE_TOL * (1.0 + abs(i_gamma))
-    if leak:
-        meta["neumann_boundary_leak"] = abs(i_bd)
-    return [CheckResult(name="green", residual=res, tolerance=tol,
-                        passed=res <= tol,
-                        metadata={"interior_gamma": i_gamma,
-                                  "interior_laplacian": i_lap,
-                                  "boundary_flux": i_bd}),
-            CheckResult(name="mv_laplacian", residual=res, tolerance=tol,
-                        passed=res <= tol and not leak, metadata=meta)]
-
-
-def check_green(space: WeightedSpace, f: ScalarField, g: ScalarField,
-                quad_interior=None, quad_boundary=None,
-                tol: float = QUADRATURE_TOL) -> CheckResult:
-    """Green's formula: int Gamma(f,g) = -int f L g + oint f g(N, grad g)."""
-    ints, = _weak_integrals(space, _as_field(g), [_as_field(f)],
-                            quad_interior, quad_boundary)
-    return _laplacian_results(ints, False, tol)[0]
-
-
-def check_mv_laplacian(space: WeightedSpace, g, h: ScalarField,
-                       quad_interior=None, quad_boundary=None,
-                       tol: float = QUADRATURE_TOL) -> CheckResult:
-    """Weak measure-valued Laplacian formula tested against h.
-
-    -int Gamma(h,g) dm  ==  int h (L g) dm  -  oint h g(N, grad g) dsigma.
-    For a Neumann test function the boundary term must itself vanish
-    (the measure Laplacian is absolutely continuous).
-    """
-    ints, = _weak_integrals(space, _as_field(g), [h], quad_interior,
-                            quad_boundary)
-    return _laplacian_results(
-        ints, isinstance(g, NeumannTestFunction), tol)[1]
-
-
 def neumann_gate(g: NeumannTestFunction, frames: Sequence[BoundaryFrame],
                  tol: float = NEUMANN_GATE_TOL) -> Tuple[List[Jet], float]:
     """The order-2 jets of g at the boundary frames (the gate and the II
@@ -458,30 +413,67 @@ def neumann_gate(g: NeumannTestFunction, frames: Sequence[BoundaryFrame],
     return jets, worst
 
 
-def weak_checks(space: WeightedSpace, g: NeumannTestFunction,
-                h: ScalarField, frames: Sequence[BoundaryFrame],
-                quad_interior=None, quad_boundary=None,
-                tol: float = QUADRATURE_TOL) -> List[CheckResult]:
-    """The four Neumann-gated checks in ``run_suite``'s order: green,
-    mv_laplacian, ii_identity and ricci_decomposition, from the II
-    check's gate on ``frames`` and one quadrature sweep."""
-    ii = check_ii_identity(g, frames)
-    ints, = _weak_integrals(space, g.field, [h], quad_interior, quad_boundary)
+def weak_checks(space: WeightedSpace, g, h: ScalarField,
+                frames: Optional[Sequence[BoundaryFrame]] = None,
+                quad_interior=None, quad_boundary=None) -> List[CheckResult]:
+    """The weak checks of g against the test density h, in ``run_suite``'s
+    order, from one quadrature sweep.  Green's formula and the weak
+    Laplacian are one identity read from its two sides, -int Gamma(h,g)
+    against int h Lg - oint h g(N, grad g); negating a difference is exact,
+    so green and mv_laplacian have the same residual.  When g is a
+    ``NeumannTestFunction`` its boundary term must itself vanish (the
+    measure Laplacian is absolutely continuous), or mv_laplacian fails
+    with a leak.  Given ``frames``, ii_identity, whose Neumann gate on them
+    runs before the sweep, and ricci_decomposition follow."""
+    is_neumann = isinstance(g, NeumannTestFunction)
+    ii = None if frames is None else check_ii_identity(g, frames)
+    ints, = _weak_integrals(space, g.field if is_neumann else g, [h],
+                            quad_interior, quad_boundary)
+    i_gamma, i_lap, i_bd = ints["gamma"], ints["laplacian"], ints["flux"]
+    scale = 1.0 + abs(i_gamma) + abs(i_lap) + abs(i_bd)
+    res = abs(i_gamma - (-i_lap + i_bd)) / scale
+    meta = {"lhs": -i_gamma, "interior_density": i_lap, "boundary_flux": i_bd,
+            "neumann": is_neumann}
+    leak = is_neumann and abs(i_bd) > NEUMANN_GATE_TOL * (1.0 + abs(i_gamma))
+    if leak:
+        meta["neumann_boundary_leak"] = abs(i_bd)
+    tol = QUADRATURE_TOL
+    out = [CheckResult(name="green", residual=res, tolerance=tol,
+                       passed=res <= tol,
+                       metadata={"interior_gamma": i_gamma,
+                                 "interior_laplacian": i_lap,
+                                 "boundary_flux": i_bd}),
+           CheckResult(name="mv_laplacian", residual=res, tolerance=tol,
+                       passed=res <= tol and not leak, metadata=meta)]
+    if ii is None:
+        return out
     lhs, rhs_i, rhs_b = ints["lhs"], ints["rhs_interior"], ints["rhs_boundary"]
     rhs = rhs_i + rhs_b
     res = abs(lhs - rhs) / (1.0 + abs(rhs))
-    decomposition = CheckResult(
+    return out + [ii, CheckResult(
         name="ricci_decomposition", residual=res, tolerance=tol,
         passed=res <= tol,
         metadata={"lhs": lhs, "rhs_interior": rhs_i, "rhs_boundary": rhs_b,
-                  "neumann_gate": ii.metadata["neumann_gate"]})
-    return _laplacian_results(ints, True, tol) + [ii, decomposition]
+                  "neumann_gate": ii.metadata["neumann_gate"]})]
+
+
+def check_green(space: WeightedSpace, f: ScalarField, g,
+                quad_interior=None, quad_boundary=None) -> CheckResult:
+    """Green's formula: int Gamma(f,g) = -int f L g + oint f g(N, grad g)."""
+    return weak_checks(space, g, f, None, quad_interior, quad_boundary)[0]
+
+
+def check_mv_laplacian(space: WeightedSpace, g, h: ScalarField,
+                       quad_interior=None, quad_boundary=None) -> CheckResult:
+    """Weak measure-valued Laplacian formula tested against h:
+    -int Gamma(h,g) dm == int h (L g) dm - oint h g(N, grad g) dsigma."""
+    return weak_checks(space, g, h, None, quad_interior, quad_boundary)[1]
 
 
 def check_ricci_decomposition(space: WeightedSpace, g: NeumannTestFunction,
                               h: ScalarField, frames: Sequence[BoundaryFrame],
-                              quad_interior=None, quad_boundary=None,
-                              tol: float = QUADRATURE_TOL) -> CheckResult:
+                              quad_interior=None, quad_boundary=None
+                              ) -> CheckResult:
     """The headline check: weak measure Ricci = Ricci_V dm + II dsigma.
 
     LHS(h) = -1/2 int Gamma(h, Gamma(g,g)) - int h Gamma(g, Lg)
@@ -489,8 +481,7 @@ def check_ricci_decomposition(space: WeightedSpace, g: NeumannTestFunction,
     RHS(h) = int h Ricci_V(grad g, grad g) dm
              + oint h II(grad g, grad g) dsigma.
     """
-    return weak_checks(space, g, h, frames, quad_interior, quad_boundary,
-                       tol)[3]
+    return weak_checks(space, g, h, frames, quad_interior, quad_boundary)[3]
 
 
 def decomposition_batch(space: WeightedSpace, g: NeumannTestFunction,
@@ -508,8 +499,7 @@ def decomposition_batch(space: WeightedSpace, g: NeumannTestFunction,
 
 
 def check_ii_identity(g: NeumannTestFunction,
-                      frames: Sequence[BoundaryFrame],
-                      tol: float = POINTWISE_TOL) -> CheckResult:
+                      frames: Sequence[BoundaryFrame]) -> CheckResult:
     """II(grad g, grad g) = -1/2 g(N, grad |grad g|^2) on the boundary
     frames, on the jets of g that the Neumann gate read."""
     jets, gate = neumann_gate(g, frames)
@@ -520,14 +510,14 @@ def check_ii_identity(g: NeumannTestFunction,
         rhs = -0.5 * bf.flux(carre_du_champ_jet(bf.geom, dg).gradient())
         rows.append(({}, np.abs(lhs - rhs) / (1.0 + np.abs(lhs)), bf.point))
     worst, witness = _largest("ii_identity", rows, -1.0)
-    return CheckResult(name="ii_identity", residual=worst, tolerance=tol,
-                       passed=worst <= tol, witness=witness,
+    return CheckResult(name="ii_identity", residual=worst,
+                       tolerance=POINTWISE_TOL, passed=worst <= POINTWISE_TOL,
+                       witness=witness,
                        metadata={"neumann_gate": gate})
 
 
 def check_dimension_term(fields: Sequence[FieldOrJet], geom: NodeGeometry,
-                         n_dim: float, tol: float = DIMENSION_TOL
-                         ) -> CheckResult:
+                         n_dim: float) -> CheckResult:
     """(trace_g Hess f)^2 / N <= |Hess f|^2_HS whenever N >= n, at the
     points of ``geom``.  The fields' Hessians are one stacked batch; the
     residual is the first maximum in field order, its witness that field
@@ -542,8 +532,9 @@ def check_dimension_term(fields: Sequence[FieldOrJet], geom: NodeGeometry,
         lap = contract("ij...,ij...->...", geom.inverse, H)
         rows = _field_rows(lap**2 / n_dim - hs_norm_sq(geom, H), geom.x)
     worst, witness = _largest("dimension_term", rows, -np.inf)
-    return CheckResult(name="dimension_term", residual=worst, tolerance=tol,
-                       passed=worst <= tol, witness=witness,
+    return CheckResult(name="dimension_term", residual=worst,
+                       tolerance=DIMENSION_TOL, passed=worst <= DIMENSION_TOL,
+                       witness=witness,
                        metadata={"n_dim": n_dim, "fields": len(fields)})
 
 
@@ -602,10 +593,11 @@ class CurvatureReport:
             "certificate": "sampled necessary-condition certificate",
         }
 
-    def flatness(self, tol: float = VERDICT_SLACK) -> CheckResult:
+    def flatness(self) -> CheckResult:
         """Measure-Ricci-flatness on these samples: Ricci_V = 0 inside,
-        II (or tr II) = 0 on the boundary.  Both the strong (full II) and
-        trace-only readings are reported."""
+        II (or tr II) = 0 on the boundary, each to ``VERDICT_SLACK``.  Both
+        the strong (full II) and trace-only readings are reported."""
+        tol = VERDICT_SLACK
         max_ricci = self.max_abs_ricci_v
         max_ii = max(abs(self.lambda_min_ii), abs(self.lambda_max_ii))
         max_tr = max(abs(self.tr_ii_range[0]), abs(self.tr_ii_range[1]))
@@ -673,8 +665,7 @@ def certify(geom: NodeGeometry, frames: Sequence[BoundaryFrame],
         max_abs_ricci_v=float(np.max(np.abs(eigs))))
 
 
-def flatness_report(space: WeightedSpace, plan: SamplePlan,
-                    tol: float = VERDICT_SLACK) -> CheckResult:
+def flatness_report(space: WeightedSpace, plan: SamplePlan) -> CheckResult:
     """Measure-Ricci-flatness at the plan's sampling: the certificate's
     spectra read by ``CurvatureReport.flatness``."""
-    return certify(*plan.grids(space), ()).flatness(tol)
+    return certify(*plan.grids(space), ()).flatness()

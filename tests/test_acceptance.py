@@ -60,7 +60,8 @@ def test_criterion_1_bochner():
         e = entry(name)
         pts = sample_interior(e, 100, rng)
         fields = e.random_fields(10, seed=11)
-        r = check_bochner(fields, NodeGeometry(e.space, pts), tol=1e-8)
+        r = check_bochner(fields, NodeGeometry(e.space, pts))
+        assert r.tolerance == 1e-8
         worst = max(worst, r.residual)
         assert r.passed, f"{name}: {r}"
     elapsed = time.perf_counter() - t0
@@ -109,15 +110,18 @@ def test_criterion_3_proof_steps():
         g = e.neumann_family()[0]
         h = e.h_fields()[1]
         r = check_green(e.space, h, g.field, e.plan.quad_interior,
-                        e.plan.quad_boundary, tol=1e-5)
+                        e.plan.quad_boundary)
+        assert r.tolerance == 1e-5
         assert r.passed, (name, str(r))
         worst["green"] = max(worst["green"], r.residual)
         r = check_mv_laplacian(e.space, g, h, e.plan.quad_interior,
-                               e.plan.quad_boundary, tol=1e-5)
+                               e.plan.quad_boundary)
+        assert r.tolerance == 1e-5
         assert r.passed, (name, str(r))
         worst["mv_laplacian"] = max(worst["mv_laplacian"], r.residual)
         r = check_ii_identity(
-            g, boundary_grid(e.space, e.plan.boundary_counts), tol=1e-8)
+            g, boundary_grid(e.space, e.plan.boundary_counts))
+        assert r.tolerance == 1e-8
         assert r.passed, (name, str(r))
         worst["ii_identity"] = max(worst["ii_identity"], r.residual)
     # deliberately non-Neumann field: the boundary flux term of the weak
@@ -125,8 +129,8 @@ def test_criterion_3_proof_steps():
     e = entry("ball")
     raw = CutoffField(e.cutoff) * ExprField("0.3*x^2", 2)
     r = check_mv_laplacian(e.space, raw, e.h_fields()[1],
-                           e.plan.quad_interior, e.plan.quad_boundary,
-                           tol=1e-5)
+                           e.plan.quad_interior, e.plan.quad_boundary)
+    assert r.tolerance == 1e-5
     assert r.passed and abs(r.metadata["boundary_flux"]) > 1e-3
     ok = (worst["green"] <= 1e-5 and worst["mv_laplacian"] <= 1e-5
           and worst["ii_identity"] <= 1e-8)
@@ -179,7 +183,8 @@ def test_criterion_5_dimension_term():
         geom = NodeGeometry(e.space,
                             interior_grid(e.space, e.plan.interior_counts))
         for n_dim in (float(e.space.dim), float(e.space.dim) + 2.0):
-            r = check_dimension_term(fields, geom, n_dim, tol=1e-10)
+            r = check_dimension_term(fields, geom, n_dim)
+            assert r.tolerance == 1e-10
             assert r.passed, (name, n_dim, str(r))
             worst = max(worst, r.residual)
     # conformal Hessian: Hess f = g, the trace bound is an equality
@@ -188,7 +193,8 @@ def test_criterion_5_dimension_term():
     r_eq = check_dimension_term(
         [f], NodeGeometry(hs.space,
                           interior_grid(hs.space, hs.plan.interior_counts)),
-        float(hs.space.dim), tol=1e-10)
+        float(hs.space.dim))
+    assert r_eq.tolerance == 1e-10
     assert abs(r_eq.residual) <= 1e-12
     ok = worst <= 1e-10
     verdict(5, ok, "dimension term on 100 random fields per space at "

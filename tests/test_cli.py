@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import io
 import json
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import curvcert
+from curvcert import report, zoo
 from curvcert.cli import main
 from curvcert.verify import certify
 from curvcert.zoo import list_entries
@@ -46,6 +48,20 @@ class TestBasics:
     def test_all_names_resolve(self):
         assert [n for n in curvcert.__all__ if not hasattr(curvcert, n)] \
             == []
+
+    def test_no_export_takes_tol(self):
+        # each check reads its identity's tolerance constant; a ``tol``
+        # knob on a public callable would be a second, unpinned bound
+        takes_tol = []
+        for name in curvcert.__all__:
+            obj = getattr(curvcert, name)
+            fns = ([(f"{name}.{k}", getattr(obj, k)) for k, v in
+                    vars(obj).items() if inspect.isfunction(v)
+                    or isinstance(v, (staticmethod, classmethod))]
+                   if isinstance(obj, type) else [(name, obj)])
+            takes_tol += [n for n, fn in fns if callable(fn)
+                          and "tol" in inspect.signature(fn).parameters]
+        assert takes_tol == []
 
     def test_unknown_zoo(self, capsys):
         code, out, err = run(capsys, "describe", "--zoo", "torus")
@@ -280,6 +296,33 @@ def test_non_finite_ricci_v(capsys, tmp_path, command):
     samples = interior_grid(cfg.space, cfg.plan.interior_counts)
     assert any(np.array_equal(point, samples[:, k])
                for k in range(samples.shape[1]))
+
+
+def test_empty_interior_plan(capsys, tmp_path):
+    # phi = 1 - x is > 0 on the whole chart: no interior sample point
+    from test_config import BALL_INI
+    p = tmp_path / "outside.ini"
+    p.write_text(BALL_INI.replace('phi = "x - 1"', 'phi = "1 - x"'))
+    for argv in (["report"], ["check", "bochner"], ["check", "theorem"],
+                 ["certify", "--K", "0"]):
+        code, out, err = run(capsys, *argv, "--config", str(p))
+        assert code == 2, argv
+        assert err == (f"error: {p}: empty interior sample plan: none of "
+                       f"the 576 grid points has phi < 0\n"), argv
+
+
+@pytest.mark.parametrize("entry", ["gaussian_half_space", "ball3"])
+def test_check_prints_the_suite_result(capsys, entry):
+    # ``check NAME`` and ``run_suite`` read the same inputs
+    suite = {r.name: str(r)
+             for r in report.run_suite(zoo.load(entry))["checks"]}
+    for name, check in (("bochner", "bochner"),
+                        ("dimension", "dimension_term"),
+                        ("green", "green"), ("laplacian", "mv_laplacian"),
+                        ("ii", "ii_identity"),
+                        ("theorem", "ricci_decomposition")):
+        code, out, err = run(capsys, "check", name, "--zoo", entry)
+        assert out == suite[check] + "\n", name
 
 
 class TestCertify:

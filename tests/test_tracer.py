@@ -70,7 +70,8 @@ def test_field_jets_are_traced_on_grids():
 
 def test_suite_gate_is_traced():
     # a suite's gated checks share one Neumann gate, which the benchmark
-    # counts as ``verify.neumann_gate.calls``
+    # counts as ``verify.neumann_gate.calls``; and the suite calls the
+    # wrapped checks by name, or their ``verify.*.s`` would read 0
     spec = importlib.util.spec_from_file_location("layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
@@ -82,6 +83,8 @@ def test_suite_gate_is_traced():
     finally:
         tracer.uninstall()
     assert tracer.calls["verify.neumann_gate"] == 1
+    for span in ("bochner", "dimension_term", "ii_identity"):
+        assert tracer.calls[f"verify.{span}"] == 1, span
 
 
 def test_tracer_argument_positions():
