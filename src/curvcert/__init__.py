@@ -10,17 +10,16 @@ necessary-condition certificates.
 
 from .boundary import (BoundaryError, BoundaryFrame, NeumannTestFunction,
                        boundary_frame, make_neumann, mean_curvature,
-                       neumann_residual, second_fundamental_form)
+                       second_fundamental_form)
 from .config import ConfigError, load_config
 from .exprlang import EvalError, ParseError, differentiate, parse, to_source
-from .fields import (ConstField, CutoffField, CutoffSpec, ExprField,
-                     ScalarField, make_cutoff_spec)
+from .fields import ConstField, CutoffField, CutoffSpec, ExprField, ScalarField
 from .geometry import (GeometryError, NodeGeometry, WeightedSpace,
                        bakry_emery_ricci, gamma1, gamma2, grad, hessian,
                        hs_norm_sq, ricci, witten_laplacian)
 from .jets import Jet, JetDomainError, JetError, JetShapeError
 from .quadrature import (BoundaryPatch, QuadratureError, integrate_boundary,
-                         integrate_boundary_all, integrate_interior)
+                         integrate_interior)
 from .verify import (CheckResult, CurvatureReport, GateError, SamplePlan,
                      Target, certify, check_bochner, check_dimension_term,
                      check_green, check_ii_identity, check_mv_laplacian,
@@ -39,8 +38,7 @@ __all__ = [
     "check_dimension_term", "check_green", "check_ii_identity",
     "check_mv_laplacian", "check_ricci_decomposition", "differentiate",
     "flatness_report", "gamma1", "gamma2", "grad", "hessian", "hs_norm_sq",
-    "integrate_boundary", "integrate_boundary_all", "integrate_interior",
-    "load_config", "make_cutoff_spec", "make_neumann", "mean_curvature",
-    "neumann_residual", "parse", "ricci", "second_fundamental_form",
-    "to_source", "witten_laplacian",
+    "integrate_boundary", "integrate_interior", "load_config",
+    "make_neumann", "mean_curvature", "parse", "ricci",
+    "second_fundamental_form", "to_source", "witten_laplacian",
 ]

@@ -223,8 +223,3 @@ def make_neumann(space: WeightedSpace, w: ScalarField, cutoff: CutoffSpec,
     field = CutoffField(cutoff) * (w - correction)
     return NeumannTestFunction(base=w, field=field)
 
-
-def neumann_residual(bframe: BoundaryFrame, field: ScalarField) -> np.ndarray:
-    """g(N, grad field) at the frame's boundary points; the theorem's
-    gate."""
-    return bframe.flux(field.jet(bframe.point, 1).gradient())

@@ -32,9 +32,9 @@ A space file describes a weighted space in the expression language::
     interior = 24,24
     boundary = 96
 
-    [quadrature]            ; optional; quadrature node counts
-    interior = 224,64
-    boundary = 256
+    [quadrature]            ; optional; quadrature node counts, by default
+    interior = 224,64       ; quadrature.DEFAULT_INTERIOR_NODES and
+    boundary = 256          ; DEFAULT_BOUNDARY_NODES per axis
 
 ``load_config`` returns the space as a ``verify.Target`` whose Neumann
 bases are ``0.3*x, 0.3*y, ...`` (one per chart variable) and whose
@@ -50,7 +50,8 @@ from typing import Dict, List, Tuple
 from .exprlang import VAR_NAMES, ParseError
 from .fields import ConstField, CutoffSpec, ExprField, ScalarField
 from .geometry import WeightedSpace
-from .quadrature import BoundaryPatch
+from .quadrature import (DEFAULT_BOUNDARY_NODES, DEFAULT_INTERIOR_NODES,
+                         BoundaryPatch)
 from .verify import SamplePlan, Target
 
 
@@ -231,9 +232,9 @@ def load_config(path: str) -> Target:
         boundary_counts=counts_opt("samples", "boundary", dim - 1,
                                    (64,) * (dim - 1)),
         quad_interior=counts_opt("quadrature", "interior", dim,
-                                 (64,) * dim),
+                                 (DEFAULT_INTERIOR_NODES,) * dim),
         quad_boundary=counts_opt("quadrature", "boundary", dim - 1,
-                                 (256,) * (dim - 1)))
+                                 (DEFAULT_BOUNDARY_NODES,) * (dim - 1)))
 
     space = WeightedSpace(dim=dim, metric=metric, weight=weight,
                           defining_fn=phi, chart_box=chart_box,

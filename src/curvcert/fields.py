@@ -35,7 +35,6 @@ import numpy as np
 from . import exprlang
 from .jets import MAX_ORDER, Jet, JetDomainError, seed_variable
 
-Box = Sequence[Tuple[float, float]]
 Lines = Optional[Sequence[np.ndarray]]
 
 
@@ -243,11 +242,6 @@ class CutoffSpec:
                 raise ValueError(
                     f"cutoff boxes must nest: outer ({olo},{ohi}) "
                     f"inner ({ilo},{ihi})")
-
-
-def make_cutoff_spec(inner: Box, outer: Box) -> CutoffSpec:
-    return CutoffSpec(tuple((float(a), float(b)) for a, b in inner),
-                      tuple((float(a), float(b)) for a, b in outer))
 
 
 class CutoffField(ScalarField):

@@ -7,6 +7,10 @@ is exact for integrands carrying a compact-support cutoff inside Omega
 (all built-in spaces place the boundary on chart-box faces, so the
 clipping never cuts through the support).  Boundary integrals run over
 parametrized patches with the pullback density exp(-V) sqrt(det Gram).
+Node counts are always explicit: one count per axis of the chart box or
+of the patch's parameter box, as a tuple.  ``DEFAULT_INTERIOR_NODES``
+and ``DEFAULT_BOUNDARY_NODES`` are the per-axis counts a space file gets
+when it has no ``[quadrature]`` section.
 
 The interior rule runs in chunks (``interior_chunks``) of at most
 ``CHUNK`` nodes, each a C-order block of whole rows of the rule (a row:
@@ -141,11 +145,7 @@ def weighted_density(space: WeightedSpace, x, vol) -> np.ndarray:
     return np.exp(-np.asarray(space.weight.value(x))) * vol
 
 
-def _counts(counts, d, default):
-    if counts is None:
-        return (default,) * d
-    if isinstance(counts, int):
-        return (counts,) * d
+def _counts(counts, d):
     counts = tuple(int(c) for c in counts)
     if len(counts) != d:
         raise QuadratureError(f"expected {d} node counts, got {len(counts)}")
@@ -161,7 +161,7 @@ def interior_chunks(space: WeightedSpace, counts
     outnumber ``CHUNK``, blocks of the next axis with those indices fixed.
     Line i holds the chunk's nodes on axis i, shaped to broadcast along
     axis i only, and the points are its grid in C order."""
-    counts = _counts(counts, space.dim, DEFAULT_INTERIOR_NODES)
+    counts = _counts(counts, space.dim)
     pts, wts = tensor_rule(space.chart_box, counts)
     d = len(counts)
     pts, wts = pts.reshape((d,) + counts), wts.reshape(counts)
@@ -181,7 +181,7 @@ def interior_chunks(space: WeightedSpace, counts
             yield chunk.reshape(d, -1), wts[box].reshape(-1), lines
 
 
-def integrate_interior(space: WeightedSpace, F: Integrand, counts=None):
+def integrate_interior(space: WeightedSpace, F: Integrand, counts):
     """Integral of F over Omega = {phi < 0} against exp(-V) dVol_g
     (one integral per row of F; a float for a single row)."""
     total = None
@@ -223,10 +223,10 @@ def _patch_geometry(space: WeightedSpace, patch: BoundaryPatch, s: np.ndarray):
 
 
 def integrate_boundary(space: WeightedSpace, F: Integrand,
-                       patch: BoundaryPatch, counts=None):
+                       patch: BoundaryPatch, counts):
     """Integral of F over a boundary patch against exp(-V) dH^{n-1}
     (one integral per row of F)."""
-    counts = _counts(counts, patch.param_dim, DEFAULT_BOUNDARY_NODES)
+    counts = _counts(counts, patch.param_dim)
     s, wts = tensor_rule(patch.param_box, counts)
     geom, dens_gram = _patch_geometry(space, patch, s)
     sums, single = _batch_sums(F, geom, wts,
@@ -234,23 +234,11 @@ def integrate_boundary(space: WeightedSpace, F: Integrand,
     return sums[0] if single else sums
 
 
-def integrate_boundary_all(space: WeightedSpace, F: Integrand, counts=None):
-    """Sum of the patch integrals over every declared boundary patch, added
-    in patch order (one sum per row of F; a float for a single row)."""
-    if not space.boundary_patches:
-        raise QuadratureError("space declares no boundary patches")
-    per_patch = [integrate_boundary(space, F, p, counts)
-                 for p in space.boundary_patches]
-    if isinstance(per_patch[0], list):
-        return [float(sum(row)) for row in zip(*per_patch, strict=True)]
-    return float(sum(per_patch))
-
-
 def patch_points(space: WeightedSpace, patch: BoundaryPatch,
-                 counts=None) -> NodeGeometry:
+                 counts) -> NodeGeometry:
     """Geometry at the boundary sample points of a patch: the images of
     the midpoint grid over its parameter box, checked on the boundary and
     non-degenerate.  ``.x`` holds the points in chart coordinates."""
-    counts = _counts(counts, patch.param_dim, DEFAULT_BOUNDARY_NODES)
+    counts = _counts(counts, patch.param_dim)
     return _patch_geometry(space, patch,
                            midpoint_grid(patch.param_box, counts))[0]

@@ -326,8 +326,8 @@ def _ii_of_gradient(bframe: BoundaryFrame, ju: Jet) -> np.ndarray:
 
 
 def _weak_integrals(space: WeightedSpace, g: ScalarField,
-                    hs: Sequence[ScalarField], quad_interior=None,
-                    quad_boundary=None) -> List[Dict[str, float]]:
+                    hs: Sequence[ScalarField], quad_interior,
+                    quad_boundary) -> List[Dict[str, float]]:
     """One quadrature sweep for the weak identities of g tested against
     each h in ``hs``: int Gamma(h,g), int h Lg and oint h g(N, grad g),
     and the decomposition's LHS and interior and boundary RHS; one dict
@@ -414,8 +414,8 @@ def neumann_gate(g: NeumannTestFunction, frames: Sequence[BoundaryFrame],
 
 
 def weak_checks(space: WeightedSpace, g, h: ScalarField,
-                frames: Optional[Sequence[BoundaryFrame]] = None,
-                quad_interior=None, quad_boundary=None) -> List[CheckResult]:
+                frames: Optional[Sequence[BoundaryFrame]],
+                quad_interior, quad_boundary) -> List[CheckResult]:
     """The weak checks of g against the test density h, in ``run_suite``'s
     order, from one quadrature sweep.  Green's formula and the weak
     Laplacian are one identity read from its two sides, -int Gamma(h,g)
@@ -458,13 +458,13 @@ def weak_checks(space: WeightedSpace, g, h: ScalarField,
 
 
 def check_green(space: WeightedSpace, f: ScalarField, g,
-                quad_interior=None, quad_boundary=None) -> CheckResult:
+                quad_interior, quad_boundary) -> CheckResult:
     """Green's formula: int Gamma(f,g) = -int f L g + oint f g(N, grad g)."""
     return weak_checks(space, g, f, None, quad_interior, quad_boundary)[0]
 
 
 def check_mv_laplacian(space: WeightedSpace, g, h: ScalarField,
-                       quad_interior=None, quad_boundary=None) -> CheckResult:
+                       quad_interior, quad_boundary) -> CheckResult:
     """Weak measure-valued Laplacian formula tested against h:
     -int Gamma(h,g) dm == int h (L g) dm - oint h g(N, grad g) dsigma."""
     return weak_checks(space, g, h, None, quad_interior, quad_boundary)[1]
@@ -472,8 +472,7 @@ def check_mv_laplacian(space: WeightedSpace, g, h: ScalarField,
 
 def check_ricci_decomposition(space: WeightedSpace, g: NeumannTestFunction,
                               h: ScalarField, frames: Sequence[BoundaryFrame],
-                              quad_interior=None, quad_boundary=None
-                              ) -> CheckResult:
+                              quad_interior, quad_boundary) -> CheckResult:
     """The headline check: weak measure Ricci = Ricci_V dm + II dsigma.
 
     LHS(h) = -1/2 int Gamma(h, Gamma(g,g)) - int h Gamma(g, Lg)
@@ -485,8 +484,8 @@ def check_ricci_decomposition(space: WeightedSpace, g: NeumannTestFunction,
 
 
 def decomposition_batch(space: WeightedSpace, g: NeumannTestFunction,
-                        hs: Sequence[ScalarField], quad_interior=None,
-                        quad_boundary=None, boundary_counts=None
+                        hs: Sequence[ScalarField], quad_interior,
+                        quad_boundary, boundary_counts
                         ) -> List[Tuple[float, float]]:
     """(LHS, RHS) of the decomposition for one g and many test h, from the
     Neumann gate and one weak sweep: g's order-3 terms are computed once
@@ -572,12 +571,6 @@ class CurvatureReport:
     boundary_witness: List[float]
     max_abs_ricci_v: float  # read by flatness(), not serialized
 
-    def certified_k(self) -> float:
-        """Largest K certified at this sampling (or -inf for non-convex)."""
-        if self.lambda_min_ii < -VERDICT_SLACK:
-            return float("-inf")
-        return self.k_interior
-
     def to_dict(self) -> Dict:
         return {
             "k_interior": self.k_interior,
@@ -622,10 +615,12 @@ def interior_spectrum(geom: NodeGeometry) -> np.ndarray:
 
 def boundary_spectrum(frames: Sequence[BoundaryFrame]) -> Tuple:
     """The points of the boundary frames in order, the eigenvalues of II
-    there, (m, n-1) ascending, and tr II."""
+    there, (m, n-1) ascending, and tr II.  A non-finite II cannot be
+    ranked: EvalError at its point."""
     II = np.concatenate([bf.II for bf in frames], axis=-1)
-    return (np.concatenate([bf.point for bf in frames], axis=-1),
-            np.linalg.eigvalsh(np.moveaxis(II, (0, 1), (-2, -1))),
+    xb = np.concatenate([bf.point for bf in frames], axis=-1)
+    _largest("ii", [({}, np.max(np.abs(II), axis=(0, 1)), xb)], 0.0)
+    return (xb, np.linalg.eigvalsh(np.moveaxis(II, (0, 1), (-2, -1))),
             np.einsum("aa...->...", II))
 
 

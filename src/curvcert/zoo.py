@@ -308,6 +308,10 @@ def load(name: str, **params) -> Target:
     if bad:
         raise ZooError(f"unknown parameter(s) {sorted(bad)} for {name!r}")
     kwargs = {**defaults, **{k: float(v) for k, v in params.items()}}
+    for k in params:
+        if not math.isfinite(kwargs[k]):
+            raise ZooError(f"parameter {k}={kwargs[k]} for {name!r} must be "
+                           f"finite")
     entry = builder(**kwargs) if kwargs else builder()
     _light_validate(entry)
     return entry

@@ -5,10 +5,11 @@ import pytest
 
 from curvcert import boundary
 from curvcert.boundary import (BoundaryError, boundary_frame, make_neumann,
-                               mean_curvature, neumann_residual,
-                               normal_field_jets, second_fundamental_form)
-from curvcert.fields import ConstField, ExprField, make_cutoff_spec
+                               mean_curvature, normal_field_jets,
+                               second_fundamental_form)
+from curvcert.fields import ConstField, CutoffSpec, ExprField
 from curvcert.geometry import NodeGeometry, WeightedSpace
+from curvcert.verify import neumann_gate
 from oracles import fd_partial
 
 
@@ -168,8 +169,8 @@ class TestSecondFundamentalForm:
 class TestNeumannFactory:
     # plateau covers the whole closed disk so chi is constant at the
     # boundary and only the exact correction controls the normal derivative
-    CUTOFF = make_cutoff_spec(inner=((-1.05, 1.05), (-1.05, 1.05)),
-                              outer=((-1.15, 1.15), (-1.15, 1.15)))
+    CUTOFF = CutoffSpec(inner=((-1.05, 1.05), (-1.05, 1.05)),
+                        outer=((-1.15, 1.15), (-1.15, 1.15)))
 
     def test_hand_oracle_correction(self):
         # w = x on the unit disk: corrected field is x*(r^2 + 1)/(2 r^2)
@@ -182,8 +183,9 @@ class TestNeumannFactory:
 
     def test_raw_field_fails_gate(self):
         sp = cartesian_ball()
-        res = neumann_residual(frame(sp, np.array([0.0, 1.0])),
-                               ExprField("x1^2 + x2^2 - 1", 2))
+        bf = frame(sp, np.array([0.0, 1.0]))
+        res = bf.flux(ExprField("x1^2 + x2^2 - 1", 2).jet(bf.point, 1)
+                      .gradient())
         assert float(np.asarray(res)) == pytest.approx(2.0, abs=1e-12)
 
     def test_corrected_field_passes_gate(self):
@@ -192,8 +194,7 @@ class TestNeumannFactory:
             nt = make_neumann(sp, ExprField(src, 2), self.CUTOFF)
             t = np.linspace(0.1, 6.1, 11)
             x = np.stack([np.cos(t), np.sin(t)])
-            res = np.asarray(neumann_residual(frame(sp, x), nt.field))
-            assert np.max(np.abs(res)) < 1e-10
+            assert neumann_gate(nt, [frame(sp, x)], tol=np.inf)[1] < 1e-10
 
     def test_phi_as_base_is_corrected_to_flat(self):
         # w = phi has pure normal gradient; the correction removes it all
@@ -201,13 +202,12 @@ class TestNeumannFactory:
         nt = make_neumann(sp, ExprField("x1^2 + x2^2 - 1", 2), self.CUTOFF)
         t = np.linspace(0.3, 5.9, 7)
         x = np.stack([np.cos(t), np.sin(t)])
-        res = np.asarray(neumann_residual(frame(sp, x), nt.field))
-        assert np.max(np.abs(res)) < 1e-10
+        assert neumann_gate(nt, [frame(sp, x)], tol=np.inf)[1] < 1e-10
 
     def test_cutoff_exceeding_chart_rejected(self):
         sp = cartesian_ball()
-        wide = make_cutoff_spec(inner=((-0.5, 0.5), (-0.5, 0.5)),
-                                outer=((-2.0, 2.0), (-1.1, 1.1)))
+        wide = CutoffSpec(inner=((-0.5, 0.5), (-0.5, 0.5)),
+                          outer=((-2.0, 2.0), (-1.1, 1.1)))
         with pytest.raises(ValueError, match="chart_box"):
             make_neumann(sp, ExprField("x1", 2), wide)
 
@@ -218,5 +218,5 @@ class TestNeumannFactory:
             frames = boundary_grid(e.space, e.plan.boundary_counts)
             for nt in e.neumann_family():
                 for bf in frames:
-                    res = np.asarray(neumann_residual(bf, nt.field))
-                    assert np.max(np.abs(res)) < 1e-8, (name, nt.base.source)
+                    res = neumann_gate(nt, [bf], tol=np.inf)[1]
+                    assert res < 1e-8, (name, nt.base.source)

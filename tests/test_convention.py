@@ -17,7 +17,6 @@ OPERATORS = [
     (geometry, "christoffel_jets"),
     (boundary, "boundary_frame"), (boundary, "normal_field_jets"),
     (boundary, "second_fundamental_form"), (boundary, "mean_curvature"),
-    (boundary, "neumann_residual"),
     (verify, "check_bochner"), (verify, "check_dimension_term"),
     (verify, "neumann_gate"), (verify, "check_ii_identity"),
     (verify, "interior_spectrum"), (verify, "certify"),

@@ -38,15 +38,15 @@ def _digest(target) -> str:
                                   "poincare_cap", "ball3"])
 def test_report_digest_is_recorded(name):
     recorded = json.loads(DIGESTS.read_text())["sha256"][name]
-    assert _digest(report.target_from_zoo(zoo.load(name))) == recorded
+    assert _digest(zoo.load(name)) == recorded
 
 
 @pytest.mark.parametrize("name", ["half_space", "gaussian_half_space"])
 def test_half_space_digest_is_pinned(name):
-    assert _digest(report.target_from_zoo(zoo.load(name))) == PINNED[name]
+    assert _digest(zoo.load(name)) == PINNED[name]
 
 
 def test_dense_family_report_digest_is_pinned():
-    target = report.target_from_config(config.load_config(str(DENSE_INI)))
+    target = config.load_config(str(DENSE_INI))
     target = dataclasses.replace(target, label=DENSE_INI.name)
     assert _digest(target) == PINNED[DENSE_INI.name]

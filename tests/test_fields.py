@@ -7,25 +7,24 @@ import pytest
 from curvcert import zoo
 from curvcert.exprlang import EvalError
 from curvcert.fields import (ConstField, CutoffField, CutoffSpec, ExprField,
-                             _BinField, _bump_h, _smoothstep_jets,
-                             make_cutoff_spec)
+                             _BinField, _bump_h, _smoothstep_jets)
 from curvcert.jets import Jet, extract, multi_indices, seed_variable
 from curvcert.quadrature import interior_chunks, tensor_rule
 from curvcert.verify import interior_grid
 from oracles import richardson_partial
 
-SPEC = make_cutoff_spec(inner=((-1.0, 1.0), (0.0, 1.0)),
-                        outer=((-2.0, 2.0), (0.0, 2.0)))
+SPEC = CutoffSpec(inner=((-1.0, 1.0), (0.0, 1.0)),
+                  outer=((-2.0, 2.0), (0.0, 2.0)))
 
 
 class TestCutoffSpec:
     def test_inner_must_nest(self):
         with pytest.raises(ValueError):
-            make_cutoff_spec(((-3.0, 1.0),), ((-2.0, 2.0),))
+            CutoffSpec(((-3.0, 1.0),), ((-2.0, 2.0),))
 
     def test_lo_le_hi(self):
         with pytest.raises(ValueError):
-            make_cutoff_spec(((1.0, -1.0),), ((-2.0, 2.0),))
+            CutoffSpec(((1.0, -1.0),), ((-2.0, 2.0),))
 
 
 class TestCutoffField:
@@ -202,8 +201,8 @@ class TestCutoffPerCoordinate:
     the per-node loop's bit for bit in every slot they store, on lines or
     at points."""
 
-    UNTAPERED = make_cutoff_spec(inner=((-1.0, 1.0), (0.0, 1.0)),
-                                 outer=((-2.0, 2.0), (0.0, 1.0)))
+    UNTAPERED = CutoffSpec(inner=((-1.0, 1.0), (0.0, 1.0)),
+                           outer=((-2.0, 2.0), (0.0, 1.0)))
 
     @staticmethod
     def _same_bits(a, b):

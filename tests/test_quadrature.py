@@ -9,8 +9,7 @@ from curvcert.fields import ConstField, ExprField
 from curvcert.geometry import NodeGeometry, WeightedSpace
 from curvcert.quadrature import (CHUNK, BoundaryPatch, QuadratureError,
                                  gauss_rule,
-                                 integrate_boundary, integrate_boundary_all,
-                                 integrate_interior, interior_chunks,
+                                 integrate_boundary, integrate_interior, interior_chunks,
                                  patch_points, tensor_rule)
 
 TWO_PI = 2.0 * np.pi
@@ -191,8 +190,8 @@ class TestBoundary:
     @pytest.mark.parametrize("R", [1.0, 2.0, 0.5])
     def test_circle_length(self, R):
         sp = disk(R)
-        got = integrate_boundary_all(sp, lambda g: np.ones(g.x.shape[1]),
-                                     counts=(64,))
+        got = integrate_boundary(sp, lambda g: np.ones(g.x.shape[1]),
+                                 sp.boundary_patches[0], counts=(64,))
         assert got == pytest.approx(TWO_PI * R, rel=1e-10)
 
     def test_weighted_moment(self):
@@ -205,8 +204,8 @@ class TestBoundary:
     def test_patch_leaving_boundary_rejected(self):
         sp = disk(1.0, patch_ok=False)
         with pytest.raises(QuadratureError, match="leaves the boundary"):
-            integrate_boundary_all(sp, lambda g: np.ones(g.x.shape[1]),
-                                   counts=(16,))
+            integrate_boundary(sp, lambda g: np.ones(g.x.shape[1]),
+                               sp.boundary_patches[0], counts=(16,))
 
     @pytest.mark.parametrize("offset", [1e-9, -1e-9])
     def test_patch_off_by_the_on_boundary_tolerance_rejected(self, offset):
@@ -246,25 +245,6 @@ class TestBoundary:
         with pytest.raises(QuadratureError, match="Gram"):
             integrate_boundary(sp, lambda g: np.ones(g.x.shape[1]),
                                const_patch, counts=(8,))
-
-    def test_rows_summed_per_patch_in_order(self, entry):
-        space = entry("annulus").space
-        assert len(space.boundary_patches) == 2
-        fns = [lambda g: np.ones(g.x.shape[1]),
-               lambda g: g.x[0] ** 2 + g.x[1]]
-        per_patch = [[integrate_boundary(space, f, p, (32,)) for f in fns]
-                     for p in space.boundary_patches]
-        want = [0 + a + b for a, b in zip(*per_patch)]
-        got = integrate_boundary_all(
-            space, lambda g: np.stack([f(g) for f in fns]), (32,))
-        assert got == want
-        one = integrate_boundary_all(space, fns[1], (32,))
-        assert isinstance(one, float) and one == want[1]
-
-    def test_no_patches_rejected(self):
-        sp = gaussian_plane()
-        with pytest.raises(QuadratureError, match="no boundary patches"):
-            integrate_boundary_all(sp, lambda g: np.ones(g.x.shape[1]))
 
     def test_patch_points_on_boundary(self):
         sp = disk(1.0)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -439,7 +440,8 @@ class TestOneFormula:
             w, = verify._weak_integrals(ball.space, g.field,
                                         [ball.h_fields()[0]],
                                         plan.quad_interior, plan.quad_boundary)
-            residual = boundary.neumann_residual(frames[0], g.field)
+            bf = frames[0]
+            residual = bf.flux(g.field.jet(bf.point, 1).gradient())
             return np.array([gate, w["flux"], *residual])
 
         before = consumers()
@@ -507,8 +509,22 @@ class TestCertify:
     def test_certified_k_non_convex(self, entry):
         e = entry("annulus")
         rep = certify(*e.plan.grids(e.space), [0.0])
-        assert rep.certified_k() == float("-inf")
+        assert rep.lambda_min_ii < -verify.VERDICT_SLACK
         assert rep.lambda_min_ii == pytest.approx(-2.0, abs=1e-6)
+
+    def test_non_finite_ii_names_its_point(self, ball):
+        # a NaN in II cannot be ranked: the certificate stops at its
+        # point instead of reporting lambda_min_II = nan
+        sample, frames = ball.plan.grids(ball.space)
+        bad = dataclasses.replace(frames[0])
+        II = frames[0].II.copy()
+        II[0, 0, 3] = np.nan
+        bad.II = II
+        point = re.escape(str([float(v) for v in bad.point[:, 3]]))
+        with pytest.raises(EvalError, match=rf"^ii: non-finite .* {point}$"):
+            verify.boundary_spectrum([bad])
+        with pytest.raises(EvalError, match=rf"^ii: .* {point}$"):
+            certify(sample, [bad] + frames[1:], [0.0])
 
     @pytest.mark.parametrize("name", ["annulus", "ball3"])
     def test_boundary_reduction_matches_per_patch_loop(self, entry, name):
