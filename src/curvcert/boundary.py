@@ -28,7 +28,7 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import add, differentiate, div, mul, simplify, sub
-from .fields import ConstField, CutoffField, CutoffSpec, ExprField, ScalarField
+from .fields import CutoffField, CutoffSpec, ExprField, ScalarField
 from .geometry import GRAD_PHI_FLOOR, NodeGeometry, WeightedSpace, jet_sum
 from .jets import Jet
 
@@ -176,10 +176,8 @@ def _symbolic_adjugate(metric_asts):
 
 
 def _require_expr(field: ScalarField, what: str):
-    if isinstance(field, ExprField):
+    if isinstance(field, ExprField):  # a ConstField too
         return field.ast
-    if isinstance(field, ConstField):
-        return simplify(exprlang.Num(field.value(np.zeros((field.dim, 1)))[0]))
     raise TypeError(
         f"make_neumann needs an expression-backed {what}, "
         f"got {type(field).__name__}")

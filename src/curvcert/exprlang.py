@@ -1,4 +1,4 @@
-"""Scalar-field expression language: parser, evaluators, printer, d/dx.
+"""Scalar-field expression language: parser, jet evaluator, printer, d/dx.
 
 Grammar (whitespace insensitive)::
 
@@ -14,11 +14,11 @@ declared chart dimension.  Functions: sin, cos, exp, log, sqrt, tanh
 (one argument) and pow (two).  No abs/min/max/conditionals: every field
 must be C^3 on its chart.
 
-Fields defined here are evaluated either over jet arithmetic
-(:func:`evaluate_jet`, the one jet evaluator, fed whatever seeds the
-field is given) or as plain values (:func:`evaluate_value`, the jet-free
-route of ``ExprField.value``: phi on the sample grids and chunks,
-exp(-V) in the weighted density).
+An expression is evaluated only over jet arithmetic
+(:func:`evaluate_jet`, fed whatever seeds the field is given); its
+values are those of its order-0 jet, so a domain error anywhere is a
+``JetDomainError`` that ``ScalarField.jet`` reports as an
+:class:`EvalError` naming the point.
 """
 
 from __future__ import annotations
@@ -296,39 +296,6 @@ def evaluate_jet(ast, seeds) -> Jet:
             return jet_pow(a, evaluate_jet(ast.args[1], seeds))
         return apply_univariate(ast.fn, evaluate_jet(ast.args[0], seeds))
     raise TypeError(f"not an AST node: {ast!r}")
-
-
-def evaluate_value(ast, x):
-    """Plain (jet-free) evaluation: what ``ExprField.value`` returns."""
-    return _value(ast, np.asarray(x, dtype=float))
-
-
-def _value(node, x):
-    # a module function, not a closure: no reference cycle holds ``x``
-    if isinstance(node, Num):
-        return np.broadcast_to(node.value, x.shape[1:]).astype(float) \
-            if x.ndim > 1 else node.value
-    if isinstance(node, Var):
-        return x[node.index]
-    if isinstance(node, Neg):
-        return -_value(node.operand, x)
-    if isinstance(node, Bin):
-        a = _value(node.left, x)
-        b = _value(node.right, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return np.power(a, b)
-    if isinstance(node, Call):
-        if node.fn == "pow":
-            return np.power(_value(node.args[0], x), _value(node.args[1], x))
-        return getattr(np, node.fn)(_value(node.args[0], x))
-    raise TypeError(f"not an AST node: {node!r}")
 
 
 # -- pretty printer -----------------------------------------------------

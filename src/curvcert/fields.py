@@ -2,9 +2,12 @@
 
 A field maps chart points (shape ``(dim,)`` or ``(dim, m)``) to jets of
 order 0 to 3, order 3 by default: a consumer asks for the order it reads
-(``jet(x, 1)`` for a value and gradient, ``value`` for the order-0 jet's
-value) and no slot above it is computed.  Truncated jet arithmetic forms
-each kept slot from the same terms in the same order as the order-3
+(``jet(x, 1)`` for a value and gradient) and no slot above it is
+computed.  A field's value is the value of its order-0 jet
+(``ScalarField.value``, which no field overrides), so values and jets
+come from one evaluator, and a value that leaves the field's domain
+raises the jet's point-naming ``EvalError``.  Truncated jet arithmetic
+forms each kept slot from the same terms in the same order as the order-3
 arithmetic, so an order-k jet holds the order-3 jet's slots up to k.
 (An order-0 composition skips adding the zero products of the nilpotent
 part, which shows only on a -0.0 outer value or a non-finite higher
@@ -117,28 +120,6 @@ def _coerce(v, dim) -> "ScalarField":
     return ConstField(dim, float(v))
 
 
-class ConstField(ScalarField):
-    def __init__(self, dim: int, value: float):
-        self.dim = dim
-        self._value = float(value)
-
-    def jet(self, x, order: int = MAX_ORDER, lines: Lines = None) -> Jet:
-        # the same at every point, so it needs no seeds
-        batch = np.shape(x)[1:] if lines is None else (1,) * len(lines)
-        return Jet.constant(self.dim, self._value, batch).truncate(order)
-
-    def _jet(self, seeds: Sequence[Jet]) -> Jet:
-        return exprlang.evaluate_jet(exprlang.Num(self._value), seeds)
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(self._value, x.shape[1:]).copy() \
-            if x.ndim > 1 else self._value
-
-    def __repr__(self):
-        return f"ConstField({self._value})"
-
-
 class ExprField(ScalarField):
     """Field defined by an expression-language AST (or source text)."""
 
@@ -154,11 +135,23 @@ class ExprField(ScalarField):
     def _jet(self, seeds: Sequence[Jet]) -> Jet:
         return exprlang.evaluate_jet(self.ast, seeds)
 
-    def value(self, x):
-        return exprlang.evaluate_value(self.ast, np.asarray(x, dtype=float))
-
     def __repr__(self):
         return f"ExprField({self.source!r})"
+
+
+class ConstField(ExprField):
+    """The expression field of one number."""
+
+    def __init__(self, dim: int, value: float):
+        super().__init__(exprlang.Num(float(value)), dim)
+
+    def jet(self, x, order: int = MAX_ORDER, lines: Lines = None) -> Jet:
+        # the same at every point, so it needs no seeds
+        batch = np.shape(x)[1:] if lines is None else (1,) * len(lines)
+        return Jet.constant(self.dim, self.ast.value, batch).truncate(order)
+
+    def __repr__(self):
+        return f"ConstField({self.ast.value})"
 
 
 class _BinField(ScalarField):

@@ -21,6 +21,10 @@ metric and weight on them, at the broadcast shape of the axes they read
 (ball3's never reads the azimuth, the polar 2-D charts' reads only the
 radius), and so does any integrand that passes ``geom.lines`` on to its
 fields.  A boundary patch's nodes are one batch, jetted at its points.
+Each batch's density reads V off that batch's weight jet
+(``weighted_density``), so V is jetted once per batch, and a phi or V
+that leaves its domain at a node is an ``EvalError`` naming the node,
+never a NaN that drops it.
 An integrand is a callable of the batch's ``NodeGeometry``: it returns
 one row or k rows per batch, or yields its rows one at a time; each row
 is reduced as it arrives, so no array longer than one batch is held per row.
@@ -139,10 +143,12 @@ def midpoint_grid(box, counts) -> np.ndarray:
     return np.stack([g.ravel() for g in grids])
 
 
-def weighted_density(space: WeightedSpace, x, vol) -> np.ndarray:
-    """exp(-V) vol at the points x, for the volume density vol: sqrt det g
-    inside, sqrt det Gram on a boundary patch."""
-    return np.exp(-np.asarray(space.weight.value(x))) * vol
+def weighted_density(geom: NodeGeometry, vol) -> np.ndarray:
+    """exp(-V) vol at the nodes of ``geom``, flattened, for the volume
+    density vol there: sqrt det g inside, sqrt det Gram on a boundary
+    patch.  V is read off the batch's weight jet ``geom.jV``, so a node
+    batch jets V once, for its density and Hess V alike."""
+    return geom.at_nodes(np.exp(-geom.jV.value)).reshape(-1) * vol
 
 
 def _counts(counts, d):
@@ -189,7 +195,7 @@ def integrate_interior(space: WeightedSpace, F: Integrand, counts):
         inside = np.asarray(space.defining_fn.value(x)) < 0.0
         geom = NodeGeometry(space, x, lines)
         sqrt_det = geom.at_nodes(geom.sqrt_det).reshape(-1)
-        dens = weighted_density(space, x, sqrt_det)
+        dens = weighted_density(geom, sqrt_det)
         sums, single = _batch_sums(F, geom, wts, dens, inside, sqrt_det)
         del geom  # one batch's geometry alive at a time
         total = sums if total is None else \
@@ -229,8 +235,7 @@ def integrate_boundary(space: WeightedSpace, F: Integrand,
     counts = _counts(counts, patch.param_dim)
     s, wts = tensor_rule(patch.param_box, counts)
     geom, dens_gram = _patch_geometry(space, patch, s)
-    sums, single = _batch_sums(F, geom, wts,
-                               weighted_density(space, geom.x, dens_gram))
+    sums, single = _batch_sums(F, geom, wts, weighted_density(geom, dens_gram))
     return sums[0] if single else sums
 
 

@@ -298,6 +298,24 @@ class TestCheck:
         assert len(point) == (3 if zoo == "ball3" else 2)
         assert argument(point) <= 0.0
 
+    @pytest.mark.parametrize("argv", [["certify", "--K", "0"],
+                                      ["check", "green", "--raw-field"]])
+    def test_phi_domain_error_names_a_failing_point(self, capsys, tmp_path,
+                                                    argv):
+        # phi leaves its domain for x < 0.3: no sample or quadrature node
+        # there may be dropped as a NaN, so the run names one and stops
+        p = tmp_path / DENSE_INI.name
+        p.write_text(DENSE_INI.read_text().replace(
+            'phi = "x - 1"', 'phi = "sqrt(x - 0.3) - sqrt(0.7)"'))
+        assert "sqrt(x - 0.3)" in p.read_text()
+        code, out, err = run(capsys, *argv, "--config", str(p))
+        assert code == 2
+        assert out == ""
+        prefix = "error: sqrt of a nonpositive jet value at point ("
+        assert err.startswith(prefix) and err.endswith(")\n")
+        point = [float(v) for v in err[len(prefix):-2].split(",")]
+        assert len(point) == 2 and point[0] < 0.3
+
 
 def _hot_dense_ini(tmp_path):
     """The dense_family INI with a weight whose jets overflow inside."""

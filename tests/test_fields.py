@@ -4,10 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from curvcert import zoo
+from curvcert import exprlang, fields, zoo
 from curvcert.exprlang import EvalError
 from curvcert.fields import (ConstField, CutoffField, CutoffSpec, ExprField,
-                             _BinField, _bump_h, _smoothstep_jets)
+                             ScalarField, _BinField, _bump_h,
+                             _smoothstep_jets)
 from curvcert.jets import Jet, extract, multi_indices, seed_variable
 from curvcert.quadrature import interior_chunks, tensor_rule
 from curvcert.verify import interior_grid
@@ -100,6 +101,16 @@ class TestFieldAlgebra:
         assert c.value(pts)[0] == 4.5
         j = c.jet(pts)
         assert float(j.partial(0).value[0]) == 0.0
+
+    def test_every_value_is_the_order_0_jet(self):
+        # one evaluator: no field class overrides ScalarField.value, and
+        # a constant is the expression field of its number
+        overriding = [name for name, cls in vars(fields).items()
+                      if isinstance(cls, type) and issubclass(cls, ScalarField)
+                      and "value" in vars(cls)]
+        assert overriding == ["ScalarField"]
+        c = ConstField(3, -2.5)
+        assert isinstance(c, ExprField) and c.ast == exprlang.Num(-2.5)
 
     def test_neg(self):
         f = -ExprField("x", 2)

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from curvcert import quadrature
 from curvcert.boundary import ON_BOUNDARY_TOL, BoundaryError, boundary_frame
+from curvcert.exprlang import EvalError
 from curvcert.fields import ConstField, ExprField
 from curvcert.geometry import NodeGeometry, WeightedSpace
 from curvcert.quadrature import (CHUNK, BoundaryPatch, QuadratureError,
@@ -98,6 +101,18 @@ class TestInterior:
         with pytest.raises(QuadratureError, match="non-finite"):
             integrate_interior(sp, lambda g: np.full(g.x.shape[1], np.nan),
                                counts=(8, 8))
+
+    @pytest.mark.parametrize("role, src", [
+        ("defining_fn", "sqrt(x - 0.3) - 1"), ("weight", "log(x - 0.3)")])
+    def test_domain_error_names_a_node(self, role, src):
+        # phi or V leaves its domain for x < 0.3: the sweep names a node
+        # there instead of masking the NaN nodes out of the sum
+        sp = dataclasses.replace(gaussian_plane(), chart_box=[(0.1, 1.0)] * 2,
+                                 **{role: ExprField(src, 2)})
+        with pytest.raises(EvalError) as exc:
+            integrate_interior(sp, lambda g: np.ones(g.x.shape[1]), (8, 8))
+        point = re.search(r"at point \((.*)\)$", str(exc.value)).group(1)
+        assert float(point.split(",")[0]) < 0.3
 
     def test_deterministic(self):
         sp = gaussian_plane()

@@ -187,6 +187,18 @@ class TestSharedSweep:
             assert h.orders == [1] * chunks + [0] * patches
             assert 3 not in h.orders
 
+    def test_weight_jetted_once_per_batch(self, entry):
+        # the density reads V off the batch geometry's order-2 weight jet,
+        # the one Hess V reads: one evaluation per chunk and per patch
+        e = entry("gaussian_half_space")
+        w = CountingField(e.space.weight)
+        space = dataclasses.replace(e.space, weight=w)
+        qi, qb = e.plan.quad_interior, e.plan.quad_boundary
+        verify.weak_checks(space, e.neumann(), e.h_field(), None, qi, qb)
+        chunks = len(list(quadrature.interior_chunks(space, qi)))
+        assert chunks == 3 and len(space.boundary_patches) == 1
+        assert w.orders == [2] * (chunks + 1)
+
     @pytest.mark.parametrize("name", ["annulus", "ball", "half_space"])
     def test_batch_matches_weak_checks(self, entry, name):
         e = entry(name)
