@@ -3,7 +3,9 @@
 The outward unit normal is the level-set normal N = grad(phi)/|grad phi|_g
 (phi increases along N since Omega = {phi < 0}); it is extended off the
 boundary by the same formula so the shape operator can be differentiated
-through jets; ``normal_field_jets`` is its one formula, and
+through jets; ``normal_field_jets`` is its one formula, read off the
+batch geometry's phi jet (``NodeGeometry.jphi``, which the frame's
+on-boundary check reads too), and
 ``BoundaryFrame.flux`` that of the Neumann flux g(N, grad u).  The second
 fundamental form is II(X, Y) = g(nabla_X N, Y) on the g-orthonormal
 tangent frame, so II >= 0 means a convex boundary.
@@ -67,10 +69,10 @@ class BoundaryFrame:
 def boundary_frame(geom: NodeGeometry) -> BoundaryFrame:
     """Normal + tangent frame at the nodes of ``geom``; Gram-Schmidt
     seeded by the chart axes in order."""
-    phi = np.asarray(geom.space.defining_fn.value(geom.x))
-    if np.any(np.abs(phi) > ON_BOUNDARY_TOL):
+    abs_phi = np.abs(geom.jphi.value)
+    if np.any(abs_phi > ON_BOUNDARY_TOL):
         raise BoundaryError(
-            f"point not on boundary: |phi| = {np.max(np.abs(phi)):.3e} "
+            f"point not on boundary: |phi| = {np.max(abs_phi):.3e} "
             f"> {ON_BOUNDARY_TOL}")
     n = geom.space.dim
     jN = normal_field_jets(geom)
@@ -106,8 +108,7 @@ def normal_field_jets(geom: NodeGeometry) -> List[Jet]:
     at the nodes: the II reads their values and gradients, the flux and the
     frame their values.  BoundaryError where |grad phi|_g < GRAD_PHI_FLOOR."""
     n = geom.space.dim
-    jphi = geom.space.defining_fn.jet(geom.x, 2)
-    dphi = [jphi.partial(i) for i in range(n)]
+    dphi = [geom.jphi.partial(i) for i in range(n)]
     up = [jet_sum(zip(geom.jginv[k], dphi)) for k in range(n)]
     norm2 = jet_sum(zip(dphi, up))
     if np.any(norm2.value < GRAD_PHI_FLOOR**2):

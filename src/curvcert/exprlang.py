@@ -118,9 +118,11 @@ def _tokenize(src: str):
                         j += 1
             text = src[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ParseError(i, "a number", repr(text)) from None
+            if not np.isfinite(value):  # the literal overflows
+                raise ParseError(i, "a finite number", repr(text))
             toks.append(("num", text, i))
             i = j
             continue
@@ -320,6 +322,8 @@ def to_source(node) -> str:
     """
     if isinstance(node, Num):
         v = node.value
+        if not np.isfinite(v):
+            raise ValueError(f"constant {v!r} is not finite: no source form")
         if v < 0 or (v == 0 and np.signbit(v)):
             return to_source(Neg(Num(-v)))
         return repr(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)

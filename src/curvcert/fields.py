@@ -114,6 +114,17 @@ def _point_of(x: np.ndarray, lines: Lines, index: Tuple[int, ...]) -> tuple:
     return tuple(float(v) for v in x.reshape(len(x), -1)[:, node])
 
 
+def require_finite(values, x: np.ndarray, lines: Lines, what: str) -> None:
+    """EvalError naming the first point of x (as ``_point_of`` reads it)
+    where ``what``'s values, at a batch shape that broadcasts against x's,
+    are not finite."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        index = np.unravel_index(np.argmax(bad), bad.shape)
+        raise exprlang.EvalError(
+            f"{what} is not finite at point {_point_of(x, lines, index)}")
+
+
 def _coerce(v, dim) -> "ScalarField":
     if isinstance(v, ScalarField):
         return v

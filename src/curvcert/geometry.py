@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fields import Lines, ScalarField
+from .fields import Lines, ScalarField, require_finite
 from .jets import Jet
 
 SPD_FLOOR = 1e-10
@@ -189,19 +189,23 @@ def christoffel_jets(jg: List[List[Jet]], jginv: List[List[Jet]]
 
 
 class NodeGeometry:
-    """Metric and weight data of one node batch, computed once: the metric
-    jets, the metric values ``metric`` and volume density ``sqrt_det`` up
-    front; the inverse, Christoffel and weight jets, and ``inverse`` (g^{ij})
-    and ``christoffels``, the values of the first two, on first use;
-    Ricci_V on each read.  The operators below take it as ``geom``.
+    """Metric, weight and defining-function data of one node batch,
+    computed once: the metric jets, the metric values ``metric`` and
+    volume density ``sqrt_det`` up front; the inverse, Christoffel, weight
+    and phi jets, and ``inverse`` (g^{ij}) and ``christoffels``, the values
+    of the first two, on first use; Ricci_V on each read.  The operators
+    below take it as ``geom``.
 
     Each jet is built to the highest order a consumer reads: ``jg``,
-    ``jginv`` and ``jV`` at order 2 (Gamma(f,f) and Hess V read second
-    derivatives), ``jgam`` at order 1 (Ricci reads first derivatives).
+    ``jginv``, ``jV`` and ``jphi`` at order 2 (Gamma(f,f), Hess V and the
+    normal's derivative read second derivatives), ``jgam`` at order 1
+    (Ricci reads first derivatives).  phi's jet is the one every consumer
+    of the batch reads: the quadrature's inside mask and on-boundary
+    check, the frame's on-boundary check and its normal.
 
     ``x`` holds the points.  Given ``lines``, the axis lines of the
     tensor grid x lists in C order (an interior quadrature chunk), the
-    metric and weight are jetted on the lines, and every jet and array
+    metric, weight and phi are jetted on the lines, and every jet and array
     here stays at the broadcast shape of the axes they read: ball3's at
     (r, theta), since its geometry never reads the azimuth.  The metric
     arrays and Ricci_V are at the broadcast shape of all of them; ``grid``
@@ -256,6 +260,14 @@ class NodeGeometry:
     @cached_property
     def jV(self) -> Jet:
         return self.space.weight.jet(self.x, 2, self.lines)
+
+    @cached_property
+    def jphi(self) -> Jet:
+        """phi's jet; EvalError at the first node where phi is not finite,
+        which no {phi < 0} or |phi| test could rank."""
+        jphi = self.space.defining_fn.jet(self.x, 2, self.lines)
+        require_finite(jphi.value, self.x, self.lines, "phi")
+        return jphi
 
     @property
     def ricci_v(self) -> np.ndarray:

@@ -2,11 +2,12 @@
 measures.
 
 Interior integrals use a tensor-product rule over the chart box with the
-density exp(-V) sqrt(det g); nodes with phi >= 0 contribute zero, which
-is exact for integrands carrying a compact-support cutoff inside Omega
-(all built-in spaces place the boundary on chart-box faces, so the
-clipping never cuts through the support).  Boundary integrals run over
-parametrized patches with the pullback density exp(-V) sqrt(det Gram).
+density exp(-V) sqrt(det g); nodes with phi >= 0 contribute zero (phi read
+off the chunk geometry's jet, ``NodeGeometry.jphi``), which is exact for
+integrands carrying a compact-support cutoff inside Omega (all built-in
+spaces place the boundary on chart-box faces, so the clipping never cuts
+through the support).  Boundary integrals run over parametrized patches
+with the pullback density exp(-V) sqrt(det Gram).
 Node counts are always explicit: one count per axis of the chart box or
 of the patch's parameter box, as a tuple.  ``DEFAULT_INTERIOR_NODES``
 and ``DEFAULT_BOUNDARY_NODES`` are the per-axis counts a space file gets
@@ -22,9 +23,10 @@ metric and weight on them, at the broadcast shape of the axes they read
 radius), and so does any integrand that passes ``geom.lines`` on to its
 fields.  A boundary patch's nodes are one batch, jetted at its points.
 Each batch's density reads V off that batch's weight jet
-(``weighted_density``), so V is jetted once per batch, and a phi or V
-that leaves its domain at a node is an ``EvalError`` naming the node,
-never a NaN that drops it.
+(``weighted_density``), and its inside mask or on-boundary check reads
+phi off its phi jet, so V and phi are jetted once per batch; a phi or V
+that leaves its domain at a node, or a phi that is not finite there, is
+an ``EvalError`` naming the node, never a NaN that drops it.
 An integrand is a callable of the batch's ``NodeGeometry``: it returns
 one row or k rows per batch, or yields its rows one at a time; each row
 is reduced as it arrives, so no array longer than one batch is held per row.
@@ -192,8 +194,8 @@ def integrate_interior(space: WeightedSpace, F: Integrand, counts):
     (one integral per row of F; a float for a single row)."""
     total = None
     for x, wts, lines in interior_chunks(space, counts):
-        inside = np.asarray(space.defining_fn.value(x)) < 0.0
         geom = NodeGeometry(space, x, lines)
+        inside = geom.at_nodes(geom.jphi.value).reshape(-1) < 0.0
         sqrt_det = geom.at_nodes(geom.sqrt_det).reshape(-1)
         dens = weighted_density(geom, sqrt_det)
         sums, single = _batch_sums(F, geom, wts, dens, inside, sqrt_det)
@@ -211,14 +213,13 @@ def _patch_geometry(space: WeightedSpace, patch: BoundaryPatch, s: np.ndarray):
         raise QuadratureError(
             f"patch has {d} parameters, expected {n - 1}")
     jmaps = [patch.maps[i].jet(s, 1) for i in range(n)]
-    x = np.stack([j.value for j in jmaps])
-    phi = np.asarray(space.defining_fn.value(x))
-    if np.any(np.abs(phi) > ON_BOUNDARY_TOL):
+    geom = NodeGeometry(space, np.stack([j.value for j in jmaps]))
+    abs_phi = np.abs(geom.jphi.value)
+    if np.any(abs_phi > ON_BOUNDARY_TOL):
         raise QuadratureError(
             f"patch image leaves the boundary: |phi| = "
-            f"{np.max(np.abs(phi)):.3e} > {ON_BOUNDARY_TOL}")
+            f"{np.max(abs_phi):.3e} > {ON_BOUNDARY_TOL}")
     T = np.stack([j.gradient() for j in jmaps], axis=1)  # (d, n, ...)
-    geom = NodeGeometry(space, x)
     gram = np.einsum("ai...,ij...,bj...->ab...", T, geom.metric, T)
     gram_mat = np.moveaxis(gram, (0, 1), (-2, -1))
     det = np.linalg.det(gram_mat)

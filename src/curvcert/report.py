@@ -25,6 +25,8 @@ from .verify import (CheckResult, CurvatureReport, Target, boundary_spectrum,
                      interior_spectrum, weak_checks)
 
 
+BOCHNER_POINTS = 100  # sample points the pointwise checks read at most
+
 # ``zoo.load`` and ``config.load_config`` return the ``Target`` itself;
 # perfbench/workloads.py still calls these two names
 def target_from_zoo(target: Target) -> Target:
@@ -35,14 +37,14 @@ def target_from_config(target: Target) -> Target:
     return target
 
 
-def bochner_geometry(sample: NodeGeometry, limit: int = 100) -> NodeGeometry:
-    """The pointwise checks' grid: the geometry at at most ``limit`` of the
-    interior sample points of ``sample``, evenly spread through them;
-    ``sample`` itself when it holds no more."""
+def bochner_geometry(sample: NodeGeometry) -> NodeGeometry:
+    """The pointwise checks' grid: the geometry at at most
+    ``BOCHNER_POINTS`` of the interior sample points of ``sample``, evenly
+    spread through them; ``sample`` itself when it holds no more."""
     x = sample.x
-    if x.shape[1] <= limit:
+    if x.shape[1] <= BOCHNER_POINTS:
         return sample
-    idx = np.linspace(0, x.shape[1] - 1, limit).astype(int)
+    idx = np.linspace(0, x.shape[1] - 1, BOCHNER_POINTS).astype(int)
     return NodeGeometry(sample.space, x[:, idx])
 
 

@@ -39,10 +39,10 @@ point.
 
 Every check that assumes the Neumann hypothesis re-verifies it first and
 fails loudly (GateError) if violated: that is a broken hypothesis, not a
-broken theorem.  A non-finite value in a pointwise check or in the
-interior spectrum of a certificate raises EvalError.  All verdicts are
-sampled necessary-condition certificates over stated grids, never
-proofs.
+broken theorem.  A non-finite value in a pointwise check, in the
+interior spectrum of a certificate or of phi at a sample point raises
+EvalError.  All verdicts are sampled necessary-condition certificates
+over stated grids, never proofs.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ import numpy as np
 from .boundary import (BoundaryFrame, NeumannTestFunction, boundary_frame,
                        make_neumann)
 from .exprlang import VAR_NAMES, EvalError
-from .fields import CutoffField, CutoffSpec, ExprField, ScalarField
+from .fields import (CutoffField, CutoffSpec, ExprField, ScalarField,
+                     require_finite)
 from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace,
                        bakry_emery_ricci, carre_du_champ_jet, contract,
                        _jet, gamma2_parts, grad, hessian, hs_norm_sq,
@@ -129,9 +130,11 @@ class SamplePlan:
 
 
 def interior_grid(space: WeightedSpace, counts) -> np.ndarray:
-    """Midpoint grid over the chart box, restricted to {phi < 0}."""
+    """Midpoint grid over the chart box, restricted to {phi < 0};
+    EvalError at the first grid point where phi is not finite."""
     pts = midpoint_grid(space.chart_box, counts)
     phi = np.asarray(space.defining_fn.value(pts))
+    require_finite(phi, pts, None, "phi")
     x = pts[:, phi < -1e-10]
     if x.shape[1] == 0:
         raise ValueError(f"{space.label}: empty interior sample plan: none "
@@ -396,20 +399,21 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
     return out
 
 
-def neumann_gate(g: NeumannTestFunction, frames: Sequence[BoundaryFrame],
-                 tol: float = NEUMANN_GATE_TOL) -> Tuple[List[Jet], float]:
+def neumann_gate(g: NeumannTestFunction, frames: Sequence[BoundaryFrame]
+                 ) -> Tuple[List[Jet], float]:
     """The order-2 jets of g at the boundary frames (the gate and the II
     identity read first derivatives of g and of Gamma(g,g)) and the max
-    Neumann residual |g(N, grad g)| over them; GateError above ``tol``."""
+    Neumann residual |g(N, grad g)| over them; GateError above
+    ``NEUMANN_GATE_TOL``."""
     jets = [g.field.jet(bf.point, 2) for bf in frames]
     rows = [({}, np.abs(bf.flux(jg.gradient())), bf.point)
             for bf, jg in zip(frames, jets)]
     worst, witness = _largest("neumann_gate", rows, 0.0, last=True)
-    if worst > tol:
+    if worst > NEUMANN_GATE_TOL:
         raise GateError(
             f"Neumann hypothesis violated: |g(N, grad g)| = {worst:.3e} "
-            f"> {tol} at boundary point {witness['point']}; the theorem's "
-            f"hypothesis fails, the theorem is not being tested")
+            f"> {NEUMANN_GATE_TOL} at boundary point {witness['point']}; "
+            f"the theorem's hypothesis fails, the theorem is not being tested")
     return jets, worst
 
 

@@ -194,7 +194,7 @@ class TestNeumannFactory:
             nt = make_neumann(sp, ExprField(src, 2), self.CUTOFF)
             t = np.linspace(0.1, 6.1, 11)
             x = np.stack([np.cos(t), np.sin(t)])
-            assert neumann_gate(nt, [frame(sp, x)], tol=np.inf)[1] < 1e-10
+            assert neumann_gate(nt, [frame(sp, x)])[1] < 1e-10
 
     def test_phi_as_base_is_corrected_to_flat(self):
         # w = phi has pure normal gradient; the correction removes it all
@@ -202,7 +202,7 @@ class TestNeumannFactory:
         nt = make_neumann(sp, ExprField("x1^2 + x2^2 - 1", 2), self.CUTOFF)
         t = np.linspace(0.3, 5.9, 7)
         x = np.stack([np.cos(t), np.sin(t)])
-        assert neumann_gate(nt, [frame(sp, x)], tol=np.inf)[1] < 1e-10
+        assert neumann_gate(nt, [frame(sp, x)])[1] < 1e-10
 
     def test_cutoff_exceeding_chart_rejected(self):
         sp = cartesian_ball()
@@ -218,5 +218,5 @@ class TestNeumannFactory:
             frames = boundary_grid(e.space, e.plan.boundary_counts)
             for nt in e.neumann_family():
                 for bf in frames:
-                    res = neumann_gate(nt, [bf], tol=np.inf)[1]
+                    res = neumann_gate(nt, [bf])[1]
                     assert res < 1e-8, (name, nt.base.source)

@@ -348,6 +348,29 @@ def test_non_finite_ricci_v(capsys, tmp_path, command):
                for k in range(samples.shape[1]))
 
 
+@pytest.mark.parametrize("phi, message", [
+    ("x - 1 + 1e999*(x-x)", "expected a finite number, found '1e999'"),
+    ("x - 1 + 1e300*1e300*(x - x)", "not finite"),
+    ("x - 1 + x*(1e999 - 1e999)", "expected a finite number, found '1e999'")])
+@pytest.mark.parametrize("argv", [["check", "green"], ["certify", "--K", "0"],
+                                  ["report", "--format", "json",
+                                   "--no-timing"]])
+def test_non_finite_constant(capsys, tmp_path, phi, message, argv):
+    # a literal that overflows is a parse error at its offset; a product
+    # of finite literals that overflows is named where it is printed or
+    # evaluated: every command exits 2 with one error line
+    p = tmp_path / DENSE_INI.name
+    p.write_text(DENSE_INI.read_text().replace('phi = "x - 1"',
+                                               f'phi = "{phi}"'))
+    assert phi in p.read_text()
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, *argv, "--config", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_empty_interior_plan(capsys, tmp_path):
     # phi = 1 - x is > 0 on the whole chart: no interior sample point
     from test_config import BALL_INI

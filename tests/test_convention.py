@@ -48,12 +48,13 @@ def test_frames_take_no_options():
     assert list(_params(boundary, "boundary_frame")) == ["geom"]
 
 
-def test_sample_grids_are_geometries():
+def test_sample_grids_are_geometries(monkeypatch):
     e = zoo.load("ball")
     sample, frames = e.plan.grids(e.space)
     assert isinstance(sample, geometry.NodeGeometry)
     assert sample.x.shape == (2, 576)
     assert all(bf.point is bf.geom.x for bf in frames)
-    # a sample within the limit is the Bochner grid itself
-    assert report.bochner_geometry(sample, limit=576) is sample
     assert report.bochner_geometry(sample).x.shape == (2, 100)
+    # a sample within the limit is the Bochner grid itself
+    monkeypatch.setattr(report, "BOCHNER_POINTS", 576)
+    assert report.bochner_geometry(sample) is sample

@@ -4,8 +4,8 @@ import weakref
 import numpy as np
 import pytest
 
-from curvcert.exprlang import (EvalError, ParseError, differentiate, parse,
-                               simplify, to_source)
+from curvcert.exprlang import (EvalError, Num, ParseError, differentiate,
+                               parse, simplify, to_source)
 from curvcert.fields import ExprField
 from oracles import richardson_partial
 
@@ -77,6 +77,13 @@ class TestParse:
         assert err.expected
         assert str(err.offset) in str(err) or "offset" in str(err)
 
+    @pytest.mark.parametrize("src, offset", [("1e999", 0), ("x + 2e308", 4),
+                                             ("x*(1E+400 - 1)", 3)])
+    def test_overflowing_literal_positioned(self, src, offset):
+        with pytest.raises(ParseError, match="a finite number") as exc_info:
+            parse(src, 2)
+        assert exc_info.value.offset == offset
+
     def test_whitespace_insensitive(self):
         a = parse("x ^ 2+ y", 2)
         b = parse("x^2 + y", 2)
@@ -84,6 +91,12 @@ class TestParse:
 
 
 class TestPrettyPrint:
+    @pytest.mark.parametrize("v", [np.inf, -np.inf, np.nan])
+    def test_non_finite_constant_named(self, v):
+        # simplify folds 1e300*1e300 to inf: the printer names it
+        with pytest.raises(ValueError, match="is not finite"):
+            to_source(Num(v))
+
     @pytest.mark.parametrize("src", _corpus())
     def test_fixed_point(self, src):
         ast = parse(src, 2)

@@ -48,6 +48,44 @@ def disk(R=1.0, patch_ok=True):
         boundary_patches=[patch if patch_ok else bad], label="disk")
 
 
+def nan_strip():
+    """The strip {y < 0} of the box [-1, 1]^2, with the line y = 0 its one
+    patch, under a phi whose exp overflows, so it is NaN for x > 0.887."""
+    metric = [[ConstField(2, float(i == j)) for j in range(2)]
+              for i in range(2)]
+    patch = BoundaryPatch(param_box=[(-1.0, 1.0)],
+                          maps=[ExprField("x", 1), ConstField(1, 0.0)])
+    return WeightedSpace(dim=2, metric=metric, weight=ConstField(2, 0.0),
+                         defining_fn=ExprField(
+                             "y + (exp(800*x) - exp(800*x))", 2),
+                         chart_box=[(-1.0, 1.0), (-1.0, 1.0)],
+                         boundary_patches=[patch], label="nan_strip")
+
+
+@pytest.mark.parametrize("reader", ["interior", "boundary", "frame"])
+def test_non_finite_phi_names_a_node(reader):
+    # a NaN phi passes |phi| > tol and fails phi < 0: each reader of a
+    # batch's phi names a node where it is not finite instead of dropping
+    # the node, accepting the patch or returning a NaN normal
+    sp = nan_strip()
+
+    def ones(geom):
+        return np.ones(geom.x.shape[1])
+
+    run = {
+        "interior": lambda: integrate_interior(sp, ones, (16, 16)),
+        "boundary": lambda: integrate_boundary(
+            sp, ones, sp.boundary_patches[0], (16,)),
+        "frame": lambda: boundary_frame(NodeGeometry(
+            sp, np.array([[0.5, 0.95], [0.0, 0.0]]))),
+    }[reader]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(EvalError, match="phi is not finite") as exc:
+        run()
+    point = re.search(r"at point \((.*)\)$", str(exc.value)).group(1)
+    assert float(point.split(",")[0]) > 0.88
+
+
 class TestRules:
     def test_gauss_rule_exactness(self):
         # m-point Gauss is exact on degree 2m-1 polynomials

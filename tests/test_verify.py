@@ -199,6 +199,23 @@ class TestSharedSweep:
         assert chunks == 3 and len(space.boundary_patches) == 1
         assert w.orders == [2] * (chunks + 1)
 
+    @pytest.mark.parametrize("name", ["ball", "half_space"])
+    def test_phi_jetted_once_per_batch(self, entry, name):
+        # every reader of a batch's phi (the inside mask, the on-boundary
+        # checks, the normal) reads the batch geometry's order-2 jet: one
+        # evaluation per sample patch, chunk and quadrature patch
+        e = entry(name)
+        g = e.neumann()  # before phi is swapped: make_neumann reads its AST
+        phi = CountingField(e.space.defining_fn)
+        space = dataclasses.replace(e.space, defining_fn=phi)
+        qi, qb = e.plan.quad_interior, e.plan.quad_boundary
+        frames = boundary_grid(space, e.plan.boundary_counts)
+        patches = len(space.boundary_patches)
+        assert phi.orders == [2] * patches
+        verify.weak_checks(space, g, e.h_field(), frames, qi, qb)
+        chunks = len(list(quadrature.interior_chunks(space, qi)))
+        assert phi.orders == [2] * (patches + chunks + patches)
+
     @pytest.mark.parametrize("name", ["annulus", "ball", "half_space"])
     def test_batch_matches_weak_checks(self, entry, name):
         e = entry(name)
@@ -447,8 +464,10 @@ class TestOneFormula:
                                 field=CutoffField(ball.cutoff) * base)
         frames, plan = frames_of(ball), ball.plan
 
+        monkeypatch.setattr(verify, "NEUMANN_GATE_TOL", np.inf)
+
         def consumers():
-            _, gate = neumann_gate(g, frames, tol=np.inf)
+            _, gate = neumann_gate(g, frames)
             w, = verify._weak_integrals(ball.space, g.field,
                                         [ball.h_fields()[0]],
                                         plan.quad_interior, plan.quad_boundary)
@@ -562,6 +581,17 @@ class TestCertify:
         assert (rep.lambda_min_ii, rep.lambda_max_ii, rep.tr_ii_range,
                 rep.boundary_witness, rep.boundary_samples) == (
                     lo, hi, (tr_lo, tr_hi), witness, n)
+
+    def test_non_finite_phi_sample_named(self, ball):
+        # a NaN phi is neither inside nor outside: the sample grid names
+        # its first point instead of dropping it
+        nan_phi = dataclasses.replace(ball.space, defining_fn=ExprField(
+            "x - 1 + (exp(800*y) - exp(800*y))", 2))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(EvalError, match="phi is not finite") as exc:
+            verify.interior_grid(nan_phi, (24, 24))
+        point = re.search(r"at point \((.*)\)$", str(exc.value)).group(1)
+        assert float(point.split(",")[1]) > 0.88
 
     def test_empty_plan_rejected(self, ball):
         # phi >= 0 on the whole chart leaves no interior sample points
