@@ -141,6 +141,38 @@ def test_describe_bytes_are_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == DESCRIBE_SHA256[name]
 
 
+# sha256 of ``describe`` and of ``report --format json --no-timing`` at
+# parameters other than the defaults: they pin the numbers an entry
+# derives from its parameters (0.1*R, r + 0.15*(R - r), r^2,
+# (1 + rho^2)/(2*rho), 2/R)
+NON_DEFAULT_SHA256 = {
+    ("describe", "ball,R=2"):
+        "5e26eef9b978113ddd62d7cd0e30f854f762ff5676eacb36fc0df66222d31aa5",
+    ("describe", "annulus,r=0.25,R=2"):
+        "8e09080da2e27e344a96b3b1628acd3932fd6be1a9314f185c293b0d8fb133ef",
+    ("describe", "hemisphere,r=2"):
+        "a92a975599f9c251b6137400aeda4be2970c1f53b95138c7daaa4e0546a0dc31",
+    ("describe", "poincare_cap,rho=0.5"):
+        "6c5287beacd526c346acbaeca8c81485b7727ca7e7c23ba2153049583da99c26",
+    ("describe", "ball3,R=2"):
+        "6bef8e36c544b239dcc3b0f6caefeea2a84e8322e397baa501a5ba1723320efb",
+    ("report", "annulus,r=0.25,R=2"):
+        "68b3ecef9d4ac9c41e35a55640325013d9d912cdf198661a39a88023991c055b",
+    ("report", "poincare_cap,rho=0.5"):
+        "b95926e6daa4adb3c429b51b08919d375d60ef2a7e5f28dc298993fc942b5ad9",
+}
+
+
+@pytest.mark.parametrize("command, ref", sorted(NON_DEFAULT_SHA256))
+def test_non_default_parameter_bytes_are_pinned(capsys, command, ref):
+    extra = ["--format", "json", "--no-timing"] if command == "report" \
+        else []
+    code, out, _ = run(capsys, command, "--zoo", ref, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        NON_DEFAULT_SHA256[command, ref]
+
+
 class TestCheck:
     def test_bochner_pass(self, capsys):
         code, out, err = run(capsys, "check", "bochner", "--zoo", "ball")
