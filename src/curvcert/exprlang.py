@@ -14,17 +14,21 @@ declared chart dimension.  Functions: sin, cos, exp, log, sqrt, tanh
 (one argument) and pow (two).  No abs/min/max/conditionals: every field
 must be C^3 on its chart.
 
-An expression is evaluated only over jet arithmetic
+A field's expression is evaluated only over jet arithmetic
 (:func:`evaluate_jet`, fed whatever seeds the field is given); its
 values are those of its order-0 jet, so a domain error anywhere is a
 ``JetDomainError`` that ``ScalarField.jet`` reports as an
-:class:`EvalError` naming the point.
+:class:`EvalError` naming the point.  A constant in named parameters
+(:func:`parse_constant`, the ``{...}`` blocks of a space file) is
+folded over Python floats instead (:func:`evaluate_float`).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -147,9 +151,10 @@ def _var_index(name: str):
 
 
 class _Parser:
-    def __init__(self, src: str, dim: int):
+    def __init__(self, src: str, dim: int, names=None):
         self.toks = _tokenize(src)
         self.dim = dim
+        self.names = names  # a constant's parameters, for x, y, z, w
         self.pos = 0
 
     def peek(self):
@@ -226,7 +231,8 @@ class _Parser:
                         off, f"{FUNCTIONS[text]} argument(s) to {text}",
                         f"{len(args)}")
                 return Call(text, tuple(args))
-            idx = _var_index(text)
+            idx = (_var_index(text) if self.names is None else
+                   self.names.index(text) if text in self.names else None)
             if idx is None:
                 raise ParseError(off, "a variable or function",
                                  f"unknown identifier {text!r}")
@@ -246,7 +252,17 @@ def parse(src: str, dim: int):
     """Parse ``src`` into an AST; raises :class:`ParseError` on failure."""
     if not 1 <= dim <= 4:
         raise ValueError(f"dim must be 1..4, got {dim}")
-    p = _Parser(src, dim)
+    return _parse_all(_Parser(src, dim))
+
+
+def parse_constant(src: str, names: Sequence[str]):
+    """Parse ``src``, a constant expression in the parameters ``names``:
+    each is a ``Var`` indexing ``names``, and x, y, z, w are not
+    variables.  Raises :class:`ParseError` on failure."""
+    return _parse_all(_Parser(src, len(names), tuple(names)))
+
+
+def _parse_all(p: _Parser):
     node = p.expr()
     kind, text, off = p.peek()
     if kind != "end":
@@ -297,6 +313,34 @@ def evaluate_jet(ast, seeds) -> Jet:
                 return jet_pow(a, ast.args[1].value)
             return jet_pow(a, evaluate_jet(ast.args[1], seeds))
         return apply_univariate(ast.fn, evaluate_jet(ast.args[0], seeds))
+    raise TypeError(f"not an AST node: {ast!r}")
+
+
+_FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": math.pow}
+_FLOAT_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+                    "log": math.log, "sqrt": math.sqrt, "tanh": math.tanh,
+                    "pow": math.pow}
+
+
+def evaluate_float(ast, values: Sequence[float]) -> float:
+    """Fold the AST of a constant over Python floats, ``Var`` i being
+    ``values[i]``: each operation is one IEEE double operation, in the
+    order written, and ``/`` is true division (the jet ``/`` multiplies
+    by the reciprocal).  A domain error raises ``ArithmeticError`` or
+    ``ValueError``."""
+    if isinstance(ast, Num):
+        return ast.value
+    if isinstance(ast, Var):
+        return float(values[ast.index])
+    if isinstance(ast, Neg):
+        return -evaluate_float(ast.operand, values)
+    if isinstance(ast, Bin):
+        return _FLOAT_OPS[ast.op](evaluate_float(ast.left, values),
+                                  evaluate_float(ast.right, values))
+    if isinstance(ast, Call):
+        return _FLOAT_FUNCTIONS[ast.fn](
+            *(evaluate_float(a, values) for a in ast.args))
     raise TypeError(f"not an AST node: {ast!r}")
 
 

@@ -27,8 +27,9 @@ from .verify import (CheckResult, CurvatureReport, Target, boundary_spectrum,
 
 BOCHNER_POINTS = 100  # sample points the pointwise checks read at most
 
-# ``zoo.load`` and ``config.load_config`` return the ``Target`` itself;
-# perfbench/workloads.py still calls these two names
+# ``zoo.load`` and ``config.load_config`` return the ``Target`` that
+# config's one INI loader builds; perfbench/workloads.py still calls these
+# two names
 def target_from_zoo(target: Target) -> Target:
     return target
 

@@ -153,8 +153,10 @@ def boundary_grid(space: WeightedSpace, counts) -> List[BoundaryFrame]:
 class Target:
     """One space under test: the space, its plan, and the cutoff, collars,
     Neumann bases and test-density sources every g and h is built from.
-    ``zoo.load`` fills ``expected`` and ``provenance``, ``config.load_config``
-    the ``expressions`` the file gave; ``run_suite`` reads the rest."""
+    Every one comes from a space file through the one INI loader of
+    ``config`` (``zoo.load`` reads the zoo's files with it), ``expected``
+    and ``provenance`` included; ``expressions`` keeps the raw expressions
+    of a ``config.load_config`` file.  ``run_suite`` reads the rest."""
 
     name: str
     label: str

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from curvcert.exprlang import (EvalError, Num, ParseError, differentiate,
-                               parse, simplify, to_source)
+                               evaluate_float, parse, parse_constant,
+                               simplify, to_source)
 from curvcert.fields import ExprField
 from oracles import richardson_partial
 
@@ -224,6 +225,37 @@ class TestEvaluateOrder:
             jk = f.jet(x, k)
             assert jk.order <= k
             assert np.array_equal(jk.value, f.jet(x).value)
+
+
+class TestConstant:
+    """A space file's ``{...}`` constants: IEEE float operations in the
+    order written, ``/`` true division."""
+
+    @pytest.mark.parametrize("src, values, want", [
+        ("3/10", {}, 3 / 10),  # 3*(1/10) is 0.30000000000000004
+        ("0.1*R", {"R": 3.0}, 0.1 * 3.0),
+        ("r + 0.15*(R - r)", {"r": 0.25, "R": 2.0}, 0.25 + 0.15 * 1.75),
+        ("(1 + rho*rho)/(2*rho)", {"rho": 0.7}, (1 + 0.7 * 0.7) / (2 * 0.7)),
+        ("-1/r", {"r": 0.5}, -2.0),
+        ("r^2 + sqrt(r) + pow(r, 3)", {"r": 2.0},
+         2.0 ** 2 + 2.0 ** 0.5 + 2.0 ** 3),
+    ])
+    def test_value(self, src, values, want):
+        ast = parse_constant(src, tuple(values))
+        assert evaluate_float(ast, tuple(values.values())) == want
+
+    def test_parameter_names_are_the_variables(self):
+        # x is not a variable of a constant; a parameter may be any name
+        with pytest.raises(ParseError, match="unknown identifier 'x'"):
+            parse_constant("2*x", ("R",))
+        ast = parse_constant("R - r", ("r", "R"))
+        assert (ast.left.index, ast.right.index) == (1, 0)
+
+    @pytest.mark.parametrize("src", ["1/0", "log(0 - 1)", "exp(1000)",
+                                     "pow(0 - 8, 0.5)"])
+    def test_domain_error(self, src):
+        with pytest.raises((ArithmeticError, ValueError)):
+            evaluate_float(parse_constant(src, ()), ())
 
 
 class TestDifferentiate:

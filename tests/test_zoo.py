@@ -1,9 +1,15 @@
 import dataclasses
+import fnmatch
+import shutil
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from curvcert import zoo
+from curvcert.config import load_config
+from curvcert.fields import ScalarField
 from curvcert.geometry import NodeGeometry
 from curvcert.verify import (boundary_grid, certify, check_bochner,
                              check_green, check_ii_identity,
@@ -62,6 +68,64 @@ class TestRegistry:
     def test_parse_ref_errors(self, ref):
         with pytest.raises(zoo.ZooError):
             zoo.parse_ref(ref)
+
+    def test_domain_error_names_expression_and_values(self):
+        with pytest.raises(zoo.ZooError, match=(
+                r"^annulus: \[params\] positive: R - r = -0.5 is not "
+                r"positive at r=1.0, R=0.5$")):
+            zoo.load("annulus", r=1.0, R=0.5)
+
+
+SPACES = Path(zoo.__file__).resolve().parent / "spaces"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def _normal(obj):
+    """``obj`` with each field replaced by its type, dimension and AST, so
+    that two loads of one space compare equal."""
+    if isinstance(obj, ScalarField):
+        return type(obj), obj.dim, obj.ast
+    if dataclasses.is_dataclass(obj):
+        return type(obj), {f.name: _normal(getattr(obj, f.name))
+                           for f in dataclasses.fields(obj) if f.compare}
+    if isinstance(obj, (list, tuple)):
+        return type(obj), [_normal(o) for o in obj]
+    if isinstance(obj, dict):
+        return {k: (type(v), _normal(v)) for k, v in obj.items()}
+    return obj
+
+
+class TestSpaceFiles:
+    """Every entry is a shipped space file, read by ``config``'s loader."""
+
+    def test_entries_are_the_shipped_files(self):
+        stems = sorted(p.stem for p in SPACES.glob("*.ini"))
+        assert zoo.list_entries() == stems == ALL_NAMES
+
+    def test_files_are_package_data(self):
+        patterns = tomllib.loads(PYPROJECT.read_text())["tool"][
+            "setuptools"]["package-data"]["curvcert"]
+        shipped = [p.relative_to(SPACES.parent).as_posix()
+                   for p in SPACES.glob("*.ini")]
+        assert [s for s in shipped
+                if not any(fnmatch.fnmatch(s, pat) for pat in patterns)] \
+            == []
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_file_loads_as_the_entry(self, tmp_path, name):
+        copy = tmp_path / f"{name}.ini"
+        shutil.copyfile(SPACES / copy.name, copy)
+        skip = ("name", "error", "expressions")
+        loaded = dataclasses.replace(load_config(str(copy)),
+                                     **{k: None for k in skip})
+        entry = dataclasses.replace(zoo.load(name), **{k: None for k in skip})
+        assert _normal(loaded) == _normal(entry)
+
+    def test_provenance_is_kept_verbatim(self, ball):
+        # ';' is the inline-comment prefix, after whitespace only
+        assert ball.provenance["lambda_min_ii"] == (
+            "DERIVED: finite-difference normal oracle; classical circle "
+            "curvature 1/R")
 
 
 class TestExpectedValues:
