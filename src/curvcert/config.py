@@ -57,9 +57,9 @@ A space file describes a weighted space in the expression language::
     [provenance]            ; optional; text, kept as written
     k_interior = TRIVIAL: flat metric
 
-    [params]                ; optional; parameter defaults, and constant
-    R = 1.0                 ; expressions in them that must be positive
-    positive = R
+    [params]                ; optional; parameters and their defaults,
+    R = 1.0                 ; and under "positive" constant expressions
+    positive = R            ; in them that must be > 0, one per line
 
 Substitution: outside ``[params]``, every ``{...}`` block of a value is a
 constant expression in the parameters (``exprlang.parse_constant``),
@@ -169,13 +169,6 @@ class _File:
 
     def __init__(self, cp: configparser.ConfigParser,
                  params: Dict[str, float]):
-        values: Dict[str, str] = {}  # a block's text -> its value's repr
-
-        def value(block: str, where: str) -> str:
-            if block not in values:
-                values[block] = repr(_constant(block, params, where))
-            return values[block]
-
         self.sections: Dict[str, Dict[str, str]] = {}
         for section in cp.sections():
             if section == "params":
@@ -185,7 +178,8 @@ class _File:
                 if key.lower() in options:
                     raise ConfigError(f"[{section}] {key} is given twice")
                 options[key.lower()] = _BLOCK.sub(
-                    lambda m: value(m.group(1), f"[{section}] {key}"), raw)
+                    lambda m: repr(_constant(m.group(1), params,
+                                             f"[{section}] {key}")), raw)
             self.sections[section] = options
         self.read = set()
 
