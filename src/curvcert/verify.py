@@ -153,10 +153,10 @@ def boundary_grid(space: WeightedSpace, counts) -> List[BoundaryFrame]:
 class Target:
     """One space under test: the space, its plan, and the cutoff, collars,
     Neumann bases and test-density sources every g and h is built from.
-    Every one comes from a space file through the one INI loader of
-    ``config`` (``zoo.load`` reads the zoo's files with it), ``expected``
-    and ``provenance`` included; ``expressions`` keeps the raw expressions
-    of a ``config.load_config`` file.  ``run_suite`` reads the rest."""
+    ``zoo.load`` and ``config.load_config`` both build it from a space
+    file with config's one INI loader, ``expected`` and ``provenance``
+    included; ``expressions`` keeps the raw expressions of a
+    ``config.load_config`` file.  ``run_suite`` reads the rest."""
 
     name: str
     label: str

@@ -42,7 +42,7 @@ class ZooError(ValueError):
 
 
 def list_entries() -> List[str]:
-    return sorted(p.stem for p in SPACES.glob("*.ini"))
+    return sorted(p.stem for p in SPACES.iterdir() if p.suffix == ".ini")
 
 
 def load(name: str, **params) -> Target:
