@@ -283,7 +283,16 @@ def evaluate_jet(ast, seeds) -> Jet:
     (``(n0, 1)`` and ``(1, n1)``).  A constant takes the batch every seed
     broadcasts against, the seeds' elementwise smallest batch: the points
     themselves for node seeds, all ones for line seeds, so that a
-    subexpression costs the size of the axes it reads."""
+    subexpression costs the size of the axes it reads.
+
+    A nonzero literal operand of ``+``, ``-`` or ``*`` whose other operand
+    is not a literal enters as a Python float, through Jet's scalar
+    operations: ``c - e`` is ``(-e) + c``, and each slot gets the bits the
+    constant jet would give.  A literal 0 is the zero jet, with its order
+    and the constant's batch, and ``e / c`` stays ``e * (1/c)``, the
+    product with the constant jet's reciprocal, which rounds differently
+    from ``e / c``.  A literal exponent, negated or not, is handed to
+    ``jet_pow`` as a number."""
     if isinstance(ast, Num):
         batch = tuple(map(min, zip(*(s.batch_shape for s in seeds))))
         return Jet.constant(seeds[0].dim, ast.value,
@@ -293,9 +302,22 @@ def evaluate_jet(ast, seeds) -> Jet:
     if isinstance(ast, Neg):
         return -evaluate_jet(ast.operand, seeds)
     if isinstance(ast, Bin):
+        if ast.op in "+-*" and isinstance(ast.left, Num) != \
+                isinstance(ast.right, Num):
+            literal_left = isinstance(ast.left, Num)
+            c = (ast.left if literal_left else ast.right).value
+            if c != 0.0:
+                e = evaluate_jet(ast.right if literal_left else ast.left,
+                                 seeds)
+                if ast.op == "+":
+                    return e + c
+                if ast.op == "*":
+                    return e * c
+                return (-e) + c if literal_left else e - c
         a = evaluate_jet(ast.left, seeds)
-        if ast.op == "^" and isinstance(ast.right, Num):
-            return jet_pow(a, ast.right.value)
+        p = _literal(ast.right) if ast.op == "^" else None
+        if p is not None:
+            return jet_pow(a, p)
         b = evaluate_jet(ast.right, seeds)
         if ast.op == "+":
             return a + b
@@ -309,11 +331,24 @@ def evaluate_jet(ast, seeds) -> Jet:
     if isinstance(ast, Call):
         if ast.fn == "pow":
             a = evaluate_jet(ast.args[0], seeds)
-            if isinstance(ast.args[1], Num):
-                return jet_pow(a, ast.args[1].value)
-            return jet_pow(a, evaluate_jet(ast.args[1], seeds))
+            p = _literal(ast.args[1])
+            return jet_pow(a, evaluate_jet(ast.args[1], seeds)
+                           if p is None else p)
         return apply_univariate(ast.fn, evaluate_jet(ast.args[0], seeds))
     raise TypeError(f"not an AST node: {ast!r}")
+
+
+def _literal(node):
+    """The number a literal or a negated literal (``-17`` in ``x^-17``)
+    denotes, else None: an exponent that is one is handed to ``jet_pow``
+    as a number, so an integer power takes any base, as in
+    ``evaluate_float``."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Neg):
+        v = _literal(node.operand)
+        return None if v is None else -v
+    return None
 
 
 _FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,

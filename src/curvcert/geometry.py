@@ -188,6 +188,13 @@ def christoffel_jets(jg: List[List[Jet]], jginv: List[List[Jet]]
     return out  # type: ignore[return-value]
 
 
+def _symmetric_triples(n: int) -> Iterator[Tuple[int, int, int]]:
+    """(k, i, j) with i <= j: the Christoffel symbols ``christoffel_jets``
+    forms, each the (k, j, i) one as well."""
+    return ((k, i, j) for k in range(n) for i in range(n)
+            for j in range(i, n))
+
+
 class NodeGeometry:
     """Metric, weight and defining-function data of one node batch,
     computed once: the metric jets, the metric values ``metric`` and
@@ -242,9 +249,12 @@ class NodeGeometry:
     @cached_property
     def inverse(self) -> np.ndarray:
         """The values of ``jginv``, indexed [i, j] ahead of the batch."""
-        batch = self.sqrt_det.shape
-        return np.array([[np.broadcast_to(e.value, batch) for e in row]
-                         for row in self.jginv])
+        n = self.space.dim
+        out = np.empty((n, n) + self.sqrt_det.shape)
+        for i, row in enumerate(self.jginv):
+            for j, e in enumerate(row):
+                out[i, j] = e.value
+        return out
 
     @cached_property
     def jgam(self) -> List[List[List[Jet]]]:
@@ -253,9 +263,11 @@ class NodeGeometry:
     @cached_property
     def christoffels(self) -> np.ndarray:
         """The values of ``jgam``, indexed [k, i, j] ahead of the batch."""
-        batch = self.sqrt_det.shape
-        return np.array([[[np.broadcast_to(c.value, batch) for c in row]
-                          for row in p] for p in self.jgam])
+        n = self.space.dim
+        out = np.empty((n, n, n) + self.sqrt_det.shape)
+        for k, i, j in _symmetric_triples(n):
+            out[k, i, j] = out[k, j, i] = self.jgam[k][i][j].value
+        return out
 
     @cached_property
     def jV(self) -> Jet:
@@ -308,9 +320,9 @@ def ricci(geom: NodeGeometry) -> np.ndarray:
     """Ricci tensor components R_ij at the nodes, symmetrized."""
     n = geom.space.dim
     gam = geom.christoffels
-    dgam = np.array([[[np.broadcast_to(c.gradient(), (n,) + gam.shape[3:])
-                       for c in row] for row in p]
-                     for p in geom.jgam])  # [k, i, j, l] = d_l G^k_ij
+    dgam = np.empty((n,) * 4 + gam.shape[3:])  # [k, i, j, l] = d_l G^k_ij
+    for k, i, j in _symmetric_triples(n):
+        dgam[k, i, j] = dgam[k, j, i] = geom.jgam[k][i][j].gradient()
     R = np.zeros((n, n) + gam.shape[3:])
     for i in range(n):
         for j in range(n):

@@ -498,26 +498,34 @@ class Jet:
     def compose(self, coeffs) -> "Jet":
         """Compose with a univariate function given by its Taylor
         coefficients c0..c3 at ``self.value`` (ck = dk/k!, value-shaped
-        arrays): Horner on the nilpotent part, whose products drop every
-        slot above this jet's order.  Each ck is a degree-0 jet, also where
-        it is a 0-d zero, so a point takes the degree path of its batch.
-        The result keeps this jet's support.
+        arrays or scalars): Horner on the nilpotent part w, run on the
+        stored slots, ``r = (r * w) + ck`` from r = c3, whose products
+        drop every slot above this jet's order.  The first product scales
+        w's slots by c3, the later ones are the Leibniz products of ``*``
+        (its plan, r's slots first), and ck adds to slot 0, so every slot
+        has the bits the same steps over jets would give.  The result
+        keeps this jet's support; with no nilpotent part it is the
+        degree-0 jet of c0.
         """
-        def const(c):
-            return Jet._make(self.dim, MAX_ORDER, 0,
-                             np.broadcast_to(c, (1,) + self.batch_shape),
-                             _NO_VARIABLES)
-
         if self.degree <= 0:
-            # no nilpotent part: each Horner product is the zero jet
-            return const(coeffs[0]).truncate(self.order)
+            return Jet._make(self.dim, self.order, 0,
+                             np.broadcast_to(coeffs[0],
+                                             (1,) + self.batch_shape),
+                             _NO_VARIABLES)
+        d, support = self.degree, self.support
         w = self.stored.copy()
         w[0] = 0.0
-        wjet = Jet._make(self.dim, self.order, self.degree, w, self.support)
-        res = const(coeffs[3])
-        for c in coeffs[2::-1]:
-            res = res * wjet + const(c)
-        return res.truncate(self.order)
+        res = coeffs[3] * w
+        res[0] += coeffs[2]
+        degree = d
+        for c in (coeffs[1], coeffs[0]):
+            out = min(degree + d, self.order)
+            plan = _mul_plan(self.dim, support, degree, support, d, out)
+            res = _product(res, w, plan, _nslots(len(support), out),
+                           self.batch_shape)
+            res[0] += c
+            degree = out
+        return Jet._make(self.dim, self.order, degree, res, support)
 
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"
@@ -618,12 +626,16 @@ def apply_univariate(fn: str, a: Jet) -> Jet:
 
 
 def jet_pow(a: Jet, p) -> Jet:
-    """a**p for a real exponent; integer exponents allow any base."""
+    """a**p for a real exponent; integer exponents allow any base but a
+    zero one under a negative power.  Up to |p| = 16 an integer power is
+    a repeated product (of the reciprocal for p < 0); above, like a
+    non-integer one, it composes with the power's Taylor coefficients."""
     if isinstance(p, Jet):
         # a^p = exp(p*log a); requires a > 0
         return apply_univariate("exp", p * apply_univariate("log", a))
     p = float(p)
-    if p == int(p) and abs(p) <= 16:
+    integer = p == int(p)
+    if integer and abs(p) <= 16:
         n = int(p)
         if n == 0:
             one = Jet.constant(a.dim, np.ones(a.batch_shape))
@@ -634,9 +646,14 @@ def jet_pow(a: Jet, p) -> Jet:
             out = out * base
         return out
     v = a.value
-    bad = v <= 0.0
-    if np.any(bad):
-        raise JetDomainError(
-            f"non-integer power {p} of a nonpositive jet value", bad)
+    if not integer:
+        bad = v <= 0.0
+        if np.any(bad):
+            raise JetDomainError(
+                f"non-integer power {p} of a nonpositive jet value", bad)
+    elif p < 0:
+        bad = v == 0.0
+        if np.any(bad):
+            raise JetDomainError("division by a jet with zero value", bad)
     return a.compose((v**p, p * v**(p - 1), p * (p - 1) * v**(p - 2) / 2.0,
                       p * (p - 1) * (p - 2) * v**(p - 3) / 6.0))

@@ -1,14 +1,18 @@
 import gc
+import itertools
+import operator
 import weakref
 
 import numpy as np
 import pytest
 
-from curvcert.exprlang import (EvalError, Num, ParseError, differentiate,
-                               evaluate_float, parse, parse_constant,
-                               simplify, to_source)
+from curvcert.exprlang import (Bin, EvalError, Num, ParseError,
+                               differentiate, evaluate_float, evaluate_jet,
+                               parse, parse_constant, simplify, to_source)
 from curvcert.fields import ExprField
+from curvcert.jets import Jet, JetDomainError, seed_variable
 from oracles import richardson_partial
+from test_jets import assert_same_jet
 
 # a corpus of 200 expressions covering every operator, function,
 # precedence corner and variable name the grammar admits
@@ -225,6 +229,81 @@ class TestEvaluateOrder:
             jk = f.jet(x, k)
             assert jk.order <= k
             assert np.array_equal(jk.value, f.jet(x).value)
+
+
+_JET_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.truediv}
+
+
+def _seeds(kind, order):
+    """Coordinate seeds at five points, at one point, or on the lines of
+    a 3 x 4 grid, truncated to ``order``."""
+    if kind == "lines":
+        lines = [np.array([[-0.7], [0.4], [1.3]]),
+                 np.array([[0.6, -1.1, 0.25, 2.0]])]
+        seeds = [seed_variable(i, np.repeat(line[None], 2, 0))
+                 for i, line in enumerate(lines)]
+    else:
+        x = np.array([[0.3, -1.2, 2.5, -0.0, 0.8], [0.7, 0.4, -1.1, 1.5, 0.0]])
+        x = x[:, 0] if kind == "point" else x
+        seeds = [seed_variable(i, x) for i in range(2)]
+    return [s.truncate(order) for s in seeds]
+
+
+def _outcome(run):
+    """``run()``'s jet, or the type and message of the domain error it
+    raises."""
+    try:
+        return run()
+    except JetDomainError as exc:
+        return type(exc), str(exc)
+
+
+class TestLiteralOperands:
+    """A literal operand of ``+``, ``-`` or ``*`` enters as a scalar, and
+    ``/`` keeps its route: every result has the bits, degree, support,
+    order and batch of the constant jet's route, and a domain error reads
+    the same."""
+
+    LITERALS = [2.5, -3.0, 1.0, 0.0, -0.0, 1e-8]
+    OPERANDS = ["x", "x*y + sin(y)", "0*x", "-y", "exp(0.5)", "x^2 - 1"]
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("kind", ["nodes", "point", "lines"])
+    def test_equals_the_constant_jet_route(self, kind, order):
+        seeds = _seeds(kind, order)
+        batch = tuple(map(min, zip(*(s.batch_shape for s in seeds))))
+        for src in self.OPERANDS:
+            e = parse(src, 2)
+            for c, (op, fn) in itertools.product(self.LITERALS,
+                                                 _JET_OPS.items()):
+                k = Jet.constant(2, c, batch).truncate(order)
+                for ast, want in (
+                        (Bin(op, Num(c), e),
+                         lambda: fn(k, evaluate_jet(e, seeds))),
+                        (Bin(op, e, Num(c)),
+                         lambda: fn(evaluate_jet(e, seeds), k))):
+                    got = _outcome(lambda: evaluate_jet(ast, seeds))
+                    ref = _outcome(want)
+                    if isinstance(ref, tuple):
+                        assert got == ref, (src, op, c)
+                    else:
+                        assert got.order == ref.order
+                        assert_same_jet(got, ref)
+
+    def test_literals_build_no_constant_jet(self, monkeypatch):
+        calls = []
+        constant = Jet.constant
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return constant(*args, **kwargs)
+
+        monkeypatch.setattr(Jet, "constant", staticmethod(counted))
+        j = ExprField("0.3*x + 2", 2).jet(np.array([[0.5, 1.5], [0.1, 0.2]]))
+        assert calls == []
+        assert (j.degree, j.support) == (1, frozenset({0}))
+        assert np.array_equal(j.value, 0.3 * np.array([0.5, 1.5]) + 2)
 
 
 class TestConstant:

@@ -5,10 +5,11 @@ import zlib
 import numpy as np
 import pytest
 
-from curvcert.fields import ConstField
-from curvcert.jets import (Jet, JetDomainError, JetError, JetShapeError,
-                           apply_univariate, extract, jet_pow, multi_indices,
-                           ncoeffs, seed_variable, stack)
+from curvcert.exprlang import EvalError, evaluate_float, parse
+from curvcert.fields import ConstField, ExprField
+from curvcert.jets import (MAX_ORDER, Jet, JetDomainError, JetError,
+                           JetShapeError, apply_univariate, extract, jet_pow,
+                           multi_indices, ncoeffs, seed_variable, stack)
 from oracles import Poly, all_multi_indices, richardson_partial
 
 
@@ -648,3 +649,121 @@ class TestVariableSupport:
             self.check(s, truncated(dim, np.stack(rows, axis=1), order),
                        _kept(s.degree, frozenset().union(
                            *(j.support for j in js))))
+
+
+def horner_over_jets(a, coeffs):
+    """``compose`` as Horner over Jet objects: each ck a degree-0 jet
+    broadcast to a's batch, ``r = r * w + ck`` through ``*`` and ``+``
+    from r = c3, then truncated to a's order."""
+    def const(c):
+        return Jet._make(a.dim, MAX_ORDER, 0,
+                         np.broadcast_to(c, (1,) + a.batch_shape),
+                         frozenset())
+
+    if a.degree <= 0:
+        return const(coeffs[0]).truncate(a.order)
+    w = a.stored.copy()
+    w[0] = 0.0
+    wjet = Jet._make(a.dim, a.order, a.degree, w, a.support)
+    res = const(coeffs[3])
+    for c in coeffs[2::-1]:
+        res = res * wjet + const(c)
+    return res.truncate(a.order)
+
+
+def assert_same_jet(got, want):
+    """Equal order, degree, support and batch, and equal slots with equal
+    signs of zeros."""
+    assert (got.order, got.degree, got.support, got.batch_shape) == \
+        (want.order, want.degree, want.support, want.batch_shape)
+    assert got.stored.shape == want.stored.shape
+    assert np.array_equal(got.stored, want.stored)
+    assert np.array_equal(np.signbit(got.stored), np.signbit(want.stored))
+
+
+def with_signed_zeros(rng, a):
+    """``a`` with about a fifth of its entries set to +0.0 or -0.0."""
+    a = np.array(a, dtype=float)
+    a[rng.random(a.shape) < 0.1] = 0.0
+    a[rng.random(a.shape) < 0.1] = -0.0
+    return a
+
+
+class TestComposeKernel:
+    """``compose`` runs Horner on the stored slots; each result has the
+    bits, degree, support and batch of Horner over Jet objects."""
+
+    @pytest.mark.parametrize("batch", [(), (5,), (3, 1), (1, 4)])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_bitwise_equals_horner_over_jets(self, dim, batch):
+        rng = np.random.default_rng(4000 + 10 * dim + len(batch))
+        for order in range(4):
+            for degree in range(-1, order + 1):
+                for _ in range(3):
+                    support = {i for i in range(dim) if rng.random() < 0.5}
+                    if degree > 0 and not support:
+                        support = {int(rng.integers(dim))}
+                    a = graded_jet(rng, dim, degree, order, batch, support)
+                    a.stored[...] = with_signed_zeros(rng, a.stored)
+                    arrays = with_signed_zeros(
+                        rng, rng.standard_normal((4,) + batch))
+                    for coeffs in (arrays, tuple(arrays),
+                                   (0.5, -0.0, 0.0, -2.0),
+                                   (arrays[0], -1.5, arrays[2], 0.25)):
+                        assert_same_jet(a.compose(coeffs),
+                                        horner_over_jets(a, coeffs))
+
+    def test_one_jet_and_no_broadcast_views(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        a = graded_jet(rng, 3, 3, 3, (6,))
+        coeffs = rng.standard_normal((4, 6))
+        made, views = [], []
+        make, broadcast_to = Jet._make.__func__, np.broadcast_to
+
+        def counted_make(cls, *args):
+            made.append(args)
+            return make(cls, *args)
+
+        def counted_broadcast_to(*args, **kwargs):
+            views.append(args)
+            return broadcast_to(*args, **kwargs)
+
+        monkeypatch.setattr(Jet, "_make", classmethod(counted_make))
+        monkeypatch.setattr(np, "broadcast_to", counted_broadcast_to)
+        out = a.compose(coeffs)
+        assert len(made) == 1 and views == []
+        assert (out.order, out.degree) == (3, 3)
+
+
+class TestPowAboveSixteen:
+    """An integer exponent with |p| > 16 composes with the integer-power
+    coefficients, so any base is in its domain but a zero one under a
+    negative power, as ``evaluate_float`` folds it."""
+
+    @pytest.mark.parametrize("p, x0", [(18, -1.0), (17, 0.0), (-17, -1.0),
+                                       (20, -0.7), (-18, 1.3), (17, -1.2)])
+    def test_matches_polynomial_oracle(self, p, x0):
+        point = np.array([x0, 0.4])
+        j = ExprField(f"x^{p}" if p > 0 else f"x^({p})", 2).jet(point)
+        poly = Poly(2, {(p, 0): 1.0})
+        for alpha in all_multi_indices(2, 3):
+            want = poly.diff_multi([0] * alpha[0] + [1] * alpha[1])(point)
+            np.testing.assert_allclose(extract(j, alpha), want, rtol=1e-13,
+                                       atol=0.0)
+
+    def test_value_agrees_with_evaluate_float(self):
+        # a negated literal exponent is a number, as the float fold reads it
+        for src, x0 in (("x^18", -1.0), ("x^17", 0.0), ("x^(-17)", -1.0),
+                        ("x^-17", -1.0), ("pow(x, -18)", -1.0),
+                        ("x^-2", -1.0)):
+            point = np.array([x0, 0.4])
+            assert ExprField(src, 2).value(point) == \
+                evaluate_float(parse(src, 2), point)
+
+    def test_zero_base_of_negative_power_refused(self):
+        with pytest.raises(JetDomainError,
+                           match="division by a jet with zero value"):
+            jet_pow(seed_variable(0, np.array([0.0, 1.0])), -17)
+        with pytest.raises(EvalError,
+                           match="division by a jet with zero value"):
+            ExprField("x^(-20)", 2).value(np.array([0.0, 1.0]))
