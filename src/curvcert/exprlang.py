@@ -11,8 +11,9 @@ Grammar (whitespace insensitive)::
 '^' binds tighter than unary minus, so ``-x^2`` is ``-(x^2)``.
 Variables are x, y, z, w (or x1..x4) and must be in range for the
 declared chart dimension.  Functions: sin, cos, exp, log, sqrt, tanh
-(one argument) and pow (two).  No abs/min/max/conditionals: every field
-must be C^3 on its chart.
+(one argument) and pow (two): ``pow(a, b)`` is read as ``a^b``, the one
+power node, so it evaluates, differentiates and prints as ``a^b`` does.
+No abs/min/max/conditionals: every field must be C^3 on its chart.
 
 A field's expression is evaluated only over jet arithmetic
 (:func:`evaluate_jet`, fed whatever seeds the field is given); its
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -82,8 +83,8 @@ class Neg:
 
 @dataclass(frozen=True)
 class Call:
-    fn: str
-    args: Tuple
+    fn: str  # sin, cos, exp, log, sqrt or tanh
+    arg: object
 
 
 # -- tokenizer ----------------------------------------------------------
@@ -230,7 +231,8 @@ class _Parser:
                     raise ParseError(
                         off, f"{FUNCTIONS[text]} argument(s) to {text}",
                         f"{len(args)}")
-                return Call(text, tuple(args))
+                return Bin("^", *args) if text == "pow" else \
+                    Call(text, args[0])
             idx = (_var_index(text) if self.names is None else
                    self.names.index(text) if text in self.names else None)
             if idx is None:
@@ -329,12 +331,7 @@ def evaluate_jet(ast, seeds) -> Jet:
             return a / b
         return jet_pow(a, b)
     if isinstance(ast, Call):
-        if ast.fn == "pow":
-            a = evaluate_jet(ast.args[0], seeds)
-            p = _literal(ast.args[1])
-            return jet_pow(a, evaluate_jet(ast.args[1], seeds)
-                           if p is None else p)
-        return apply_univariate(ast.fn, evaluate_jet(ast.args[0], seeds))
+        return apply_univariate(ast.fn, evaluate_jet(ast.arg, seeds))
     raise TypeError(f"not an AST node: {ast!r}")
 
 
@@ -354,8 +351,7 @@ def _literal(node):
 _FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv, "^": math.pow}
 _FLOAT_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-                    "log": math.log, "sqrt": math.sqrt, "tanh": math.tanh,
-                    "pow": math.pow}
+                    "log": math.log, "sqrt": math.sqrt, "tanh": math.tanh}
 
 
 def evaluate_float(ast, values: Sequence[float]) -> float:
@@ -374,8 +370,7 @@ def evaluate_float(ast, values: Sequence[float]) -> float:
         return _FLOAT_OPS[ast.op](evaluate_float(ast.left, values),
                                   evaluate_float(ast.right, values))
     if isinstance(ast, Call):
-        return _FLOAT_FUNCTIONS[ast.fn](
-            *(evaluate_float(a, values) for a in ast.args))
+        return _FLOAT_FUNCTIONS[ast.fn](evaluate_float(ast.arg, values))
     raise TypeError(f"not an AST node: {ast!r}")
 
 
@@ -432,7 +427,7 @@ def to_source(node) -> str:
             return f"{lhs} {node.op} {rhs}"
         return f"{lhs}{node.op}{rhs}"
     if isinstance(node, Call):
-        return f"{node.fn}({', '.join(to_source(a) for a in node.args)})"
+        return f"{node.fn}({to_source(node.arg)})"
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -458,7 +453,7 @@ def simplify(node):
             return a.operand
         return Neg(a)
     if isinstance(node, Call):
-        return Call(node.fn, tuple(simplify(a) for a in node.args))
+        return Call(node.fn, simplify(node.arg))
     a = simplify(node.left)
     b = simplify(node.right)
     op = node.op
@@ -535,17 +530,18 @@ def differentiate(node, axis: int):
             return add(mul(da, b), mul(a, db))
         if node.op == "/":
             return sub(div(da, b), div(mul(a, db), mul(b, b)))
-        return _d_pow(a, b, da, db)
+        if _is_num(db, 0) and _is_num(b):
+            return mul(mul(b, simplify(Bin("^", a, Num(b.value - 1.0)))), da)
+        # u^v with varying exponent: (u^v)' = u^v (v' log u + v u'/u)
+        return mul(simplify(Bin("^", a, b)),
+                   add(mul(db, Call("log", a)), mul(b, div(da, a))))
     if isinstance(node, Call):
-        u = node.args[0]
+        u = node.arg
         du = differentiate(u, axis)
-        if node.fn == "pow":
-            return _d_pow(u, node.args[1], du,
-                          differentiate(node.args[1], axis))
         if node.fn == "sin":
-            return mul(Call("cos", (u,)), du)
+            return mul(Call("cos", u), du)
         if node.fn == "cos":
-            return simplify(Neg(mul(Call("sin", (u,)), du)))
+            return simplify(Neg(mul(Call("sin", u), du)))
         if node.fn == "exp":
             return mul(node, du)
         if node.fn == "log":
@@ -556,12 +552,3 @@ def differentiate(node, axis: int):
             return mul(sub(ONE, Bin("^", node, Num(2.0))), du)
     raise TypeError(f"not an AST node: {node!r}")
 
-
-def _d_pow(base, expo, dbase, dexpo):
-    if _is_num(dexpo, 0) and _is_num(expo):
-        p = expo.value
-        return mul(mul(expo, simplify(Bin("^", base, Num(p - 1.0)))), dbase)
-    # u^v with varying exponent: (u^v)' = u^v (v' log u + v u'/u)
-    return mul(simplify(Bin("^", base, expo)),
-               add(mul(dexpo, Call("log", (base,))),
-                   mul(expo, div(dbase, base))))

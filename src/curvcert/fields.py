@@ -17,15 +17,15 @@ products/sums/quotients of fields with exact jets again have exact jets.
 A field is a function of its seed jets: it folds its tree over any
 seeds (``exprlang.evaluate_jet`` for expressions, ``compose`` for cutoff
 factors), so on the jets of a chart map's components it is the field
-composed with the map.  ``ScalarField.jet`` builds coordinate seeds
-from the points' rows, or, where the caller passes the axis lines of the
-tensor grid the points form (an interior quadrature chunk), from the
-lines: axis i's seed is shaped to broadcast along that axis only, every
-subfield is jetted at the broadcast shape of the axes it reads
-(``sin(y)`` on the line of y, ``x^2*cos(y)`` as one product of two
-lines), and the jet comes back at that shape.  Every jet operation is
-elementwise, so either way each point's jet is bit for bit the jet at
-that point alone.
+composed with the map.  ``ScalarField.jet`` seeds each coordinate
+through ``jets.seed_variable`` from its coordinate array: a row of the
+points, or, where the caller passes the axis lines of the tensor grid
+the points form (an interior quadrature chunk), a line as it is.  Axis
+i's line is shaped to broadcast along that axis only, so every subfield
+is jetted at the broadcast shape of the axes it reads (``sin(y)`` on the
+line of y, ``x^2*cos(y)`` as one product of two lines), and the jet
+comes back at that shape.  Every jet operation is elementwise, so either
+way each point's jet is bit for bit the jet at that point alone.
 """
 
 from __future__ import annotations
@@ -55,14 +55,13 @@ class ScalarField:
         ``lines``, the axis lines of the tensor grid whose nodes x lists
         in C order (line i shaped to broadcast along axis i only), it is
         jetted on the lines and comes back at the broadcast shape of the
-        axes it reads.  A domain error is an EvalError naming the first
-        point of x, in x's order, where the field leaves its domain."""
+        axes it reads.  Either way the seeds are ``seed_variable``'s over
+        the coordinate arrays, x's rows or the lines as they are.  A domain
+        error is an EvalError naming the first point of x, in x's order,
+        where the field leaves its domain."""
         x = np.asarray(x, dtype=float)
-        if lines is None:
-            seeds = [seed_variable(i, x) for i in range(x.shape[0])]
-        else:  # seed i reads row i of a (dim,) + line-shaped point array
-            seeds = [seed_variable(i, np.repeat(line[None], len(lines), 0))
-                     for i, line in enumerate(lines)]
+        coords = x if lines is None else lines
+        seeds = [seed_variable(i, coords) for i in range(len(coords))]
         try:
             return self._jet([s.truncate(order) for s in seeds])
         except JetDomainError as exc:

@@ -25,8 +25,9 @@ Each quantity has one formula: g^{ij} is read off ``jet_matrix_inverse``
 (``NodeGeometry.inverse`` holds its values), the Christoffel values are
 those of ``christoffel_jets``, Hess f is formed by ``hessian_jets`` from
 the jets of f's first partials, L f by ``laplacian_jet`` on top of it
-(``hessian``, ``witten_laplacian``, ``gamma2_parts`` and Ricci_V's Hess V
-read these two), and Gamma2 reads L Gamma(f,f) from ``witten_laplacian``.
+(``hessian``, ``witten_laplacian``, ``gamma2_parts`` and
+``bakry_emery_ricci``'s Hess V read these two), and Gamma2 reads
+L Gamma(f,f) from ``witten_laplacian``.
 """
 
 from __future__ import annotations
@@ -200,8 +201,8 @@ class NodeGeometry:
     computed once: the metric jets, the metric values ``metric`` and
     volume density ``sqrt_det`` up front; the inverse, Christoffel, weight
     and phi jets, and ``inverse`` (g^{ij}) and ``christoffels``, the values
-    of the first two, on first use; Ricci_V on each read.  The operators
-    below take it as ``geom``.
+    of the first two, on first use.  The operators below take it as
+    ``geom``.
 
     Each jet is built to the highest order a consumer reads: ``jg``,
     ``jginv``, ``jV`` and ``jphi`` at order 2 (Gamma(f,f), Hess V and the
@@ -215,7 +216,7 @@ class NodeGeometry:
     metric, weight and phi are jetted on the lines, and every jet and array
     here stays at the broadcast shape of the axes they read: ball3's at
     (r, theta), since its geometry never reads the azimuth.  The metric
-    arrays and Ricci_V are at the broadcast shape of all of them; ``grid``
+    arrays are at the broadcast shape of all of them; ``grid``
     is the shape of the nodes themselves, against which everything
     broadcasts.  Every per-node operation is elementwise, so once
     broadcast to ``grid`` and flattened each value equals the one computed
@@ -280,12 +281,6 @@ class NodeGeometry:
         jphi = self.space.defining_fn.jet(self.x, 2, self.lines)
         require_finite(jphi.value, self.x, self.lines, "phi")
         return jphi
-
-    @property
-    def ricci_v(self) -> np.ndarray:
-        """Ricci_V = Ricci + Hess V; each consumer reads it once, so it is
-        not kept."""
-        return ricci(self) + hessian(self, self.jV)
 
 
 FieldOrJet = Union[ScalarField, Jet]
@@ -414,8 +409,9 @@ def hs_norm_sq(geom: NodeGeometry, H: np.ndarray) -> np.ndarray:
 
 
 def bakry_emery_ricci(geom: NodeGeometry) -> np.ndarray:
-    """Ricci_V = Ricci + Hess V at the nodes."""
-    return geom.ricci_v
+    """Ricci_V = Ricci + Hess V at the nodes, at the broadcast shape of the
+    geometry's arrays; each consumer reads it once, so it is not kept."""
+    return ricci(geom) + hessian(geom, geom.jV)
 
 
 @dataclass

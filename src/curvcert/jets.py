@@ -43,8 +43,6 @@ import numpy as np
 MAX_ORDER = 3
 MAX_DIM = 4
 
-UNARY_FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
-
 _NO_VARIABLES = frozenset()
 
 
@@ -532,16 +530,19 @@ class Jet:
 
 
 def seed_variable(axis: int, x) -> Jet:
-    """Jet of the coordinate function x_axis at point(s) x (shape (dim,...)):
-    support {axis}, slots (value, 1)."""
-    x = np.asarray(x, dtype=float)
-    dim = x.shape[0]
+    """Jet of the coordinate function x_axis, support {axis} and slots
+    (value, 1), at the coordinate array ``x[axis]`` and its batch shape.
+    ``x`` holds one coordinate array per chart variable: the rows of a
+    point array (shape (dim, ...)), or the axis lines of a tensor grid,
+    each at its own shape.  Only ``x[axis]`` is read and checked finite."""
+    dim = len(x)
     if not 0 <= axis < dim:
         raise JetShapeError(f"variable index {axis} out of range for dim {dim}")
-    if not np.isfinite(x).all():
+    coord = np.asarray(x[axis], dtype=float)
+    if not np.isfinite(coord).all():
         raise JetError("non-finite point coordinates")
-    stored = np.empty((2,) + x.shape[1:])
-    stored[0] = x[axis]
+    stored = np.empty((2,) + coord.shape)
+    stored[0] = coord
     stored[1] = 1.0
     return Jet._make(dim, MAX_ORDER, 1, stored, frozenset((axis,)))
 

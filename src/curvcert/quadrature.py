@@ -27,9 +27,12 @@ Each batch's density reads V off that batch's weight jet
 phi off its phi jet, so V and phi are jetted once per batch; a phi or V
 that leaves its domain at a node, or a phi that is not finite there, is
 an ``EvalError`` naming the node, never a NaN that drops it.
-An integrand is a callable of the batch's ``NodeGeometry``: it returns
-one row or k rows per batch, or yields its rows one at a time; each row
-is reduced as it arrives, so no array longer than one batch is held per row.
+An integrand is a callable of the batch's ``NodeGeometry`` in one of two
+forms: it returns one row, at any shape that broadcasts to the batch's
+grid (the nodes' shape, a line's, ``geom.jV.value``'s), and the
+sweep gives one float; or it yields its rows one at a time, and the sweep
+gives one float per row.  Each row is reduced as it arrives, so no array
+longer than one batch is held per row.
 
 Reductions are ordered: each row and the density are broadcast to the
 batch's nodes and flattened, each row's batch sum is numpy's pairwise
@@ -66,23 +69,26 @@ class QuadratureError(ValueError):
 def _batch_sums(F, geom: NodeGeometry, wts: np.ndarray, dens: np.ndarray,
                 mask=None, sqrt_det=None):
     """One ordered sum of wts * row * dens per row of F on one batch, and
-    whether F gave a single row.  A row at the shape of the points' batch
-    is taken as it is; any other row broadcasts against the nodes' grid
-    (``NodeGeometry.grid``) and is flattened to the points first.  Each
-    row is checked finite and, with ``sqrt_det``, zero wherever sqrt
-    det g is below the floor."""
+    whether F gave a single row: F returns one row or yields several.  A
+    row at the shape of the points' batch is taken as it is; any other row
+    must broadcast to the nodes' grid (``NodeGeometry.grid``), and is
+    broadcast and flattened to the points, so a returned stack of rows is
+    refused.  Each row is checked finite and,
+    with ``sqrt_det``, zero wherever sqrt det g is below the floor."""
     out = F(geom)
-    single = False
-    if not isinstance(out, Iterator):
-        out = np.asarray(out)
-        single = out.ndim <= 1
-        out = [out] if single else out.reshape(-1, out.shape[-1])
-    nodes = geom.x.shape[1:]
+    single = not isinstance(out, Iterator)
+    nodes, grid = geom.x.shape[1:], geom.grid
     sums = []
-    for row in out:
+    for row in [out] if single else out:
         fv = np.asarray(row)
         if fv.shape != nodes:
-            fv = geom.at_nodes(fv).reshape(nodes)
+            try:
+                fv = geom.at_nodes(np.broadcast_to(fv, grid)).reshape(nodes)
+            except ValueError:
+                raise QuadratureError(
+                    f"integrand row of shape {fv.shape} does not broadcast "
+                    f"to the batch's grid {grid}; yield several rows"
+                ) from None
         if mask is not None:
             fv = fv * mask
         if not np.all(np.isfinite(fv)):
@@ -190,8 +196,8 @@ def interior_chunks(space: WeightedSpace, counts
 
 
 def integrate_interior(space: WeightedSpace, F: Integrand, counts):
-    """Integral of F over Omega = {phi < 0} against exp(-V) dVol_g
-    (one integral per row of F; a float for a single row)."""
+    """Integral of F over Omega = {phi < 0} against exp(-V) dVol_g: a
+    float for a returned row, a list of one per row for yielded rows."""
     total = None
     for x, wts, lines in interior_chunks(space, counts):
         geom = NodeGeometry(space, x, lines)
@@ -231,8 +237,8 @@ def _patch_geometry(space: WeightedSpace, patch: BoundaryPatch, s: np.ndarray):
 
 def integrate_boundary(space: WeightedSpace, F: Integrand,
                        patch: BoundaryPatch, counts):
-    """Integral of F over a boundary patch against exp(-V) dH^{n-1}
-    (one integral per row of F)."""
+    """Integral of F over a boundary patch against exp(-V) dH^{n-1}, in
+    the form ``integrate_interior`` gives."""
     counts = _counts(counts, patch.param_dim)
     s, wts = tensor_rule(patch.param_box, counts)
     geom, dens_gram = _patch_geometry(space, patch, s)

@@ -47,7 +47,7 @@ over stated grids, never proofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,14 +88,7 @@ class CheckResult:
     metadata: Dict = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "witness": self.witness,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
     def __str__(self):
         tag = "PASS" if self.passed else "FAIL"
@@ -113,12 +106,7 @@ class SamplePlan:
     quad_boundary: Tuple[int, ...]
 
     def to_dict(self):
-        return {
-            "interior_counts": list(self.interior_counts),
-            "boundary_counts": list(self.boundary_counts),
-            "quad_interior": list(self.quad_interior),
-            "quad_boundary": list(self.quad_boundary),
-        }
+        return {k: list(v) for k, v in asdict(self).items()}
 
     def grids(self, space: WeightedSpace
               ) -> Tuple[NodeGeometry, List[BoundaryFrame]]:

@@ -72,7 +72,8 @@ def _light_validate(entry: Target):
 
 
 def parse_ref(ref: str) -> Target:
-    """Parse a CLI reference like ``annulus,r=0.5,R=1``."""
+    """Parse a CLI reference like ``annulus,r=0.5,R=1``, each parameter
+    given once."""
     parts = [p.strip() for p in ref.split(",") if p.strip()]
     if not parts:
         raise ZooError("empty zoo reference")
@@ -81,9 +82,12 @@ def parse_ref(ref: str) -> Target:
         if "=" not in p:
             raise ZooError(f"bad zoo parameter {p!r} (expected key=value)")
         k, v = p.split("=", 1)
+        k = k.strip()
+        if k in params:
+            raise ZooError(f"zoo parameter {k!r} is given twice")
         try:
-            params[k.strip()] = float(v)
+            params[k] = float(v)
         except ValueError:
             raise ZooError(f"bad numeric value {v!r} for parameter "
-                           f"{k.strip()!r}") from None
+                           f"{k!r}") from None
     return load(name, **params)

@@ -17,6 +17,31 @@ from curvcert.verify import certify
 from curvcert.zoo import list_entries
 
 
+PACKAGE = Path(curvcert.__file__).parent
+
+
+def _package_reads() -> set:
+    """The names the package's modules (``__init__`` aside) read: loaded
+    as a name, imported by a relative import, or loaded as an attribute
+    of one of its modules (``exprlang.ONE``).  A store, a keyword or an
+    attribute of anything else (``parts.gamma2``) is not a read."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                read.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                read.add(node.attr)
+    return read
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -70,21 +95,27 @@ class TestBasics:
         unread_ok = {
             # wrapped by name by perfbench/layers.py (ROADMAP item 17)
             "check_green", "check_mv_laplacian", "check_ricci_decomposition",
-            # public operator, read by the convention tests
-            "gamma1",
+            # public operators, read by the convention tests
+            "gamma1", "gamma2",
             # the decomposition of a non-Neumann f reads it (item 15)
             "mean_curvature",
         }
-        read = set()
-        for path in Path(curvcert.__file__).parent.glob("*.py"):
-            if path.name == "__init__.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    read.add(node.attr)
+        read = _package_reads()
         assert sorted(set(curvcert.__all__) - read) == sorted(unread_ok)
+
+    def test_every_module_constant_is_read_in_the_package(self):
+        # an upper-case name assigned at the top of a module is a constant
+        # of the package; one that no module reads is dead
+        read, unread = _package_reads(), []
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                targets = node.targets if isinstance(node, ast.Assign) else \
+                    [node.target] if isinstance(node, ast.AnnAssign) else []
+                unread += [f"{path.stem}.{t.id}" for t in targets
+                           if isinstance(t, ast.Name)
+                           and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
+                           and t.id not in read]
+        assert unread == []
 
     @pytest.mark.parametrize("ref, name", [
         ("ball,R=inf", "R"), ("annulus,R=inf", "R"),
@@ -94,6 +125,16 @@ class TestBasics:
         assert code == 2 and out == ""
         assert f"parameter {name}=" in err and "must be finite" in err
         assert "expression" not in err
+
+    @pytest.mark.parametrize("ref, message", [
+        ("ball,R=1,R=2", "zoo parameter 'R' is given twice"),
+        ("annulus,r=0.25,R=2,r=0.5", "zoo parameter 'r' is given twice"),
+        ("annulus,r", "bad zoo parameter 'r'"),
+        ("ball,R=abc", "bad numeric value 'abc' for parameter 'R'"),
+        ("", "empty zoo reference")])
+    def test_bad_zoo_reference(self, capsys, ref, message):
+        code, out, err = run(capsys, "describe", "--zoo", ref)
+        assert (code, out) == (2, "") and message in err
 
     def test_unknown_zoo(self, capsys):
         code, out, err = run(capsys, "describe", "--zoo", "torus")

@@ -95,6 +95,36 @@ class TestParse:
         assert to_source(a) == to_source(b)
 
 
+class TestPow:
+    """``pow(a, b)`` is read as ``a^b``: one power node."""
+
+    @pytest.mark.parametrize("call, power", [
+        ("pow(x, 2)", "x^2"), ("pow(x, -18)", "x^-18"),
+        ("pow(x + 1, y*2)", "(x + 1)^(y*2)"),
+        ("pow(sin(x), pow(y, 0.5))", "sin(x)^(y^0.5)"),
+        ("2*pow(x, -y) - 1", "2*x^-y - 1")])
+    def test_parses_as_the_power_node(self, call, power):
+        assert parse(call, 2) == parse(power, 2)
+
+    @pytest.mark.parametrize("src, offset, found", [
+        ("pow(x)", 0, 1), ("pow(x, 2, 3)", 0, 3), ("y + pow(x)", 4, 1),
+        ("2*pow(x, y, 3)", 2, 3)])
+    def test_argument_count_positioned(self, src, offset, found):
+        with pytest.raises(ParseError) as exc_info:
+            parse(src, 2)
+        assert str(exc_info.value) == (
+            f"parse error at offset {offset}: expected 2 argument(s) to "
+            f"pow, found {found}")
+
+    @pytest.mark.parametrize("src, printed", [
+        ("pow(x, 2)", "x^2"), ("pow(x + 1, -y)", "(x + 1)^-y"),
+        ("pow(sin(x), pow(y, 2))", "sin(x)^(y^2)")])
+    def test_prints_as_a_power(self, src, printed):
+        ast = parse(src, 2)
+        assert to_source(ast) == printed
+        assert parse(printed, 2) == ast
+
+
 class TestPrettyPrint:
     @pytest.mark.parametrize("v", [np.inf, -np.inf, np.nan])
     def test_non_finite_constant_named(self, v):

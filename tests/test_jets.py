@@ -55,6 +55,17 @@ class TestBasics:
         with pytest.raises(JetError):
             seed_variable(0, np.array([np.nan, 1.0]))
 
+    def test_seed_variable_on_lines(self):
+        # a grid's axis lines seed as they are, each at its own shape;
+        # only the seeded coordinate array is read and checked
+        lines = [np.array([[1.0], [2.0], [3.0]]), np.array([[4.0, np.nan]])]
+        j = seed_variable(0, lines)
+        assert j.dim == 2 and j.support == {0}
+        assert j.value.shape == (3, 1)
+        assert np.array_equal(j.stored, np.stack([lines[0], np.ones((3, 1))]))
+        with pytest.raises(JetError):
+            seed_variable(1, lines)
+
     def test_extract_order_overflow(self):
         j = seed_variable(0, np.array([1.0]))
         with pytest.raises(JetError):

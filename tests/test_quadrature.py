@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from curvcert import quadrature
+from curvcert import quadrature, zoo
 from curvcert.boundary import ON_BOUNDARY_TOL, BoundaryError, boundary_frame
 from curvcert.exprlang import EvalError
 from curvcert.fields import ConstField, ExprField
@@ -188,7 +188,7 @@ class TestInterior:
 
         assert integrate_interior(sp, rows, counts) == want
         assert integrate_interior(
-            sp, lambda g: np.stack([f(g.x) for f in fns]), counts) == want
+            sp, lambda g: (f(g.x) for f in fns), counts) == want
         one = integrate_interior(sp, lambda g: fns[0](g.x), counts)
         assert isinstance(one, float) and one == want[0]
 
@@ -235,8 +235,39 @@ class TestInterior:
             want = [a + float(np.sum(w * f(x) * dens))
                     for a, f in zip(want, fns)]
         got = integrate_interior(
-            sp, lambda g: np.stack([f(g.x) for f in fns]), counts)
+            sp, lambda g: (f(g.x) for f in fns), counts)
         assert got == want
+
+
+class TestIntegrandForms:
+    """An integrand returns one row, at any shape that broadcasts against
+    its batch's grid, or yields several; a returned stack is refused."""
+
+    def test_returned_row_at_the_lines_shape_is_one_integral(self):
+        sp = zoo.load("gaussian_half_space").space
+
+        def yielded(g):
+            yield g.jV.value
+
+        lines = integrate_interior(sp, lambda g: g.jV.value, (64, 64))
+        nodes = integrate_interior(
+            sp, lambda g: g.at_nodes(g.jV.value).reshape(-1), (64, 64))
+        assert isinstance(lines, float)
+        assert [lines] == [nodes] == integrate_interior(sp, yielded, (64, 64))
+        assert lines == pytest.approx(2.922615260050903, rel=1e-14)
+
+    def test_returned_stack_raises(self):
+        sp = gaussian_plane()
+
+        def stack(g):
+            return np.stack([g.x[0], g.x[1], g.x[0] * g.x[1]])
+
+        with pytest.raises(QuadratureError, match="does not broadcast to"):
+            integrate_interior(sp, stack, (8, 8))
+        disk_sp = disk(1.0)
+        with pytest.raises(QuadratureError, match="does not broadcast to"):
+            integrate_boundary(disk_sp, stack, disk_sp.boundary_patches[0],
+                               counts=(16,))
 
 
 class TestBoundary:

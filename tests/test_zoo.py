@@ -64,7 +64,7 @@ class TestRegistry:
         assert e.expected["lambda_min_ii"] == pytest.approx(-4.0)
 
     @pytest.mark.parametrize("ref", ["", "annulus,r", "ball,R=abc",
-                                     "nosuch"])
+                                     "nosuch", "ball,R=1,R=2"])
     def test_parse_ref_errors(self, ref):
         with pytest.raises(zoo.ZooError):
             zoo.parse_ref(ref)
