@@ -47,7 +47,8 @@ over stated grids, never proofs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import dataclasses
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,7 +89,9 @@ class CheckResult:
     metadata: Dict = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        # the fields themselves, not copies: a report reads them once
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
 
     def __str__(self):
         tag = "PASS" if self.passed else "FAIL"
@@ -106,7 +109,8 @@ class SamplePlan:
     quad_boundary: Tuple[int, ...]
 
     def to_dict(self):
-        return {k: list(v) for k, v in asdict(self).items()}
+        return {f.name: list(getattr(self, f.name))
+                for f in dataclasses.fields(self)}
 
     def grids(self, space: WeightedSpace
               ) -> Tuple[NodeGeometry, List[BoundaryFrame]]:
