@@ -15,6 +15,15 @@ for the whole package):
   computed by running the operator arithmetic over jets of one order
   lower, never by finite differences.
 
+The metric of a batch is checked once, in ``frame_at``: a non-finite
+entry is an error naming it and its first node; positive definiteness
+(least eigenvalue above ``SPD_FLOOR``) is proven by Gershgorin's row
+bound, min_i (G_ii - sum_{j != i} |G_ij|) <= lambda_min, with
+``SPD_MARGIN`` times the largest |G_ij| to spare, which is far above
+both the bound's rounding and eigvalsh's backward error; only a batch it
+cannot prove is probed with eigvalsh, whose least eigenvalue decides and
+names the error as it always has.
+
 The tensor-index loops form their sums with ``jet_sum``, which skips
 every term with a zero-jet factor (a structural zero, such as an
 off-diagonal entry of a diagonal metric): the term costs no product, and
@@ -24,10 +33,11 @@ broadcast to that of its zero terms.
 Each quantity has one formula: g^{ij} is read off ``jet_matrix_inverse``
 (``NodeGeometry.inverse`` holds its values), the Christoffel values are
 those of ``christoffel_jets``, Hess f is formed by ``hessian_jets`` from
-the jets of f's first partials, L f by ``laplacian_jet`` on top of it
-(``hessian``, ``witten_laplacian``, ``gamma2_parts`` and
-``bakry_emery_ricci``'s Hess V read these two), and Gamma2 reads
-L Gamma(f,f) from ``witten_laplacian``.
+the jets of f's first partials (``hessian``, and so
+``bakry_emery_ricci``'s Hess V, reads it alone), L f by
+``laplacian_jet`` on top of it (``witten_laplacian`` and
+``gamma2_parts`` read both), and Gamma2 reads L Gamma(f,f) from
+``witten_laplacian``.
 """
 
 from __future__ import annotations
@@ -42,6 +52,9 @@ from .fields import Lines, ScalarField, require_finite
 from .jets import Jet
 
 SPD_FLOOR = 1e-10
+# Gershgorin's SPD proof must clear the floor by this share of the
+# largest metric entry, far above its own rounding and eigvalsh's.
+SPD_MARGIN = 1e-12
 GRAD_PHI_FLOOR = 1e-8
 
 
@@ -115,7 +128,10 @@ def jet_sum(plus: Iterable[Sequence[Jet]],
 
 def jet_matrix_inverse(a: List[List[Jet]]) -> List[List[Jet]]:
     """Inverse of a jet-valued SPD matrix by Gauss-Jordan elimination; a
-    row update whose factor is the zero jet is skipped."""
+    row update whose factor is the zero jet is skipped.  Once column
+    ``col`` is eliminated no step reads an entry of a in it or before it
+    (they would be 1 and 0), so only the entries of the later columns are
+    formed."""
     n = len(a)
     dim = a[0][0].dim
     batch = a[0][0].batch_shape
@@ -123,43 +139,72 @@ def jet_matrix_inverse(a: List[List[Jet]]) -> List[List[Jet]]:
     inv = [[Jet.constant(dim, 1.0 if i == j else 0.0, batch)
             for j in range(n)] for i in range(n)]
     for col in range(n):
+        later = range(col + 1, n)
         piv = m[col][col].reciprocal()
-        m[col] = [jet_sum([(e, piv)]) for e in m[col]]
+        for c in later:
+            m[col][c] = jet_sum([(m[col][c], piv)])
         inv[col] = [jet_sum([(e, piv)]) for e in inv[col]]
         for r in range(n):
             f = m[r][col]
             if r == col or f.is_zero:
                 continue
-            m[r] = [jet_sum([(m[r][c],)], [(f, m[col][c])]) for c in range(n)]
+            for c in later:
+                m[r][c] = jet_sum([(m[r][c],)], [(f, m[col][c])])
             inv[r] = [jet_sum([(inv[r][c],)], [(f, inv[col][c])])
                       for c in range(n)]
     return inv
+
+
+def _spd_by_rows(G: np.ndarray) -> bool:
+    """Whether Gershgorin's row bound proves every node's metric (G at
+    (n, n) + batch) positive definite above ``SPD_FLOOR``, with
+    ``SPD_MARGIN`` of its largest entry to spare; False at a NaN."""
+    diag = np.einsum("ii...->i...", G)
+    absG = np.abs(G)
+    lower = diag - (absG.sum(axis=1) - np.abs(diag))
+    return bool(np.all(lower > SPD_FLOOR + SPD_MARGIN * absG.max(axis=(0, 1))))
 
 
 def frame_at(space: WeightedSpace, x: np.ndarray, jg: List[List[Jet]],
              lines: Lines) -> Tuple[np.ndarray, np.ndarray]:
     """Metric matrix (n, n, ...) and volume density at the points x, at the
     broadcast shape of their metric jets ``jg`` (on the grid ``lines``, if
-    any); GeometryError where the metric is not positive definite."""
+    any); EvalError naming the entry and the first node where a metric
+    value is not finite, GeometryError where the metric is not positive
+    definite.
+
+    The SPD probe is eigvalsh's least eigenvalue, at or below
+    ``SPD_FLOOR`` an error.  It is called only on a batch that the
+    Gershgorin row bound cannot prove: every eigenvalue of the symmetric
+    G lies in some interval G_ii -+ sum_{j != i} |G_ij|, so lambda_min is
+    at least min_i (G_ii - sum_{j != i} |G_ij|).  Where that bound
+    exceeds ``SPD_FLOOR`` by ``SPD_MARGIN`` times the node's largest
+    |G_ij|, well above the rounding of the bound and eigvalsh's backward
+    error (a small multiple of n eps |G|), eigvalsh's least eigenvalue
+    would exceed the floor too, so skipping it changes no outcome."""
     n = space.dim
     batch = np.broadcast_shapes(*(jg[i][j].batch_shape for i in range(n)
                                   for j in range(i, n)))
     G = np.zeros((n, n) + batch)
     for i in range(n):
         for j in range(i, n):
+            require_finite(jg[i][j].value, x, lines,
+                           f"metric entry g{i + 1}{j + 1}")
             G[i, j] = G[j, i] = jg[i][j].value
     Gm = np.moveaxis(G, (0, 1), (-2, -1))  # (..., n, n) for numpy.linalg
-    eig = np.linalg.eigvalsh(Gm)
-    min_eig = eig[..., 0]
-    if np.any(min_eig <= SPD_FLOOR):
-        if lines is not None:  # at the nodes, to name the first worst one
-            min_eig = np.broadcast_to(min_eig, np.broadcast_shapes(
-                *(line.shape for line in lines))).reshape(x.shape[1:])
-        bad = np.argmin(min_eig)
-        pt = x if x.ndim == 1 else x[:, np.unravel_index(bad, min_eig.shape)]
-        raise GeometryError(
-            f"metric not positive definite: min eigenvalue "
-            f"{np.min(min_eig):.3e} at point {np.asarray(pt).ravel()}")
+    if not _spd_by_rows(G):
+        eig = np.linalg.eigvalsh(Gm)
+        min_eig = eig[..., 0]
+        if np.any(min_eig <= SPD_FLOOR):
+            if lines is not None:  # at the nodes, to name the first worst
+                min_eig = np.broadcast_to(min_eig, np.broadcast_shapes(
+                    *(line.shape for line in lines))).reshape(x.shape[1:])
+            bad = np.argmin(min_eig)
+            pt = x if x.ndim == 1 else \
+                x[:, np.unravel_index(bad, min_eig.shape)]
+            raise GeometryError(
+                f"metric not positive definite: min eigenvalue "
+                f"{np.min(min_eig):.3e} at point {np.asarray(pt).ravel()}")
     return G, np.sqrt(np.linalg.det(Gm))
 
 
@@ -345,11 +390,24 @@ def hessian_jets(geom: NodeGeometry, df: Sequence[Jet]
                                 ((jgam[k][i][j], df[k]) for k in range(n)))
 
 
+def _hessian_values(geom: NodeGeometry, vals: dict) -> np.ndarray:
+    """The Hess f entries' values ``vals[i, j]`` as one (n, n, ...) array,
+    at their broadcast shape with the geometry's."""
+    n = geom.space.dim
+    H = np.zeros((n, n) + np.broadcast_shapes(
+        geom.sqrt_det.shape, *(v.shape for v in vals.values())))
+    for (i, j), v in vals.items():
+        H[i, j] = v
+    return H
+
+
 def hessian(geom: NodeGeometry, f: FieldOrJet) -> np.ndarray:
-    """Covariant Hessian components (Hess f)_ij at the nodes, as
-    ``laplacian_jet`` hands them back."""
+    """Covariant Hessian components (Hess f)_ij at the nodes, the values
+    of ``hessian_jets``."""
     jf = _jet(f, geom).truncate(2)  # values are all that is read
-    return laplacian_jet(geom, [jf.partial(i) for i in range(jf.dim)])[1]
+    return _hessian_values(geom, {
+        (i, j): hij.value for i, j, hij in
+        hessian_jets(geom, [jf.partial(i) for i in range(jf.dim)])})
 
 
 def laplacian_jet(geom: NodeGeometry, df: Sequence[Jet]
@@ -374,11 +432,7 @@ def laplacian_jet(geom: NodeGeometry, df: Sequence[Jet]
             yield gij, diff
 
     lf = jet_sum(terms())
-    H = np.zeros((n, n) + np.broadcast_shapes(
-        geom.sqrt_det.shape, *(v.shape for v in vals.values())))
-    for (i, j), v in vals.items():
-        H[i, j] = v
-    return lf, H
+    return lf, _hessian_values(geom, vals)
 
 
 def grad(geom: NodeGeometry, f: FieldOrJet) -> np.ndarray:

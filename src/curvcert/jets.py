@@ -195,17 +195,28 @@ def _product(a, b, plan, n_out, batch):
 
 
 @lru_cache(maxsize=None)
-def _sum_plan(dim: int, sa: frozenset, na: int, sb: frozenset, nb: int):
-    """The slots of the union support that the first ``na`` slots of a
-    fill, then those that b's first ``nb`` fill where a stores none, with
-    their sources in b, then those both fill, with their sources in b."""
+def _sum_plan(dim: int, sa: frozenset, na: int, sb: frozenset, nb: int,
+              n: int) -> tuple:
+    """Sources of the first ``n`` slots of the union support in a sum of
+    a's first ``na`` slots and b's first ``nb``, as runs ``(k, stop, i,
+    j)``: slots k to stop - 1 are a's from slot i on and b's from slot j
+    on, i or j None where that operand stores none of them, so the run
+    is a copy, a sum or 0."""
     out = sa | sb
-    pa = _embedding(dim, sa, out)[:na]
-    pb = _embedding(dim, sb, out)[:nb]
-    shared = np.isin(pb, pa)
-    return (pa, _index_array(pb[~shared]),
-            _index_array(np.flatnonzero(~shared)), _index_array(pb[shared]),
-            _index_array(np.flatnonzero(shared)))
+    from_a = {int(k): i for i, k in enumerate(_embedding(dim, sa, out)[:na])}
+    from_b = {int(k): j for j, k in enumerate(_embedding(dim, sb, out)[:nb])}
+    runs = []
+    for k in range(n):
+        i, j = from_a.get(k), from_b.get(k)
+        if runs:
+            k0, _, i0, j0 = runs[-1]
+            if (i is None) == (i0 is None) and (j is None) == (j0 is None) \
+                    and (i is None or i == i0 + k - k0) \
+                    and (j is None or j == j0 + k - k0):
+                runs[-1] = (k0, k + 1, i0, j0)
+                continue
+        runs.append((k, k + 1, i, j))
+    return tuple(runs)
 
 
 @lru_cache(maxsize=None)
@@ -389,13 +400,21 @@ class Jet:
                 np.add(a[:n_lo], b[:n_lo], out=stored[:n_lo])
                 stored[n_lo:] = hi_slots[n_lo:n]
             else:
+                # each slot written once: a copy, a sum, or 0 where
+                # neither operand stores it
                 n_hi = _nslots(len(hi.support), degree)
-                pa, pb, ib, pab, iab = _sum_plan(
-                    self.dim, lo.support, n_lo, hi.support, n_hi)
-                stored = np.zeros((n,) + batch)  # slots neither stores
-                stored[pa] = lo_slots[:n_lo]
-                stored[pb] = hi_slots[ib]
-                stored[pab] += hi_slots[iab]
+                stored = np.empty((n,) + batch)
+                for k, stop, i, j in _sum_plan(
+                        self.dim, lo.support, n_lo, hi.support, n_hi, n):
+                    o = stored[k:stop]
+                    if j is None:
+                        o[...] = 0.0 if i is None else \
+                            lo_slots[i:i + stop - k]
+                    elif i is None:
+                        o[...] = hi_slots[j:j + stop - k]
+                    else:
+                        np.add(lo_slots[i:i + stop - k],
+                               hi_slots[j:j + stop - k], out=o)
             return Jet._make(self.dim, order, degree, stored, support)
         degree = max(self.degree, 0)
         n = _nslots(len(self.support), degree)

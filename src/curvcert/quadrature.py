@@ -74,7 +74,14 @@ def _batch_sums(F, geom: NodeGeometry, wts: np.ndarray, dens: np.ndarray,
     must broadcast to the nodes' grid (``NodeGeometry.grid``), and is
     broadcast and flattened to the points, so a returned stack of rows is
     refused.  Each row is checked finite and,
-    with ``sqrt_det``, zero wherever sqrt det g is below the floor."""
+    with ``sqrt_det``, zero wherever sqrt det g is below the floor.  Both
+    per-row guards are decided per batch: an all-true mask is not applied
+    (multiplying by it is exact) and a batch with no node below the floor
+    has no row to test."""
+    if mask is not None and mask.all():
+        mask = None
+    if sqrt_det is not None and not np.any(sqrt_det <= GRAM_FLOOR):
+        sqrt_det = None
     out = F(geom)
     single = not isinstance(out, Iterator)
     nodes, grid = geom.x.shape[1:], geom.grid

@@ -324,16 +324,21 @@ def _ii_of_gradient(bframe: BoundaryFrame, ju: Jet) -> np.ndarray:
 
 def _weak_integrals(space: WeightedSpace, g: ScalarField,
                     hs: Sequence[ScalarField], quad_interior,
-                    quad_boundary) -> List[Dict[str, float]]:
+                    quad_boundary, decomposition: bool = True
+                    ) -> List[Dict[str, float]]:
     """One quadrature sweep for the weak identities of g tested against
     each h in ``hs``: int Gamma(h,g), int h Lg and oint h g(N, grad g),
-    and the decomposition's LHS and interior and boundary RHS; one dict
-    per h.  Each batch builds one ``NodeGeometry``, jets g once and
-    computes its h-free terms once, then yields each h's rows from one jet
-    of that h.  Each field is jetted to the order its rows read: h enters
-    only through h and grad h, so it is jetted at order 1 inside and read
-    as a value on the boundary; g needs order 3 inside (Gamma(g, Lg),
-    |Hess g|^2) and order 1 on the boundary.
+    and, unless ``decomposition`` is false, the decomposition's LHS and
+    interior and boundary RHS; one dict per h.  Each batch builds one
+    ``NodeGeometry``, jets g once and computes its h-free terms once, then
+    yields each h's rows from one jet of that h.  Each field is jetted to
+    the order its rows read: h enters only through h and grad h, so it is
+    jetted at order 1 inside and read as a value on the boundary; g needs
+    order 3 inside (Gamma(g, Lg), |Hess g|^2) and order 1 on the
+    boundary.  Gamma(g,g) is formed from the order-1 truncation of g's
+    partials, since only its gradient is read.  Without the decomposition
+    none of its terms (Gamma(g,g), Gamma(g, Lg), |Hess g|^2,
+    Ricci_V(grad g, grad g), II) is formed.
 
     Inside, g and each h are jetted on the chunk's axis lines
     (``geom.lines``), so the h-free terms (grad g, Lg, |Hess g|^2,
@@ -352,43 +357,54 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
         dg = jg.gradient()
         partials = [jg.partial(i) for i in range(space.dim)]
         jlg, H = laplacian_jet(geom, partials)
-        hs_sq = hs_norm_sq(geom, H)
+        hs_sq = hs_norm_sq(geom, H) if decomposition else None
         del H  # not held while Gamma(g,g)'s jet is built
-        dgam = geom.at_nodes(carre_du_champ_jet(geom, partials).gradient())
-        gv = contract("ij...,j...->i...", ginv, dg)  # grad g
-        g_f_lf = contract("ij...,i...,j...->...", ginv, dg, jlg.gradient())
-        ric = contract("ij...,i...,j...->...", bakry_emery_ricci(geom), gv,
-                       gv)
+        if decomposition:
+            dgam = geom.at_nodes(carre_du_champ_jet(
+                geom, [p.truncate(1) for p in partials]).gradient())
+            gv = contract("ij...,j...->i...", ginv, dg)  # grad g
+            g_f_lf = contract("ij...,i...,j...->...", ginv, dg,
+                              jlg.gradient())
+            ric = contract("ij...,i...,j...->...", bakry_emery_ricci(geom),
+                           gv, gv)
+            del gv
         lg, dg, ginv = jlg.value, geom.at_nodes(dg), geom.at_nodes(ginv)
-        del jg, partials, jlg, gv  # not held while the h rows are formed
+        del jg, partials, jlg  # not held while the h rows are formed
         for h in hs:
             jh = h.jet(x, 1, geom.lines)
             hv = jh.value
             dh = jh.gradient()
             yield contract("ij...,i...,j...->...", ginv, dh, dg)  # Gamma(h,g)
             yield hv * lg
-            g_h_gam = contract("ij...,i...,j...->...", ginv, dh, dgam)
-            yield -0.5 * g_h_gam - hv * g_f_lf - hv * hs_sq
-            yield hv * ric
+            if decomposition:
+                g_h_gam = contract("ij...,i...,j...->...", ginv, dh, dgam)
+                yield -0.5 * g_h_gam - hv * g_f_lf - hv * hs_sq
+                yield hv * ric
 
     def boundary(geom: NodeGeometry) -> Iterator[np.ndarray]:
         x = geom.x
         jg = g.jet(x, 1)
         bf = boundary_frame(geom)
-        flux, ii = bf.flux(jg.gradient()), _ii_of_gradient(bf, jg)
+        flux = bf.flux(jg.gradient())
+        ii = _ii_of_gradient(bf, jg) if decomposition else None
         for h in hs:
             hv = np.asarray(h.value(x))
             yield hv * flux
-            yield hv * ii
+            if decomposition:
+                yield hv * ii
 
+    interior_keys = ("gamma", "laplacian", "lhs", "rhs_interior")
+    boundary_keys = ("flux", "rhs_boundary")
+    if not decomposition:
+        interior_keys, boundary_keys = interior_keys[:2], boundary_keys[:1]
     ints = iter(integrate_interior(space, interior, quad_interior))
     bds = [iter(integrate_boundary(space, boundary, p, quad_boundary))
            for p in space.boundary_patches]
     out = []
     for _ in hs:  # each h's rows in the order its integrands yield them
-        w = dict(zip(("gamma", "laplacian", "lhs", "rhs_interior"), ints))
-        w["flux"] = sum(next(b) for b in bds)
-        w["rhs_boundary"] = sum(next(b) for b in bds)
+        w = dict(zip(interior_keys, ints))
+        for key in boundary_keys:
+            w[key] = sum(next(b) for b in bds)
         out.append(w)
     return out
 
@@ -426,7 +442,8 @@ def weak_checks(space: WeightedSpace, g, h: ScalarField,
     is_neumann = isinstance(g, NeumannTestFunction)
     ii = None if frames is None else check_ii_identity(g, frames)
     ints, = _weak_integrals(space, g.field if is_neumann else g, [h],
-                            quad_interior, quad_boundary)
+                            quad_interior, quad_boundary,
+                            decomposition=ii is not None)
     i_gamma, i_lap, i_bd = ints["gamma"], ints["laplacian"], ints["flux"]
     scale = 1.0 + abs(i_gamma) + abs(i_lap) + abs(i_bd)
     res = abs(i_gamma - (-i_lap + i_bd)) / scale

@@ -421,6 +421,24 @@ def test_non_finite_ricci_v(capsys, tmp_path, command):
                for k in range(samples.shape[1]))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["report"], ["check", "green"]])
+def test_non_finite_metric_is_named(capsys, tmp_path, argv):
+    # exp(800 x) overflows for x > 0.887, where g12 is inf - inf: the
+    # frame names the entry and a node there before probing for SPD
+    p = tmp_path / DENSE_INI.name
+    p.write_text(DENSE_INI.read_text().replace(
+        'g12 = "0.2*x*cos(y)"', 'g12 = "0.1*(exp(800*x) - exp(800*x))"'))
+    assert "exp(800*x)" in p.read_text()
+    code, out, err = run(capsys, *argv, "--config", str(p))
+    assert code == 2
+    assert out == ""
+    prefix = "error: metric entry g12 is not finite at point ("
+    assert err.startswith(prefix) and err.endswith(")\n")
+    point = [float(v) for v in err[len(prefix):-2].split(",")]
+    assert len(point) == 2 and 800.0 * point[0] > np.log(np.finfo(float).max)
+
+
 @pytest.mark.parametrize("phi, message", [
     ("x - 1 + 1e999*(x-x)", "expected a finite number, found '1e999'"),
     ("x - 1 + 1e300*1e300*(x - x)", "not finite"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from curvcert import config, exprlang, quadrature, report, verify, zoo
+from curvcert import geometry as geometry_module
 from curvcert import jets as jets_module
 from curvcert.boundary import boundary_frame, normal_field_jets
 from curvcert.exprlang import differentiate, mul, parse, simplify
@@ -93,6 +94,63 @@ class TestFrame:
         with pytest.raises(GeometryError) as err:
             NodeGeometry(sp, self.SPD_POINTS)
         assert str(err.value) == f"metric not positive definite: {message}"
+
+    @staticmethod
+    def _counted_eigvalsh(monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    @pytest.mark.parametrize("path", sorted(zoo.SPACES.glob("*.ini"))
+                             + [DENSE_INI], ids=lambda p: p.name)
+    def test_interior_chunks_need_no_eigvalsh(self, monkeypatch, path):
+        # every interior chunk of a shipped space is proven SPD by its
+        # Gershgorin row bound, so none runs the eigvalsh probe
+        cfg = config.load_config(str(path))
+        chunks = list(quadrature.interior_chunks(cfg.space,
+                                                 cfg.plan.quad_interior))
+        calls = self._counted_eigvalsh(monkeypatch)
+        for x, _, lines in chunks:
+            NodeGeometry(cfg.space, x, lines)
+        assert chunks and calls == []
+
+    def test_unproven_spd_metric_probes_once(self, monkeypatch):
+        # the row bound of g11 = 1, g12 = 1.5 is negative, but the metric
+        # is SPD (least eigenvalue 2 - sqrt(3.25)): eigvalsh runs once on
+        # the batch and passes it
+        sp = self._full_metric_space("1", "1.5", "3")
+        calls = self._counted_eigvalsh(monkeypatch)
+        geom = NodeGeometry(sp, self.SPD_POINTS)
+        assert calls == [(4, 2, 2)]
+        np.testing.assert_allclose(geom.sqrt_det, np.sqrt(0.75), rtol=1e-15)
+
+    @pytest.mark.parametrize("entry, expr", [
+        ("g12", "exp(2000*x) - exp(2000*x)"),
+        ("g22", "1 + exp(2000*x)"),
+        ("g11", "1 + exp(8000*x) - exp(8000*x)")])
+    def test_non_finite_metric_is_named(self, monkeypatch, entry, expr):
+        # exp(2000 x) overflows from x = 0.36, exp(8000 x) from x = 0.09:
+        # the first such point is the second or the first, where the entry
+        # is inf - inf (NaN) or inf.  The entry and its first node are
+        # named before any probe
+        exprs = {"g11": "1", "g12": "0", "g22": "1"}
+        exprs[entry] = expr
+        sp = self._full_metric_space(exprs["g11"], exprs["g12"],
+                                     exprs["g22"])
+        calls = self._counted_eigvalsh(monkeypatch)
+        point = "(0.1, 0.2)" if entry == "g11" else "(0.5, 0.4)"
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with pytest.raises(exprlang.EvalError) as err:
+                NodeGeometry(sp, self.SPD_POINTS)
+        assert str(err.value) == \
+            f"metric entry {entry} is not finite at point {point}"
+        assert calls == []
 
     def test_christoffels_match_fd_oracle(self):
         sp = sphere()
@@ -450,6 +508,25 @@ class TestLaplacianJet:
         assert digest == [
             "7d037bf59c5b1b71e22237c4f1f6ca1169b281fe93edde74d222ffd15aa85ce6",
             "74c1b2240f74caffe432d84938668ce7b81b07ed409bf999b8637cf90a97e60d"]
+
+
+class TestHessian:
+    @pytest.mark.parametrize("name", ["ball3", DENSE_INI.name])
+    def test_hessian_is_the_laplacian_jets_without_l(self, monkeypatch,
+                                                     name):
+        # Hess V for Ricci_V is formed by hessian_jets alone, bit for bit
+        # the Hess f that laplacian_jet hands back with L f
+        space, plan = _space_and_plan(name)
+        x, _, lines = next(quadrature.interior_chunks(space,
+                                                      plan.quad_interior))
+        geom = NodeGeometry(space, x, lines)
+        jv = geom.jV
+        _, want = laplacian_jet(geom, [jv.partial(i)
+                                       for i in range(space.dim)])
+        monkeypatch.setattr(geometry_module, "laplacian_jet", None)
+        got = hessian(geom, jv)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _bits(a, shape):

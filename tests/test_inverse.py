@@ -9,10 +9,13 @@ import pytest
 
 from curvcert import geometry, report, verify, zoo
 from curvcert.geometry import (NodeGeometry, gamma1, gamma2_parts, grad,
-                               hessian, hs_norm_sq)
+                               hessian, hs_norm_sq, jet_matrix_inverse,
+                               jet_sum)
+from curvcert.jets import Jet
 from curvcert.quadrature import (_patch_geometry, interior_chunks,
                                  patch_points, tensor_rule)
 from test_geometry import DENSE_INI
+from test_jets import assert_same_jet, graded_jet, with_signed_zeros
 from test_pointwise import _checked_rows, _target
 from test_projection import _sweep_case
 
@@ -128,3 +131,81 @@ def test_dense_inverse_matches_linalg():
         assert geom.inverse.shape == oracle.shape
         assert np.all(np.abs(geom.inverse - oracle)
                       <= 4e-16 * np.abs(oracle))
+
+
+def _full_gauss_jordan(a):
+    """Gauss-Jordan that updates every entry of a at every step, the
+    entries of eliminated columns too."""
+    n = len(a)
+    dim, batch = a[0][0].dim, a[0][0].batch_shape
+    m = [list(row) for row in a]
+    inv = [[Jet.constant(dim, 1.0 if i == j else 0.0, batch)
+            for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = m[col][col].reciprocal()
+        m[col] = [jet_sum([(e, piv)]) for e in m[col]]
+        inv[col] = [jet_sum([(e, piv)]) for e in inv[col]]
+        for r in range(n):
+            f = m[r][col]
+            if r == col or f.is_zero:
+                continue
+            m[r] = [jet_sum([(m[r][c],)], [(f, m[col][c])]) for c in range(n)]
+            inv[r] = [jet_sum([(inv[r][c],)], [(f, inv[col][c])])
+                      for c in range(n)]
+    return inv
+
+
+def _spd_jets(rng, dim, batch, diagonal):
+    """An SPD matrix of order-2 jets: values B B^T + dim I, each entry on
+    a random variable support with signed zeros among its derivative
+    slots; off the diagonal zero jets if ``diagonal``.  The (j, i) entry
+    is the (i, j) jet."""
+    b = rng.standard_normal((dim, dim) + batch)
+    vals = np.einsum("ik...,jk...->ij...", b, b) + dim * np.eye(
+        dim).reshape((dim, dim) + (1,) * len(batch))
+    a = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            if diagonal and i != j:
+                e = Jet.constant(dim, 0.0, batch)
+            else:
+                support = {k for k in range(dim) if rng.random() < 0.6}
+                e = graded_jet(rng, dim, 2, 2, batch, support or {i})
+                e.stored[1:] = with_signed_zeros(rng, e.stored[1:])
+                e.stored[0] = vals[i, j]
+            a[i][j] = a[j][i] = e
+    return a
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_inverse_bitwise_equals_full_gauss_jordan(dim, batch, diagonal):
+    # the entries of eliminated columns are never read again, so leaving
+    # them unformed moves no bit of the inverse, nor the sign of a zero
+    rng = np.random.default_rng(100 * dim + 10 * len(batch) + diagonal)
+    for _ in range(3):
+        a = _spd_jets(rng, dim, batch, diagonal)
+        got, want = jet_matrix_inverse(a), _full_gauss_jordan(a)
+        for i in range(dim):
+            for j in range(dim):
+                assert_same_jet(got[i][j], want[i][j])
+
+
+def test_inverse_forms_only_the_entries_read(monkeypatch):
+    # a full 2x2 metric: 2 of the 8 updates of a are read later, so the
+    # inverse makes 6 products fewer than the full elimination
+    a = _spd_jets(np.random.default_rng(1), 2, (5,), diagonal=False)
+    products = []
+    mul = Jet.__mul__
+
+    def counted(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    _full_gauss_jordan(a)
+    full = len(products)
+    products.clear()
+    jet_matrix_inverse(a)
+    assert full - len(products) == 6

@@ -239,6 +239,56 @@ class TestInterior:
         assert got == want
 
 
+def cube(g="1", phi="x - 0.5"):
+    """[0, 1]^3 under the metric g * I, Omega = {phi < 0}."""
+    metric = [[ExprField(g, 3) if i == j else ConstField(3, 0.0)
+               for j in range(3)] for i in range(3)]
+    return WeightedSpace(dim=3, metric=metric, weight=ConstField(3, 0.0),
+                         defining_fn=ExprField(phi, 3),
+                         chart_box=[(0.0, 1.0)] * 3, label="cube")
+
+
+class TestRowGuards:
+    """Each row is refused where it is not finite, outside Omega too, and
+    where it is nonzero on a node whose sqrt det g is below GRAM_FLOOR;
+    the guards are decided per batch, so they hold whether or not every
+    node is inside or singular."""
+
+    # 1e-9 I is SPD above SPD_FLOOR, but sqrt det g = 1e-13.5 ~ 3.2e-14;
+    # with x^12 added only the nodes at x ~ 0.07 stay below the floor
+    TINY, MIXED = "1e-9", "1e-9 + x^12"
+
+    @pytest.mark.parametrize("g, phi", [(TINY, "-1"), (TINY, "x - 0.5"),
+                                        (MIXED, "-1")])
+    def test_chart_singular_support_refused(self, g, phi):
+        sp = cube(g, phi)
+        with pytest.raises(QuadratureError, match="chart-singular"):
+            integrate_interior(sp, lambda geom: np.ones(geom.x.shape[1]),
+                               (4, 4, 4))
+
+    @pytest.mark.parametrize("g, phi, where", [
+        (TINY, "x - 0.5", 0.5),  # nonzero only where phi >= 0, masked
+        (MIXED, "-1", 0.2)])     # nonzero only on regular nodes
+    def test_rows_off_the_singular_nodes_pass(self, g, phi, where):
+        sp = cube(g, phi)
+        got = integrate_interior(
+            sp, lambda geom: (geom.x[0] > where).astype(float), (4, 4, 4))
+        assert (got == 0.0) == (phi != "-1")
+
+    @pytest.mark.parametrize("g", ["1", TINY])
+    def test_non_finite_outside_omega_refused(self, g):
+        # NaN * False is NaN: the mask drops no non-finite value, and the
+        # first node named is one with phi >= 0
+        sp = cube(g)
+        with pytest.raises(QuadratureError,
+                           match="non-finite integrand value") as err:
+            integrate_interior(
+                sp, lambda geom: np.where(geom.x[0] > 0.5, np.nan, 0.0),
+                (4, 4, 4))
+        node = re.search(r"at node \[(.*)\]$", str(err.value)).group(1)
+        assert float(node.split()[0]) > 0.5
+
+
 class TestIntegrandForms:
     """An integrand returns one row, at any shape that broadcasts against
     its batch's grid, or yields several; a returned stack is refused."""

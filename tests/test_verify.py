@@ -230,6 +230,30 @@ class TestSharedSweep:
             assert pair == (meta["lhs"],
                             meta["rhs_interior"] + meta["rhs_boundary"])
 
+    @pytest.mark.parametrize("name", ["green", "mv_laplacian"])
+    def test_standalone_weak_check_forms_no_decomposition_term(
+            self, entry, monkeypatch, name):
+        # green and mv_laplacian alone read three integrals: no Gamma(g,g),
+        # Gamma(g, Lg), |Hess g|^2, Ricci_V(grad g, grad g) or II is formed,
+        # and each result is the one the sweep with the decomposition gives
+        e = entry("ball")
+        calls = collections.Counter()
+        for fname in ("bakry_emery_ricci", "carre_du_champ_jet",
+                      "hs_norm_sq", "_ii_of_gradient"):
+            def counted(*args, _fname=fname, _fn=getattr(verify, fname)):
+                calls[_fname] += 1
+                return _fn(*args)
+            monkeypatch.setattr(verify, fname, counted)
+        g, h, plan = e.neumann(), e.h_field(), e.plan
+        qi, qb = plan.quad_interior, plan.quad_boundary
+        got = check_green(e.space, h, g, qi, qb) if name == "green" else \
+            check_mv_laplacian(e.space, g, h, qi, qb)
+        assert calls == {}
+        full = {r.name: r for r in verify.weak_checks(
+            e.space, g, h, frames_of(e), qi, qb)}
+        assert calls["bakry_emery_ricci"] == 1
+        assert got.to_dict() == full[name].to_dict()
+
     def test_suite_matches_standalone_checks(self, entry):
         e = target = entry("annulus")
         run = report.run_suite(target)
@@ -413,13 +437,18 @@ class TestSharedSweep:
                 fname, getattr(geometry, fname)))
         monkeypatch.setattr(boundary, "normal_field_jets", recorded(
             "normal_field_jets", boundary.normal_field_jets))
+        # the sweep's Gamma(g,g) (only its gradient is read) and the II
+        # identity's
+        monkeypatch.setattr(verify, "carre_du_champ_jet", recorded(
+            "carre_du_champ_jet", verify.carre_du_champ_jet))
         jV = functools.cached_property(recorded("jV", geom_cls.jV.func))
         jV.__set_name__(geom_cls, "jV")
         monkeypatch.setattr(geom_cls, "jV", jV)
         assert report.run_suite(entry("ball3"))["passed"]
         assert dict(orders) == {
             "metric_jets": {2}, "jet_matrix_inverse": {2}, "jV": {2},
-            "christoffel_jets": {1}, "normal_field_jets": {1}}
+            "christoffel_jets": {1}, "normal_field_jets": {1},
+            "carre_du_champ_jet": {1}}
 
 
 class TestOneFormula:
