@@ -22,7 +22,7 @@ Gamma(phi, phi) > 0, and multiplied by a smooth plateau cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import List, Sequence
 
@@ -109,7 +109,7 @@ def normal_field_jets(geom: NodeGeometry) -> List[Jet]:
     frame their values.  BoundaryError where |grad phi|_g < GRAD_PHI_FLOOR."""
     n = geom.space.dim
     dphi = [geom.jphi.partial(i) for i in range(n)]
-    up = [jet_sum(zip(geom.jginv[k], dphi)) for k in range(n)]
+    up = [jet_sum(zip(geom.jginv1[k], dphi)) for k in range(n)]
     norm2 = jet_sum(zip(dphi, up))
     if np.any(norm2.value < GRAD_PHI_FLOOR**2):
         raise BoundaryError(
@@ -145,6 +145,11 @@ class NeumannTestFunction:
 
     base: ScalarField          # the raw ingredient w
     field: ScalarField         # cutoff * (w - collar * phi * q)
+    # (space, boundary counts) pairs whose sample frames this field passed
+    # the Neumann gate on, so that ``verify.decomposition_batch`` gates
+    # each once; a failed gate is never recorded
+    _gated: list = dataclass_field(default_factory=list, init=False,
+                                   repr=False, compare=False)
 
 
 def _symbolic_adjugate(metric_asts):

@@ -26,11 +26,17 @@ is jetted at the broadcast shape of the axes it reads (``sin(y)`` on the
 line of y, ``x^2*cos(y)`` as one product of two lines), and the jet
 comes back at that shape.  Every jet operation is elementwise, so either
 way each point's jet is bit for bit the jet at that point alone.
+
+Two bounded caches keep repeated work out of a pass: an expression
+source is parsed once per dimension, and a cutoff's univariate axis
+factor is built once per spec, axis, order and coordinate bits (a
+chunk's g and every h share its lines), handed out read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,13 +136,22 @@ def _coerce(v, dim) -> "ScalarField":
     return ConstField(dim, float(v))
 
 
+@lru_cache(maxsize=256)
+def _parsed(src: str, dim: int):
+    """``exprlang.parse``, once per source and dimension: an AST is
+    immutable, so the fields of one source share it (a space file's
+    ``[test]`` expressions are parsed at load, and every Neumann field
+    and density built from them later reads that parse)."""
+    return exprlang.parse(src, dim)
+
+
 class ExprField(ScalarField):
     """Field defined by an expression-language AST (or source text)."""
 
     def __init__(self, src, dim: int):
         self.dim = dim
         if isinstance(src, str):
-            self.ast = exprlang.parse(src, dim)
+            self.ast = _parsed(src, dim)
             self.source = src
         else:
             self.ast = src
@@ -247,6 +262,36 @@ class CutoffSpec:
                     f"inner ({ilo},{ihi})")
 
 
+@lru_cache(maxsize=64)
+def _axis_factor(spec: CutoffSpec, axis: int, order: int,
+                 shape: Tuple[int, ...], data: bytes) -> np.ndarray:
+    """``CutoffField._axis_coeffs`` at the coordinates of that shape whose
+    float bytes are ``data``.  The sweeps of one pass jet the same axis
+    lines and sample points again and again (every chunk's g and h, every
+    suite's cutoff), so the factors are cached, bounded, by the exact
+    bits of their coordinates, and handed out read-only, as
+    ``quadrature.gauss_rule``'s rules are."""
+    xi = np.frombuffer(data).reshape(shape)
+    (ilo, ihi) = spec.inner[axis]
+    (olo, ohi) = spec.outer[axis]
+    out = np.zeros((4,) + shape)
+    out[0] = 1.0
+    jet = Jet(1, out, order)
+    if ilo > olo:
+        scale = 1.0 / (ilo - olo)
+        c = _smoothstep_jets((xi - olo) * scale, order)
+        c *= (scale ** np.arange(4)).reshape((4,) + (1,) * len(shape))
+        jet = jet * Jet(1, c, order)
+    if ohi > ihi:
+        scale = 1.0 / (ohi - ihi)
+        c = _smoothstep_jets((ohi - xi) * scale, order)
+        c *= ((-scale) ** np.arange(4)).reshape((4,) + (1,) * len(shape))
+        jet = jet * Jet(1, c, order)
+    coeffs = jet.coeffs
+    coeffs.flags.writeable = False
+    return coeffs
+
+
 class CutoffField(ScalarField):
     """C-infinity plateau bump built from t -> exp(-1/(1-t^2)) edges.
 
@@ -268,23 +313,10 @@ class CutoffField(ScalarField):
     def _axis_coeffs(self, xi, axis, order: int = MAX_ORDER):
         """(4, ...) univariate Taylor coefficients of the axis factor at
         the coordinates ``xi``, exact through ``order`` and zero above
-        it."""
-        (ilo, ihi) = self.spec.inner[axis]
-        (olo, ohi) = self.spec.outer[axis]
-        out = np.zeros((4,) + np.shape(xi))
-        out[0] = 1.0
-        jet = Jet(1, out, order)
-        if ilo > olo:
-            scale = 1.0 / (ilo - olo)
-            c = _smoothstep_jets((xi - olo) * scale, order)
-            c *= (scale ** np.arange(4)).reshape((4,) + (1,) * np.ndim(xi))
-            jet = jet * Jet(1, c, order)
-        if ohi > ihi:
-            scale = 1.0 / (ohi - ihi)
-            c = _smoothstep_jets((ohi - xi) * scale, order)
-            c *= ((-scale) ** np.arange(4)).reshape((4,) + (1,) * np.ndim(xi))
-            jet = jet * Jet(1, c, order)
-        return jet.coeffs
+        it; read-only, built once per spec, axis, order and coordinates
+        (``_axis_factor``)."""
+        xi = np.asarray(xi, dtype=float)
+        return _axis_factor(self.spec, axis, order, xi.shape, xi.tobytes())
 
     def _jet(self, seeds: Sequence[Jet]) -> Jet:
         order = seeds[0].order

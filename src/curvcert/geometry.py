@@ -38,6 +38,14 @@ the jets of f's first partials (``hessian``, and so
 ``laplacian_jet`` on top of it (``witten_laplacian`` and
 ``gamma2_parts`` read both), and Gamma2 reads L Gamma(f,f) from
 ``witten_laplacian``.
+
+Each jet is formed only to the order read.  g^{ij}'s jets are inverted
+at order 1, all that the values, the Christoffels, L f, the normal and
+Gamma(f,f) from order-1 partials read; only Gamma(f,f) from order-2
+partials, in Gamma2, reads them at order 2.  Hess f truncates its
+factors to the order of its entries, so Hess V's values take order-0
+products.  Truncated jet arithmetic forms each kept slot from the same
+terms in the same order, so every value is the same bits either way.
 """
 
 from __future__ import annotations
@@ -212,7 +220,7 @@ def christoffel_jets(jg: List[List[Jet]], jginv: List[List[Jet]]
                      ) -> List[List[List[Jet]]]:
     """Christoffel symbols as order-1 jets (Ricci reads their values and
     gradients, the Hessian and the II their values), from the order-2
-    metric jets and their inverse.  Each symbol is computed for j >= i
+    metric jets and their order-1 inverse.  Each symbol is computed for j >= i
     only: the (k, j, i) entry is the (k, i, j) jet, which it equals bit
     for bit."""
     n = len(jg)
@@ -250,11 +258,14 @@ class NodeGeometry:
     ``geom``.
 
     Each jet is built to the highest order a consumer reads: ``jg``,
-    ``jginv``, ``jV`` and ``jphi`` at order 2 (Gamma(f,f), Hess V and the
-    normal's derivative read second derivatives), ``jgam`` at order 1
-    (Ricci reads first derivatives).  phi's jet is the one every consumer
-    of the batch reads: the quadrature's inside mask and on-boundary
-    check, the frame's on-boundary check and its normal.
+    ``jV`` and ``jphi`` at order 2 (the Christoffels, Hess V and the
+    normal's derivative read second derivatives), ``jginv1`` and ``jgam``
+    at order 1 (the Christoffels, L f, the normal and Ricci read first
+    derivatives).  Only Gamma(f,f) from order-2 partials, as Gamma2 forms
+    it, reads g^{ij} to order 2, ``jginv``, which a sweep never builds.
+    phi's jet is the one every consumer of the batch reads: the
+    quadrature's inside mask and on-boundary check, the frame's
+    on-boundary check and its normal.
 
     ``x`` holds the points.  Given ``lines``, the axis lines of the
     tensor grid x lists in C order (an interior quadrature chunk), the
@@ -290,21 +301,34 @@ class NodeGeometry:
 
     @cached_property
     def jginv(self) -> List[List[Jet]]:
+        """g^{ij}'s order-2 jets, read only by Gamma(f,f) from order-2
+        partials (``carre_du_champ_jet`` in Gamma2)."""
         return jet_matrix_inverse(self.jg)
 
     @cached_property
+    def jginv1(self) -> List[List[Jet]]:
+        """g^{ij}'s order-1 jets, which every other consumer reads:
+        ``jginv`` truncated where that is built already, else the inverse
+        of the metric jets truncated to order 1, whose slots are those of
+        the truncation bit for bit."""
+        if "jginv" in self.__dict__:
+            return [[e.truncate(1) for e in row] for row in self.jginv]
+        return jet_matrix_inverse([[e.truncate(1) for e in row]
+                                   for row in self.jg])
+
+    @cached_property
     def inverse(self) -> np.ndarray:
-        """The values of ``jginv``, indexed [i, j] ahead of the batch."""
+        """The values of ``jginv1``, indexed [i, j] ahead of the batch."""
         n = self.space.dim
         out = np.empty((n, n) + self.sqrt_det.shape)
-        for i, row in enumerate(self.jginv):
+        for i, row in enumerate(self.jginv1):
             for j, e in enumerate(row):
                 out[i, j] = e.value
         return out
 
     @cached_property
     def jgam(self) -> List[List[List[Jet]]]:
-        return christoffel_jets(self.jg, self.jginv)
+        return christoffel_jets(self.jg, self.jginv1)
 
     @cached_property
     def christoffels(self) -> np.ndarray:
@@ -381,13 +405,19 @@ def hessian_jets(geom: NodeGeometry, df: Sequence[Jet]
     """(i, j, (Hess f)_ij) for every index pair in C order, as jets one
     order below the jets ``df`` of the first partials of f: the one
     formula for the Hessian.  The entries are formed one at a time, so a
-    caller that folds each into a sum holds one at once."""
+    caller that folds each into a sum holds one at once.  Each Christoffel
+    and partial factor is truncated to the entries' order first, so a
+    product forms no slot above it (Hess V's values take order-0
+    products); the kept slots are the same bits."""
     n = len(df)
-    jgam = geom.jgam
+    order = df[0].order - 1  # the entries'
+    jgam = [[[e.truncate(order) for e in row] for row in gk]
+            for gk in geom.jgam]
+    dfk = [d.truncate(order) for d in df]
     for i in range(n):
         for j in range(n):
             yield i, j, jet_sum([(df[i].partial(j),)],
-                                ((jgam[k][i][j], df[k]) for k in range(n)))
+                                ((jgam[k][i][j], dfk[k]) for k in range(n)))
 
 
 def _hessian_values(geom: NodeGeometry, vals: dict) -> np.ndarray:
@@ -418,7 +448,7 @@ def laplacian_jet(geom: NodeGeometry, df: Sequence[Jet]
     broadcast shape with the geometry's.  Each entry of ``hessian_jets``
     is folded into L f as it is formed."""
     n = len(df)
-    jginv = geom.jginv
+    jginv = geom.jginv1
     dV = [geom.jV.partial(i) for i in range(n)]
     vals = {}
 
@@ -479,9 +509,10 @@ class Gamma2Parts:
 
 def carre_du_champ_jet(geom: NodeGeometry, df: Sequence[Jet]) -> Jet:
     """Gamma(f,f) = g^{ij} d_i f d_j f as a jet, from the jets of the
-    first partials of f; its order is theirs, at most 2."""
+    first partials of f; its order is theirs, at most 2, and g^{ij} is
+    read to that order."""
     n = len(df)
-    jginv = geom.jginv
+    jginv = geom.jginv if any(d.order > 1 for d in df) else geom.jginv1
     return jet_sum((jginv[i][j], df[i], df[j]) for i in range(n)
                    for j in range(n))
 
@@ -490,8 +521,11 @@ def gamma2_parts(geom: NodeGeometry, f: FieldOrJet) -> Gamma2Parts:
     """Gamma2(f) via operator composition over jets of one order lower."""
     jf = _jet(f, geom)
     df = [jf.partial(i) for i in range(jf.dim)]
+    # first, so that the order-1 g^{ij} L f reads is the order-2 one's
+    # truncation, not a second inverse
+    gamma_ff = carre_du_champ_jet(geom, df)
     lf, H = laplacian_jet(geom, df)
-    half_l_gamma = 0.5 * witten_laplacian(geom, carre_du_champ_jet(geom, df))
+    half_l_gamma = 0.5 * witten_laplacian(geom, gamma_ff)
     dfv = np.stack([d.value for d in df])
     gamma_f_lf = contract("ij...,i...,j...->...", geom.inverse, dfv,
                           lf.gradient())

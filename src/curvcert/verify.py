@@ -25,19 +25,20 @@ which also hands the II identity its jets of g).  ``check_green``,
 its entries.  Inside the sweep, every jet and term is taken on the
 quadrature chunk's axis lines, at the broadcast shape of the axes it
 reads, and the rows are flattened to the nodes only for their sums;
-``decomposition_batch`` is the gate plus that sweep over a family of
-densities.  A check that reads one sample grid takes its
-``NodeGeometry``, or one ``BoundaryFrame`` per patch, and nothing they
-hold (``SamplePlan.grids`` builds both); a check that runs a sweep takes
-the space.  Each check reads its identity's tolerance constant.
-Operators are bound by name from ``geometry`` and ``boundary``.
+``decomposition_batch`` is the gate, run once per g, space and boundary
+counts, plus that sweep over a family of densities.  A check that reads
+one sample grid takes its ``NodeGeometry``, or one ``BoundaryFrame`` per
+patch, and nothing they hold (``SamplePlan.grids`` builds both); a check
+that runs a sweep takes the space.  Each check reads its identity's
+tolerance constant.  Operators are bound by name from ``geometry`` and
+``boundary``.
 
 A ``Target`` is one space under test, as the zoo and the INI loader both
 build it: its ``neumann`` and ``h_field`` make every Neumann field and test
 density, and ``neumann`` refuses a base whose field is 0 at every sample
 point.
 
-Every check that assumes the Neumann hypothesis re-verifies it first and
+Every check that assumes the Neumann hypothesis verifies it first and
 fails loudly (GateError) if violated: that is a broken hypothesis, not a
 broken theorem.  A non-finite value in a pointwise check, in the
 interior spectrum of a certificate or of phi at a sample point raises
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -225,8 +227,14 @@ class Target:
 
 def random_fields(dim: int, count: int, seed: int) -> List[ScalarField]:
     """Random bounded polynomial/trig composite test fields: the same
-    sources for the same (dim, count, seed), parsed afresh into a new
-    list on each call."""
+    fields for the same (dim, count, seed), parsed once, in a new list on
+    each call."""
+    return list(_random_fields(dim, count, seed))
+
+
+@lru_cache(maxsize=16)
+def _random_fields(dim: int, count: int, seed: int
+                   ) -> Tuple[ScalarField, ...]:
     rng = np.random.default_rng(seed)
     names = VAR_NAMES[:dim]
     fields: List[ScalarField] = []
@@ -251,7 +259,7 @@ def random_fields(dim: int, count: int, seed: int) -> List[ScalarField]:
                 v = names[int(rng.integers(0, dim))]
                 terms.append(f"{c}*exp(0.2*{v})")
         fields.append(ExprField(" + ".join(terms), dim))
-    return fields
+    return tuple(fields)
 
 
 def _witness_point(x: np.ndarray, flat_index: int) -> List[float]:
@@ -505,8 +513,14 @@ def decomposition_batch(space: WeightedSpace, g: NeumannTestFunction,
     """(LHS, RHS) of the decomposition for one g and many test h, from the
     Neumann gate and one weak sweep: g's order-3 terms are computed once
     per batch for the whole h family, so checking a family costs little
-    more than one pair.  Each pair equals ``weak_checks``' for that h."""
-    neumann_gate(g, boundary_grid(space, boundary_counts))
+    more than one pair.  Each pair equals ``weak_checks``' for that h.
+    The gate runs once per g, space and boundary counts: a pass is
+    recorded on g (``NeumannTestFunction._gated``), a failure raises
+    GateError on every call."""
+    key = tuple(boundary_counts)
+    if not any(s is space and c == key for s, c in g._gated):
+        neumann_gate(g, boundary_grid(space, boundary_counts))
+        g._gated.append((space, key))
     return [(w["lhs"], w["rhs_interior"] + w["rhs_boundary"])
             for w in _weak_integrals(space, g.field, hs, quad_interior,
                                      quad_boundary)]

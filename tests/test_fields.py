@@ -95,6 +95,18 @@ class TestFieldAlgebra:
         np.testing.assert_allclose(combo.jet(pts).coeffs,
                                    direct.jet(pts).coeffs, atol=1e-12)
 
+    def test_one_parse_per_source(self, entry):
+        # a space file's [test] expressions are parsed at load; every field
+        # built from one later shares that AST, and a bad source is refused
+        # on every try
+        e = entry("ball")
+        src = e.neumann_bases[0]
+        assert e.neumann().base.ast is ExprField(src, 2).ast
+        assert ExprField(src, 3).ast is not ExprField(src, 2).ast
+        for _ in range(2):
+            with pytest.raises(exprlang.ParseError):
+                ExprField("x +* y", 2)
+
     def test_const_field(self):
         c = ConstField(2, 4.5)
         pts = np.array([[1.0], [2.0]])
@@ -319,6 +331,28 @@ class TestCutoffPerCoordinate:
         for axis, size, distinct in seen:
             assert axis in chi.tapered
             assert size == distinct <= counts[axis]
+
+    def test_axis_factor_built_once_per_axis_and_order(self, entry):
+        # the sweep jets g and every h on each chunk, each through the
+        # same cutoff: its axis factor is built once per (axis, order) and
+        # read from the cache after, read-only
+        e = entry("ball")
+        x, _, lines = next(interior_chunks(e.space, e.plan.quad_interior))
+        g = e.neumann().field
+        hs = e.h_fields() + e.h_fields()
+        fields._axis_factor.cache_clear()
+        want = [g.jet(x, 3, lines)] + [h.jet(x, 1, lines) for h in hs]
+        info = fields._axis_factor.cache_info()
+        tapered = CutoffField(e.cutoff).tapered
+        assert info.misses == 2 * len(tapered)  # orders 3 and 1
+        assert info.hits == len(hs) - 1
+        got = [g.jet(x, 3, lines)] + [h.jet(x, 1, lines) for h in hs]
+        assert fields._axis_factor.cache_info().misses == info.misses
+        for a, b in zip(got, want):
+            assert np.array_equal(a.stored.view(np.uint64),
+                                  b.stored.view(np.uint64))
+        c = CutoffField(e.cutoff)._axis_coeffs(lines[0], tapered[0], 1)
+        assert not c.flags.writeable
 
 
 def _affine_seeds(a, b, x):

@@ -13,8 +13,8 @@ from curvcert.fields import ConstField, ExprField
 from curvcert.geometry import (GeometryError, NodeGeometry, WeightedSpace,
                                bakry_emery_ricci, carre_du_champ_jet,
                                contract, gamma1, gamma2, grad, hessian,
-                               hs_norm_sq, jet_matrix_inverse, laplacian_jet,
-                               ricci, witten_laplacian)
+                               hs_norm_sq, jet_matrix_inverse, jet_sum,
+                               laplacian_jet, ricci, witten_laplacian)
 from curvcert.jets import Jet
 from oracles import fd_partial
 
@@ -419,6 +419,44 @@ class TestGradedGeometry:
             assert np.array_equal(gamma, gamma.swapaxes(1, 2))
 
 
+    @pytest.mark.parametrize("name", zoo.list_entries() + [DENSE_INI.name])
+    def test_order1_inverse_is_the_order2_truncated(self, name):
+        # g^{ij} is inverted at order 1 unless its order-2 jets exist, and
+        # either way its slots are the order-2 jets' truncated, bit for bit
+        space, plan = _space_and_plan(name)
+        n = space.dim
+        for geom in _node_geometries(space, plan):
+            alone, after = NodeGeometry(space, geom.x), geom
+            want = after.jginv
+            assert "jginv1" not in vars(alone)
+            for i in range(n):
+                for j in range(n):
+                    w = want[i][j].truncate(1)
+                    assert want[i][j].order == 2
+                    for got in (alone.jginv1[i][j], after.jginv1[i][j]):
+                        assert (got.order, got.degree, got.support) == \
+                            (w.order, w.degree, w.support)
+                        assert np.array_equal(got.stored.view(np.uint64),
+                                              w.stored.view(np.uint64))
+
+    def test_sweep_inverts_the_metric_to_order_1(self, monkeypatch):
+        # a weak sweep, inside and on the boundary, and the Neumann gate's
+        # frames read g^{ij} to order 1 only
+        cfg = config.load_config(str(DENSE_INI))
+        orders = set()
+        original = geometry_module.jet_matrix_inverse
+
+        def recorded(a):
+            out = original(a)
+            orders.update(e.order for row in out for e in row)
+            return out
+
+        monkeypatch.setattr(geometry_module, "jet_matrix_inverse", recorded)
+        verify.decomposition_batch(cfg.space, cfg.neumann(), cfg.h_fields(),
+                                   (32, 16), (32,), cfg.plan.boundary_counts)
+        assert orders == {1}
+
+
 class TestStructuralZeros:
     """ball3's geometry never reads the azimuth, and its metric is
     diagonal: its jets skip the azimuth's slots and its tensor loops skip
@@ -527,6 +565,28 @@ class TestHessian:
         got = hessian(geom, jv)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+    @pytest.mark.parametrize("name", zoo.list_entries() + [DENSE_INI.name])
+    def test_hess_v_values_from_order0_products(self, name):
+        # hessian_jets truncates its Christoffel and partial factors to the
+        # entries' order, so Hess V takes order-0 products: the values and
+        # signs of zero of the order-1 products formed before
+        space, plan = _space_and_plan(name)
+        n = space.dim
+        x, _, lines = next(quadrature.interior_chunks(space,
+                                                      plan.quad_interior))
+        geom = NodeGeometry(space, x, lines)
+        got = hessian(geom, geom.jV)
+        df = [geom.jV.partial(i) for i in range(n)]
+        want = geometry_module._hessian_values(geom, {
+            (i, j): jet_sum([(df[i].partial(j),)],
+                            ((geom.jgam[k][i][j], df[k]) for k in range(n))
+                            ).value
+            for i in range(n) for j in range(n)})
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _bits(a, shape):

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import platform
 import re
 
 import numpy as np
 import pytest
 
-from curvcert import quadrature, zoo
+from curvcert import config, quadrature, verify, zoo
 from curvcert.boundary import ON_BOUNDARY_TOL, BoundaryError, boundary_frame
 from curvcert.exprlang import EvalError
 from curvcert.fields import ConstField, ExprField
@@ -14,6 +15,7 @@ from curvcert.quadrature import (CHUNK, BoundaryPatch, QuadratureError,
                                  gauss_rule,
                                  integrate_boundary, integrate_interior, interior_chunks,
                                  patch_points, tensor_rule)
+from test_geometry import DENSE_INI
 
 TWO_PI = 2.0 * np.pi
 
@@ -386,3 +388,39 @@ class TestBoundary:
         r = np.sqrt((pts ** 2).sum(axis=0))
         np.testing.assert_allclose(r, 1.0, atol=1e-12)
         assert pts.shape == (2, 32)
+
+
+class TestHeapPadding:
+    """On glibc, importing the quadrature keeps freed heap mapped, so a
+    sweep's node batches reuse the pages the batch before them freed."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="mallopt's top pad is glibc's")
+    def test_repeated_sweep_faults_no_pages_in(self):
+        import resource  # Unix only
+
+        cfg = config.load_config(str(DENSE_INI))
+        g, hs = cfg.neumann(), cfg.h_fields()
+
+        def batch():
+            return verify.decomposition_batch(cfg.space, g, hs, (448, 64),
+                                              (512,),
+                                              cfg.plan.boundary_counts)
+
+        first = batch()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        again = batch()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert again == first
+        # about 2 600 with glibc's default pad
+        assert faults < 200, f"{faults} minor faults"
+
+    @pytest.mark.parametrize("libc", ["raises", "no mallopt"])
+    def test_helper_is_a_no_op_without_mallopt(self, monkeypatch, libc):
+        def cdll(name):
+            if libc == "raises":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(quadrature.ctypes, "CDLL", cdll)
+        assert quadrature._keep_freed_heap_mapped() is None

@@ -47,6 +47,47 @@ class TestGate:
         _, worst = neumann_gate(g, frames_of(ball))
         assert worst < 1e-10
 
+    def _counted_batch(self, monkeypatch, e, g, boundary_counts):
+        """The gate and frame calls of one small decomposition_batch."""
+        calls = collections.Counter()
+        for fname in ("neumann_gate", "boundary_grid"):
+            def wrapper(*args, _fname=fname,
+                        _original=getattr(verify, fname)):
+                calls[_fname] += 1
+                return _original(*args)
+            monkeypatch.setattr(verify, fname, wrapper)
+        try:
+            verify.decomposition_batch(e.space, g, e.h_fields()[:1], (16, 8),
+                                       (16,), boundary_counts)
+        finally:
+            monkeypatch.undo()
+        return dict(calls)
+
+    def test_batch_gates_once_per_space_and_counts(self, ball, monkeypatch):
+        g = ball.neumann_family()[0]
+        counts = ball.plan.boundary_counts
+        both = {"neumann_gate": 1, "boundary_grid": 1}
+        assert self._counted_batch(monkeypatch, ball, g, counts) == both
+        assert self._counted_batch(monkeypatch, ball, g, counts) == {}
+        other = (counts[0] // 2,)
+        assert self._counted_batch(monkeypatch, ball, g, other) == both
+        assert self._counted_batch(monkeypatch, ball, g, other) == {}
+        assert self._counted_batch(monkeypatch, ball, g, counts) == {}
+        # the record is g's, left out of its repr and equality
+        fresh = NeumannTestFunction(base=g.base, field=g.field)
+        assert fresh == g and repr(fresh) == repr(g)
+        assert self._counted_batch(monkeypatch, ball, fresh, counts) == both
+
+    def test_batch_refuses_a_violating_field_every_call(self, ball):
+        raw = NeumannTestFunction(
+            base=ExprField("x*cos(y)", 2),
+            field=CutoffField(ball.cutoff) * ExprField("x*cos(y)", 2))
+        for _ in range(2):
+            with pytest.raises(GateError, match="hypothesis"):
+                verify.decomposition_batch(
+                    ball.space, raw, ball.h_fields()[:1], (16, 8), (16,),
+                    ball.plan.boundary_counts)
+
 
 def decomposition_sides(space, g, h, plan):
     """(LHS, RHS) of the decomposition check's metadata."""
@@ -445,8 +486,10 @@ class TestSharedSweep:
         jV.__set_name__(geom_cls, "jV")
         monkeypatch.setattr(geom_cls, "jV", jV)
         assert report.run_suite(entry("ball3"))["passed"]
+        # g^{ij} at order 2 only for Gamma2 on the Bochner grid, at order 1
+        # in the sweep, on the boundary and on the certificate's grid
         assert dict(orders) == {
-            "metric_jets": {2}, "jet_matrix_inverse": {2}, "jV": {2},
+            "metric_jets": {2}, "jet_matrix_inverse": {1, 2}, "jV": {2},
             "christoffel_jets": {1}, "normal_field_jets": {1},
             "carre_du_champ_jet": {1}}
 
