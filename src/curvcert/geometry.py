@@ -411,8 +411,10 @@ def hessian_jets(geom: NodeGeometry, df: Sequence[Jet]
     products); the kept slots are the same bits."""
     n = len(df)
     order = df[0].order - 1  # the entries'
-    jgam = [[[e.truncate(order) for e in row] for row in gk]
-            for gk in geom.jgam]
+    jgam = geom.jgam
+    if order < jgam[0][0][0].order:
+        jgam = [[[e.truncate(order) for e in row] for row in gk]
+                for gk in jgam]
     dfk = [d.truncate(order) for d in df]
     for i in range(n):
         for j in range(n):
