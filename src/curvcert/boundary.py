@@ -153,10 +153,9 @@ class NeumannTestFunction:
 
 
 def _symbolic_adjugate(metric_asts):
-    """Adjugate of the metric AST matrix (cofactor transpose)."""
+    """Adjugate of the metric AST matrix (cofactor transpose), at least
+    2 x 2: ``WeightedSpace`` refuses a chart dimension below 2."""
     n = len(metric_asts)
-    if n == 1:
-        return [[exprlang.ONE]]
 
     def det(rows, cols):
         if len(rows) == 1:

@@ -368,7 +368,7 @@ def _load(path: str, params: Dict[str, float]) -> Target:
         for ci in range(1, dim + 1):
             key = f"map{ci}"
             src = f.require(section, key)
-            maps.append(_expr_field(src, max(pdim, 1), f"[{section}] {key}"))
+            maps.append(_expr_field(src, pdim, f"[{section}] {key}"))
             expressions[f"{section}.{key}"] = src
         patches.append(BoundaryPatch(
             param_box=param_box, maps=maps,

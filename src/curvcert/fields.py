@@ -71,7 +71,7 @@ class ScalarField:
         try:
             return self._jet([s.truncate(order) for s in seeds])
         except JetDomainError as exc:
-            where = _point_of(x, lines, exc.index)
+            where = point_of(x, lines, exc.index)
             raise exprlang.EvalError(f"{exc} at point {where}") from exc
 
     def _jet(self, seeds: Sequence[Jet]) -> Jet:
@@ -106,7 +106,7 @@ class ScalarField:
         return _BinField("-", ConstField(self.dim, 0.0), self)
 
 
-def _point_of(x: np.ndarray, lines: Lines, index: Tuple[int, ...]) -> tuple:
+def point_of(x: np.ndarray, lines: Lines, index: Tuple[int, ...]) -> tuple:
     """The point of x at entry ``index`` of a jet's batch: that batch
     broadcasts against x's (or, on lines, against the grid x lists in C
     order), so an axis of size 1 is read at its only entry, the first
@@ -120,14 +120,14 @@ def _point_of(x: np.ndarray, lines: Lines, index: Tuple[int, ...]) -> tuple:
 
 
 def require_finite(values, x: np.ndarray, lines: Lines, what: str) -> None:
-    """EvalError naming the first point of x (as ``_point_of`` reads it)
+    """EvalError naming the first point of x (as ``point_of`` reads it)
     where ``what``'s values, at a batch shape that broadcasts against x's,
     are not finite."""
     bad = ~np.isfinite(values)
     if np.any(bad):
         index = np.unravel_index(np.argmax(bad), bad.shape)
         raise exprlang.EvalError(
-            f"{what} is not finite at point {_point_of(x, lines, index)}")
+            f"{what} is not finite at point {point_of(x, lines, index)}")
 
 
 def _coerce(v, dim) -> "ScalarField":

@@ -21,8 +21,9 @@ entry is an error naming it and its first node; positive definiteness
 bound, min_i (G_ii - sum_{j != i} |G_ij|) <= lambda_min, with
 ``SPD_MARGIN`` times the largest |G_ij| to spare, which is far above
 both the bound's rounding and eigvalsh's backward error; only a batch it
-cannot prove is probed with eigvalsh, whose least eigenvalue decides and
-names the error as it always has.
+cannot prove is probed with eigvalsh, whose least eigenvalue decides;
+an error names the first node where it is least, as ``fields.point_of``
+names a node in every other error.
 
 The tensor-index loops form their sums with ``jet_sum``, which skips
 every term with a zero-jet factor (a structural zero, such as an
@@ -41,11 +42,13 @@ the jets of f's first partials (``hessian``, and so
 
 Each jet is formed only to the order read.  g^{ij}'s jets are inverted
 at order 1, all that the values, the Christoffels, L f, the normal and
-Gamma(f,f) from order-1 partials read; only Gamma(f,f) from order-2
-partials, in Gamma2, reads them at order 2.  Hess f truncates its
-factors to the order of its entries, so Hess V's values take order-0
-products.  Truncated jet arithmetic forms each kept slot from the same
-terms in the same order, so every value is the same bits either way.
+Gamma(f,f) from order-1 partials read, by one inversion of the metric
+jets truncated to order 1; only Gamma(f,f) from order-2 partials, in
+Gamma2, reads them at order 2, from a second inversion of its own.
+Hess f truncates its factors to the order of its entries, so Hess V's
+values take order-0 products.  Truncated jet arithmetic forms each kept
+slot from the same terms in the same order, so every value is the same
+bits either way.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .fields import Lines, ScalarField, require_finite
+from .fields import Lines, ScalarField, point_of, require_finite
 from .jets import Jet
 
 SPD_FLOOR = 1e-10
@@ -189,7 +192,10 @@ def frame_at(space: WeightedSpace, x: np.ndarray, jg: List[List[Jet]],
     exceeds ``SPD_FLOOR`` by ``SPD_MARGIN`` times the node's largest
     |G_ij|, well above the rounding of the bound and eigvalsh's backward
     error (a small multiple of n eps |G|), eigvalsh's least eigenvalue
-    would exceed the floor too, so skipping it changes no outcome."""
+    would exceed the floor too, so skipping it changes no outcome.  The
+    error names the first node, in x's order, where the least eigenvalue
+    is least, through ``fields.point_of`` (which maps an entry of the
+    eigenvalues' batch to its node), and prints it as a numpy array."""
     n = space.dim
     batch = np.broadcast_shapes(*(jg[i][j].batch_shape for i in range(n)
                                   for j in range(i, n)))
@@ -201,18 +207,13 @@ def frame_at(space: WeightedSpace, x: np.ndarray, jg: List[List[Jet]],
             G[i, j] = G[j, i] = jg[i][j].value
     Gm = np.moveaxis(G, (0, 1), (-2, -1))  # (..., n, n) for numpy.linalg
     if not _spd_by_rows(G):
-        eig = np.linalg.eigvalsh(Gm)
-        min_eig = eig[..., 0]
+        min_eig = np.linalg.eigvalsh(Gm)[..., 0]
         if np.any(min_eig <= SPD_FLOOR):
-            if lines is not None:  # at the nodes, to name the first worst
-                min_eig = np.broadcast_to(min_eig, np.broadcast_shapes(
-                    *(line.shape for line in lines))).reshape(x.shape[1:])
-            bad = np.argmin(min_eig)
-            pt = x if x.ndim == 1 else \
-                x[:, np.unravel_index(bad, min_eig.shape)]
+            worst = np.unravel_index(np.argmin(min_eig), min_eig.shape)
             raise GeometryError(
                 f"metric not positive definite: min eigenvalue "
-                f"{np.min(min_eig):.3e} at point {np.asarray(pt).ravel()}")
+                f"{np.min(min_eig):.3e} at point "
+                f"{np.array(point_of(x, lines, worst))}")
     return G, np.sqrt(np.linalg.det(Gm))
 
 
@@ -262,7 +263,9 @@ class NodeGeometry:
     normal's derivative read second derivatives), ``jginv1`` and ``jgam``
     at order 1 (the Christoffels, L f, the normal and Ricci read first
     derivatives).  Only Gamma(f,f) from order-2 partials, as Gamma2 forms
-    it, reads g^{ij} to order 2, ``jginv``, which a sweep never builds.
+    it, reads g^{ij} to order 2, ``jginv``, which a sweep never builds;
+    each of the two is inverted on its own, so neither depends on
+    whether the other was built.
     phi's jet is the one every consumer of the batch reads: the
     quadrature's inside mask and on-boundary check, the frame's
     on-boundary check and its normal.
@@ -307,12 +310,9 @@ class NodeGeometry:
 
     @cached_property
     def jginv1(self) -> List[List[Jet]]:
-        """g^{ij}'s order-1 jets, which every other consumer reads:
-        ``jginv`` truncated where that is built already, else the inverse
-        of the metric jets truncated to order 1, whose slots are those of
-        the truncation bit for bit."""
-        if "jginv" in self.__dict__:
-            return [[e.truncate(1) for e in row] for row in self.jginv]
+        """g^{ij}'s order-1 jets, which every other consumer reads: the
+        inverse of the metric jets truncated to order 1, whose slots are
+        those of ``jginv`` truncated, bit for bit."""
         return jet_matrix_inverse([[e.truncate(1) for e in row]
                                    for row in self.jg])
 
@@ -405,16 +405,14 @@ def hessian_jets(geom: NodeGeometry, df: Sequence[Jet]
     """(i, j, (Hess f)_ij) for every index pair in C order, as jets one
     order below the jets ``df`` of the first partials of f: the one
     formula for the Hessian.  The entries are formed one at a time, so a
-    caller that folds each into a sum holds one at once.  Each Christoffel
-    and partial factor is truncated to the entries' order first, so a
-    product forms no slot above it (Hess V's values take order-0
-    products); the kept slots are the same bits."""
+    caller that folds each into a sum holds one at once.  Every
+    Christoffel and partial factor is truncated to the entries' order
+    first, so a product forms no slot above it (Hess V's values take
+    order-0 products); the kept slots are the same bits."""
     n = len(df)
     order = df[0].order - 1  # the entries'
-    jgam = geom.jgam
-    if order < jgam[0][0][0].order:
-        jgam = [[[e.truncate(order) for e in row] for row in gk]
-                for gk in jgam]
+    jgam = [[[e.truncate(order) for e in row] for row in gk]
+            for gk in geom.jgam]
     dfk = [d.truncate(order) for d in df]
     for i in range(n):
         for j in range(n):
@@ -474,11 +472,8 @@ def grad(geom: NodeGeometry, f: FieldOrJet) -> np.ndarray:
 
 def gamma1(geom: NodeGeometry, f: FieldOrJet, h: FieldOrJet) -> np.ndarray:
     """Carre du champ Gamma(f,h) = g^{ij} d_i f d_j h at the nodes."""
-    jf = _jet(f, geom)
-    jh = jf if h is f else _jet(h, geom)
-    df = jf.gradient()
-    dh = df if jh is jf else jh.gradient()
-    return contract("ij...,i...,j...->...", geom.inverse, df, dh)
+    return contract("ij...,i...,j...->...", geom.inverse,
+                    _jet(f, geom).gradient(), _jet(h, geom).gradient())
 
 
 def witten_laplacian(geom: NodeGeometry, f: FieldOrJet) -> np.ndarray:
@@ -523,8 +518,6 @@ def gamma2_parts(geom: NodeGeometry, f: FieldOrJet) -> Gamma2Parts:
     """Gamma2(f) via operator composition over jets of one order lower."""
     jf = _jet(f, geom)
     df = [jf.partial(i) for i in range(jf.dim)]
-    # first, so that the order-1 g^{ij} L f reads is the order-2 one's
-    # truncation, not a second inverse
     gamma_ff = carre_du_champ_jet(geom, df)
     lf, H = laplacian_jet(geom, df)
     half_l_gamma = 0.5 * witten_laplacian(geom, gamma_ff)

@@ -169,15 +169,14 @@ def _product(a, b, plan, n_out, batch):
     gives the dense pair table (the first pair of a segment plus the
     in-order sum of the rest, fewer than eight of them), and a slot no
     stored pair reaches is 0.0.  Dropped pairs are exact zeros, so the
-    result equals the dense product up to the sign of a zero.
+    result equals the dense product up to the sign of a zero.  One kernel
+    serves every batch, ``()`` included.
     """
-    if not batch:  # rows must be arrays to serve as out= buffers
-        return _product(a[:, None], b[:, None], plan, n_out, (1,))[:, 0]
     out = np.empty((n_out,) + batch)
     acc = np.empty(batch)
     tmp = np.empty(batch)
     for k, lead, rest in plan:
-        o = out[k]
+        o = out[k, ...]  # a 0-d view at batch (), to serve as out=
         if rest:
             s = o if lead is None else acc
             (i, j), more = rest[0], rest[1:]
@@ -390,31 +389,20 @@ class Jet:
             support = lo.support | hi.support
             n = _nslots(len(support), degree)
             n_lo = _nslots(len(lo.support), min(lo.degree, degree))
-            if n_lo == 0:
-                stored = hi_slots[:n]
-                if stored.shape[1:] != batch:
-                    stored = np.broadcast_to(stored, (n,) + batch)
-            elif lo.support == hi.support or lo.degree == 0:
-                # one layout: lo's slots are a prefix of hi's
-                stored = np.empty((n,) + batch)
-                np.add(a[:n_lo], b[:n_lo], out=stored[:n_lo])
-                stored[n_lo:] = hi_slots[n_lo:n]
-            else:
-                # each slot written once: a copy, a sum, or 0 where
-                # neither operand stores it
-                n_hi = _nslots(len(hi.support), degree)
-                stored = np.empty((n,) + batch)
-                for k, stop, i, j in _sum_plan(
-                        self.dim, lo.support, n_lo, hi.support, n_hi, n):
-                    o = stored[k:stop]
-                    if j is None:
-                        o[...] = 0.0 if i is None else \
-                            lo_slots[i:i + stop - k]
-                    elif i is None:
-                        o[...] = hi_slots[j:j + stop - k]
-                    else:
-                        np.add(lo_slots[i:i + stop - k],
-                               hi_slots[j:j + stop - k], out=o)
+            n_hi = _nslots(len(hi.support), degree)
+            # each slot written once: a copy, a sum, or 0 where neither
+            # operand stores it
+            stored = np.empty((n,) + batch)
+            for k, stop, i, j in _sum_plan(
+                    self.dim, lo.support, n_lo, hi.support, n_hi, n):
+                o = stored[k:stop]
+                if j is None:
+                    o[...] = 0.0 if i is None else lo_slots[i:i + stop - k]
+                elif i is None:
+                    o[...] = hi_slots[j:j + stop - k]
+                else:
+                    np.add(lo_slots[i:i + stop - k],
+                           hi_slots[j:j + stop - k], out=o)
             return Jet._make(self.dim, order, degree, stored, support)
         degree = max(self.degree, 0)
         n = _nslots(len(self.support), degree)
@@ -572,8 +560,10 @@ def stack(js: Sequence[Jet], rank: int = 0) -> Jet:
     axes to at least ``rank`` axes (the rank of the batch the stack is to
     meet, so that a jet of batch () meets an (m,) one at (k, m)).  Its
     order is the least of theirs, its degree the greatest (at most that
-    order) and its support the union of theirs, and a row's slots that
-    its own jet does not store are zero.  Every jet operation is
+    order) and its support the union of theirs; each row's slots are
+    placed by the embedding of its jet's support in the union (the
+    identity where the two are equal), and a row's slots that its own
+    jet does not store are zero.  Every jet operation is
     elementwise over the batch, so a row of a result is the result on
     that row's jet, up to the sign of a zero."""
     if not js:
@@ -589,11 +579,8 @@ def stack(js: Sequence[Jet], rank: int = 0) -> Jet:
     stored = np.zeros((_nslots(len(support), degree), len(js)) + batch)
     for i, j in enumerate(js):
         n = _nslots(len(j.support), min(j.degree, degree))
-        rows = _at_rank(j.stored[:n], len(batch))
-        if j.support == support:
-            stored[:n, i] = rows
-        else:
-            stored[_embedding(dim, j.support, support)[:n], i] = rows
+        stored[_embedding(dim, j.support, support)[:n], i] = \
+            _at_rank(j.stored[:n], len(batch))
     return Jet._make(dim, order, degree, stored, support)
 
 

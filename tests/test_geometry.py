@@ -421,8 +421,8 @@ class TestGradedGeometry:
 
     @pytest.mark.parametrize("name", zoo.list_entries() + [DENSE_INI.name])
     def test_order1_inverse_is_the_order2_truncated(self, name):
-        # g^{ij} is inverted at order 1 unless its order-2 jets exist, and
-        # either way its slots are the order-2 jets' truncated, bit for bit
+        # g^{ij} is inverted at order 1 on its own, whether or not its
+        # order-2 jets exist, and its slots are theirs truncated, bit for bit
         space, plan = _space_and_plan(name)
         n = space.dim
         for geom in _node_geometries(space, plan):

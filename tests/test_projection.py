@@ -6,6 +6,7 @@ computed at the chunk's points bit for bit, on every zoo entry and on
 the INI space, and errors must read as they do at the points.  The point
 path is forced by handing each chunk over without its lines."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -241,18 +242,25 @@ class TestCountsAndErrors:
                 f.jet(x, 3, given)
 
     def test_geometry_error_names_direct_point(self):
-        space = zoo.load("ball").space
-        lines = [np.array([[0.4], [0.0], [0.7]]),
-                 np.array([[0.1, 0.2, 0.3, 0.4]])]
-        x = _tensor(lines[0].ravel(), lines[1].ravel())
+        ball = zoo.load("ball").space
+        # a metric that reads both axes, least at (0.7, 0.3): off the
+        # first row and column, and again at a later column
+        g11, g12 = ExprField("1", 2), ExprField("0", 2)
+        g22 = ExprField("pow(x - 0.7, 2) + pow(y - 0.3, 2) - 1e-3", 2)
+        both = dataclasses.replace(ball, metric=[[g11, g12], [g12, g22]])
+        cases = [(ball, [0.4, 0.0, 0.7], [0.1, 0.2, 0.3, 0.4], "[0.  0.1]"),
+                 (both, [0.4, 0.7, 0.2], [0.1, 0.3, 0.5, 0.3], "[0.7 0.3]")]
 
-        def message(given):
+        def message(space, x, given):
             with pytest.raises(GeometryError) as info:
                 NodeGeometry(space, x, given)
             return str(info.value)
 
-        assert message(lines) == message(None)
-        assert message(None).endswith("at point [0.  0.1]")
+        for space, xs, ys, where in cases:
+            lines = [np.array(xs)[:, None], np.array(ys)[None, :]]
+            x = _tensor(lines[0].ravel(), lines[1].ravel())
+            assert message(space, x, lines) == message(space, x, None)
+            assert message(space, x, None).endswith(f"at point {where}")
 
     def test_non_finite_coordinate_same_jet_error(self):
         space = zoo.load("ball3").space
