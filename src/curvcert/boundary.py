@@ -6,9 +6,11 @@ boundary by the same formula so the shape operator can be differentiated
 through jets; ``normal_field_jets`` is its one formula, read off the
 batch geometry's phi jet (``NodeGeometry.jphi``, which the frame's
 on-boundary check reads too), and
-``BoundaryFrame.flux`` that of the Neumann flux g(N, grad u).  The second
-fundamental form is II(X, Y) = g(nabla_X N, Y) on the g-orthonormal
-tangent frame, so II >= 0 means a convex boundary.
+``BoundaryFrame.flux`` that of the Neumann flux g(N, grad u).  The
+g-orthonormal tangent frame is built at each node from a basis of
+ker dphi, so every boundary node gets one, for any metric and wherever
+the node falls.  The second fundamental form is II(X, Y) = g(nabla_X N, Y)
+on that frame, so II >= 0 means a convex boundary.
 
 ``make_neumann`` builds compactly supported fields with vanishing normal
 derivative on {phi = 0} by the exact correction
@@ -67,8 +69,11 @@ class BoundaryFrame:
 
 
 def boundary_frame(geom: NodeGeometry) -> BoundaryFrame:
-    """Normal + tangent frame at the nodes of ``geom``; Gram-Schmidt
-    seeded by the chart axes in order."""
+    """Normal + tangent frame at the nodes of ``geom``.  The tangents are
+    Gram-Schmidt (in g, after N) of a basis of ker dphi, built at each
+    node alone: with p the axis of the largest |d_p phi|, the seeds are
+    e_j - (d_j phi / d_p phi) e_p for the axes j != p in order.  A seed
+    of a node is the chart axis e_j wherever d_j phi = 0."""
     abs_phi = np.abs(geom.jphi.value)
     if np.any(abs_phi > ON_BOUNDARY_TOL):
         raise BoundaryError(
@@ -77,28 +82,23 @@ def boundary_frame(geom: NodeGeometry) -> BoundaryFrame:
     n = geom.space.dim
     jN = normal_field_jets(geom)
     N = np.stack([j.value for j in jN])
+    dphi = geom.jphi.gradient()
+    p = np.argmax(np.abs(dphi), axis=0)
+    axes = np.arange(n).reshape((n,) + (1,) * p.ndim)
+    dphi_p = np.take_along_axis(dphi, p[None], 0)[0]
 
     def g_dot(u, v):
         return np.einsum("i...,ij...,j...->...", u, geom.metric, v)
 
     tangents: List[np.ndarray] = []
-    for axis in range(n):
-        v = np.zeros_like(N)
-        v[axis] = 1.0
+    for k in range(n - 1):
+        j = k + (k >= p)  # the k-th axis other than p
+        ratio = np.take_along_axis(dphi, j[None], 0)[0] / dphi_p
+        v = (axes == j) - ratio * (axes == p)
         v = v - g_dot(v, N) * N
         for t in tangents:
             v = v - g_dot(v, t) * t
-        vnorm2 = g_dot(v, v)
-        if np.all(vnorm2 < 1e-10):
-            continue
-        if np.any(vnorm2 < 1e-10):
-            raise BoundaryError(
-                "tangent frame degenerates on part of the point batch")
-        tangents.append(v / np.sqrt(vnorm2))
-        if len(tangents) == n - 1:
-            break
-    if len(tangents) != n - 1:
-        raise BoundaryError("could not build a full tangent frame")
+        tangents.append(v / np.sqrt(g_dot(v, v)))
     return BoundaryFrame(normal=N, normal_jets=jN,
                          tangents=np.stack(tangents), geom=geom)
 

@@ -20,7 +20,8 @@ and mv_laplacian from one sweep, which builds the geometry and g's terms
 once per node batch and streams the rows of each test density from one
 jet of it; given boundary frames, also ii_identity and
 ricci_decomposition, behind the one Neumann gate (``neumann_gate``,
-which also hands the II identity its jets of g).  ``check_green``,
+which also hands the II identity its jets of g).  The sweep forms the
+same rows, the decomposition's included, for every caller.  ``check_green``,
 ``check_mv_laplacian`` and ``check_ricci_decomposition`` are views of
 its entries.  Inside the sweep, every jet and term is taken on the
 quadrature chunk's axis lines, at the broadcast shape of the axes it
@@ -31,7 +32,8 @@ one sample grid takes its ``NodeGeometry``, or one ``BoundaryFrame`` per
 patch, and nothing they hold (``SamplePlan.grids`` builds both); a check
 that runs a sweep takes the space.  Each check reads its identity's
 tolerance constant.  Operators are bound by name from ``geometry`` and
-``boundary``.
+``boundary``.  Every check ranks its values in one way (``_largest``),
+and a check with no value to rank raises rather than pass on nothing.
 
 A ``Target`` is one space under test, as the zoo and the INI loader both
 build it: its ``neumann`` and ``h_field`` make every Neumann field and test
@@ -59,7 +61,7 @@ from .boundary import (BoundaryFrame, NeumannTestFunction, boundary_frame,
                        make_neumann)
 from .exprlang import VAR_NAMES, EvalError
 from .fields import (CutoffField, CutoffSpec, ExprField, ScalarField,
-                     require_finite)
+                     point_of, require_finite)
 from .geometry import (FieldOrJet, NodeGeometry, WeightedSpace,
                        bakry_emery_ricci, carre_du_champ_jet, contract,
                        _jet, gamma2_parts, grad, hessian, hs_norm_sq,
@@ -262,27 +264,25 @@ def _random_fields(dim: int, count: int, seed: int
     return tuple(fields)
 
 
-def _witness_point(x: np.ndarray, flat_index: int) -> List[float]:
-    if x.ndim == 1:
-        return [float(v) for v in x]
-    return [float(v) for v in x[:, flat_index]]
-
-
-def _largest(name: str, rows, worst: float, last: bool = False
-             ) -> Tuple[float, Dict]:
+def _largest(name: str, rows, last: bool = False) -> Tuple[float, Dict]:
     """The largest value over ``rows`` of (witness, values, points), and
     its row's witness with the point: the first maximum, or with ``last``
-    the last.  A non-finite value cannot be ranked: EvalError."""
-    witness: Dict = {}
+    the last.  A non-finite value cannot be ranked: EvalError; nor can no
+    value at all: ValueError."""
+    worst, witness = -np.inf, None
     for extra, vals, x in rows:
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            at = np.unravel_index(np.argmax(bad), np.shape(vals))
             raise EvalError(f"{name}: non-finite value at point "
-                            f"{_witness_point(x, int(bad[0]))}")
+                            f"{list(point_of(x, None, at))}")
         k = int(np.argmax(vals))
         v = float(np.ravel(vals)[k])
         if v > worst or (last and v == worst):
-            worst, witness = v, dict(extra, point=_witness_point(x, k))
+            at = np.unravel_index(k, np.shape(vals))
+            worst, witness = v, dict(extra, point=list(point_of(x, None, at)))
+    if witness is None:
+        raise ValueError(f"{name}: no value to rank")
     return worst, witness
 
 
@@ -307,15 +307,12 @@ def check_bochner(fields: Sequence[FieldOrJet], geom: NodeGeometry
     the Ricci_V contraction as one stacked jet; the residual is the first
     maximum in field order, its witness that field and point."""
     x = geom.x
-    rows = []
-    if fields:
-        parts = gamma2_parts(geom, _stacked_jets(fields, geom))
-        gf = grad(geom, parts.f_jet)
-        rhs = contract("ij...,i...,j...->...", bakry_emery_ricci(geom), gf,
-                       gf) + hs_norm_sq(geom, parts.hessian)
-        rel = np.abs(parts.gamma2 - rhs) / (1.0 + np.abs(parts.gamma2))
-        rows = _field_rows(rel, x)
-    worst, witness = _largest("bochner", rows, -1.0)
+    parts = gamma2_parts(geom, _stacked_jets(fields, geom))
+    gf = grad(geom, parts.f_jet)
+    rhs = contract("ij...,i...,j...->...", bakry_emery_ricci(geom), gf,
+                   gf) + hs_norm_sq(geom, parts.hessian)
+    rel = np.abs(parts.gamma2 - rhs) / (1.0 + np.abs(parts.gamma2))
+    worst, witness = _largest("bochner", _field_rows(rel, x))
     npts = 1 if x.ndim == 1 else x.shape[1]
     return CheckResult(
         name="bochner", residual=worst, tolerance=POINTWISE_TOL,
@@ -332,21 +329,18 @@ def _ii_of_gradient(bframe: BoundaryFrame, ju: Jet) -> np.ndarray:
 
 def _weak_integrals(space: WeightedSpace, g: ScalarField,
                     hs: Sequence[ScalarField], quad_interior,
-                    quad_boundary, decomposition: bool = True
-                    ) -> List[Dict[str, float]]:
+                    quad_boundary) -> List[Dict[str, float]]:
     """One quadrature sweep for the weak identities of g tested against
     each h in ``hs``: int Gamma(h,g), int h Lg and oint h g(N, grad g),
-    and, unless ``decomposition`` is false, the decomposition's LHS and
-    interior and boundary RHS; one dict per h.  Each batch builds one
+    and the decomposition's LHS and interior and boundary RHS; one dict
+    per h, with all six for every caller.  Each batch builds one
     ``NodeGeometry``, jets g once and computes its h-free terms once, then
     yields each h's rows from one jet of that h.  Each field is jetted to
     the order its rows read: h enters only through h and grad h, so it is
     jetted at order 1 inside and read as a value on the boundary; g needs
     order 3 inside (Gamma(g, Lg), |Hess g|^2) and order 1 on the
     boundary.  Gamma(g,g) is formed from the order-1 truncation of g's
-    partials, since only its gradient is read.  Without the decomposition
-    none of its terms (Gamma(g,g), Gamma(g, Lg), |Hess g|^2,
-    Ricci_V(grad g, grad g), II) is formed.
+    partials, since only its gradient is read.
 
     Inside, g and each h are jetted on the chunk's axis lines
     (``geom.lines``), so the h-free terms (grad g, Lg, |Hess g|^2,
@@ -365,17 +359,15 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
         dg = jg.gradient()
         partials = [jg.partial(i) for i in range(space.dim)]
         jlg, H = laplacian_jet(geom, partials)
-        hs_sq = hs_norm_sq(geom, H) if decomposition else None
+        hs_sq = hs_norm_sq(geom, H)
         del H  # not held while Gamma(g,g)'s jet is built
-        if decomposition:
-            dgam = geom.at_nodes(carre_du_champ_jet(
-                geom, [p.truncate(1) for p in partials]).gradient())
-            gv = contract("ij...,j...->i...", ginv, dg)  # grad g
-            g_f_lf = contract("ij...,i...,j...->...", ginv, dg,
-                              jlg.gradient())
-            ric = contract("ij...,i...,j...->...", bakry_emery_ricci(geom),
-                           gv, gv)
-            del gv
+        dgam = geom.at_nodes(carre_du_champ_jet(
+            geom, [p.truncate(1) for p in partials]).gradient())
+        gv = contract("ij...,j...->i...", ginv, dg)  # grad g
+        g_f_lf = contract("ij...,i...,j...->...", ginv, dg, jlg.gradient())
+        ric = contract("ij...,i...,j...->...", bakry_emery_ricci(geom),
+                       gv, gv)
+        del gv
         lg, dg, ginv = jlg.value, geom.at_nodes(dg), geom.at_nodes(ginv)
         del jg, partials, jlg  # not held while the h rows are formed
         for h in hs:
@@ -384,34 +376,28 @@ def _weak_integrals(space: WeightedSpace, g: ScalarField,
             dh = jh.gradient()
             yield contract("ij...,i...,j...->...", ginv, dh, dg)  # Gamma(h,g)
             yield hv * lg
-            if decomposition:
-                g_h_gam = contract("ij...,i...,j...->...", ginv, dh, dgam)
-                yield -0.5 * g_h_gam - hv * g_f_lf - hv * hs_sq
-                yield hv * ric
+            g_h_gam = contract("ij...,i...,j...->...", ginv, dh, dgam)
+            yield -0.5 * g_h_gam - hv * g_f_lf - hv * hs_sq
+            yield hv * ric
 
     def boundary(geom: NodeGeometry) -> Iterator[np.ndarray]:
         x = geom.x
         jg = g.jet(x, 1)
         bf = boundary_frame(geom)
         flux = bf.flux(jg.gradient())
-        ii = _ii_of_gradient(bf, jg) if decomposition else None
+        ii = _ii_of_gradient(bf, jg)
         for h in hs:
             hv = np.asarray(h.value(x))
             yield hv * flux
-            if decomposition:
-                yield hv * ii
+            yield hv * ii
 
-    interior_keys = ("gamma", "laplacian", "lhs", "rhs_interior")
-    boundary_keys = ("flux", "rhs_boundary")
-    if not decomposition:
-        interior_keys, boundary_keys = interior_keys[:2], boundary_keys[:1]
     ints = iter(integrate_interior(space, interior, quad_interior))
     bds = [iter(integrate_boundary(space, boundary, p, quad_boundary))
            for p in space.boundary_patches]
     out = []
     for _ in hs:  # each h's rows in the order its integrands yield them
-        w = dict(zip(interior_keys, ints))
-        for key in boundary_keys:
+        w = dict(zip(("gamma", "laplacian", "lhs", "rhs_interior"), ints))
+        for key in ("flux", "rhs_boundary"):
             w[key] = sum(next(b) for b in bds)
         out.append(w)
     return out
@@ -426,7 +412,7 @@ def neumann_gate(g: NeumannTestFunction, frames: Sequence[BoundaryFrame]
     jets = [g.field.jet(bf.point, 2) for bf in frames]
     rows = [({}, np.abs(bf.flux(jg.gradient())), bf.point)
             for bf, jg in zip(frames, jets)]
-    worst, witness = _largest("neumann_gate", rows, 0.0, last=True)
+    worst, witness = _largest("neumann_gate", rows, last=True)
     if worst > NEUMANN_GATE_TOL:
         raise GateError(
             f"Neumann hypothesis violated: |g(N, grad g)| = {worst:.3e} "
@@ -446,12 +432,12 @@ def weak_checks(space: WeightedSpace, g, h: ScalarField,
     ``NeumannTestFunction`` its boundary term must itself vanish (the
     measure Laplacian is absolutely continuous), or mv_laplacian fails
     with a leak.  Given ``frames``, ii_identity, whose Neumann gate on them
-    runs before the sweep, and ricci_decomposition follow."""
+    runs before the sweep, and ricci_decomposition follow; without them
+    the sweep still forms the decomposition's rows, and they go unread."""
     is_neumann = isinstance(g, NeumannTestFunction)
     ii = None if frames is None else check_ii_identity(g, frames)
     ints, = _weak_integrals(space, g.field if is_neumann else g, [h],
-                            quad_interior, quad_boundary,
-                            decomposition=ii is not None)
+                            quad_interior, quad_boundary)
     i_gamma, i_lap, i_bd = ints["gamma"], ints["laplacian"], ints["flux"]
     scale = 1.0 + abs(i_gamma) + abs(i_lap) + abs(i_bd)
     res = abs(i_gamma - (-i_lap + i_bd)) / scale
@@ -537,7 +523,7 @@ def check_ii_identity(g: NeumannTestFunction,
         dg = [jg.partial(i) for i in range(jg.dim)]
         rhs = -0.5 * bf.flux(carre_du_champ_jet(bf.geom, dg).gradient())
         rows.append(({}, np.abs(lhs - rhs) / (1.0 + np.abs(lhs)), bf.point))
-    worst, witness = _largest("ii_identity", rows, -1.0)
+    worst, witness = _largest("ii_identity", rows)
     return CheckResult(name="ii_identity", residual=worst,
                        tolerance=POINTWISE_TOL, passed=worst <= POINTWISE_TOL,
                        witness=witness,
@@ -554,12 +540,10 @@ def check_dimension_term(fields: Sequence[FieldOrJet], geom: NodeGeometry,
         raise ValueError(
             f"dimension parameter N = {n_dim} is not >= the chart dimension "
             f"{geom.space.dim}: the trace inequality is unsatisfiable")
-    rows = []
-    if fields:
-        H = hessian(geom, _stacked_jets(fields, geom))
-        lap = contract("ij...,ij...->...", geom.inverse, H)
-        rows = _field_rows(lap**2 / n_dim - hs_norm_sq(geom, H), geom.x)
-    worst, witness = _largest("dimension_term", rows, -np.inf)
+    H = hessian(geom, _stacked_jets(fields, geom))
+    lap = contract("ij...,ij...->...", geom.inverse, H)
+    worst, witness = _largest("dimension_term", _field_rows(
+        lap**2 / n_dim - hs_norm_sq(geom, H), geom.x))
     return CheckResult(name="dimension_term", residual=worst,
                        tolerance=DIMENSION_TOL, passed=worst <= DIMENSION_TOL,
                        witness=witness,
@@ -638,7 +622,7 @@ def interior_spectrum(geom: NodeGeometry) -> np.ndarray:
     points of ``geom``, (m, n) ascending.  A non-finite eigenvalue cannot
     be ranked: EvalError at its point."""
     eigs = eigenvalues_relative(bakry_emery_ricci(geom), geom.metric)
-    _largest("ricci_v", [({}, np.max(np.abs(eigs), axis=-1), geom.x)], 0.0)
+    _largest("ricci_v", [({}, np.max(np.abs(eigs), axis=-1), geom.x)])
     return eigs
 
 
@@ -648,7 +632,7 @@ def boundary_spectrum(frames: Sequence[BoundaryFrame]) -> Tuple:
     ranked: EvalError at its point."""
     II = np.concatenate([bf.II for bf in frames], axis=-1)
     xb = np.concatenate([bf.point for bf in frames], axis=-1)
-    _largest("ii", [({}, np.max(np.abs(II), axis=(0, 1)), xb)], 0.0)
+    _largest("ii", [({}, np.max(np.abs(II), axis=(0, 1)), xb)])
     return (xb, np.linalg.eigvalsh(np.moveaxis(II, (0, 1), (-2, -1))),
             np.einsum("aa...->...", II))
 
@@ -684,8 +668,8 @@ def certify(geom: NodeGeometry, frames: Sequence[BoundaryFrame],
         tr_ii_range=(float(np.min(tr)), float(np.max(tr))),
         rcd_infinity=rcd_inf, rcd_star=rcd_star,
         interior_samples=x.shape[1], boundary_samples=xb.shape[1],
-        interior_witness=_witness_point(x, ki),
-        boundary_witness=_witness_point(xb, bi),
+        interior_witness=list(point_of(x, None, (ki,))),
+        boundary_witness=list(point_of(xb, None, (bi,))),
         max_abs_ricci_v=float(np.max(np.abs(eigs))))
 
 

@@ -3,12 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curvcert import boundary
+from curvcert import boundary, zoo
 from curvcert.boundary import (BoundaryError, boundary_frame, make_neumann,
                                mean_curvature, normal_field_jets,
                                second_fundamental_form)
+from curvcert.cli import main
+from curvcert.config import load_config
 from curvcert.fields import ConstField, CutoffSpec, ExprField
 from curvcert.geometry import NodeGeometry, WeightedSpace
+from curvcert.quadrature import gauss_rule
+from curvcert.report import run_suite
 from curvcert.verify import neumann_gate
 from oracles import fd_partial
 
@@ -74,6 +78,54 @@ class TestBoundaryFrame:
         np.testing.assert_allclose(
             np.einsum("i...,i...->...", bf.normal, bf.tangents[0]), 0.0,
             atol=1e-12)
+
+
+def ball_with_g12(tmp_path, g12):
+    """ball.ini with the off-diagonal metric entry g12 and no [expected]
+    or [provenance] section, written under tmp_path."""
+    kept, drop = [], False
+    for line in (zoo.SPACES / "ball.ini").read_text().splitlines():
+        if line.startswith("["):
+            drop = line in ("[expected]", "[provenance]")
+        if not drop:
+            kept.append(line)
+            if line.startswith("g22 ="):
+                kept.append(f'g12 = "{g12}"')
+    path = tmp_path / "ball_g12.ini"
+    path.write_text("\n".join(kept) + "\n")
+    return path
+
+
+# g12 is 0 at node 60 of the 256-node boundary rule (the first) or below
+# 1e-5 there (the second): there, and only there, the chart axis e_x lies
+# (nearly) along N, so a frame sought among the chart axes for the whole batch
+# finds no axis that serves every node
+G12_SAMPLES = ["0.014*x*sin(y - 0.8302522120267718)",
+               "0.014*x*cos(y + 0.741)"]
+
+
+class TestFrameAtEveryNode:
+    @pytest.mark.parametrize("g12", G12_SAMPLES)
+    def test_full_metric_ball_gets_a_verdict(self, tmp_path, g12):
+        path = ball_with_g12(tmp_path, g12)
+        checks = run_suite(load_config(str(path)))["checks"]
+        assert len(checks) == 6
+        assert [r.name for r in checks if not r.passed] == []
+        assert main(["report", "--config", str(path), "--no-timing"]) == 0
+
+    def test_node_alone_and_in_batch_agree(self, tmp_path):
+        space = load_config(str(ball_with_g12(tmp_path,
+                                              G12_SAMPLES[0]))).space
+        y, _ = gauss_rule(0.0, 2.0 * np.pi, 256)
+        assert y[60] == 0.8302522120267718
+        x = np.stack([np.ones_like(y), y])
+        batch = frame(space, x)
+        for k in range(len(y)):
+            alone = frame(space, x[:, k])
+            for a, b in ((alone.tangents, batch.tangents[..., k]),
+                         (alone.normal, batch.normal[..., k]),
+                         (alone.II, batch.II[..., k])):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
 
 class TestSecondFundamentalForm:

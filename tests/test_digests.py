@@ -25,7 +25,7 @@ PINNED = {
     "gaussian_half_space":
         "593038aab26edacc02d8f8095ba73c3cc83cb574e5e22e7968c94fcd2d2b8912",
     DENSE_INI.name:
-        "8f7cded5941304015f5e34c951abd6221f80a8acd1345efa64c156c760b9cde0",
+        "7894879cc634876ff68438e0d8541439e74af671fd6a51e3d2226be9461b02f4",
 }
 
 

@@ -55,11 +55,11 @@ def _looped_results(space, fields, geom, n_dim):
     ranked as the checks rank them."""
     bochner, dimension = _looped_rows(space, fields, geom, n_dim)
     out = []
-    for name, rows, worst in (("bochner", bochner, -1.0),
-                              ("dimension_term", dimension, -np.inf)):
+    for name, rows in (("bochner", bochner),
+                       ("dimension_term", dimension)):
         out.append(verify._largest(
             name, [({"field_index": i}, v, geom.x)
-                   for i, v in enumerate(rows)], worst))
+                   for i, v in enumerate(rows)]))
     return out
 
 
@@ -68,9 +68,9 @@ def _checked_rows(monkeypatch, space, fields, geom, n_dim):
     rows = {}
     largest = verify._largest
 
-    def recording(name, got, worst, last=False):
+    def recording(name, got, last=False):
         rows[name] = np.array([vals for _, vals, _ in got])
-        return largest(name, got, worst, last)
+        return largest(name, got, last)
 
     monkeypatch.setattr(verify, "_largest", recording)
     results = (verify.check_bochner(fields, geom),
@@ -135,16 +135,21 @@ class TestMixedDegrees:
 
 
 class TestNoFields:
-    def test_empty_list_passes_vacuously(self):
+    def test_empty_list_raises(self):
+        # a check that exercised no field and no point does not pass:
+        # the pointwise checks find no jet to stack, and the II identity
+        # ranks through the Neumann gate, which finds no value to rank
         target = _target("ball")
         geom = _suite_geometry(target)
-        bochner = verify.check_bochner([], geom)
-        dimension = verify.check_dimension_term([], geom, 2.0)
-        assert (bochner.residual, bochner.passed, bochner.witness) == \
-            (-1.0, True, {})
-        assert (dimension.residual, dimension.passed, dimension.witness) == \
-            (-np.inf, True, {})
-        assert bochner.metadata["fields"] == dimension.metadata["fields"] == 0
+        with pytest.raises(ValueError, match="no jets to stack"):
+            verify.check_bochner([], geom)
+        with pytest.raises(ValueError, match="no jets to stack"):
+            verify.check_dimension_term([], geom, 2.0)
+        g = target.neumann()
+        for check in (verify.check_ii_identity, verify.neumann_gate):
+            with pytest.raises(ValueError,
+                               match="^neumann_gate: no value to rank$"):
+                check(g, [])
 
 
 class TestCounts:

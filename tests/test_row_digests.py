@@ -34,9 +34,9 @@ DENSE_ROWS = [
     "ac1b53d3f23e2855f1551429586a2aceb630b64e8c2c5fad91e693b76578c354",
     "6b304cabc01186c6deb8813e3bfff861c9ce1c118855113f7d50d833b6493f07",
     "878b982003d76e9acbd974a9c4b7e4e45d0d187e1d09d72e6edd5a18e27448bc",
-    "1be57cfe3e4c4a37eb5c807f068fba471f07a07cb1755d05a529622e5360c546",
+    "b1aa8422dabdb8475061daa0d8a3bfa319f8d1b0aec099693124fae4c4797dab",
     "f2039d3e7c665c850736fc77834e83001d97ad7aa4c8e7ac1f7203fc54266457",
-    "9270439f36a4ca4462c09ac91d96fbbcd0792169fb6299e419d6a5963dd97e7c",
+    "50cfeb6787c42e6773ae456e086a33673ff951268bafe48caa2796e23c1f5dc6",
 ]
 
 BALL3_ROWS = [
